@@ -12,9 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,23 +88,6 @@ def _resolve(args: argparse.Namespace, key: str, cast, default):
     if key in cfg:
         return cast(cfg[key])
     return default
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("EGG_METRICS_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _max_workers()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))  # order preserved: deterministic output
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -259,17 +240,14 @@ def _cmd_curvature_scan(cfg: RunConfig, args) -> int:
     lo, _, hi = args.p1_range.partition(":")
     p1s = np.linspace(float(lo), float(hi), args.count)
 
-    def scan_one(p1: float):
+    records, skipped = [], []
+    for p1 in p1s:
         grid = GridSpec(p1_min=p1, p1_max=p1, count=1,
                         phat_abs=args.phat_abs, step=args.step, seed=cfg.seed,
                         directions=args.directions)
-        return curvature_scan(domain, grid)
-
-    # fan out per grid point; EGG_METRICS_THREADS caps the pool, and map
-    # order keeps the output deterministic
-    results = _parallel_map(scan_one, p1s)
-    records = [rec for recs, _ in results for rec in recs]
-    skipped = [pt for _, sk in results for pt in sk]
+        recs, sk = curvature_scan(domain, grid)
+        records.extend(recs)
+        skipped.extend(sk)
     rows = []
     for rec in records:
         coords = ";".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in rec.point)

@@ -2,9 +2,10 @@
 
 The components are R[i, j, k, l] = -d2 H[i,j] / dz_k dzbar_l
 + (dH/dz_k . H^-1 . dH/dzbar_l)[i, j] in the matrix convention of
-``tensor``. Differentiation runs in real coordinates with Wirtinger
-recombination (the metric is not holomorphic in z, so complex-step tricks do
-not apply), one Richardson level on top of central differences.
+``tensor``. Differentiation is ``numerics.wirtinger_jet``: real coordinates
+with Wirtinger recombination (the metric is not holomorphic in z, so
+complex-step tricks do not apply), one Richardson level on top of central
+differences.
 
 Holomorphic sectional curvature is R(v, vbar, v, vbar) / h(v, vbar)^2 times
 ``CURVATURE_NORMALIZATION``; the constant is pinned once by the m = 1 ball,
@@ -21,7 +22,7 @@ import numpy as np
 from .domain import DomainParams, RegionLabel, as_vector, classify_region, seam_distance
 from .errors import DomainError, NumericalError, SeamProximityError
 from .tensor import HermitianForm, kahler_defect, wu_tensor
-from .numerics import richardson
+from .numerics import wirtinger_jet
 
 #: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
 CURVATURE_NORMALIZATION = 1.0
@@ -57,11 +58,6 @@ class CurvatureTensor:
         return float(np.max(np.abs(self.components - swapped)))
 
 
-def _metric_eval(domain: DomainParams, u: np.ndarray) -> np.ndarray:
-    n = domain.n
-    return wu_tensor(domain, u[:n] + 1j * u[n:]).matrix
-
-
 def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> CurvatureTensor:
     """Full curvature tensor at an interior point at least 8 steps from any seam."""
     z = as_vector(z, domain.n)
@@ -69,47 +65,8 @@ def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> C
     if seam_distance(domain, z) < 8.0 * step:
         raise SeamProximityError(
             f"point is within 8 steps ({8 * step:.1e}) of a seam or the boundary")
-    u0 = np.concatenate([z.real, z.imag])
-    d = 2 * n
-
-    def grad(h: float) -> np.ndarray:
-        out = []
-        for a in range(d):
-            e = np.zeros(d)
-            e[a] = h
-            out.append((_metric_eval(domain, u0 + e) - _metric_eval(domain, u0 - e))
-                       / (2.0 * h))
-        return np.array(out)
-
-    def hess(h: float) -> np.ndarray:
-        center = _metric_eval(domain, u0)
-        H = np.empty((d, d, n, n), dtype=complex)
-        for a in range(d):
-            ea = np.zeros(d)
-            ea[a] = h
-            H[a, a] = (_metric_eval(domain, u0 + ea) - 2.0 * center
-                       + _metric_eval(domain, u0 - ea)) / h ** 2
-            for b in range(a + 1, d):
-                eb = np.zeros(d)
-                eb[b] = h
-                mixed = (_metric_eval(domain, u0 + ea + eb)
-                         - _metric_eval(domain, u0 + ea - eb)
-                         - _metric_eval(domain, u0 - ea + eb)
-                         + _metric_eval(domain, u0 - ea - eb)) / (4.0 * h ** 2)
-                H[a, b] = mixed
-                H[b, a] = mixed
-        return H
-
-    G = richardson([grad(step), grad(step / 2.0)], order=2)
-    HH = richardson([hess(step), hess(step / 2.0)], order=2)
-
-    dz = np.array([0.5 * (G[k] - 1j * G[n + k]) for k in range(n)])
+    dz, ddbar = wirtinger_jet(lambda w: wu_tensor(domain, w).matrix, z, step)
     dzbar = np.array([np.conj(dz[k]).T for k in range(n)])  # H Hermitian
-    ddbar = np.array([
-        [0.25 * ((HH[a, b] + HH[n + a, n + b]) + 1j * (HH[a, n + b] - HH[n + a, b]))
-         for b in range(n)]
-        for a in range(n)
-    ])
     form = wu_tensor(domain, z)
     try:
         inv = np.linalg.inv(form.matrix)

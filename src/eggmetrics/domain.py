@@ -19,9 +19,6 @@ from .numerics import abs_pow, single_term_root, solve_bracketed
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
 
-#: |z1| below this uses the z1 = 0 limiting formulas directly
-Z_AXIS_TOL = 1e-13
-
 
 class RegionLabel(enum.Enum):
     """Automorphism-invariant strata of the egg."""
@@ -65,14 +62,15 @@ def as_vector(v, n: int) -> np.ndarray:
     return arr
 
 
+def _check_p1(p1: float) -> None:
+    if not (0.0 < p1 < 1.0):
+        raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
+
+
 def defining_function(domain: DomainParams, z) -> float:
     """|z1|^2m + |zhat|^2 - 1; negative inside the egg."""
     z = as_vector(z, domain.n)
     return abs_pow(abs(z[0]), 2 * domain.m) + float(np.sum(np.abs(z[1:]) ** 2)) - 1.0
-
-
-def contains(domain: DomainParams, z, tol: float = 0.0) -> bool:
-    return defining_function(domain, z) < tol
 
 
 def minkowski_gauge(domain: DomainParams, v) -> float:

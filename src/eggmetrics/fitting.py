@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams
+from .domain import DomainParams, _check_p1
 from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
 from .kcurve import kcurve_alpha_grid, lower_xy, upper_xy
@@ -41,11 +41,6 @@ class ContactPoint:
     alpha_star: float
 
 
-def _check_p1(p1: float) -> None:
-    if not (0.0 < p1 < 1.0):
-        raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
-
-
 def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
     """Square of the tangency parameter on the UPPER curve, for inner-region points.
 
@@ -61,8 +56,7 @@ def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
     if not (0.0 < s <= 1.0):
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    if not (0.0 < p1 < 1.0):
-        raise DomainError(f"p1 must lie in (0, 1), got {p1!r}")
+    _check_p1(p1)
     s2 = s * s
     pm = p1 * p1  # p1^(2m) raised to 1/m
     if pm < 1e-300:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams
+from .domain import DomainParams, _check_p1
 from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
 from .numerics import abs_pow, derivative
@@ -55,11 +55,6 @@ class Convexity(enum.Enum):
 class ConvexityVerdict:
     verdict: Convexity
     margin: float
-
-
-def _check_p1(p1: float) -> None:
-    if not (0.0 < p1 < 1.0):
-        raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
 
 
 def kcurve_alpha_range(domain: DomainParams, p1: float, branch: Branch) -> tuple[float, float]:

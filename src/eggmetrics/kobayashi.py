@@ -17,6 +17,7 @@ import numpy as np
 
 from .domain import (
     DomainParams,
+    _check_p1,
     as_vector,
     automorphism_jacobian,
     defining_function,
@@ -49,11 +50,6 @@ class BranchParams:
     t: float
     alpha: float
     branch: Branch
-
-
-def _check_p1(p1: float) -> None:
-    if not (0.0 < p1 < 1.0):
-        raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
 
 
 def branch_ratio(m: float, p1: float, u: float) -> float:

@@ -25,7 +25,7 @@ from .domain import (
 )
 from .errors import DomainError, SeamProximityError
 from .fitting import fit_origin, fit_reference, solve_X
-from .numerics import abs_pow, richardson
+from .numerics import abs_pow, wirtinger_jet
 
 #: |z1| below which the z1 = 0 limiting tensor is evaluated directly (the
 #: limit deviates by O(|z1|), far under every tolerance in use)
@@ -210,28 +210,6 @@ def wu_norm(domain: DomainParams, z, v) -> float:
     return math.sqrt(max(form.norm_sq(v), 0.0))
 
 
-def _holomorphic_matrix_derivatives(domain: DomainParams, z: np.ndarray, step: float):
-    """dH/dz_k for all k by central real differences with one Richardson level."""
-    n = domain.n
-    u0 = np.concatenate([z.real, z.imag])
-
-    def eval_at(u: np.ndarray) -> np.ndarray:
-        return wu_tensor(domain, u[:n] + 1j * u[n:]).matrix
-
-    def real_grad(h: float) -> list[np.ndarray]:
-        out = []
-        for a in range(2 * n):
-            e = np.zeros(2 * n)
-            e[a] = h
-            out.append((eval_at(u0 + e) - eval_at(u0 - e)) / (2.0 * h))
-        return out
-
-    g1 = real_grad(step)
-    g2 = real_grad(step / 2.0)
-    grad = [richardson([g1[a], g2[a]], order=2) for a in range(2 * n)]
-    return [0.5 * (grad[k] - 1j * grad[n + k]) for k in range(n)]
-
-
 def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
     """max_ijk |d h_ij / dz_k - d h_kj / dz_i|, the first-order Kahler obstruction.
 
@@ -247,7 +225,8 @@ def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
     if h < 1e-9:
         raise SeamProximityError(
             f"point is {dist:.2e} from a seam; differencing step would collapse")
-    dz = _holomorphic_matrix_derivatives(domain, z, h)
+    # looked up at call time, so a rebound ``wu_tensor`` sees every evaluation
+    dz, _ = wirtinger_jet(lambda w: wu_tensor(domain, w).matrix, z, h, hessian=False)
     n = domain.n
     worst = 0.0
     for i in range(n):

@@ -49,7 +49,7 @@ from .kobayashi import (
     kobayashi_alt_upper,
     kobayashi_reference,
 )
-from .numerics import abs_pow
+from .numerics import abs_pow, wirtinger_jet
 from .smoothness import holder_exponent, regularity_scan
 from .tensor import kahler_defect, pullback_tensor, wu_norm, wu_tensor
 
@@ -262,7 +262,6 @@ def check_tensor_consistency(domain: DomainParams, rng: np.random.Generator) -> 
 
 def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     # outer-region tensor equals the complex Hessian of -log(1 - gauge^2m form)
-    m, n = domain.m, domain.n
     worst = 0.0
     for _ in range(6):
         while True:
@@ -274,33 +273,8 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
                     and seam_distance(domain, z) > 1e-3):
                 break
 
-        def rho(u: np.ndarray) -> float:
-            w = u[:n] + 1j * u[n:]
-            return -math.log(-defining_function(domain, w))
-
-        u0 = np.concatenate([z.real, z.imag])
-
-        def real_hessian(h: float) -> np.ndarray:
-            hess = np.zeros((2 * n, 2 * n))
-            for a in range(2 * n):
-                ea = np.zeros(2 * n)
-                ea[a] = h
-                hess[a, a] = (rho(u0 + ea) - 2 * rho(u0) + rho(u0 - ea)) / h ** 2
-                for b in range(a + 1, 2 * n):
-                    eb = np.zeros(2 * n)
-                    eb[b] = h
-                    hess[a, b] = hess[b, a] = (
-                        rho(u0 + ea + eb) - rho(u0 + ea - eb)
-                        - rho(u0 - ea + eb) + rho(u0 - ea - eb)) / (4 * h ** 2)
-            return hess
-
-        hess = (4.0 * real_hessian(5e-5) - real_hessian(1e-4)) / 3.0
-        complex_hess = np.array([
-            [0.25 * ((hess[a, b] + hess[n + a, n + b])
-                     + 1j * (hess[a, n + b] - hess[n + a, b]))
-             for b in range(n)]
-            for a in range(n)
-        ])
+        _, complex_hess = wirtinger_jet(
+            lambda w: -math.log(-defining_function(domain, w)), z, 1e-4)
         H = wu_tensor(domain, z).matrix
         worst = max(worst, float(np.max(np.abs(complex_hess - H))))
     return worst < 1e-6, f"worst |hessian - tensor| {worst:.2e}"

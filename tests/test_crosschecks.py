@@ -39,8 +39,10 @@ class TestBallClosedForm:
         # the indicatrix of the ball is an ellipsoid, so the fit is exact
         rng = np.random.default_rng(32)
         d = DomainParams(m=1.0, n=2)
-        for _ in range(25):
-            z = interior_point(rng, d)
+        points = [interior_point(rng, d) for _ in range(25)]
+        # exactly on Z as well, where |z1|^(2m-2) is 0^0 = 1
+        points += [np.array([0.0, zhat]) for zhat in (0.0, 0.3 - 0.2j, 0.9j)]
+        for z in points:
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             assert wu_norm(d, z, v) == pytest.approx(kobayashi(d, z, v), rel=1e-10)
 

@@ -14,7 +14,11 @@ from eggmetrics import (
     direction_sample,
     egg_automorphism,
     holomorphic_curvature,
+    kahler_defect,
 )
+from eggmetrics import curvature as curvature_module
+from eggmetrics import tensor as tensor_module
+from eggmetrics.numerics import wirtinger_jet
 
 from test_domain import interior_point
 
@@ -175,3 +179,46 @@ class TestScan:
         d = DomainParams(m=2.0, n=2)
         with pytest.raises(SeamProximityError):
             curvature_tensor(d, [d.m0_radius + 1e-6, 0.0])
+
+
+class TestWirtingerJet:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ball_potential_closed_form(self, n):
+        # rho = -log(1 - |z|^2): drho/dz_k = zbar_k / q and
+        # d2rho/dz_k dzbar_l = delta_kl / q + zbar_k z_l / q^2, q = 1 - |z|^2
+        z = np.array([0.3 - 0.1j, 0.2j, -0.15 + 0.25j][:n])
+        q = 1.0 - float(np.sum(np.abs(z) ** 2))
+
+        def rho(w):
+            return -math.log(1.0 - float(np.sum(np.abs(w) ** 2)))
+
+        dz, ddbar = wirtinger_jet(rho, z, 1e-3)
+        assert np.max(np.abs(dz - np.conj(z) / q)) < 1e-8
+        expected = np.eye(n) / q + np.outer(np.conj(z), z) / q ** 2
+        assert np.max(np.abs(ddbar - expected)) < 1e-8
+        dz_only, no_hessian = wirtinger_jet(rho, z, 1e-3, hessian=False)
+        assert no_hessian is None
+        assert np.array_equal(dz_only, dz)
+
+    @pytest.mark.parametrize("n,per_curvature", [(2, 66), (4, 258)])
+    def test_wu_tensor_calls_per_stencil(self, monkeypatch, n, per_curvature):
+        # every stencil point is evaluated once: 1 + 16 n^2 jet points plus the
+        # metric at z for the curvature, 8 n for the first-order Kahler defect
+        original = tensor_module.wu_tensor
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(curvature_module, "wu_tensor", counted)
+        monkeypatch.setattr(tensor_module, "wu_tensor", counted)
+        d = DomainParams(m=2.0, n=n)
+        z = np.zeros(n, dtype=complex)
+        z[0] = 0.9
+        z[1] = 0.05
+        curvature_tensor(d, z)
+        assert calls[0] == per_curvature
+        calls[0] = 0
+        kahler_defect(d, z)
+        assert calls[0] == 8 * n
