@@ -17,7 +17,7 @@ import numpy as np
 from .domain import DomainParams, _check_p1
 from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
-from .kcurve import kcurve_alpha_grid, lower_xy, upper_xy
+from .kcurve import _upper_xy_many, kcurve_alpha_grid, lower_xy, upper_xy
 from .numerics import abs_pow, solve_bracketed
 
 #: feasibility slack for the oracle's candidate lines (sample-set containment)
@@ -138,18 +138,17 @@ def contact_point(domain: DomainParams, p1: float) -> ContactPoint:
     return ContactPoint(x_star=x_star, y_star=y_star, alpha_star=alpha_star)
 
 
-def _branch_points(domain: DomainParams, p1: float, n_upper: int, n_lower: int,
-                   window: tuple[float, float] | None = None) -> np.ndarray:
-    m = domain.m
-    if window is None:
-        au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n_upper)
-    else:
-        au = np.linspace(window[0], window[1], n_upper)
-    pts = [upper_xy(m, p1, a) for a in au]
-    if n_lower:
-        al = kcurve_alpha_grid(domain, p1, Branch.LOWER, n_lower)
-        pts.extend(lower_xy(m, p1, a) for a in al)
-    arr = np.array(pts)
+def _upper_points(domain: DomainParams, p1: float, alphas) -> np.ndarray:
+    return np.array(_upper_xy_many(domain.m, p1, alphas))
+
+
+def _lower_points(domain: DomainParams, p1: float, count: int) -> np.ndarray:
+    al = kcurve_alpha_grid(domain, p1, Branch.LOWER, count)
+    return np.array([lower_xy(domain.m, p1, a) for a in al])
+
+
+def _first_quadrant(*parts: np.ndarray) -> np.ndarray:
+    arr = np.vstack(parts)
     return arr[(arr[:, 0] >= -1e-14) & (arr[:, 1] >= -1e-14)]
 
 
@@ -157,7 +156,7 @@ def _upper_hull(pts: np.ndarray) -> np.ndarray:
     # monotone chain, keeping only the outward (concave-from-origin) frontier
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     chain: list[tuple[float, float]] = []
-    for xp, yp in pts[order]:
+    for xp, yp in pts[order].tolist():
         while len(chain) >= 2:
             (x1, y1), (x2, y2) = chain[-2], chain[-1]
             if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
@@ -165,7 +164,7 @@ def _upper_hull(pts: np.ndarray) -> np.ndarray:
             else:
                 break
         chain.append((xp, yp))
-    return np.array(chain)
+    return np.array(chain).reshape(-1, 2)
 
 
 def _enumerate_lines(pts: np.ndarray):
@@ -173,33 +172,47 @@ def _enumerate_lines(pts: np.ndarray):
 
     For a convex sample set in the first quadrant the minimal-area line either
     contains a hull edge or touches a hull vertex at the midpoint of its
-    intercept segment; both candidate families are swept and checked for
-    containment of every sample.
+    intercept segment; both candidate families are built at once. The hull is
+    concave with x increasing, so r1 y + r2 x peaks over it where the edge
+    slope first drops below -r2/r1; a bisection of the slopes finds that
+    vertex, and a candidate survives when it holds at the vertex and its two
+    neighbours. Hull vertices are samples, so this bound never exceeds the
+    maximum over all samples and no line that contains every sample is
+    dropped. Survivors are visited by area (ties in candidate order), and the
+    first one whose maximum over every sample passes the containment
+    tolerance is returned: the least-area line among those containing all
+    samples, as an exhaustive check of each candidate would pick.
     """
     hull = _upper_hull(pts)
-    best = None
-
-    def consider(r1: float, r2: float, contact_x: float):
-        nonlocal best
-        if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
-            return
-        violation = float(np.max(r1 * pts[:, 1] + r2 * pts[:, 0])) - 1.0
-        if violation > _ORACLE_FEAS_TOL:
-            return
-        area = 1.0 / (r1 * r2)
-        if best is None or area < best[0]:
-            best = (area, r1, r2, contact_x)
-
-    for i in range(len(hull) - 1):
-        (x1, y1), (x2, y2) = hull[i], hull[i + 1]
-        det = x1 * y2 - x2 * y1
-        if abs(det) < 1e-300:
-            continue
-        consider((x1 - x2) / det, (y2 - y1) / det, 0.5 * (x1 + x2))
-    for x0, y0 in hull:
-        if x0 > 1e-13 and y0 > 1e-13:
-            consider(0.5 / y0, 0.5 / x0, x0)
-    return best
+    hx, hy = hull[:, 0], hull[:, 1]
+    x1, y1, x2, y2 = hx[:-1], hy[:-1], hx[1:], hy[1:]
+    det = x1 * y2 - x2 * y1
+    chord = np.abs(det) >= 1e-300
+    x1, y1, x2, y2, det = x1[chord], y1[chord], x2[chord], y2[chord], det[chord]
+    vertex = (hx > 1e-13) & (hy > 1e-13)
+    r1 = np.concatenate([(x1 - x2) / det, 0.5 / hy[vertex]])
+    r2 = np.concatenate([(y2 - y1) / det, 0.5 / hx[vertex]])
+    contact_x = np.concatenate([0.5 * (x1 + x2), hx[vertex]])
+    valid = np.flatnonzero((r1 > 0.0) & (r2 > 0.0) & np.isfinite(r1) & np.isfinite(r2))
+    s1, s2 = r1[valid], r2[valid]
+    # -slope of each hull edge, increasing along the hull; a vertical edge can
+    # only be the first one (duplicate x, rising) and counts as -inf
+    dx = np.diff(hx)
+    neg_slope = np.full(len(dx), -np.inf)
+    np.divide(-np.diff(hy), dx, out=neg_slope, where=dx > 0.0)
+    peak = np.searchsorted(neg_slope, s2 / s1)
+    bound = np.full(len(valid), -np.inf)
+    for j in (peak - 1, peak, peak + 1):
+        j = np.clip(j, 0, len(hull) - 1)
+        bound = np.maximum(bound, s1 * hy[j] + s2 * hx[j])
+    kept = valid[bound - 1.0 <= _ORACLE_FEAS_TOL]
+    area = 1.0 / (r1[kept] * r2[kept])
+    for i in np.argsort(area, kind="stable"):
+        c = kept[i]
+        violation = float(np.max(r1[c] * pts[:, 1] + r2[c] * pts[:, 0])) - 1.0
+        if violation <= _ORACLE_FEAS_TOL:
+            return (area[i], r1[c], r2[c], contact_x[c])
+    return None
 
 
 def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllipsoidDiag:
@@ -208,24 +221,25 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     Stage one sweeps candidate tangency configurations over a hull built from
     both branches; stage two re-sweeps with the UPPER grid zoomed around the
     stage-one contact abscissa, which restores the accuracy a single polygon
-    pass loses to sample spacing. Derivative-free throughout.
+    pass loses to sample spacing. Derivative-free throughout. Each sweep
+    prunes its candidates against the hull, but the line it returns is still
+    checked against every sample of that stage.
     """
     _check_p1(p1)
     if samples < 64:
         raise DomainError("oracle needs at least 64 samples")
     n1 = max(samples // 2, 48)
-    pts1 = _branch_points(domain, p1, n_upper=n1, n_lower=max(samples // 4, 24))
+    au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
+    upper = _upper_points(domain, p1, au)
+    pts1 = _first_quadrant(upper, _lower_points(domain, p1, max(samples // 4, 24)))
     stage1 = _enumerate_lines(pts1)
     if stage1 is None:
         raise ConfigurationError("oracle found no feasible line (degenerate sampling)")
     contact_x = stage1[3]
-    au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
-    xs = np.array([upper_xy(domain.m, p1, a)[0] for a in au])
-    idx = int(np.argmin(np.abs(xs - contact_x)))
+    idx = int(np.argmin(np.abs(upper[:, 0] - contact_x)))
     lo = au[max(0, idx - 4)]
     hi = au[min(len(au) - 1, idx + 4)]
-    pts2 = _branch_points(domain, p1, n_upper=max(samples - n1, 48), n_lower=0,
-                          window=(lo, hi))
+    pts2 = _first_quadrant(_upper_points(domain, p1, np.linspace(lo, hi, max(samples - n1, 48))))
     refined = _enumerate_lines(np.vstack([pts1, pts2])) or stage1
     _, r1, r2, _ = refined
     return WuEllipsoidDiag(r1=r1, r2=r2)
@@ -234,5 +248,6 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
 def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag,
                           samples: int = 1024) -> float:
     """max(r1 y + r2 x - 1) over fresh samples of both K-curves; <= 0 means containment."""
-    pts = _branch_points(domain, p1, n_upper=samples, n_lower=samples // 2)
+    au = kcurve_alpha_grid(domain, p1, Branch.UPPER, samples)
+    pts = _first_quadrant(_upper_points(domain, p1, au), _lower_points(domain, p1, samples // 2))
     return float(np.max(ellipsoid.r1 * pts[:, 1] + ellipsoid.r2 * pts[:, 0])) - 1.0

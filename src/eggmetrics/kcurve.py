@@ -9,6 +9,7 @@ ellipsoid fitting into minimal-area line fitting against these curves.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,30 @@ def kcurve_alpha_range(domain: DomainParams, p1: float, branch: Branch) -> tuple
 
 def upper_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
     """UPPER arc coordinates; x in factored form to avoid cancellation near x = 0."""
+    return _upper_xy_many(m, p1, (alpha,))[0]
+
+
+def _upper_xy_many(m: float, p1: float, alphas) -> list[tuple[float, float]]:
+    """``upper_xy`` at each parameter, with one log per alpha.
+
+    The four powers of alpha are exp(e * log|alpha|) through ``math``, which
+    is bit-equal to ``abs_pow`` for alpha != 0; alpha = 0 goes through
+    ``abs_pow`` itself. numpy's exp/log differ from libm in the last bit on a
+    few percent of inputs, which moves the hull oracle's fit.
+    """
     P = abs_pow(p1, 2 * m)
-    x = ((abs_pow(alpha, 2 * m - 2) - P) * (abs_pow(alpha, 2 * m) - P)
-         / abs_pow(alpha, 4 * m - 2))
-    y = (p1 * (m * abs_pow(alpha, 2 * m - 2) - (m - 1.0) * abs_pow(alpha, 2 * m) - P)
-         / (m * abs_pow(alpha, 2 * m - 1))) ** 2
-    return x, y
+    e1, e2, e3, e4 = 2 * m - 2, 2 * m, 4 * m - 2, 2 * m - 1
+    out = []
+    for alpha in alphas:
+        if alpha == 0.0:
+            a1, a2, a3, a4 = (abs_pow(0.0, e) for e in (e1, e2, e3, e4))
+        else:
+            L = math.log(abs(alpha))
+            a1, a2, a3, a4 = math.exp(e1 * L), math.exp(e2 * L), math.exp(e3 * L), math.exp(e4 * L)
+        x = (a1 - P) * (a2 - P) / a3
+        y = (p1 * (m * a1 - (m - 1.0) * a2 - P) / (m * a4)) ** 2
+        out.append((x, y))
+    return out
 
 
 def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:

@@ -18,6 +18,8 @@ from eggmetrics import (
     kcurve_sample,
     solve_X,
 )
+from eggmetrics import fitting
+from eggmetrics.fitting import _ORACLE_FEAS_TOL, _enumerate_lines
 from eggmetrics.numerics import abs_pow
 
 from test_kobayashi import bisect_root
@@ -211,3 +213,135 @@ class TestContainmentAndMinimality:
             violated = containment_violation(d, p1, cand, samples=1024) > 1e-9
             grew = 1.0 / (cand.r1 * cand.r2) > area * (1 + 1e-9)
             assert violated or grew
+
+
+# -- reference sweep: every candidate checked against every sample -----------
+
+def _reference_upper_hull(pts: np.ndarray) -> np.ndarray:
+    # monotone chain, keeping only the outward (concave-from-origin) frontier
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    chain: list[tuple[float, float]] = []
+    for xp, yp in pts[order]:
+        while len(chain) >= 2:
+            (x1, y1), (x2, y2) = chain[-2], chain[-1]
+            if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
+                chain.pop()
+            else:
+                break
+        chain.append((xp, yp))
+    return np.array(chain)
+
+
+def _reference_enumerate_lines(pts: np.ndarray):
+    """Best feasible line over the sampled hull: edge chords and vertex midpoint tangents.
+
+    For a convex sample set in the first quadrant the minimal-area line either
+    contains a hull edge or touches a hull vertex at the midpoint of its
+    intercept segment; both candidate families are swept and checked for
+    containment of every sample.
+    """
+    hull = _reference_upper_hull(pts)
+    best = None
+
+    def consider(r1: float, r2: float, contact_x: float):
+        nonlocal best
+        if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
+            return
+        violation = float(np.max(r1 * pts[:, 1] + r2 * pts[:, 0])) - 1.0
+        if violation > _ORACLE_FEAS_TOL:
+            return
+        area = 1.0 / (r1 * r2)
+        if best is None or area < best[0]:
+            best = (area, r1, r2, contact_x)
+
+    for i in range(len(hull) - 1):
+        (x1, y1), (x2, y2) = hull[i], hull[i + 1]
+        det = x1 * y2 - x2 * y1
+        if abs(det) < 1e-300:
+            continue
+        consider((x1 - x2) / det, (y2 - y1) / det, 0.5 * (x1 + x2))
+    for x0, y0 in hull:
+        if x0 > 1e-13 and y0 > 1e-13:
+            consider(0.5 / y0, 0.5 / x0, x0)
+    return best
+
+
+class TestHullSweep:
+    @pytest.mark.parametrize("m,samples", [
+        (0.5, 1024), (0.75, 1024), (1.0, 1024), (2.0, 1024), (5.0, 1024), (20.0, 1024),
+        (2.0, 4096),
+    ])
+    def test_matches_reference_on_both_oracle_stages(self, m, samples, monkeypatch):
+        seen = []
+
+        def recording(pts):
+            seen.append(pts.copy())
+            return _enumerate_lines(pts)
+
+        monkeypatch.setattr(fitting, "_enumerate_lines", recording)
+        d = DomainParams(m=m, n=2)
+        for p1 in (0.6 * d.m0_radius, 0.5 * (d.m0_radius + 1.0)):
+            fit_oracle(d, p1, samples=samples)
+        assert len(seen) == 4
+        for pts in seen:
+            assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
+
+    @pytest.mark.parametrize("pts", [
+        # vertical duplicate-x pairs: a rising first hull edge
+        [[0.0, 0.2], [0.0, 1.0], [0.5, 0.8], [1.0, 0.0]],
+        [[0.3, 0.1], [0.3, 0.9], [0.6, 0.5], [1.0, 0.0], [0.6, 0.2]],
+        # collinear runs
+        [[0.0, 1.0], [0.2, 0.8], [0.4, 0.6], [0.6, 0.4], [1.0, 0.0]],
+        [[0.0, 0.9], [0.1, 0.89], [0.3, 0.75], [0.5, 0.55], [0.7, 0.35], [0.9, 0.1], [1.0, 0.0]],
+        # hull of two points
+        [[0.2, 0.9], [0.8, 0.3]],
+        [[0.5, 0.5], [0.5, 0.5]],
+        # no feasible line: no candidate has r1, r2 > 0
+        [[0.0, 0.3], [0.0, 0.8], [0.0, 0.5]],
+        [[0.2, -0.3], [0.6, 0.0]],
+    ])
+    def test_matches_reference_on_degenerate_sets(self, pts):
+        pts = np.array(pts, dtype=float)
+        assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
+
+    def test_returned_line_contains_every_sample_not_just_the_hull(self, monkeypatch):
+        # drop the vertex where the least-area tangent touches from the hull:
+        # the chord across the gap is then the smallest candidate, passes the
+        # hull-vertex bound, and only the check over every sample rejects it
+        theta = np.linspace(0.0, 0.5 * math.pi, 9)
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        hull = fitting._upper_hull(pts)
+        monkeypatch.setattr(fitting, "_upper_hull", lambda p: np.delete(hull, 4, axis=0))
+        _, r1, r2, _ = _enumerate_lines(pts)
+        assert np.max(r1 * pts[:, 1] + r2 * pts[:, 0]) - 1.0 <= _ORACLE_FEAS_TOL
+
+    def test_no_feasible_line_is_none(self):
+        assert _enumerate_lines(np.array([[0.0, 0.3], [0.0, 0.8]])) is None
+        assert _enumerate_lines(np.empty((0, 2))) is None
+        assert _reference_enumerate_lines(np.empty((0, 2))) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_on_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(3, 400)), 2))
+        assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
+
+
+class TestOraclePins:
+    # fit_oracle(samples=4096) and containment_violation(samples=1024) of that
+    # fit, recorded from the exhaustive sweep; verify's 1e-5 agreement with
+    # fit_reference cannot see a flip between neighbouring candidates
+    @pytest.mark.parametrize("m,p1,r1,r2,violation", [
+        (0.5, 0.4, 1.417233560090703, 1.6666666666666665, 0.0),
+        (0.75, 0.9, 27.70083102493069, 6.8406456392821475, 0.0),
+        (2.0, 0.4, 1.2518366267143355, 0.8583233626471755, -7.458885891153955e-07),
+        (2.0, 0.9, 27.39559003717135, 2.9078220412910745, 1.1102230246251565e-14),
+        (5.0, 0.05, 0.7194874394643246, 0.6005931756422798, -0.00029775365938544684),
+        (20.0, 0.8, 5.392006003434205, 0.6263936140714983, -1.8300743707122535e-06),
+    ])
+    def test_pinned(self, m, p1, r1, r2, violation):
+        d = DomainParams(m=m, n=2)
+        orc = fit_oracle(d, p1, samples=4096)
+        assert orc.r1 == pytest.approx(r1, rel=1e-12, abs=0.0)
+        assert orc.r2 == pytest.approx(r2, rel=1e-12, abs=0.0)
+        assert containment_violation(d, p1, orc) == pytest.approx(violation, rel=1e-12, abs=1e-15)

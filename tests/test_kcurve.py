@@ -18,7 +18,7 @@ from eggmetrics import (
     square_convexity_check,
     third_derivative_reference,
 )
-from eggmetrics.kcurve import upper_xy
+from eggmetrics.kcurve import _upper_xy_many, upper_xy
 from eggmetrics.numerics import abs_pow, derivative
 
 
@@ -92,6 +92,42 @@ class TestSamples:
         g = kcurve_alpha_grid(d, 0.5, Branch.UPPER, 64)
         assert g[0] == 0.5 and g[-1] == 1.0
         assert np.all(np.diff(g) > 0)
+
+
+def _upper_xy_abs_pow(m, p1, alpha):
+    # the UPPER arc with every power through abs_pow, as written before the
+    # one-log sampler
+    P = abs_pow(p1, 2 * m)
+    x = ((abs_pow(alpha, 2 * m - 2) - P) * (abs_pow(alpha, 2 * m) - P)
+         / abs_pow(alpha, 4 * m - 2))
+    y = (p1 * (m * abs_pow(alpha, 2 * m - 2) - (m - 1.0) * abs_pow(alpha, 2 * m) - P)
+         / (m * abs_pow(alpha, 2 * m - 1))) ** 2
+    return x, y
+
+
+class TestUpperSampler:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0, 20.0, 60.0])
+    def test_bit_equal_to_abs_pow_formula_on_the_grid(self, m):
+        d = DomainParams(m=m, n=2)
+        for p1 in (0.05, 0.5, 0.95):
+            grid = kcurve_alpha_grid(d, p1, Branch.UPPER, 512)
+            expected = [_upper_xy_abs_pow(m, p1, a) for a in grid]
+            assert [upper_xy(m, p1, a) for a in grid] == expected
+            assert _upper_xy_many(m, p1, grid) == expected
+
+    def test_alpha_zero_unchanged(self):
+        # m = 1/2: the alpha^0 powers are 1 and alpha^(-1) is abs_pow's 0
+        for p1 in (0.05, 0.5, 0.95):
+            expected = _upper_xy_abs_pow(0.5, p1, 0.0)
+            assert upper_xy(0.5, p1, 0.0) == expected
+            assert _upper_xy_many(0.5, p1, [0.0, 0.5]) == [
+                expected, _upper_xy_abs_pow(0.5, p1, 0.5)]
+        # otherwise alpha^(4m-2) = 0 divides x, as before
+        for m in (0.75, 1.0, 2.0):
+            with pytest.raises(ZeroDivisionError):
+                _upper_xy_abs_pow(m, 0.5, 0.0)
+            with pytest.raises(ZeroDivisionError):
+                upper_xy(m, 0.5, 0.0)
 
 
 class TestJoiningDerivatives:
