@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import DomainParams, RegionLabel, as_vector, classify_region, seam_distance
 from .errors import DomainError, NumericalError, SeamProximityError
-from .tensor import HermitianForm, kahler_defect, wu_tensor
+from .tensor import HermitianForm, _hermitian_form, _wu_matrices, kahler_defect
 from .numerics import wirtinger_jet
 
 #: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
@@ -47,10 +47,7 @@ class CurvatureTensor:
         v = np.asarray(v, dtype=complex)
         if not np.any(v):
             raise DomainError("direction must be nonzero")
-        num = np.einsum("abcd,a,b,c,d->", self.components,
-                        v, np.conj(v), v, np.conj(v))
-        den = self.metric.norm_sq(v)
-        return CURVATURE_NORMALIZATION * float(np.real(num)) / den ** 2
+        return float(_sectional_values(self.components, self.metric.matrix, v[None])[0])
 
     def kahler_symmetry_defect(self) -> float:
         """max |R[i,j,k,l] - R[k,j,i,l]|; zero for a Kahler metric."""
@@ -58,24 +55,35 @@ class CurvatureTensor:
         return float(np.max(np.abs(self.components - swapped)))
 
 
+def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    # holomorphic sectional curvature along each nonzero row of dirs:
+    # R(v, vbar, v, vbar) / h(v, vbar)^2 with A = v (x) vbar flattened
+    n = metric.shape[0]
+    A = (dirs[:, :, None] * np.conj(dirs)[:, None, :]).reshape(len(dirs), n * n)
+    num = np.einsum("kp,pq,kq->k", A, components.reshape(n * n, n * n), A)
+    den = np.real(A @ metric.reshape(n * n))
+    return CURVATURE_NORMALIZATION * np.real(num) / den ** 2
+
+
 def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> CurvatureTensor:
     """Full curvature tensor at an interior point at least 8 steps from any seam."""
     z = as_vector(z, domain.n)
-    n = domain.n
+    region = classify_region(domain, z)
+    if region is RegionLabel.OUTSIDE:
+        raise DomainError("point lies outside the egg")
     if seam_distance(domain, z) < 8.0 * step:
         raise SeamProximityError(
             f"point is within 8 steps ({8 * step:.1e}) of a seam or the boundary")
-    dz, ddbar = wirtinger_jet(lambda w: wu_tensor(domain, w).matrix, z, step)
-    dzbar = np.array([np.conj(dz[k]).T for k in range(n)])  # H Hermitian
-    form = wu_tensor(domain, z)
+    # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
+    H, dz, ddbar = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, step)
+    form = _hermitian_form(domain, z, H, region)
     try:
-        inv = np.linalg.inv(form.matrix)
+        inv = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - interior metric is PD
         raise NumericalError("metric matrix is singular") from exc
-    R = np.empty((n, n, n, n), dtype=complex)
-    for k in range(n):
-        for ell in range(n):
-            R[:, :, k, ell] = -ddbar[k, ell] + dz[k] @ inv @ dzbar[ell]
+    # dH/dzbar_l = (dH/dz_l)^* since H is Hermitian
+    R = (np.einsum("kia,ab,ljb->ijkl", dz, inv, np.conj(dz))
+         - np.transpose(ddbar, (2, 3, 0, 1)))
     return CurvatureTensor(components=R, metric=form, point=z)
 
 
@@ -156,7 +164,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
             skipped.append(z)
             continue
         tensor = curvature_tensor(domain, z, step=grid.step)
-        values = [tensor.holomorphic(v) for v in dirs]
+        values = _sectional_values(tensor.components, tensor.metric.matrix, dirs)
         gap = math.nan
         if abs(z[0]) > 0 and np.all(z[1:] == 0):
             R = tensor.components

@@ -111,16 +111,22 @@ def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionL
     Z is |z1| <= tol. Labels depend only on |z1| and |zhat|, so they are
     invariant under phase rotation of z1 and unitary rotation of zhat.
     """
+    return _region_of(domain, as_vector(z, domain.n), tol)
+
+
+def _region_of(domain: DomainParams, z: np.ndarray, tol: float) -> RegionLabel:
+    # classify_region on a checked vector
     if tol <= 0:
         raise DomainError("tol must be positive")
-    z = as_vector(z, domain.n)
-    if defining_function(domain, z) >= 0.0:
+    P = abs_pow(abs(z[0]), 2 * domain.m)
+    q = float(np.sum(np.abs(z[1:]) ** 2))
+    if P + q - 1.0 >= 0.0:
         return RegionLabel.OUTSIDE
     if abs(z[0]) <= tol:
         return RegionLabel.Z
     if domain.m <= 1.0:
         return RegionLabel.GENERIC
-    w = 2.0 * abs_pow(abs(z[0]), 2 * domain.m) + float(np.sum(np.abs(z[1:]) ** 2)) - 1.0
+    w = 2.0 * P + q - 1.0
     if w < -tol:
         return RegionLabel.M_MINUS
     if w > tol:

@@ -15,13 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainParams, _check_p1
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .kobayashi import Branch
-from .kcurve import _upper_xy_many, kcurve_alpha_grid, lower_xy, upper_xy
-from .numerics import abs_pow, solve_bracketed
+from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
+from .numerics import ROOT_MAX_ITER, abs_pow, solve_bracketed
 
 #: feasibility slack for the oracle's candidate lines (sample-set containment)
 _ORACLE_FEAS_TOL = 1e-11
+
+#: largest log of a power the array tangency solve evaluates, (2m - 1) log(1/p1^2)
+#: at X = 1; the float range ends at e^709.78
+_EXP_ARG_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,7 @@ def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
     P = abs_pow(p1, 2 * m)
     w = 2.0 * P - s2  # middle-stratum indicator at the reference point
     if w > 1e-12 * s2:
-        raise ConfigurationError(
-            f"no tangency root: reference point p1={p1!r}, s={s!r} is not in the inner region")
+        raise _no_root(p1, s)
     if w >= -1e-9 * s2:
         # hugging the middle stratum: X = 1 + w/(2m-1) + O(w^2), and this
         # close the root sits inside the evaluation-noise band of the
@@ -88,10 +91,90 @@ def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
     if g(hi) <= 0.0:
         return 1.0  # threshold roundoff: the root collapsed onto X = 1
     if g(lo) >= 0.0:
-        raise ConfigurationError(
-            f"no tangency root: reference point p1={p1!r}, s={s!r} is not in the inner region")
+        raise _no_root(p1, s)
     tau = solve_bracketed(g, lo, hi, df=dg)
     return tau * pm
+
+
+def _solve_X_many(domain: DomainParams, p1: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``solve_X`` at each checked inner-region pair (p1, s); one pair runs ``solve_X`` alone.
+
+    Same rescaled equation, brackets and special branches per row. The rows
+    left to solve run the safeguarded Newton/bisection of ``solve_bracketed``
+    side by side, from the first one's scalar root scaled to each row's tau,
+    so a stencil's nearby points converge in a few iterations. Rows whose
+    equation nears the float range at X = 1 go through ``solve_X``, which
+    raises where it overflows.
+    """
+    if len(p1) == 1:
+        return np.array([solve_X(domain, float(p1[0]), float(s[0]))])
+    m = domain.m
+    s2, pm = s * s, p1 * p1
+    w = 2.0 * p1 ** (2 * m) - s2
+    tiny = pm < 1e-300
+    off = np.flatnonzero(~tiny & (w > 1e-12 * s2))
+    if off.size:
+        raise _no_root(p1[off[0]], s[off[0]])
+    # leading-order root on tiny rows, the middle-stratum expansion next to it
+    X = np.where(tiny, ((m + 1.0) / s2) ** (1.0 / m) * pm, 1.0 + w / ((2.0 * m - 1.0) * s2))
+    rows = np.flatnonzero(~tiny & (w < -1e-9 * s2))
+    overflow = (2 * m - 1) * -np.log(pm[rows]) > _EXP_ARG_MAX
+    for i in rows[overflow]:
+        X[i] = solve_X(domain, float(p1[i]), float(s[i]))
+    rows = rows[~overflow]
+    s2, pm = s2[rows], pm[rows]
+
+    def g(tau):
+        return (s2 * s2 * tau ** (2 * m - 1) - (m + 1.0) * s2 * tau ** (m - 1)
+                + (m - 2.0) * s2 * pm * tau ** m + 2.0 * pm)
+
+    def dg(tau):
+        return ((2 * m - 1) * s2 * s2 * tau ** (2 * m - 2)
+                - (m + 1.0) * (m - 1.0) * s2 * tau ** (m - 2)
+                + m * (m - 2.0) * s2 * pm * tau ** (m - 1))
+
+    lo, hi = s2 ** (-1.0 / m), 1.0 / pm
+    collapsed = g(hi) <= 0.0  # threshold roundoff, as in solve_X
+    off = rows[~collapsed & (g(lo) >= 0.0)]
+    if off.size:
+        raise _no_root(p1[off[0]], s[off[0]])
+    X[rows[collapsed]] = 1.0
+    keep = ~collapsed
+    rows, s2, pm, lo, hi = rows[keep], s2[keep], pm[keep], lo[keep], hi[keep]
+    if rows.size == 0:
+        return X
+    warm = solve_X(domain, float(p1[rows[0]]), float(s[rows[0]])) / pm
+    tau = np.where((lo < warm) & (warm < hi), warm, 0.5 * (lo + hi))
+    dx_old = hi - lo
+    for _ in range(ROOT_MAX_ITER):
+        f, d = g(tau), dg(tau)
+        lo = np.where(f < 0.0, tau, lo)
+        hi = np.where(f > 0.0, tau, hi)
+        step = np.divide(f, d, out=np.full_like(f, np.nan), where=(d != 0.0) & np.isfinite(d))
+        cand = tau - step
+        newton = (lo < cand) & (cand < hi) & (np.abs(step) <= 0.5 * dx_old)
+        # a vanishing Newton step is convergence even where the iterate sits
+        # on its own bracket end (cand == tau == lo), which the bracket test
+        # would turn into a long bisection
+        root = np.where(f == 0.0, tau, np.where(
+            hi - lo <= 1e-15 * np.maximum(np.abs(lo), np.abs(hi)), 0.5 * (lo + hi),
+            np.where(np.abs(step) <= 1e-15 * np.abs(cand), cand, np.nan)))
+        done = ~np.isnan(root)
+        X[rows[done]] = root[done] * pm[done]
+        dx_old = np.where(newton, np.abs(step), 0.5 * (hi - lo))
+        tau = np.where(newton, cand, 0.5 * (lo + hi))
+        if np.all(done):
+            return X
+        rows, s2, pm, lo, hi, tau, dx_old = (
+            a[~done] for a in (rows, s2, pm, lo, hi, tau, dx_old))
+    raise NumericalError(f"root solve did not converge in {ROOT_MAX_ITER} iterations",
+                         bracket=(float(lo[0]), float(hi[0])))
+
+
+def _no_root(p1: float, s: float) -> ConfigurationError:
+    return ConfigurationError(
+        f"no tangency root: reference point p1={float(p1)!r}, s={float(s)!r} "
+        "is not in the inner region")
 
 
 def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
@@ -144,7 +227,7 @@ def _upper_points(domain: DomainParams, p1: float, alphas) -> np.ndarray:
 
 def _lower_points(domain: DomainParams, p1: float, count: int) -> np.ndarray:
     al = kcurve_alpha_grid(domain, p1, Branch.LOWER, count)
-    return np.array([lower_xy(domain.m, p1, a) for a in al])
+    return np.array(_lower_xy_many(domain.m, p1, al))
 
 
 def _first_quadrant(*parts: np.ndarray) -> np.ndarray:

@@ -104,10 +104,15 @@ def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
     on the segment, so y keeps full relative accuracy even when p1^2m is
     tiny and the segment nearly degenerates.
     """
+    return _lower_xy_many(m, p1, (alpha,))[0]
+
+
+def _lower_xy_many(m: float, p1: float, alphas) -> list[tuple[float, float]]:
+    """``lower_xy`` at each parameter, with the p1-only factors computed once."""
     P = abs_pow(p1, 2 * m)
-    x = (1.0 - P) ** 2 * alpha
-    y = (1.0 - P) ** 2 * ((1.0 - alpha) + alpha * P) / (m * m * abs_pow(p1, 2 * m - 2))
-    return x, y
+    scale = (1.0 - P) ** 2
+    den = m * m * abs_pow(p1, 2 * m - 2)
+    return [(scale * alpha, scale * ((1.0 - alpha) + alpha * P) / den) for alpha in alphas]
 
 
 def kcurve_sample(domain: DomainParams, p1: float, branch: Branch, alpha: float) -> KCurveSample:

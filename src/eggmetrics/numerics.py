@@ -121,54 +121,51 @@ def richardson(values: Sequence, order: int = 2, ratio: float = 2.0):
     return vals[-1]
 
 
-def wirtinger_jet(f: Callable[[np.ndarray], object], z, step: float,
+def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
                   hessian: bool = True):
     """Wirtinger derivatives of f at the complex point z by real central differences.
 
-    f maps a complex n-vector to a scalar or an array. The stencil runs in the
-    2n real coordinates u = (Re z, Im z) at steps h and h/2 with one Richardson
-    level on top, and evaluates every stencil point once; the centre enters
-    only the Hessian diagonal. Returns (dz, ddbar) with dz[k] = df/dz_k and
-    ddbar[k, l] = d2f/dz_k dzbar_l; ddbar is None when ``hessian`` is false,
-    which skips the centre and all mixed points (8n evaluations of f instead
-    of 1 + 16n^2).
+    f maps an (M, n) array of complex points to an (M, ...) array of values
+    and is called once, on the whole stencil. The stencil runs in the 2n real
+    coordinates u = (Re z, Im z) at steps h and h/2 with one Richardson level
+    on top; the centre enters only the Hessian diagonal. Returns (f0, dz,
+    ddbar) with f0 = f(z), dz[k] = df/dz_k and ddbar[k, l] = d2f/dz_k dzbar_l.
+    When ``hessian`` is false the centre and all mixed points are skipped
+    (8n points instead of 1 + 16n^2) and f0 and ddbar are None.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
     d = 2 * n
     u0 = np.concatenate([z.real, z.imag])
-
-    def at(u: np.ndarray):
-        return f(u[:n] + 1j * u[n:])
-
-    center = at(u0) if hessian else None
-    grads, hessians = [], []
+    a, b = np.triu_indices(d, 1)
+    blocks = [u0[None]] if hessian else []
     for h in (step, step / 2.0):
         e = h * np.eye(d)  # row a is the step along real coordinate a
-        plus = [at(u0 + e[a]) for a in range(d)]
-        minus = [at(u0 - e[a]) for a in range(d)]
-        grads.append(np.array([(plus[a] - minus[a]) / (2.0 * h) for a in range(d)]))
-        if not hessian:
-            continue
-        H = np.empty((d, d) + np.shape(center), dtype=np.result_type(center))
-        for a in range(d):
-            H[a, a] = (plus[a] - 2.0 * center + minus[a]) / h ** 2
-            for b in range(a + 1, d):
-                mixed = (at(u0 + e[a] + e[b]) - at(u0 + e[a] - e[b])
-                         - at(u0 - e[a] + e[b]) + at(u0 - e[a] - e[b])) / (4.0 * h ** 2)
-                H[a, b] = H[b, a] = mixed
-        hessians.append(H)
+        plus, minus = u0 + e, u0 - e
+        blocks += [plus, minus]
+        if hessian:
+            blocks += [plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
+    u = np.concatenate(blocks)
+    values = f(u[:, :n] + 1j * u[:, n:])
+    parts = iter(np.split(values, np.cumsum([len(x) for x in blocks])[:-1]))
+    center = next(parts)[0] if hessian else None
+    grads, hessians = [], []
+    for h in (step, step / 2.0):
+        plus, minus = next(parts), next(parts)
+        grads.append((plus - minus) / (2.0 * h))
+        if hessian:
+            pp, pm, mp, mm = (next(parts) for _ in range(4))
+            H = np.empty((d, d) + center.shape, dtype=values.dtype)
+            H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
+            H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+            hessians.append(H)
     G = richardson(grads, order=2)
-    dz = np.array([0.5 * (G[k] - 1j * G[n + k]) for k in range(n)])
+    dz = 0.5 * (G[:n] - 1j * G[n:])
     if not hessian:
-        return dz, None
+        return None, dz, None
     HH = richardson(hessians, order=2)
-    ddbar = np.array([
-        [0.25 * ((HH[a, b] + HH[n + a, n + b]) + 1j * (HH[a, n + b] - HH[n + a, b]))
-         for b in range(n)]
-        for a in range(n)
-    ])
-    return dz, ddbar
+    ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
+    return center, dz, ddbar
 
 
 def central_diff(f: Callable[[float], float], x0: float, order: int, h: float):

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    REGION_TOL,
     DomainParams,
     RegionLabel,
+    _region_of,
     as_vector,
     automorphism_jacobian,
     classify_region,
@@ -24,8 +26,8 @@ from .domain import (
     seam_distance,
 )
 from .errors import DomainError, SeamProximityError
-from .fitting import fit_origin, fit_reference, solve_X
-from .numerics import abs_pow, wirtinger_jet
+from .fitting import _solve_X_many, fit_origin, fit_reference
+from .numerics import wirtinger_jet
 
 #: |z1| below which the z1 = 0 limiting tensor is evaluated directly (the
 #: limit deviates by O(|z1|), far under every tolerance in use)
@@ -59,96 +61,122 @@ class HermitianForm:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _chord_tensor(domain: DomainParams, z: np.ndarray) -> np.ndarray:
-    # closed form for m <= 1 (and directly on Z there): pullback of the
-    # two-intercept chord fit, written out entrywise
+# Every regional form is invariant under phase rotation of z1 and unitary
+# rotation of zhat, so at each point it has the shape
+#   H[0, 0] = a,  H[0, j] = b conj(z1) z_j,  H[i, j] = c delta_ij + e conj(z_i) z_j
+# for i, j >= 1. Each closed form below maps rows of t = |z1|^2 and
+# s2 = 1 - |zhat|^2 to its coefficients (a, b, c, e). Squared moduli are
+# summed from real and imaginary parts: numpy's complex abs is a few ulp
+# off, which a differencing stencil amplifies.
+
+
+def _chord_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
+    # m < 1 (and directly on Z there): pullback of the two-intercept chord fit
     m = domain.m
-    n = domain.n
-    z1 = z[0]
-    s2 = 1.0 - float(np.sum(np.abs(z[1:]) ** 2))
-    a = abs_pow(s2, 1.0 / m)
-    d = (a - abs(z1) ** 2) ** 2
-    r = s2 - abs_pow(abs(z1), 2 * m)
-    H = np.zeros((n, n), dtype=complex)
-    H[0, 0] = a / d
-    for j in range(1, n):
-        H[0, j] = abs_pow(s2, 1.0 / m - 1.0) * np.conj(z1) * z[j] / (m * d)
-        H[j, 0] = np.conj(H[0, j])
-    for i in range(1, n):
-        for j in range(1, n):
-            cross = (abs_pow(s2, 1.0 / m - 2.0) * abs(z1) ** 2
-                     * np.conj(z[i]) * z[j] / (m * m * d))
-            if i == j:
-                H[i, j] = cross + (s2 + abs(z[i]) ** 2) / (s2 * r)
-            else:
-                H[i, j] = cross + np.conj(z[i]) * z[j] / (s2 * r)
-    return H
+    a = s2 ** (1.0 / m)
+    d = (a - t) ** 2
+    rr = s2 - t ** m
+    return (a / d, s2 ** (1.0 / m - 1.0) / (m * d), 1.0 / rr,
+            s2 ** (1.0 / m - 2.0) * t / (m * m * d) + 1.0 / (s2 * rr))
 
 
-def _outer_tensor(domain: DomainParams, z: np.ndarray) -> np.ndarray:
-    # outer region (and ball m = 1): complex Hessian of -log(1 - |z1|^2m - |zhat|^2)
+def _outer_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
+    # outer region and the ball m = 1: complex Hessian of -log(1 - |z1|^2m - |zhat|^2)
     m = domain.m
-    n = domain.n
-    z1 = z[0]
-    s2 = 1.0 - float(np.sum(np.abs(z[1:]) ** 2))
-    r = s2 - abs_pow(abs(z1), 2 * m)
-    H = np.zeros((n, n), dtype=complex)
-    H[0, 0] = m * m * s2 * abs_pow(abs(z1), 2 * m - 2) / r ** 2
-    for j in range(1, n):
-        H[0, j] = m * abs_pow(abs(z1), 2 * m - 2) * np.conj(z1) * z[j] / r ** 2
-        H[j, 0] = np.conj(H[0, j])
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                H[i, j] = (s2 + abs(z[i]) ** 2 - abs_pow(abs(z1), 2 * m)) / r ** 2
-            else:
-                H[i, j] = np.conj(z[i]) * z[j] / r ** 2
-    return H
+    tp = t ** (m - 1.0)
+    rr = s2 - t ** m
+    return m * m * s2 * tp / rr ** 2, m * tp / rr ** 2, 1.0 / rr, 1.0 / rr ** 2
 
 
-def _inner_tensor(domain: DomainParams, z: np.ndarray) -> np.ndarray:
-    # inner region, m > 1: diagonal-plus-rank-structure form driven by the
-    # tangency root X at (|z1|, s)
+def _inner_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
+    # inner region, m > 1: driven by the tangency root X at (|z1|, sqrt(s2))
     m = domain.m
-    n = domain.n
-    z1 = z[0]
-    s2 = 1.0 - float(np.sum(np.abs(z[1:]) ** 2))
-    P = abs_pow(abs(z1), 2 * m)
-    X = solve_X(domain, abs(z1), math.sqrt(s2))
-    Fs = m * s2 * abs_pow(X, m - 1) - (m - 1.0) * s2 * abs_pow(X, m) - P
-    c0 = s2 * abs_pow(X, 2 * m - 1) / (2.0 * Fs * Fs)
-    g = (m * abs_pow(X, m - 1) - (m - 1.0) * abs_pow(X, m)) / P
-    H = np.zeros((n, n), dtype=complex)
-    H[0, 0] = c0 * m * m * s2 / abs(z1) ** 2
-    for j in range(1, n):
-        H[j, 0] = c0 * m * np.conj(z[j]) / np.conj(z1)
-        H[0, j] = np.conj(H[j, 0])
-    for i in range(1, n):
-        for j in range(1, n):
-            if i == j:
-                sj2 = s2 + abs(z[i]) ** 2
-                H[i, j] = c0 * ((m * sj2 * abs_pow(X, m - 1)
-                                 - (m - 1.0) * sj2 * abs_pow(X, m)) / P - 1.0)
-            else:
-                H[i, j] = c0 * g * np.conj(z[i]) * z[j]
-    return H
+    P = t ** m
+    X = _solve_X_many(domain, np.sqrt(t), np.sqrt(s2))
+    G = m * X ** (m - 1) - (m - 1.0) * X ** m
+    Fs = s2 * G - P
+    c0 = s2 * X ** (2 * m - 1) / (2.0 * Fs * Fs)
+    return c0 * m * m * s2 / t, c0 * m / t, c0 * Fs / P, c0 * G / P
 
 
-def _z_limit_tensor(domain: DomainParams, z: np.ndarray) -> np.ndarray:
+def _z_limit_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
     # z1 = 0 limit of the inner-region form (m > 1)
     m = domain.m
+    return ((m + 1.0) ** (1.0 / m) / (2.0 * s2 ** (1.0 / m)), np.zeros_like(s2),
+            (m + 1.0) / (2.0 * m * s2), (m + 1.0) / (2.0 * m * s2 * s2))
+
+
+_FORMS = (_chord_form, _outer_form, _inner_form, _z_limit_form)
+_SOURCES = ("chord-form", "outer-form", "inner-form", "inner-form (Z limit)")
+_CHORD, _OUTER, _INNER, _Z_LIMIT = range(4)
+
+
+def _moduli(z: np.ndarray):
+    # |z1|^2 and |zhat|^2 of each row
+    sq = z.real ** 2 + z.imag ** 2
+    return sq[:, 0], sq[:, 1:].sum(axis=1)
+
+
+def _formula_kind(domain: DomainParams, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # per row with |z1|^2 = t and |zhat|^2 = q: one closed form covers m < 1,
+    # the outer form the ball; for m > 1 the z1 = 0 limit for |z1| below
+    # _Z_FORMULA_TOL, else the outer form on and outside the middle stratum
+    # 2|z1|^2m + |zhat|^2 = 1 and the inner form inside it
+    m = domain.m
+    if m < 1.0:
+        return np.full(len(t), _CHORD)
+    if m == 1.0:
+        return np.full(len(t), _OUTER)
+    kind = np.where(2.0 * t ** m + q - 1.0 >= 0.0, _OUTER, _INNER)
+    kind[t < _Z_FORMULA_TOL ** 2] = _Z_LIMIT
+    return kind
+
+
+def _coefficients(domain: DomainParams, z: np.ndarray):
+    # (a, b, c, e) of each row, every row by its own regional form
+    t, q = _moduli(z)
+    kind = _formula_kind(domain, t, q)
+    if len(z) == 1 or (kind == kind[0]).all():  # a stencil inside one region
+        return _FORMS[kind[0]](domain, t, 1.0 - q)
+    coef = np.empty((4, len(z)))
+    for k in np.unique(kind):
+        rows = kind == k
+        coef[:, rows] = _FORMS[k](domain, t[rows], 1.0 - q[rows])
+    return coef
+
+
+def _wu_matrices(domain: DomainParams, z: np.ndarray) -> np.ndarray:
+    """Wu tensors at checked interior points: (N, n) complex -> (N, n, n)."""
+    a, b, c, e = _coefficients(domain, z)
     n = domain.n
-    s2 = 1.0 - float(np.sum(np.abs(z[1:]) ** 2))
-    H = np.zeros((n, n), dtype=complex)
-    H[0, 0] = abs_pow(m + 1.0, 1.0 / m) / (2.0 * abs_pow(s2, 1.0 / m))
-    for i in range(1, n):
-        for j in range(1, n):
-            H[i, j] = (m + 1.0) * ((s2 if i == j else 0.0)
-                                   + np.conj(z[i]) * z[j]) / (2.0 * m * s2 * s2)
+    H = np.conj(z)[:, :, None] * z[:, None, :]  # conj(z_i) z_j
+    H[:, 1:, 1:] *= e[:, None, None]
+    H[:, 0, 1:] *= b[:, None]
+    H[:, 1:, 0] *= b[:, None]
+    diag = H.reshape(len(z), n * n)[:, n + 1::n + 1]
+    diag += c[:, None]
+    H[:, 0, 0] = a
     return H
 
 
-def wu_tensor(domain: DomainParams, z, tol: float = 1e-10) -> HermitianForm:
+def _hermitian_form(domain: DomainParams, z: np.ndarray, matrix: np.ndarray,
+                    region: RegionLabel) -> HermitianForm:
+    # the Wu tensor ``matrix`` at z with its region and the source tag of
+    # the closed form ``_wu_matrices`` chose there
+    kind = _formula_kind(domain, *_moduli(z[None]))[0]
+    source = _SOURCES[kind]
+    if domain.m == 1.0:
+        source = "ball"
+    elif region is RegionLabel.Z and kind == _CHORD:
+        source += " (z1=0 limit)"
+    elif region is RegionLabel.Z and kind == _INNER:
+        source += " (near Z)"
+    elif region is RegionLabel.M_ZERO and kind != _Z_LIMIT:
+        source += " (on M0)"
+    return HermitianForm(matrix, region, source)
+
+
+def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL) -> HermitianForm:
     """Wu metric coefficients at an interior point, by the regional closed forms.
 
     For m <= 1 one closed form covers the whole egg (its direct evaluation at
@@ -157,27 +185,10 @@ def wu_tensor(domain: DomainParams, z, tol: float = 1e-10) -> HermitianForm:
     limit on Z; the ``source`` tag names the formula used.
     """
     z = as_vector(z, domain.n)
-    if defining_function(domain, z) >= 0.0:
+    region = _region_of(domain, z, tol)
+    if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    region = classify_region(domain, z, tol=tol)
-    m = domain.m
-    if m < 1.0:
-        source = "chord-form" if abs(z[0]) > tol else "chord-form (z1=0 limit)"
-        return HermitianForm(_chord_tensor(domain, z), region, source)
-    if m == 1.0:
-        return HermitianForm(_outer_tensor(domain, z), region, "ball")
-    if abs(z[0]) < _Z_FORMULA_TOL:
-        return HermitianForm(_z_limit_tensor(domain, z), region, "inner-form (Z limit)")
-    w = 2.0 * abs_pow(abs(z[0]), 2 * m) + float(np.sum(np.abs(z[1:]) ** 2)) - 1.0
-    if w >= 0.0:
-        source = "outer-form" if region is not RegionLabel.M_ZERO else "outer-form (on M0)"
-        return HermitianForm(_outer_tensor(domain, z), region, source)
-    source = "inner-form"
-    if region is RegionLabel.Z:
-        source = "inner-form (near Z)"
-    elif region is RegionLabel.M_ZERO:
-        source = "inner-form (on M0)"
-    return HermitianForm(_inner_tensor(domain, z), region, source)
+    return _hermitian_form(domain, z, _wu_matrices(domain, z[None])[0], region)
 
 
 def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10) -> HermitianForm:
@@ -225,12 +236,6 @@ def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
     if h < 1e-9:
         raise SeamProximityError(
             f"point is {dist:.2e} from a seam; differencing step would collapse")
-    # looked up at call time, so a rebound ``wu_tensor`` sees every evaluation
-    dz, _ = wirtinger_jet(lambda w: wu_tensor(domain, w).matrix, z, h, hessian=False)
-    n = domain.n
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                worst = max(worst, abs(dz[k][i, j] - dz[i][k, j]))
-    return worst
+    # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
+    _, dz, _ = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, h, hessian=False)
+    return float(np.max(np.abs(dz - np.swapaxes(dz, 0, 1))))

@@ -51,7 +51,7 @@ from .kobayashi import (
 )
 from .numerics import abs_pow, wirtinger_jet
 from .smoothness import holder_exponent, regularity_scan
-from .tensor import kahler_defect, pullback_tensor, wu_norm, wu_tensor
+from .tensor import _moduli, kahler_defect, pullback_tensor, wu_norm, wu_tensor
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,10 @@ def check_tensor_consistency(domain: DomainParams, rng: np.random.Generator) -> 
 
 def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     # outer-region tensor equals the complex Hessian of -log(1 - gauge^2m form)
+    def potential(w):
+        t, q = _moduli(w)  # |w1|^2 and |what|^2
+        return -np.log(1.0 - t ** domain.m - q)
+
     worst = 0.0
     for _ in range(6):
         while True:
@@ -273,8 +277,7 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
                     and seam_distance(domain, z) > 1e-3):
                 break
 
-        _, complex_hess = wirtinger_jet(
-            lambda w: -math.log(-defining_function(domain, w)), z, 1e-4)
+        _, _, complex_hess = wirtinger_jet(potential, z, 1e-4)
         H = wu_tensor(domain, z).matrix
         worst = max(worst, float(np.max(np.abs(complex_hess - H))))
     return worst < 1e-6, f"worst |hessian - tensor| {worst:.2e}"

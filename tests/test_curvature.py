@@ -190,35 +190,107 @@ class TestWirtingerJet:
         q = 1.0 - float(np.sum(np.abs(z) ** 2))
 
         def rho(w):
-            return -math.log(1.0 - float(np.sum(np.abs(w) ** 2)))
+            return -np.log(1.0 - np.sum(np.abs(w) ** 2, axis=1))
 
-        dz, ddbar = wirtinger_jet(rho, z, 1e-3)
+        value, dz, ddbar = wirtinger_jet(rho, z, 1e-3)
+        assert value == pytest.approx(-math.log(q), rel=1e-15)
         assert np.max(np.abs(dz - np.conj(z) / q)) < 1e-8
         expected = np.eye(n) / q + np.outer(np.conj(z), z) / q ** 2
         assert np.max(np.abs(ddbar - expected)) < 1e-8
-        dz_only, no_hessian = wirtinger_jet(rho, z, 1e-3, hessian=False)
-        assert no_hessian is None
+        no_value, dz_only, no_hessian = wirtinger_jet(rho, z, 1e-3, hessian=False)
+        assert no_value is None and no_hessian is None
         assert np.array_equal(dz_only, dz)
 
-    @pytest.mark.parametrize("n,per_curvature", [(2, 66), (4, 258)])
+    @pytest.mark.parametrize("n,per_curvature", [(2, 65), (4, 257)])
     def test_wu_tensor_calls_per_stencil(self, monkeypatch, n, per_curvature):
-        # every stencil point is evaluated once: 1 + 16 n^2 jet points plus the
-        # metric at z for the curvature, 8 n for the first-order Kahler defect
-        original = tensor_module.wu_tensor
-        calls = [0]
+        # the whole stencil goes to the regional tensors in one batch: the
+        # 1 + 16 n^2 jet points (the centre gives the metric at z) for the
+        # curvature, 8 n for the first-order Kahler defect
+        original = tensor_module._wu_matrices
+        batches = []
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
+        def counted(domain, z):
+            batches.append(len(z))
+            return original(domain, z)
 
-        monkeypatch.setattr(curvature_module, "wu_tensor", counted)
-        monkeypatch.setattr(tensor_module, "wu_tensor", counted)
+        monkeypatch.setattr(curvature_module, "_wu_matrices", counted)
+        monkeypatch.setattr(tensor_module, "_wu_matrices", counted)
         d = DomainParams(m=2.0, n=n)
         z = np.zeros(n, dtype=complex)
         z[0] = 0.9
         z[1] = 0.05
         curvature_tensor(d, z)
-        assert calls[0] == per_curvature
-        calls[0] = 0
+        assert batches == [per_curvature]
+        batches.clear()
         kahler_defect(d, z)
-        assert calls[0] == 8 * n
+        assert batches == [8 * n]
+
+
+class TestSectionalValues:
+    @pytest.mark.parametrize("m,n", [(0.75, 3), (2.0, 2), (2.0, 4)])
+    def test_sweep_equals_per_direction_values(self, m, n):
+        d = DomainParams(m=m, n=n)
+        z = np.zeros(n, dtype=complex)
+        z[0], z[1] = 0.4, 0.1j
+        tensor = curvature_tensor(d, z)
+        dirs = direction_sample(n, seed=4) * np.linspace(0.5, 3.0, 2 * n * n + 16)[:, None]
+        swept = curvature_module._sectional_values(tensor.components, tensor.metric.matrix, dirs)
+        for v, value in zip(dirs, swept):
+            assert value == pytest.approx(tensor.holomorphic(v), rel=1e-12)
+            # the contraction written out index by index
+            num = np.einsum("abcd,a,b,c,d->", tensor.components, v, np.conj(v), v, np.conj(v))
+            den = np.real(np.vdot(np.conj(v), tensor.metric.matrix @ np.conj(v)))
+            assert value == pytest.approx(np.real(num) / den ** 2, rel=1e-12)
+
+
+#: reference values from the stencil evaluated one wu_tensor call per point,
+#: at (m, n, p1, |zhat|):
+#: R[i, j, k, l] for i, j, k, l in {0, 1} (the whole tensor when n = 2; every
+#: component is real at these real points), min and max sectional curvature
+#: and Kahler defect of the one-point ``curvature_scan``
+CURVATURE_PINS = [
+    ((1.0, 2, 0.5, 0.1), -2.0000000197717114, -1.9999999999910152, 1.4648282586904315e-11,
+     [-6.536925062, -0.3301477194, -0.3301477194, -2.484445023, -0.3301477342, -0.01667412713,
+      -2.484445039, -0.2501119168, -0.3301477342, -2.484445039, -0.01667412713, -0.2501119168,
+      -2.48444506, -0.2501119039, -0.2501119039, -3.751678786]),
+    ((0.75, 3, 0.4, 0.2), -2.117912787542053, -1.972361576939557, 0.1036702304486603,
+     [-4.675178468, -0.5194642968, -0.5194642968, -2.637718578, -0.5194642753, -0.05771825545,
+      -2.57546058, -0.5728289757, -0.5194642753, -2.57546058, -0.05771825545, -0.5728289757,
+      -2.574244563, -0.5657763424, -0.5657763424, -4.407175077]),
+    ((0.5, 2, 0.3, 0.0), -2.3848560916747523, -1.9130177761154479, 0.29585798817179865,
+     [-2.916516517, 0.0, 0.0, -2.525411597, 0.0, 0.0, -2.375356801, 0.0, 0.0, -2.375356801,
+      0.0, 0.0, -2.429543187, 0.0, 0.0, -3.90411791]),
+    ((2.0, 2, 0.9, 0.05), -2.000000073287963, -2.000000003379202, 2.5860025232304906e-10,
+     [-1537.771325, -34.6865712, -34.6865712, -82.20678981, -34.68657122, -0.7824038685,
+      -82.20678378, -3.690928646, -34.68657122, -82.20678378, -0.7824038685, -3.690928646,
+      -82.20678394, -3.690928518, -3.690928518, -17.41166473]),
+    ((2.0, 3, 0.4, 0.1), -2.483488850775207, -1.9892936805225752, 0.0692947675098965,
+     [-3.78339628, -0.07643229666, -0.07643229666, -0.8291546283, -0.07643224667,
+      -0.001544086253, -0.8088136451, -0.03305907501, -0.07643224667, -0.8088136451,
+      -0.001544086253, -0.03305907501, -0.9836582776, -0.03618039814, -0.03618039814,
+      -1.908930874]),
+    ((5.0, 2, 0.5, 0.1), -3.01990025196527, -1.9905330900217533, 0.07392973603631356,
+     [-5.271727448, -0.05324971479, -0.05324971479, -0.4534156977, -0.05324977155,
+      -0.0005378757431, -0.438637158, -0.009005201124, -0.05324977155, -0.438637158,
+      -0.0005378757431, -0.009005201124, -0.6316930916, -0.0108059062, -0.0108059062,
+      -1.449430139]),
+]
+
+
+class TestCurvaturePins:
+    @pytest.mark.parametrize("point,min_s,max_s,defect,block", CURVATURE_PINS,
+                             ids=[str(p[0]) for p in CURVATURE_PINS])
+    def test_matches_parent_values(self, point, min_s, max_s, defect, block):
+        m, n, p1, ph = point
+        d = DomainParams(m=m, n=n)
+        z = np.zeros(n, dtype=complex)
+        z[0], z[1] = p1, ph
+        R = curvature_tensor(d, z).components
+        expected = np.array(block).reshape(2, 2, 2, 2)
+        assert np.max(np.abs(R[:2, :2, :2, :2] - expected)) <= 1e-5 * np.max(np.abs(expected))
+        grid = GridSpec(p1_min=p1, p1_max=p1, count=1, phat_abs=ph)
+        (record,), skipped = curvature_scan(d, grid)
+        assert not skipped
+        assert record.min_sectional == pytest.approx(min_s, abs=1e-5)
+        assert record.max_sectional == pytest.approx(max_s, abs=1e-5)
+        assert abs(record.kahler_defect - defect) <= 1e-6 * max(1.0, defect)

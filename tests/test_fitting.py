@@ -345,3 +345,70 @@ class TestOraclePins:
         assert orc.r1 == pytest.approx(r1, rel=1e-12, abs=0.0)
         assert orc.r2 == pytest.approx(r2, rel=1e-12, abs=0.0)
         assert containment_violation(d, p1, orc) == pytest.approx(violation, rel=1e-12, abs=1e-15)
+
+
+def _inner_pairs(m, rng, us):
+    # (p1, s) with 2 p1^2m = u s^2, i.e. w = 2 p1^2m - s^2 = (u - 1) s^2
+    s = rng.uniform(0.3, 1.0, len(us))
+    return (np.asarray(us) * s * s / 2.0) ** (1.0 / (2.0 * m)), s
+
+
+class TestArrayTangencySolve:
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0])
+    def test_equals_scalar_solve_on_seeded_grids(self, m):
+        rng = np.random.default_rng(61)
+        d = DomainParams(m=m, n=2)
+        # the first row seeds the warm start for the rest, so a small first
+        # root sends most rows off from far away (bisection fallback)
+        us = np.concatenate([[1e-6], rng.uniform(0.0, 1.0, 40),
+                             1.0 - 10.0 ** rng.uniform(-12.0, -9.5, 6),   # near-M0 expansion
+                             1.0 - 10.0 ** rng.uniform(-8.0, -5.0, 6),    # solved next to M0
+                             [1.0]])                                      # on M0, X = 1
+        p1, s = _inner_pairs(m, rng, us)
+        if m <= 5.0:  # the equation overflows below |z1| ~ 1e-4 at m = 20
+            p1 = np.concatenate([p1, [1e-11, 1e-160]])
+            s = np.concatenate([s, [0.7, 0.9]])
+        X = fitting._solve_X_many(d, p1, s)
+        expected = np.array([solve_X(d, a, b) for a, b in zip(p1, s)])
+        assert np.all(np.abs(X - expected) <= 1e-14 * expected)
+        assert X[len(us) - 1] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [2.0, 5.0])
+    def test_stencil_converges_in_a_few_iterations(self, monkeypatch, m):
+        # points within 3e-4 of one centre, as in a curvature stencil: the
+        # warm start leaves a handful of array iterations (a cold bracket
+        # needs dozens)
+        monkeypatch.setattr(fitting, "ROOT_MAX_ITER", 6)
+        rng = np.random.default_rng(63)
+        d = DomainParams(m=m, n=2)
+        p1 = 0.4 + 3e-4 * rng.uniform(-1.0, 1.0, 257)
+        s = np.sqrt(1.0 - (0.1 + 3e-4 * rng.uniform(-1.0, 1.0, 257)) ** 2)
+        X = fitting._solve_X_many(d, p1, s)
+        expected = np.array([solve_X(d, a, b) for a, b in zip(p1, s)])
+        assert np.all(np.abs(X - expected) <= 1e-14 * expected)
+
+    def test_single_pair_runs_the_scalar_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_X(*args)
+
+        monkeypatch.setattr(fitting, "solve_X", counted)
+        d = DomainParams(m=2.0, n=2)
+        X = fitting._solve_X_many(d, np.array([0.4]), np.array([0.9]))
+        assert calls == [(d, 0.4, 0.9)]
+        assert X[0] == solve_X(d, 0.4, 0.9)
+
+    def test_non_inner_row_raises(self):
+        d = DomainParams(m=2.0, n=2)
+        p1, s = _inner_pairs(2.0, np.random.default_rng(62), [0.3, 0.6, 1.1])
+        with pytest.raises(ConfigurationError):
+            fitting._solve_X_many(d, p1, s)
+
+    def test_overflowing_row_raises_as_the_scalar_solve(self):
+        d = DomainParams(m=20.0, n=2)
+        with pytest.raises(OverflowError):
+            solve_X(d, 1e-5, 0.8)
+        with pytest.raises(OverflowError):
+            fitting._solve_X_many(d, np.array([0.3, 1e-5]), np.array([0.9, 0.8]))

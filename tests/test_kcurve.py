@@ -18,7 +18,7 @@ from eggmetrics import (
     square_convexity_check,
     third_derivative_reference,
 )
-from eggmetrics.kcurve import _upper_xy_many, upper_xy
+from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many, lower_xy, upper_xy
 from eggmetrics.numerics import abs_pow, derivative
 
 
@@ -128,6 +128,26 @@ class TestUpperSampler:
                 _upper_xy_abs_pow(m, 0.5, 0.0)
             with pytest.raises(ZeroDivisionError):
                 upper_xy(m, 0.5, 0.0)
+
+
+def _lower_xy_abs_pow(m, p1, alpha):
+    # the LOWER segment with the p1 powers recomputed per alpha, as written
+    # before the hoisted sampler
+    P = abs_pow(p1, 2 * m)
+    x = (1.0 - P) ** 2 * alpha
+    y = (1.0 - P) ** 2 * ((1.0 - alpha) + alpha * P) / (m * m * abs_pow(p1, 2 * m - 2))
+    return x, y
+
+
+class TestLowerSampler:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0, 20.0, 60.0])
+    def test_bit_equal_to_abs_pow_formula_on_the_grid(self, m):
+        d = DomainParams(m=m, n=2)
+        for p1 in (0.05, 0.5, 0.95):
+            grid = kcurve_alpha_grid(d, p1, Branch.LOWER, 512)
+            expected = [_lower_xy_abs_pow(m, p1, a) for a in grid]
+            assert [lower_xy(m, p1, a) for a in grid] == expected
+            assert _lower_xy_many(m, p1, grid) == expected
 
 
 class TestJoiningDerivatives:

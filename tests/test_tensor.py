@@ -17,6 +17,7 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
+from eggmetrics import tensor as tensor_module
 from eggmetrics.numerics import wirtinger_jet
 from test_domain import interior_point
 
@@ -125,10 +126,10 @@ class TestPotentialIdentity:
         d = DomainParams(m=m, n=2)
 
         def rho(w):
-            return -math.log(1 - abs(w[0]) ** (2 * m) - abs(w[1]) ** 2)
+            return -np.log(1 - np.abs(w[:, 0]) ** (2 * m) - np.abs(w[:, 1]) ** 2)
 
         for z in (np.array([0.9, 0.05 + 0.02j]), np.array([0.88 + 0.03j, 0.1j])):
-            _, cplx = wirtinger_jet(rho, z, 1e-4)
+            _, _, cplx = wirtinger_jet(rho, z, 1e-4)
             H = wu_tensor(d, z).matrix
             assert np.max(np.abs(cplx - H)) < 1e-6
 
@@ -233,3 +234,45 @@ class TestGeneralDimension:
                 b = pullback_tensor(d, z)
                 assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10 * np.max(np.abs(a.matrix))
                 assert a.eigenvalues()[0] > 0
+
+
+def _stratum_point(m, n, t, q, rng):
+    # |z1|^2m = t and |zhat|^2 = q, with random phases and zhat direction
+    zh = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    z1 = t ** (1.0 / (2.0 * m)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return np.concatenate(([z1], math.sqrt(q) * zh / np.linalg.norm(zh)))
+
+
+class TestBatchedTensor:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0])
+    def test_mixed_batch_equals_row_by_row(self, m):
+        rng = np.random.default_rng(41)
+        n = 3
+        d = DomainParams(m=m, n=n)
+        rows = [np.array([0.0, 0.4, 0.2j]),                      # on Z
+                _stratum_point(m, n, 0.4, 0.4, rng),              # outer side of M0
+                _stratum_point(m, n, 0.1, 0.3, rng)]              # inner side of M0
+        if m < 20.0:  # |z1| = 1e-11 overflows the tangency equation at m = 20
+            rows.append(np.array([1e-11j, 0.3, -0.1]))
+        for t in (0.2, 0.2 * (1.0 + 1e-9), 0.2 * (1.0 - 1e-9)):  # on M0 and either side
+            rows.append(_stratum_point(m, n, t, 1.0 - 2.0 * t, rng))
+        rows += [interior_point(rng, d) for _ in range(8)]
+        batch = tensor_module._wu_matrices(d, np.array(rows))
+        sources = set()
+        for z, H in zip(rows, batch):
+            form = wu_tensor(d, z)
+            sources.add(form.source)
+            assert np.max(np.abs(H - form.matrix)) <= 1e-13 * np.max(np.abs(form.matrix))
+        # every formula and stratum the batch was built to hit
+        expected = ({"chord-form", "chord-form (z1=0 limit)"} if m < 1.0
+                    else {"ball"} if m == 1.0
+                    else {"inner-form", "inner-form (Z limit)",
+                          "outer-form", "outer-form (on M0)"})
+        if 1.0 < m < 20.0:
+            expected.add("inner-form (near Z)")  # |z1| = 1e-11 keeps the inner form
+        assert expected <= sources
+
+    def test_single_row_is_wu_tensor(self):
+        d = DomainParams(m=2.0, n=3)
+        z = np.array([0.3 + 0.1j, 0.2, -0.1j])
+        assert np.array_equal(tensor_module._wu_matrices(d, z[None])[0], wu_tensor(d, z).matrix)
