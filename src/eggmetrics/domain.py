@@ -81,6 +81,12 @@ def minkowski_gauge(domain: DomainParams, v) -> float:
     """
     v = as_vector(v, domain.n)
     m = domain.m
+    # far from unit size, scale v by an exact power of two so that |v1|^2m,
+    # |vhat|^2 and the bracket below stay inside the float range
+    e = math.frexp(max(float(np.max(np.abs(v.real))), float(np.max(np.abs(v.imag)))))[1]
+    if max(m, 1.0) * (abs(e) + 1) > 450.0:
+        unit = np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
+        return math.ldexp(minkowski_gauge(domain, unit), e)
     a_coef = abs_pow(abs(v[0]), 2 * m)
     b_coef = float(np.sum(np.abs(v[1:]) ** 2))
     if a_coef == 0.0 and b_coef == 0.0:

@@ -10,22 +10,23 @@ recomputes the fit from curve samples alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import DomainParams, _check_p1
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
-from .numerics import ROOT_MAX_ITER, abs_pow, solve_bracketed
+from .numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
 
 #: feasibility slack for the oracle's candidate lines (sample-set containment)
 _ORACLE_FEAS_TOL = 1e-11
 
-#: largest log of a power the array tangency solve evaluates, (2m - 1) log(1/p1^2)
-#: at X = 1; the float range ends at e^709.78
-_EXP_ARG_MAX = 700.0
+#: largest log of a power the tangency solve evaluates, (2m - 1) log(1/p1^2)
+#: at X = 1: the end of the float range, e^709.78
+_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -53,122 +54,67 @@ def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
     rescaled variable tau = X/p1^2, whose coefficients stay O(1) as p1 -> 0,
     so the root keeps full relative accuracy near the Z stratum. The root is
     the unique one in (ref^2, 1] where ref = p1/s^(1/m); a missing sign
-    change means the reference point is not in the inner region.
+    change means the reference point is not in the inner region. The
+    one-pair case of ``_solve_X_many``.
     """
-    m = domain.m
-    if m <= 1.0:
+    if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
     if not (0.0 < s <= 1.0):
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
     _check_p1(p1)
-    s2 = s * s
-    pm = p1 * p1  # p1^(2m) raised to 1/m
-    if pm < 1e-300:
-        # leading-order root; below this the rescaled bracket endpoint 1/pm
-        # is not representable
-        return abs_pow((m + 1.0) / s2, 1.0 / m) * pm
-    P = abs_pow(p1, 2 * m)
-    w = 2.0 * P - s2  # middle-stratum indicator at the reference point
-    if w > 1e-12 * s2:
-        raise _no_root(p1, s)
-    if w >= -1e-9 * s2:
-        # hugging the middle stratum: X = 1 + w/(2m-1) + O(w^2), and this
-        # close the root sits inside the evaluation-noise band of the
-        # rescaled equation, so the expansion beats the solver
-        return 1.0 + w / ((2.0 * m - 1.0) * s2)
-
-    def g(tau: float) -> float:
-        return (s2 * s2 * abs_pow(tau, 2 * m - 1) - (m + 1.0) * s2 * abs_pow(tau, m - 1)
-                + (m - 2.0) * s2 * pm * abs_pow(tau, m) + 2.0 * pm)
-
-    def dg(tau: float) -> float:
-        return ((2 * m - 1) * s2 * s2 * abs_pow(tau, 2 * m - 2)
-                - (m + 1.0) * (m - 1.0) * s2 * abs_pow(tau, m - 2)
-                + m * (m - 2.0) * s2 * pm * abs_pow(tau, m - 1))
-
-    lo = abs_pow(s2, -1.0 / m)   # tau at X = (p1/s^(1/m))^2
-    hi = 1.0 / pm                # tau at X = 1
-    if g(hi) <= 0.0:
-        return 1.0  # threshold roundoff: the root collapsed onto X = 1
-    if g(lo) >= 0.0:
-        raise _no_root(p1, s)
-    tau = solve_bracketed(g, lo, hi, df=dg)
-    return tau * pm
+    return float(_solve_X_many(domain, [p1], [s])[0])
 
 
-def _solve_X_many(domain: DomainParams, p1: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``solve_X`` at each checked inner-region pair (p1, s); one pair runs ``solve_X`` alone.
+def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
+    """``solve_X`` at each checked inner-region pair (p1, s); the one tangency solve.
 
-    Same rescaled equation, brackets and special branches per row. The rows
-    left to solve run the safeguarded Newton/bisection of ``solve_bracketed``
-    side by side, from the first one's scalar root scaled to each row's tau,
-    so a stencil's nearby points converge in a few iterations. Rows whose
-    equation nears the float range at X = 1 go through ``solve_X``, which
-    raises where it overflows.
+    A row whose equation leaves the float range at X = 1 raises OverflowError.
+    The first row left to solve runs the scalar ``solve_bracketed``; any others
+    run ``_solve_bracketed_rows`` from that root scaled to each row's tau, so a
+    stencil's nearby points converge in a few steps.
     """
-    if len(p1) == 1:
-        return np.array([solve_X(domain, float(p1[0]), float(s[0]))])
     m = domain.m
-    s2, pm = s * s, p1 * p1
-    w = 2.0 * p1 ** (2 * m) - s2
+    p1, s = np.asarray(p1, dtype=float), np.asarray(s, dtype=float)
+    s2, pm = s * s, p1 * p1  # pm is p1^(2m) raised to 1/m
+    w = 2.0 * p1 ** (2 * m) - s2  # middle-stratum indicator at the reference point
     tiny = pm < 1e-300
     off = np.flatnonzero(~tiny & (w > 1e-12 * s2))
     if off.size:
         raise _no_root(p1[off[0]], s[off[0]])
-    # leading-order root on tiny rows, the middle-stratum expansion next to it
+    # the leading-order root where the bracket end 1/pm is not representable;
+    # next to the middle stratum the root sits inside the evaluation noise of
+    # the equation, and its expansion X = 1 + w/(2m-1) + O(w^2) is better
     X = np.where(tiny, ((m + 1.0) / s2) ** (1.0 / m) * pm, 1.0 + w / ((2.0 * m - 1.0) * s2))
     rows = np.flatnonzero(~tiny & (w < -1e-9 * s2))
-    overflow = (2 * m - 1) * -np.log(pm[rows]) > _EXP_ARG_MAX
-    for i in rows[overflow]:
-        X[i] = solve_X(domain, float(p1[i]), float(s[i]))
-    rows = rows[~overflow]
+    over = rows[(2 * m - 1) * -np.log(pm[rows]) > _EXP_ARG_MAX]
+    if over.size:
+        raise OverflowError(f"tangency equation overflows at p1={float(p1[over[0]])!r}, m={m!r}")
+    if rows.size == 0:
+        return X
     s2, pm = s2[rows], pm[rows]
 
-    def g(tau):
+    def g(tau, s2, pm):
         return (s2 * s2 * tau ** (2 * m - 1) - (m + 1.0) * s2 * tau ** (m - 1)
                 + (m - 2.0) * s2 * pm * tau ** m + 2.0 * pm)
 
-    def dg(tau):
+    def dg(tau, s2, pm):
         return ((2 * m - 1) * s2 * s2 * tau ** (2 * m - 2)
                 - (m + 1.0) * (m - 1.0) * s2 * tau ** (m - 2)
                 + m * (m - 2.0) * s2 * pm * tau ** (m - 1))
 
-    lo, hi = s2 ** (-1.0 / m), 1.0 / pm
-    collapsed = g(hi) <= 0.0  # threshold roundoff, as in solve_X
-    off = rows[~collapsed & (g(lo) >= 0.0)]
+    lo, hi = s2 ** (-1.0 / m), 1.0 / pm  # tau at X = (p1/s^(1/m))^2 and at X = 1
+    off = rows[g(lo, s2, pm) >= 0.0]
     if off.size:
         raise _no_root(p1[off[0]], s[off[0]])
-    X[rows[collapsed]] = 1.0
-    keep = ~collapsed
-    rows, s2, pm, lo, hi = rows[keep], s2[keep], pm[keep], lo[keep], hi[keep]
-    if rows.size == 0:
-        return X
-    warm = solve_X(domain, float(p1[rows[0]]), float(s[rows[0]])) / pm
-    tau = np.where((lo < warm) & (warm < hi), warm, 0.5 * (lo + hi))
-    dx_old = hi - lo
-    for _ in range(ROOT_MAX_ITER):
-        f, d = g(tau), dg(tau)
-        lo = np.where(f < 0.0, tau, lo)
-        hi = np.where(f > 0.0, tau, hi)
-        step = np.divide(f, d, out=np.full_like(f, np.nan), where=(d != 0.0) & np.isfinite(d))
-        cand = tau - step
-        newton = (lo < cand) & (cand < hi) & (np.abs(step) <= 0.5 * dx_old)
-        # a vanishing Newton step is convergence even where the iterate sits
-        # on its own bracket end (cand == tau == lo), which the bracket test
-        # would turn into a long bisection
-        root = np.where(f == 0.0, tau, np.where(
-            hi - lo <= 1e-15 * np.maximum(np.abs(lo), np.abs(hi)), 0.5 * (lo + hi),
-            np.where(np.abs(step) <= 1e-15 * np.abs(cand), cand, np.nan)))
-        done = ~np.isnan(root)
-        X[rows[done]] = root[done] * pm[done]
-        dx_old = np.where(newton, np.abs(step), 0.5 * (hi - lo))
-        tau = np.where(newton, cand, 0.5 * (lo + hi))
-        if np.all(done):
-            return X
-        rows, s2, pm, lo, hi, tau, dx_old = (
-            a[~done] for a in (rows, s2, pm, lo, hi, tau, dx_old))
-    raise NumericalError(f"root solve did not converge in {ROOT_MAX_ITER} iterations",
-                         bracket=(float(lo[0]), float(hi[0])))
+    s2_0, pm_0 = float(s2[0]), float(pm[0])
+    X[rows[0]] = X0 = pm_0 * solve_bracketed(lambda t: g(t, s2_0, pm_0), float(lo[0]),
+                                             float(hi[0]), df=lambda t: dg(t, s2_0, pm_0))
+    if rows.size > 1:
+        s2, pm = s2[1:], pm[1:]
+        X[rows[1:]] = pm * _solve_bracketed_rows(
+            lambda t, r: g(t, s2[r], pm[r]), lambda t, r: dg(t, s2[r], pm[r]),
+            lo[1:], hi[1:], X0 / pm)
+    return X
 
 
 def _no_root(p1: float, s: float) -> ConfigurationError:
@@ -194,7 +140,13 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
                                r2=1.0 / (1.0 - P))
     if p1 < 1e-12:
         return fit_origin(domain)  # deviation from the limit is O(p1^2)
-    X = solve_X(domain, p1)
+    return _inner_fit(domain, p1, solve_X(domain, p1))
+
+
+def _inner_fit(domain: DomainParams, p1: float, X: float) -> WuEllipsoidDiag:
+    # inner-region line tangent to the UPPER curve at the contact parameter sqrt(X)
+    m = domain.m
+    P = abs_pow(p1, 2 * m)
     F = m * abs_pow(X, m - 1) - (m - 1.0) * abs_pow(X, m) - P
     return WuEllipsoidDiag(r1=m * m * abs_pow(X, 2 * m - 1) / (2.0 * p1 * p1 * F * F),
                            r2=abs_pow(X, 2 * m - 1) / (2.0 * P * F))

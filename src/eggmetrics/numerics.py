@@ -46,9 +46,13 @@ def solve_bracketed(
 ) -> float:
     """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi): safeguarded Newton, bisection fallback.
 
-    Newton steps are accepted only while they stay strictly inside the current
-    bracket; every iteration shrinks the bracket, so convergence is guaranteed
-    for continuous f. Raises NumericalError (carrying the last bracket) if the
+    The iteration stops at an exact zero, at a bracket narrower than rtol
+    relative, or at a Newton step below rtol relative to its candidate, which
+    is then clamped into the current bracket. Other Newton steps are taken
+    only strictly inside the bracket and when they at least halve the
+    previous step; every iteration shrinks the bracket, so convergence is
+    guaranteed for continuous f. ``_solve_bracketed_rows`` runs the same rule
+    row by row. Raises NumericalError (carrying the last bracket) if the
     input is not a sign-change interval or the iteration budget runs out.
     """
     flo, fhi = f(lo), f(hi)
@@ -67,40 +71,67 @@ def solve_bracketed(
         fx = f(x)
         if fx == 0.0:
             return x
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
         width = hi - lo
         # relative to the bracket location, so roots far below the initial
         # bracket scale are still resolved to full relative accuracy
         if width <= rtol * max(abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
-        step_ok = False
-        if df is not None:
-            d = df(x)
-            if d != 0.0 and math.isfinite(d):
-                cand = x - fx / d
-                # accept Newton only inside the bracket and when the step at
-                # least halves the previous one; otherwise bisect. This keeps
-                # the worst case at bisection speed (slowly contracting
-                # Newton tails would otherwise starve the bracket).
-                if lo < cand < hi and abs(cand - x) <= 0.5 * dx_old:
-                    # a vanishing Newton step means x has converged even if
-                    # the far bracket end is still distant (root at an edge
-                    # or tiny relative to the bracket); relative to the
-                    # iterate so tiny roots keep full relative accuracy
-                    if abs(cand - x) <= rtol * abs(cand):
-                        return cand
-                    dx_old = abs(cand - x)
-                    x = cand
-                    step_ok = True
-        if not step_ok:
-            dx_old = 0.5 * width
-            x = 0.5 * (lo + hi)
+        d = df(x) if df is not None else 0.0
+        if d != 0.0 and math.isfinite(d):
+            step = fx / d
+            cand = x - step
+            # a vanishing Newton step means x has converged, even where x
+            # sits on its own bracket end (cand == x == lo) or the far end is
+            # still distant; relative to the iterate so tiny roots keep full
+            # relative accuracy
+            if abs(step) <= rtol * abs(cand):
+                return min(max(cand, lo), hi)
+            # otherwise accept Newton only inside the bracket and when the
+            # step at least halves the previous one, else bisect. This keeps
+            # the worst case at bisection speed (slowly contracting Newton
+            # tails would otherwise starve the bracket).
+            if lo < cand < hi and abs(step) <= 0.5 * dx_old:
+                dx_old, x = abs(step), cand
+                continue
+        dx_old = 0.5 * width
+        x = 0.5 * (lo + hi)
     raise NumericalError(
         f"root solve did not converge in {max_iter} iterations", bracket=(lo, hi)
     )
+
+
+def _solve_bracketed_rows(f, df, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
+                          rtol: float = 1e-15, max_iter: int = ROOT_MAX_ITER) -> np.ndarray:
+    """``solve_bracketed`` on independent rows side by side, each started at x0.
+
+    f(x, rows) and df(x, rows) evaluate the still open rows ``rows`` at x; the
+    caller guarantees f(lo) <= 0 <= f(hi) on every row. A start outside its
+    open bracket begins at the midpoint.
+    """
+    out = np.empty_like(lo)
+    rows = np.arange(lo.size)
+    x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
+    dx_old = hi - lo
+    for _ in range(max_iter):
+        fx, d = f(x, rows), df(x, rows)
+        lo = np.where(fx < 0.0, x, lo)
+        hi = np.where(fx > 0.0, x, hi)
+        step = np.divide(fx, d, out=np.full_like(fx, np.nan), where=(d != 0.0) & np.isfinite(d))
+        cand = x - step
+        root = np.where(fx == 0.0, x, np.where(
+            hi - lo <= rtol * np.maximum(np.abs(lo), np.abs(hi)), 0.5 * (lo + hi),
+            np.where(np.abs(step) <= rtol * np.abs(cand), np.clip(cand, lo, hi), np.nan)))
+        done = ~np.isnan(root)
+        out[rows[done]] = root[done]
+        if np.all(done):
+            return out
+        newton = (lo < cand) & (cand < hi) & (np.abs(step) <= 0.5 * dx_old)
+        dx_old = np.where(newton, np.abs(step), 0.5 * (hi - lo))
+        x = np.where(newton, cand, 0.5 * (lo + hi))
+        rows, lo, hi, x, dx_old = (a[~done] for a in (rows, lo, hi, x, dx_old))
+    raise NumericalError(f"root solve did not converge in {max_iter} iterations",
+                         bracket=(float(lo[0]), float(hi[0])))
 
 
 def richardson(values: Sequence, order: int = 2, ratio: float = 2.0):

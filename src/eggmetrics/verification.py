@@ -26,8 +26,8 @@ from .domain import (
     minkowski_gauge,
     seam_distance,
 )
-from .errors import EggMetricsError
 from .fitting import (
+    _inner_fit,
     containment_violation,
     contact_point,
     fit_oracle,
@@ -49,7 +49,7 @@ from .kobayashi import (
     kobayashi_alt_upper,
     kobayashi_reference,
 )
-from .numerics import abs_pow, wirtinger_jet
+from .numerics import wirtinger_jet
 from .smoothness import holder_exponent, regularity_scan
 from .tensor import _moduli, kahler_defect, pullback_tensor, wu_norm, wu_tensor
 
@@ -284,16 +284,12 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
 
 
 def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    m = domain.m
     thr = domain.m0_radius
     # inner closed form at the exact threshold (X -> 1) vs the outer form
     X = solve_X(domain, thr)
-    P = abs_pow(thr, 2 * m)
-    F = m * abs_pow(X, m - 1) - (m - 1.0) * abs_pow(X, m) - P
-    inner_r1 = m * m * abs_pow(X, 2 * m - 1) / (2.0 * thr * thr * F * F)
-    inner_r2 = abs_pow(X, 2 * m - 1) / (2.0 * P * F)
+    inner = _inner_fit(domain, thr, X)
     outer = fit_reference(domain, thr)
-    gap = max(_rel(inner_r1, outer.r1), _rel(inner_r2, outer.r2), abs(X - 1.0))
+    gap = max(_rel(inner.r1, outer.r1), _rel(inner.r2, outer.r2), abs(X - 1.0))
     side = fit_reference(domain, thr * (1.0 - 1e-11))
     gap = max(gap, _rel(side.r1, outer.r1), _rel(side.r2, outer.r2))
     # tensor continuity across M0 and Z along the axis
@@ -457,7 +453,7 @@ def run_checks(domain: DomainParams, seed: int = 0,
         t0 = time.perf_counter()
         try:
             passed, detail = fn(domain, rng)
-        except EggMetricsError as exc:
-            passed, detail = False, f"error: {exc}"
+        except Exception as exc:  # a crashing check is that check's FAIL row
+            passed, detail = False, f"error: {type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, time.perf_counter() - t0))
     return results

@@ -179,6 +179,16 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["kahler_defect"] is None
 
+    def test_crashing_check_is_a_fail_row(self, capsys):
+        # at m = 20 square-convexity crashes outside the package's error
+        # types; the suite records it and runs the remaining checks
+        code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2")
+        assert code == 3
+        rows = [line for line in out.splitlines() if line.startswith("  [")]
+        assert len(rows) == 17
+        assert "[FAIL] square-convexity" in out
+        assert "error: ValueError: " in out
+
     def test_verify_subset_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2",
                                "--only", "gauge-membership,square-convexity")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eggmetrics import (
@@ -64,11 +64,18 @@ class TestMinkowskiGauge:
            re1=st.floats(-1.5, 1.5), im1=st.floats(-1.5, 1.5),
            re2=st.floats(-1.5, 1.5), im2=st.floats(-1.5, 1.5),
            m=st.sampled_from([0.5, 0.75, 1.0, 2.0, 2.6]))
+    @example(lam=2.0, re1=1.105e-162, im1=0.0, re2=0.0, im2=1.105e-162, m=1.0)
     def test_positive_homogeneity(self, lam, re1, im1, re2, im2, m):
         d = DomainParams(m=m, n=2)
         v = np.array([re1 + 1j * im1, re2 + 1j * im2])
         g = minkowski_gauge(d, v)
         assert minkowski_gauge(d, lam * v) == pytest.approx(lam * g, rel=1e-12, abs=1e-13)
+
+    def test_tiny_vector_is_euclidean_on_the_ball(self):
+        # both |v1|^2 and |v2|^2 underflow to 0 unless v is rescaled first
+        v = np.array([1.105e-162, 1.105e-162j])
+        g = minkowski_gauge(DomainParams(m=1.0, n=2), v)
+        assert g == pytest.approx(math.hypot(1.105e-162, 1.105e-162), rel=1e-14, abs=0.0)
 
     def test_gauge_membership_consistency(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from eggmetrics import (
     ConfigurationError,
     DomainError,
     DomainParams,
+    NumericalError,
     WuEllipsoidDiag,
     containment_violation,
     contact_point,
@@ -20,7 +22,7 @@ from eggmetrics import (
 )
 from eggmetrics import fitting
 from eggmetrics.fitting import _ORACLE_FEAS_TOL, _enumerate_lines
-from eggmetrics.numerics import abs_pow
+from eggmetrics.numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
 
 from test_kobayashi import bisect_root
 
@@ -347,10 +349,110 @@ class TestOraclePins:
         assert containment_violation(d, p1, orc) == pytest.approx(violation, rel=1e-12, abs=1e-15)
 
 
+# -- reference tangency solve: scalar, abs_pow powers, its own Newton loop -----
+
+def _reference_solve_bracketed(f, lo, hi, df, rtol=1e-15, max_iter=200):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo > 0.0 or fhi < 0.0:
+        raise NumericalError("no sign change", bracket=(lo, hi))
+    x = 0.5 * (lo + hi)
+    dx_old = hi - lo
+    for _ in range(max_iter):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        width = hi - lo
+        if width <= rtol * max(abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+        step_ok = False
+        d = df(x)
+        if d != 0.0 and math.isfinite(d):
+            cand = x - fx / d
+            # a vanishing step counts only inside the bracket here
+            if lo < cand < hi and abs(cand - x) <= 0.5 * dx_old:
+                if abs(cand - x) <= rtol * abs(cand):
+                    return cand
+                dx_old = abs(cand - x)
+                x = cand
+                step_ok = True
+        if not step_ok:
+            dx_old = 0.5 * width
+            x = 0.5 * (lo + hi)
+    raise NumericalError("no convergence", bracket=(lo, hi))
+
+
+def _reference_solve_X(domain, p1, s=1.0):
+    m = domain.m
+    if m <= 1.0:
+        raise ConfigurationError("the tangency equation applies to m > 1 only")
+    if not (0.0 < s <= 1.0):
+        raise DomainError(f"s must lie in (0, 1], got {s!r}")
+    if not (0.0 < p1 < 1.0):
+        raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
+    s2 = s * s
+    pm = p1 * p1
+    if pm < 1e-300:
+        return abs_pow((m + 1.0) / s2, 1.0 / m) * pm
+    P = abs_pow(p1, 2 * m)
+    w = 2.0 * P - s2
+    if w > 1e-12 * s2:
+        raise ConfigurationError("no tangency root")
+    if w >= -1e-9 * s2:
+        return 1.0 + w / ((2.0 * m - 1.0) * s2)
+
+    def g(tau):
+        return (s2 * s2 * abs_pow(tau, 2 * m - 1) - (m + 1.0) * s2 * abs_pow(tau, m - 1)
+                + (m - 2.0) * s2 * pm * abs_pow(tau, m) + 2.0 * pm)
+
+    def dg(tau):
+        return ((2 * m - 1) * s2 * s2 * abs_pow(tau, 2 * m - 2)
+                - (m + 1.0) * (m - 1.0) * s2 * abs_pow(tau, m - 2)
+                + m * (m - 2.0) * s2 * pm * abs_pow(tau, m - 1))
+
+    lo = abs_pow(s2, -1.0 / m)
+    hi = 1.0 / pm
+    if g(hi) <= 0.0:
+        return 1.0
+    if g(lo) >= 0.0:
+        raise ConfigurationError("no tangency root")
+    return _reference_solve_bracketed(g, lo, hi, df=dg) * pm
+
+
 def _inner_pairs(m, rng, us):
     # (p1, s) with 2 p1^2m = u s^2, i.e. w = 2 p1^2m - s^2 = (u - 1) s^2
     s = rng.uniform(0.3, 1.0, len(us))
     return (np.asarray(us) * s * s / 2.0) ** (1.0 / (2.0 * m)), s
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+class TestNewtonConvergenceRule:
+    def test_a_vanishing_step_returns_inside_the_bracket(self):
+        # a derivative of the wrong sign makes the last step of 3e-16 leave
+        # the bracket [0, 0.5] upwards; both forms clamp it back
+        def f(x, rows=None):
+            return x - 0.3
+
+        def df(x, rows=None):
+            return -0.2 / 3e-16 + 0.0 * x
+
+        assert 0.5 - 0.2 / df(0.5) > 0.5
+        assert solve_bracketed(f, 0.0, 1.0, df=df) == 0.5
+        roots = _solve_bracketed_rows(f, df, np.zeros(2), np.ones(2), np.full(2, 0.5))
+        assert roots.tolist() == [0.5, 0.5]
 
 
 class TestArrayTangencySolve:
@@ -369,36 +471,81 @@ class TestArrayTangencySolve:
             p1 = np.concatenate([p1, [1e-11, 1e-160]])
             s = np.concatenate([s, [0.7, 0.9]])
         X = fitting._solve_X_many(d, p1, s)
-        expected = np.array([solve_X(d, a, b) for a, b in zip(p1, s)])
+        expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
         assert np.all(np.abs(X - expected) <= 1e-14 * expected)
         assert X[len(us) - 1] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
+    def test_scalar_solve_matches_the_reference(self, m):
+        # every pair either returns within 1e-14 of the reference or raises
+        # the same type: off the inner region, overflowing (beyond e^709.78)
+        # and out-of-range inputs included
+        rng = np.random.default_rng(64)
+        d = DomainParams(m=m, n=2)
+        us = np.concatenate([rng.uniform(0.0, 1.0, 60), 1.0 - 10.0 ** rng.uniform(-12.0, -5.0, 10),
+                             rng.uniform(1.0 + 1e-6, 1.9, 10)])
+        p1, s = _inner_pairs(m, rng, us)
+        # (0.0515, 1) and (0.051, 0.9) put (2m - 1) log(1/p1^2) between 700 and
+        # 709.78 at m = 60, where the equation still fits the float range
+        pairs = list(zip(p1, s)) + [(1e-12, 0.8), (1e-160, 0.9), (0.5, 0.0), (1.0, 0.5),
+                                    (0.0515, 1.0), (0.051, 0.9)]
+        for a, b in pairs:
+            got, want = _outcome(solve_X, d, a, b), _outcome(_reference_solve_X, d, a, b)
+            if isinstance(want, type):
+                assert got is want, (a, b)
+            else:
+                assert abs(got - want) <= 1e-14 * want, (a, b)
 
     @pytest.mark.parametrize("m", [2.0, 5.0])
     def test_stencil_converges_in_a_few_iterations(self, monkeypatch, m):
         # points within 3e-4 of one centre, as in a curvature stencil: the
         # warm start leaves a handful of array iterations (a cold bracket
         # needs dozens)
-        monkeypatch.setattr(fitting, "ROOT_MAX_ITER", 6)
+        monkeypatch.setattr(fitting, "_solve_bracketed_rows",
+                            functools.partial(_solve_bracketed_rows, max_iter=6))
         rng = np.random.default_rng(63)
         d = DomainParams(m=m, n=2)
         p1 = 0.4 + 3e-4 * rng.uniform(-1.0, 1.0, 257)
         s = np.sqrt(1.0 - (0.1 + 3e-4 * rng.uniform(-1.0, 1.0, 257)) ** 2)
         X = fitting._solve_X_many(d, p1, s)
-        expected = np.array([solve_X(d, a, b) for a, b in zip(p1, s)])
+        expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
         assert np.all(np.abs(X - expected) <= 1e-14 * expected)
 
-    def test_single_pair_runs_the_scalar_solve(self, monkeypatch):
+    def test_single_pair_is_one_scalar_solve(self, monkeypatch):
+        d = DomainParams(m=2.0, n=2)
+        X = fitting._solve_X_many(d, [0.4], [0.9])[0]
+        assert solve_X(d, 0.4, 0.9) == X
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return solve_X(*args)
+            return solve_bracketed(*args, **kwargs)
 
-        monkeypatch.setattr(fitting, "solve_X", counted)
-        d = DomainParams(m=2.0, n=2)
-        X = fitting._solve_X_many(d, np.array([0.4]), np.array([0.9]))
-        assert calls == [(d, 0.4, 0.9)]
-        assert X[0] == solve_X(d, 0.4, 0.9)
+        monkeypatch.setattr(fitting, "solve_bracketed", counted)
+        assert fitting._solve_X_many(d, np.array([0.4]), np.array([0.9]))[0] == X
+        assert len(calls) == 1
+
+    def test_newton_convergence_rule_bounds_evaluations(self, monkeypatch):
+        # a vanishing Newton step ends the solve even where the iterate sits
+        # on its own bracket end; rejecting it there bisected the whole
+        # remaining bracket (up to 77 evaluations at m = 5)
+        evals = []
+
+        def counted(f, lo, hi, df=None, **kwargs):
+            def counted_f(x):
+                evals[-1] += 1
+                return f(x)
+            evals.append(0)
+            return solve_bracketed(counted_f, lo, hi, df=df, **kwargs)
+
+        monkeypatch.setattr(fitting, "solve_bracketed", counted)
+        d = DomainParams(m=5.0, n=2)
+        rng = np.random.default_rng(65)
+        p1, s = _inner_pairs(5.0, rng, rng.uniform(0.0, 1.0, 200))
+        for a, b in zip(p1, s):
+            solve_X(d, a, b)
+        assert len(evals) == 200
+        assert max(evals) <= 40
 
     def test_non_inner_row_raises(self):
         d = DomainParams(m=2.0, n=2)
@@ -412,3 +559,14 @@ class TestArrayTangencySolve:
             solve_X(d, 1e-5, 0.8)
         with pytest.raises(OverflowError):
             fitting._solve_X_many(d, np.array([0.3, 1e-5]), np.array([0.9, 0.8]))
+
+    def test_rows_inside_the_float_range_solve(self):
+        # (2m - 1) log(1/p1^2) = 705.9 and 708.3 at m = 60: past e^700, still
+        # below the end of the float range, so the second row is solved too
+        d = DomainParams(m=60.0, n=2)
+        p1, s = np.array([0.0515, 0.051]), np.array([1.0, 0.9])
+        q = 119.0 * np.log(1.0 / p1 ** 2)
+        assert np.all((700.0 < q) & (q < fitting._EXP_ARG_MAX))
+        expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
+        X = fitting._solve_X_many(d, p1, s)
+        assert np.all(np.abs(X - expected) <= 1e-14 * expected)
