@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainParams, RegionLabel, as_vector, classify_region, seam_distance
+from .domain import REGION_TOL, DomainParams, RegionLabel, _region_of, _seam_distance, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
 from .tensor import HermitianForm, _hermitian_form, _wu_matrices, kahler_defect
 from .numerics import wirtinger_jet
@@ -68,10 +68,10 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
 def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> CurvatureTensor:
     """Full curvature tensor at an interior point at least 8 steps from any seam."""
     z = as_vector(z, domain.n)
-    region = classify_region(domain, z)
+    region = _region_of(domain, z, REGION_TOL)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    if seam_distance(domain, z) < 8.0 * step:
+    if _seam_distance(domain, z) < 8.0 * step:
         raise SeamProximityError(
             f"point is within 8 steps ({8 * step:.1e}) of a seam or the boundary")
     # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
@@ -160,7 +160,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
         z[0] = p1
         if domain.n > 1 and grid.phat_abs:
             z[1] = grid.phat_abs
-        if seam_distance(domain, z) < 8.0 * grid.step:
+        if _seam_distance(domain, z) < 8.0 * grid.step:
             skipped.append(z)
             continue
         tensor = curvature_tensor(domain, z, step=grid.step)
@@ -172,7 +172,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
             gap = float(max(gaps))
         records.append(CurvatureScanRecord(
             point=z,
-            region=classify_region(domain, z),
+            region=tensor.metric.region,
             min_sectional=float(min(values)),
             max_sectional=float(max(values)),
             kahler_defect=kahler_defect(domain, z),

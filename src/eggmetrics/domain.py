@@ -3,6 +3,11 @@
 Points and tangent vectors are plain complex ndarrays of length n; index 0 is
 the distinguished coordinate z1 and ``z[1:]`` is the orthogonal block written
 ``zhat`` throughout.
+
+Each public function checks its vector arguments once, with ``as_vector``;
+the private ``_...`` helpers take vectors that are already checked, so that
+callers inside the package check at their own boundary and not again at
+every layer.
 """
 
 from __future__ import annotations
@@ -57,9 +62,14 @@ def as_vector(v, n: int) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.shape != (n,):
         raise DomainError(f"expected a length-{n} vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise DomainError("vector has non-finite entries")
+    _check_finite(arr)
     return arr
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    # a complex entry is finite only when both of its parts are
+    if not np.isfinite(arr).all():
+        raise DomainError("vector has non-finite entries")
 
 
 def _check_p1(p1: float) -> None:
@@ -69,7 +79,11 @@ def _check_p1(p1: float) -> None:
 
 def defining_function(domain: DomainParams, z) -> float:
     """|z1|^2m + |zhat|^2 - 1; negative inside the egg."""
-    z = as_vector(z, domain.n)
+    return _defining(domain, as_vector(z, domain.n))
+
+
+def _defining(domain: DomainParams, z: np.ndarray) -> float:
+    # defining_function on a checked vector
     return abs_pow(abs(z[0]), 2 * domain.m) + float(np.sum(np.abs(z[1:]) ** 2)) - 1.0
 
 
@@ -79,14 +93,18 @@ def minkowski_gauge(domain: DomainParams, v) -> float:
     Solves |v1|^2m a^2m + |vhat|^2 a^2 = 1 for the scaling a and returns 1/a;
     v = 0 returns 0 by convention. Positively homogeneous of degree one.
     """
-    v = as_vector(v, domain.n)
+    return _gauge(domain, as_vector(v, domain.n))
+
+
+def _gauge(domain: DomainParams, v: np.ndarray) -> float:
+    # minkowski_gauge on a checked vector
     m = domain.m
     # far from unit size, scale v by an exact power of two so that |v1|^2m,
     # |vhat|^2 and the bracket below stay inside the float range
     e = math.frexp(max(float(np.max(np.abs(v.real))), float(np.max(np.abs(v.imag)))))[1]
     if max(m, 1.0) * (abs(e) + 1) > 450.0:
         unit = np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
-        return math.ldexp(minkowski_gauge(domain, unit), e)
+        return math.ldexp(_gauge(domain, unit), e)
     a_coef = abs_pow(abs(v[0]), 2 * m)
     b_coef = float(np.sum(np.abs(v[1:]) ** 2))
     if a_coef == 0.0 and b_coef == 0.0:
@@ -142,7 +160,11 @@ def _region_of(domain: DomainParams, z: np.ndarray, tol: float) -> RegionLabel:
 
 def reference_coordinate(domain: DomainParams, p) -> float:
     """Axis coordinate |p1|/s^(1/m) of the automorphism image of p, s = sqrt(1-|phat|^2)."""
-    p = as_vector(p, domain.n)
+    return _reference_coordinate(domain, as_vector(p, domain.n))
+
+
+def _reference_coordinate(domain: DomainParams, p: np.ndarray) -> float:
+    # reference_coordinate on a checked vector
     s2 = 1.0 - float(np.sum(np.abs(p[1:]) ** 2))
     if s2 <= 0.0:
         raise DomainError("point has |phat| >= 1")
@@ -166,9 +188,9 @@ def egg_automorphism(domain: DomainParams, p, z) -> np.ndarray:
     m = domain.m
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n)
-    if defining_function(domain, p) >= 0.0:
+    if _defining(domain, p) >= 0.0:
         raise DomainError("base point p must lie inside the egg")
-    if defining_function(domain, z) > 1e-9:
+    if _defining(domain, z) > 1e-9:
         raise DomainError("z must lie in the closed egg")
     c = _phase_factor(p[0])
     phat = p[1:]
@@ -187,12 +209,17 @@ def egg_automorphism(domain: DomainParams, p, z) -> np.ndarray:
 
 def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:
     """Holomorphic Jacobian of ``egg_automorphism(domain, p, .)`` at z."""
-    m = domain.m
-    n = domain.n
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n)
-    if defining_function(domain, p) >= 0.0:
+    if _defining(domain, p) >= 0.0:
         raise DomainError("base point p must lie inside the egg")
+    return _jacobian(domain, p, z)
+
+
+def _jacobian(domain: DomainParams, p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # automorphism_jacobian on checked vectors, p inside the egg
+    m = domain.m
+    n = domain.n
     c = _phase_factor(p[0])
     phat = p[1:]
     zhat = z[1:]
@@ -226,7 +253,11 @@ def seam_distance(domain: DomainParams, z) -> float:
     First-order estimate |f| / |grad f| on each defining expression; used to
     size differencing stencils so they never straddle a seam.
     """
-    z = as_vector(z, domain.n)
+    return _seam_distance(domain, as_vector(z, domain.n))
+
+
+def _seam_distance(domain: DomainParams, z: np.ndarray) -> float:
+    # seam_distance on a checked vector
     m = domain.m
     r1 = abs(z[0])
     rhat = math.sqrt(float(np.sum(np.abs(z[1:]) ** 2)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainParams, _check_p1
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .kobayashi import Branch
 from .numerics import abs_pow, derivative
 
@@ -226,7 +226,8 @@ def square_convexity_check(domain: DomainParams, p1: float, branch: Branch,
 
     Divided differences are normalized by max|y|/span^2 so the margin is a
     dimensionless curvature measure; below 1e-9 in that scale the branch is
-    reported affine.
+    reported affine. A branch too short in x for any divided difference
+    raises ``NumericalError``.
     """
     if samples < 8:
         raise DomainError("need at least 8 samples")
@@ -255,6 +256,10 @@ def square_convexity_check(domain: DomainParams, p1: float, branch: Branch,
         x_mag = max(abs(x0), abs(x2))
         noise.append(8.0 * eps * (y_mag + s_loc * x_mag)
                      / (min(x1 - x0, x2 - x1) * (x2 - x0)))
+    if not dd:
+        raise NumericalError(
+            f"{branch.value} branch spans {x[-1] - x[0]:.1e} in x at p1={p1!r}, "
+            "too little for any divided difference")
     dd = np.array(dd)
     noise = np.array(noise)
     scale = y_mag / (x[-1] - x[0]) ** 2

@@ -17,12 +17,13 @@ import numpy as np
 
 from .domain import (
     DomainParams,
+    _check_finite,
     _check_p1,
+    _defining,
+    _gauge,
+    _jacobian,
+    _reference_coordinate,
     as_vector,
-    automorphism_jacobian,
-    defining_function,
-    minkowski_gauge,
-    reference_coordinate,
 )
 from .errors import DomainError
 from .numerics import abs_pow, single_term_root, solve_bracketed
@@ -102,7 +103,11 @@ def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
 def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
     """Squared Kobayashi metric at the axis point (p1, 0, ..., 0)."""
     _check_p1(p1)
-    v = as_vector(v, domain.n)
+    return _kobayashi_reference_sq(domain, p1, as_vector(v, domain.n))
+
+
+def _kobayashi_reference_sq(domain: DomainParams, p1: float, v: np.ndarray) -> float:
+    # kobayashi_reference_sq on a checked p1 and vector
     m = domain.m
     P = abs_pow(p1, 2 * m)
     y = abs(v[0]) ** 2
@@ -134,15 +139,18 @@ def kobayashi_sq(domain: DomainParams, p, v) -> float:
     """Squared Kobayashi metric at an arbitrary interior point."""
     p = as_vector(p, domain.n)
     v = as_vector(v, domain.n)
-    if defining_function(domain, p) >= 0.0:
+    if _defining(domain, p) >= 0.0:
         raise DomainError("point lies outside the egg")
-    D = automorphism_jacobian(domain, p, p)
-    w = D @ v
-    p1_ref = reference_coordinate(domain, p)
+    w = _jacobian(domain, p, p) @ v
+    p1_ref = _reference_coordinate(domain, p)
     if p1_ref < REFERENCE_AXIS_TOL:
-        g = minkowski_gauge(domain, w)
+        _check_finite(w)  # D v overflows for v near the float limit
+        g = _gauge(domain, w)
         return g * g
-    return kobayashi_reference_sq(domain, p1_ref, w)
+    # rounding puts some points just inside the boundary at p1_ref = 1
+    _check_p1(p1_ref)
+    _check_finite(w)
+    return _kobayashi_reference_sq(domain, p1_ref, w)
 
 
 def kobayashi(domain: DomainParams, p, v) -> float:

@@ -17,13 +17,12 @@ from .domain import (
     REGION_TOL,
     DomainParams,
     RegionLabel,
+    _defining,
+    _jacobian,
+    _reference_coordinate,
     _region_of,
+    _seam_distance,
     as_vector,
-    automorphism_jacobian,
-    classify_region,
-    defining_function,
-    reference_coordinate,
-    seam_distance,
 )
 from .errors import DomainError, SeamProximityError
 from .fitting import _solve_X_many, fit_origin, fit_reference
@@ -54,11 +53,15 @@ class HermitianForm:
         self.matrix.setflags(write=False)
 
     def norm_sq(self, v) -> float:
-        v = np.asarray(v, dtype=complex)
-        return float(np.real(np.dot(v, self.matrix @ np.conj(v))))
+        return _norm_sq(self.matrix, np.asarray(v, dtype=complex))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
+
+
+def _norm_sq(matrix: np.ndarray, v: np.ndarray) -> float:
+    # sum_ij H[i, j] v_i conj(v_j) for a complex vector v
+    return float(np.real(np.dot(v, matrix @ np.conj(v))))
 
 
 # Every regional form is invariant under phase rotation of z1 and unitary
@@ -198,27 +201,29 @@ def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10) -> HermitianFor
     reference coordinate and the automorphism Jacobian enter.
     """
     z = as_vector(z, domain.n)
-    if defining_function(domain, z) >= 0.0:
+    if _defining(domain, z) >= 0.0:
         raise DomainError("point lies outside the egg")
-    p1_ref = reference_coordinate(domain, z)
+    p1_ref = _reference_coordinate(domain, z)
     if p1_ref < 1e-15:
         ell = fit_origin(domain)
         source = "pullback (origin fit)"
     else:
         ell = fit_reference(domain, p1_ref)
         source = "pullback"
-    D = automorphism_jacobian(domain, z, z)
+    D = _jacobian(domain, z, z)
     R = np.diag([ell.r1] + [ell.r2] * (domain.n - 1)).astype(complex)
     H = D.T @ R @ np.conj(D)
     H = 0.5 * (H + H.conj().T)  # exact Hermitian symmetry
-    return HermitianForm(H, classify_region(domain, z, tol=tol), source)
+    return HermitianForm(H, _region_of(domain, z, tol), source)
 
 
 def wu_norm(domain: DomainParams, z, v) -> float:
     """Length of a tangent vector in the Wu metric."""
     v = as_vector(v, domain.n)
-    form = wu_tensor(domain, z)
-    return math.sqrt(max(form.norm_sq(v), 0.0))
+    z = as_vector(z, domain.n)
+    if _region_of(domain, z, REGION_TOL) is RegionLabel.OUTSIDE:
+        raise DomainError("point lies outside the egg")
+    return math.sqrt(max(_norm_sq(_wu_matrices(domain, z[None])[0], v), 0.0))
 
 
 def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
@@ -229,9 +234,9 @@ def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
     refused outright.
     """
     z = as_vector(z, domain.n)
-    if defining_function(domain, z) >= 0.0:
+    if _defining(domain, z) >= 0.0:
         raise DomainError("point lies outside the egg")
-    dist = seam_distance(domain, z)
+    dist = _seam_distance(domain, z)
     h = min(step, dist / 8.0)
     if h < 1e-9:
         raise SeamProximityError(

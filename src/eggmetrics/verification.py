@@ -26,6 +26,7 @@ from .domain import (
     minkowski_gauge,
     seam_distance,
 )
+from .errors import NumericalError
 from .fitting import (
     _inner_fit,
     containment_violation,
@@ -260,22 +261,33 @@ def check_tensor_consistency(domain: DomainParams, rng: np.random.Generator) -> 
     return ok, f"closed-vs-pullback worst {worst:.1e}, min eigenvalue {min_eig:.3f}"
 
 
+#: draws per sample point of ``check_potential_identity`` before it gives up
+_POTENTIAL_DRAWS = 1000
+
+
 def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     # outer-region tensor equals the complex Hessian of -log(1 - gauge^2m form)
     def potential(w):
         t, q = _moduli(w)  # |w1|^2 and |what|^2
         return -np.log(1.0 - t ** domain.m - q)
 
+    lo, hi = 0.9 * domain.m0_radius + 0.1, 0.97
+    if lo >= hi:  # m above about 10.2: draw |z1| from the whole axis span of M+
+        lo, hi = domain.m0_radius, 1.0
     worst = 0.0
     for _ in range(6):
-        while True:
+        for _ in range(_POTENTIAL_DRAWS):
             z = _sample_interior(domain, rng, scale=0.95)
-            z[0] = rng.uniform(0.9 * domain.m0_radius + 0.1, 0.97)
+            z[0] = rng.uniform(lo, hi)
             z[1:] *= 0.2
             if (defining_function(domain, z) < -0.02
                     and classify_region(domain, z) is RegionLabel.M_PLUS
                     and seam_distance(domain, z) > 1e-3):
                 break
+        else:
+            raise NumericalError(
+                f"no M+ point 1e-3 from every seam in {_POTENTIAL_DRAWS} draws "
+                f"(M+ is {1.0 - domain.m0_radius:.1e} wide on the axis)")
 
         _, _, complex_hess = wirtinger_jet(potential, z, 1e-4)
         H = wu_tensor(domain, z).matrix

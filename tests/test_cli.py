@@ -180,14 +180,32 @@ class TestExitCodes:
         assert json.loads(out)["kahler_defect"] is None
 
     def test_crashing_check_is_a_fail_row(self, capsys):
-        # at m = 20 square-convexity crashes outside the package's error
-        # types; the suite records it and runs the remaining checks
+        # at m = 20 the tangency equation of seam-continuity overflows outside
+        # the package's error types; the suite records it and runs the
+        # remaining checks
         code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2")
         assert code == 3
         rows = [line for line in out.splitlines() if line.startswith("  [")]
         assert len(rows) == 17
-        assert "[FAIL] square-convexity" in out
-        assert "error: ValueError: " in out
+        assert "[FAIL] seam-continuity" in out
+        assert "error: OverflowError: " in out
+
+    def test_extreme_m_checks_fail_with_typed_errors(self, capsys):
+        # at m = 20 the LOWER branch is too short in x for square-convexity,
+        # and the kahler-potential sampler still finds M+ points
+        code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2",
+                               "--only", "square-convexity,kahler-potential")
+        assert code == 3
+        rows = {line.split()[1]: line for line in out.splitlines() if line.startswith("  [")}
+        assert "error: NumericalError: LOWER branch spans" in rows["square-convexity"]
+        assert "error:" not in rows["kahler-potential"]
+
+    def test_potential_sampler_gives_up_with_a_typed_error(self, capsys):
+        # at m = 200 no M+ point is 1e-3 from both M0 and the boundary
+        code, out, _ = run_cli(capsys, "verify", "--m", "200", "--n", "2",
+                               "--only", "kahler-potential")
+        assert code == 3
+        assert "error: NumericalError: no M+ point" in out
 
     def test_verify_subset_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2",

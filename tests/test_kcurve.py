@@ -9,6 +9,7 @@ from eggmetrics import (
     Convexity,
     DomainError,
     DomainParams,
+    NumericalError,
     joining_point,
     joining_point_derivatives,
     kcurve_alpha_grid,
@@ -236,3 +237,9 @@ class TestConvexity:
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):
             square_convexity_check(DomainParams(m=2.0, n=2), 0.5, Branch.UPPER, samples=4)
+
+    def test_unresolvable_branch_is_a_numerical_error(self):
+        # at m = 20 the LOWER branch at p1 = 0.4 spans under 1e-14 in x, so
+        # no divided-difference triple survives
+        with pytest.raises(NumericalError, match="LOWER branch spans"):
+            square_convexity_check(DomainParams(m=20.0, n=2), 0.4, Branch.LOWER)
