@@ -361,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi axis range")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--phat-abs", dest="phat_abs", type=float, default=0.0)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=1e-4,
+                   help="differencing step of the curvature stencil; the "
+                        "kahler_defect column keeps its own step (1e-5, or an "
+                        "eighth of the seam distance)")
     p.add_argument("--directions", type=int, default=None)
     p.set_defaults(handler=_cmd_curvature_scan)
 

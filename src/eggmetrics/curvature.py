@@ -14,15 +14,32 @@ which must come out at -2, and is never tuned per region.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import REGION_TOL, DomainParams, RegionLabel, _region_of, _seam_distance, as_vector
+from .domain import (
+    REGION_TOL,
+    DomainParams,
+    RegionLabel,
+    _check_step,
+    _region_of,
+    _seam_distance,
+    as_vector,
+)
 from .errors import DomainError, NumericalError, SeamProximityError
-from .tensor import HermitianForm, _hermitian_form, _wu_matrices, kahler_defect
-from .numerics import wirtinger_jet
+from .tensor import (
+    KAHLER_STEP,
+    HermitianForm,
+    _defect_step,
+    _hermitian_form,
+    _jet_defect,
+    _wu_matrices,
+)
+from .numerics import _jet_from_values, _jet_stencil, wirtinger_jet
 
 #: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
 CURVATURE_NORMALIZATION = 1.0
@@ -68,6 +85,7 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
 def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> CurvatureTensor:
     """Full curvature tensor at an interior point at least 8 steps from any seam."""
     z = as_vector(z, domain.n)
+    _check_step(step)
     region = _region_of(domain, z, REGION_TOL)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
@@ -75,7 +93,13 @@ def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> C
         raise SeamProximityError(
             f"point is within 8 steps ({8 * step:.1e}) of a seam or the boundary")
     # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
-    H, dz, ddbar = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, step)
+    jet = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, step)
+    return _curvature(domain, z, region, *jet)
+
+
+def _curvature(domain: DomainParams, z: np.ndarray, region: RegionLabel,
+               H: np.ndarray, dz: np.ndarray, ddbar: np.ndarray) -> CurvatureTensor:
+    # the curvature tensor at z from the Wirtinger jet (H, dH/dz, d2H/dz dzbar)
     form = _hermitian_form(domain, z, H, region)
     try:
         inv = np.linalg.inv(H)
@@ -95,10 +119,23 @@ def holomorphic_curvature(domain: DomainParams, z, v, step: float = CURVATURE_ST
 def direction_sample(n: int, seed: int, count: int | None = None) -> np.ndarray:
     """Deterministic direction set: coordinate axes, pairwise combinations, seeded fill.
 
-    Default count is 2 n^2 + 16.
+    Default count is 2 n^2 + 16; an explicit count must be at least 1.
     """
+    return _direction_set(n, seed, count).copy()
+
+
+def _direction_set(n: int, seed: int, count: int | None) -> np.ndarray:
+    # direction_sample as a shared read-only array, built once per key
     if count is None:
         count = 2 * n * n + 16
+    count = operator.index(count)
+    if count < 1:
+        raise DomainError(f"direction count must be at least 1, got {count!r}")
+    return _build_directions(n, operator.index(seed), count)
+
+
+@functools.lru_cache(maxsize=128)
+def _build_directions(n: int, seed: int, count: int) -> np.ndarray:
     dirs: list[np.ndarray] = []
     eye = np.eye(n, dtype=complex)
     dirs.extend(eye)
@@ -112,7 +149,9 @@ def direction_sample(n: int, seed: int, count: int | None = None) -> np.ndarray:
     while len(dirs) < count:
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         dirs.append(w / np.linalg.norm(w))
-    return np.array(dirs[:count])
+    out = np.array(dirs[:count])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,6 +171,13 @@ class GridSpec:
             raise DomainError("p1 range must satisfy 0 < min <= max < 1")
         if self.count < 1:
             raise DomainError("grid count must be positive")
+        if not math.isfinite(self.phat_abs):
+            raise DomainError(f"phat_abs must be finite, got {self.phat_abs!r}")
+        _check_step(self.step)
+        if not (self.directions is None
+                or (isinstance(self.directions, int) and self.directions >= 1)):
+            raise DomainError(
+                f"directions must be None or an integer >= 1, got {self.directions!r}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +197,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
     Returns (records, skipped) where ``skipped`` lists the grid points whose
     seam distance ruled out the stencil.
     """
-    dirs = direction_sample(domain.n, grid.seed, grid.directions)
+    dirs = _direction_set(domain.n, grid.seed, grid.directions)
     p1s = np.linspace(grid.p1_min, grid.p1_max, grid.count)
     records: list[CurvatureScanRecord] = []
     skipped: list[np.ndarray] = []
@@ -160,10 +206,22 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
         z[0] = p1
         if domain.n > 1 and grid.phat_abs:
             z[1] = grid.phat_abs
-        if _seam_distance(domain, z) < 8.0 * grid.step:
+        dist = _seam_distance(domain, z)
+        if dist < 8.0 * grid.step:
             skipped.append(z)
             continue
-        tensor = curvature_tensor(domain, z, step=grid.step)
+        region = _region_of(domain, z, REGION_TOL)
+        if region is RegionLabel.OUTSIDE:
+            raise DomainError("point lies outside the egg")
+        # the curvature stencil and kahler_defect's stencil in one batch
+        h = _defect_step(KAHLER_STEP, dist)
+        stencil = _jet_stencil(z, grid.step)
+        k = len(stencil)
+        stencil = np.concatenate([stencil, _jet_stencil(z, h, hessian=False)])
+        metrics = _wu_matrices(domain, stencil)
+        tensor = _curvature(domain, z, region,
+                            *_jet_from_values(metrics[:k], domain.n, grid.step))
+        _, dz, _ = _jet_from_values(metrics[k:], domain.n, h, hessian=False)
         values = _sectional_values(tensor.components, tensor.metric.matrix, dirs)
         gap = math.nan
         if abs(z[0]) > 0 and np.all(z[1:] == 0):
@@ -175,7 +233,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
             region=tensor.metric.region,
             min_sectional=float(min(values)),
             max_sectional=float(max(values)),
-            kahler_defect=kahler_defect(domain, z),
+            kahler_defect=_jet_defect(dz),
             symmetry_defect=tensor.kahler_symmetry_defect(),
             axis_cross_gap=gap,
         ))

@@ -24,6 +24,22 @@ from .numerics import abs_pow, single_term_root, solve_bracketed
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
 
+# Z cut-offs: below each one a closed form is replaced by its value on the
+# stratum Z = {z1 = 0}. The values differ because each guards a different
+# expression; none of them is a region tolerance.
+#: |z1| below which ``tensor`` evaluates the z1 = 0 limiting form of the
+#: inner-region tensor (the limit deviates by O(|z1|))
+_Z_FORMULA_TOL = 1e-12
+#: axis coordinate p1 below which ``fit_reference`` returns ``fit_origin``
+#: instead of solving the tangency equation (the fit deviates by O(p1^2))
+_FIT_ORIGIN_TOL = 1e-12
+#: reduced axis coordinate below which ``kobayashi`` takes the Z branch, the
+#: Minkowski gauge of the moved vector, instead of the axis-point formulas
+REFERENCE_AXIS_TOL = 1e-13
+#: reduced axis coordinate below which ``pullback_tensor`` transports
+#: ``fit_origin`` instead of ``fit_reference``
+_PULLBACK_ORIGIN_TOL = 1e-15
+
 
 class RegionLabel(enum.Enum):
     """Automorphism-invariant strata of the egg."""
@@ -75,6 +91,12 @@ def _check_finite(arr: np.ndarray) -> None:
 def _check_p1(p1: float) -> None:
     if not (0.0 < p1 < 1.0):
         raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
+
+
+def _check_step(step: float) -> None:
+    # a differencing step: finite and positive (NaN fails both tests)
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"differencing step must be finite and positive, got {step!r}")
 
 
 def defining_function(domain: DomainParams, z) -> float:

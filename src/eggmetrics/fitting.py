@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, _check_p1
+from .domain import DomainParams, _FIT_ORIGIN_TOL, _check_p1
 from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
@@ -138,7 +138,7 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     if p1 >= domain.m0_radius:
         return WuEllipsoidDiag(r1=m * m * abs_pow(p1, 2 * m - 2) / (1.0 - P) ** 2,
                                r2=1.0 / (1.0 - P))
-    if p1 < 1e-12:
+    if p1 < _FIT_ORIGIN_TOL:
         return fit_origin(domain)  # deviation from the limit is O(p1^2)
     return _inner_fit(domain, p1, solve_X(domain, p1))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    REFERENCE_AXIS_TOL,
     DomainParams,
     _check_finite,
     _check_p1,
@@ -27,9 +28,6 @@ from .domain import (
 )
 from .errors import DomainError
 from .numerics import abs_pow, single_term_root, solve_bracketed
-
-#: below this axis coordinate a reduced point is treated as lying on Z
-REFERENCE_AXIS_TOL = 1e-13
 
 
 class Branch(enum.Enum):

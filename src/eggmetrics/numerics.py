@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -152,6 +153,15 @@ def richardson(values: Sequence, order: int = 2, ratio: float = 2.0):
     return vals[-1]
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(d: int):
+    # (row, column) indices of the strict upper triangle of a d x d matrix
+    a, b = np.triu_indices(d, 1)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
 def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
                   hessian: bool = True):
     """Wirtinger derivatives of f at the complex point z by real central differences.
@@ -165,10 +175,17 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
     (8n points instead of 1 + 16n^2) and f0 and ddbar are None.
     """
     z = np.asarray(z, dtype=complex)
+    return _jet_from_values(f(_jet_stencil(z, step, hessian)), z.size, step, hessian)
+
+
+def _jet_stencil(z: np.ndarray, step: float, hessian: bool = True) -> np.ndarray:
+    # the complex stencil points of ``wirtinger_jet`` at z, in the order
+    # ``_jet_from_values`` reads them: the centre, then per step the d plus
+    # and d minus points and, with the Hessian, four blocks of mixed points
     n = z.size
     d = 2 * n
     u0 = np.concatenate([z.real, z.imag])
-    a, b = np.triu_indices(d, 1)
+    a, b = _upper_pairs(d)
     blocks = [u0[None]] if hessian else []
     for h in (step, step / 2.0):
         e = h * np.eye(d)  # row a is the step along real coordinate a
@@ -177,15 +194,24 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
         if hessian:
             blocks += [plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
     u = np.concatenate(blocks)
-    values = f(u[:, :n] + 1j * u[:, n:])
-    parts = iter(np.split(values, np.cumsum([len(x) for x in blocks])[:-1]))
-    center = next(parts)[0] if hessian else None
+    return u[:, :n] + 1j * u[:, n:]
+
+
+def _jet_from_values(values: np.ndarray, n: int, step: float, hessian: bool = True):
+    # ``wirtinger_jet``'s (f0, dz, ddbar) from the values of f on ``_jet_stencil``
+    d = 2 * n
+    a, b = _upper_pairs(d)
+    p = len(a)
+    center = values[0] if hessian else None
+    i = 1 if hessian else 0
     grads, hessians = [], []
     for h in (step, step / 2.0):
-        plus, minus = next(parts), next(parts)
+        plus, minus = values[i:i + d], values[i + d:i + 2 * d]
+        i += 2 * d
         grads.append((plus - minus) / (2.0 * h))
         if hessian:
-            pp, pm, mp, mm = (next(parts) for _ in range(4))
+            pp, pm, mp, mm = (values[i + k * p:i + (k + 1) * p] for k in range(4))
+            i += 4 * p
             H = np.empty((d, d) + center.shape, dtype=values.dtype)
             H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
             H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)

@@ -17,6 +17,9 @@ from .domain import (
     REGION_TOL,
     DomainParams,
     RegionLabel,
+    _PULLBACK_ORIGIN_TOL,
+    _Z_FORMULA_TOL,
+    _check_step,
     _defining,
     _jacobian,
     _reference_coordinate,
@@ -27,10 +30,6 @@ from .domain import (
 from .errors import DomainError, SeamProximityError
 from .fitting import _solve_X_many, fit_origin, fit_reference
 from .numerics import wirtinger_jet
-
-#: |z1| below which the z1 = 0 limiting tensor is evaluated directly (the
-#: limit deviates by O(|z1|), far under every tolerance in use)
-_Z_FORMULA_TOL = 1e-12
 
 #: default holomorphic-differencing step for the Kahler defect
 KAHLER_STEP = 1e-5
@@ -204,7 +203,7 @@ def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10) -> HermitianFor
     if _defining(domain, z) >= 0.0:
         raise DomainError("point lies outside the egg")
     p1_ref = _reference_coordinate(domain, z)
-    if p1_ref < 1e-15:
+    if p1_ref < _PULLBACK_ORIGIN_TOL:
         ell = fit_origin(domain)
         source = "pullback (origin fit)"
     else:
@@ -234,13 +233,24 @@ def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
     refused outright.
     """
     z = as_vector(z, domain.n)
+    _check_step(step)
     if _defining(domain, z) >= 0.0:
         raise DomainError("point lies outside the egg")
-    dist = _seam_distance(domain, z)
+    h = _defect_step(step, _seam_distance(domain, z))
+    # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
+    _, dz, _ = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, h, hessian=False)
+    return _jet_defect(dz)
+
+
+def _defect_step(step: float, dist: float) -> float:
+    # the step kahler_defect differences with at seam distance dist
     h = min(step, dist / 8.0)
     if h < 1e-9:
         raise SeamProximityError(
             f"point is {dist:.2e} from a seam; differencing step would collapse")
-    # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
-    _, dz, _ = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, h, hessian=False)
+    return h
+
+
+def _jet_defect(dz: np.ndarray) -> float:
+    # the Kahler defect from a jet's dz[k] = dH/dz_k
     return float(np.max(np.abs(dz - np.swapaxes(dz, 0, 1))))

@@ -171,6 +171,14 @@ class TestExitCodes:
                                "--point", "0,0")
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--directions", "0"), ("--step", "0")])
+    def test_bad_stencil_control_exits_one(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "curvature-scan", "--m", "2", "--n", "2",
+                                 "--count", "2", flag, value)
+        assert code == 1
+        assert "validation error" in err and "Traceback" not in err
+        assert out == ""
+
     def test_numerical_failure_exits_two(self, capsys):
         # tensor on the middle stratum: kahler_defect is skipped gracefully,
         # but a curvature scan pinned to the seam must refuse

@@ -18,7 +18,7 @@ from eggmetrics import (
 )
 from eggmetrics import curvature as curvature_module
 from eggmetrics import tensor as tensor_module
-from eggmetrics.numerics import wirtinger_jet
+from eggmetrics.numerics import richardson, wirtinger_jet
 
 from test_domain import interior_point
 
@@ -181,6 +181,143 @@ class TestScan:
             curvature_tensor(d, [d.m0_radius + 1e-6, 0.0])
 
 
+def _reference_direction_sample(n, seed, count=None):
+    # reference: the direction set built one direction at a time, uncached
+    if count is None:
+        count = 2 * n * n + 16
+    dirs = []
+    eye = np.eye(n, dtype=complex)
+    dirs.extend(eye)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dirs.append(eye[i] + eye[j])
+            dirs.append(eye[i] - eye[j])
+            dirs.append(eye[i] + 1j * eye[j])
+            dirs.append(eye[i] - 1j * eye[j])
+    rng = np.random.default_rng(seed)
+    while len(dirs) < count:
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dirs.append(w / np.linalg.norm(w))
+    return np.array(dirs[:count])
+
+
+def _reference_wirtinger_jet(f, z, step, hessian=True):
+    # reference: the jet with its index bookkeeping rebuilt on every call
+    # (triu_indices, np.split)
+    z = np.asarray(z, dtype=complex)
+    n = z.size
+    d = 2 * n
+    u0 = np.concatenate([z.real, z.imag])
+    a, b = np.triu_indices(d, 1)
+    blocks = [u0[None]] if hessian else []
+    for h in (step, step / 2.0):
+        e = h * np.eye(d)
+        plus, minus = u0 + e, u0 - e
+        blocks += [plus, minus]
+        if hessian:
+            blocks += [plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
+    u = np.concatenate(blocks)
+    values = f(u[:, :n] + 1j * u[:, n:])
+    parts = iter(np.split(values, np.cumsum([len(x) for x in blocks])[:-1]))
+    center = next(parts)[0] if hessian else None
+    grads, hessians = [], []
+    for h in (step, step / 2.0):
+        plus, minus = next(parts), next(parts)
+        grads.append((plus - minus) / (2.0 * h))
+        if hessian:
+            pp, pm, mp, mm = (next(parts) for _ in range(4))
+            H = np.empty((d, d) + center.shape, dtype=values.dtype)
+            H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
+            H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+            hessians.append(H)
+    G = richardson(grads, order=2)
+    dz = 0.5 * (G[:n] - 1j * G[n:])
+    if not hessian:
+        return None, dz, None
+    HH = richardson(hessians, order=2)
+    ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
+    return center, dz, ddbar
+
+
+def _counted_batches(monkeypatch):
+    # sizes of the ``_wu_matrices`` batches made from curvature and tensor
+    original = tensor_module._wu_matrices
+    batches = []
+
+    def counted(domain, z):
+        batches.append(len(z))
+        return original(domain, z)
+
+    monkeypatch.setattr(curvature_module, "_wu_matrices", counted)
+    monkeypatch.setattr(tensor_module, "_wu_matrices", counted)
+    return batches
+
+
+class TestOneBatchPerGridPoint:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_one_batch_per_grid_point(self, monkeypatch, n):
+        # the curvature stencil (1 + 16 n^2 points) and kahler_defect's
+        # (8 n points) go to the regional tensors together
+        per_point = 1 + 16 * n * n + 8 * n
+        batches = _counted_batches(monkeypatch)
+        d = DomainParams(m=2.0, n=n)
+        curvature_scan(d, GridSpec(p1_min=0.9, p1_max=0.9, count=1, phat_abs=0.05))
+        assert batches == [per_point]
+        batches.clear()
+        records, skipped = curvature_scan(d, GridSpec(p1_min=0.3, p1_max=0.9, count=3))
+        assert len(records) == 3 and not skipped
+        assert batches == [per_point] * 3
+
+    def test_skipped_point_makes_no_batch(self, monkeypatch):
+        batches = _counted_batches(monkeypatch)
+        d = DomainParams(m=2.0, n=2)
+        thr = d.m0_radius
+        records, skipped = curvature_scan(d, GridSpec(p1_min=thr, p1_max=thr, count=1))
+        assert not records and len(skipped) == 1 and batches == []
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_defect_is_kahler_defect(self, m, n):
+        d = DomainParams(m=m, n=n)
+        for ph in (0.0, 0.1):
+            grid = GridSpec(p1_min=0.2, p1_max=0.95, count=4, phat_abs=ph, step=2e-4)
+            records, _ = curvature_scan(d, grid)
+            assert records
+            for rec in records:
+                expected = kahler_defect(d, rec.point)
+                assert rec.kahler_defect == pytest.approx(expected, rel=1e-8, abs=1e-9)
+
+    def test_scan_fields_match_curvature_tensor(self):
+        d = DomainParams(m=2.0, n=3)
+        grid = GridSpec(p1_min=0.4, p1_max=0.4, count=1, phat_abs=0.1, seed=3)
+        (rec,), _ = curvature_scan(d, grid)
+        tensor = curvature_tensor(d, rec.point, step=grid.step)
+        values = [tensor.holomorphic(v) for v in direction_sample(3, seed=3)]
+        assert rec.min_sectional == pytest.approx(min(values), rel=1e-12)
+        assert rec.max_sectional == pytest.approx(max(values), rel=1e-12)
+        assert rec.symmetry_defect == tensor.kahler_symmetry_defect()
+        assert rec.region is tensor.metric.region
+
+
+class TestDirectionSample:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_reference_bit_for_bit(self, n):
+        for seed in (0, 1, 9, 12345):
+            for count in (None, 1, n, 2 * n * n, 2 * n * n + 16, 3 * n * n + 40):
+                got = direction_sample(n, seed, count)
+                expected = _reference_direction_sample(n, seed, count)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_returned_array_is_a_private_copy(self):
+        first = direction_sample(3, seed=4)
+        assert first.flags.writeable
+        first[:] = 0.0
+        second = direction_sample(3, seed=4)
+        assert second.tobytes() == _reference_direction_sample(3, 4).tobytes()
+        assert not np.shares_memory(first, second)
+
+
 class TestWirtingerJet:
     @pytest.mark.parametrize("n", [2, 3])
     def test_ball_potential_closed_form(self, n):
@@ -224,6 +361,28 @@ class TestWirtingerJet:
         batches.clear()
         kahler_defect(d, z)
         assert batches == [8 * n]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("hessian", [True, False])
+    def test_matches_reference_bit_for_bit(self, n, hessian):
+        def rho(w):
+            return -np.log(1.0 - np.sum(np.abs(w) ** 2, axis=1))
+
+        z = np.array([0.3 - 0.1j, 0.2j, -0.15 + 0.25j, 0.1][:n])
+        cases = [(rho, z, 1e-3)]
+        for m, p1 in ((0.75, 0.4), (2.0, 0.4), (2.0, 0.9), (5.0, 0.5)):
+            d = DomainParams(m=m, n=n)
+            w = np.zeros(n, dtype=complex)
+            w[0], w[1] = p1, 0.1j
+            cases.append((lambda pts, d=d: tensor_module._wu_matrices(d, pts), w, 1e-4))
+        for f, point, step in cases:
+            got = wirtinger_jet(f, point, step, hessian=hessian)
+            expected = _reference_wirtinger_jet(f, point, step, hessian=hessian)
+            for g, e in zip(got, expected):
+                if e is None:
+                    assert g is None
+                else:
+                    assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 class TestSectionalValues:

@@ -9,13 +9,16 @@ import pytest
 from eggmetrics import (
     DomainError,
     DomainParams,
+    GridSpec,
     RegionLabel,
     automorphism_jacobian,
     branch_params,
     classify_region,
     curvature_tensor,
     defining_function,
+    direction_sample,
     egg_automorphism,
+    holomorphic_curvature,
     kahler_defect,
     kobayashi,
     kobayashi_alt_upper,
@@ -206,3 +209,45 @@ class TestWuNormIsTheTensorNorm:
     def test_outside_point_is_refused(self):
         with pytest.raises(DomainError, match="outside the egg"):
             wu_norm(D, np.array([0.5, 0.9, 0.5]), V)
+
+
+BAD_STEPS = [0.0, -1e-4, math.nan, math.inf, -math.inf]
+
+
+class TestStencilControls:
+    """Grid, step and direction controls are checked before any stencil is built."""
+
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_grid_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(DomainError, match="differencing step"):
+            GridSpec(p1_min=0.3, p1_max=0.6, count=2, step=step)
+
+    @pytest.mark.parametrize("directions", [0, -3, 2.5])
+    def test_grid_directions_must_be_a_positive_integer(self, directions):
+        with pytest.raises(DomainError, match="directions"):
+            GridSpec(p1_min=0.3, p1_max=0.6, count=2, directions=directions)
+
+    @pytest.mark.parametrize("phat_abs", [math.nan, math.inf])
+    def test_grid_offset_must_be_finite(self, phat_abs):
+        # the scan builds its points itself, past the vector check
+        with pytest.raises(DomainError, match="phat_abs"):
+            GridSpec(p1_min=0.3, p1_max=0.6, count=2, phat_abs=phat_abs)
+
+    def test_valid_grid_controls(self):
+        assert GridSpec(p1_min=0.3, p1_max=0.6, count=2, directions=1).directions == 1
+        assert GridSpec(p1_min=0.3, p1_max=0.6, count=2, step=5e-5).step == 5e-5
+
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_stencil_consumers_refuse_the_step(self, step):
+        with pytest.raises(DomainError, match="differencing step"):
+            curvature_tensor(D, Z, step=step)
+        with pytest.raises(DomainError, match="differencing step"):
+            holomorphic_curvature(D, Z, V, step=step)
+        with pytest.raises(DomainError, match="differencing step"):
+            kahler_defect(D, Z, step=step)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_direction_count_must_be_positive(self, count):
+        with pytest.raises(DomainError, match="direction count"):
+            direction_sample(3, seed=0, count=count)
+        assert direction_sample(3, seed=0, count=1).shape == (1, 3)
