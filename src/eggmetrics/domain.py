@@ -23,6 +23,11 @@ from .numerics import abs_pow, single_term_root, solve_bracketed
 
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
+#: weight W of the middle stratum M0 = {W |z1|^2m + |zhat|^2 = 1} (m > 1),
+#: which splits the inner strata from the outer; ``m0_radius``, region
+#: labels, seam distances, the regional tensor form and the tangency solve
+#: all place M0 with it
+_M0_WEIGHT = 2.0
 
 # Z cut-offs: below each one a closed form is replaced by its value on the
 # stratum Z = {z1 = 0}. The values differ because each guards a different
@@ -58,7 +63,8 @@ class DomainParams:
 
     ``m`` must be at least 1/2 (convexity threshold); ``m = 1`` is the unit
     ball and is admitted as a sanity configuration. ``m0_radius`` is the axis
-    coordinate 2^(-1/2m) separating the inner and outer strata when m > 1.
+    coordinate W^(-1/2m) of M0 (W = 2), separating the inner and outer strata
+    when m > 1.
     """
 
     m: float
@@ -70,7 +76,7 @@ class DomainParams:
             raise DomainError(f"dimension n must be an integer >= 2, got {self.n!r}")
         if not (math.isfinite(self.m) and self.m >= 0.5):
             raise DomainError(f"exponent m must be finite and >= 1/2, got {self.m!r}")
-        object.__setattr__(self, "m0_radius", 2.0 ** (-1.0 / (2.0 * self.m)))
+        object.__setattr__(self, "m0_radius", _M0_WEIGHT ** (-1.0 / (2.0 * self.m)))
 
 
 def as_vector(v, n: int) -> np.ndarray:
@@ -172,7 +178,7 @@ def _region_of(domain: DomainParams, z: np.ndarray, tol: float) -> RegionLabel:
         return RegionLabel.Z
     if domain.m <= 1.0:
         return RegionLabel.GENERIC
-    w = 2.0 * P + q - 1.0
+    w = _M0_WEIGHT * P + q - 1.0
     if w < -tol:
         return RegionLabel.M_MINUS
     if w > tol:
@@ -289,8 +295,8 @@ def _seam_distance(domain: DomainParams, z: np.ndarray) -> float:
     if grad_e > 0:
         dists.append(abs(e) / grad_e)
     if m > 1.0:
-        w = 2.0 * abs_pow(r1, 2 * m) + rhat * rhat - 1.0
-        grad_w = math.hypot(4 * m * abs_pow(r1, 2 * m - 1), 2 * rhat)
+        w = _M0_WEIGHT * abs_pow(r1, 2 * m) + rhat * rhat - 1.0
+        grad_w = math.hypot(2 * m * _M0_WEIGHT * abs_pow(r1, 2 * m - 1), 2 * rhat)
         if grad_w > 0:
             dists.append(abs(w) / grad_w)
     return min(dists)

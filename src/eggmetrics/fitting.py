@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, _FIT_ORIGIN_TOL, _check_p1
+from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
 from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
@@ -76,7 +76,7 @@ def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
     m = domain.m
     p1, s = np.asarray(p1, dtype=float), np.asarray(s, dtype=float)
     s2, pm = s * s, p1 * p1  # pm is p1^(2m) raised to 1/m
-    w = 2.0 * p1 ** (2 * m) - s2  # middle-stratum indicator at the reference point
+    w = _M0_WEIGHT * p1 ** (2 * m) - s2  # middle-stratum indicator at the reference point
     tiny = pm < 1e-300
     off = np.flatnonzero(~tiny & (w > 1e-12 * s2))
     if off.size:

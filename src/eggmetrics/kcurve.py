@@ -17,7 +17,7 @@ import numpy as np
 from .domain import DomainParams, _check_p1
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kobayashi import Branch
-from .numerics import abs_pow, derivative
+from .numerics import abs_pow
 
 _RANGE_SLACK = 1e-12
 
@@ -36,8 +36,9 @@ class JoiningPointDerivatives:
 
     ``d2_match`` is the UPPER curve's d2y/dx2 at the junction (the LOWER line
     contributes exactly 0, so this is the mismatch). ``d3_jump`` is the
-    numerically estimated third derivative there and ``d3_expected`` its
-    closed-form value; the LOWER side is 0, so d3_jump is the full jump.
+    third derivative there, exact from the parametric pieces, and
+    ``d3_expected`` its independent hand-derived closed form; the LOWER side
+    is 0, so d3_jump is the full jump.
     """
 
     d2_match: float
@@ -175,42 +176,46 @@ def third_derivative_reference(domain: DomainParams, p1: float) -> float:
     return numer / xdot ** 4
 
 
-def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDerivatives:
-    """Numerical d2/d3 diagnostics of the UPPER curve at the junction alpha = 1.
+def _derivative_at_one(terms, k: int) -> float:
+    # k-th derivative at alpha = 1 of the sum of c * alpha^e over (c, e) in
+    # terms: each power contributes c e (e-1) ... (e-k+1)
+    total = 0.0
+    for c, e in terms:
+        for j in range(k):
+            c *= e - j
+        total += c
+    return total
 
-    Parametric derivatives are taken by central differences with Richardson
-    ladders, but on rescaled pieces: x(alpha) = 1 - p1^2m g1 + p1^4m g2 and
-    y(alpha) = (p1^2/m^2) yhat with g1, g2, yhat of unit scale. Differencing
-    the unit-scale pieces and reassembling with the exact prefactors keeps
-    the d2 cancellation (zero to machine accuracy relative to the curve, not
-    to the tiny xdot^3 denominator) even when p1^2m is small. First
-    derivatives at alpha = 1 are exact closed forms.
+
+def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDerivatives:
+    """Exact d2/d3 diagnostics of the UPPER curve at the junction alpha = 1.
+
+    The curve is reassembled from rescaled pieces: x(alpha) = 1 - p1^2m g1 +
+    p1^4m g2 and y(alpha) = (p1^2/m^2) yhat, with g1 = alpha^(-2m) +
+    alpha^(2-2m), g2 = alpha^(2-4m) and yhat = (m/alpha - (m-1) alpha -
+    p1^2m alpha^(1-2m))^2 expanded into six powers of alpha. Each piece is a
+    finite sum of powers, so its parametric derivatives at alpha = 1 are exact
+    sums of falling factorials. Reassembling the unit-scale pieces with the
+    exact prefactors keeps the d2 cancellation (zero to machine accuracy
+    relative to the curve, not to the tiny xdot^3 denominator) even when
+    p1^2m is small. First derivatives at alpha = 1 are exact closed forms.
     """
     m = domain.m
     if m == 0.5:
         raise ConfigurationError("junction derivatives are not defined at m = 1/2")
     _check_p1(p1)
     P = abs_pow(p1, 2 * m)
-
-    def g1(a: float) -> float:
-        return abs_pow(a, -2 * m) + abs_pow(a, 2 - 2 * m)
-
-    def g2(a: float) -> float:
-        return abs_pow(a, 2 - 4 * m)
-
-    def yhat(a: float) -> float:
-        numer = m * abs_pow(a, 2 * m - 2) - (m - 1.0) * abs_pow(a, 2 * m) - P
-        return numer * numer / abs_pow(a, 4 * m - 2)
+    g1 = ((1.0, -2 * m), (1.0, 2 - 2 * m))
+    g2 = ((1.0, 2 - 4 * m),)
+    yhat = ((m * m, -2.0), ((m - 1.0) ** 2, 2.0), (P * P, 2 - 4 * m),
+            (-2 * m * (m - 1.0), 0.0), (-2 * m * P, -2 * m), (2 * (m - 1.0) * P, 2 - 2 * m))
 
     # exact first derivatives at alpha = 1
     xd1 = (4 * m - 2) * P * (1.0 - P)
     yd1 = -(4 * m - 2) * p1 * p1 * (1.0 - P) ** 2 / (m * m)
-    xd2 = float(-P * derivative(g1, 1.0, 2, h0=0.1, levels=6)
-                + P * P * derivative(g2, 1.0, 2, h0=0.1, levels=6))
-    yd2 = p1 * p1 / (m * m) * float(derivative(yhat, 1.0, 2, h0=0.1, levels=6))
-    xd3 = float(-P * derivative(g1, 1.0, 3, h0=0.02, levels=4)
-                + P * P * derivative(g2, 1.0, 3, h0=0.02, levels=4))
-    yd3 = p1 * p1 / (m * m) * float(derivative(yhat, 1.0, 3, h0=0.02, levels=4))
+    xd2, xd3 = (-P * _derivative_at_one(g1, k) + P * P * _derivative_at_one(g2, k)
+                for k in (2, 3))
+    yd2, yd3 = (p1 * p1 / (m * m) * _derivative_at_one(yhat, k) for k in (2, 3))
     d2 = (xd1 * yd2 - yd1 * xd2) / xd1 ** 3
     d3 = (xd1 * yd3 - yd1 * xd3) / xd1 ** 4
     return JoiningPointDerivatives(
@@ -232,11 +237,8 @@ def square_convexity_check(domain: DomainParams, p1: float, branch: Branch,
     if samples < 8:
         raise DomainError("need at least 8 samples")
     lo, hi = kcurve_alpha_range(domain, p1, branch)
-    alphas = np.linspace(lo, hi, samples)
-    pts = np.array([
-        (upper_xy(domain.m, p1, a) if branch == Branch.UPPER else lower_xy(domain.m, p1, a))
-        for a in alphas
-    ])
+    xy_many = _upper_xy_many if branch == Branch.UPPER else _lower_xy_many
+    pts = np.array(xy_many(domain.m, p1, np.linspace(lo, hi, samples)))
     pts = pts[np.argsort(pts[:, 0])]
     x, y = pts[:, 0], pts[:, 1]
     y_mag = max(float(np.max(np.abs(y))), 1e-300)

@@ -135,8 +135,8 @@ def _solve_bracketed_rows(f, df, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
                          bracket=(float(lo[0]), float(hi[0])))
 
 
-def richardson(values: Sequence, order: int = 2, ratio: float = 2.0):
-    """Richardson ladder for approximations at steps h, h/ratio, h/ratio^2, ...
+def richardson(values: Sequence, order: int = 2):
+    """Richardson ladder for approximations at steps h, h/2, h/4, ...
 
     ``order`` is the leading error exponent of the base rule (central
     differences: 2). Returns the highest-order extrapolant.
@@ -147,7 +147,7 @@ def richardson(values: Sequence, order: int = 2, ratio: float = 2.0):
     if n == 1:
         return vals[0]
     for j in range(1, n):
-        fac = ratio ** (order * j)
+        fac = 2.0 ** (order * j)
         for k in range(n - 1, j - 1, -1):
             vals[k] = (fac * vals[k] - vals[k - 1]) / (fac - 1.0)
     return vals[-1]
@@ -223,28 +223,6 @@ def _jet_from_values(values: np.ndarray, n: int, step: float, hessian: bool = Tr
     HH = richardson(hessians, order=2)
     ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
     return center, dz, ddbar
-
-
-def central_diff(f: Callable[[float], float], x0: float, order: int, h: float):
-    """Central finite difference of given derivative order, O(h^2) accurate."""
-    if order == 1:
-        return (f(x0 + h) - f(x0 - h)) / (2 * h)
-    if order == 2:
-        return (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / (h * h)
-    if order == 3:
-        return (f(x0 + 2 * h) - 2 * f(x0 + h) + 2 * f(x0 - h) - f(x0 - 2 * h)) / (2 * h ** 3)
-    raise ValueError(f"unsupported derivative order {order}")
-
-
-def derivative(f: Callable[[float], float], x0: float, order: int,
-               h0: float, levels: int = 4):
-    """Derivative by central differences with a Richardson ladder over halved steps."""
-    ests = []
-    h = h0
-    for _ in range(levels):
-        ests.append(central_diff(f, x0, order, h))
-        h *= 0.5
-    return richardson(ests, order=2, ratio=2.0)
 
 
 def centered_difference_sum(f: Callable[[float], float], q: int, h: float) -> float:

@@ -18,6 +18,7 @@ from .domain import (
     DomainParams,
     RegionLabel,
     _PULLBACK_ORIGIN_TOL,
+    _M0_WEIGHT,
     _Z_FORMULA_TOL,
     _check_step,
     _defining,
@@ -123,13 +124,13 @@ def _formula_kind(domain: DomainParams, t: np.ndarray, q: np.ndarray) -> np.ndar
     # per row with |z1|^2 = t and |zhat|^2 = q: one closed form covers m < 1,
     # the outer form the ball; for m > 1 the z1 = 0 limit for |z1| below
     # _Z_FORMULA_TOL, else the outer form on and outside the middle stratum
-    # 2|z1|^2m + |zhat|^2 = 1 and the inner form inside it
+    # M0 and the inner form inside it
     m = domain.m
     if m < 1.0:
         return np.full(len(t), _CHORD)
     if m == 1.0:
         return np.full(len(t), _OUTER)
-    kind = np.where(2.0 * t ** m + q - 1.0 >= 0.0, _OUTER, _INNER)
+    kind = np.where(_M0_WEIGHT * t ** m + q - 1.0 >= 0.0, _OUTER, _INNER)
     kind[t < _Z_FORMULA_TOL ** 2] = _Z_LIMIT
     return kind
 

@@ -26,7 +26,7 @@ from .domain import (
     minkowski_gauge,
     seam_distance,
 )
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 from .fitting import (
     _inner_fit,
     containment_violation,
@@ -63,11 +63,15 @@ class CheckResult:
     seconds: float
 
 
+#: ``_sample_interior`` keeps points whose defining function is below margin - 1
+_SAMPLE_MARGIN = 0.9
+
+
 def _sample_interior(domain: DomainParams, rng: np.random.Generator,
-                     scale: float = 0.75, margin: float = 0.9) -> np.ndarray:
+                     scale: float = 0.75) -> np.ndarray:
     while True:
         z = (rng.uniform(-1, 1, domain.n) + 1j * rng.uniform(-1, 1, domain.n)) * scale
-        if defining_function(domain, z) < margin - 1.0:
+        if defining_function(domain, z) < _SAMPLE_MARGIN - 1.0:
             return z
 
 
@@ -306,13 +310,13 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     gap = max(gap, _rel(side.r1, outer.r1), _rel(side.r2, outer.r2))
     # tensor continuity across M0 and Z along the axis
     zh = np.zeros(domain.n - 1, dtype=complex)
-    for eps in (1e-7,):
-        a = wu_tensor(domain, np.concatenate(([thr - eps], zh))).matrix
-        b = wu_tensor(domain, np.concatenate(([thr + eps], zh))).matrix
-        gap_t = float(np.max(np.abs(a - b))) / float(np.max(np.abs(a)))
-        z0 = wu_tensor(domain, np.concatenate(([0.0], zh + 0.3))).matrix
-        z1 = wu_tensor(domain, np.concatenate(([eps], zh + 0.3))).matrix
-        gap_z = float(np.max(np.abs(z0 - z1))) / float(np.max(np.abs(z0)))
+    eps = 1e-7
+    a = wu_tensor(domain, np.concatenate(([thr - eps], zh))).matrix
+    b = wu_tensor(domain, np.concatenate(([thr + eps], zh))).matrix
+    gap_t = float(np.max(np.abs(a - b))) / float(np.max(np.abs(a)))
+    z0 = wu_tensor(domain, np.concatenate(([0.0], zh + 0.3))).matrix
+    z1 = wu_tensor(domain, np.concatenate(([eps], zh + 0.3))).matrix
+    gap_z = float(np.max(np.abs(z0 - z1))) / float(np.max(np.abs(z0)))
     ok = gap < 1e-8 and gap_t < 1e-5 and gap_z < 1e-5
     return ok, f"fit seam gap {gap:.1e}, tensor M0 gap {gap_t:.1e}, Z gap {gap_z:.1e}"
 
@@ -453,8 +457,13 @@ _CHECKS: list[tuple[str, Callable, Callable[[DomainParams], bool]]] = [
 
 def run_checks(domain: DomainParams, seed: int = 0,
                names: Iterable[str] | None = None) -> list[CheckResult]:
-    """Run the applicable checks for this domain; each gets its own seeded stream."""
+    """Run the applicable checks for this domain; each gets its own seeded stream.
+
+    ``names`` restricts the run; a name that is no check raises ``ConfigurationError``.
+    """
     wanted = set(names) if names is not None else None
+    if wanted is not None and (unknown := wanted - {name for name, _, _ in _CHECKS}):
+        raise ConfigurationError(f"unknown check name(s): {', '.join(sorted(unknown))}")
     results = []
     for name, fn, applies in _CHECKS:
         if wanted is not None and name not in wanted:

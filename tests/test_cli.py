@@ -221,3 +221,18 @@ class TestExitCodes:
         assert code == 0
         assert "[PASS] gauge-membership" in out
         assert "2/2 checks passed" in out
+
+    def test_unknown_check_name_exits_one(self, capsys):
+        # a misspelt name used to select nothing and report 0/0 passed
+        code, out, err = run_cli(capsys, "verify", "--m", "2", "--n", "2",
+                                 "--only", "gauge-membership,joining-derivative")
+        assert code == 1
+        assert "validation error" in err and "joining-derivative" in err
+        assert out == ""
+
+    def test_check_that_does_not_apply_is_skipped(self, capsys):
+        # contact-point applies to m > 1 only; naming it at m = 0.75 runs nothing
+        code, out, _ = run_cli(capsys, "verify", "--m", "0.75", "--n", "2",
+                               "--only", "contact-point")
+        assert code == 0
+        assert "0/0 checks passed" in out

@@ -20,7 +20,8 @@ from eggmetrics import (
     third_derivative_reference,
 )
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many, lower_xy, upper_xy
-from eggmetrics.numerics import abs_pow, derivative
+from eggmetrics.numerics import abs_pow, richardson
+from eggmetrics.verification import run_checks
 
 
 class TestSamples:
@@ -151,6 +152,56 @@ class TestLowerSampler:
             assert _lower_xy_many(m, p1, grid) == expected
 
 
+def central_diff(f, x0, order, h):
+    # central finite difference of the given derivative order, O(h^2) accurate
+    if order == 1:
+        return (f(x0 + h) - f(x0 - h)) / (2 * h)
+    if order == 2:
+        return (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / (h * h)
+    if order == 3:
+        return (f(x0 + 2 * h) - 2 * f(x0 + h) + 2 * f(x0 - h) - f(x0 - 2 * h)) / (2 * h ** 3)
+    raise ValueError(f"unsupported derivative order {order}")
+
+
+def derivative(f, x0, order, h0, levels=4):
+    # central differences with a Richardson ladder over halved steps: the
+    # finite-difference oracle for the exact junction derivatives
+    ests = []
+    h = h0
+    for _ in range(levels):
+        ests.append(central_diff(f, x0, order, h))
+        h *= 0.5
+    return richardson(ests, order=2)
+
+
+def _ladder_junction(m, p1):
+    # d2 and d3 of the UPPER curve at alpha = 1 by the Richardson ladder on
+    # the rescaled pieces, and the size of the two terms whose difference is d2
+    P = abs_pow(p1, 2 * m)
+
+    def g1(a):
+        return abs_pow(a, -2 * m) + abs_pow(a, 2 - 2 * m)
+
+    def g2(a):
+        return abs_pow(a, 2 - 4 * m)
+
+    def yhat(a):
+        numer = m * abs_pow(a, 2 * m - 2) - (m - 1.0) * abs_pow(a, 2 * m) - P
+        return numer * numer / abs_pow(a, 4 * m - 2)
+
+    xd1 = (4 * m - 2) * P * (1.0 - P)
+    yd1 = -(4 * m - 2) * p1 * p1 * (1.0 - P) ** 2 / (m * m)
+    xd2 = float(-P * derivative(g1, 1.0, 2, h0=0.1, levels=6)
+                + P * P * derivative(g2, 1.0, 2, h0=0.1, levels=6))
+    yd2 = p1 * p1 / (m * m) * float(derivative(yhat, 1.0, 2, h0=0.1, levels=6))
+    xd3 = float(-P * derivative(g1, 1.0, 3, h0=0.02, levels=4)
+                + P * P * derivative(g2, 1.0, 3, h0=0.02, levels=4))
+    yd3 = p1 * p1 / (m * m) * float(derivative(yhat, 1.0, 3, h0=0.02, levels=4))
+    d2 = (xd1 * yd2 - yd1 * xd2) / xd1 ** 3
+    d3 = (xd1 * yd3 - yd1 * xd3) / xd1 ** 4
+    return d2, d3, abs(yd1 * xd2 / xd1 ** 3)
+
+
 class TestJoiningDerivatives:
     def test_second_derivative_matches(self):
         d = DomainParams(m=2.0, n=2)
@@ -185,6 +236,41 @@ class TestJoiningDerivatives:
         d = DomainParams(m=m, n=2)
         got = joining_point_derivatives(d, p1)
         assert got.d3_jump == pytest.approx(got.d3_expected, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [0.75, 1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
+    def test_exact_matches_the_finite_difference_ladder(self, m, p1):
+        got = joining_point_derivatives(DomainParams(m=m, n=2), p1)
+        d2, d3, scale = _ladder_junction(m, p1)
+        # d2 is a cancellation to zero: compare it on the scale of its terms
+        assert abs(got.d2_match - d2) <= 1e-6 * scale
+        assert got.d3_jump == pytest.approx(d3, rel=1e-6, abs=0)
+
+    @pytest.mark.parametrize("m", [0.75, 1.5, 2.0, 5.0, 20.0, 60.0])
+    @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
+    def test_exact_third_derivative_matches_reference(self, m, p1):
+        got = joining_point_derivatives(DomainParams(m=m, n=2), p1)
+        assert got.d3_jump == pytest.approx(got.d3_expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [1.0 - 1e-7, 1.0 + 1e-7])
+    @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
+    def test_third_derivative_near_the_ball(self, m, p1):
+        # d3 is proportional to m - 1 and is built by cancellation; the
+        # finite-difference ladder misses it by 1e-2 relative
+        got = joining_point_derivatives(DomainParams(m=m, n=2), p1)
+        assert got.d3_jump == pytest.approx(got.d3_expected, rel=1e-7, abs=0)
+
+    @pytest.mark.parametrize("m", [0.75, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
+    def test_second_derivative_vanishes_at_uniform_conditioning(self, m):
+        # p1^2m = 0.3, the point the verify check uses
+        got = joining_point_derivatives(DomainParams(m=m, n=2), 0.3 ** (1.0 / (2.0 * m)))
+        assert abs(got.d2_match) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1.0 - 1e-7, 1.0 + 1e-7, 20.0, 60.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_verify_check_passes(self, m, n):
+        [result] = run_checks(DomainParams(m=m, n=n), names=["joining-derivatives"])
+        assert result.passed, result.detail
 
     def test_richardson_derivatives_match_closed_first_derivatives(self):
         # the parametric derivative machinery against the exact closed forms
