@@ -2,12 +2,14 @@
 
 Points and tangent vectors are plain complex ndarrays of length n; index 0 is
 the distinguished coordinate z1 and ``z[1:]`` is the orthogonal block written
-``zhat`` throughout.
+``zhat`` throughout. The point evaluations of the package also take (N, n)
+arrays, one point or vector per row.
 
 Each public function checks its vector arguments once, with ``as_vector``;
 the private ``_...`` helpers take vectors that are already checked, so that
 callers inside the package check at their own boundary and not again at
-every layer.
+every layer. ``_defining``, ``_region_of`` and ``_reference_coordinate`` work
+on the last axis, so they take one point or rows of points alike.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ _M0_WEIGHT = 2.0
 #: |z1| below which ``tensor`` evaluates the z1 = 0 limiting form of the
 #: inner-region tensor (the limit deviates by O(|z1|))
 _Z_FORMULA_TOL = 1e-12
-#: axis coordinate p1 below which ``fit_reference`` returns ``fit_origin``
-#: instead of solving the tangency equation (the fit deviates by O(p1^2))
+#: axis coordinate p1 below which ``fit_reference`` and ``pullback_tensor``
+#: take ``fit_origin`` for m > 1 instead of solving the tangency equation
+#: (the fit deviates by O(p1^2))
 _FIT_ORIGIN_TOL = 1e-12
 #: reduced axis coordinate below which ``kobayashi`` takes the Z branch, the
 #: Minkowski gauge of the moved vector, instead of the axis-point formulas
 REFERENCE_AXIS_TOL = 1e-13
-#: reduced axis coordinate below which ``pullback_tensor`` transports
-#: ``fit_origin`` instead of ``fit_reference``
-_PULLBACK_ORIGIN_TOL = 1e-15
 
 
 class RegionLabel(enum.Enum):
@@ -79,19 +79,37 @@ class DomainParams:
         object.__setattr__(self, "m0_radius", _M0_WEIGHT ** (-1.0 / (2.0 * self.m)))
 
 
-def as_vector(v, n: int) -> np.ndarray:
-    """Validate and return a finite complex n-vector."""
+def as_vector(v, n: int, rows: bool = False) -> np.ndarray:
+    """Validate and return a finite complex n-vector; with ``rows`` also an (N, n) array."""
     arr = np.asarray(v, dtype=complex)
-    if arr.shape != (n,):
-        raise DomainError(f"expected a length-{n} vector, got shape {arr.shape}")
+    if arr.shape != (n,) and not (rows and arr.ndim == 2 and arr.shape[1] == n):
+        expected = f"a length-{n} vector" + (f" or (N, {n}) rows" if rows else "")
+        raise DomainError(f"expected {expected}, got shape {arr.shape}")
     _check_finite(arr)
     return arr
 
 
 def _check_finite(arr: np.ndarray) -> None:
     # a complex entry is finite only when both of its parts are
-    if not np.isfinite(arr).all():
+    finite = np.isfinite(arr)
+    if finite.all():
+        return
+    if arr.ndim == 1:
         raise DomainError("vector has non-finite entries")
+    row = int(np.flatnonzero(~finite.all(axis=1))[0])
+    raise DomainError(f"row {row} has non-finite entries")
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> None:
+    # a point evaluation pairs the i-th point with the i-th vector
+    if a.shape != b.shape:
+        raise DomainError(f"points and vectors differ in shape: {a.shape} and {b.shape}")
+
+
+def _hat_sq(z: np.ndarray) -> np.ndarray:
+    # |zhat|^2 of a point or of each row
+    zhat = z[..., 1:]
+    return np.vecdot(zhat, zhat).real
 
 
 def _check_p1(p1: float) -> None:
@@ -107,12 +125,12 @@ def _check_step(step: float) -> None:
 
 def defining_function(domain: DomainParams, z) -> float:
     """|z1|^2m + |zhat|^2 - 1; negative inside the egg."""
-    return _defining(domain, as_vector(z, domain.n))
+    return float(_defining(domain, as_vector(z, domain.n)))
 
 
-def _defining(domain: DomainParams, z: np.ndarray) -> float:
-    # defining_function on a checked vector
-    return abs_pow(abs(z[0]), 2 * domain.m) + float(np.sum(np.abs(z[1:]) ** 2)) - 1.0
+def _defining(domain: DomainParams, z: np.ndarray) -> np.ndarray:
+    # defining_function of a checked point, or of each row
+    return np.abs(z[..., 0]) ** (2 * domain.m) + _hat_sq(z) - 1.0
 
 
 def minkowski_gauge(domain: DomainParams, v) -> float:
@@ -166,37 +184,38 @@ def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionL
     return _region_of(domain, as_vector(z, domain.n), tol)
 
 
-def _region_of(domain: DomainParams, z: np.ndarray, tol: float) -> RegionLabel:
-    # classify_region on a checked vector
+#: ``_region_of``'s labels by code
+_LABELS = np.array([RegionLabel.OUTSIDE, RegionLabel.Z, RegionLabel.GENERIC,
+                    RegionLabel.M_MINUS, RegionLabel.M_ZERO, RegionLabel.M_PLUS], dtype=object)
+
+
+def _region_of(domain: DomainParams, z: np.ndarray, tol: float):
+    # classify_region of a checked point, or an object array of the labels of
+    # each row
     if tol <= 0:
         raise DomainError("tol must be positive")
-    P = abs_pow(abs(z[0]), 2 * domain.m)
-    q = float(np.sum(np.abs(z[1:]) ** 2))
-    if P + q - 1.0 >= 0.0:
-        return RegionLabel.OUTSIDE
-    if abs(z[0]) <= tol:
-        return RegionLabel.Z
-    if domain.m <= 1.0:
-        return RegionLabel.GENERIC
-    w = _M0_WEIGHT * P + q - 1.0
-    if w < -tol:
-        return RegionLabel.M_MINUS
-    if w > tol:
-        return RegionLabel.M_PLUS
-    return RegionLabel.M_ZERO
+    r1 = np.abs(z[..., 0])
+    P = r1 ** (2 * domain.m)
+    q = _hat_sq(z)
+    code = 2  # GENERIC
+    if domain.m > 1.0:
+        w = _M0_WEIGHT * P + q - 1.0
+        code = 4 + (w > tol) * 1 - (w < -tol)  # M_MINUS, M_ZERO or M_PLUS
+    code = np.where(P + q >= 1.0, 0, np.where(r1 <= tol, 1, code))
+    return _LABELS[code]
 
 
 def reference_coordinate(domain: DomainParams, p) -> float:
     """Axis coordinate |p1|/s^(1/m) of the automorphism image of p, s = sqrt(1-|phat|^2)."""
-    return _reference_coordinate(domain, as_vector(p, domain.n))
-
-
-def _reference_coordinate(domain: DomainParams, p: np.ndarray) -> float:
-    # reference_coordinate on a checked vector
-    s2 = 1.0 - float(np.sum(np.abs(p[1:]) ** 2))
-    if s2 <= 0.0:
+    p = as_vector(p, domain.n)
+    if _hat_sq(p) >= 1.0:
         raise DomainError("point has |phat| >= 1")
-    return abs(p[0]) / abs_pow(math.sqrt(s2), 1.0 / domain.m)
+    return float(_reference_coordinate(domain, p))
+
+
+def _reference_coordinate(domain: DomainParams, p: np.ndarray) -> np.ndarray:
+    # reference_coordinate of a checked point with |phat| < 1, or of each row
+    return np.abs(p[..., 0]) / np.sqrt(1.0 - _hat_sq(p)) ** (1.0 / domain.m)
 
 
 def _phase_factor(p1: complex) -> complex:
@@ -241,11 +260,6 @@ def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:
     z = as_vector(z, domain.n)
     if _defining(domain, p) >= 0.0:
         raise DomainError("base point p must lie inside the egg")
-    return _jacobian(domain, p, z)
-
-
-def _jacobian(domain: DomainParams, p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # automorphism_jacobian on checked vectors, p inside the egg
     m = domain.m
     n = domain.n
     c = _phase_factor(p[0])
@@ -273,6 +287,32 @@ def _jacobian(domain: DomainParams, p: np.ndarray, z: np.ndarray) -> np.ndarray:
                 d_num -= s
             D[i, j] = d_num / denom + numer[i - 1] * np.conj(phat[j - 1]) / denom ** 2
     return D
+
+
+def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
+    """(reference coordinate, D(p, p) v) of checked (N, n) rows, in O(n) per row.
+
+    Raises ``DomainError`` when a point p lies outside the egg. D(p, p) is
+    ``automorphism_jacobian`` at z = p. There the numerator of the zhat block
+    vanishes and 1 - <phat, phat> = s^2, so with d = <vhat, phat>
+    w1 = c s^(-1/m) (v1 + p1 d/(m s^2)) and what = -(s vhat + phat d/(1+s))/s^2,
+    using (1 - s)/|phat|^2 = 1/(1 + s); phat = 0 needs no branch. The
+    reference coordinate is ``_reference_coordinate``'s |p1|/s^(1/m).
+    """
+    m = domain.m
+    p1, phat, vhat = p[:, 0], p[:, 1:], v[:, 1:]
+    r1, q = np.abs(p1), _hat_sq(p)
+    if (r1 ** (2 * m) + q - 1.0 >= 0.0).any():  # _defining
+        raise DomainError("point lies outside the egg")
+    s2 = 1.0 - q
+    s = np.sqrt(s2)
+    sm = s ** (1.0 / m)
+    d = np.vecdot(phat, vhat)  # conjugates phat
+    c = np.sign(np.conj(p1)) + (r1 == 0.0)  # |p1|/p1, and 1 at p1 = 0
+    w = np.empty_like(v)
+    w[:, 0] = c * (v[:, 0] + p1 * d / (m * s2)) / sm
+    w[:, 1:] = (s[:, None] * vhat + phat * (d / (1.0 + s))[:, None]) / -s2[:, None]
+    return r1 / sm, w
 
 
 def seam_distance(domain: DomainParams, z) -> float:

@@ -128,28 +128,40 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
 
     m <= 1: the chord through the two axis intercepts. m > 1 outside the
     2^(-1/2m) threshold: the LOWER line itself. m > 1 inside: the line
-    tangent to the UPPER curve at the solved contact parameter.
+    tangent to the UPPER curve at the solved contact parameter. The one-row
+    case of ``_fit_rows``.
     """
     _check_p1(p1)
+    r1, r2 = _fit_rows(domain, np.array([float(p1)]))
+    return WuEllipsoidDiag(r1=float(r1[0]), r2=float(r2[0]))
+
+
+def _fit_rows(domain: DomainParams, p1: np.ndarray):
+    # fit_reference's (r1, r2) at each checked axis coordinate p1 in [0, 1)
     m = domain.m
-    P = abs_pow(p1, 2 * m)
+    P = p1 ** (2 * m)
     if m <= 1.0:
-        return WuEllipsoidDiag(r1=1.0 / (1.0 - p1 * p1) ** 2, r2=1.0 / (1.0 - P))
-    if p1 >= domain.m0_radius:
-        return WuEllipsoidDiag(r1=m * m * abs_pow(p1, 2 * m - 2) / (1.0 - P) ** 2,
-                               r2=1.0 / (1.0 - P))
-    if p1 < _FIT_ORIGIN_TOL:
-        return fit_origin(domain)  # deviation from the limit is O(p1^2)
-    return _inner_fit(domain, p1, solve_X(domain, p1))
+        return 1.0 / (1.0 - p1 * p1) ** 2, 1.0 / (1.0 - P)
+    r1 = m * m * p1 ** (2 * m - 2) / (1.0 - P) ** 2
+    r2 = 1.0 / (1.0 - P)
+    origin = p1 < _FIT_ORIGIN_TOL
+    ell = fit_origin(domain)
+    r1[origin], r2[origin] = ell.r1, ell.r2
+    inner = ~origin & (p1 < domain.m0_radius)
+    if inner.any():
+        pi = p1[inner]
+        r1[inner], r2[inner] = _inner_fit(domain, pi, _solve_X_many(domain, pi, np.ones_like(pi)))
+    return r1, r2
 
 
-def _inner_fit(domain: DomainParams, p1: float, X: float) -> WuEllipsoidDiag:
-    # inner-region line tangent to the UPPER curve at the contact parameter sqrt(X)
+def _inner_fit(domain: DomainParams, p1, X):
+    # inner-region line tangent to the UPPER curve at the contact parameter
+    # sqrt(X): (r1, r2) for floats or rows
     m = domain.m
-    P = abs_pow(p1, 2 * m)
-    F = m * abs_pow(X, m - 1) - (m - 1.0) * abs_pow(X, m) - P
-    return WuEllipsoidDiag(r1=m * m * abs_pow(X, 2 * m - 1) / (2.0 * p1 * p1 * F * F),
-                           r2=abs_pow(X, 2 * m - 1) / (2.0 * P * F))
+    P = p1 ** (2 * m)
+    F = m * X ** (m - 1) - (m - 1.0) * X ** m - P
+    return (m * m * X ** (2 * m - 1) / (2.0 * p1 * p1 * F * F),
+            X ** (2 * m - 1) / (2.0 * P * F))
 
 
 def fit_origin(domain: DomainParams) -> WuEllipsoidDiag:
@@ -189,17 +201,44 @@ def _first_quadrant(*parts: np.ndarray) -> np.ndarray:
 
 def _upper_hull(pts: np.ndarray) -> np.ndarray:
     # monotone chain, keeping only the outward (concave-from-origin) frontier
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    chain: list[tuple[float, float]] = []
-    for xp, yp in pts[order].tolist():
-        while len(chain) >= 2:
-            (x1, y1), (x2, y2) = chain[-2], chain[-1]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    x, y = pts[:, 0], pts[:, 1]
+    # where every consecutive triple already turns strictly, as on a hull the
+    # chain returned, the chain pops nothing: the sorted input is the hull
+    if np.all((x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]) < 0.0):
+        return pts
+    parent = [-1] * len(pts)
+    return _stack(pts, parent, _chain(pts.tolist(), parent, -1, 0))
+
+
+def _chain(xy: list, parent: list, top: int, start: int) -> int:
+    """The monotone chain over the sorted points xy[start:], from the stack topped by ``top``.
+
+    Node i is the point xy[i] and parent[i] the node below it on the stack,
+    so the stack after any step stays readable: after the point i it is i,
+    parent[i], ... A chain over sorted points that share a prefix with these
+    can resume from the node that ends the prefix. Returns the final top.
+    """
+    for i in range(start, len(xy)):
+        xp, yp = xy[i]
+        while top >= 0 and parent[top] >= 0:
+            (x1, y1), (x2, y2) = xy[parent[top]], xy[top]
             if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
-                chain.pop()
+                top = parent[top]
             else:
                 break
-        chain.append((xp, yp))
-    return np.array(chain).reshape(-1, 2)
+        parent[i] = top
+        top = i
+    return top
+
+
+def _stack(pts: np.ndarray, parent: list, top: int) -> np.ndarray:
+    # the rows of the sorted pts on the chain's stack, bottom to ``top``
+    nodes = []
+    while top >= 0:
+        nodes.append(top)
+        top = parent[top]
+    return pts[nodes[::-1]]
 
 
 def _enumerate_lines(pts: np.ndarray):
@@ -256,9 +295,10 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     Stage one sweeps candidate tangency configurations over a hull built from
     both branches; stage two re-sweeps with the UPPER grid zoomed around the
     stage-one contact abscissa, which restores the accuracy a single polygon
-    pass loses to sample spacing. Derivative-free throughout. Each sweep
-    prunes its candidates against the hull, but the line it returns is still
-    checked against every sample of that stage.
+    pass loses to sample spacing. Derivative-free throughout. Each stage
+    sweeps the hull of its samples, and the line it returns is checked
+    against every sample of that stage; stage two resumes stage one's hull
+    chain where the zoomed samples begin.
     """
     _check_p1(p1)
     if samples < 64:
@@ -267,7 +307,10 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
     upper = _upper_points(domain, p1, au)
     pts1 = _first_quadrant(upper, _lower_points(domain, p1, max(samples // 4, 24)))
-    stage1 = _enumerate_lines(pts1)
+    # the chain over the sorted pts1, kept so that stage two resumes it
+    sorted1 = pts1[np.lexsort((pts1[:, 1], pts1[:, 0]))]
+    parent1 = [-1] * len(sorted1)
+    stage1 = _best_line(_stack(sorted1, parent1, _chain(sorted1.tolist(), parent1, -1, 0)), pts1)
     if stage1 is None:
         raise ConfigurationError("oracle found no feasible line (degenerate sampling)")
     contact_x = stage1[3]
@@ -275,9 +318,30 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     lo = au[max(0, idx - 4)]
     hi = au[min(len(au) - 1, idx + 4)]
     pts2 = _first_quadrant(_upper_points(domain, p1, np.linspace(lo, hi, max(samples - n1, 48))))
-    refined = _enumerate_lines(np.vstack([pts1, pts2])) or stage1
+    # sorted, pts1 ∪ pts2 starts with k0 points of pts1 before the first one
+    # of pts2: the chain over them is stage one's, so stage two resumes there
+    pts = np.vstack([pts1, pts2])
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    k0 = int(np.argmax(order >= len(pts1))) if len(pts2) else len(order)
+    merged = pts[order]
+    parent = parent1[:k0] + [-1] * (len(merged) - k0)
+    refined = _best_line(_stack(merged, parent, _chain(merged.tolist(), parent, k0 - 1, k0)),
+                         pts) or stage1
     _, r1, r2, _ = refined
     return WuEllipsoidDiag(r1=r1, r2=r2)
+
+
+def _best_line(hull: np.ndarray, pts: np.ndarray):
+    # ``_enumerate_lines(pts)`` from the sweep over the hull of pts, whose
+    # containment check sees the hull vertices only: the first candidate that
+    # contains them is the sweep's answer when it contains every sample, and
+    # otherwise the sweep over pts decides
+    line = _enumerate_lines(hull)
+    if line is not None:
+        _, r1, r2, _ = line
+        if float(np.max(r1 * pts[:, 1] + r2 * pts[:, 0])) - 1.0 > _ORACLE_FEAS_TOL:
+            line = _enumerate_lines(pts)
+    return line
 
 
 def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag,

@@ -20,14 +20,19 @@ from .domain import (
     DomainParams,
     _check_finite,
     _check_p1,
-    _defining,
     _gauge,
-    _jacobian,
-    _reference_coordinate,
+    _hat_sq,
+    _same_rows,
+    _to_axis,
     as_vector,
 )
-from .errors import DomainError
-from .numerics import abs_pow, single_term_root, solve_bracketed
+from .errors import DomainError, NumericalError
+from .numerics import _solve_bracketed_rows, abs_pow, single_term_root, solve_bracketed
+
+
+#: smallest axis coordinate whose UPPER equation in beta = alpha/p1 stays in
+#: the float range: beta^2 reaches 1/p1^2
+_P1_BETA_MIN = 1e-150
 
 
 class Branch(enum.Enum):
@@ -51,18 +56,23 @@ class BranchParams:
     branch: Branch
 
 
-def branch_ratio(m: float, p1: float, u: float) -> float:
-    """The parameter t(u) of the UPPER branch; t(p1) = 1 and t decreases in u."""
-    disc = u * u + 4.0 * m * (m - 1.0) * p1 * p1
-    return 2.0 * m * m * p1 * p1 / (u * u + 2.0 * m * (m - 1.0) * p1 * p1
-                                    + u * math.sqrt(disc))
+def branch_ratio(m: float, p1, u):
+    """The parameter t(u) of the UPPER branch; t(p1) = 1 and t decreases in u.
+
+    Takes floats or arrays of equal shape. Written in q = p1/u, which lies in
+    (0, 1) on the branch, so no term overflows.
+    """
+    q = p1 / u
+    qq, k = q * q, m * (m - 1.0)
+    return 2.0 * m * m * qq / (1.0 + 2.0 * k * qq + np.sqrt(1.0 + 4.0 * k * qq))
 
 
 def solve_alpha(m: float, t: float, p1: float) -> float:
     """Unique positive root of alpha^2m - t alpha^(2m-2) - (1-t) p1^2m = 0.
 
     For t in (0, 1] the root lies in (p1, 1]; t = 1 gives exactly 1. The
-    residual at the returned root is below 1e-13.
+    one-row case of ``_solve_beta``, which solves for beta = alpha/p1 and so
+    stays accurate where p1^2m underflows.
     """
     if not (m >= 0.5 and math.isfinite(m)):
         raise DomainError(f"m must be >= 1/2, got {m!r}")
@@ -71,16 +81,52 @@ def solve_alpha(m: float, t: float, p1: float) -> float:
         raise DomainError(f"t must lie in (0, 1], got {t!r}")
     if t == 1.0:
         return 1.0
-    P = abs_pow(p1, 2 * m)
+    return float(p1 * _solve_beta(m, np.array([t], dtype=float), np.array([p1], dtype=float))[0])
 
-    def g(a: float) -> float:
-        return abs_pow(a, 2 * m) - t * abs_pow(a, 2 * m - 2) - (1.0 - t) * P
 
-    def dg(a: float) -> float:
-        return (2 * m * abs_pow(a, 2 * m - 1)
-                - t * (2 * m - 2) * abs_pow(a, 2 * m - 3))
+def _solve_beta(m: float, t: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """beta = alpha/p1 of each UPPER row, t in [0, 1] and p1 in (0, 1).
 
-    return solve_bracketed(g, p1, 1.0, df=dg)
+    Divided by p1^2 alpha^(2m-2), the alpha equation reads
+    beta^2 - tau - (1-t) beta^(2-2m) = 0 with tau = t/p1^2, whose terms stay
+    in range for every m even where p1^2m underflows (up to beta^2 <= 1/p1^2,
+    which needs p1 above 1e-154). The root is unique on beta >= 1, where
+    beta^(2-2m) <= 1 for m >= 1 and 1 <= beta^(2-2m) <= beta for m < 1
+    bound it; the bounds are widened by 1e-15 so that rounding keeps the
+    sign change. The first row runs the scalar ``solve_bracketed``; any
+    others run ``_solve_bracketed_rows``, each from its lower end moved by
+    one fixed-point step.
+    """
+    if not (p1 > _P1_BETA_MIN).all():
+        raise NumericalError(f"UPPER branch leaves the float range at p1={float(p1.min())!r}")
+    e = 2.0 - 2.0 * m
+
+    def g(b, tau, c):
+        return b * b - tau - c * b ** e
+
+    def dg(b, tau, c):
+        return 2.0 * b - e * c * b ** (e - 1.0)
+
+    def ends(tau, c, sqrt, maximum):
+        if m >= 1.0:
+            lo, hi = maximum(1.0, sqrt(tau)), sqrt(tau + c)
+        else:
+            lo, hi = sqrt(tau + c), 0.5 * (c + sqrt(c * c + 4.0 * tau))
+        return lo * (1.0 - 1e-15), hi * (1.0 + 1e-15)
+
+    t_0, p1_0 = float(t[0]), float(p1[0])
+    tau_0, c_0 = t_0 / (p1_0 * p1_0), 1.0 - t_0
+    beta = np.empty(len(t))
+    beta[0] = solve_bracketed(lambda b: g(b, tau_0, c_0), *ends(tau_0, c_0, math.sqrt, max),
+                              df=lambda b: dg(b, tau_0, c_0))
+    if len(t) > 1:
+        t, p1 = t[1:], p1[1:]
+        tau, c = t / (p1 * p1), 1.0 - t
+        lo, hi = ends(tau, c, np.sqrt, np.maximum)
+        beta[1:] = _solve_bracketed_rows(
+            lambda b, r: g(b, tau[r], c[r]), lambda b, r: dg(b, tau[r], c[r]),
+            lo, hi, np.sqrt(tau + c * lo ** e))
+    return beta
 
 
 def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
@@ -94,38 +140,60 @@ def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
     u = m * abs(v[0]) / vhat
     if u <= p1:
         return BranchParams(u=u, t=1.0, alpha=1.0, branch=Branch.LOWER)
-    t = branch_ratio(m, p1, u)
+    t = float(branch_ratio(m, p1, u))
     return BranchParams(u=u, t=t, alpha=solve_alpha(m, t, p1), branch=Branch.UPPER)
 
 
 def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
     """Squared Kobayashi metric at the axis point (p1, 0, ..., 0)."""
     _check_p1(p1)
-    return _kobayashi_reference_sq(domain, p1, as_vector(v, domain.n))
+    v = as_vector(v, domain.n)
+    return float(_kobayashi_reference_sq(domain, np.array([p1], dtype=float), v[None])[0])
 
 
-def _kobayashi_reference_sq(domain: DomainParams, p1: float, v: np.ndarray) -> float:
-    # kobayashi_reference_sq on a checked p1 and vector
+def _kobayashi_reference_sq(domain: DomainParams, p1: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # kobayashi_reference_sq of each checked row: p1 (N,) in (0, 1), v (N, n);
+    # AXIS where vhat = 0, else LOWER where u = m|v1|/|vhat| <= p1, else UPPER
     m = domain.m
-    P = abs_pow(p1, 2 * m)
-    y = abs(v[0]) ** 2
-    x = float(np.sum(np.abs(v[1:]) ** 2))
-    if x == 0.0:
-        return y / (1.0 - p1 * p1) ** 2
-    u = m * abs(v[0]) / math.sqrt(x)
-    if u <= p1:
-        # grouped as (p1^(m-1) |v1|)^2: the branch condition caps |v1| by
-        # p1 |vhat|/m, so the grouped factor stays in range even when the
-        # split power would overflow for m < 1 at tiny p1
-        axial = m * abs_pow(p1, m - 1) * abs(v[0])
-        return axial * axial / (1.0 - P) ** 2 + x / (1.0 - P)
-    t = branch_ratio(m, p1, u)
-    alpha = solve_alpha(m, t, p1)
-    # (1-t)/(1-alpha^2) = alpha^(2m-2)/(alpha^(2m-2) - P): no cancellation at
-    # the branch junction, where t and alpha both tend to 1
-    k = (m * abs_pow(alpha, 2 * m - 1) * abs(v[0])
-         / (p1 * (abs_pow(alpha, 2 * m - 2) - P) * (m * (1.0 - t) + t)))
+    v1 = np.abs(v[:, 0])
+    x = _hat_sq(v)
+    branch = (x > 0.0) * (1 + (m * v1 > p1 * np.sqrt(x)))
+    if len(branch) == 1:
+        return _BRANCH_SQ[branch[0]](m, p1, v1, x)
+    k_sq = np.empty(len(p1))
+    for b, branch_sq in enumerate(_BRANCH_SQ):
+        rows = branch == b
+        if rows.any():
+            k_sq[rows] = branch_sq(m, p1[rows], v1[rows], x[rows])
+    return k_sq
+
+
+def _axis_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the vhat = 0 limit |v1|^2/(1 - p1^2)^2
+    return v1 * v1 / (1.0 - p1 * p1) ** 2
+
+
+def _lower_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    P = p1 ** (2 * m)
+    # grouped as (p1^(m-1) |v1|)^2: the branch condition caps |v1| by
+    # p1 |vhat|/m, so the grouped factor stays in range even when the split
+    # power would overflow for m < 1 at tiny p1
+    axial = m * p1 ** (m - 1) * v1
+    return axial * axial / (1.0 - P) ** 2 + x / (1.0 - P)
+
+
+def _upper_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    t = branch_ratio(m, p1, m * v1 / np.sqrt(x))
+    beta = _solve_beta(m, t, p1)
+    # k = m alpha^(2m-1) |v1| / (p1 (alpha^(2m-2) - P) (m(1-t) + t)) with
+    # alpha^(2m-2) divided out: no cancellation at the branch junction, where
+    # t and alpha both tend to 1, and no underflow where P = p1^2m does
+    k = m * beta * v1 / ((1.0 - p1 * p1 * beta ** (2.0 - 2.0 * m)) * (m - (m - 1.0) * t))
     return k * k
+
+
+#: the squared metric on each branch, indexed as in ``_kobayashi_reference_sq``
+_BRANCH_SQ = (_axis_sq, _lower_sq, _upper_sq)
 
 
 def kobayashi_reference(domain: DomainParams, p1: float, v) -> float:
@@ -133,27 +201,47 @@ def kobayashi_reference(domain: DomainParams, p1: float, v) -> float:
     return math.sqrt(kobayashi_reference_sq(domain, p1, v))
 
 
-def kobayashi_sq(domain: DomainParams, p, v) -> float:
-    """Squared Kobayashi metric at an arbitrary interior point."""
-    p = as_vector(p, domain.n)
-    v = as_vector(v, domain.n)
-    if _defining(domain, p) >= 0.0:
-        raise DomainError("point lies outside the egg")
-    w = _jacobian(domain, p, p) @ v
-    p1_ref = _reference_coordinate(domain, p)
-    if p1_ref < REFERENCE_AXIS_TOL:
-        _check_finite(w)  # D v overflows for v near the float limit
-        g = _gauge(domain, w)
-        return g * g
-    # rounding puts some points just inside the boundary at p1_ref = 1
-    _check_p1(p1_ref)
-    _check_finite(w)
-    return _kobayashi_reference_sq(domain, p1_ref, w)
+def kobayashi_sq(domain: DomainParams, p, v):
+    """Squared Kobayashi metric at interior points.
+
+    p and v are one point and one vector, giving a float, or (N, n) arrays of
+    N pairs, giving an (N,) float array. Any outside point or bad row raises
+    ``DomainError`` for the whole call.
+    """
+    p = as_vector(p, domain.n, rows=True)
+    v = as_vector(v, domain.n, rows=True)
+    _same_rows(p, v)
+    if p.ndim == 1:
+        return float(_kobayashi_sq(domain, p[None], v[None])[0])
+    return _kobayashi_sq(domain, p, v)
 
 
-def kobayashi(domain: DomainParams, p, v) -> float:
-    """Kobayashi metric K(p, v); equals the Minkowski gauge of the moved vector on Z."""
-    return math.sqrt(kobayashi_sq(domain, p, v))
+def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # kobayashi_sq of each checked (N, n) row pair: the moved vector w at the
+    # reference coordinate, or its gauge on Z
+    p1, w = _to_axis(domain, p, v)
+    _check_finite(w)  # D v overflows for v near the float limit
+    axial = (REFERENCE_AXIS_TOL <= p1) & (p1 < 1.0)
+    if axial.all():
+        return _kobayashi_reference_sq(domain, p1, w)
+    on_z = p1 < REFERENCE_AXIS_TOL
+    rounded = ~(on_z | axial)  # rounding puts some points just inside the boundary at p1 = 1
+    if rounded.any():
+        _check_p1(float(p1[rounded][0]))
+    k_sq = np.empty(len(p))
+    for i in np.flatnonzero(on_z):
+        k_sq[i] = _gauge(domain, w[i]) ** 2
+    k_sq[axial] = _kobayashi_reference_sq(domain, p1[axial], w[axial])
+    return k_sq
+
+
+def kobayashi(domain: DomainParams, p, v):
+    """Kobayashi metric K(p, v); equals the Minkowski gauge of the moved vector on Z.
+
+    Takes one pair (float result) or (N, n) rows of pairs ((N,) result).
+    """
+    k_sq = kobayashi_sq(domain, p, v)
+    return math.sqrt(k_sq) if isinstance(k_sq, float) else np.sqrt(k_sq)
 
 
 def kobayashi_alt_upper(domain: DomainParams, p1: float, v) -> float:

@@ -8,7 +8,6 @@ with holomorphic Jacobian D is then D^T R conj(D).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,19 +16,20 @@ from .domain import (
     REGION_TOL,
     DomainParams,
     RegionLabel,
-    _PULLBACK_ORIGIN_TOL,
+    _FIT_ORIGIN_TOL,
     _M0_WEIGHT,
     _Z_FORMULA_TOL,
+    _check_p1,
     _check_step,
     _defining,
-    _jacobian,
-    _reference_coordinate,
     _region_of,
+    _same_rows,
     _seam_distance,
+    _to_axis,
     as_vector,
 )
 from .errors import DomainError, SeamProximityError
-from .fitting import _solve_X_many, fit_origin, fit_reference
+from .fitting import _fit_rows, _solve_X_many
 from .numerics import wirtinger_jet
 
 #: default holomorphic-differencing step for the Kahler defect
@@ -53,15 +53,17 @@ class HermitianForm:
         self.matrix.setflags(write=False)
 
     def norm_sq(self, v) -> float:
-        return _norm_sq(self.matrix, np.asarray(v, dtype=complex))
+        return float(_norm_sq(self.matrix[None], np.asarray(v, dtype=complex)[None])[0])
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _norm_sq(matrix: np.ndarray, v: np.ndarray) -> float:
-    # sum_ij H[i, j] v_i conj(v_j) for a complex vector v
-    return float(np.real(np.dot(v, matrix @ np.conj(v))))
+def _norm_sq(H: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # sum_ij H[k, i, j] v[k, i] conj(v[k, j]) of each row k; einsum would sum
+    # in an order that depends on the number of rows, these do not
+    vbar = np.conj(v)
+    return np.vecdot(vbar, np.matvec(H, vbar)).real
 
 
 # Every regional form is invariant under phase rotation of z1 and unitary
@@ -139,7 +141,7 @@ def _coefficients(domain: DomainParams, z: np.ndarray):
     # (a, b, c, e) of each row, every row by its own regional form
     t, q = _moduli(z)
     kind = _formula_kind(domain, t, q)
-    if len(z) == 1 or (kind == kind[0]).all():  # a stencil inside one region
+    if len(z) and (kind == kind[0]).all():  # one point, or a stencil inside one region
         return _FORMS[kind[0]](domain, t, 1.0 - q)
     coef = np.empty((4, len(z)))
     for k in np.unique(kind):
@@ -179,51 +181,79 @@ def _hermitian_form(domain: DomainParams, z: np.ndarray, matrix: np.ndarray,
     return HermitianForm(matrix, region, source)
 
 
-def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL) -> HermitianForm:
-    """Wu metric coefficients at an interior point, by the regional closed forms.
+def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
+    """Wu metric coefficients at interior points, by the regional closed forms.
 
     For m <= 1 one closed form covers the whole egg (its direct evaluation at
     z1 = 0 is the continuity limit). For m > 1 the outer form applies on and
     outside the middle stratum, the inner form inside it, and the z1 = 0
     limit on Z; the ``source`` tag names the formula used.
+
+    One point gives a ``HermitianForm``; (N, n) rows give the read-only
+    (N, n, n) stack of the matrices. Any outside point or bad row raises
+    ``DomainError`` for the whole call.
     """
-    z = as_vector(z, domain.n)
+    z = as_vector(z, domain.n, rows=True)
     region = _region_of(domain, z, tol)
+    if z.ndim == 2:
+        if (region == RegionLabel.OUTSIDE).any():
+            raise DomainError("point lies outside the egg")
+        return _read_only(_wu_matrices(domain, z))
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
     return _hermitian_form(domain, z, _wu_matrices(domain, z[None])[0], region)
 
 
-def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10) -> HermitianForm:
+def _read_only(H: np.ndarray) -> np.ndarray:
+    H.setflags(write=False)
+    return H
+
+
+def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
     """Wu tensor transported from the reference axis point through the automorphism.
 
     Independent of the regional closed forms: only the diagonal fit at the
-    reference coordinate and the automorphism Jacobian enter.
+    reference coordinate and the differential D(z, z) of the automorphism
+    enter, as D^T R conj(D) with R = diag(r1, r2, ..., r2). One point gives a
+    ``HermitianForm``; (N, n) rows give the read-only (N, n, n) stack.
     """
-    z = as_vector(z, domain.n)
-    if _defining(domain, z) >= 0.0:
-        raise DomainError("point lies outside the egg")
-    p1_ref = _reference_coordinate(domain, z)
-    if p1_ref < _PULLBACK_ORIGIN_TOL:
-        ell = fit_origin(domain)
-        source = "pullback (origin fit)"
-    else:
-        ell = fit_reference(domain, p1_ref)
-        source = "pullback"
-    D = _jacobian(domain, z, z)
-    R = np.diag([ell.r1] + [ell.r2] * (domain.n - 1)).astype(complex)
-    H = D.T @ R @ np.conj(D)
-    H = 0.5 * (H + H.conj().T)  # exact Hermitian symmetry
-    return HermitianForm(H, _region_of(domain, z, tol), source)
+    z = as_vector(z, domain.n, rows=True)
+    rows = np.atleast_2d(z)
+    # row j of W[k] is D e_j at the k-th point, so W[k] is D^T
+    n = domain.n
+    p1_ref, W = _to_axis(domain, np.repeat(rows, n, axis=0),
+                         np.tile(np.eye(n, dtype=complex), (len(rows), 1)))
+    p1_ref, W = p1_ref[::n], W.reshape(-1, n, n)
+    below = p1_ref < 1.0
+    if not below.all():
+        _check_p1(float(p1_ref[~below][0]))  # rounded up to the boundary
+    r1, r2 = _fit_rows(domain, p1_ref)
+    R = np.empty(rows.shape)
+    R[:, 0], R[:, 1:] = r1, r2[:, None]
+    H = (W * R[:, None, :]) @ np.conj(W).transpose(0, 2, 1)
+    H = 0.5 * (H + np.conj(H).transpose(0, 2, 1))  # exact Hermitian symmetry
+    if z.ndim == 2:
+        return _read_only(H)
+    origin = domain.m > 1.0 and p1_ref[0] < _FIT_ORIGIN_TOL
+    source = "pullback (origin fit)" if origin else "pullback"
+    return HermitianForm(H[0], _region_of(domain, z, tol), source)
 
 
-def wu_norm(domain: DomainParams, z, v) -> float:
-    """Length of a tangent vector in the Wu metric."""
-    v = as_vector(v, domain.n)
-    z = as_vector(z, domain.n)
-    if _region_of(domain, z, REGION_TOL) is RegionLabel.OUTSIDE:
+def wu_norm(domain: DomainParams, z, v):
+    """Length of a tangent vector in the Wu metric.
+
+    One point and vector give a float; (N, n) rows of points and vectors give
+    an (N,) array, each vector measured by its own point's Wu tensor. Any
+    outside point or bad row raises ``DomainError`` for the whole call.
+    """
+    v = as_vector(v, domain.n, rows=True)
+    z = as_vector(z, domain.n, rows=True)
+    _same_rows(z, v)
+    zs, vs = (z[None], v[None]) if z.ndim == 1 else (z, v)
+    if (_defining(domain, zs) >= 0.0).any():
         raise DomainError("point lies outside the egg")
-    return math.sqrt(max(_norm_sq(_wu_matrices(domain, z[None])[0], v), 0.0))
+    norm = np.sqrt(np.maximum(_norm_sq(_wu_matrices(domain, zs), vs), 0.0))
+    return float(norm[0]) if z.ndim == 1 else norm
 
 
 def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:

@@ -124,9 +124,9 @@ def as_vector_calls(monkeypatch):
     calls = []
     original = domain_module.as_vector
 
-    def counted(v, n):
+    def counted(v, n, **kwargs):
         calls.append(n)
-        return original(v, n)
+        return original(v, n, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("eggmetrics") and getattr(module, "as_vector", None) is original:
@@ -148,6 +148,18 @@ class TestChecksOnce:
         for fn, args, expected in ((kobayashi, (z, v), 2), (kobayashi_sq, (z, v), 2),
                                    (wu_tensor, (z,), 1), (wu_norm, (z, v), 2),
                                    (pullback_tensor, (z,), 1)):
+            as_vector_calls.clear()
+            fn(domain, *args)
+            assert len(as_vector_calls) == expected, fn.__name__
+
+    @pytest.mark.parametrize("domain,z", POINTS)
+    def test_rows_check_once_per_vector_argument(self, as_vector_calls, domain, z):
+        # three rows: the point, a quarter of it and the origin
+        rows = np.array([z, 0.25 * z, 0.0 * z])
+        vs = np.tile(V[:domain.n], (3, 1))
+        for fn, args, expected in ((kobayashi, (rows, vs), 2), (kobayashi_sq, (rows, vs), 2),
+                                   (wu_tensor, (rows,), 1), (wu_norm, (rows, vs), 2),
+                                   (pullback_tensor, (rows,), 1)):
             as_vector_calls.clear()
             fn(domain, *args)
             assert len(as_vector_calls) == expected, fn.__name__
