@@ -108,8 +108,7 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> None:
 
 def _hat_sq(z: np.ndarray) -> np.ndarray:
     # |zhat|^2 of a point or of each row
-    zhat = z[..., 1:]
-    return np.vecdot(zhat, zhat).real
+    return (np.abs(z[..., 1:]) ** 2).sum(axis=-1)
 
 
 def _check_p1(p1: float) -> None:
@@ -302,13 +301,14 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     m = domain.m
     p1, phat, vhat = p[:, 0], p[:, 1:], v[:, 1:]
     r1, q = np.abs(p1), _hat_sq(p)
-    if (r1 ** (2 * m) + q - 1.0 >= 0.0).any():  # _defining
+    if (r1 ** (2 * m) + q >= 1.0).any():  # _defining >= 0
         raise DomainError("point lies outside the egg")
     s2 = 1.0 - q
     s = np.sqrt(s2)
     sm = s ** (1.0 / m)
-    d = np.vecdot(phat, vhat)  # conjugates phat
-    c = np.sign(np.conj(p1)) + (r1 == 0.0)  # |p1|/p1, and 1 at p1 = 0
+    d = (np.conj(phat) * vhat).sum(axis=-1)
+    on_z = r1 == 0.0
+    c = r1 / np.where(on_z, 1.0, p1) + on_z  # |p1|/p1, and 1 at p1 = 0
     w = np.empty_like(v)
     w[:, 0] = c * (v[:, 0] + p1 * d / (m * s2)) / sm
     w[:, 1:] = (s[:, None] * vhat + phat * (d / (1.0 + s))[:, None]) / -s2[:, None]

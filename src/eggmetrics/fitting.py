@@ -201,44 +201,17 @@ def _first_quadrant(*parts: np.ndarray) -> np.ndarray:
 
 def _upper_hull(pts: np.ndarray) -> np.ndarray:
     # monotone chain, keeping only the outward (concave-from-origin) frontier
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    x, y = pts[:, 0], pts[:, 1]
-    # where every consecutive triple already turns strictly, as on a hull the
-    # chain returned, the chain pops nothing: the sorted input is the hull
-    if np.all((x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2]) < 0.0):
-        return pts
-    parent = [-1] * len(pts)
-    return _stack(pts, parent, _chain(pts.tolist(), parent, -1, 0))
-
-
-def _chain(xy: list, parent: list, top: int, start: int) -> int:
-    """The monotone chain over the sorted points xy[start:], from the stack topped by ``top``.
-
-    Node i is the point xy[i] and parent[i] the node below it on the stack,
-    so the stack after any step stays readable: after the point i it is i,
-    parent[i], ... A chain over sorted points that share a prefix with these
-    can resume from the node that ends the prefix. Returns the final top.
-    """
-    for i in range(start, len(xy)):
-        xp, yp = xy[i]
-        while top >= 0 and parent[top] >= 0:
-            (x1, y1), (x2, y2) = xy[parent[top]], xy[top]
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    chain: list[tuple[float, float]] = []
+    for xp, yp in pts[order].tolist():
+        while len(chain) >= 2:
+            (x1, y1), (x2, y2) = chain[-2], chain[-1]
             if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
-                top = parent[top]
+                chain.pop()
             else:
                 break
-        parent[i] = top
-        top = i
-    return top
-
-
-def _stack(pts: np.ndarray, parent: list, top: int) -> np.ndarray:
-    # the rows of the sorted pts on the chain's stack, bottom to ``top``
-    nodes = []
-    while top >= 0:
-        nodes.append(top)
-        top = parent[top]
-    return pts[nodes[::-1]]
+        chain.append((xp, yp))
+    return np.array(chain).reshape(-1, 2)
 
 
 def _enumerate_lines(pts: np.ndarray):
@@ -295,10 +268,9 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     Stage one sweeps candidate tangency configurations over a hull built from
     both branches; stage two re-sweeps with the UPPER grid zoomed around the
     stage-one contact abscissa, which restores the accuracy a single polygon
-    pass loses to sample spacing. Derivative-free throughout. Each stage
-    sweeps the hull of its samples, and the line it returns is checked
-    against every sample of that stage; stage two resumes stage one's hull
-    chain where the zoomed samples begin.
+    pass loses to sample spacing. Derivative-free throughout. Each sweep
+    prunes its candidates against the hull, but the line it returns is still
+    checked against every sample of that stage.
     """
     _check_p1(p1)
     if samples < 64:
@@ -307,10 +279,7 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
     upper = _upper_points(domain, p1, au)
     pts1 = _first_quadrant(upper, _lower_points(domain, p1, max(samples // 4, 24)))
-    # the chain over the sorted pts1, kept so that stage two resumes it
-    sorted1 = pts1[np.lexsort((pts1[:, 1], pts1[:, 0]))]
-    parent1 = [-1] * len(sorted1)
-    stage1 = _best_line(_stack(sorted1, parent1, _chain(sorted1.tolist(), parent1, -1, 0)), pts1)
+    stage1 = _enumerate_lines(pts1)
     if stage1 is None:
         raise ConfigurationError("oracle found no feasible line (degenerate sampling)")
     contact_x = stage1[3]
@@ -318,30 +287,9 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     lo = au[max(0, idx - 4)]
     hi = au[min(len(au) - 1, idx + 4)]
     pts2 = _first_quadrant(_upper_points(domain, p1, np.linspace(lo, hi, max(samples - n1, 48))))
-    # sorted, pts1 ∪ pts2 starts with k0 points of pts1 before the first one
-    # of pts2: the chain over them is stage one's, so stage two resumes there
-    pts = np.vstack([pts1, pts2])
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    k0 = int(np.argmax(order >= len(pts1))) if len(pts2) else len(order)
-    merged = pts[order]
-    parent = parent1[:k0] + [-1] * (len(merged) - k0)
-    refined = _best_line(_stack(merged, parent, _chain(merged.tolist(), parent, k0 - 1, k0)),
-                         pts) or stage1
+    refined = _enumerate_lines(np.vstack([pts1, pts2])) or stage1
     _, r1, r2, _ = refined
     return WuEllipsoidDiag(r1=r1, r2=r2)
-
-
-def _best_line(hull: np.ndarray, pts: np.ndarray):
-    # ``_enumerate_lines(pts)`` from the sweep over the hull of pts, whose
-    # containment check sees the hull vertices only: the first candidate that
-    # contains them is the sweep's answer when it contains every sample, and
-    # otherwise the sweep over pts decides
-    line = _enumerate_lines(hull)
-    if line is not None:
-        _, r1, r2, _ = line
-        if float(np.max(r1 * pts[:, 1] + r2 * pts[:, 0])) - 1.0 > _ORACLE_FEAS_TOL:
-            line = _enumerate_lines(pts)
-    return line
 
 
 def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag,

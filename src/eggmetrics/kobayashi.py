@@ -30,9 +30,9 @@ from .errors import DomainError, NumericalError
 from .numerics import _solve_bracketed_rows, abs_pow, single_term_root, solve_bracketed
 
 
-#: smallest axis coordinate whose UPPER equation in beta = alpha/p1 stays in
-#: the float range: beta^2 reaches 1/p1^2
-_P1_BETA_MIN = 1e-150
+#: smallest axis coordinate whose UPPER root alpha, which runs down to p1,
+#: keeps alpha^2 in the float range
+_P1_UPPER_MIN = 1e-150
 
 
 class Branch(enum.Enum):
@@ -71,8 +71,8 @@ def solve_alpha(m: float, t: float, p1: float) -> float:
     """Unique positive root of alpha^2m - t alpha^(2m-2) - (1-t) p1^2m = 0.
 
     For t in (0, 1] the root lies in (p1, 1]; t = 1 gives exactly 1. The
-    one-row case of ``_solve_beta``, which solves for beta = alpha/p1 and so
-    stays accurate where p1^2m underflows.
+    one-row case of ``_solve_alpha``, which stays accurate where p1^2m
+    underflows.
     """
     if not (m >= 0.5 and math.isfinite(m)):
         raise DomainError(f"m must be >= 1/2, got {m!r}")
@@ -81,52 +81,72 @@ def solve_alpha(m: float, t: float, p1: float) -> float:
         raise DomainError(f"t must lie in (0, 1], got {t!r}")
     if t == 1.0:
         return 1.0
-    return float(p1 * _solve_beta(m, np.array([t], dtype=float), np.array([p1], dtype=float))[0])
+    return float(_solve_alpha(m, np.array([t], dtype=float), np.array([p1], dtype=float))[0])
 
 
-def _solve_beta(m: float, t: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """beta = alpha/p1 of each UPPER row, t in [0, 1] and p1 in (0, 1).
+def _solve_alpha(m: float, t: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """alpha of each UPPER row, t in [0, 1) and p1 in (0, 1).
 
-    Divided by p1^2 alpha^(2m-2), the alpha equation reads
-    beta^2 - tau - (1-t) beta^(2-2m) = 0 with tau = t/p1^2, whose terms stay
-    in range for every m even where p1^2m underflows (up to beta^2 <= 1/p1^2,
-    which needs p1 above 1e-154). The root is unique on beta >= 1, where
-    beta^(2-2m) <= 1 for m >= 1 and 1 <= beta^(2-2m) <= beta for m < 1
-    bound it; the bounds are widened by 1e-15 so that rounding keeps the
-    sign change. The first row runs the scalar ``solve_bracketed``; any
-    others run ``_solve_bracketed_rows``, each from its lower end moved by
-    one fixed-point step.
+    Divided by alpha^(2m-2), the alpha equation reads alpha^2 - t - (1-t) R = 0
+    with R = P/alpha^(2m-2) = ``_upper_ratio``, which stays in range for every
+    m even where p1^2m underflows (alpha^2 needs p1 above 1e-154). With
+    beta = alpha/p1 the root is bracketed by beta^(2-2m) <= 1 for m >= 1 and
+    1 <= beta^(2-2m) <= beta for m < 1, and the bracket is narrowed by one
+    fixed-point step, then widened by 1e-9 so that rounding keeps the sign
+    change. The first row runs the scalar ``solve_bracketed``; any others
+    run ``_solve_bracketed_rows`` from the same midpoint start.
     """
-    if not (p1 > _P1_BETA_MIN).all():
+    if not (p1 > _P1_UPPER_MIN).all():
         raise NumericalError(f"UPPER branch leaves the float range at p1={float(p1.min())!r}")
-    e = 2.0 - 2.0 * m
+    e = 2.0 * m - 2.0
 
-    def g(b, tau, c):
-        return b * b - tau - c * b ** e
+    def g(a, t, p1, xp):
+        return a * a - t - (1.0 - t) * _upper_ratio(m, p1, a, xp)
 
-    def dg(b, tau, c):
-        return 2.0 * b - e * c * b ** (e - 1.0)
+    def dg(a, t, p1, xp):
+        return 2.0 * a + e * (1.0 - t) * _upper_ratio(m, p1, a, xp) / a
 
-    def ends(tau, c, sqrt, maximum):
+    def ends(t, p1, xp, maximum, minimum):
+        c = 1.0 - t
         if m >= 1.0:
-            lo, hi = maximum(1.0, sqrt(tau)), sqrt(tau + c)
+            lo, hi = maximum(p1, xp.sqrt(t)), xp.sqrt(t + c * p1 * p1)
         else:
-            lo, hi = sqrt(tau + c), 0.5 * (c + sqrt(c * c + 4.0 * tau))
-        return lo * (1.0 - 1e-15), hi * (1.0 + 1e-15)
+            lo, hi = xp.sqrt(t + c * p1 * p1), 0.5 * (c * p1 + xp.sqrt(c * c * p1 * p1 + 4.0 * t))
+        # the root is the fixed point of F(a) = sqrt(t + c R(a)), which
+        # decreases for m > 1 and increases for m < 1: F of each end bounds
+        # the root from the other side or the same side, and at m = 1 F is
+        # the root itself
+        f_lo = xp.sqrt(t + c * _upper_ratio(m, p1, lo, xp))
+        f_hi = xp.sqrt(t + c * _upper_ratio(m, p1, hi, xp))
+        if m >= 1.0:
+            lo, hi = maximum(lo, f_hi), minimum(hi, f_lo)
+        else:
+            # g is convex for m < 1, so Newton descends from the upper bound
+            # without overshooting: pushed out by the bracket's width, that
+            # bound is the midpoint the solve starts from
+            lo, hi = maximum(lo, f_lo), minimum(hi, f_hi)
+            hi = 2.0 * hi - lo
+        return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
 
     t_0, p1_0 = float(t[0]), float(p1[0])
-    tau_0, c_0 = t_0 / (p1_0 * p1_0), 1.0 - t_0
-    beta = np.empty(len(t))
-    beta[0] = solve_bracketed(lambda b: g(b, tau_0, c_0), *ends(tau_0, c_0, math.sqrt, max),
-                              df=lambda b: dg(b, tau_0, c_0))
+    alpha = np.empty(len(t))
+    alpha[0] = solve_bracketed(lambda a: g(a, t_0, p1_0, math), *ends(t_0, p1_0, math, max, min),
+                               df=lambda a: dg(a, t_0, p1_0, math))
     if len(t) > 1:
         t, p1 = t[1:], p1[1:]
-        tau, c = t / (p1 * p1), 1.0 - t
-        lo, hi = ends(tau, c, np.sqrt, np.maximum)
-        beta[1:] = _solve_bracketed_rows(
-            lambda b, r: g(b, tau[r], c[r]), lambda b, r: dg(b, tau[r], c[r]),
-            lo, hi, np.sqrt(tau + c * lo ** e))
-    return beta
+        lo, hi = ends(t, p1, np, np.maximum, np.minimum)
+        alpha[1:] = _solve_bracketed_rows(
+            lambda a, r: g(a, t[r], p1[r], np), lambda a, r: dg(a, t[r], p1[r], np),
+            lo, hi, 0.5 * (lo + hi))
+    return alpha
+
+
+def _upper_ratio(m: float, p1, alpha, xp=np):
+    # R = p1^2m/alpha^(2m-2) = p1^2 (alpha/p1)^(2-2m), with log(alpha/p1) from
+    # the difference alpha - p1: accurate to a few ulps both where alpha and
+    # p1 are tiny and near the boundary, where both tend to 1 and R's
+    # rounding would be amplified by 2m/(1 - R); xp is math or numpy
+    return p1 * p1 * xp.exp((2.0 - 2.0 * m) * xp.log1p((alpha - p1) / p1))
 
 
 def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
@@ -157,9 +177,11 @@ def _kobayashi_reference_sq(domain: DomainParams, p1: np.ndarray, v: np.ndarray)
     m = domain.m
     v1 = np.abs(v[:, 0])
     x = _hat_sq(v)
+    if len(p1) == 1:  # the same test on floats, which round alike
+        x_0 = float(x[0])
+        branch = 0 if x_0 == 0.0 else 1 + (m * float(v1[0]) > float(p1[0]) * math.sqrt(x_0))
+        return _BRANCH_SQ[branch](m, p1, v1, x)
     branch = (x > 0.0) * (1 + (m * v1 > p1 * np.sqrt(x)))
-    if len(branch) == 1:
-        return _BRANCH_SQ[branch[0]](m, p1, v1, x)
     k_sq = np.empty(len(p1))
     for b, branch_sq in enumerate(_BRANCH_SQ):
         rows = branch == b
@@ -184,11 +206,13 @@ def _lower_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.nda
 
 def _upper_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
     t = branch_ratio(m, p1, m * v1 / np.sqrt(x))
-    beta = _solve_beta(m, t, p1)
+    alpha = _solve_alpha(m, t, p1)
     # k = m alpha^(2m-1) |v1| / (p1 (alpha^(2m-2) - P) (m(1-t) + t)) with
-    # alpha^(2m-2) divided out: no cancellation at the branch junction, where
-    # t and alpha both tend to 1, and no underflow where P = p1^2m does
-    k = m * beta * v1 / ((1.0 - p1 * p1 * beta ** (2.0 - 2.0 * m)) * (m - (m - 1.0) * t))
+    # alpha^(2m-2) divided out, R = P/alpha^(2m-2) as in the alpha equation:
+    # no cancellation at the branch junction, where t and alpha both tend to
+    # 1, and no underflow where P = p1^2m does
+    R = _upper_ratio(m, p1, alpha)
+    k = m * alpha * v1 / (p1 * (1.0 - R) * (m - (m - 1.0) * t))
     return k * k
 
 
@@ -211,16 +235,16 @@ def kobayashi_sq(domain: DomainParams, p, v):
     p = as_vector(p, domain.n, rows=True)
     v = as_vector(v, domain.n, rows=True)
     _same_rows(p, v)
-    if p.ndim == 1:
-        return float(_kobayashi_sq(domain, p[None], v[None])[0])
-    return _kobayashi_sq(domain, p, v)
+    k_sq = _kobayashi_sq(domain, np.atleast_2d(p), np.atleast_2d(v), p.ndim)
+    return float(k_sq[0]) if p.ndim == 1 else k_sq
 
 
-def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray, ndim: int = 2) -> np.ndarray:
     # kobayashi_sq of each checked (N, n) row pair: the moved vector w at the
-    # reference coordinate, or its gauge on Z
+    # reference coordinate, or its gauge on Z; ndim = 1 words the check of w
+    # for one vector
     p1, w = _to_axis(domain, p, v)
-    _check_finite(w)  # D v overflows for v near the float limit
+    _check_finite(w if ndim == 2 else w[0])  # D v overflows for v near the float limit
     axial = (REFERENCE_AXIS_TOL <= p1) & (p1 < 1.0)
     if axial.all():
         return _kobayashi_reference_sq(domain, p1, w)

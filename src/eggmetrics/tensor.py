@@ -8,6 +8,7 @@ with holomorphic Jacobian D is then D^T R conj(D).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,9 @@ class HermitianForm:
 
 def _norm_sq(H: np.ndarray, v: np.ndarray) -> np.ndarray:
     # sum_ij H[k, i, j] v[k, i] conj(v[k, j]) of each row k; einsum would sum
-    # in an order that depends on the number of rows, these do not
-    vbar = np.conj(v)
-    return np.vecdot(vbar, np.matvec(H, vbar)).real
+    # in an order that depends on the number of rows, these sums do not
+    Hv = (H * np.conj(v)[..., None, :]).sum(axis=-1)
+    return (v * Hv).sum(axis=-1).real
 
 
 # Every regional form is invariant under phase rotation of z1 and unitary
@@ -249,11 +250,13 @@ def wu_norm(domain: DomainParams, z, v):
     v = as_vector(v, domain.n, rows=True)
     z = as_vector(z, domain.n, rows=True)
     _same_rows(z, v)
-    zs, vs = (z[None], v[None]) if z.ndim == 1 else (z, v)
+    zs = np.atleast_2d(z)
     if (_defining(domain, zs) >= 0.0).any():
         raise DomainError("point lies outside the egg")
-    norm = np.sqrt(np.maximum(_norm_sq(_wu_matrices(domain, zs), vs), 0.0))
-    return float(norm[0]) if z.ndim == 1 else norm
+    norm_sq = _norm_sq(_wu_matrices(domain, zs), np.atleast_2d(v))
+    if z.ndim == 1:
+        return math.sqrt(max(float(norm_sq[0]), 0.0))  # rounds as np.sqrt does
+    return np.sqrt(np.maximum(norm_sq, 0.0))
 
 
 def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:

@@ -230,7 +230,7 @@ class TestUpperBranchUnderflow:
 
     @pytest.mark.parametrize("m", [0.5, 2.0, 60.0])
     def test_tiny_axis_coordinate(self, m):
-        # beta runs up to 1/p1, whose square leaves the float range below
+        # alpha runs down to p1, whose square leaves the float range below
         # p1 = 1e-154: a typed error there, the alternate value above
         d = DomainParams(m=m, n=2)
         v = np.array([0.6, 0.8])
@@ -248,3 +248,55 @@ class TestUpperBranchUnderflow:
         assert bp.alpha == pytest.approx(4.0 / 3.0 * 1e-8, rel=1e-12)
         assert solve_alpha(60.0, bp.t, 1e-8) == bp.alpha
         assert kobayashi_reference(d, 1e-8, np.array([0.6, 0.8])) == pytest.approx(0.8, rel=1e-14)
+
+
+def _kobayashi_50_digits(mp, m, z, v):
+    # K(z, v) through the same reduction to the axis, in 50 digits
+    mp.mp.dps = 50
+    m = mp.mpf(m)
+    p1, phat = mp.mpc(complex(z[0])), [mp.mpc(complex(a)) for a in z[1:]]
+    v1, vhat = mp.mpc(complex(v[0])), [mp.mpc(complex(b)) for b in v[1:]]
+    s2 = 1 - mp.fsum(abs(a) ** 2 for a in phat)
+    d = mp.fsum(mp.conj(a) * b for a, b in zip(phat, vhat))
+    ref = abs(p1) / mp.sqrt(s2) ** (1 / m)
+    y = abs(v1 + p1 * d / (m * s2)) / mp.sqrt(s2) ** (1 / m)
+    x = (s2 * mp.fsum(abs(b) ** 2 for b in vhat) + abs(d) ** 2) / s2 ** 2
+    P, u = ref ** (2 * m), m * y / mp.sqrt(x)
+    t = 2 * m * m * ref ** 2 / (u ** 2 + 2 * m * (m - 1) * ref ** 2
+                                 + u * mp.sqrt(u ** 2 + 4 * m * (m - 1) * ref ** 2))
+    lo, hi = ref, mp.mpf(1)
+    for _ in range(180):
+        a = (lo + hi) / 2
+        if a ** (2 * m) - t * a ** (2 * m - 2) - (1 - t) * P < 0:
+            lo = a
+        else:
+            hi = a
+    return m * a ** (2 * m - 1) * y / (ref * (a ** (2 * m - 2) - P) * (m * (1 - t) + t))
+
+
+class TestBoundaryAccuracy:
+    """UPPER values at gauge 1 - 1e-6 keep the accuracy of the alpha-equation form.
+
+    The bounds are the largest relative errors of the former scalar code on
+    these points (6.4e-10 at m = 60, 2.1e-10 at m = 20) with a margin; a
+    form that rounds beta = alpha/p1 before raising it to the power 2 - 2m
+    reached 3.2e-9 and 4.3e-10.
+    """
+
+    @pytest.mark.parametrize("m, bound", [(20.0, 3e-10), (60.0, 1e-9)])
+    def test_against_50_digits(self, m, bound):
+        mp = pytest.importorskip("mpmath")
+        d = DomainParams(m=m, n=3)
+        rng = np.random.default_rng([int(m), 1_000_000])
+        worst, count = 0.0, 0
+        while count < 16:
+            z = rng.normal(size=3) + 1j * rng.normal(size=3)
+            z *= (1.0 - 1e-6) / minkowski_gauge(d, z)
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            p1, w = reference_coordinate(d, z), automorphism_jacobian(d, z, z) @ v
+            if branch_params(d, p1, w).branch is not Branch.UPPER:
+                continue
+            exact = _kobayashi_50_digits(mp, m, z, v)
+            worst = max(worst, float(abs(kobayashi(d, z, v) - exact) / exact))
+            count += 1
+        assert worst <= bound

@@ -105,8 +105,10 @@ class TestBoundary:
         d = DomainParams(m=2.0, n=2)
         v = np.array([1.7e308, 1.7e308])
         for p in ([0.5, 0.5], [0.0, 0.5]):
-            with pytest.raises(DomainError, match="non-finite entries"):
+            with pytest.raises(DomainError, match="^vector has non-finite entries"):
                 kobayashi(d, np.array(p, dtype=complex), v)
+            with pytest.raises(DomainError, match="^row 1 has non-finite entries"):
+                kobayashi(d, np.array([[0.1, 0.1], p], dtype=complex), np.array([[1.0, 0.0], v]))
 
     def test_rounded_reference_coordinate_is_still_checked(self):
         # inside the egg in floating point, yet the reference coordinate
