@@ -169,7 +169,7 @@ def _cmd_tensor(cfg: RunConfig, args) -> int:
     try:
         defect = kahler_defect(domain, z)
     except NumericalError:
-        defect = None  # stencil would straddle a seam
+        defect = None  # on Z or M0 the metric has no jet
     payload = _meta(cfg, region=form.region.value)
     payload.update({
         "point": args.point,
@@ -243,7 +243,7 @@ def _cmd_curvature_scan(cfg: RunConfig, args) -> int:
     records, skipped = [], []
     for p1 in p1s:
         grid = GridSpec(p1_min=p1, p1_max=p1, count=1,
-                        phat_abs=args.phat_abs, step=args.step, seed=cfg.seed,
+                        phat_abs=args.phat_abs, seed=cfg.seed,
                         directions=args.directions)
         recs, sk = curvature_scan(domain, grid)
         records.extend(recs)
@@ -355,16 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=["LOWER", "UPPER", "both"], default="both")
     p.set_defaults(handler=_cmd_kcurve)
 
-    p = subs.add_parser("curvature-scan", help="holomorphic curvature over an axis grid")
+    p = subs.add_parser("curvature-scan",
+                        help="holomorphic curvature over an axis grid, from exact metric "
+                             "jets; points on Z or M0 are skipped")
     _add_common(p)
     p.add_argument("--p1-range", dest="p1_range", default="0.15:0.9",
                    help="lo:hi axis range")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--phat-abs", dest="phat_abs", type=float, default=0.0)
-    p.add_argument("--step", type=float, default=1e-4,
-                   help="differencing step of the curvature stencil; the "
-                        "kahler_defect column keeps its own step (1e-5, or an "
-                        "eighth of the seam distance)")
     p.add_argument("--directions", type=int, default=None)
     p.set_defaults(handler=_cmd_curvature_scan)
 

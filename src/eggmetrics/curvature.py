@@ -1,11 +1,11 @@
-"""Chern-connection curvature of the Wu metric by numerical differentiation.
+"""Chern-connection curvature of the Wu metric from its exact second-order jet.
 
 The components are R[i, j, k, l] = -d2 H[i,j] / dz_k dzbar_l
 + (dH/dz_k . H^-1 . dH/dzbar_l)[i, j] in the matrix convention of
-``tensor``. Differentiation is ``numerics.wirtinger_jet``: real coordinates
-with Wirtinger recombination (the metric is not holomorphic in z, so
-complex-step tricks do not apply), one Richardson level on top of central
-differences.
+``tensor``. The derivatives are exact (``tensor._wu_jet``): the regional
+closed forms run on second-order Taylor jets in (|z1|^2, 1 - |zhat|^2) and
+the chain rule carries them to z, at one point evaluation and no step. On
+the strata Z and M0, where the metric is not C2, curvature is refused.
 
 Holomorphic sectional curvature is R(v, vbar, v, vbar) / h(v, vbar)^2 times
 ``CURVATURE_NORMALIZATION``; the constant is pinned once by the m = 1 ball,
@@ -21,31 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (
-    REGION_TOL,
-    DomainParams,
-    RegionLabel,
-    _check_step,
-    _region_of,
-    _seam_distance,
-    as_vector,
-)
+from .domain import DomainParams, RegionLabel, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
-from .tensor import (
-    KAHLER_STEP,
-    HermitianForm,
-    _defect_step,
-    _hermitian_form,
-    _jet_defect,
-    _wu_matrices,
-)
-from .numerics import _jet_from_values, _jet_stencil, wirtinger_jet
+from .tensor import HermitianForm, _hermitian_form, _jet_defect, _jet_region, _wu_jet
 
 #: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
 CURVATURE_NORMALIZATION = 1.0
-
-#: default differencing step for curvature stencils
-CURVATURE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -82,19 +63,11 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
     return CURVATURE_NORMALIZATION * np.real(num) / den ** 2
 
 
-def curvature_tensor(domain: DomainParams, z, step: float = CURVATURE_STEP) -> CurvatureTensor:
-    """Full curvature tensor at an interior point at least 8 steps from any seam."""
+def curvature_tensor(domain: DomainParams, z) -> CurvatureTensor:
+    """Full curvature tensor at an interior point off the strata Z and M0."""
     z = as_vector(z, domain.n)
-    _check_step(step)
-    region = _region_of(domain, z, REGION_TOL)
-    if region is RegionLabel.OUTSIDE:
-        raise DomainError("point lies outside the egg")
-    if _seam_distance(domain, z) < 8.0 * step:
-        raise SeamProximityError(
-            f"point is within 8 steps ({8 * step:.1e}) of a seam or the boundary")
-    # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
-    jet = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, step)
-    return _curvature(domain, z, region, *jet)
+    region = _jet_region(domain, z)
+    return _curvature(domain, z, region, *_wu_jet(domain, z))
 
 
 def _curvature(domain: DomainParams, z: np.ndarray, region: RegionLabel,
@@ -111,9 +84,9 @@ def _curvature(domain: DomainParams, z: np.ndarray, region: RegionLabel,
     return CurvatureTensor(components=R, metric=form, point=z)
 
 
-def holomorphic_curvature(domain: DomainParams, z, v, step: float = CURVATURE_STEP) -> float:
+def holomorphic_curvature(domain: DomainParams, z, v) -> float:
     """Holomorphic sectional curvature of the Wu metric at z in direction v."""
-    return curvature_tensor(domain, z, step=step).holomorphic(v)
+    return curvature_tensor(domain, z).holomorphic(v)
 
 
 def direction_sample(n: int, seed: int, count: int | None = None) -> np.ndarray:
@@ -156,13 +129,12 @@ def _build_directions(n: int, seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-grid scan specification: p1 range, count, and stencil controls."""
+    """Axis-grid scan specification: p1 range, count, offset and direction controls."""
 
     p1_min: float
     p1_max: float
     count: int
     phat_abs: float = 0.0
-    step: float = CURVATURE_STEP
     seed: int = 0
     directions: int | None = None
 
@@ -173,7 +145,6 @@ class GridSpec:
             raise DomainError("grid count must be positive")
         if not math.isfinite(self.phat_abs):
             raise DomainError(f"phat_abs must be finite, got {self.phat_abs!r}")
-        _check_step(self.step)
         if not (self.directions is None
                 or (isinstance(self.directions, int) and self.directions >= 1)):
             raise DomainError(
@@ -192,10 +163,10 @@ class CurvatureScanRecord:
 
 
 def curvature_scan(domain: DomainParams, grid: GridSpec):
-    """Directional curvature extrema over an axis grid; seam-adjacent points are skipped.
+    """Directional curvature extrema over an axis grid; points on Z or M0 are skipped.
 
-    Returns (records, skipped) where ``skipped`` lists the grid points whose
-    seam distance ruled out the stencil.
+    Returns (records, skipped) where ``skipped`` lists the grid points on
+    the strata Z and M0, where the metric is not C2.
     """
     dirs = _direction_set(domain.n, grid.seed, grid.directions)
     p1s = np.linspace(grid.p1_min, grid.p1_max, grid.count)
@@ -206,22 +177,13 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
         z[0] = p1
         if domain.n > 1 and grid.phat_abs:
             z[1] = grid.phat_abs
-        dist = _seam_distance(domain, z)
-        if dist < 8.0 * grid.step:
+        try:
+            region = _jet_region(domain, z)
+        except SeamProximityError:
             skipped.append(z)
             continue
-        region = _region_of(domain, z, REGION_TOL)
-        if region is RegionLabel.OUTSIDE:
-            raise DomainError("point lies outside the egg")
-        # the curvature stencil and kahler_defect's stencil in one batch
-        h = _defect_step(KAHLER_STEP, dist)
-        stencil = _jet_stencil(z, grid.step)
-        k = len(stencil)
-        stencil = np.concatenate([stencil, _jet_stencil(z, h, hessian=False)])
-        metrics = _wu_matrices(domain, stencil)
-        tensor = _curvature(domain, z, region,
-                            *_jet_from_values(metrics[:k], domain.n, grid.step))
-        _, dz, _ = _jet_from_values(metrics[k:], domain.n, h, hessian=False)
+        jet = _wu_jet(domain, z)
+        tensor = _curvature(domain, z, region, *jet)
         values = _sectional_values(tensor.components, tensor.metric.matrix, dirs)
         gap = math.nan
         if abs(z[0]) > 0 and np.all(z[1:] == 0):
@@ -233,7 +195,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
             region=tensor.metric.region,
             min_sectional=float(min(values)),
             max_sectional=float(max(values)),
-            kahler_defect=_jet_defect(dz),
+            kahler_defect=_jet_defect(jet[1]),
             symmetry_defect=tensor.kahler_symmetry_defect(),
             axis_cross_gap=gap,
         ))

@@ -116,12 +116,6 @@ def _check_p1(p1: float) -> None:
         raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
 
 
-def _check_step(step: float) -> None:
-    # a differencing step: finite and positive (NaN fails both tests)
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"differencing step must be finite and positive, got {step!r}")
-
-
 def defining_function(domain: DomainParams, z) -> float:
     """|z1|^2m + |zhat|^2 - 1; negative inside the egg."""
     return float(_defining(domain, as_vector(z, domain.n)))
@@ -318,8 +312,8 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
 def seam_distance(domain: DomainParams, z) -> float:
     """Conservative distance from z to the nearest of: Z, M0 (if m > 1), the boundary.
 
-    First-order estimate |f| / |grad f| on each defining expression; used to
-    size differencing stencils so they never straddle a seam.
+    First-order estimate |f| / |grad f| on each defining expression; a
+    finite-difference stencil narrower than this never straddles a seam.
     """
     return _seam_distance(domain, as_vector(z, domain.n))
 

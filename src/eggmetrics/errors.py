@@ -25,7 +25,7 @@ class NumericalError(EggMetricsError, RuntimeError):
 
 
 class SeamProximityError(NumericalError):
-    """A differencing stencil would cross a region seam or the boundary."""
+    """A derivative of the metric was asked for on Z or M0, where it is not C2."""
 
     def __init__(self, message: str):
         super().__init__(message, bracket=None)

@@ -19,7 +19,7 @@ from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
 from .errors import ConfigurationError, DomainError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
-from .numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
+from .numerics import Taylor2, _solve_bracketed_rows, abs_pow, solve_bracketed
 
 #: feasibility slack for the oracle's candidate lines (sample-set containment)
 _ORACLE_FEAS_TOL = 1e-11
@@ -93,28 +93,48 @@ def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
         return X
     s2, pm = s2[rows], pm[rows]
 
-    def g(tau, s2, pm):
-        return (s2 * s2 * tau ** (2 * m - 1) - (m + 1.0) * s2 * tau ** (m - 1)
-                + (m - 2.0) * s2 * pm * tau ** m + 2.0 * pm)
-
-    def dg(tau, s2, pm):
-        return ((2 * m - 1) * s2 * s2 * tau ** (2 * m - 2)
-                - (m + 1.0) * (m - 1.0) * s2 * tau ** (m - 2)
-                + m * (m - 2.0) * s2 * pm * tau ** (m - 1))
-
     lo, hi = s2 ** (-1.0 / m), 1.0 / pm  # tau at X = (p1/s^(1/m))^2 and at X = 1
-    off = rows[g(lo, s2, pm) >= 0.0]
+    off = rows[_tangency(m, lo, s2, pm) >= 0.0]
     if off.size:
         raise _no_root(p1[off[0]], s[off[0]])
     s2_0, pm_0 = float(s2[0]), float(pm[0])
-    X[rows[0]] = X0 = pm_0 * solve_bracketed(lambda t: g(t, s2_0, pm_0), float(lo[0]),
-                                             float(hi[0]), df=lambda t: dg(t, s2_0, pm_0))
+    X[rows[0]] = X0 = pm_0 * solve_bracketed(
+        lambda t: _tangency(m, t, s2_0, pm_0), float(lo[0]), float(hi[0]),
+        df=lambda t: _tangency_slope(m, t, s2_0, pm_0))
     if rows.size > 1:
         s2, pm = s2[1:], pm[1:]
         X[rows[1:]] = pm * _solve_bracketed_rows(
-            lambda t, r: g(t, s2[r], pm[r]), lambda t, r: dg(t, s2[r], pm[r]),
+            lambda t, r: _tangency(m, t, s2[r], pm[r]),
+            lambda t, r: _tangency_slope(m, t, s2[r], pm[r]),
             lo[1:], hi[1:], X0 / pm)
     return X
+
+
+def _tangency(m: float, tau, s2, pm):
+    # the tangency equation in tau = X/p1^2, with pm = p1^2 and s2 = s^2
+    return (s2 * s2 * tau ** (2 * m - 1) - (m + 1.0) * s2 * tau ** (m - 1)
+            + (m - 2.0) * s2 * pm * tau ** m + 2.0 * pm)
+
+
+def _tangency_slope(m: float, tau, s2, pm):
+    # d/dtau of ``_tangency``
+    return ((2 * m - 1) * s2 * s2 * tau ** (2 * m - 2)
+            - (m + 1.0) * (m - 1.0) * s2 * tau ** (m - 2)
+            + m * (m - 2.0) * s2 * pm * tau ** (m - 1))
+
+
+def _tangency_jet(domain: DomainParams, t: Taylor2, s2: Taylor2) -> Taylor2:
+    # the tangency root X as a jet in (t, s2) = (p1^2, s^2): from the float
+    # root as a constant jet, two Newton steps in jet arithmetic with the
+    # slope frozen at the float root, each making the jet exact to one more
+    # order (the implicit function theorem, order by order)
+    m = domain.m
+    tau = float(_solve_X_many(domain, np.sqrt([t.v]), np.sqrt([s2.v]))[0]) / t.v
+    slope = _tangency_slope(m, tau, s2.v, t.v)
+    tau = Taylor2(tau)
+    for _ in range(2):
+        tau = tau - _tangency(m, tau, s2, t) / slope
+    return t * tau
 
 
 def _no_root(p1: float, s: float) -> ConfigurationError:

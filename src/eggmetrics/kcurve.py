@@ -38,12 +38,15 @@ class JoiningPointDerivatives:
     contributes exactly 0, so this is the mismatch). ``d3_jump`` is the
     third derivative there, exact from the parametric pieces, and
     ``d3_expected`` its independent hand-derived closed form; the LOWER side
-    is 0, so d3_jump is the full jump.
+    is 0, so d3_jump is the full jump. ``d2_terms`` is the size of the two
+    terms whose difference is d2_match, |xd1 yd2| + |yd1 xd2| over |xd1|^3:
+    rounding leaves d2_match a few ulp of it.
     """
 
     d2_match: float
     d3_jump: float
     d3_expected: float
+    d2_terms: float
 
 
 class Convexity(enum.Enum):
@@ -222,6 +225,7 @@ def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDe
         d2_match=d2,
         d3_jump=d3,
         d3_expected=third_derivative_reference(domain, p1),
+        d2_terms=(abs(xd1 * yd2) + abs(yd1 * xd2)) / abs(xd1) ** 3,
     )
 
 

@@ -1,14 +1,13 @@
-"""Scalar numerics: stable powers, safeguarded root finding, difference stencils."""
+"""Scalar numerics: stable powers, safeguarded root finding, order-2 jets, difference stencils."""
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 
 ROOT_MAX_ITER = 200
 
@@ -153,13 +152,10 @@ def richardson(values: Sequence, order: int = 2):
     return vals[-1]
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_pairs(d: int):
-    # (row, column) indices of the strict upper triangle of a d x d matrix
-    a, b = np.triu_indices(d, 1)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+def _check_step(step: float) -> None:
+    # a differencing step: finite and positive (NaN fails both tests)
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"differencing step must be finite and positive, got {step!r}")
 
 
 def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
@@ -172,20 +168,16 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
     on top; the centre enters only the Hessian diagonal. Returns (f0, dz,
     ddbar) with f0 = f(z), dz[k] = df/dz_k and ddbar[k, l] = d2f/dz_k dzbar_l.
     When ``hessian`` is false the centre and all mixed points are skipped
-    (8n points instead of 1 + 16n^2) and f0 and ddbar are None.
+    (8n points instead of 1 + 16n^2) and f0 and ddbar are None. The package
+    differentiates the metric exactly (``Taylor2``); this is the independent
+    oracle the tests and ``verify`` hold it against.
     """
+    _check_step(step)
     z = np.asarray(z, dtype=complex)
-    return _jet_from_values(f(_jet_stencil(z, step, hessian)), z.size, step, hessian)
-
-
-def _jet_stencil(z: np.ndarray, step: float, hessian: bool = True) -> np.ndarray:
-    # the complex stencil points of ``wirtinger_jet`` at z, in the order
-    # ``_jet_from_values`` reads them: the centre, then per step the d plus
-    # and d minus points and, with the Hessian, four blocks of mixed points
     n = z.size
     d = 2 * n
     u0 = np.concatenate([z.real, z.imag])
-    a, b = _upper_pairs(d)
+    a, b = np.triu_indices(d, 1)
     blocks = [u0[None]] if hessian else []
     for h in (step, step / 2.0):
         e = h * np.eye(d)  # row a is the step along real coordinate a
@@ -194,13 +186,7 @@ def _jet_stencil(z: np.ndarray, step: float, hessian: bool = True) -> np.ndarray
         if hessian:
             blocks += [plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
     u = np.concatenate(blocks)
-    return u[:, :n] + 1j * u[:, n:]
-
-
-def _jet_from_values(values: np.ndarray, n: int, step: float, hessian: bool = True):
-    # ``wirtinger_jet``'s (f0, dz, ddbar) from the values of f on ``_jet_stencil``
-    d = 2 * n
-    a, b = _upper_pairs(d)
+    values = f(u[:, :n] + 1j * u[:, n:])
     p = len(a)
     center = values[0] if hessian else None
     i = 1 if hessian else 0
@@ -223,6 +209,86 @@ def _jet_from_values(values: np.ndarray, n: int, step: float, hessian: bool = Tr
     HH = richardson(hessians, order=2)
     ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
     return center, dz, ddbar
+
+
+class Taylor2:
+    """Truncated Taylor polynomial of order 2 in two real variables (t, s).
+
+    Parts: the value ``v``, the partials ``t``, ``s`` and ``tt``, ``ts``,
+    ``ss``, each a float or a numpy row. +, -, *, /, real ** and ``log`` on
+    jets and numbers carry all six, so a float formula fed ``variables``
+    gives its exact second-order jet, its value computed as the float code
+    computes it (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).
+    """
+
+    __slots__ = ("v", "t", "s", "tt", "ts", "ss")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, v, t=0.0, s=0.0, tt=0.0, ts=0.0, ss=0.0):
+        self.v, self.t, self.s, self.tt, self.ts, self.ss = v, t, s, tt, ts, ss
+
+    @classmethod
+    def variables(cls, t, s):
+        return cls(t, 1.0), cls(s, 0.0, 1.0)  # the coordinate jets at (t, s)
+
+    def _compose(self, f0, f1, f2):
+        # phi(self) from phi, phi' and phi'' at the value
+        t, s = self.t, self.s
+        return Taylor2(f0, f1 * t, f1 * s, f2 * t * t + f1 * self.tt,
+                       f2 * t * s + f1 * self.ts, f2 * s * s + f1 * self.ss)
+
+    def __add__(self, o):
+        if type(o) is not Taylor2:
+            return Taylor2(self.v + o, self.t, self.s, self.tt, self.ts, self.ss)
+        return Taylor2(self.v + o.v, self.t + o.t, self.s + o.s,
+                       self.tt + o.tt, self.ts + o.ts, self.ss + o.ss)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is not Taylor2:
+            return Taylor2(self.v * o, self.t * o, self.s * o,
+                           self.tt * o, self.ts * o, self.ss * o)
+        a, at, as_, b, bt, bs = self.v, self.t, self.s, o.v, o.t, o.s
+        return Taylor2(a * b, a * bt + at * b, a * bs + as_ * b,
+                       a * o.tt + 2.0 * at * bt + self.tt * b,
+                       a * o.ts + at * bs + as_ * bt + self.ts * b,
+                       a * o.ss + 2.0 * as_ * bs + self.ss * b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is not Taylor2:
+            return Taylor2(self.v / o, self.t / o, self.s / o,
+                           self.tt / o, self.ts / o, self.ss / o)
+        # q = self / o solves q o = self order by order
+        b, bt, bs = o.v, o.t, o.s
+        q = self.v / b
+        qt, qs = (self.t - q * bt) / b, (self.s - q * bs) / b
+        return Taylor2(q, qt, qs, (self.tt - 2.0 * qt * bt - q * o.tt) / b,
+                       (self.ts - qt * bs - qs * bt - q * o.ts) / b,
+                       (self.ss - 2.0 * qs * bs - q * o.ss) / b)
+
+    def __rtruediv__(self, o):
+        return Taylor2(o) / self
+
+    def __pow__(self, p):
+        x = self.v
+        f1 = p * x ** (p - 1.0)
+        return self._compose(x ** p, f1, (p - 1.0) * f1 / x)
+
+    def log(self):
+        x = self.v
+        return self._compose(np.log(x), 1.0 / x, -1.0 / (x * x))
 
 
 def centered_difference_sum(f: Callable[[float], float], q: int, h: float) -> float:

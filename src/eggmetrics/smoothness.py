@@ -32,6 +32,9 @@ STEP_SCALES: tuple[float, ...] = tuple(1e-2 * 10 ** (-0.5 * j) for j in range(7)
 #: base step for one-sided jump stencils
 JUMP_STEP = 1e-3
 
+#: rounding of the junction's d2, in ulps of the size of its two terms
+_JUNCTION_D2_ULPS = 8.0
+
 _MIN_FIT_POINTS = 4
 _SLOPE_DEFECT_MARGIN = 0.15
 _R2_FLOOR = 0.9
@@ -250,15 +253,19 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
         reports = []
         for p1 in (0.3, 0.5, 0.7):
             d = joining_point_derivatives(domain, p1)
+            # d2 is the difference of two terms; its rounding is ulps of them
+            noise = _JUNCTION_D2_ULPS * np.finfo(float).eps * d.d2_terms
             reports.append(SmoothnessReport(
                 path=f"JUNCTION:p1={p1}", order=2, exponent=1.0,
-                jump=d.d2_match, jump_noise=1e-9, r_squared=1.0,
+                jump=d.d2_match, jump_noise=noise, r_squared=1.0,
                 step_range=(0.0, 0.0), n_scales=0,
-                verdict="smooth" if abs(d.d2_match) < 1e-8 else "jump"))
-            rel = abs(d.d3_jump - d.d3_expected) / max(abs(d.d3_expected), 1e-300)
+                verdict="jump" if abs(d.d2_match) > 10.0 * noise else "smooth"))
+            # d3 against its independent closed form: their gap is the noise,
+            # which stays finite where the expected jump is 0 (the ball)
             reports.append(SmoothnessReport(
                 path=f"JUNCTION:p1={p1}", order=3, exponent=1.0,
-                jump=d.d3_jump, jump_noise=abs(d.d3_jump) * max(rel, 1e-12),
+                jump=d.d3_jump,
+                jump_noise=max(abs(d.d3_jump - d.d3_expected), 1e-12 * abs(d.d3_jump)),
                 r_squared=1.0, step_range=(0.0, 0.0), n_scales=0,
                 verdict="jump" if d.d3_expected != 0 else "smooth"))
         return reports

@@ -8,6 +8,7 @@ with holomorphic Jacobian D is then D^T R conj(D).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,20 +22,15 @@ from .domain import (
     _M0_WEIGHT,
     _Z_FORMULA_TOL,
     _check_p1,
-    _check_step,
     _defining,
     _region_of,
     _same_rows,
-    _seam_distance,
     _to_axis,
     as_vector,
 )
 from .errors import DomainError, SeamProximityError
-from .fitting import _fit_rows, _solve_X_many
-from .numerics import wirtinger_jet
-
-#: default holomorphic-differencing step for the Kahler defect
-KAHLER_STEP = 1e-5
+from .fitting import _fit_rows, _solve_X_many, _tangency_jet
+from .numerics import Taylor2
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,10 @@ def _norm_sq(H: np.ndarray, v: np.ndarray) -> np.ndarray:
 # rotation of zhat, so at each point it has the shape
 #   H[0, 0] = a,  H[0, j] = b conj(z1) z_j,  H[i, j] = c delta_ij + e conj(z_i) z_j
 # for i, j >= 1. Each closed form below maps rows of t = |z1|^2 and
-# s2 = 1 - |zhat|^2 to its coefficients (a, b, c, e). Squared moduli are
-# summed from real and imaginary parts: numpy's complex abs is a few ulp
-# off, which a differencing stencil amplifies.
+# s2 = 1 - |zhat|^2 to its coefficients (a, b, c, e); fed ``Taylor2`` jets
+# of t and s2 instead, the same code gives the coefficients' exact jets.
+# Squared moduli are summed from real and imaginary parts: numpy's complex
+# abs is a few ulp off.
 
 
 def _chord_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
@@ -98,7 +95,10 @@ def _inner_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
     # inner region, m > 1: driven by the tangency root X at (|z1|, sqrt(s2))
     m = domain.m
     P = t ** m
-    X = _solve_X_many(domain, np.sqrt(t), np.sqrt(s2))
+    if isinstance(t, Taylor2):
+        X = _tangency_jet(domain, t, s2)
+    else:
+        X = _solve_X_many(domain, np.sqrt(t), np.sqrt(s2))
     G = m * X ** (m - 1) - (m - 1.0) * X ** m
     Fs = s2 * G - P
     c0 = s2 * X ** (2 * m - 1) / (2.0 * Fs * Fs)
@@ -259,30 +259,88 @@ def wu_norm(domain: DomainParams, z, v):
     return np.sqrt(np.maximum(norm_sq, 0.0))
 
 
-def kahler_defect(domain: DomainParams, z, step: float = KAHLER_STEP) -> float:
+def kahler_defect(domain: DomainParams, z) -> float:
     """max_ijk |d h_ij / dz_k - d h_kj / dz_i|, the first-order Kahler obstruction.
 
-    Differencing steps shrink to an eighth of the distance to the nearest
-    seam so stencils never mix regional formulas; on a seam the probe is
-    refused outright.
+    Exact, from the metric's jet (``_wu_jet``); refused with
+    ``SeamProximityError`` on Z and M0, where the metric is not C2.
     """
     z = as_vector(z, domain.n)
-    _check_step(step)
-    if _defining(domain, z) >= 0.0:
+    _jet_region(domain, z)
+    return _jet_defect(_wu_jet(domain, z)[1])
+
+
+def _jet_region(domain: DomainParams, z: np.ndarray) -> RegionLabel:
+    # the region of a checked point that has a jet: not outside, and not on
+    # Z or M0, where the Wu metric is not C2
+    region = _region_of(domain, z, REGION_TOL)
+    if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    h = _defect_step(step, _seam_distance(domain, z))
-    # looked up at call time, so a rebound ``_wu_matrices`` sees every stencil
-    _, dz, _ = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, h, hessian=False)
-    return _jet_defect(dz)
-
-
-def _defect_step(step: float, dist: float) -> float:
-    # the step kahler_defect differences with at seam distance dist
-    h = min(step, dist / 8.0)
-    if h < 1e-9:
+    if region in (RegionLabel.Z, RegionLabel.M_ZERO):
         raise SeamProximityError(
-            f"point is {dist:.2e} from a seam; differencing step would collapse")
-    return h
+            f"point lies on the stratum {region.value}, where the Wu metric is not C2")
+    return region
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(n: int):
+    # constant arrays at dimension n: per index 0 for z1 and 1 for zhat; per
+    # index pair 0 on (z1, z1), 1 on the mixed pairs and 2 on the zhat block;
+    # each entry's coefficient row in (a, b, c, e); the identity; the
+    # diagonal of the zhat block; and delta_il delta_jk as [i, j, k, l]
+    side = np.minimum(np.arange(n), 1)
+    pair = side[:, None] + side[None, :]
+    eye = np.eye(n)
+    arrays = (side, pair, np.array([0, 1, 3])[pair], eye, np.diag(side.astype(float)),
+              eye[:, None, None, :] * eye[None, :, :, None])
+    for a in arrays:
+        a.setflags(write=False)  # shared by every caller
+    return arrays
+
+
+def _chain(z: np.ndarray, jets):
+    """Values, Wirtinger gradients and complex Hessians at z of jets in (t, s2).
+
+    With t = |z1|^2 and s2 = 1 - |zhat|^2, dt/dz_k = conj(z1) delta_k1 and
+    ds2/dz_k = -conj(z_k) for k >= 2, so by the chain rule df/dz_k is conj(z_k)
+    times a first partial and d2f/dz_k dzbar_l is conj(z_k) z_l times a second
+    partial, plus a first partial on the diagonal; the blocks of k and l pick
+    the partials. Returns the (Q,) values and the (Q, n) and (Q, n, n) rows.
+    """
+    side, pair, _, eye, _, _ = _blocks(z.size)
+    parts = np.array([(f.v, f.t, -f.s, f.tt, -f.ts, f.ss) for f in jets])
+    zc = np.conj(z)
+    first = parts[:, 1:3][:, side]
+    dd = parts[:, 3:][:, pair] * (zc[:, None] * z) + first[:, :, None] * eye
+    return parts[:, 0], first * zc, dd
+
+
+def _wu_jet(domain: DomainParams, z: np.ndarray):
+    """(H, dH/dz, d2H/dz dzbar) at a checked point off the seams, in ``wirtinger_jet``'s layout.
+
+    The regional form runs on ``Taylor2`` jets of (t, s2); the product rule
+    then differentiates the monomials conj(z_i) z_j (none on H[0, 0]):
+    d/dz_k gives conj(z_i) delta_jk, d/dzbar_l delta_il z_j, both delta_il delta_jk.
+    """
+    _, _, coef, eye, hat, swap = _blocks(z.size)
+    t, q = _moduli(z[None])
+    kind = _formula_kind(domain, t, q)[0]
+    value, d, dd = _chain(z, _FORMS[kind](domain, *Taylor2.variables(float(t[0]),
+                                                                      1.0 - float(q[0]))))
+    zc = np.conj(z)
+    mono = zc[:, None] * z
+    mono[0, 0] = 1.0
+    A, dA = value[coef], d[coef]
+    H = A * mono + value[2] * hat
+    A[0, 0] = 0.0  # H[0, 0] = a carries no monomial
+    grad = dA * z[:, None]  # dA_ij/dz_k z_j as [i, j, k], met by d/dzbar_i of the monomial
+    grad[0, 0] = 0.0
+    # built as [i, j, k] and [i, j, k, l], transposed on return
+    dH = dA * mono[:, :, None] + (A * zc[:, None])[:, :, None] * eye + hat[:, :, None] * d[2]
+    ddH = (dd[coef] * mono[:, :, None, None] + grad[:, :, :, None] * eye[:, None, None, :]
+           + np.conj(grad).transpose(1, 0, 2)[:, :, None, :] * eye[None, :, :, None]
+           + A[:, :, None, None] * swap + hat[:, :, None, None] * dd[2])
+    return H, dH.transpose(2, 0, 1), ddH.transpose(2, 3, 0, 1)
 
 
 def _jet_defect(dz: np.ndarray) -> float:

@@ -45,15 +45,11 @@ from .kcurve import (
     kcurve_sample,
     square_convexity_check,
 )
-from .kobayashi import (
-    branch_params,
-    kobayashi,
-    kobayashi_alt_upper,
-    kobayashi_reference,
-)
-from .numerics import wirtinger_jet
+from .kobayashi import branch_params, kobayashi, kobayashi_alt_upper
+from .numerics import Taylor2, wirtinger_jet
 from .smoothness import holder_exponent, regularity_scan
-from .tensor import _moduli, kahler_defect, pullback_tensor, wu_norm, wu_tensor
+from .tensor import (_chain, _moduli, _wu_jet, _wu_matrices, kahler_defect, pullback_tensor,
+                     wu_norm, wu_tensor)
 
 
 @dataclass(frozen=True)
@@ -133,27 +129,28 @@ def check_automorphism(domain: DomainParams, rng: np.random.Generator) -> tuple[
 
 def check_branch_junction(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     m = domain.m
-    worst_val = worst_d1 = 0.0
-    for p1 in (0.25, 0.5, 0.8):
-        vhat = np.zeros(domain.n - 1, dtype=complex)
-        vhat[0] = 1.0
-
-        def k_of_u(u: float) -> float:
-            v = np.concatenate(([u / m], vhat))
-            return kobayashi_reference(domain, p1, v)
-
-        v_j = np.concatenate(([p1 / m], vhat))
-        k_low = kobayashi_reference(domain, p1, v_j)
+    p1s = (0.25, 0.5, 0.8)
+    h = 1e-4
+    vhat = np.zeros(domain.n - 1, dtype=complex)
+    vhat[0] = 1.0
+    for p1 in p1s:
         bp = branch_params(domain, p1, np.concatenate(([p1 * (1 + 1e-13) / m], vhat)))
         if bp.branch is not Branch.UPPER:
             return False, f"tie-breaking failed just above the junction at p1={p1}"
-        # evaluation just above the junction must agree with the LOWER value
-        k_up = kobayashi_reference(domain, p1, np.concatenate(([p1 * (1 + 1e-12) / m], vhat)))
-        worst_val = max(worst_val, _rel(k_low, k_up))
-        h = 1e-4
-        d_minus = (3 * k_of_u(p1) - 4 * k_of_u(p1 - h) + k_of_u(p1 - 2 * h)) / (2 * h)
-        d_plus = (-3 * k_of_u(p1) + 4 * k_of_u(p1 + h) - k_of_u(p1 + 2 * h)) / (2 * h)
-        worst_d1 = max(worst_d1, abs(d_plus - d_minus))
+    # per p1, K at v = (u/m, vhat) for u at the junction, just above it (must
+    # agree with the LOWER value) and on one-sided stencils either side;
+    # kobayashi at the axis points (p1, 0, ..., 0) is kobayashi_reference
+    u = np.array([(p1, p1 * (1 + 1e-12), p1 - h, p1 - 2 * h, p1 + h, p1 + 2 * h)
+                  for p1 in p1s]).ravel()
+    axis = np.zeros((len(u), domain.n))
+    axis[:, 0] = np.repeat(p1s, 6)
+    vecs = np.zeros((len(u), domain.n), dtype=complex)
+    vecs[:, 0], vecs[:, 1:] = u / m, vhat
+    k0, k_up, k_m1, k_m2, k_p1, k_p2 = kobayashi(domain, axis, vecs).reshape(len(p1s), -1).T
+    worst_val = float(np.max(_rel(k0, k_up)))
+    d_minus = (3 * k0 - 4 * k_m1 + k_m2) / (2 * h)
+    d_plus = (-3 * k0 + 4 * k_p1 - k_p2) / (2 * h)
+    worst_d1 = float(np.max(np.abs(d_plus - d_minus)))
     ok = worst_val < 1e-10 and worst_d1 < 1e-6
     return ok, f"junction value gap {worst_val:.1e}, one-sided d1 gap {worst_d1:.1e}"
 
@@ -180,6 +177,7 @@ def check_alt_upper(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
 
 def check_kcurves(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
+    p1s, vs = [], []
     for p1 in (0.3, 0.6, 0.85):
         for branch in (Branch.UPPER, Branch.LOWER):
             for alpha in kcurve_alpha_grid(domain, p1, branch, 48):
@@ -187,12 +185,18 @@ def check_kcurves(domain: DomainParams, rng: np.random.Generator) -> tuple[bool,
                 v = np.zeros(domain.n, dtype=complex)
                 v[0] = math.sqrt(s.y)
                 v[1] = math.sqrt(s.x)
-                worst = max(worst, abs(kobayashi_reference(domain, p1, v) ** 2 - 1.0))
+                p1s.append(p1)
+                vs.append(v)
         up = kcurve_sample(domain, p1, Branch.UPPER, 1.0)
         lo = kcurve_sample(domain, p1, Branch.LOWER, 1.0)
         jp = joining_point(domain, p1)
         worst = max(worst, abs(up.x - lo.x), abs(up.y - lo.y),
                     abs(up.x - jp[0]), abs(up.y - jp[1]))
+    # kobayashi at the axis points (p1, 0, ..., 0) is kobayashi_reference
+    axis = np.zeros((len(p1s), domain.n))
+    axis[:, 0] = p1s
+    K = kobayashi(domain, axis, np.array(vs))
+    worst = max(worst, float(np.max(np.abs(K ** 2 - 1.0))))
     return worst < 1e-10, f"worst indicatrix residual {worst:.2e}"
 
 
@@ -285,11 +289,8 @@ _POTENTIAL_DRAWS = 1000
 
 
 def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    # outer-region tensor equals the complex Hessian of -log(1 - gauge^2m form)
-    def potential(w):
-        t, q = _moduli(w)  # |w1|^2 and |what|^2
-        return -np.log(1.0 - t ** domain.m - q)
-
+    # outer-region tensor equals the exact complex Hessian of
+    # -log(1 - |z1|^2m - |zhat|^2), from its jet in (|z1|^2, 1 - |zhat|^2)
     lo, hi = 0.9 * domain.m0_radius + 0.1, 0.97
     if lo >= hi:  # m above about 10.2: draw |z1| from the whole axis span of M+
         lo, hi = domain.m0_radius, 1.0
@@ -308,7 +309,9 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
                 f"no M+ point 1e-3 from every seam in {_POTENTIAL_DRAWS} draws "
                 f"(M+ is {1.0 - domain.m0_radius:.1e} wide on the axis)")
 
-        _, _, complex_hess = wirtinger_jet(potential, z, 1e-4)
+        t, q = _moduli(z[None])
+        t, s2 = Taylor2.variables(float(t[0]), 1.0 - float(q[0]))
+        complex_hess = _chain(z, [-(s2 - t ** domain.m).log()])[2][0]
         H = wu_tensor(domain, z).matrix
         worst = max(worst, float(np.max(np.abs(complex_hess - H))))
     return worst < 1e-6, f"worst |hessian - tensor| {worst:.2e}"
@@ -334,6 +337,13 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     gap_z = float(np.max(np.abs(z0 - z1))) / float(np.max(np.abs(z0)))
     ok = gap < 1e-8 and gap_t < 1e-5 and gap_z < 1e-5
     return ok, f"fit seam gap {gap:.1e}, tensor M0 gap {gap_t:.1e}, Z gap {gap_z:.1e}"
+
+
+def _axis_point(domain: DomainParams, p1: float, z2: complex = 0.0) -> np.ndarray:
+    # the point (p1, z2, 0, ..., 0)
+    z = np.zeros(domain.n, dtype=complex)
+    z[0], z[1] = p1, z2
+    return z
 
 
 def check_kahler(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
@@ -371,38 +381,31 @@ def check_kahler(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, 
 def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     m = domain.m
     dirs = direction_sample(domain.n, seed=7, count=8)
-    msgs = []
-    ok = True
-    values = []
     if m == 1.0:
         pts = [_sample_interior(domain, rng, scale=0.5) for _ in range(3)]
     elif m > 1.0:
-        pts = []
         thr = domain.m0_radius
-        for p1 in np.linspace(0.55 * thr, 0.9 * thr, 2):
-            z = np.zeros(domain.n, dtype=complex)
-            z[0] = p1
-            pts.append(z)
-        for frac in (0.35, 0.85):
-            z = np.zeros(domain.n, dtype=complex)
-            z[0] = thr + frac * (0.985 - thr)
-            pts.append(z)
+        pts = [_axis_point(domain, p1) for p1 in np.linspace(0.55 * thr, 0.9 * thr, 2)]
+        pts += [_axis_point(domain, thr + frac * (0.985 - thr)) for frac in (0.35, 0.85)]
     else:
-        pts = []
-        for p1 in (0.2, 0.5, 0.8):
-            z = np.zeros(domain.n, dtype=complex)
-            z[0] = p1
-            pts.append(z)
+        pts = [_axis_point(domain, p1) for p1 in (0.2, 0.5, 0.8)]
+    ok = True
+    values = []
+    gap = 0.0
     for z in pts:
         tensor = curvature_tensor(domain, z)
+        # the exact second derivatives against the independent difference oracle
+        exact = _wu_jet(domain, z)[2]
+        fd = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, 1e-4)[2]
+        gap = max(gap, float(np.max(np.abs(exact - fd)) / np.max(np.abs(exact))))
         vals = [tensor.holomorphic(v) for v in dirs]
         values.extend(vals)
         region = classify_region(domain, z)
         if m == 1.0 or region is RegionLabel.M_PLUS:
             ok &= all(abs(v + 2.0) < 1e-3 for v in vals)
-    ok &= all(v < -0.1 for v in values)
-    msgs.append(f"sectional range [{min(values):.4f}, {max(values):.4f}]")
-    return ok, "; ".join(msgs)
+    ok &= all(v < -0.1 for v in values) and gap <= 1e-6
+    return ok, (f"sectional range [{min(values):.4f}, {max(values):.4f}]; "
+                f"exact-vs-difference ddbar gap {gap:.1e}")
 
 
 def check_joining_derivatives(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:

@@ -9,6 +9,7 @@ from eggmetrics import (
     RegionLabel,
     SeamProximityError,
     automorphism_jacobian,
+    classify_region,
     curvature_scan,
     curvature_tensor,
     direction_sample,
@@ -101,10 +102,15 @@ class TestInvariances:
                                                       abs=1e-10)
 
     def test_step_robustness(self):
+        # the exact curvature against the difference oracle at two steps
         d = DomainParams(m=2.0, n=2)
-        a = holomorphic_curvature(d, [0.9, 0.0], [1.0, 0.3], step=1e-4)
-        b = holomorphic_curvature(d, [0.9, 0.0], [1.0, 0.3], step=5e-5)
-        assert abs(a - b) < 1e-4
+        z, v = np.array([0.9, 0.0]), np.array([1.0, 0.3])
+        exact = holomorphic_curvature(d, z, v)
+        for step in (1e-4, 5e-5):
+            jet = wirtinger_jet(lambda w: tensor_module._wu_matrices(d, w), z, step)
+            region = classify_region(d, z)
+            fd = curvature_module._curvature(d, z, region, *jet).holomorphic(v)
+            assert abs(exact - fd) < 1e-4
 
     @pytest.mark.parametrize("m", [0.75, 2.0])
     def test_automorphism_invariance(self, m):
@@ -176,9 +182,14 @@ class TestScan:
             assert np.max(np.abs(R - swapped)) < 1e-6 * np.max(np.abs(R))
 
     def test_seam_proximity_raises(self):
+        # only the strata themselves are refused: a point 1e-6 off M0 has
+        # its exact jet, points on M0 and on Z have none
         d = DomainParams(m=2.0, n=2)
-        with pytest.raises(SeamProximityError):
-            curvature_tensor(d, [d.m0_radius + 1e-6, 0.0])
+        near = curvature_tensor(d, [d.m0_radius + 1e-6, 0.0])
+        assert np.all(np.isfinite(near.components))
+        for z in ([d.m0_radius, 0.0], [0.0, 0.5], [1e-11, 0.5]):
+            with pytest.raises(SeamProximityError):
+                curvature_tensor(d, z)
 
 
 def _reference_direction_sample(n, seed, count=None):
@@ -240,58 +251,64 @@ def _reference_wirtinger_jet(f, z, step, hessian=True):
 
 
 def _counted_batches(monkeypatch):
-    # sizes of the ``_wu_matrices`` batches made from curvature and tensor
-    original = tensor_module._wu_matrices
-    batches = []
+    # sizes of the ``_wu_matrices`` batches and the points of the exact jets
+    # made from curvature and tensor
+    original, original_jet = tensor_module._wu_matrices, tensor_module._wu_jet
+    batches, jets = [], []
 
     def counted(domain, z):
         batches.append(len(z))
         return original(domain, z)
 
-    monkeypatch.setattr(curvature_module, "_wu_matrices", counted)
-    monkeypatch.setattr(tensor_module, "_wu_matrices", counted)
-    return batches
+    def counted_jet(domain, z):
+        jets.append(z)
+        return original_jet(domain, z)
+
+    for module in (curvature_module, tensor_module):
+        monkeypatch.setattr(module, "_wu_matrices", counted, raising=False)
+        monkeypatch.setattr(module, "_wu_jet", counted_jet)
+    return batches, jets
 
 
 class TestOneBatchPerGridPoint:
     @pytest.mark.parametrize("n", [2, 4])
     def test_one_batch_per_grid_point(self, monkeypatch, n):
-        # the curvature stencil (1 + 16 n^2 points) and kahler_defect's
-        # (8 n points) go to the regional tensors together
-        per_point = 1 + 16 * n * n + 8 * n
-        batches = _counted_batches(monkeypatch)
+        # each grid point is one exact jet evaluation at the point itself,
+        # shared by the curvature and the Kahler defect; no stencil batch
+        batches, jets = _counted_batches(monkeypatch)
         d = DomainParams(m=2.0, n=n)
         curvature_scan(d, GridSpec(p1_min=0.9, p1_max=0.9, count=1, phat_abs=0.05))
-        assert batches == [per_point]
-        batches.clear()
+        assert batches == [] and len(jets) == 1
+        assert jets[0][0] == 0.9 and jets[0][1] == 0.05
+        jets.clear()
         records, skipped = curvature_scan(d, GridSpec(p1_min=0.3, p1_max=0.9, count=3))
         assert len(records) == 3 and not skipped
-        assert batches == [per_point] * 3
+        assert batches == [] and [z[0] for z in jets] == list(np.linspace(0.3, 0.9, 3))
 
     def test_skipped_point_makes_no_batch(self, monkeypatch):
-        batches = _counted_batches(monkeypatch)
+        batches, jets = _counted_batches(monkeypatch)
         d = DomainParams(m=2.0, n=2)
         thr = d.m0_radius
         records, skipped = curvature_scan(d, GridSpec(p1_min=thr, p1_max=thr, count=1))
-        assert not records and len(skipped) == 1 and batches == []
+        assert not records and len(skipped) == 1 and batches == [] and jets == []
 
     @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_defect_is_kahler_defect(self, m, n):
         d = DomainParams(m=m, n=n)
         for ph in (0.0, 0.1):
-            grid = GridSpec(p1_min=0.2, p1_max=0.95, count=4, phat_abs=ph, step=2e-4)
+            grid = GridSpec(p1_min=0.2, p1_max=0.95, count=4, phat_abs=ph)
             records, _ = curvature_scan(d, grid)
             assert records
             for rec in records:
-                expected = kahler_defect(d, rec.point)
-                assert rec.kahler_defect == pytest.approx(expected, rel=1e-8, abs=1e-9)
+                # the same jet, so the same number
+                assert rec.kahler_defect == kahler_defect(d, rec.point)
 
     def test_scan_fields_match_curvature_tensor(self):
         d = DomainParams(m=2.0, n=3)
         grid = GridSpec(p1_min=0.4, p1_max=0.4, count=1, phat_abs=0.1, seed=3)
         (rec,), _ = curvature_scan(d, grid)
-        tensor = curvature_tensor(d, rec.point, step=grid.step)
+        tensor = curvature_tensor(d, rec.point)
         values = [tensor.holomorphic(v) for v in direction_sample(3, seed=3)]
         assert rec.min_sectional == pytest.approx(min(values), rel=1e-12)
         assert rec.max_sectional == pytest.approx(max(values), rel=1e-12)
@@ -340,26 +357,26 @@ class TestWirtingerJet:
 
     @pytest.mark.parametrize("n,per_curvature", [(2, 65), (4, 257)])
     def test_wu_tensor_calls_per_stencil(self, monkeypatch, n, per_curvature):
-        # the whole stencil goes to the regional tensors in one batch: the
-        # 1 + 16 n^2 jet points (the centre gives the metric at z) for the
-        # curvature, 8 n for the first-order Kahler defect
-        original = tensor_module._wu_matrices
-        batches = []
-
-        def counted(domain, z):
-            batches.append(len(z))
-            return original(domain, z)
-
-        monkeypatch.setattr(curvature_module, "_wu_matrices", counted)
-        monkeypatch.setattr(tensor_module, "_wu_matrices", counted)
+        # the difference oracle sends its whole stencil to the regional
+        # tensors in one batch: the 1 + 16 n^2 jet points (the centre gives
+        # the metric at z), 8 n without the Hessian; the exact curvature and
+        # Kahler defect send none
+        batches, jets = _counted_batches(monkeypatch)
         d = DomainParams(m=2.0, n=n)
         z = np.zeros(n, dtype=complex)
         z[0] = 0.9
         z[1] = 0.05
         curvature_tensor(d, z)
+        kahler_defect(d, z)
+        assert batches == [] and len(jets) == 2
+
+        def f(w):
+            return tensor_module._wu_matrices(d, w)
+
+        wirtinger_jet(f, z, 1e-4)
         assert batches == [per_curvature]
         batches.clear()
-        kahler_defect(d, z)
+        wirtinger_jet(f, z, 1e-4, hessian=False)
         assert batches == [8 * n]
 
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -136,6 +136,29 @@ class TestSeamScans:
         assert (2, "smooth") in orders
         assert (3, "jump") in orders
 
+    @pytest.mark.parametrize("m", [0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0])
+    def test_junction_d2_is_judged_against_its_terms(self, m):
+        # the junction is C2 at every m; at m = 5, p1 = 0.3 d2 reads 1.1e-8
+        # from terms near 6e7, which an absolute 1e-8 bar called a jump
+        reps = [r for r in regularity_scan(DomainParams(m=m, n=2), "JUNCTION") if r.order == 2]
+        assert [r.path for r in reps] == ["JUNCTION:p1=0.3", "JUNCTION:p1=0.5", "JUNCTION:p1=0.7"]
+        for r in reps:
+            assert r.verdict == "smooth" and not r.jump_detected
+            assert math.isfinite(r.jump_noise)
+        if m == 5.0:
+            assert abs(reps[0].jump) > 1e-8
+
+    def test_junction_d3_noise_is_finite_on_the_ball(self):
+        # on the ball the expected jump is 0: the noise is the gap between
+        # the exact d3 and its closed form, a rounding-level number
+        for r in regularity_scan(DomainParams(m=1.0, n=2), "JUNCTION"):
+            if r.order == 3:
+                assert r.verdict == "smooth" and not r.jump_detected
+                assert r.jump_noise <= 1e-12
+        for r in regularity_scan(DomainParams(m=1.0 + 1e-7, n=2), "JUNCTION"):
+            if r.order == 3:
+                assert r.verdict == "jump" and r.jump_detected
+
     def test_m0_scan_requires_large_m(self):
         with pytest.raises(ConfigurationError):
             regularity_scan(DomainParams(m=0.75, n=2), "M0", component="h11")

@@ -32,6 +32,7 @@ from eggmetrics import (
     wu_tensor,
 )
 from eggmetrics import domain as domain_module
+from eggmetrics.numerics import wirtinger_jet
 
 D = DomainParams(m=2.0, n=3)
 Z = np.array([0.3, 0.2j, -0.1])          # inner region, far from every seam
@@ -229,12 +230,19 @@ BAD_STEPS = [0.0, -1e-4, math.nan, math.inf, -math.inf]
 
 
 class TestStencilControls:
-    """Grid, step and direction controls are checked before any stencil is built."""
+    """Grid and direction controls are checked before any jet is taken.
+
+    The curvature and the Kahler defect are exact and take no step; only the
+    difference oracle ``wirtinger_jet`` has one.
+    """
 
     @pytest.mark.parametrize("step", BAD_STEPS)
     def test_grid_step_must_be_finite_and_positive(self, step):
-        with pytest.raises(DomainError, match="differencing step"):
-            GridSpec(p1_min=0.3, p1_max=0.6, count=2, step=step)
+        # the grid has no step any more: one passed, bad or good, is an
+        # error, not a control that is silently ignored
+        for value in (step, 1e-4):
+            with pytest.raises(TypeError, match="step"):
+                GridSpec(p1_min=0.3, p1_max=0.6, count=2, step=value)
 
     @pytest.mark.parametrize("directions", [0, -3, 2.5])
     def test_grid_directions_must_be_a_positive_integer(self, directions):
@@ -249,16 +257,21 @@ class TestStencilControls:
 
     def test_valid_grid_controls(self):
         assert GridSpec(p1_min=0.3, p1_max=0.6, count=2, directions=1).directions == 1
-        assert GridSpec(p1_min=0.3, p1_max=0.6, count=2, step=5e-5).step == 5e-5
 
     @pytest.mark.parametrize("step", BAD_STEPS)
     def test_stencil_consumers_refuse_the_step(self, step):
-        with pytest.raises(DomainError, match="differencing step"):
+        # the exact consumers take no step at all; the difference oracle
+        # refuses a bad one before it evaluates anything
+        with pytest.raises(TypeError, match="step"):
             curvature_tensor(D, Z, step=step)
-        with pytest.raises(DomainError, match="differencing step"):
+        with pytest.raises(TypeError, match="step"):
             holomorphic_curvature(D, Z, V, step=step)
-        with pytest.raises(DomainError, match="differencing step"):
+        with pytest.raises(TypeError, match="step"):
             kahler_defect(D, Z, step=step)
+        calls = []
+        with pytest.raises(DomainError, match="differencing step"):
+            wirtinger_jet(lambda w: calls.append(w) or np.zeros(len(w)), Z, step)
+        assert calls == []
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_direction_count_must_be_positive(self, count):
