@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import DomainParams, RegionLabel, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
-from .tensor import HermitianForm, _hermitian_form, _jet_defect, _jet_region, _wu_jet
+from .tensor import HermitianForm, _jet_defect, _jet_region, _wu_jet
 
 #: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
 CURVATURE_NORMALIZATION = 1.0
@@ -58,7 +58,7 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
     # R(v, vbar, v, vbar) / h(v, vbar)^2 with A = v (x) vbar flattened
     n = metric.shape[0]
     A = (dirs[:, :, None] * np.conj(dirs)[:, None, :]).reshape(len(dirs), n * n)
-    num = np.einsum("kp,pq,kq->k", A, components.reshape(n * n, n * n), A)
+    num = ((A @ components.reshape(n * n, n * n)) * A).sum(axis=1)
     den = np.real(A @ metric.reshape(n * n))
     return CURVATURE_NORMALIZATION * np.real(num) / den ** 2
 
@@ -66,21 +66,21 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
 def curvature_tensor(domain: DomainParams, z) -> CurvatureTensor:
     """Full curvature tensor at an interior point off the strata Z and M0."""
     z = as_vector(z, domain.n)
-    region = _jet_region(domain, z)
-    return _curvature(domain, z, region, *_wu_jet(domain, z))
+    return _curvature(z, *_wu_jet(domain, z, _jet_region(domain, z)))
 
 
-def _curvature(domain: DomainParams, z: np.ndarray, region: RegionLabel,
-               H: np.ndarray, dz: np.ndarray, ddbar: np.ndarray) -> CurvatureTensor:
-    # the curvature tensor at z from the Wirtinger jet (H, dH/dz, d2H/dz dzbar)
-    form = _hermitian_form(domain, z, H, region)
+def _curvature(z: np.ndarray, form: HermitianForm, dz: np.ndarray,
+               ddbar: np.ndarray) -> CurvatureTensor:
+    # the curvature tensor at z from the Wirtinger jet (form.matrix, dH/dz, d2H/dz dzbar)
     try:
-        inv = np.linalg.inv(H)
+        inv = np.linalg.inv(form.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - interior metric is PD
         raise NumericalError("metric matrix is singular") from exc
-    # dH/dzbar_l = (dH/dz_l)^* since H is Hermitian
-    R = (np.einsum("kia,ab,ljb->ijkl", dz, inv, np.conj(dz))
-         - np.transpose(ddbar, (2, 3, 0, 1)))
+    # dH/dzbar_l = (dH/dz_l)^* since H is Hermitian; the products
+    # (dH/dz_k H^-1 dH/dzbar_l)[i, j] of all k, l come out as [k, i, l, j]
+    n = len(z)
+    P = (dz @ inv).reshape(n * n, n) @ np.conj(dz).reshape(n * n, n).T
+    R = P.reshape(n, n, n, n).transpose(1, 3, 0, 2) - np.transpose(ddbar, (2, 3, 0, 1))
     return CurvatureTensor(components=R, metric=form, point=z)
 
 
@@ -182,8 +182,8 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
         except SeamProximityError:
             skipped.append(z)
             continue
-        jet = _wu_jet(domain, z)
-        tensor = _curvature(domain, z, region, *jet)
+        jet = _wu_jet(domain, z, region)
+        tensor = _curvature(z, *jet)
         values = _sectional_values(tensor.components, tensor.metric.matrix, dirs)
         gap = math.nan
         if abs(z[0]) > 0 and np.all(z[1:] == 0):
@@ -193,8 +193,8 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
         records.append(CurvatureScanRecord(
             point=z,
             region=tensor.metric.region,
-            min_sectional=float(min(values)),
-            max_sectional=float(max(values)),
+            min_sectional=float(values.min()),
+            max_sectional=float(values.max()),
             kahler_defect=_jet_defect(jet[1]),
             symmetry_defect=tensor.kahler_symmetry_defect(),
             axis_cross_gap=gap,

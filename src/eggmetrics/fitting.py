@@ -69,8 +69,9 @@ def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
     """``solve_X`` at each checked inner-region pair (p1, s); the one tangency solve.
 
     A row whose equation leaves the float range at X = 1 raises OverflowError.
-    The first row left to solve runs the scalar ``solve_bracketed``; any others
-    run ``_solve_bracketed_rows`` from that root scaled to each row's tau, so a
+    The first row left to solve runs the scalar ``solve_bracketed`` from the
+    leading-order root tau = ((m+1)/s^2)^(1/m) of the p1 -> 0 limit; any others
+    run ``_solve_bracketed_rows`` from its root scaled to each row's tau, so a
     stencil's nearby points converge in a few steps.
     """
     m = domain.m
@@ -100,7 +101,7 @@ def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
     s2_0, pm_0 = float(s2[0]), float(pm[0])
     X[rows[0]] = X0 = pm_0 * solve_bracketed(
         lambda t: _tangency(m, t, s2_0, pm_0), float(lo[0]), float(hi[0]),
-        df=lambda t: _tangency_slope(m, t, s2_0, pm_0))
+        df=lambda t: _tangency_slope(m, t, s2_0, pm_0), x0=((m + 1.0) / s2_0) ** (1.0 / m))
     if rows.size > 1:
         s2, pm = s2[1:], pm[1:]
         X[rows[1:]] = pm * _solve_bracketed_rows(
@@ -205,13 +206,9 @@ def contact_point(domain: DomainParams, p1: float) -> ContactPoint:
     return ContactPoint(x_star=x_star, y_star=y_star, alpha_star=alpha_star)
 
 
-def _upper_points(domain: DomainParams, p1: float, alphas) -> np.ndarray:
-    return np.array(_upper_xy_many(domain.m, p1, alphas))
-
-
 def _lower_points(domain: DomainParams, p1: float, count: int) -> np.ndarray:
     al = kcurve_alpha_grid(domain, p1, Branch.LOWER, count)
-    return np.array(_lower_xy_many(domain.m, p1, al))
+    return _lower_xy_many(domain.m, p1, al)
 
 
 def _first_quadrant(*parts: np.ndarray) -> np.ndarray:
@@ -297,7 +294,7 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
         raise DomainError("oracle needs at least 64 samples")
     n1 = max(samples // 2, 48)
     au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
-    upper = _upper_points(domain, p1, au)
+    upper = _upper_xy_many(domain.m, p1, au)
     pts1 = _first_quadrant(upper, _lower_points(domain, p1, max(samples // 4, 24)))
     stage1 = _enumerate_lines(pts1)
     if stage1 is None:
@@ -306,7 +303,7 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     idx = int(np.argmin(np.abs(upper[:, 0] - contact_x)))
     lo = au[max(0, idx - 4)]
     hi = au[min(len(au) - 1, idx + 4)]
-    pts2 = _first_quadrant(_upper_points(domain, p1, np.linspace(lo, hi, max(samples - n1, 48))))
+    pts2 = _first_quadrant(_upper_xy_many(domain.m, p1, np.linspace(lo, hi, max(samples - n1, 48))))
     refined = _enumerate_lines(np.vstack([pts1, pts2])) or stage1
     _, r1, r2, _ = refined
     return WuEllipsoidDiag(r1=r1, r2=r2)
@@ -316,5 +313,5 @@ def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoi
                           samples: int = 1024) -> float:
     """max(r1 y + r2 x - 1) over fresh samples of both K-curves; <= 0 means containment."""
     au = kcurve_alpha_grid(domain, p1, Branch.UPPER, samples)
-    pts = _first_quadrant(_upper_points(domain, p1, au), _lower_points(domain, p1, samples // 2))
+    pts = _first_quadrant(_upper_xy_many(domain.m, p1, au), _lower_points(domain, p1, samples // 2))
     return float(np.max(ellipsoid.r1 * pts[:, 1] + ellipsoid.r2 * pts[:, 0])) - 1.0

@@ -9,6 +9,7 @@ ellipsoid fitting into minimal-area line fitting against these curves.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,30 +76,36 @@ def kcurve_alpha_range(domain: DomainParams, p1: float, branch: Branch) -> tuple
 
 def upper_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
     """UPPER arc coordinates; x in factored form to avoid cancellation near x = 0."""
-    return _upper_xy_many(m, p1, (alpha,))[0]
+    return tuple(_upper_xy_many(m, p1, (alpha,))[0].tolist())
 
 
-def _upper_xy_many(m: float, p1: float, alphas) -> list[tuple[float, float]]:
-    """``upper_xy`` at each parameter, with one log per alpha.
+def _upper_xy_many(m: float, p1: float, alphas) -> np.ndarray:
+    """``upper_xy`` at each parameter as (N, 2) rows (x, y), with one log per alpha.
 
-    The four powers of alpha are exp(e * log|alpha|) through ``math``, which
-    is bit-equal to ``abs_pow`` for alpha != 0; alpha = 0 goes through
-    ``abs_pow`` itself. numpy's exp/log differ from libm in the last bit on a
-    few percent of inputs, which moves the hull oracle's fit.
+    Bit-equal to the formula with every power through ``abs_pow``: the four
+    powers of alpha are exp(e * log|alpha|) through ``math`` (alpha = 0
+    through ``abs_pow`` itself), the arithmetic runs in numpy, and y is
+    squared by libm's pow(y, 2), as Python's float ``**`` squares it. numpy's
+    exp/log differ from libm in the last bit on a few percent of inputs, and
+    its y**2 is y*y, which is not always pow(y, 2); either would move the
+    hull oracle's fit.
     """
     P = abs_pow(p1, 2 * m)
-    e1, e2, e3, e4 = 2 * m - 2, 2 * m, 4 * m - 2, 2 * m - 1
-    out = []
-    for alpha in alphas:
-        if alpha == 0.0:
-            a1, a2, a3, a4 = (abs_pow(0.0, e) for e in (e1, e2, e3, e4))
-        else:
-            L = math.log(abs(alpha))
-            a1, a2, a3, a4 = math.exp(e1 * L), math.exp(e2 * L), math.exp(e3 * L), math.exp(e4 * L)
-        x = (a1 - P) * (a2 - P) / a3
-        y = (p1 * (m * a1 - (m - 1.0) * a2 - P) / (m * a4)) ** 2
-        out.append((x, y))
-    return out
+    alphas = np.abs(np.asarray(alphas, dtype=float))
+    zero = alphas == 0.0
+    L = _libm(math.log, np.where(zero, 1.0, alphas))
+    a1, a2, a3, a4 = (np.where(zero, abs_pow(0.0, e), _libm(math.exp, e * L))
+                      for e in (2 * m - 2, 2 * m, 4 * m - 2, 2 * m - 1))
+    den = m * a4
+    if not (a3.all() and den.all()):
+        raise ZeroDivisionError("float division by zero")  # as the float formula raises
+    y = p1 * (m * a1 - (m - 1.0) * a2 - P) / den
+    return np.stack([(a1 - P) * (a2 - P) / a3, _libm(math.pow, y, 2.0)], axis=1)
+
+
+def _libm(f, x: np.ndarray, *args) -> np.ndarray:
+    # f(entry, *args) through ``math`` for each entry of x, as a float formula computes it
+    return np.fromiter(map(f, x.tolist(), *map(itertools.repeat, args)), float, x.size)
 
 
 def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
@@ -108,15 +115,18 @@ def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
     on the segment, so y keeps full relative accuracy even when p1^2m is
     tiny and the segment nearly degenerates.
     """
-    return _lower_xy_many(m, p1, (alpha,))[0]
+    return tuple(_lower_xy_many(m, p1, (alpha,))[0].tolist())
 
 
-def _lower_xy_many(m: float, p1: float, alphas) -> list[tuple[float, float]]:
-    """``lower_xy`` at each parameter, with the p1-only factors computed once."""
+def _lower_xy_many(m: float, p1: float, alphas) -> np.ndarray:
+    """``lower_xy`` at each parameter as (N, 2) rows, with the p1-only factors computed once."""
     P = abs_pow(p1, 2 * m)
     scale = (1.0 - P) ** 2
     den = m * m * abs_pow(p1, 2 * m - 2)
-    return [(scale * alpha, scale * ((1.0 - alpha) + alpha * P) / den) for alpha in alphas]
+    if den == 0.0:
+        raise ZeroDivisionError("float division by zero")  # as the float formula raises
+    a = np.asarray(alphas, dtype=float)
+    return np.stack([scale * a, scale * ((1.0 - a) + a * P) / den], axis=1)
 
 
 def kcurve_sample(domain: DomainParams, p1: float, branch: Branch, alpha: float) -> KCurveSample:
@@ -242,7 +252,7 @@ def square_convexity_check(domain: DomainParams, p1: float, branch: Branch,
         raise DomainError("need at least 8 samples")
     lo, hi = kcurve_alpha_range(domain, p1, branch)
     xy_many = _upper_xy_many if branch == Branch.UPPER else _lower_xy_many
-    pts = np.array(xy_many(domain.m, p1, np.linspace(lo, hi, samples)))
+    pts = xy_many(domain.m, p1, np.linspace(lo, hi, samples))
     pts = pts[np.argsort(pts[:, 0])]
     x, y = pts[:, 0], pts[:, 1]
     y_mag = max(float(np.max(np.abs(y))), 1e-300)

@@ -43,6 +43,7 @@ def solve_bracketed(
     df: Callable[[float], float] | None = None,
     rtol: float = 1e-15,
     max_iter: int = ROOT_MAX_ITER,
+    x0: float | None = None,
 ) -> float:
     """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi): safeguarded Newton, bisection fallback.
 
@@ -51,8 +52,9 @@ def solve_bracketed(
     is then clamped into the current bracket. Other Newton steps are taken
     only strictly inside the bracket and when they at least halve the
     previous step; every iteration shrinks the bracket, so convergence is
-    guaranteed for continuous f. ``_solve_bracketed_rows`` runs the same rule
-    row by row. Raises NumericalError (carrying the last bracket) if the
+    guaranteed for continuous f. The iteration starts at ``x0`` when it lies
+    strictly inside the bracket, else at the midpoint.
+    ``_solve_bracketed_rows`` runs the same rule row by row. Raises NumericalError (carrying the last bracket) if the
     input is not a sign-change interval or the iteration budget runs out.
     """
     flo, fhi = f(lo), f(hi)
@@ -65,7 +67,7 @@ def solve_bracketed(
             f"no sign change on bracket [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}",
             bracket=(lo, hi),
         )
-    x = 0.5 * (lo + hi)
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     dx_old = hi - lo
     for _ in range(max_iter):
         fx = f(x)

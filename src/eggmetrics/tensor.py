@@ -138,10 +138,11 @@ def _formula_kind(domain: DomainParams, t: np.ndarray, q: np.ndarray) -> np.ndar
     return kind
 
 
-def _coefficients(domain: DomainParams, z: np.ndarray):
-    # (a, b, c, e) of each row, every row by its own regional form
+def _coefficients(domain: DomainParams, z: np.ndarray, kind=None):
+    # (a, b, c, e) of each row, every row by its own regional form (``kind``
+    # when the caller has classified the rows)
     t, q = _moduli(z)
-    kind = _formula_kind(domain, t, q)
+    kind = _formula_kind(domain, t, q) if kind is None else kind
     if len(z) and (kind == kind[0]).all():  # one point, or a stencil inside one region
         return _FORMS[kind[0]](domain, t, 1.0 - q)
     coef = np.empty((4, len(z)))
@@ -151,9 +152,9 @@ def _coefficients(domain: DomainParams, z: np.ndarray):
     return coef
 
 
-def _wu_matrices(domain: DomainParams, z: np.ndarray) -> np.ndarray:
+def _wu_matrices(domain: DomainParams, z: np.ndarray, kind=None) -> np.ndarray:
     """Wu tensors at checked interior points: (N, n) complex -> (N, n, n)."""
-    a, b, c, e = _coefficients(domain, z)
+    a, b, c, e = _coefficients(domain, z, kind)
     n = domain.n
     H = np.conj(z)[:, :, None] * z[:, None, :]  # conj(z_i) z_j
     H[:, 1:, 1:] *= e[:, None, None]
@@ -165,11 +166,10 @@ def _wu_matrices(domain: DomainParams, z: np.ndarray) -> np.ndarray:
     return H
 
 
-def _hermitian_form(domain: DomainParams, z: np.ndarray, matrix: np.ndarray,
-                    region: RegionLabel) -> HermitianForm:
-    # the Wu tensor ``matrix`` at z with its region and the source tag of
-    # the closed form ``_wu_matrices`` chose there
-    kind = _formula_kind(domain, *_moduli(z[None]))[0]
+def _hermitian_form(domain: DomainParams, matrix: np.ndarray, region: RegionLabel,
+                    kind: int) -> HermitianForm:
+    # the Wu tensor ``matrix`` at a point with its region and the source tag
+    # of the closed form ``kind`` that gave it
     source = _SOURCES[kind]
     if domain.m == 1.0:
         source = "ball"
@@ -202,7 +202,8 @@ def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
         return _read_only(_wu_matrices(domain, z))
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    return _hermitian_form(domain, z, _wu_matrices(domain, z[None])[0], region)
+    kind = _formula_kind(domain, *_moduli(z[None]))
+    return _hermitian_form(domain, _wu_matrices(domain, z[None], kind)[0], region, kind[0])
 
 
 def _read_only(H: np.ndarray) -> np.ndarray:
@@ -266,8 +267,7 @@ def kahler_defect(domain: DomainParams, z) -> float:
     ``SeamProximityError`` on Z and M0, where the metric is not C2.
     """
     z = as_vector(z, domain.n)
-    _jet_region(domain, z)
-    return _jet_defect(_wu_jet(domain, z)[1])
+    return _jet_defect(_wu_jet(domain, z, _jet_region(domain, z))[1])
 
 
 def _jet_region(domain: DomainParams, z: np.ndarray) -> RegionLabel:
@@ -315,12 +315,14 @@ def _chain(z: np.ndarray, jets):
     return parts[:, 0], first * zc, dd
 
 
-def _wu_jet(domain: DomainParams, z: np.ndarray):
-    """(H, dH/dz, d2H/dz dzbar) at a checked point off the seams, in ``wirtinger_jet``'s layout.
+def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel):
+    """(form, dH/dz, d2H/dz dzbar) at a checked point of ``region`` off the seams.
 
-    The regional form runs on ``Taylor2`` jets of (t, s2); the product rule
-    then differentiates the monomials conj(z_i) z_j (none on H[0, 0]):
-    d/dz_k gives conj(z_i) delta_jk, d/dzbar_l delta_il z_j, both delta_il delta_jk.
+    ``form`` is the ``HermitianForm`` of H at z; the derivatives are in
+    ``wirtinger_jet``'s layout. The regional form runs on ``Taylor2`` jets of
+    (t, s2); the product rule then differentiates the monomials conj(z_i) z_j
+    (none on H[0, 0]): d/dz_k gives conj(z_i) delta_jk, d/dzbar_l delta_il
+    z_j, both delta_il delta_jk.
     """
     _, _, coef, eye, hat, swap = _blocks(z.size)
     t, q = _moduli(z[None])
@@ -340,7 +342,7 @@ def _wu_jet(domain: DomainParams, z: np.ndarray):
     ddH = (dd[coef] * mono[:, :, None, None] + grad[:, :, :, None] * eye[:, None, None, :]
            + np.conj(grad).transpose(1, 0, 2)[:, :, None, :] * eye[None, :, :, None]
            + A[:, :, None, None] * swap + hat[:, :, None, None] * dd[2])
-    return H, dH.transpose(2, 0, 1), ddH.transpose(2, 3, 0, 1)
+    return _hermitian_form(domain, H, region, kind), dH.transpose(2, 0, 1), ddH.transpose(2, 3, 0, 1)
 
 
 def _jet_defect(dz: np.ndarray) -> float:

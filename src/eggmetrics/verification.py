@@ -395,7 +395,7 @@ def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     for z in pts:
         tensor = curvature_tensor(domain, z)
         # the exact second derivatives against the independent difference oracle
-        exact = _wu_jet(domain, z)[2]
+        exact = _wu_jet(domain, z, tensor.metric.region)[2]
         fd = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, 1e-4)[2]
         gap = max(gap, float(np.max(np.abs(exact - fd)) / np.max(np.abs(exact))))
         vals = [tensor.holomorphic(v) for v in dirs]

@@ -16,12 +16,14 @@ from eggmetrics import (
     egg_automorphism,
     holomorphic_curvature,
     kahler_defect,
+    wu_tensor,
 )
 from eggmetrics import curvature as curvature_module
 from eggmetrics import tensor as tensor_module
 from eggmetrics.numerics import richardson, wirtinger_jet
 
 from test_domain import interior_point
+from test_jets import _region_points
 
 
 class TestBallNormalization:
@@ -107,9 +109,9 @@ class TestInvariances:
         z, v = np.array([0.9, 0.0]), np.array([1.0, 0.3])
         exact = holomorphic_curvature(d, z, v)
         for step in (1e-4, 5e-5):
-            jet = wirtinger_jet(lambda w: tensor_module._wu_matrices(d, w), z, step)
-            region = classify_region(d, z)
-            fd = curvature_module._curvature(d, z, region, *jet).holomorphic(v)
+            H, dz, ddbar = wirtinger_jet(lambda w: tensor_module._wu_matrices(d, w), z, step)
+            form = tensor_module.HermitianForm(H, classify_region(d, z), "difference")
+            fd = curvature_module._curvature(z, form, dz, ddbar).holomorphic(v)
             assert abs(exact - fd) < 1e-4
 
     @pytest.mark.parametrize("m", [0.75, 2.0])
@@ -256,13 +258,13 @@ def _counted_batches(monkeypatch):
     original, original_jet = tensor_module._wu_matrices, tensor_module._wu_jet
     batches, jets = [], []
 
-    def counted(domain, z):
+    def counted(domain, z, *args):
         batches.append(len(z))
-        return original(domain, z)
+        return original(domain, z, *args)
 
-    def counted_jet(domain, z):
+    def counted_jet(domain, z, *args):
         jets.append(z)
-        return original_jet(domain, z)
+        return original_jet(domain, z, *args)
 
     for module in (curvature_module, tensor_module):
         monkeypatch.setattr(module, "_wu_matrices", counted, raising=False)
@@ -470,3 +472,84 @@ class TestCurvaturePins:
         assert record.min_sectional == pytest.approx(min_s, abs=1e-5)
         assert record.max_sectional == pytest.approx(max_s, abs=1e-5)
         assert abs(record.kahler_defect - defect) <= 1e-6 * max(1.0, defect)
+
+
+def _three_operand_components(H, dz, ddbar):
+    # the curvature components as one three-operand contraction, as written
+    # before the two-operand form
+    return (np.einsum("kia,ab,ljb->ijkl", dz, np.linalg.inv(H), np.conj(dz))
+            - np.transpose(ddbar, (2, 3, 0, 1)))
+
+
+def _three_operand_sectional(components, H, dirs):
+    # the sectional sweep as one three-operand contraction, likewise
+    n = H.shape[0]
+    A = (dirs[:, :, None] * np.conj(dirs)[:, None, :]).reshape(len(dirs), n * n)
+    num = np.einsum("kp,pq,kq->k", A, components.reshape(n * n, n * n), A)
+    return np.real(num) / np.real(A @ H.reshape(n * n)) ** 2
+
+
+class TestTwoOperandContractions:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_match_the_three_operand_forms(self, m, n):
+        # points of every region 0.02 from every seam; the components
+        # relative to their largest, each sectional value relative to itself
+        d, points = _region_points(m, n, np.random.default_rng([n, int(1e8 * m), 3]))
+        dirs = direction_sample(n, seed=5)
+        for z in points:
+            form, dz, ddbar = tensor_module._wu_jet(d, z, classify_region(d, z))
+            R = curvature_module._curvature(z, form, dz, ddbar).components
+            expected = _three_operand_components(form.matrix, dz, ddbar)
+            assert np.max(np.abs(R - expected)) <= 1e-13 * np.max(np.abs(expected))
+            swept = curvature_module._sectional_values(expected, form.matrix, dirs)
+            reference = _three_operand_sectional(expected, form.matrix, dirs)
+            assert np.all(np.abs(swept - reference) <= 1e-13 * np.abs(reference))
+
+
+class TestOneClassificationPerPoint:
+    def _counted(self, monkeypatch):
+        calls = []
+        original = tensor_module._formula_kind
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(tensor_module, "_formula_kind", counted)
+        return calls
+
+    @pytest.mark.parametrize("m,p1", [(0.75, 0.5), (1.0, 0.5), (2.0, 0.4), (2.0, 0.95)])
+    def test_one_formula_choice_per_grid_point(self, monkeypatch, m, p1):
+        calls = self._counted(monkeypatch)
+        d = DomainParams(m=m, n=3)
+        records, skipped = curvature_scan(d, GridSpec(p1_min=p1, p1_max=p1, count=1,
+                                                      phat_abs=0.1))
+        assert len(records) == 1 and not skipped
+        assert calls == [1]
+
+    @pytest.mark.parametrize("m", [0.75, 1.0, 2.0])
+    def test_one_formula_choice_per_wu_tensor_point(self, monkeypatch, m):
+        calls = self._counted(monkeypatch)
+        d = DomainParams(m=m, n=2)
+        for z in ([0.3, 0.2j], [0.0, 0.3], [d.m0_radius, 0.0], [0.95, 0.1]):
+            calls.clear()
+            wu_tensor(d, z)
+            assert calls == [1]
+
+    @pytest.mark.parametrize("m,z,source", [
+        (0.75, [0.3, 0.2j], "chord-form"),
+        (0.75, [0.0, 0.3], "chord-form (z1=0 limit)"),
+        (1.0, [0.3, 0.2j], "ball"),
+        (2.0, [0.3, 0.2j], "inner-form"),
+        (2.0, [0.95, 0.1], "outer-form"),
+        (2.0, [0.0, 0.3], "inner-form (Z limit)"),
+        (2.0, [1e-11, 0.3], "inner-form (near Z)"),
+        (2.0, [2.0 ** -0.25, 0.0], "inner-form (on M0)"),  # rounds to the inner side
+        (2.0, [2.0 ** -0.25 + 1e-12, 0.0], "outer-form (on M0)"),
+    ])
+    def test_source_tags_are_unchanged(self, m, z, source):
+        d = DomainParams(m=m, n=2)
+        assert wu_tensor(d, z).source == source
+        if classify_region(d, z) not in (RegionLabel.Z, RegionLabel.M_ZERO):
+            assert curvature_tensor(d, z).metric.source == source

@@ -1,5 +1,6 @@
 import functools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -455,6 +456,21 @@ class TestNewtonConvergenceRule:
         assert roots.tolist() == [0.5, 0.5]
 
 
+def _counted_solves(monkeypatch):
+    # the f-evaluations of each scalar solve the tangency solve makes
+    evals = []
+
+    def counted(f, lo, hi, df=None, **kwargs):
+        def counted_f(x):
+            evals[-1] += 1
+            return f(x)
+        evals.append(0)
+        return solve_bracketed(counted_f, lo, hi, df=df, **kwargs)
+
+    monkeypatch.setattr(fitting, "solve_bracketed", counted)
+    return evals
+
+
 class TestArrayTangencySolve:
     @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0])
     def test_equals_scalar_solve_on_seeded_grids(self, m):
@@ -529,16 +545,7 @@ class TestArrayTangencySolve:
         # a vanishing Newton step ends the solve even where the iterate sits
         # on its own bracket end; rejecting it there bisected the whole
         # remaining bracket (up to 77 evaluations at m = 5)
-        evals = []
-
-        def counted(f, lo, hi, df=None, **kwargs):
-            def counted_f(x):
-                evals[-1] += 1
-                return f(x)
-            evals.append(0)
-            return solve_bracketed(counted_f, lo, hi, df=df, **kwargs)
-
-        monkeypatch.setattr(fitting, "solve_bracketed", counted)
+        evals = _counted_solves(monkeypatch)
         d = DomainParams(m=5.0, n=2)
         rng = np.random.default_rng(65)
         p1, s = _inner_pairs(5.0, rng, rng.uniform(0.0, 1.0, 200))
@@ -546,6 +553,36 @@ class TestArrayTangencySolve:
             solve_X(d, a, b)
         assert len(evals) == 200
         assert max(evals) <= 40
+        # 9 from the leading-order start (8 from the bracket midpoint)
+        assert statistics.median(evals) <= 10
+
+    @pytest.mark.parametrize("m", [2.0, 5.0])
+    def test_start_at_the_leading_order_root(self, monkeypatch, m):
+        # |z1| = 1e-8: the root sits next to the leading-order root
+        # ((m+1)/s^2)^(1/m) in tau; from the bracket midpoint the solve took
+        # 72 to 100 f-evaluations, from that start it takes 3
+        evals = _counted_solves(monkeypatch)
+        d = DomainParams(m=m, n=2)
+        for s in np.linspace(0.05, 1.0, 20):
+            X = solve_X(d, 1e-8, s)
+            assert abs(X - _reference_solve_X(d, 1e-8, s)) <= 1e-14 * X
+        assert len(evals) == 20 and max(evals) <= 13
+
+    def test_start_inside_the_bracket_only(self):
+        # a start strictly inside the bracket is the first iterate; any other
+        # start is replaced by the midpoint
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 0.3
+
+        assert solve_bracketed(f, 0.0, 1.0, df=lambda x: 1.0, x0=0.3) == 0.3
+        assert seen == [0.0, 1.0, 0.3]
+        for x0 in (0.0, 1.0, 2.0, None):
+            seen.clear()
+            assert solve_bracketed(f, 0.0, 1.0, df=lambda x: 1.0, x0=x0) == 0.3
+            assert seen[2] == 0.5
 
     def test_non_inner_row_raises(self):
         d = DomainParams(m=2.0, n=2)

@@ -114,6 +114,12 @@ def _fd_jet(d, z, step=1e-4):
     return wirtinger_jet(lambda w: tensor_module._wu_matrices(d, w), z, step)
 
 
+def _exact_jet(d, z):
+    # the exact jet as (H, dH/dz, d2H/dz dzbar)
+    form, dz, ddbar = tensor_module._wu_jet(d, z, classify_region(d, z))
+    return form.matrix, dz, ddbar
+
+
 def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -132,7 +138,7 @@ class TestExactAgainstDifferences:
         else:  # M+ is under 0.01 wide at m = 20: no point is 0.02 from its seams
             assert regions == {RegionLabel.M_MINUS}
         for z in points:
-            H, dz, ddbar = tensor_module._wu_jet(d, z)
+            H, dz, ddbar = _exact_jet(d, z)
             H_fd, dz_fd, ddbar_fd = _fd_jet(d, z)
             assert _rel(H, H_fd) <= 1e-14
             assert _rel(dz, dz_fd) <= 1e-9
@@ -146,7 +152,7 @@ class TestExactAgainstDifferences:
         plus = [z for z in points if classify_region(d, z) is RegionLabel.M_PLUS]
         assert plus
         for z in plus:
-            _, dz, ddbar = tensor_module._wu_jet(d, z)
+            _, dz, ddbar = _exact_jet(d, z)
             gaps = []
             for step in (1e-4, 5e-5, 2.5e-5):
                 _, dz_fd, ddbar_fd = _fd_jet(d, z, step)
@@ -160,7 +166,9 @@ class TestExactAgainstDifferences:
         d, points = _region_points(m, 3, np.random.default_rng(int(10 * m)))
         for z in points:
             exact = curvature_tensor(d, z)
-            fd = curvature_module._curvature(d, z, exact.metric.region, *_fd_jet(d, z))
+            H, dz, ddbar = _fd_jet(d, z)
+            fd = curvature_module._curvature(
+                z, tensor_module.HermitianForm(H, exact.metric.region, "difference"), dz, ddbar)
             assert _rel(exact.components, fd.components) <= 1e-6
             assert exact.metric.source == tensor_module.wu_tensor(d, z).source
 
@@ -244,7 +252,7 @@ class TestSymbolicChainRule:
         def num(expr):
             return complex(sp.N(expr.subs(at), 30))
 
-        _, dz, ddbar = tensor_module._wu_jet(d, z)
+        _, dz, ddbar = _exact_jet(d, z)
         for k in range(2):
             dHk = H.diff(zs[k])
             want = np.array([[num(dHk[i, j]) for j in range(2)] for i in range(2)])

@@ -115,15 +115,15 @@ class TestUpperSampler:
             grid = kcurve_alpha_grid(d, p1, Branch.UPPER, 512)
             expected = [_upper_xy_abs_pow(m, p1, a) for a in grid]
             assert [upper_xy(m, p1, a) for a in grid] == expected
-            assert _upper_xy_many(m, p1, grid) == expected
+            assert np.array_equal(_upper_xy_many(m, p1, grid), expected)
 
     def test_alpha_zero_unchanged(self):
         # m = 1/2: the alpha^0 powers are 1 and alpha^(-1) is abs_pow's 0
         for p1 in (0.05, 0.5, 0.95):
             expected = _upper_xy_abs_pow(0.5, p1, 0.0)
             assert upper_xy(0.5, p1, 0.0) == expected
-            assert _upper_xy_many(0.5, p1, [0.0, 0.5]) == [
-                expected, _upper_xy_abs_pow(0.5, p1, 0.5)]
+            assert np.array_equal(_upper_xy_many(0.5, p1, [0.0, 0.5]),
+                                  [expected, _upper_xy_abs_pow(0.5, p1, 0.5)])
         # otherwise alpha^(4m-2) = 0 divides x, as before
         for m in (0.75, 1.0, 2.0):
             with pytest.raises(ZeroDivisionError):
@@ -149,7 +149,7 @@ class TestLowerSampler:
             grid = kcurve_alpha_grid(d, p1, Branch.LOWER, 512)
             expected = [_lower_xy_abs_pow(m, p1, a) for a in grid]
             assert [lower_xy(m, p1, a) for a in grid] == expected
-            assert _lower_xy_many(m, p1, grid) == expected
+            assert np.array_equal(_lower_xy_many(m, p1, grid), expected)
 
 
 def central_diff(f, x0, order, h):
