@@ -47,7 +47,7 @@ class RunConfig:
     n: int
     seed: int
     tol: float
-    fmt: str
+    fmt: str | None  # None when neither a flag nor the config names a format
     out: str | None
 
     def domain(self) -> DomainParams:
@@ -76,7 +76,8 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            values["fmt" if key == "format" else key] = val.strip()  # --format's dest
     return values
 
 
@@ -288,9 +289,20 @@ def _cmd_smoothness_scan(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
+    # a text table by default, one JSON object with --format json
+    if cfg.fmt == "csv":
+        raise ValueError("verify writes a text table or --format json, not csv")
     domain = cfg.domain()
     results = run_checks(domain, seed=cfg.seed,
                          names=args.only.split(",") if args.only else None)
+    n_fail = sum(not r.passed for r in results)
+    if cfg.fmt == "json":
+        payload = _meta(cfg)
+        payload["checks"] = [{"name": r.name, "passed": bool(r.passed), "detail": r.detail,
+                              "seconds": r.seconds} for r in results]
+        payload.update(passed=len(results) - n_fail, total=len(results))
+        _emit(_json_text(payload), cfg.out)
+        return 3 if n_fail else 0
     lines = [f"verification suite for m={cfg.m}, n={cfg.n} (seed {cfg.seed}, "
              f"version {__version__})"]
     width = max(len(r.name) for r in results) if results else 0
@@ -298,7 +310,6 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"  [{status}] {r.name.ljust(width)}  {r.detail}  "
                      f"({r.seconds:.2f}s)")
-    n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 3 if n_fail else 0
@@ -401,11 +412,11 @@ def main(argv: list[str] | None = None) -> int:
             n=_resolve(args, "n", int, 2),
             seed=_resolve(args, "seed", int, 0),
             tol=_resolve(args, "tol", float, REGION_TOL),
-            fmt=_resolve(args, "fmt", str, "json"),
+            fmt=_resolve(args, "fmt", str, None),
             out=_resolve(args, "out", str, None),
         )
         cfg.domain()  # validate m, n now
-        if cfg.fmt not in ("json", "csv"):
+        if cfg.fmt not in (None, "json", "csv"):
             raise ValueError(f"unknown format {cfg.fmt!r}")
         if cfg.tol <= 0:
             raise ValueError("tol must be positive")

@@ -223,28 +223,29 @@ def egg_automorphism(domain: DomainParams, p, z) -> np.ndarray:
     The zhat block is moved by the standard ball automorphism taking phat to
     the origin; z1 is scaled by the matching (1 - <zhat, phat>)^(-1/m) factor.
     For phat = 0 the map degenerates to (c z1, -zhat) with unimodular c.
-    Accepts z on the closed egg (boundary maps to boundary).
+    Accepts z on the closed egg (boundary maps to boundary), as one point or
+    as (N, n) rows of points moved by the same map.
     """
     m = domain.m
     p = as_vector(p, domain.n)
-    z = as_vector(z, domain.n)
+    z = as_vector(z, domain.n, rows=True)
     if _defining(domain, p) >= 0.0:
         raise DomainError("base point p must lie inside the egg")
-    if _defining(domain, z) > 1e-9:
+    if (_defining(domain, z) > 1e-9).any():
         raise DomainError("z must lie in the closed egg")
     c = _phase_factor(p[0])
     phat = p[1:]
-    zhat = z[1:]
+    zhat = z[..., 1:]
     phat_sq = float(np.sum(np.abs(phat) ** 2))
     if phat_sq == 0.0:
-        return np.concatenate(([c * z[0]], -zhat))
+        return np.concatenate((c * z[..., :1], -zhat), axis=-1)
     s = math.sqrt(1.0 - phat_sq)
-    w = complex(np.vdot(phat, zhat))  # <zhat, phat>, conjugate-linear in phat
+    w = (zhat @ np.conj(phat))[..., None]  # <zhat, phat>, conjugate-linear in phat
     denom = 1.0 - w
-    first = c * s ** (1.0 / m) * denom ** (-1.0 / m) * z[0]
+    first = c * s ** (1.0 / m) * denom ** (-1.0 / m) * z[..., :1]
     proj = (w / phat_sq) * phat
     psi = (phat - proj - s * (zhat - proj)) / denom
-    return np.concatenate(([first], psi))
+    return np.concatenate((first, psi), axis=-1)
 
 
 def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:

@@ -293,14 +293,6 @@ class Taylor2:
         return self._compose(np.log(x), 1.0 / x, -1.0 / (x * x))
 
 
-def centered_difference_sum(f: Callable[[float], float], q: int, h: float) -> float:
-    """q-th order centered difference of f about 0 with step h (nodes (q/2 - i)h)."""
-    total = 0.0
-    for i in range(q + 1):
-        total += (-1) ** i * math.comb(q, i) * f((q / 2 - i) * h)
-    return total
-
-
 def onesided_weights(q: int, nodes: np.ndarray) -> np.ndarray:
     """Finite-difference weights for the q-th derivative at 0 from the given nodes."""
     npts = len(nodes)

@@ -23,7 +23,7 @@ from .domain import DomainParams, as_vector
 from .errors import ConfigurationError, DomainError
 from .kcurve import joining_point_derivatives
 from .kobayashi import kobayashi_sq
-from .numerics import centered_difference_sum, onesided_weights
+from .numerics import onesided_weights
 from .tensor import wu_tensor
 
 #: geometric step scales, 1e-2 down to 1e-5 (7 scales, half-decade ratio)
@@ -64,10 +64,18 @@ class SmoothnessReport:
         return abs(self.jump) > 10.0 * self.jump_noise
 
 
-def difference_magnitudes(f: Callable[[float], float], q: int,
-                          steps: Sequence[float]) -> np.ndarray:
-    """|centered q-th difference of f about 0| at each step."""
-    return np.array([abs(centered_difference_sum(f, q, h)) for h in steps])
+def _centered(q: int, steps: Sequence[float]) -> tuple[np.ndarray, list[int]]:
+    # nodes (q/2 - i) h of the centered q-th difference about 0, one row per
+    # step, and its weights (-1)^i C(q, i)
+    nodes = (q / 2 - np.arange(q + 1)) * np.asarray(steps, dtype=float)[:, None]
+    return nodes, [(-1) ** i * math.comb(q, i) for i in range(q + 1)]
+
+
+def _on_nodes(f: Callable[[np.ndarray], np.ndarray], *nodes: np.ndarray) -> list[np.ndarray]:
+    # f once on all node arrays; its values split back into their shapes
+    values = np.asarray(f(np.concatenate([x.ravel() for x in nodes])), dtype=float)
+    cuts = np.cumsum([x.size for x in nodes])[:-1]
+    return [v.reshape(x.shape) for v, x in zip(np.split(values, cuts), nodes)]
 
 
 def _loglog_fit(steps: Sequence[float], vals: np.ndarray, floor: float):
@@ -85,39 +93,46 @@ def _loglog_fit(steps: Sequence[float], vals: np.ndarray, floor: float):
     return float(coef[0]), r2, n_used
 
 
-def derivative_jump(f: Callable[[float], float], q: int,
-                    h0: float = JUMP_STEP) -> tuple[float, float]:
-    """One-sided jump of the q-th derivative at 0 and its empirical noise scale.
+def _jump_nodes(q: int, h0: float) -> np.ndarray:
+    # one-sided nodes 0, h, ..., (q+2) h for h = h0, h0/2, h0/4, one row each
+    return (h0 / np.array([1.0, 2.0, 4.0]))[:, None] * np.arange(q + 3, dtype=float)
 
-    Jump estimates at steps h0, h0/2, h0/4 from both sides; the returned
-    noise is the largest inter-level change plus the roundoff amplification
-    of the finest stencil, so artifacts of smooth functions self-identify.
-    """
-    jumps = []
-    scale = 0.0
-    weight_mag = 0.0
-    for h in (h0, h0 / 2.0, h0 / 4.0):
-        nodes = h * np.arange(q + 3, dtype=float)
-        w = onesided_weights(q, nodes)
-        f_plus = [f(x) for x in nodes]
-        f_minus = [f(-x) for x in nodes]
-        scale = max(scale, max(abs(v) for v in f_plus + f_minus))
-        weight_mag = float(np.sum(np.abs(w)))
-        wm = onesided_weights(q, -nodes)
-        jumps.append(float(np.dot(w, f_plus) - np.dot(wm, f_minus)))
-    roundoff = 64.0 * np.finfo(float).eps * scale * weight_mag
+
+def _jump(q: int, nodes: np.ndarray, f_plus: np.ndarray,
+          f_minus: np.ndarray) -> tuple[float, float]:
+    # ``derivative_jump`` from the values of f at the nodes and at their negatives
+    weights = [onesided_weights(q, x) for x in nodes]
+    jumps = [float(np.dot(w, fp) - np.dot(onesided_weights(q, -x), fm))
+             for w, x, fp, fm in zip(weights, nodes, f_plus, f_minus)]
+    scale = float(np.max(np.abs([f_plus, f_minus])))
+    roundoff = 64.0 * np.finfo(float).eps * scale * float(np.sum(np.abs(weights[-1])))
     noise = max(abs(jumps[0] - jumps[1]), abs(jumps[1] - jumps[2])) + roundoff
     return jumps[2], noise
 
 
-def holder_exponent(f: Callable[[float], float], order: int,
+def derivative_jump(f: Callable[[np.ndarray], np.ndarray], q: int,
+                    h0: float = JUMP_STEP) -> tuple[float, float]:
+    """One-sided jump of the q-th derivative at 0 and its empirical noise scale.
+
+    ``f`` maps an array of t to the array of its values; it is called once,
+    on every node. Jump estimates at steps h0, h0/2, h0/4 from both sides;
+    the returned noise is the largest inter-level change plus the roundoff
+    amplification of the finest stencil, so artifacts of smooth functions
+    self-identify.
+    """
+    nodes = _jump_nodes(q, h0)
+    return _jump(q, nodes, *_on_nodes(f, nodes, -nodes))
+
+
+def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
                     steps: Sequence[float] = STEP_SCALES,
                     path: str = "path") -> SmoothnessReport:
     """Probe derivative ``order`` of f at the crossing t = 0.
 
-    Both stencil parities (q = order+1, order+2) are fitted; a slope k+beta
-    with beta strictly inside (0, 1) on a stencil of order q > k+beta flags a
-    Hölder defect. Increments below the roundoff floor are excluded from the
+    ``f`` maps an array of t to the array of its values; it is called once,
+    on the nodes of every stencil and on t = 0. Both stencil parities
+    (q = order+1, order+2) are fitted; a slope k+beta with beta strictly
+    inside (0, 1) on a stencil of order q > k+beta flags a Hölder defect. Increments below the roundoff floor are excluded from the
     regression, which must keep at least four of the supplied scales.
     """
     if order < 0:
@@ -128,9 +143,14 @@ def holder_exponent(f: Callable[[float], float], order: int,
     best_r2 = 0.0
     saw_signal = False
     degenerate = False
-    for q in (order + 1, order + 2):
-        vals = difference_magnitudes(f, q, steps)
-        scale = max(float(np.max(vals)), abs(f(0.0)), 1e-300)
+    centered = [_centered(q, steps) for q in (order + 1, order + 2)]
+    jump_nodes = _jump_nodes(order + 1, JUMP_STEP)
+    *diffs, f_plus, f_minus, f0 = _on_nodes(
+        f, *(nodes for nodes, _ in centered), jump_nodes, -jump_nodes, np.zeros(1))
+    for q, (_, weights), fv in zip((order + 1, order + 2), centered, diffs):
+        # summed node by node in stencil order; a matrix product may reassociate
+        vals = np.abs(sum(w * col for w, col in zip(weights, fv.T)))
+        scale = max(float(np.max(vals)), abs(float(f0[0])), 1e-300)
         floor = 128.0 * 2 ** q * np.finfo(float).eps * scale
         slope, r2, n_used = _loglog_fit(steps, vals, floor)
         if slope is None:
@@ -143,7 +163,7 @@ def holder_exponent(f: Callable[[float], float], order: int,
                 candidates.append((r2, beta, n_used))
             else:
                 degenerate = True
-    jump, noise = derivative_jump(f, order + 1)
+    jump, noise = _jump(order + 1, jump_nodes, f_plus, f_minus)
     step_range = (min(steps), max(steps))
     if candidates:
         r2, beta, n_used = max(candidates)
@@ -169,64 +189,63 @@ def _random_hat(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     return radius * w / np.linalg.norm(w)
 
 
+def _line(z0: np.ndarray, axis: int, rate: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+    # the path t -> z0 + rate t e_axis, as (N, n) rows for an array of t
+    def path(t: np.ndarray) -> np.ndarray:
+        z = np.tile(z0, (len(t), 1))
+        z[:, axis] += rate * t
+        return z
+
+    return path
+
+
 def wu_component_on_path(domain: DomainParams, component: str,
-                         path: Callable[[float], np.ndarray]) -> Callable[[float], float]:
+                         path: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """One Wu tensor component along ``path``, which maps an array of t to (N, n) rows."""
     idx = {"h11": (0, 0), "h22": (1, 1), "h12": (0, 1)}
     if component not in idx:
         raise ConfigurationError(f"unknown tensor component {component!r}")
     i, j = idx[component]
-
-    def f(t: float) -> float:
-        return float(np.real(wu_tensor(domain, path(t)).matrix[i, j]))
-
-    return f
+    return lambda t: np.real(wu_tensor(domain, path(t))[:, i, j])
 
 
 def kobayashi_sq_on_path(domain: DomainParams, v,
-                         path: Callable[[float], np.ndarray]) -> Callable[[float], float]:
+                         path: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """K^2 of the fixed vector v along ``path``, which maps an array of t to (N, n) rows."""
     v = as_vector(v, domain.n)
 
-    def f(t: float) -> float:
-        return kobayashi_sq(domain, path(t), v)
+    def f(t: np.ndarray) -> np.ndarray:
+        z = path(t)
+        return kobayashi_sq(domain, z, np.tile(v, (len(z), 1)))
 
     return f
 
 
 def seam_paths(domain: DomainParams, seam: str, component: str,
                seed: int, n_paths: int):
-    """Build (label, probe, control) triples for a seam; controls never cross it."""
+    """Build (label, probe, control) triples for a seam; controls never cross it.
+
+    Probe and control map an array of t to the array of the component's values.
+    """
     rng = np.random.default_rng(seed)
-    n = domain.n
     out = []
     for k in range(n_paths):
-        zhat = _random_hat(rng, n, radius=rng.uniform(0.25, 0.5))
+        zhat = _random_hat(rng, domain.n, radius=rng.uniform(0.25, 0.5))
         if seam == "Z":
-            def path(t: float, zh=zhat) -> np.ndarray:
-                return np.concatenate(([t], zh))
-
+            path = _line(np.concatenate(([0.0], zhat)), 0)
             # tangential control: same component along a zhat direction at fixed z1
-            z1c = 0.4 * domain.m0_radius
-
-            def ctrl_path(t: float, zh=zhat) -> np.ndarray:
-                q = np.concatenate(([z1c], zh))
-                q[1] += t
-                return q
+            ctrl_path = _line(np.concatenate(([0.4 * domain.m0_radius], zhat)), 1)
         elif seam == "M0":
             if domain.m <= 1.0:
                 raise ConfigurationError("the middle stratum exists only for m > 1")
             s = math.sqrt(1.0 - float(np.sum(np.abs(zhat) ** 2)))
             z1c = domain.m0_radius * s ** (1.0 / domain.m)
-
-            def path(t: float, zh=zhat, c=z1c) -> np.ndarray:
-                return np.concatenate(([c + t], zh))
-
-            def ctrl_path(t: float, zh=zhat, c=z1c) -> np.ndarray:
-                return np.concatenate(([0.75 * c + 0.5 * t], zh))
+            path = _line(np.concatenate(([z1c], zhat)), 0)
+            ctrl_path = _line(np.concatenate(([0.75 * z1c], zhat)), 0, rate=0.5)
         else:
             raise ConfigurationError(f"unknown seam {seam!r}")
         if component == "K2":
-            vhat = _random_hat(rng, n, radius=1.0)
-            v = np.concatenate(([0.0], vhat))
+            v = np.concatenate(([0.0], _random_hat(rng, domain.n, radius=1.0)))
             probe = kobayashi_sq_on_path(domain, v, path)
             control = kobayashi_sq_on_path(domain, v, ctrl_path)
         else:

@@ -39,6 +39,8 @@ from .fitting import (
 from .kcurve import (
     Branch,
     Convexity,
+    _lower_xy_many,
+    _upper_xy_many,
     joining_point,
     joining_point_derivatives,
     kcurve_alpha_grid,
@@ -64,17 +66,29 @@ class CheckResult:
 _SAMPLE_MARGIN = 0.9
 
 
-def _sample_interior(domain: DomainParams, rng: np.random.Generator,
+def _sample_interior(domain: DomainParams, rng: np.random.Generator, count: int,
                      scale: float = 0.75) -> np.ndarray:
-    while True:
-        z = (rng.uniform(-1, 1, domain.n) + 1j * rng.uniform(-1, 1, domain.n)) * scale
-        if _defining(domain, z) < _SAMPLE_MARGIN - 1.0:  # z is finite by construction
-            return z
+    """(count, n) rows drawn from the cube of half-width ``scale``, kept inside the margin.
+
+    Attempts are drawn ``count`` at a time, each as n real parts and then n
+    imaginary parts: the rows are the first ``count`` points that one attempt
+    at a time would keep, in their order.
+    """
+    kept = np.empty((0, domain.n), dtype=complex)
+    while len(kept) < count:
+        u = rng.uniform(-1, 1, (count, 2, domain.n))
+        z = (u[:, 0] + 1j * u[:, 1]) * scale
+        kept = np.concatenate([kept, z[_defining(domain, z) < _SAMPLE_MARGIN - 1.0]])
+    return kept[:count]
 
 
-def _sample_direction(domain: DomainParams, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n)
-    return v / np.linalg.norm(v)
+def _sample_directions(domain: DomainParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    # (count, n) unit rows, each from n real and then n imaginary normal draws;
+    # |v|^2 is re.re + im.im by dot products, as np.linalg.norm forms it for one v
+    g = rng.normal(size=(count, 2, domain.n))
+    v = g[:, 0] + 1j * g[:, 1]
+    re, im = v.real[:, None], v.imag[:, None]
+    return v / np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
 
 
 def _rel(a, b):
@@ -90,7 +104,7 @@ def _rel_max(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def check_gauge(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     worst_h = 0.0
     for _ in range(50):
-        v = _sample_direction(domain, rng) * rng.uniform(0.1, 2.0)
+        v = _sample_directions(domain, rng, 1)[0] * rng.uniform(0.1, 2.0)
         g = minkowski_gauge(domain, v)
         inside = defining_function(domain, v) < 0.0
         if (g < 1.0) != inside:
@@ -102,26 +116,20 @@ def check_gauge(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, s
 
 def check_automorphism(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     worst_ref = worst_bdry = worst_jac = 0.0
-    for _ in range(25):
-        p = _sample_interior(domain, rng)
-        z = _sample_interior(domain, rng)
-        img = egg_automorphism(domain, p, p)
-        s = math.sqrt(1.0 - float(np.sum(np.abs(p[1:]) ** 2)))
-        worst_ref = max(worst_ref, abs(img[0] - abs(p[0]) / s ** (1.0 / domain.m)),
-                        float(np.max(np.abs(img[1:]))))
-        v = _sample_direction(domain, rng)
+    n = domain.n
+    ps, zs = _sample_interior(domain, rng, 25), _sample_interior(domain, rng, 25)
+    steps = 1e-6 * np.eye(n)
+    for p, z, v in zip(ps, zs, _sample_directions(domain, rng, 25)):
         zb = v / max(minkowski_gauge(domain, v), 1e-300)
-        worst_bdry = max(worst_bdry, abs(defining_function(domain,
-                         egg_automorphism(domain, p, zb))))
+        # p, a boundary point and the central differences in each z_j, one call
+        img = egg_automorphism(domain, p, np.vstack([p, zb, z + steps, z - steps]))
+        s = math.sqrt(1.0 - float(np.sum(np.abs(p[1:]) ** 2)))
+        worst_ref = max(worst_ref, abs(img[0, 0] - abs(p[0]) / s ** (1.0 / domain.m)),
+                        float(np.max(np.abs(img[0, 1:]))))
+        worst_bdry = max(worst_bdry, abs(defining_function(domain, img[1])))
         D = automorphism_jacobian(domain, p, z)
-        h = 1e-6
-        scale = float(np.max(np.abs(D)))
-        for j in range(domain.n):
-            e = np.zeros(domain.n, dtype=complex)
-            e[j] = 1.0
-            fd = (egg_automorphism(domain, p, z + h * e)
-                  - egg_automorphism(domain, p, z - h * e)) / (2 * h)
-            worst_jac = max(worst_jac, float(np.max(np.abs(fd - D[:, j]))) / scale)
+        fd = (img[2:2 + n] - img[2 + n:]).T / 2e-6  # column j: d/dz_j
+        worst_jac = max(worst_jac, float(np.max(np.abs(fd - D)) / np.max(np.abs(D))))
     ok = worst_ref < 1e-12 and worst_bdry < 1e-9 and worst_jac < 1e-6
     return ok, (f"reference {worst_ref:.1e}, boundary {worst_bdry:.1e}, "
                 f"jacobian-vs-fd {worst_jac:.1e}")
@@ -160,7 +168,7 @@ def check_alt_upper(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     p1s, vs = [], []
     for _ in range(100):
         p1 = rng.uniform(0.1, 0.9)
-        vhat = _sample_direction(domain, rng)[1:]
+        vhat = _sample_directions(domain, rng, 1)[0, 1:]
         vhat = vhat / np.linalg.norm(vhat)
         u = p1 * rng.uniform(1.05, 40.0)
         p1s.append(p1)
@@ -179,14 +187,13 @@ def check_kcurves(domain: DomainParams, rng: np.random.Generator) -> tuple[bool,
     worst = 0.0
     p1s, vs = [], []
     for p1 in (0.3, 0.6, 0.85):
-        for branch in (Branch.UPPER, Branch.LOWER):
-            for alpha in kcurve_alpha_grid(domain, p1, branch, 48):
-                s = kcurve_sample(domain, p1, branch, alpha)
-                v = np.zeros(domain.n, dtype=complex)
-                v[0] = math.sqrt(s.y)
-                v[1] = math.sqrt(s.x)
-                p1s.append(p1)
-                vs.append(v)
+        for branch, xy_many in ((Branch.UPPER, _upper_xy_many), (Branch.LOWER, _lower_xy_many)):
+            # the grid lies in the branch range; clamped at 0 as kcurve_sample clamps
+            xy = np.maximum(xy_many(domain.m, p1, kcurve_alpha_grid(domain, p1, branch, 48)), 0.0)
+            v = np.zeros((len(xy), domain.n), dtype=complex)
+            v[:, 0], v[:, 1] = np.sqrt(xy[:, 1]), np.sqrt(xy[:, 0])
+            p1s.extend([p1] * len(xy))
+            vs.append(v)
         up = kcurve_sample(domain, p1, Branch.UPPER, 1.0)
         lo = kcurve_sample(domain, p1, Branch.LOWER, 1.0)
         jp = joining_point(domain, p1)
@@ -195,7 +202,7 @@ def check_kcurves(domain: DomainParams, rng: np.random.Generator) -> tuple[bool,
     # kobayashi at the axis points (p1, 0, ..., 0) is kobayashi_reference
     axis = np.zeros((len(p1s), domain.n))
     axis[:, 0] = p1s
-    K = kobayashi(domain, axis, np.array(vs))
+    K = kobayashi(domain, axis, np.concatenate(vs))
     worst = max(worst, float(np.max(np.abs(K ** 2 - 1.0))))
     return worst < 1e-10, f"worst indicatrix residual {worst:.2e}"
 
@@ -237,11 +244,7 @@ def check_fit_oracle(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
 
 
 def check_domination(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    zs, vs = [], []
-    for _ in range(300):
-        zs.append(_sample_interior(domain, rng))
-        vs.append(_sample_direction(domain, rng))
-    z, v = np.array(zs), np.array(vs)
+    z, v = _sample_interior(domain, rng, 300), _sample_directions(domain, rng, 300)
     worst = float(np.max(wu_norm(domain, z, v) - kobayashi(domain, z, v)))
     return worst <= 1e-9, f"max(wu - kobayashi) = {worst:.2e}"
 
@@ -249,19 +252,12 @@ def check_domination(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
 def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     # the pairs (p, v) and their images (pq, D v) under the automorphism
     # moving q to the axis, one batch of rows
-    ps, pqs, vs, dvs, jacs = [], [], [], [], []
-    for _ in range(40):
-        p = _sample_interior(domain, rng)
-        q = _sample_interior(domain, rng)
-        v = _sample_direction(domain, rng)
-        D = automorphism_jacobian(domain, q, p)
-        ps.append(p)
-        pqs.append(egg_automorphism(domain, q, p))
-        vs.append(v)
-        dvs.append(D @ v)
-        jacs.append(D)
-    count = len(ps)
-    pts, vecs, D = np.array(ps + pqs), np.array(vs + dvs), np.array(jacs)
+    count = 40
+    ps, qs = _sample_interior(domain, rng, count), _sample_interior(domain, rng, count)
+    vs = _sample_directions(domain, rng, count)
+    D = np.array([automorphism_jacobian(domain, q, p) for p, q in zip(ps, qs)])
+    pqs = [egg_automorphism(domain, q, p) for p, q in zip(ps, qs)]
+    pts, vecs = np.concatenate([ps, pqs]), np.concatenate([vs, (D @ vs[..., None])[..., 0]])
     K = kobayashi(domain, pts, vecs)
     W = wu_norm(domain, pts, vecs)
     H = wu_tensor(domain, pts)
@@ -274,7 +270,7 @@ def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
 
 
 def check_tensor_consistency(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    z = np.array([_sample_interior(domain, rng) for _ in range(60)])
+    z = _sample_interior(domain, rng, 60)
     a = wu_tensor(domain, z)
     b = pullback_tensor(domain, z)
     herm = np.max(np.abs(a - np.conj(a).transpose(0, 2, 1)), axis=(1, 2))
@@ -297,7 +293,7 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
     worst = 0.0
     for _ in range(6):
         for _ in range(_POTENTIAL_DRAWS):
-            z = _sample_interior(domain, rng, scale=0.95)
+            z = _sample_interior(domain, rng, 1, scale=0.95)[0]
             z[0] = rng.uniform(lo, hi)
             z[1:] *= 0.2
             if (defining_function(domain, z) < -0.02
@@ -382,7 +378,7 @@ def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     m = domain.m
     dirs = direction_sample(domain.n, seed=7, count=8)
     if m == 1.0:
-        pts = [_sample_interior(domain, rng, scale=0.5) for _ in range(3)]
+        pts = _sample_interior(domain, rng, 3, scale=0.5)
     elif m > 1.0:
         thr = domain.m0_radius
         pts = [_axis_point(domain, p1) for p1 in np.linspace(0.55 * thr, 0.9 * thr, 2)]

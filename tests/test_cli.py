@@ -239,3 +239,56 @@ class TestExitCodes:
                                "--only", "contact-point")
         assert code == 0
         assert "0/0 checks passed" in out
+
+
+class TestVerifyFormat:
+    ONLY = ("--only", "gauge-membership,square-convexity,contact-point")
+
+    def test_text_table_without_a_format(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", *self.ONLY)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"verification suite for m=2.0, n=2 (seed 0, version {__version__})"
+        assert [line.split()[:2] for line in lines[1:-1]] == [
+            ["[PASS]", "gauge-membership"], ["[PASS]", "square-convexity"],
+            ["[PASS]", "contact-point"]]
+        assert lines[-1] == "3/3 checks passed"
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_json_object(self, capsys, tmp_path, how):
+        if how == "flag":
+            given = ("--format", "json")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("format = json\n")
+            given = ("--config", str(cfg))
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--seed", "4",
+                               *given, *self.ONLY)
+        assert code == 0
+        payload = json.loads(out)
+        assert {k: payload[k] for k in ("m", "n", "seed", "version", "passed", "total")} == {
+            "m": 2.0, "n": 2, "seed": 4, "version": __version__, "passed": 3, "total": 3}
+        assert [r["name"] for r in payload["checks"]] == [
+            "gauge-membership", "square-convexity", "contact-point"]
+        for record in payload["checks"]:
+            assert set(record) == {"name", "passed", "detail", "seconds"}
+            assert record["passed"] is True and record["seconds"] >= 0.0
+        # the same details as the text table
+        _, text, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--seed", "4", *self.ONLY)
+        rows = {line.split()[1]: line for line in text.splitlines() if line.startswith("  [")}
+        for record in payload["checks"]:
+            assert f"  {record['detail']}  (" in rows[record["name"]]
+
+    def test_json_failures_keep_exit_code_three(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2", "--format", "json",
+                               "--only", "square-convexity,gauge-membership")
+        assert code == 3
+        payload = json.loads(out)
+        assert (payload["passed"], payload["total"]) == (1, 2)
+        assert [r["passed"] for r in payload["checks"]] == [True, False]
+
+    def test_csv_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--format", "csv")
+        assert code == 1
+        assert "validation error" in err and "csv" in err
+        assert out == ""
