@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import GridSpec, curvature_scan
-from .domain import REGION_TOL, DomainParams, classify_region
+from .domain import REGION_TOL, DomainParams, _axis_point, classify_region
 from .errors import EggMetricsError, NumericalError
 from .fitting import containment_violation, contact_point, fit_oracle, fit_reference
 from .kcurve import kcurve_alpha_grid, kcurve_sample
@@ -187,9 +187,7 @@ def _cmd_tensor(cfg: RunConfig, args) -> int:
 def _cmd_fit(cfg: RunConfig, args) -> int:
     domain = cfg.domain()
     p1 = args.p1
-    z = np.zeros(cfg.n, dtype=complex)
-    z[0] = p1
-    label = classify_region(domain, z, tol=cfg.tol).value
+    label = classify_region(domain, _axis_point(domain, p1), tol=cfg.tol).value
     ref = fit_reference(domain, p1)
     orc = fit_oracle(domain, p1, samples=args.samples)
     x_star = y_star = None
@@ -221,9 +219,7 @@ def _cmd_kcurve(cfg: RunConfig, args) -> int:
         for alpha in kcurve_alpha_grid(domain, p1, branch, args.count):
             s = kcurve_sample(domain, p1, branch, float(alpha))
             rows.append([branch.value, float(alpha), s.x, s.y])
-    z = np.zeros(cfg.n, dtype=complex)
-    z[0] = p1
-    meta = _meta(cfg, region=classify_region(domain, z, tol=cfg.tol).value)
+    meta = _meta(cfg, region=classify_region(domain, _axis_point(domain, p1), tol=cfg.tol).value)
     meta["p1"] = p1
     if cfg.fmt == "csv":
         _emit(_csv_text(meta, ["branch", "alpha", "x", "y"], rows), cfg.out)
@@ -290,8 +286,6 @@ def _cmd_smoothness_scan(cfg: RunConfig, args) -> int:
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
     # a text table by default, one JSON object with --format json
-    if cfg.fmt == "csv":
-        raise ValueError("verify writes a text table or --format json, not csv")
     domain = cfg.domain()
     results = run_checks(domain, seed=cfg.seed,
                          names=args.only.split(",") if args.only else None)
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, required=True)
     p.add_argument("--count", type=int, default=128)
     p.add_argument("--branch", choices=["LOWER", "UPPER", "both"], default="both")
-    p.set_defaults(handler=_cmd_kcurve)
+    p.set_defaults(handler=_cmd_kcurve, csv=True)
 
     p = subs.add_parser("curvature-scan",
                         help="holomorphic curvature over an axis grid, from exact metric "
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--phat-abs", dest="phat_abs", type=float, default=0.0)
     p.add_argument("--directions", type=int, default=None)
-    p.set_defaults(handler=_cmd_curvature_scan)
+    p.set_defaults(handler=_cmd_curvature_scan, csv=True)
 
     p = subs.add_parser("smoothness-scan", help="regularity probes across a seam")
     _add_common(p)
@@ -418,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg.domain()  # validate m, n now
         if cfg.fmt not in (None, "json", "csv"):
             raise ValueError(f"unknown format {cfg.fmt!r}")
+        if cfg.fmt == "csv" and not getattr(args, "csv", False):
+            raise ValueError(f"{args.command} does not write csv; kcurve and curvature-scan do")
         if cfg.tol <= 0:
             raise ValueError("tol must be positive")
     except (EggMetricsError, ValueError) as exc:

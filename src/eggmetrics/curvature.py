@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainParams, RegionLabel, as_vector
+from .domain import DomainParams, RegionLabel, _axis_point, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
 from .tensor import HermitianForm, _jet_defect, _jet_region, _wu_jet
 
@@ -173,10 +173,7 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
     records: list[CurvatureScanRecord] = []
     skipped: list[np.ndarray] = []
     for p1 in p1s:
-        z = np.zeros(domain.n, dtype=complex)
-        z[0] = p1
-        if domain.n > 1 and grid.phat_abs:
-            z[1] = grid.phat_abs
+        z = _axis_point(domain, p1, grid.phat_abs)
         try:
             region = _jet_region(domain, z)
         except SeamProximityError:

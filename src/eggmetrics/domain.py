@@ -8,20 +8,22 @@ arrays, one point or vector per row.
 Each public function checks its vector arguments once, with ``as_vector``;
 the private ``_...`` helpers take vectors that are already checked, so that
 callers inside the package check at their own boundary and not again at
-every layer. ``_defining``, ``_region_of`` and ``_reference_coordinate`` work
-on the last axis, so they take one point or rows of points alike.
+every layer. ``_defining`` and ``_region_of`` work on the last axis, so they
+take one point or rows of points alike. Whether a point lies inside the egg
+is decided in one place, ``_reference_rows``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import abs_pow, single_term_root, solve_bracketed
+from .numerics import _two_term_root, abs_pow
 
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
@@ -116,6 +118,19 @@ def _check_p1(p1: float) -> None:
         raise DomainError(f"axis coordinate p1 must lie in (0, 1), got {p1!r}")
 
 
+def _check_tol(tol: float) -> None:
+    # the region tolerance of a public call
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+
+
+def _axis_point(domain: DomainParams, p1, z2: complex = 0.0) -> np.ndarray:
+    # the point (p1, z2, 0, ..., 0), or one such row per entry of an array p1
+    z = np.zeros(np.shape(p1) + (domain.n,), dtype=complex)
+    z[..., 0], z[..., 1] = p1, z2
+    return z
+
+
 def defining_function(domain: DomainParams, z) -> float:
     """|z1|^2m + |zhat|^2 - 1; negative inside the egg."""
     return float(_defining(domain, as_vector(z, domain.n)))
@@ -145,26 +160,14 @@ def _gauge(domain: DomainParams, v: np.ndarray) -> float:
         unit = np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
         return math.ldexp(_gauge(domain, unit), e)
     a_coef = abs_pow(abs(v[0]), 2 * m)
-    b_coef = float(np.sum(np.abs(v[1:]) ** 2))
+    b_coef = float(_hat_sq(v))
     if a_coef == 0.0 and b_coef == 0.0:
         return 0.0
     if a_coef == 0.0:
         return math.sqrt(b_coef)
     if b_coef == 0.0:
         return abs(v[0])
-
-    def g(alpha: float) -> float:
-        return a_coef * abs_pow(alpha, 2 * m) + b_coef * alpha * alpha - 1.0
-
-    def dg(alpha: float) -> float:
-        return 2 * m * a_coef * abs_pow(alpha, 2 * m - 1) + 2 * b_coef * alpha
-
-    # the root is bounded by the single-term roots (each term alone reaches 1
-    # there), which also keeps the bracket sane for subnormal inputs; the
-    # safety factor absorbs the rounding of the bound itself
-    hi = min(single_term_root(a_coef, 2 * m), single_term_root(b_coef, 2.0)) * (1.0 + 1e-9)
-    alpha = solve_bracketed(g, 0.0, hi, df=dg)
-    return 1.0 / alpha
+    return 1.0 / _two_term_root(a_coef, b_coef, m)
 
 
 def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionLabel:
@@ -174,6 +177,7 @@ def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionL
     Z is |z1| <= tol. Labels depend only on |z1| and |zhat|, so they are
     invariant under phase rotation of z1 and unitary rotation of zhat.
     """
+    _check_tol(tol)
     return _region_of(domain, as_vector(z, domain.n), tol)
 
 
@@ -184,18 +188,15 @@ _LABELS = np.array([RegionLabel.OUTSIDE, RegionLabel.Z, RegionLabel.GENERIC,
 
 def _region_of(domain: DomainParams, z: np.ndarray, tol: float):
     # classify_region of a checked point, or an object array of the labels of
-    # each row
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    r1 = np.abs(z[..., 0])
-    P = r1 ** (2 * domain.m)
-    q = _hat_sq(z)
+    # each row; the membership parts come from rows, one point's as floats
+    r1, q, sm = _reference_rows(domain, z.reshape(-1, domain.n))
+    if z.ndim == 1:
+        r1, q, sm = float(r1[0]), float(q[0]), float(sm[0])
     code = 2  # GENERIC
     if domain.m > 1.0:
-        w = _M0_WEIGHT * P + q - 1.0
+        w = _M0_WEIGHT * r1 ** (2 * domain.m) + q - 1.0
         code = 4 + (w > tol) * 1 - (w < -tol)  # M_MINUS, M_ZERO or M_PLUS
-    code = np.where(P + q >= 1.0, 0, np.where(r1 <= tol, 1, code))
-    return _LABELS[code]
+    return _LABELS[np.where(r1 < sm, np.where(r1 <= tol, 1, code), 0)]
 
 
 def reference_coordinate(domain: DomainParams, p) -> float:
@@ -203,17 +204,44 @@ def reference_coordinate(domain: DomainParams, p) -> float:
     p = as_vector(p, domain.n)
     if _hat_sq(p) >= 1.0:
         raise DomainError("point has |phat| >= 1")
-    return float(_reference_coordinate(domain, p))
+    return float(_reference_coordinate(domain, p[None])[0])
 
 
-def _reference_coordinate(domain: DomainParams, p: np.ndarray) -> np.ndarray:
-    # reference_coordinate of a checked point with |phat| < 1, or of each row
-    return np.abs(p[..., 0]) / np.sqrt(1.0 - _hat_sq(p)) ** (1.0 / domain.m)
+def _reference_rows(domain: DomainParams, z: np.ndarray):
+    """(r1, q, sm) of checked (N, n) rows: the one membership test of the egg.
+
+    r1 = |z1|, q = |zhat|^2 and sm = s^(1/m) with s = sqrt(1 - q), taken as 0
+    where q >= 1. A row lies inside the egg exactly where r1 < sm. For
+    sm > 0 that is where the reference coordinate p1_ref = r1/sm, the axis
+    coordinate of the row's automorphism image, rounds below 1: r1 < sm
+    means r1 <= sm (1 - eps/2), so r1/sm rounds to at most 1 - eps/2. On
+    rows, as ``_to_axis`` works, since numpy's array power can round apart
+    from its scalar power.
+    """
+    q = _hat_sq(z)
+    return np.abs(z[:, 0]), q, np.sqrt(np.maximum(1.0 - q, 0.0)) ** (1.0 / domain.m)
+
+
+def _reference_coordinate(domain: DomainParams, z: np.ndarray) -> np.ndarray:
+    # p1_ref of checked (N, n) rows with |zhat| < 1
+    r1, _, sm = _reference_rows(domain, z)
+    return r1 / sm
+
+
+def _check_inside(domain: DomainParams, z: np.ndarray):
+    # ``_reference_rows`` of checked (N, n) rows, each of which must lie inside
+    r1, _, sm = ref = _reference_rows(domain, z)
+    if not (r1 < sm).all():
+        raise DomainError("point lies outside the egg")
+    return ref
 
 
 def _phase_factor(p1: complex) -> complex:
     # unimodular factor |p1|/p1, fixed to 1 at p1 = 0 (any choice gives the
-    # same metric values by rotational symmetry)
+    # same metric values by rotational symmetry); a subnormal p1 is scaled up
+    # first, as the division takes 1/p1
+    if abs(p1) < sys.float_info.min:
+        p1 *= 2.0 ** 64
     return abs(p1) / p1 if p1 != 0 else 1.0
 
 
@@ -222,22 +250,23 @@ def egg_automorphism(domain: DomainParams, p, z) -> np.ndarray:
 
     The zhat block is moved by the standard ball automorphism taking phat to
     the origin; z1 is scaled by the matching (1 - <zhat, phat>)^(-1/m) factor.
-    For phat = 0 the map degenerates to (c z1, -zhat) with unimodular c.
+    For phat = 0 the map degenerates to (c z1, -zhat) with unimodular c; so
+    it is taken for |phat|^2 below the smallest normal float too, where s and
+    1 - <zhat, phat> round to 1 and the general form would divide by it.
     Accepts z on the closed egg (boundary maps to boundary), as one point or
     as (N, n) rows of points moved by the same map.
     """
     m = domain.m
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n, rows=True)
-    if _defining(domain, p) >= 0.0:
-        raise DomainError("base point p must lie inside the egg")
+    _check_inside(domain, p[None])
     if (_defining(domain, z) > 1e-9).any():
         raise DomainError("z must lie in the closed egg")
     c = _phase_factor(p[0])
     phat = p[1:]
     zhat = z[..., 1:]
-    phat_sq = float(np.sum(np.abs(phat) ** 2))
-    if phat_sq == 0.0:
+    phat_sq = float(_hat_sq(p))
+    if phat_sq < sys.float_info.min:
         return np.concatenate((c * z[..., :1], -zhat), axis=-1)
     s = math.sqrt(1.0 - phat_sq)
     w = (zhat @ np.conj(phat))[..., None]  # <zhat, phat>, conjugate-linear in phat
@@ -252,16 +281,15 @@ def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:
     """Holomorphic Jacobian of ``egg_automorphism(domain, p, .)`` at z."""
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n)
-    if _defining(domain, p) >= 0.0:
-        raise DomainError("base point p must lie inside the egg")
+    _check_inside(domain, p[None])
     m = domain.m
     n = domain.n
     c = _phase_factor(p[0])
     phat = p[1:]
     zhat = z[1:]
-    phat_sq = float(np.sum(np.abs(phat) ** 2))
+    phat_sq = float(_hat_sq(p))
     D = np.zeros((n, n), dtype=complex)
-    if phat_sq == 0.0:
+    if phat_sq < sys.float_info.min:  # as in egg_automorphism
         D[0, 0] = c
         for j in range(1, n):
             D[j, j] = -1.0
@@ -291,16 +319,13 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     vanishes and 1 - <phat, phat> = s^2, so with d = <vhat, phat>
     w1 = c s^(-1/m) (v1 + p1 d/(m s^2)) and what = -(s vhat + phat d/(1+s))/s^2,
     using (1 - s)/|phat|^2 = 1/(1 + s); phat = 0 needs no branch. The
-    reference coordinate is ``_reference_coordinate``'s |p1|/s^(1/m).
+    reference coordinate is ``_reference_coordinate``'s p1_ref.
     """
     m = domain.m
+    r1, q, sm = _check_inside(domain, p)
     p1, phat, vhat = p[:, 0], p[:, 1:], v[:, 1:]
-    r1, q = np.abs(p1), _hat_sq(p)
-    if (r1 ** (2 * m) + q >= 1.0).any():  # _defining >= 0
-        raise DomainError("point lies outside the egg")
     s2 = 1.0 - q
     s = np.sqrt(s2)
-    sm = s ** (1.0 / m)
     d = (np.conj(phat) * vhat).sum(axis=-1)
     on_z = r1 == 0.0
     c = r1 / np.where(on_z, 1.0, p1) + on_z  # |p1|/p1, and 1 at p1 = 0
@@ -313,8 +338,8 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
 def seam_distance(domain: DomainParams, z) -> float:
     """Conservative distance from z to the nearest of: Z, M0 (if m > 1), the boundary.
 
-    First-order estimate |f| / |grad f| on each defining expression; a
-    finite-difference stencil narrower than this never straddles a seam.
+    First-order estimate |f| / |grad f| on each defining expression: a ball
+    of this radius around z meets none of the three to first order.
     """
     return _seam_distance(domain, as_vector(z, domain.n))
 
@@ -323,7 +348,7 @@ def _seam_distance(domain: DomainParams, z: np.ndarray) -> float:
     # seam_distance on a checked vector
     m = domain.m
     r1 = abs(z[0])
-    rhat = math.sqrt(float(np.sum(np.abs(z[1:]) ** 2)))
+    rhat = math.sqrt(float(_hat_sq(z)))
     dists = [r1]  # distance to the hyperplane z1 = 0
     e = abs_pow(r1, 2 * m) + rhat * rhat - 1.0
     grad_e = math.hypot(2 * m * abs_pow(r1, 2 * m - 1), 2 * rhat)

@@ -71,8 +71,9 @@ def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
     A row whose equation leaves the float range at X = 1 raises OverflowError.
     The first row left to solve runs the scalar ``solve_bracketed`` from the
     leading-order root tau = ((m+1)/s^2)^(1/m) of the p1 -> 0 limit; any others
-    run ``_solve_bracketed_rows`` from its root scaled to each row's tau, so a
-    stencil's nearby points converge in a few steps.
+    run ``_solve_bracketed_rows`` from its root scaled to each row's tau. The
+    many-row callers are ``verify``'s sample sets and the regularity probes'
+    paths, through the inner-region tensor form.
     """
     m = domain.m
     p1, s = np.asarray(p1, dtype=float), np.asarray(s, dtype=float)

@@ -27,7 +27,7 @@ from .domain import (
     as_vector,
 )
 from .errors import DomainError, NumericalError
-from .numerics import _solve_bracketed_rows, abs_pow, single_term_root, solve_bracketed
+from .numerics import _solve_bracketed_rows, _two_term_root, abs_pow, solve_bracketed
 
 
 #: smallest axis coordinate whose UPPER root alpha, which runs down to p1,
@@ -149,16 +149,22 @@ def _upper_ratio(m: float, p1, alpha, xp=np):
     return p1 * p1 * xp.exp((2.0 - 2.0 * m) * xp.log1p((alpha - p1) / p1))
 
 
+def _is_upper(m: float, p1, v1, x):
+    # the one branch test at an axis point, UPPER where m|v1| > p1|vhat|, of
+    # |v1| and x = |vhat|^2 as floats or as rows; np.sqrt rounds alike on both
+    return m * v1 > p1 * np.sqrt(x)
+
+
 def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
     """Classify a tangent vector at an axis point and solve the branch parameters."""
     _check_p1(p1)
     v = as_vector(v, domain.n)
     m = domain.m
-    vhat = math.sqrt(float(np.sum(np.abs(v[1:]) ** 2)))
-    if vhat == 0.0:
+    v1, x = abs(v[0]), float(_hat_sq(v))
+    if x == 0.0:
         return BranchParams(u=math.inf, t=0.0, alpha=p1, branch=Branch.AXIS)
-    u = m * abs(v[0]) / vhat
-    if u <= p1:
+    u = m * v1 / math.sqrt(x)
+    if not _is_upper(m, p1, v1, x):
         return BranchParams(u=u, t=1.0, alpha=1.0, branch=Branch.LOWER)
     t = float(branch_ratio(m, p1, u))
     return BranchParams(u=u, t=t, alpha=solve_alpha(m, t, p1), branch=Branch.UPPER)
@@ -173,15 +179,15 @@ def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
 
 def _kobayashi_reference_sq(domain: DomainParams, p1: np.ndarray, v: np.ndarray) -> np.ndarray:
     # kobayashi_reference_sq of each checked row: p1 (N,) in (0, 1), v (N, n);
-    # AXIS where vhat = 0, else LOWER where u = m|v1|/|vhat| <= p1, else UPPER
+    # AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``
     m = domain.m
     v1 = np.abs(v[:, 0])
     x = _hat_sq(v)
     if len(p1) == 1:  # the same test on floats, which round alike
         x_0 = float(x[0])
-        branch = 0 if x_0 == 0.0 else 1 + (m * float(v1[0]) > float(p1[0]) * math.sqrt(x_0))
+        branch = 0 if x_0 == 0.0 else 1 + bool(_is_upper(m, float(p1[0]), float(v1[0]), x_0))
         return _BRANCH_SQ[branch](m, p1, v1, x)
-    branch = (x > 0.0) * (1 + (m * v1 > p1 * np.sqrt(x)))
+    branch = (x > 0.0) * (1 + _is_upper(m, p1, v1, x))
     k_sq = np.empty(len(p1))
     for b, branch_sq in enumerate(_BRANCH_SQ):
         rows = branch == b
@@ -245,13 +251,10 @@ def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray, ndim: int 
     # for one vector
     p1, w = _to_axis(domain, p, v)
     _check_finite(w if ndim == 2 else w[0])  # D v overflows for v near the float limit
-    axial = (REFERENCE_AXIS_TOL <= p1) & (p1 < 1.0)
-    if axial.all():
-        return _kobayashi_reference_sq(domain, p1, w)
     on_z = p1 < REFERENCE_AXIS_TOL
-    rounded = ~(on_z | axial)  # rounding puts some points just inside the boundary at p1 = 1
-    if rounded.any():
-        _check_p1(float(p1[rounded][0]))
+    if not on_z.any():
+        return _kobayashi_reference_sq(domain, p1, w)
+    axial = ~on_z
     k_sq = np.empty(len(p))
     for i in np.flatnonzero(on_z):
         k_sq[i] = _gauge(domain, w[i]) ** 2
@@ -279,25 +282,16 @@ def kobayashi_alt_upper(domain: DomainParams, p1: float, v) -> float:
     v = as_vector(v, domain.n)
     m = domain.m
     v1 = abs(v[0])
-    xh = float(np.sum(np.abs(v[1:]) ** 2))
+    xh = float(_hat_sq(v))
     if v1 == 0.0 or xh == 0.0:
         raise DomainError("alternate formula needs v1 != 0 and vhat != 0")
-    if m * v1 / math.sqrt(xh) <= p1:
+    if not _is_upper(m, p1, v1, xh):
         raise DomainError("alternate formula is defined on the u > p1 branch only")
     disc = v1 * v1 + 4.0 * (1.0 - 1.0 / m) * p1 * p1 * xh
     t2 = 2.0 * v1 * v1 / (v1 * v1 + 2.0 * (1.0 - 1.0 / m) * xh * p1 * p1
                           + v1 * math.sqrt(disc))
     A = (1.0 - t2 * xh * p1 * p1 / (v1 * v1)) * abs_pow(v1, 2 * m)
-    B = t2 * xh
-
-    def g(xv: float) -> float:
-        return A * abs_pow(xv, 2 * m) + B * xv * xv - 1.0
-
-    def dg(xv: float) -> float:
-        return 2 * m * A * abs_pow(xv, 2 * m - 1) + 2 * B * xv
-
-    hi = min(single_term_root(A, 2 * m), single_term_root(B, 2.0)) * (1.0 + 1e-9)
-    root = solve_bracketed(g, 0.0, hi, df=dg)
+    root = _two_term_root(A, t2 * xh, m)
     inner = v1 * v1 * root * root - p1 * p1 * abs_pow(root, 2 * m) * abs_pow(v1, 2 * m)
     k_sq = root * root * v1 ** 4 / (t2 * inner * inner)
     return math.sqrt(k_sq)

@@ -24,16 +24,23 @@ def abs_pow(x: float, exponent: float) -> float:
     return math.exp(exponent * math.log(abs(x)))
 
 
-def single_term_root(coef: float, power: float) -> float:
-    """Positive root of coef * x**power = 1; inf when it exceeds float range.
+def _two_term_root(a: float, b: float, m: float) -> float:
+    """Positive root x of a x^2m + b x^2 = 1 for a, b >= 0, not both zero.
 
-    Used to bound bracketing intervals; safe for subnormal coefficients,
-    where a naive power would overflow.
+    Each term alone reaches 1 at its single-term root c^(-1/p), so the root
+    lies below the smaller one; taken through the logarithm that bound stays
+    finite for subnormal coefficients (inf past e^700), and a safety factor
+    absorbs its rounding.
     """
-    if coef == 0.0:
-        return math.inf
-    t = -math.log(coef) / power
-    return math.inf if t > 700.0 else math.exp(t)
+    def g(x: float) -> float:
+        return a * abs_pow(x, 2 * m) + b * x * x - 1.0
+
+    def dg(x: float) -> float:
+        return 2 * m * a * abs_pow(x, 2 * m - 1) + 2 * b * x
+
+    t = min(-math.log(c) / p for c, p in ((a, 2 * m), (b, 2.0)) if c != 0.0)
+    hi = (math.exp(t) if t <= 700.0 else math.inf) * (1.0 + 1e-9)
+    return solve_bracketed(g, 0.0, hi, df=dg)
 
 
 def solve_bracketed(

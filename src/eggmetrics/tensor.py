@@ -21,8 +21,8 @@ from .domain import (
     _FIT_ORIGIN_TOL,
     _M0_WEIGHT,
     _Z_FORMULA_TOL,
-    _check_p1,
-    _defining,
+    _check_inside,
+    _check_tol,
     _region_of,
     _same_rows,
     _to_axis,
@@ -194,12 +194,12 @@ def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
     (N, n, n) stack of the matrices. Any outside point or bad row raises
     ``DomainError`` for the whole call.
     """
+    _check_tol(tol)
     z = as_vector(z, domain.n, rows=True)
-    region = _region_of(domain, z, tol)
     if z.ndim == 2:
-        if (region == RegionLabel.OUTSIDE).any():
-            raise DomainError("point lies outside the egg")
+        _check_inside(domain, z)
         return _read_only(_wu_matrices(domain, z))
+    region = _region_of(domain, z, tol)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
     kind = _formula_kind(domain, *_moduli(z[None]))
@@ -219,6 +219,7 @@ def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
     enter, as D^T R conj(D) with R = diag(r1, r2, ..., r2). One point gives a
     ``HermitianForm``; (N, n) rows give the read-only (N, n, n) stack.
     """
+    _check_tol(tol)
     z = as_vector(z, domain.n, rows=True)
     rows = np.atleast_2d(z)
     # row j of W[k] is D e_j at the k-th point, so W[k] is D^T
@@ -226,9 +227,6 @@ def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
     p1_ref, W = _to_axis(domain, np.repeat(rows, n, axis=0),
                          np.tile(np.eye(n, dtype=complex), (len(rows), 1)))
     p1_ref, W = p1_ref[::n], W.reshape(-1, n, n)
-    below = p1_ref < 1.0
-    if not below.all():
-        _check_p1(float(p1_ref[~below][0]))  # rounded up to the boundary
     r1, r2 = _fit_rows(domain, p1_ref)
     R = np.empty(rows.shape)
     R[:, 0], R[:, 1:] = r1, r2[:, None]
@@ -252,8 +250,7 @@ def wu_norm(domain: DomainParams, z, v):
     z = as_vector(z, domain.n, rows=True)
     _same_rows(z, v)
     zs = np.atleast_2d(z)
-    if (_defining(domain, zs) >= 0.0).any():
-        raise DomainError("point lies outside the egg")
+    _check_inside(domain, zs)
     norm_sq = _norm_sq(_wu_matrices(domain, zs), np.atleast_2d(v))
     if z.ndim == 1:
         return math.sqrt(max(float(norm_sq[0]), 0.0))  # rounds as np.sqrt does

@@ -19,7 +19,9 @@ from .curvature import curvature_tensor, direction_sample
 from .domain import (
     DomainParams,
     RegionLabel,
+    _axis_point,
     _defining,
+    _hat_sq,
     automorphism_jacobian,
     classify_region,
     defining_function,
@@ -123,7 +125,7 @@ def check_automorphism(domain: DomainParams, rng: np.random.Generator) -> tuple[
         zb = v / max(minkowski_gauge(domain, v), 1e-300)
         # p, a boundary point and the central differences in each z_j, one call
         img = egg_automorphism(domain, p, np.vstack([p, zb, z + steps, z - steps]))
-        s = math.sqrt(1.0 - float(np.sum(np.abs(p[1:]) ** 2)))
+        s = math.sqrt(1.0 - float(_hat_sq(p)))
         worst_ref = max(worst_ref, abs(img[0, 0] - abs(p[0]) / s ** (1.0 / domain.m)),
                         float(np.max(np.abs(img[0, 1:]))))
         worst_bdry = max(worst_bdry, abs(defining_function(domain, img[1])))
@@ -150,8 +152,7 @@ def check_branch_junction(domain: DomainParams, rng: np.random.Generator) -> tup
     # kobayashi at the axis points (p1, 0, ..., 0) is kobayashi_reference
     u = np.array([(p1, p1 * (1 + 1e-12), p1 - h, p1 - 2 * h, p1 + h, p1 + 2 * h)
                   for p1 in p1s]).ravel()
-    axis = np.zeros((len(u), domain.n))
-    axis[:, 0] = np.repeat(p1s, 6)
+    axis = _axis_point(domain, np.repeat(p1s, 6))
     vecs = np.zeros((len(u), domain.n), dtype=complex)
     vecs[:, 0], vecs[:, 1:] = u / m, vhat
     k0, k_up, k_m1, k_m2, k_p1, k_p2 = kobayashi(domain, axis, vecs).reshape(len(p1s), -1).T
@@ -175,9 +176,7 @@ def check_alt_upper(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
         vs.append(np.concatenate(([u / m], vhat)))
     # at the axis points (p1, 0, ..., 0) kobayashi is the branch formula of
     # kobayashi_reference: the reduction leaves p1 and |v1|, |vhat| as they are
-    axis = np.zeros((len(p1s), domain.n))
-    axis[:, 0] = p1s
-    K = kobayashi(domain, axis, np.array(vs))
+    K = kobayashi(domain, _axis_point(domain, p1s), np.array(vs))
     alt = np.array([kobayashi_alt_upper(domain, p1, v) for p1, v in zip(p1s, vs)])
     worst = float(np.max(_rel(K, alt)))
     return worst < 1e-10, f"worst rel gap {worst:.2e}"
@@ -200,9 +199,7 @@ def check_kcurves(domain: DomainParams, rng: np.random.Generator) -> tuple[bool,
         worst = max(worst, abs(up.x - lo.x), abs(up.y - lo.y),
                     abs(up.x - jp[0]), abs(up.y - jp[1]))
     # kobayashi at the axis points (p1, 0, ..., 0) is kobayashi_reference
-    axis = np.zeros((len(p1s), domain.n))
-    axis[:, 0] = p1s
-    K = kobayashi(domain, axis, np.concatenate(vs))
+    K = kobayashi(domain, _axis_point(domain, p1s), np.concatenate(vs))
     worst = max(worst, float(np.max(np.abs(K ** 2 - 1.0))))
     return worst < 1e-10, f"worst indicatrix residual {worst:.2e}"
 
@@ -325,8 +322,8 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     # tensor continuity across M0 and Z along the axis
     zh = np.zeros(domain.n - 1, dtype=complex)
     eps = 1e-7
-    a = wu_tensor(domain, np.concatenate(([thr - eps], zh))).matrix
-    b = wu_tensor(domain, np.concatenate(([thr + eps], zh))).matrix
+    a = wu_tensor(domain, _axis_point(domain, thr - eps)).matrix
+    b = wu_tensor(domain, _axis_point(domain, thr + eps)).matrix
     gap_t = float(np.max(np.abs(a - b))) / float(np.max(np.abs(a)))
     z0 = wu_tensor(domain, np.concatenate(([0.0], zh + 0.3))).matrix
     z1 = wu_tensor(domain, np.concatenate(([eps], zh + 0.3))).matrix
@@ -335,40 +332,23 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     return ok, f"fit seam gap {gap:.1e}, tensor M0 gap {gap_t:.1e}, Z gap {gap_z:.1e}"
 
 
-def _axis_point(domain: DomainParams, p1: float, z2: complex = 0.0) -> np.ndarray:
-    # the point (p1, z2, 0, ..., 0)
-    z = np.zeros(domain.n, dtype=complex)
-    z[0], z[1] = p1, z2
-    return z
-
-
 def check_kahler(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     m = domain.m
     msgs = []
     ok = True
     if m > 1.0:
-        z = np.zeros(domain.n, dtype=complex)
-        z[0] = 0.5 * (domain.m0_radius + 1.0)
-        z[1] = 0.05
-        d_plus = kahler_defect(domain, z)
+        d_plus = kahler_defect(domain, _axis_point(domain, 0.5 * (domain.m0_radius + 1.0), 0.05))
         ok &= d_plus < 1e-6
         msgs.append(f"outer defect {d_plus:.1e}")
-        z2 = np.zeros(domain.n, dtype=complex)
-        z2[0] = 0.5 * domain.m0_radius
-        z2[1] = 0.1
-        d_minus = kahler_defect(domain, z2)
+        d_minus = kahler_defect(domain, _axis_point(domain, 0.5 * domain.m0_radius, 0.1))
         ok &= d_minus > 1e-3
         msgs.append(f"inner defect {d_minus:.1e}")
     elif m < 1.0:
-        z = np.zeros(domain.n, dtype=complex)
-        z[0], z[1] = 0.5, 0.2
-        d = kahler_defect(domain, z)
+        d = kahler_defect(domain, _axis_point(domain, 0.5, 0.2))
         ok &= d > 1e-3
         msgs.append(f"defect {d:.1e}")
     else:
-        z = np.zeros(domain.n, dtype=complex)
-        z[0], z[1] = 0.4, 0.2
-        d = kahler_defect(domain, z)
+        d = kahler_defect(domain, _axis_point(domain, 0.4, 0.2))
         ok &= d < 1e-6
         msgs.append(f"ball defect {d:.1e}")
     return ok, "; ".join(msgs)

@@ -233,6 +233,26 @@ class TestExitCodes:
         assert "validation error" in err and "joining-derivative" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("region", "--point", "0.3,0.2"),
+        ("eval", "--point", "0.3,0.2", "--vector", "1,0"),
+        ("tensor", "--point", "0.3,0.2"),
+        ("fit", "--p1", "0.5", "--samples", "64"),
+        ("smoothness-scan", "--seam", "Z", "--orders", "1", "--paths", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_where_no_csv_is_written_exits_one(self, capsys, argv):
+        # these subcommands used to print JSON under --format csv and exit 0
+        code, out, err = run_cli(capsys, *argv, "--m", "2", "--n", "2", "--format", "csv")
+        assert code == 1
+        assert f"validation error: {argv[0]} does not write csv" in err
+        assert out == ""
+
+    def test_csv_from_a_config_file_is_checked_too(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")
+        code, out, err = run_cli(capsys, "region", "--point", "0.3,0.2", "--config", str(cfg))
+        assert code == 1 and "does not write csv" in err and out == ""
+
     def test_check_that_does_not_apply_is_skipped(self, capsys):
         # contact-point applies to m > 1 only; naming it at m = 0.75 runs nothing
         code, out, _ = run_cli(capsys, "verify", "--m", "0.75", "--n", "2",

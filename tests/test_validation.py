@@ -112,13 +112,24 @@ class TestBoundary:
                 kobayashi(d, np.array([[0.1, 0.1], p], dtype=complex), np.array([[1.0, 0.0], v]))
 
     def test_rounded_reference_coordinate_is_still_checked(self):
-        # inside the egg in floating point, yet the reference coordinate
-        # rounds to 1
+        # the defining function puts it inside, yet the reference coordinate
+        # rounds to 1: the one membership test refuses it
         d = DomainParams(m=0.5, n=2)
         z = np.array([0.6278999999999999, 0.61])
         assert defining_function(d, z) < 0.0 and reference_coordinate(d, z) == 1.0
-        with pytest.raises(DomainError, match="axis coordinate p1"):
+        with pytest.raises(DomainError, match="point lies outside the egg"):
             kobayashi(d, z, np.array([0.01, 1.0]))
+
+
+class TestRegionTolerance:
+    # checked once, by the public function; pullback_tensor used to accept a
+    # bad tol for rows, which carry no region label
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("fn", [classify_region, wu_tensor, pullback_tensor])
+    def test_bad_tol_is_refused_for_one_point_and_for_rows(self, fn, tol):
+        for z in (Z, np.array([Z, 0.5 * Z])):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                fn(D, z, tol=tol)
 
 
 @pytest.fixture
