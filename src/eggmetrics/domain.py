@@ -327,8 +327,10 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     s2 = 1.0 - q
     s = np.sqrt(s2)
     d = (np.conj(phat) * vhat).sum(axis=-1)
-    on_z = r1 == 0.0
-    c = r1 / np.where(on_z, 1.0, p1) + on_z  # |p1|/p1, and 1 at p1 = 0
+    # c = |p1|/p1, and 1 where |p1| is 0 or so small that 1/p1 overflows:
+    # the unimodular c moves no value that K or the pullback read
+    on_z = r1 < sys.float_info.min
+    c = r1 / np.where(on_z, 1.0, p1) + on_z
     w = np.empty_like(v)
     w[:, 0] = c * (v[:, 0] + p1 * d / (m * s2)) / sm
     w[:, 1:] = (s[:, None] * vhat + phat * (d / (1.0 + s))[:, None]) / -s2[:, None]

@@ -97,6 +97,16 @@ class TestOneMembership:
             verdicts.add(got[0])
         assert verdicts == {True, False}  # the sample straddles the boundary
 
+    @pytest.mark.parametrize("z1", [5e-324, 5e-324j, 1e-310])
+    def test_a_subnormal_z1_is_evaluated_as_z1_0(self, z1):
+        # |z1|/z1 divides by z1, which overflowed: kobayashi refused this
+        # interior point and pullback_tensor returned NaN
+        d = DomainParams(m=2.0, n=2)
+        z, z0, v = np.array([z1, 0.3]), np.array([0.0, 0.3]), np.array([1.0, 0.5])
+        assert kobayashi(d, z, v) == kobayashi(d, z0, v)
+        np.testing.assert_allclose(pullback_tensor(d, z).matrix, pullback_tensor(d, z0).matrix,
+                                   rtol=1e-15, atol=1e-300)
+
 
 class _PastTheBranchTest(Exception):
     pass
