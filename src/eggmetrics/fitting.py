@@ -68,48 +68,105 @@ def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
 def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
     """``solve_X`` at each checked inner-region pair (p1, s); the one tangency solve.
 
-    A row whose equation leaves the float range at X = 1 raises OverflowError.
-    The first row left to solve runs the scalar ``solve_bracketed`` from the
-    leading-order root tau = ((m+1)/s^2)^(1/m) of the p1 -> 0 limit; any others
-    run ``_solve_bracketed_rows`` from its root scaled to each row's tau. The
-    many-row callers are ``verify``'s sample sets and the regularity probes'
-    paths, through the inner-region tensor form.
+    A pair off the inner region raises ConfigurationError; tiny p1 and pairs
+    next to the middle stratum take closed forms; the rest are solved, and
+    one whose equation leaves the float range at X = 1 raises OverflowError.
+    The first solved pair runs on floats through ``math`` (its checks, upper
+    bracket end and the scalar ``solve_bracketed``), and a single pair is
+    classified on floats too, so it costs about its scalar solve. Further
+    rows are classified, checked and solved as arrays, by
+    ``_solve_bracketed_rows`` started from the first root scaled to each
+    row's tau. libm's pow rounds apart from numpy's on a few percent of
+    inputs, so three things stay numpy's for every pair: p1^2m, which
+    classifies a pair bit for bit as among rows; the lower bracket end
+    s^(-2/m), on which the iterates depend to the last bit; and the closed
+    forms. The many-row callers are ``verify``'s sample sets and the
+    regularity probes' paths, through the inner-region tensor form.
     """
     m = domain.m
     p1, s = np.asarray(p1, dtype=float), np.asarray(s, dtype=float)
-    s2, pm = s * s, p1 * p1  # pm is p1^(2m) raised to 1/m
-    w = _M0_WEIGHT * p1 ** (2 * m) - s2  # middle-stratum indicator at the reference point
-    tiny = pm < 1e-300
-    off = np.flatnonzero(~tiny & (w > 1e-12 * s2))
-    if off.size:
-        raise _no_root(p1[off[0]], s[off[0]])
-    # the leading-order root where the bracket end 1/pm is not representable;
-    # next to the middle stratum the root sits inside the evaluation noise of
-    # the equation, and its expansion X = 1 + w/(2m-1) + O(w^2) is better
-    X = np.where(tiny, ((m + 1.0) / s2) ** (1.0 / m) * pm, 1.0 + w / ((2.0 * m - 1.0) * s2))
-    rows = np.flatnonzero(~tiny & (w < -1e-9 * s2))
-    over = rows[(2 * m - 1) * -np.log(pm[rows]) > _EXP_ARG_MAX]
-    if over.size:
-        raise OverflowError(f"tangency equation overflows at p1={float(p1[over[0]])!r}, m={m!r}")
-    if rows.size == 0:
-        return X
-    s2, pm = s2[rows], pm[rows]
-
-    lo, hi = s2 ** (-1.0 / m), 1.0 / pm  # tau at X = (p1/s^(1/m))^2 and at X = 1
-    off = rows[_tangency(m, lo, s2, pm) >= 0.0]
-    if off.size:
-        raise _no_root(p1[off[0]], s[off[0]])
-    s2_0, pm_0 = float(s2[0]), float(pm[0])
-    X[rows[0]] = X0 = pm_0 * solve_bracketed(
-        lambda t: _tangency(m, t, s2_0, pm_0), float(lo[0]), float(hi[0]),
-        df=lambda t: _tangency_slope(m, t, s2_0, pm_0), x0=((m + 1.0) / s2_0) ** (1.0 / m))
-    if rows.size > 1:
-        s2, pm = s2[1:], pm[1:]
-        X[rows[1:]] = pm * _solve_bracketed_rows(
+    if len(p1) == 1:  # one pair, on floats
+        pair = float(p1[0]), float(s[0])
+        s2 = pair[1] * pair[1]
+        P, L = _powers(m, pair[0], s2)
+        w, live, solved = _strata(*pair, s2, P)
+        return np.array([_solve_pair(m, *pair, s2, L)]) if solved else _closed_form(m, p1, s, w, live)
+    s2 = s * s
+    P, L = _powers(m, p1, s2)
+    w, live, solved = _strata(p1, s, s2, P)
+    X = _closed_form(m, p1, s, w, live)
+    rows = np.flatnonzero(solved)
+    if rows.size:
+        i, rows = rows[0], rows[1:]
+        X[i] = X0 = _solve_pair(m, float(p1[i]), float(s[i]), float(s2[i]), float(L[i]))
+    if rows.size:
+        s2, lo = s2[rows], L[rows]
+        pm, hi = _ends(m, p1[rows], s[rows], s2, lo, np)
+        X[rows] = pm * _solve_bracketed_rows(
             lambda t, r: _tangency(m, t, s2[r], pm[r]),
             lambda t, r: _tangency_slope(m, t, s2[r], pm[r]),
-            lo[1:], hi[1:], X0 / pm)
+            lo, hi, X0 / pm)
     return X
+
+
+def _powers(m: float, p1, s2):
+    # p1^2m and the lower bracket end s^(-2/m) in tau, from one call of
+    # numpy's power: for one pair's floats (as floats) or for rows
+    powers = np.power(np.array((p1, s2)).T, np.array((2 * m, -1.0 / m))).T
+    return powers.tolist() if powers.ndim == 1 else powers
+
+
+def _strata(p1, s, s2, P):
+    # w = 2 p1^2m - s^2 (the middle-stratum indicator at the reference point),
+    # whether p1^2 clears the tiny-p1 cut, and whether the pair is solved: for
+    # one pair's floats or for rows; raises where w puts the reference point
+    # off the inner region
+    w = _M0_WEIGHT * P - s2
+    live = p1 * p1 >= 1e-300
+    _refuse(live & (w > 1e-12 * s2), p1, s, _no_root)
+    return w, live, live & (w < -1e-9 * s2)
+
+
+def _closed_form(m: float, p1: np.ndarray, s: np.ndarray, w, live) -> np.ndarray:
+    # X of the unsolved rows: the leading-order root where the bracket end
+    # 1/pm is not representable; next to the middle stratum the root sits
+    # inside the evaluation noise of the equation, and its expansion
+    # X = 1 + w/(2m-1) + O(w^2) is better
+    s2 = s * s
+    return np.where(live, 1.0 + w / ((2.0 * m - 1.0) * s2), ((m + 1.0) / s2) ** (1.0 / m) * (p1 * p1))
+
+
+def _solve_pair(m: float, p1: float, s: float, s2: float, lo: float) -> float:
+    # X of one solved pair on floats: its checks, then the scalar solve from
+    # the leading-order root tau = ((m+1)/s^2)^(1/m) of the p1 -> 0 limit
+    pm, hi = _ends(m, p1, s, s2, lo, math)
+    return pm * solve_bracketed(
+        lambda t: _tangency(m, t, s2, pm), lo, hi,
+        df=lambda t: _tangency_slope(m, t, s2, pm), x0=((m + 1.0) / s2) ** (1.0 / m))
+
+
+def _ends(m: float, p1, s, s2, lo, xp):
+    # p1^2 and the upper bracket end in tau, at X = 1, of solved pairs whose
+    # lower end lo is at X = (p1/s^(1/m))^2: as floats through math
+    # (xp = math) or as rows (xp = numpy); raises where the equation leaves
+    # the float range at X = 1 and where it has no sign change at lo
+    pm = p1 * p1
+    _refuse((2 * m - 1) * -xp.log(pm) > _EXP_ARG_MAX, p1, s, lambda p1, s: OverflowError(
+        f"tangency equation overflows at p1={p1!r}, m={m!r}"))
+    _refuse(_tangency(m, lo, s2, pm) >= 0.0, p1, s, _no_root)
+    return pm, 1.0 / pm
+
+
+def _refuse(hit, p1, s, error) -> None:
+    # raise error(p1, s) at the first pair where hit holds: one pair's bool or
+    # a row mask
+    if isinstance(hit, bool):
+        if hit:
+            raise error(p1, s)
+        return
+    bad = np.flatnonzero(hit)
+    if bad.size:
+        raise error(float(p1[bad[0]]), float(s[bad[0]]))
 
 
 def _tangency(m: float, tau, s2, pm):
@@ -131,7 +188,7 @@ def _tangency_jet(domain: DomainParams, t: Taylor2, s2: Taylor2) -> Taylor2:
     # slope frozen at the float root, each making the jet exact to one more
     # order (the implicit function theorem, order by order)
     m = domain.m
-    tau = float(_solve_X_many(domain, np.sqrt([t.v]), np.sqrt([s2.v]))[0]) / t.v
+    tau = float(_solve_X_many(domain, [math.sqrt(t.v)], [math.sqrt(s2.v)])[0]) / t.v
     slope = _tangency_slope(m, tau, s2.v, t.v)
     tau = Taylor2(tau)
     for _ in range(2):
@@ -141,7 +198,7 @@ def _tangency_jet(domain: DomainParams, t: Taylor2, s2: Taylor2) -> Taylor2:
 
 def _no_root(p1: float, s: float) -> ConfigurationError:
     return ConfigurationError(
-        f"no tangency root: reference point p1={float(p1)!r}, s={float(s)!r} "
+        f"no tangency root: reference point p1={p1!r}, s={s!r} "
         "is not in the inner region")
 
 

@@ -50,7 +50,8 @@ class HermitianForm:
         self.matrix.setflags(write=False)
 
     def norm_sq(self, v) -> float:
-        return float(_norm_sq(self.matrix[None], np.asarray(v, dtype=complex)[None])[0])
+        v = as_vector(v, len(self.matrix))
+        return float(_norm_sq(self.matrix[None], v[None])[0])
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

@@ -190,6 +190,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["kahler_defect"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "--m", "60", "--n", "2", "--point", "0.001,0.2"),
+        ("eval", "--m", "20", "--n", "2", "--point", "1e-8,0.5", "--vector", "1,1"),
+        ("fit", "--m", "60", "--p1", "0.01"),
+    ])
+    def test_tangency_overflow_exits_two(self, capsys, argv):
+        # the tangency equation leaves the float range at small |z1| for
+        # m >= 20: one numerical-failure line, no traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("egg-metrics: numerical failure: tangency equation overflows")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_crashing_check_is_a_fail_row(self, capsys):
         # at m = 20 the tangency equation of seam-continuity overflows outside
         # the package's error types; the suite records it and runs the

@@ -1,6 +1,7 @@
 import functools
 import math
 import statistics
+import traceback
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from eggmetrics import (
     joining_point,
     kcurve_sample,
     solve_X,
+    wu_norm,
+    wu_tensor,
 )
 from eggmetrics import fitting
 from eggmetrics.fitting import _ORACLE_FEAS_TOL, _enumerate_lines
@@ -537,9 +540,52 @@ class TestArrayTangencySolve:
             calls.append(args)
             return solve_bracketed(*args, **kwargs)
 
+        def no_rows(*args, **kwargs):
+            raise AssertionError("one pair ran the rows solver")
+
         monkeypatch.setattr(fitting, "solve_bracketed", counted)
+        monkeypatch.setattr(fitting, "_solve_bracketed_rows", no_rows)
         assert fitting._solve_X_many(d, np.array([0.4]), np.array([0.9]))[0] == X
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 2.0, 5.0])
+    @pytest.mark.parametrize("stratum", ["generic", "near-M0", "on-M0", "p1=1e-11", "p1=1e-160"])
+    def test_one_pair_on_each_stratum(self, m, stratum):
+        # one pair, classified and solved on floats, equals solve_X and the
+        # same pair as the first row of several, and the reference to 1e-14
+        d = DomainParams(m=m, n=2)
+        rng = np.random.default_rng([int(10 * m), len(stratum)])
+        if stratum.startswith("p1="):
+            p1 = np.full(8, float(stratum[3:]))
+            s = rng.uniform(0.3, 1.0, 8)
+        else:
+            us = {"generic": rng.uniform(0.0, 1.0, 8),
+                  "near-M0": 1.0 - 10.0 ** rng.uniform(-12.0, -9.5, 8),
+                  "on-M0": np.ones(8)}[stratum]
+            p1, s = _inner_pairs(m, rng, us)
+        for a, b in zip(p1, s):
+            X = fitting._solve_X_many(d, [a], [b])[0]
+            assert X == solve_X(d, a, b)
+            assert X == fitting._solve_X_many(d, [a, 0.5 * a], [b, b])[0]
+            want = _reference_solve_X(d, a, b)
+            assert abs(X - want) <= 1e-14 * want, (a, b)
+
+    @pytest.mark.parametrize("m,bad,error", [
+        (2.0, (0.8, 0.9), ConfigurationError),    # off the inner region: 2 p1^2m > s^2
+        (20.0, (1e-5, 0.8), OverflowError),        # the equation leaves the float range
+    ])
+    def test_one_pair_raises_as_among_rows(self, m, bad, error):
+        # first, last or alone, on floats or as a later array row: one message
+        d = DomainParams(m=m, n=2)
+        good = (0.3, 0.9)
+        messages = set()
+        for pairs in ([bad], [bad, good], [good, bad], [good, good, bad]):
+            p1, s = np.array(pairs).T
+            with pytest.raises(error) as info:
+                fitting._solve_X_many(d, p1, s)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert repr(bad[0]) in messages.pop()
 
     def test_newton_convergence_rule_bounds_evaluations(self, monkeypatch):
         # a vanishing Newton step ends the solve even where the iterate sits
@@ -607,3 +653,21 @@ class TestArrayTangencySolve:
         expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
         X = fitting._solve_X_many(d, p1, s)
         assert np.all(np.abs(X - expected) <= 1e-14 * expected)
+
+
+class TestTangencyOverflowIsAttributed:
+    # bench/run.py files the points probe's m >= 20, small-|z1| failures as a
+    # known defect by exactly this: an OverflowError raised with a function
+    # named like solve_X on the stack; anything else reads as a wrong output
+    @pytest.mark.parametrize("m", [20.0, 60.0])
+    @pytest.mark.parametrize("evaluate", [
+        lambda d, z: wu_tensor(d, z),
+        lambda d, z: wu_norm(d, z, np.array([1.0, 0.5j])),
+    ], ids=["wu_tensor", "wu_norm"])
+    def test_one_point_overflow_is_raised_in_the_tangency_solve(self, m, evaluate):
+        d = DomainParams(m=m, n=2)
+        z = np.array([1e-8, 0.5])
+        with pytest.raises(OverflowError) as info:
+            evaluate(d, z)
+        names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+        assert any("solve_X" in name for name in names), names

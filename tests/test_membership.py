@@ -17,6 +17,7 @@ from eggmetrics import (
     Branch,
     DomainError,
     DomainParams,
+    NumericalError,
     RegionLabel,
     branch_params,
     classify_region,
@@ -165,6 +166,45 @@ class TestOneBranchTest:
             assert refused is not upper, (p1, v)
             branches.add(upper)
         assert branches == {True, False}  # the sample straddles the junction
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 2.0, 5.0, 20.0, 60.0])
+    def test_the_alternate_formula_just_above_the_junction(self, m, n):
+        # 1 to 4 ulp of |v1| past the branch test: 1 - t2|vhat|^2 p1^2/|v1|^2
+        # cancels to 0 and can round negative (a log of it raises ValueError),
+        # and at m = 60 the unscaled root x ~ m/|vhat| takes x^2m past the
+        # float range (OverflowError) though the metric is in range
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([int(m), n, 15])
+        p1s, vs = [], []
+        for _ in range(400):
+            p1 = rng.uniform(0.02, 0.98)
+            v = np.concatenate(([0.0], 10.0 ** rng.uniform(-3.0, 0.3) * _unit(rng, n - 1)))
+            v[0] = p1 * math.sqrt(float(np.vdot(v[1:], v[1:]).real)) / m
+            while branch_params(d, p1, v).branch is not Branch.UPPER:
+                v[0] = math.nextafter(v[0].real, math.inf)
+            for _ in range(int(rng.integers(0, 4))):
+                v[0] = math.nextafter(v[0].real, math.inf)
+            p1s.append(p1)
+            vs.append(v)
+        axis = np.zeros((len(p1s), n))
+        axis[:, 0] = p1s
+        expected = kobayashi(d, axis, np.array(vs))
+        for p1, v, k in zip(p1s, vs, expected):
+            try:
+                got = kobayashi_alt_upper(d, p1, v)
+            except NumericalError:
+                continue
+            assert abs(got - k) <= 1e-10 * k, (p1, v)
+
+    def test_the_alternate_formula_where_its_discriminant_cancels(self):
+        # m = 1/2 just above the junction: |v1|^2 - 4 p1^2 |vhat|^2 cancels to
+        # 0 and rounds negative for this vector (a sqrt of it raises ValueError)
+        d = DomainParams(m=0.5, n=2)
+        p1, v = 0.06913737495957609, np.array([0.028107976310200497, 0.20327627659160433])
+        assert branch_params(d, p1, v).branch is Branch.UPPER
+        k = kobayashi(d, np.array([p1, 0.0]), v)
+        assert abs(kobayashi_alt_upper(d, p1, v) - k) <= 1e-10 * k
 
 
 # a point |z1| = r e^(i phi), |zhat| = rho, and whether it is thin: then |z1|

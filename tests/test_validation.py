@@ -236,6 +236,15 @@ class TestWuNormIsTheTensorNorm:
         with pytest.raises(DomainError, match="outside the egg"):
             wu_norm(D, np.array([0.5, 0.9, 0.5]), V)
 
+    @pytest.mark.parametrize("bad,message", list(_bad_vectors(V)))
+    def test_form_norm_refuses_bad_vectors_as_wu_norm(self, bad, message):
+        # a wrong length must not reach numpy's broadcasting, nor a NaN entry
+        # the sum
+        form = wu_tensor(D, Z)
+        for norm in (form.norm_sq, lambda v: wu_norm(D, Z, v)):
+            with pytest.raises(DomainError, match=message):
+                norm(bad)
+
 
 BAD_STEPS = [0.0, -1e-4, math.nan, math.inf, -math.inf]
 
