@@ -9,6 +9,7 @@ recomputes the fit from curve samples alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -275,18 +276,32 @@ def _first_quadrant(*parts: np.ndarray) -> np.ndarray:
 
 
 def _upper_hull(pts: np.ndarray) -> np.ndarray:
-    # monotone chain, keeping only the outward (concave-from-origin) frontier
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    """Monotone chain over the points sorted by (x, y): the outward frontier.
+
+    Keeps the concave-from-origin frontier by the chain's float orientation
+    test. numpy computes that test once for each point against its two
+    sorted predecessors, to the same bits; while these are the chain's top
+    two (the last step popped nothing), a point the test pushes without a
+    pop is appended after a flag check, so a run of pushes skips the test
+    in Python. Every other step runs the sequential pop loop, which decides
+    collinear runs, vertical pairs and equal points as the plain chain does.
+    """
+    x, y = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
+    turn = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
     chain: list[tuple[float, float]] = []
-    for xp, yp in pts[order].tolist():
-        while len(chain) >= 2:
-            (x1, y1), (x2, y2) = chain[-2], chain[-1]
-            if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
-                chain.pop()
-            else:
-                break
+    clean = True  # the chain's top two are the next point's sorted predecessors
+    for xp, yp, push in zip(x.tolist(), y.tolist(), [True, True, *(~(turn >= 0.0)).tolist()]):
+        if not (clean and push):
+            clean = True
+            while len(chain) >= 2:
+                (x1, y1), (x2, y2) = chain[-2], chain[-1]
+                if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
+                    chain.pop()
+                    clean = False
+                else:
+                    break
         chain.append((xp, yp))
-    return np.array(chain).reshape(-1, 2)
+    return np.fromiter(itertools.chain.from_iterable(chain), float, 2 * len(chain)).reshape(-1, 2)
 
 
 def _enumerate_lines(pts: np.ndarray):
@@ -345,7 +360,10 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     stage-one contact abscissa, which restores the accuracy a single polygon
     pass loses to sample spacing. Derivative-free throughout. Each sweep
     prunes its candidates against the hull, but the line it returns is still
-    checked against every sample of that stage.
+    checked against every sample of that stage. The zoom grid is sampled at
+    its distinct parameters only: at outer p1 its window lies within a few
+    ulps of alpha = 1, where the linspace holds a handful of floats, and a
+    repeated sample changes neither the hull nor any sample maximum.
     """
     _check_p1(p1)
     if samples < 64:
@@ -361,7 +379,8 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
     idx = int(np.argmin(np.abs(upper[:, 0] - contact_x)))
     lo = au[max(0, idx - 4)]
     hi = au[min(len(au) - 1, idx + 4)]
-    pts2 = _first_quadrant(_upper_xy_many(domain.m, p1, np.linspace(lo, hi, max(samples - n1, 48))))
+    zoom = np.unique(np.linspace(lo, hi, max(samples - n1, 48)))
+    pts2 = _first_quadrant(_upper_xy_many(domain.m, p1, zoom))
     refined = _enumerate_lines(np.vstack([pts1, pts2])) or stage1
     _, r1, r2, _ = refined
     return WuEllipsoidDiag(r1=r1, r2=r2)

@@ -27,6 +27,7 @@ from eggmetrics import (
 from eggmetrics import fitting
 from eggmetrics.fitting import _ORACLE_FEAS_TOL, _enumerate_lines
 from eggmetrics.numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
+from eggmetrics.verification import _fit_test_points
 
 from test_kobayashi import bisect_root
 
@@ -235,7 +236,7 @@ def _reference_upper_hull(pts: np.ndarray) -> np.ndarray:
             else:
                 break
         chain.append((xp, yp))
-    return np.array(chain)
+    return np.array(chain).reshape(-1, 2)
 
 
 def _reference_enumerate_lines(pts: np.ndarray):
@@ -333,6 +334,72 @@ class TestHullSweep:
         assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
 
 
+def _hull_cloud(rng: np.random.Generator) -> np.ndarray:
+    # a point set that the chain's float decisions are sensitive to: a
+    # concave arc over interior points, coordinates snapped to a dyadic grid
+    # (exact collinear runs, repeated points, duplicate-x pairs and zeros),
+    # exact collinear runs on dyadic lines, repeated rows and signed zeros
+    count = int(rng.integers(3, 80))
+    theta = rng.uniform(0.0, 0.5 * math.pi, count)
+    arc = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.3, 1.0, (count, 1)) ** 0.2
+    parts = [arc, rng.uniform(0.0, 1.0, (int(rng.integers(0, count)), 2))]
+    for _ in range(int(rng.integers(0, 4))):
+        start, step = rng.integers(-4, 17, 2) / 16.0, rng.integers(-4, 5, 2) / 32.0
+        parts.append(start + np.arange(int(rng.integers(2, 9)))[:, None] * step)
+    pts = np.vstack(parts)
+    snap = rng.random(len(pts)) < rng.random()
+    pts[snap] = np.round(pts[snap] * 8.0) / 8.0
+    pts = pts[rng.integers(0, len(pts), len(pts) + int(rng.integers(0, 8)))]
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    return pts
+
+
+def _assert_same_hull(pts: np.ndarray):
+    hull, reference = fitting._upper_hull(pts), _reference_upper_hull(pts)
+    assert hull.shape == reference.shape
+    assert hull.tobytes() == reference.tobytes()
+
+
+class TestUpperHullIdentity:
+    # the run-skipping chain returns the plain chain's vertices to the last
+    # bit; comparing lines alone cannot see a different hull with the same line
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0])
+    def test_every_oracle_hull_input(self, m, monkeypatch):
+        seen = []
+
+        def recording(pts):
+            seen.append(pts.copy())
+            return _enumerate_lines(pts)
+
+        monkeypatch.setattr(fitting, "_enumerate_lines", recording)
+        d = DomainParams(m=m, n=2)
+        for p1 in _fit_test_points(d):
+            for samples in (64, 1024, 4096):
+                fit_oracle(d, p1, samples=samples)
+        assert len(seen) == 6 * len(_fit_test_points(d))
+        for pts in seen:
+            _assert_same_hull(pts)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_degenerate_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            _assert_same_hull(_hull_cloud(rng))
+
+    @pytest.mark.parametrize("pts", [
+        np.empty((0, 2)),
+        [[0.3, 0.7]],
+        [[0.3, 0.7], [0.6, 0.2]],
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[0.5, 0.5], [0.5, 0.5]],  # all equal: the chain keeps two copies
+        [[0.5, 0.5]] * 5,
+        [[-0.0, 0.5], [0.0, 0.25], [0.0, 0.5], [-0.0, 0.75], [0.5, -0.0]],
+        [[0.25, 0.0], [0.25, 0.5], [0.25, 0.25], [0.5, 0.5], [0.5, 0.0]],
+    ])
+    def test_small_and_equal_inputs(self, pts):
+        _assert_same_hull(np.array(pts, dtype=float).reshape(-1, 2))
+
+
 class TestOraclePins:
     # fit_oracle(samples=4096) and containment_violation(samples=1024) of that
     # fit, recorded from the exhaustive sweep; verify's 1e-5 agreement with
@@ -351,6 +418,21 @@ class TestOraclePins:
         assert orc.r1 == pytest.approx(r1, rel=1e-12, abs=0.0)
         assert orc.r2 == pytest.approx(r2, rel=1e-12, abs=0.0)
         assert containment_violation(d, p1, orc) == pytest.approx(violation, rel=1e-12, abs=1e-15)
+
+    # outer p1 where stage two's zoom window collapses to a few distinct
+    # parameters next to alpha = 1; recorded from the sweep over the full
+    # zoom linspace
+    @pytest.mark.parametrize("m,p1,r1,r2,violation", [
+        (0.75, 0.8, 7.716049382716043, 3.5154544114752713, 0.0),
+        (1.0, 0.8, 7.7160493827161, 2.777777777777778, 6.661338147750939e-15),
+        (5.0, None, 616.1634187830714, 5.389304882957239, 2.220446049250313e-16),
+    ])
+    def test_pinned_collapsed_zoom_window(self, m, p1, r1, r2, violation):
+        d = DomainParams(m=m, n=2)
+        p1 = min(0.999, 1.05 * d.m0_radius) if p1 is None else p1
+        orc = fit_oracle(d, p1, samples=4096)
+        assert (orc.r1, orc.r2) == (r1, r2)
+        assert containment_violation(d, p1, orc) == violation
 
 
 # -- reference tangency solve: scalar, abs_pow powers, its own Newton loop -----
