@@ -2,9 +2,9 @@
 
 The components are R[i, j, k, l] = -d2 H[i,j] / dz_k dzbar_l
 + (dH/dz_k . H^-1 . dH/dzbar_l)[i, j] in the matrix convention of
-``tensor``. The derivatives are exact (``tensor._wu_jet``): the regional
-closed forms run on second-order Taylor jets in (|z1|^2, 1 - |zhat|^2) and
-the chain rule carries them to z, at one point evaluation and no step. On
+``tensor``. The derivatives are exact (``tensor._wu_jet``): the moved fit
+runs on second-order Taylor jets in (|z1|^2, 1 - |zhat|^2) and the chain
+rule carries them to z, at one point evaluation and no step. On
 the strata Z and M0, where the metric is not C2, curvature is refused.
 
 Holomorphic sectional curvature is R(v, vbar, v, vbar) / h(v, vbar)^2 times
@@ -66,7 +66,7 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
 def curvature_tensor(domain: DomainParams, z) -> CurvatureTensor:
     """Full curvature tensor at an interior point off the strata Z and M0."""
     z = as_vector(z, domain.n)
-    return _curvature(z, *_wu_jet(domain, z, _jet_region(domain, z)))
+    return _curvature(z, *_wu_jet(domain, z, *_jet_region(domain, z)))
 
 
 def _curvature(z: np.ndarray, form: HermitianForm, dz: np.ndarray,
@@ -175,11 +175,11 @@ def curvature_scan(domain: DomainParams, grid: GridSpec):
     for p1 in p1s:
         z = _axis_point(domain, p1, grid.phat_abs)
         try:
-            region = _jet_region(domain, z)
+            place = _jet_region(domain, z)
         except SeamProximityError:
             skipped.append(z)
             continue
-        jet = _wu_jet(domain, z, region)
+        jet = _wu_jet(domain, z, *place)
         tensor = _curvature(z, *jet)
         values = _sectional_values(tensor.components, tensor.metric.matrix, dirs)
         gap = math.nan

@@ -29,19 +29,16 @@ from .numerics import _two_term_root, abs_pow
 REGION_TOL = 1e-10
 #: weight W of the middle stratum M0 = {W |z1|^2m + |zhat|^2 = 1} (m > 1),
 #: which splits the inner strata from the outer; ``m0_radius``, region
-#: labels, seam distances, the regional tensor form and the tangency solve
-#: all place M0 with it
+#: labels, seam distances and the tangency solve place M0 with it, and the
+#: fit regimes, which choose the tensor's fit, through ``m0_radius``
 _M0_WEIGHT = 2.0
 
 # Z cut-offs: below each one a closed form is replaced by its value on the
 # stratum Z = {z1 = 0}. The values differ because each guards a different
 # expression; none of them is a region tolerance.
-#: |z1| below which ``tensor`` evaluates the z1 = 0 limiting form of the
-#: inner-region tensor (the limit deviates by O(|z1|))
-_Z_FORMULA_TOL = 1e-12
-#: axis coordinate p1 below which ``fit_reference`` and ``pullback_tensor``
-#: take ``fit_origin`` for m > 1 instead of solving the tangency equation
-#: (the fit deviates by O(p1^2))
+#: axis coordinate p1 below which the fit, and so ``wu_tensor`` and
+#: ``pullback_tensor``, take ``fit_origin`` for m > 1 instead of solving the
+#: tangency equation (the fit deviates by O(p1^2))
 _FIT_ORIGIN_TOL = 1e-12
 #: reduced axis coordinate below which ``kobayashi`` takes the Z branch, the
 #: Minkowski gauge of the moved vector, instead of the axis-point formulas
@@ -186,10 +183,11 @@ _LABELS = np.array([RegionLabel.OUTSIDE, RegionLabel.Z, RegionLabel.GENERIC,
                     RegionLabel.M_MINUS, RegionLabel.M_ZERO, RegionLabel.M_PLUS], dtype=object)
 
 
-def _region_of(domain: DomainParams, z: np.ndarray, tol: float):
+def _region_of(domain: DomainParams, z: np.ndarray, tol: float, rows=None):
     # classify_region of a checked point, or an object array of the labels of
-    # each row; the membership parts come from rows, one point's as floats
-    r1, q, sm = _reference_rows(domain, z.reshape(-1, domain.n))
+    # each row; the membership parts come from rows (``rows`` when the caller
+    # has them), one point's as floats
+    r1, q, sm = _reference_rows(domain, z.reshape(-1, domain.n)) if rows is None else rows
     if z.ndim == 1:
         r1, q, sm = float(r1[0]), float(q[0]), float(sm[0])
     code = 2  # GENERIC

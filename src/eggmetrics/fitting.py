@@ -47,160 +47,142 @@ class ContactPoint:
     alpha_star: float
 
 
-def solve_X(domain: DomainParams, p1: float, s: float = 1.0) -> float:
+def solve_X(domain: DomainParams, p1: float) -> float:
     """Square of the tangency parameter on the UPPER curve, for inner-region points.
 
-    Solves s^4 X^(2m-1) - (m+1) p1^2m s^2 X^(m-1) + (m-2) p1^2m s^2 X^m
-    + 2 p1^4m = 0 for the geometric root. The equation is solved in the
-    rescaled variable tau = X/p1^2, whose coefficients stay O(1) as p1 -> 0,
-    so the root keeps full relative accuracy near the Z stratum. The root is
-    the unique one in (ref^2, 1] where ref = p1/s^(1/m); a missing sign
-    change means the reference point is not in the inner region. The
-    one-pair case of ``_solve_X_many``.
+    Solves X^(2m-1) - (m+1) p1^2m X^(m-1) + (m-2) p1^2m X^m + 2 p1^4m = 0
+    for the geometric root. The equation is solved in the rescaled variable
+    tau = X/p1^2, whose coefficients stay O(1) as p1 -> 0, so the root keeps
+    full relative accuracy near the Z stratum. The root is the unique one in
+    (p1^2, 1]; a missing sign change means p1 is not in the inner region.
+    Off the axis, at a point whose reference coordinate is p1/s^(1/m), the
+    equation multiplies its s-free terms by s^4 and the others by s^2, and
+    dividing by s^4 gives the same root: X(p1, s) = X(p1/s^(1/m), 1). The
+    one-row case of ``_solve_X_many``.
     """
     if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
     _check_p1(p1)
-    return float(_solve_X_many(domain, [p1], [s])[0])
+    return float(_solve_X_many(domain, [p1])[0])
 
 
-def _solve_X_many(domain: DomainParams, p1, s) -> np.ndarray:
-    """``solve_X`` at each checked inner-region pair (p1, s); the one tangency solve.
+def _solve_X_many(domain: DomainParams, p1) -> np.ndarray:
+    """``solve_X`` at each checked inner-region axis coordinate p1; the one tangency solve.
 
-    A pair off the inner region raises ConfigurationError; tiny p1 and pairs
+    A row off the inner region raises ConfigurationError; tiny p1 and rows
     next to the middle stratum take closed forms; the rest are solved, and
     one whose equation leaves the float range at X = 1 raises OverflowError.
-    The first solved pair runs on floats through ``math`` (its checks, upper
-    bracket end and the scalar ``solve_bracketed``), and a single pair is
+    The first solved row runs on floats through ``math`` (its checks, upper
+    bracket end and the scalar ``solve_bracketed``), and a single row is
     classified on floats too, so it costs about its scalar solve. Further
     rows are classified, checked and solved as arrays, by
     ``_solve_bracketed_rows`` started from the first root scaled to each
     row's tau. libm's pow rounds apart from numpy's on a few percent of
-    inputs, so three things stay numpy's for every pair: p1^2m, which
-    classifies a pair bit for bit as among rows; the lower bracket end
-    s^(-2/m), on which the iterates depend to the last bit; and the closed
-    forms. The many-row callers are ``verify``'s sample sets and the
-    regularity probes' paths, through the inner-region tensor form.
+    inputs, so two things stay numpy's for every row: p1^2m, which
+    classifies a row bit for bit as among rows, and the closed forms. The
+    many-row callers are ``verify``'s sample sets and the regularity
+    probes' paths, through the fit.
     """
     m = domain.m
-    p1, s = np.asarray(p1, dtype=float), np.asarray(s, dtype=float)
-    if len(p1) == 1:  # one pair, on floats
-        pair = float(p1[0]), float(s[0])
-        s2 = pair[1] * pair[1]
-        P, L = _powers(m, pair[0], s2)
-        w, live, solved = _strata(*pair, s2, P)
-        return np.array([_solve_pair(m, *pair, s2, L)]) if solved else _closed_form(m, p1, s, w, live)
-    s2 = s * s
-    P, L = _powers(m, p1, s2)
-    w, live, solved = _strata(p1, s, s2, P)
-    X = _closed_form(m, p1, s, w, live)
+    p1 = np.asarray(p1, dtype=float)
+    if len(p1) == 1:  # one row, on floats
+        x = float(p1[0])
+        w, live, solved = _strata(x, float(np.power(p1, 2 * m)[0]))
+        return np.array([_solve_pair(m, x)]) if solved else _closed_form(m, p1, w, live)
+    w, live, solved = _strata(p1, np.power(p1, 2 * m))
+    X = _closed_form(m, p1, w, live)
     rows = np.flatnonzero(solved)
     if rows.size:
         i, rows = rows[0], rows[1:]
-        X[i] = X0 = _solve_pair(m, float(p1[i]), float(s[i]), float(s2[i]), float(L[i]))
+        X[i] = X0 = _solve_pair(m, float(p1[i]))
     if rows.size:
-        s2, lo = s2[rows], L[rows]
-        pm, hi = _ends(m, p1[rows], s[rows], s2, lo, np)
+        pm, hi = _ends(m, p1[rows], np)
         X[rows] = pm * _solve_bracketed_rows(
-            lambda t, r: _tangency(m, t, s2[r], pm[r]),
-            lambda t, r: _tangency_slope(m, t, s2[r], pm[r]),
-            lo, hi, X0 / pm)
+            lambda t, r: _tangency(m, t, pm[r]),
+            lambda t, r: _tangency_slope(m, t, pm[r]),
+            np.ones_like(pm), hi, X0 / pm)
     return X
 
 
-def _powers(m: float, p1, s2):
-    # p1^2m and the lower bracket end s^(-2/m) in tau, from one call of
-    # numpy's power: for one pair's floats (as floats) or for rows
-    powers = np.power(np.array((p1, s2)).T, np.array((2 * m, -1.0 / m))).T
-    return powers.tolist() if powers.ndim == 1 else powers
-
-
-def _strata(p1, s, s2, P):
-    # w = 2 p1^2m - s^2 (the middle-stratum indicator at the reference point),
-    # whether p1^2 clears the tiny-p1 cut, and whether the pair is solved: for
-    # one pair's floats or for rows; raises where w puts the reference point
-    # off the inner region
-    w = _M0_WEIGHT * P - s2
+def _strata(p1, P):
+    # w = 2 p1^2m - 1 (the middle-stratum indicator), whether p1^2 clears
+    # the tiny-p1 cut, and whether the row is solved: for one row's floats
+    # or for rows; raises where w puts p1 off the inner region
+    w = _M0_WEIGHT * P - 1.0
     live = p1 * p1 >= 1e-300
-    _refuse(live & (w > 1e-12 * s2), p1, s, _no_root)
-    return w, live, live & (w < -1e-9 * s2)
+    _refuse(live & (w > 1e-12), p1, _no_root)
+    return w, live, live & (w < -1e-9)
 
 
-def _closed_form(m: float, p1: np.ndarray, s: np.ndarray, w, live) -> np.ndarray:
+def _closed_form(m: float, p1: np.ndarray, w, live) -> np.ndarray:
     # X of the unsolved rows: the leading-order root where the bracket end
     # 1/pm is not representable; next to the middle stratum the root sits
     # inside the evaluation noise of the equation, and its expansion
     # X = 1 + w/(2m-1) + O(w^2) is better
-    s2 = s * s
-    return np.where(live, 1.0 + w / ((2.0 * m - 1.0) * s2), ((m + 1.0) / s2) ** (1.0 / m) * (p1 * p1))
+    return np.where(live, 1.0 + w / (2.0 * m - 1.0), (m + 1.0) ** (1.0 / m) * (p1 * p1))
 
 
-def _solve_pair(m: float, p1: float, s: float, s2: float, lo: float) -> float:
-    # X of one solved pair on floats: its checks, then the scalar solve from
-    # the leading-order root tau = ((m+1)/s^2)^(1/m) of the p1 -> 0 limit
-    pm, hi = _ends(m, p1, s, s2, lo, math)
+def _solve_pair(m: float, p1: float) -> float:
+    # X of one solved row on floats: its checks, then the scalar solve from
+    # the leading-order root tau = (m+1)^(1/m) of the p1 -> 0 limit
+    pm, hi = _ends(m, p1, math)
     return pm * solve_bracketed(
-        lambda t: _tangency(m, t, s2, pm), lo, hi,
-        df=lambda t: _tangency_slope(m, t, s2, pm), x0=((m + 1.0) / s2) ** (1.0 / m))
+        lambda t: _tangency(m, t, pm), 1.0, hi,
+        df=lambda t: _tangency_slope(m, t, pm), x0=(m + 1.0) ** (1.0 / m))
 
 
-def _ends(m: float, p1, s, s2, lo, xp):
-    # p1^2 and the upper bracket end in tau, at X = 1, of solved pairs whose
-    # lower end lo is at X = (p1/s^(1/m))^2: as floats through math
-    # (xp = math) or as rows (xp = numpy); raises where the equation leaves
-    # the float range at X = 1 and where it has no sign change at lo
+def _ends(m: float, p1, xp):
+    # p1^2 and the upper bracket end in tau, at X = 1, of solved rows whose
+    # lower end is tau = 1, at X = p1^2: as floats through math (xp = math)
+    # or as rows (xp = numpy); raises where the equation leaves the float
+    # range at X = 1 and where it has no sign change at tau = 1
     pm = p1 * p1
-    _refuse((2 * m - 1) * -xp.log(pm) > _EXP_ARG_MAX, p1, s, lambda p1, s: OverflowError(
+    _refuse((2 * m - 1) * -xp.log(pm) > _EXP_ARG_MAX, p1, lambda p1: OverflowError(
         f"tangency equation overflows at p1={p1!r}, m={m!r}"))
-    _refuse(_tangency(m, lo, s2, pm) >= 0.0, p1, s, _no_root)
+    _refuse(_tangency(m, 1.0, pm) >= 0.0, p1, _no_root)
     return pm, 1.0 / pm
 
 
-def _refuse(hit, p1, s, error) -> None:
-    # raise error(p1, s) at the first pair where hit holds: one pair's bool or
-    # a row mask
+def _refuse(hit, p1, error) -> None:
+    # raise error(p1) at the first row where hit holds: one row's bool or a
+    # row mask
     if isinstance(hit, bool):
         if hit:
-            raise error(p1, s)
+            raise error(p1)
         return
     bad = np.flatnonzero(hit)
     if bad.size:
-        raise error(float(p1[bad[0]]), float(s[bad[0]]))
+        raise error(float(p1[bad[0]]))
 
 
-def _tangency(m: float, tau, s2, pm):
-    # the tangency equation in tau = X/p1^2, with pm = p1^2 and s2 = s^2
-    return (s2 * s2 * tau ** (2 * m - 1) - (m + 1.0) * s2 * tau ** (m - 1)
-            + (m - 2.0) * s2 * pm * tau ** m + 2.0 * pm)
+def _tangency(m: float, tau, pm):
+    # the tangency equation in tau = X/p1^2, with pm = p1^2
+    return tau ** (2 * m - 1) - (m + 1.0) * tau ** (m - 1) + (m - 2.0) * pm * tau ** m + 2.0 * pm
 
 
-def _tangency_slope(m: float, tau, s2, pm):
+def _tangency_slope(m: float, tau, pm):
     # d/dtau of ``_tangency``
-    return ((2 * m - 1) * s2 * s2 * tau ** (2 * m - 2)
-            - (m + 1.0) * (m - 1.0) * s2 * tau ** (m - 2)
-            + m * (m - 2.0) * s2 * pm * tau ** (m - 1))
+    return ((2 * m - 1) * tau ** (2 * m - 2) - (m + 1.0) * (m - 1.0) * tau ** (m - 2)
+            + m * (m - 2.0) * pm * tau ** (m - 1))
 
 
-def _tangency_jet(domain: DomainParams, t: Taylor2, s2: Taylor2) -> Taylor2:
-    # the tangency root X as a jet in (t, s2) = (p1^2, s^2): from the float
-    # root as a constant jet, two Newton steps in jet arithmetic with the
-    # slope frozen at the float root, each making the jet exact to one more
-    # order (the implicit function theorem, order by order)
+def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
+    # the tangency root X as a jet of the jet u = p1^2: from the float root
+    # as a constant jet, two Newton steps in jet arithmetic with the slope
+    # frozen at the float root, each making the jet exact to one more order
+    # (the implicit function theorem, order by order)
     m = domain.m
-    tau = float(_solve_X_many(domain, [math.sqrt(t.v)], [math.sqrt(s2.v)])[0]) / t.v
-    slope = _tangency_slope(m, tau, s2.v, t.v)
+    tau = float(_solve_X_many(domain, [math.sqrt(u.v)])[0]) / u.v
+    slope = _tangency_slope(m, tau, u.v)
     tau = Taylor2(tau)
     for _ in range(2):
-        tau = tau - _tangency(m, tau, s2, t) / slope
-    return t * tau
+        tau = tau - _tangency(m, tau, u) / slope
+    return u * tau
 
 
-def _no_root(p1: float, s: float) -> ConfigurationError:
+def _no_root(p1: float) -> ConfigurationError:
     return ConfigurationError(
-        f"no tangency root: reference point p1={p1!r}, s={s!r} "
-        "is not in the inner region")
+        f"no tangency root: axis coordinate p1={p1!r} is not in the inner region")
 
 
 def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
@@ -208,40 +190,65 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
 
     m <= 1: the chord through the two axis intercepts. m > 1 outside the
     2^(-1/2m) threshold: the LOWER line itself. m > 1 inside: the line
-    tangent to the UPPER curve at the solved contact parameter. The one-row
-    case of ``_fit_rows``.
+    tangent to the UPPER curve at the solved contact parameter, and
+    ``fit_origin`` below ``_FIT_ORIGIN_TOL``. The one-row case of
+    ``_fit_rows``.
     """
     _check_p1(p1)
     r1, r2 = _fit_rows(domain, np.array([float(p1)]))
     return WuEllipsoidDiag(r1=float(r1[0]), r2=float(r2[0]))
 
 
-def _fit_rows(domain: DomainParams, p1: np.ndarray):
-    # fit_reference's (r1, r2) at each checked axis coordinate p1 in [0, 1)
+#: the fit regimes at an axis coordinate p1: the chord through the two axis
+#: intercepts (m <= 1), the LOWER line (m > 1 from M0 out), the line tangent
+#: to the UPPER curve (m > 1 inside M0) and its p1 -> 0 limit, ``fit_origin``
+_CHORD, _LOWER, _TANGENCY, _ORIGIN = range(4)
+
+
+def _regimes(domain: DomainParams, p1: np.ndarray) -> np.ndarray:
+    # the fit regime of each checked axis coordinate p1 in [0, 1)
+    if domain.m <= 1.0:
+        return np.full(len(p1), _CHORD)
+    return np.where(p1 < domain.m0_radius,
+                    np.where(p1 < _FIT_ORIGIN_TOL, _ORIGIN, _TANGENCY), _LOWER)
+
+
+def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
+    # fit_reference's (r1, r2) at each checked axis coordinate p1 in [0, 1),
+    # every row by its own regime (``regime`` when the caller has decided it)
+    regime = _regimes(domain, p1) if regime is None else regime
+    u = p1 * p1
+    if len(p1) and (regime == regime[0]).all():  # one point, or a stencil in one regime
+        return _fit(domain, regime[0], u)
+    fit = np.empty((2, len(p1)))
+    for k in np.unique(regime):
+        rows = regime == k
+        fit[:, rows] = _fit(domain, k, u[rows])
+    return fit
+
+
+def _fit(domain: DomainParams, regime: int, u):
+    # (r1, r2) of one regime at u = p1^2: floats, rows or ``Taylor2`` jets
     m = domain.m
-    P = p1 ** (2 * m)
-    if m <= 1.0:
-        return 1.0 / (1.0 - p1 * p1) ** 2, 1.0 / (1.0 - P)
-    r1 = m * m * p1 ** (2 * m - 2) / (1.0 - P) ** 2
-    r2 = 1.0 / (1.0 - P)
-    origin = p1 < _FIT_ORIGIN_TOL
-    ell = fit_origin(domain)
-    r1[origin], r2[origin] = ell.r1, ell.r2
-    inner = ~origin & (p1 < domain.m0_radius)
-    if inner.any():
-        pi = p1[inner]
-        r1[inner], r2[inner] = _inner_fit(domain, pi, _solve_X_many(domain, pi, np.ones_like(pi)))
-    return r1, r2
+    if regime == _TANGENCY:
+        if isinstance(u, Taylor2):
+            return _inner_fit(domain, u, _tangency_jet(domain, u))
+        return _inner_fit(domain, u, _solve_X_many(domain, np.sqrt(u)))
+    if regime == _ORIGIN:
+        ell = fit_origin(domain)
+        return 0.0 * u + ell.r1, 0.0 * u + ell.r2
+    P = u ** m
+    r1 = 1.0 / (1.0 - u) ** 2 if regime == _CHORD else m * m * u ** (m - 1.0) / (1.0 - P) ** 2
+    return r1, 1.0 / (1.0 - P)
 
 
-def _inner_fit(domain: DomainParams, p1, X):
+def _inner_fit(domain: DomainParams, u, X):
     # inner-region line tangent to the UPPER curve at the contact parameter
-    # sqrt(X): (r1, r2) for floats or rows
+    # sqrt(X), at u = p1^2: (r1, r2) for floats, rows or jets
     m = domain.m
-    P = p1 ** (2 * m)
+    P = u ** m
     F = m * X ** (m - 1) - (m - 1.0) * X ** m - P
-    return (m * m * X ** (2 * m - 1) / (2.0 * p1 * p1 * F * F),
-            X ** (2 * m - 1) / (2.0 * P * F))
+    return m * m * X ** (2 * m - 1) / (2.0 * u * F * F), X ** (2 * m - 1) / (2.0 * P * F)
 
 
 def fit_origin(domain: DomainParams) -> WuEllipsoidDiag:

@@ -1,4 +1,4 @@
-"""The Wu metric tensor h_ij on the egg, region by region, plus the pullback cross-check.
+"""The Wu metric tensor h_ij on the egg: the axis fit moved to z, plus the pullback cross-check.
 
 Matrix convention: ``H[i, j]`` holds the coefficient of dz_i (x) dzbar_j, so
 the squared norm of v is sum_ij H[i, j] v_i conj(v_j) and H is Hermitian in
@@ -19,17 +19,16 @@ from .domain import (
     DomainParams,
     RegionLabel,
     _FIT_ORIGIN_TOL,
-    _M0_WEIGHT,
-    _Z_FORMULA_TOL,
     _check_inside,
     _check_tol,
+    _reference_rows,
     _region_of,
     _same_rows,
     _to_axis,
     as_vector,
 )
 from .errors import DomainError, SeamProximityError
-from .fitting import _fit_rows, _solve_X_many, _tangency_jet
+from .fitting import _CHORD, _TANGENCY, _fit, _fit_rows, _regimes
 from .numerics import Taylor2
 
 
@@ -37,9 +36,10 @@ from .numerics import Taylor2
 class HermitianForm:
     """Hermitian metric coefficients at a point, with region provenance.
 
-    ``source`` records which regional closed form produced the entries; on
-    the thin strata it carries a limit tag (the adjacent region whose formula
-    was evaluated in the limit).
+    ``source`` names the fit regime that produced the entries ("chord-form",
+    "outer-form" for the LOWER line, "inner-form" for the tangency, "ball"
+    at m = 1); on the thin strata it adds the stratum ("(z1=0 limit)",
+    "(near Z)", "(Z limit)" for ``fit_origin``, "(on M0)").
     """
 
     matrix: np.ndarray
@@ -64,98 +64,37 @@ def _norm_sq(H: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * Hv).sum(axis=-1).real
 
 
-# Every regional form is invariant under phase rotation of z1 and unitary
-# rotation of zhat, so at each point it has the shape
+# The Wu unit ball at z is the fit (r1, r2) at the axis point p1_ref moved
+# to z by the egg's automorphism, so H = D^T diag(r1, r2, ..., r2) conj(D)
+# with D = D(z, z). With t = |z1|^2, s2 = 1 - |zhat|^2 and
+# sigma = s2^(-1/m) = 1/sm^2, ``_to_axis``'s closed form of D(z, z)v gives
+# |what|^2 = |vhat|^2/s2 + |<vhat, zhat>|^2/s2^2, and H has the shape
 #   H[0, 0] = a,  H[0, j] = b conj(z1) z_j,  H[i, j] = c delta_ij + e conj(z_i) z_j
-# for i, j >= 1. Each closed form below maps rows of t = |z1|^2 and
-# s2 = 1 - |zhat|^2 to its coefficients (a, b, c, e); fed ``Taylor2`` jets
-# of t and s2 instead, the same code gives the coefficients' exact jets.
-# Squared moduli are summed from real and imaginary parts: numpy's complex
-# abs is a few ulp off.
+# for i, j >= 1, with (a, b, c, e) below. ``_moved`` maps (t, s2, sigma)
+# and the fit to (a, b, c, e) as floats, rows or ``Taylor2`` jets.
 
 
-def _chord_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
-    # m < 1 (and directly on Z there): pullback of the two-intercept chord fit
-    m = domain.m
-    a = s2 ** (1.0 / m)
-    d = (a - t) ** 2
-    rr = s2 - t ** m
-    return (a / d, s2 ** (1.0 / m - 1.0) / (m * d), 1.0 / rr,
-            s2 ** (1.0 / m - 2.0) * t / (m * m * d) + 1.0 / (s2 * rr))
+def _moved(domain: DomainParams, t, s2, sigma, r1, r2):
+    # (a, b, c, e) = (r1 sigma, r1 sigma/(m s2), r2/s2,
+    #                 r1 sigma t/(m^2 s2^2) + r2/s2^2)
+    a = r1 * sigma
+    b = a / (domain.m * s2)
+    c = r2 / s2
+    return a, b, c, (b * t / domain.m + c) / s2
 
 
-def _outer_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
-    # outer region and the ball m = 1: complex Hessian of -log(1 - |z1|^2m - |zhat|^2)
-    m = domain.m
-    tp = t ** (m - 1.0)
-    rr = s2 - t ** m
-    return m * m * s2 * tp / rr ** 2, m * tp / rr ** 2, 1.0 / rr, 1.0 / rr ** 2
+def _wu_matrices(domain: DomainParams, z: np.ndarray, rows=None, regime=None) -> np.ndarray:
+    """Wu tensors at checked interior points: (N, n) complex -> (N, n, n).
 
-
-def _inner_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
-    # inner region, m > 1: driven by the tangency root X at (|z1|, sqrt(s2))
-    m = domain.m
-    P = t ** m
-    if isinstance(t, Taylor2):
-        X = _tangency_jet(domain, t, s2)
-    else:
-        X = _solve_X_many(domain, np.sqrt(t), np.sqrt(s2))
-    G = m * X ** (m - 1) - (m - 1.0) * X ** m
-    Fs = s2 * G - P
-    c0 = s2 * X ** (2 * m - 1) / (2.0 * Fs * Fs)
-    return c0 * m * m * s2 / t, c0 * m / t, c0 * Fs / P, c0 * G / P
-
-
-def _z_limit_form(domain: DomainParams, t: np.ndarray, s2: np.ndarray):
-    # z1 = 0 limit of the inner-region form (m > 1)
-    m = domain.m
-    return ((m + 1.0) ** (1.0 / m) / (2.0 * s2 ** (1.0 / m)), np.zeros_like(s2),
-            (m + 1.0) / (2.0 * m * s2), (m + 1.0) / (2.0 * m * s2 * s2))
-
-
-_FORMS = (_chord_form, _outer_form, _inner_form, _z_limit_form)
-_SOURCES = ("chord-form", "outer-form", "inner-form", "inner-form (Z limit)")
-_CHORD, _OUTER, _INNER, _Z_LIMIT = range(4)
-
-
-def _moduli(z: np.ndarray):
-    # |z1|^2 and |zhat|^2 of each row
-    sq = z.real ** 2 + z.imag ** 2
-    return sq[:, 0], sq[:, 1:].sum(axis=1)
-
-
-def _formula_kind(domain: DomainParams, t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # per row with |z1|^2 = t and |zhat|^2 = q: one closed form covers m < 1,
-    # the outer form the ball; for m > 1 the z1 = 0 limit for |z1| below
-    # _Z_FORMULA_TOL, else the outer form on and outside the middle stratum
-    # M0 and the inner form inside it
-    m = domain.m
-    if m < 1.0:
-        return np.full(len(t), _CHORD)
-    if m == 1.0:
-        return np.full(len(t), _OUTER)
-    kind = np.where(_M0_WEIGHT * t ** m + q - 1.0 >= 0.0, _OUTER, _INNER)
-    kind[t < _Z_FORMULA_TOL ** 2] = _Z_LIMIT
-    return kind
-
-
-def _coefficients(domain: DomainParams, z: np.ndarray, kind=None):
-    # (a, b, c, e) of each row, every row by its own regional form (``kind``
-    # when the caller has classified the rows)
-    t, q = _moduli(z)
-    kind = _formula_kind(domain, t, q) if kind is None else kind
-    if len(z) and (kind == kind[0]).all():  # one point, or a stencil inside one region
-        return _FORMS[kind[0]](domain, t, 1.0 - q)
-    coef = np.empty((4, len(z)))
-    for k in np.unique(kind):
-        rows = kind == k
-        coef[:, rows] = _FORMS[k](domain, t[rows], 1.0 - q[rows])
-    return coef
-
-
-def _wu_matrices(domain: DomainParams, z: np.ndarray, kind=None) -> np.ndarray:
-    """Wu tensors at checked interior points: (N, n) complex -> (N, n, n)."""
-    a, b, c, e = _coefficients(domain, z, kind)
+    ``rows`` are the points' membership rows (r1, q, sm) and ``regime``
+    their fit regimes when the caller has them. The fit is taken at
+    p1_ref = r1/sm with sigma = 1/sm^2, so that the only denominators of the
+    form are s2 and those of the fit, 1 - p1_ref^2 and 1 - p1_ref^2m, which
+    the membership test keeps positive.
+    """
+    r1, q, sm = _reference_rows(domain, z) if rows is None else rows
+    a, b, c, e = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm),
+                        *_fit_rows(domain, r1 / sm, regime))
     n = domain.n
     H = np.conj(z)[:, :, None] * z[:, None, :]  # conj(z_i) z_j
     H[:, 1:, 1:] *= e[:, None, None]
@@ -167,29 +106,34 @@ def _wu_matrices(domain: DomainParams, z: np.ndarray, kind=None) -> np.ndarray:
     return H
 
 
+#: the ``source`` tag of each fit regime
+_TAGS = ("chord-form", "outer-form", "inner-form", "inner-form (Z limit)")
+
+
 def _hermitian_form(domain: DomainParams, matrix: np.ndarray, region: RegionLabel,
-                    kind: int) -> HermitianForm:
+                    regime: int) -> HermitianForm:
     # the Wu tensor ``matrix`` at a point with its region and the source tag
-    # of the closed form ``kind`` that gave it
-    source = _SOURCES[kind]
+    # of the fit regime that gave it
+    source = _TAGS[regime]
     if domain.m == 1.0:
         source = "ball"
-    elif region is RegionLabel.Z and kind == _CHORD:
+    elif region is RegionLabel.Z and regime == _CHORD:
         source += " (z1=0 limit)"
-    elif region is RegionLabel.Z and kind == _INNER:
+    elif region is RegionLabel.Z and regime == _TANGENCY:
         source += " (near Z)"
-    elif region is RegionLabel.M_ZERO and kind != _Z_LIMIT:
+    elif region is RegionLabel.M_ZERO:
         source += " (on M0)"
     return HermitianForm(matrix, region, source)
 
 
 def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
-    """Wu metric coefficients at interior points, by the regional closed forms.
+    """Wu metric coefficients at interior points: the axis fit moved to z.
 
-    For m <= 1 one closed form covers the whole egg (its direct evaluation at
-    z1 = 0 is the continuity limit). For m > 1 the outer form applies on and
-    outside the middle stratum, the inner form inside it, and the z1 = 0
-    limit on Z; the ``source`` tag names the formula used.
+    The fit (r1, r2) at the reference coordinate p1_ref of z is carried to z
+    by the automorphism in closed form. Its regime (the chord for m <= 1;
+    for m > 1 the LOWER line from M0 out, the tangency inside and
+    ``fit_origin`` at p1_ref below ``_FIT_ORIGIN_TOL``) names the ``source``
+    tag, with the stratum the point lies on.
 
     One point gives a ``HermitianForm``; (N, n) rows give the read-only
     (N, n, n) stack of the matrices. Any outside point or bad row raises
@@ -198,13 +142,14 @@ def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
     _check_tol(tol)
     z = as_vector(z, domain.n, rows=True)
     if z.ndim == 2:
-        _check_inside(domain, z)
-        return _read_only(_wu_matrices(domain, z))
-    region = _region_of(domain, z, tol)
+        return _read_only(_wu_matrices(domain, z, _check_inside(domain, z)))
+    rows = _reference_rows(domain, z[None])
+    region = _region_of(domain, z, tol, rows)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    kind = _formula_kind(domain, *_moduli(z[None]))
-    return _hermitian_form(domain, _wu_matrices(domain, z[None], kind)[0], region, kind[0])
+    regime = _regimes(domain, rows[0] / rows[2])
+    return _hermitian_form(domain, _wu_matrices(domain, z[None], rows, regime)[0], region,
+                           regime[0])
 
 
 def _read_only(H: np.ndarray) -> np.ndarray:
@@ -215,9 +160,11 @@ def _read_only(H: np.ndarray) -> np.ndarray:
 def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
     """Wu tensor transported from the reference axis point through the automorphism.
 
-    Independent of the regional closed forms: only the diagonal fit at the
-    reference coordinate and the differential D(z, z) of the automorphism
-    enter, as D^T R conj(D) with R = diag(r1, r2, ..., r2). One point gives a
+    The same fit as ``wu_tensor``, moved numerically instead of in closed
+    form: ``_to_axis`` applies D(z, z) to the basis vectors, and
+    D^T R conj(D) with R = diag(r1, r2, ..., r2) is formed as a matrix
+    product. So it checks the transport algebra of ``wu_tensor``; the fit
+    itself is checked by ``fit_oracle``. One point gives a
     ``HermitianForm``; (N, n) rows give the read-only (N, n, n) stack.
     """
     _check_tol(tol)
@@ -251,8 +198,7 @@ def wu_norm(domain: DomainParams, z, v):
     z = as_vector(z, domain.n, rows=True)
     _same_rows(z, v)
     zs = np.atleast_2d(z)
-    _check_inside(domain, zs)
-    norm_sq = _norm_sq(_wu_matrices(domain, zs), np.atleast_2d(v))
+    norm_sq = _norm_sq(_wu_matrices(domain, zs, _check_inside(domain, zs)), np.atleast_2d(v))
     if z.ndim == 1:
         return math.sqrt(max(float(norm_sq[0]), 0.0))  # rounds as np.sqrt does
     return np.sqrt(np.maximum(norm_sq, 0.0))
@@ -265,19 +211,20 @@ def kahler_defect(domain: DomainParams, z) -> float:
     ``SeamProximityError`` on Z and M0, where the metric is not C2.
     """
     z = as_vector(z, domain.n)
-    return _jet_defect(_wu_jet(domain, z, _jet_region(domain, z))[1])
+    return _jet_defect(_wu_jet(domain, z, *_jet_region(domain, z))[1])
 
 
-def _jet_region(domain: DomainParams, z: np.ndarray) -> RegionLabel:
-    # the region of a checked point that has a jet: not outside, and not on
-    # Z or M0, where the Wu metric is not C2
-    region = _region_of(domain, z, REGION_TOL)
+def _jet_region(domain: DomainParams, z: np.ndarray):
+    # the region and membership rows of a checked point that has a jet: not
+    # outside, and not on Z or M0, where the Wu metric is not C2
+    rows = _reference_rows(domain, z[None])
+    region = _region_of(domain, z, REGION_TOL, rows)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
     if region in (RegionLabel.Z, RegionLabel.M_ZERO):
         raise SeamProximityError(
             f"point lies on the stratum {region.value}, where the Wu metric is not C2")
-    return region
+    return region, rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,20 +260,27 @@ def _chain(z: np.ndarray, jets):
     return parts[:, 0], first * zc, dd
 
 
-def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel):
+def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel, rows):
     """(form, dH/dz, d2H/dz dzbar) at a checked point of ``region`` off the seams.
 
-    ``form`` is the ``HermitianForm`` of H at z; the derivatives are in
-    ``wirtinger_jet``'s layout. The regional form runs on ``Taylor2`` jets of
-    (t, s2); the product rule then differentiates the monomials conj(z_i) z_j
-    (none on H[0, 0]): d/dz_k gives conj(z_i) delta_jk, d/dzbar_l delta_il
-    z_j, both delta_il delta_jk.
+    ``rows`` are the point's membership rows, as ``_jet_region`` gives them
+    with the region. ``form`` is the ``HermitianForm`` of H at z; the
+    derivatives are in ``wirtinger_jet``'s layout. The fit of the point's
+    regime and ``_moved`` run on ``Taylor2`` jets of (t, s2), with the fit
+    at the jet u = t sigma (the values of sigma and u are those of the
+    membership rows, 1/sm^2 and p1_ref^2); the product rule then differentiates the
+    monomials conj(z_i) z_j (none on H[0, 0]): d/dz_k gives conj(z_i)
+    delta_jk, d/dzbar_l delta_il z_j, both delta_il delta_jk.
     """
     _, _, coef, eye, hat, swap = _blocks(z.size)
-    t, q = _moduli(z[None])
-    kind = _formula_kind(domain, t, q)[0]
-    value, d, dd = _chain(z, _FORMS[kind](domain, *Taylor2.variables(float(t[0]),
-                                                                      1.0 - float(q[0]))))
+    r1, q, sm = (float(x[0]) for x in rows)
+    p1 = r1 / sm
+    regime = int(_regimes(domain, np.array([p1]))[0])
+    t, s2 = Taylor2.variables(r1 * r1, 1.0 - q)
+    sigma = s2 ** (-1.0 / domain.m)
+    u = t * sigma
+    sigma.v, u.v = 1.0 / (sm * sm), p1 * p1  # the values as ``_wu_matrices`` takes them
+    value, d, dd = _chain(z, _moved(domain, t, s2, sigma, *_fit(domain, regime, u)))
     zc = np.conj(z)
     mono = zc[:, None] * z
     mono[0, 0] = 1.0
@@ -340,7 +294,8 @@ def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel):
     ddH = (dd[coef] * mono[:, :, None, None] + grad[:, :, :, None] * eye[:, None, None, :]
            + np.conj(grad).transpose(1, 0, 2)[:, :, None, :] * eye[None, :, :, None]
            + A[:, :, None, None] * swap + hat[:, :, None, None] * dd[2])
-    return _hermitian_form(domain, H, region, kind), dH.transpose(2, 0, 1), ddH.transpose(2, 3, 0, 1)
+    return (_hermitian_form(domain, H, region, regime), dH.transpose(2, 0, 1),
+            ddH.transpose(2, 3, 0, 1))
 
 
 def _jet_defect(dz: np.ndarray) -> float:

@@ -52,8 +52,8 @@ from .kcurve import (
 from .kobayashi import branch_params, kobayashi, kobayashi_alt_upper
 from .numerics import Taylor2, wirtinger_jet
 from .smoothness import holder_exponent, regularity_scan
-from .tensor import (_chain, _moduli, _wu_jet, _wu_matrices, kahler_defect, pullback_tensor,
-                     wu_norm, wu_tensor)
+from .tensor import (_chain, _jet_region, _wu_jet, _wu_matrices, kahler_defect,
+                     pullback_tensor, wu_norm, wu_tensor)
 
 
 @dataclass(frozen=True)
@@ -302,8 +302,7 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
                 f"no M+ point 1e-3 from every seam in {_POTENTIAL_DRAWS} draws "
                 f"(M+ is {1.0 - domain.m0_radius:.1e} wide on the axis)")
 
-        t, q = _moduli(z[None])
-        t, s2 = Taylor2.variables(float(t[0]), 1.0 - float(q[0]))
+        t, s2 = Taylor2.variables(abs(z[0]) ** 2, 1.0 - float(np.sum(np.abs(z[1:]) ** 2)))
         complex_hess = _chain(z, [-(s2 - t ** domain.m).log()])[2][0]
         H = wu_tensor(domain, z).matrix
         worst = max(worst, float(np.max(np.abs(complex_hess - H))))
@@ -314,7 +313,7 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     thr = domain.m0_radius
     # inner closed form at the exact threshold (X -> 1) vs the outer form
     X = solve_X(domain, thr)
-    inner_r1, inner_r2 = _inner_fit(domain, thr, X)
+    inner_r1, inner_r2 = _inner_fit(domain, thr * thr, X)
     outer = fit_reference(domain, thr)
     gap = max(_rel(inner_r1, outer.r1), _rel(inner_r2, outer.r2), abs(X - 1.0))
     side = fit_reference(domain, thr * (1.0 - 1e-11))
@@ -371,7 +370,7 @@ def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     for z in pts:
         tensor = curvature_tensor(domain, z)
         # the exact second derivatives against the independent difference oracle
-        exact = _wu_jet(domain, z, tensor.metric.region)[2]
+        exact = _wu_jet(domain, z, *_jet_region(domain, z))[2]
         fd = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, 1e-4)[2]
         gap = max(gap, float(np.max(np.abs(exact - fd)) / np.max(np.abs(exact))))
         vals = [tensor.holomorphic(v) for v in dirs]

@@ -76,9 +76,9 @@ def _kobayashi_solves(d, z, v):
 
 
 def _tensor_solves(d, z):
-    # the inner-region form and the inner fit solve the tangency equation
-    return d.m > 1.0 and abs(z[0]) >= 1e-12 and \
-        2.0 * abs(z[0]) ** (2 * d.m) + float(np.sum(np.abs(z[1:]) ** 2)) < 1.0
+    # the fit solves the tangency equation at reference coordinates in
+    # [_FIT_ORIGIN_TOL, m0_radius)
+    return d.m > 1.0 and 1e-12 <= reference_coordinate(d, z) < d.m0_radius
 
 
 def _assert_rows_match(rows, singles, solved):

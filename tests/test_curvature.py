@@ -18,6 +18,7 @@ from eggmetrics import (
     kahler_defect,
     wu_tensor,
 )
+from eggmetrics import fitting
 from eggmetrics import curvature as curvature_module
 from eggmetrics import tensor as tensor_module
 from eggmetrics.numerics import richardson, wirtinger_jet
@@ -498,7 +499,7 @@ class TestTwoOperandContractions:
         d, points = _region_points(m, n, np.random.default_rng([n, int(1e8 * m), 3]))
         dirs = direction_sample(n, seed=5)
         for z in points:
-            form, dz, ddbar = tensor_module._wu_jet(d, z, classify_region(d, z))
+            form, dz, ddbar = tensor_module._wu_jet(d, z, *tensor_module._jet_region(d, z))
             R = curvature_module._curvature(z, form, dz, ddbar).components
             expected = _three_operand_components(form.matrix, dz, ddbar)
             assert np.max(np.abs(R - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -509,14 +510,16 @@ class TestTwoOperandContractions:
 
 class TestOneClassificationPerPoint:
     def _counted(self, monkeypatch):
+        # the fit regime decisions, by the tensor or by the fit itself
         calls = []
-        original = tensor_module._formula_kind
+        original = fitting._regimes
 
         def counted(*args):
             calls.append(len(args[1]))
             return original(*args)
 
-        monkeypatch.setattr(tensor_module, "_formula_kind", counted)
+        for module in (tensor_module, fitting):
+            monkeypatch.setattr(module, "_regimes", counted)
         return calls
 
     @pytest.mark.parametrize("m,p1", [(0.75, 0.5), (1.0, 0.5), (2.0, 0.4), (2.0, 0.95)])
@@ -545,7 +548,7 @@ class TestOneClassificationPerPoint:
         (2.0, [0.95, 0.1], "outer-form"),
         (2.0, [0.0, 0.3], "inner-form (Z limit)"),
         (2.0, [1e-11, 0.3], "inner-form (near Z)"),
-        (2.0, [2.0 ** -0.25, 0.0], "inner-form (on M0)"),  # rounds to the inner side
+        (2.0, [2.0 ** -0.25, 0.0], "outer-form (on M0)"),  # p1_ref is m0_radius: LOWER
         (2.0, [2.0 ** -0.25 + 1e-12, 0.0], "outer-form (on M0)"),
     ])
     def test_source_tags_are_unchanged(self, m, z, source):

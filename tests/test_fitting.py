@@ -61,7 +61,7 @@ class TestSolveX:
             s = rng.uniform(0.5, 1.0)
             # reference coordinate strictly inside the inner region
             p1 = rng.uniform(0.05, 0.95) * d.m0_radius * abs_pow(s, 1.0 / m)
-            X = solve_X(d, p1, s)
+            X = solve_X(d, float(_axis_p1(m, p1, s)))
             P = abs_pow(p1, 2 * m)
             res = (s ** 4 * abs_pow(X, 2 * m - 1)
                    - (m + 1) * P * s * s * abs_pow(X, m - 1)
@@ -512,6 +512,19 @@ def _reference_solve_X(domain, p1, s=1.0):
     return _reference_solve_bracketed(g, lo, hi, df=dg) * pm
 
 
+#: X ~ 1e-320 at p1 = 1e-160 is subnormal: the solve at p1/s^(1/m) and the
+#: reference at (p1, s) each round X to the subnormal spacing 5e-324, so the
+#: identity X(p1, s) = X(p1/s^(1/m), 1) holds there to a few spacings only
+_SUBNORMAL_ROUNDING = 4 * 5e-324
+
+
+def _axis_p1(m, p1, s):
+    # X(p1, s) = X(p1/s^(1/m), 1): the axis coordinate the solve takes for
+    # the reference's pair (p1, s); inf at s = 0
+    with np.errstate(divide="ignore"):
+        return np.asarray(p1, dtype=float) / np.asarray(s, dtype=float) ** (1.0 / m)
+
+
 def _inner_pairs(m, rng, us):
     # (p1, s) with 2 p1^2m = u s^2, i.e. w = 2 p1^2m - s^2 = (u - 1) s^2
     s = rng.uniform(0.3, 1.0, len(us))
@@ -571,9 +584,9 @@ class TestArrayTangencySolve:
         if m <= 5.0:  # the equation overflows below |z1| ~ 1e-4 at m = 20
             p1 = np.concatenate([p1, [1e-11, 1e-160]])
             s = np.concatenate([s, [0.7, 0.9]])
-        X = fitting._solve_X_many(d, p1, s)
+        X = fitting._solve_X_many(d, _axis_p1(m, p1, s))
         expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
-        assert np.all(np.abs(X - expected) <= 1e-14 * expected)
+        assert np.all(np.abs(X - expected) <= np.maximum(1e-14 * expected, _SUBNORMAL_ROUNDING))
         assert X[len(us) - 1] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
@@ -591,11 +604,12 @@ class TestArrayTangencySolve:
         pairs = list(zip(p1, s)) + [(1e-12, 0.8), (1e-160, 0.9), (0.5, 0.0), (1.0, 0.5),
                                     (0.0515, 1.0), (0.051, 0.9)]
         for a, b in pairs:
-            got, want = _outcome(solve_X, d, a, b), _outcome(_reference_solve_X, d, a, b)
+            got = _outcome(solve_X, d, float(_axis_p1(m, a, b)))
+            want = _outcome(_reference_solve_X, d, a, b)
             if isinstance(want, type):
                 assert got is want, (a, b)
             else:
-                assert abs(got - want) <= 1e-14 * want, (a, b)
+                assert abs(got - want) <= max(1e-14 * want, _SUBNORMAL_ROUNDING), (a, b)
 
     @pytest.mark.parametrize("m", [2.0, 5.0])
     def test_stencil_converges_in_a_few_iterations(self, monkeypatch, m):
@@ -608,14 +622,15 @@ class TestArrayTangencySolve:
         d = DomainParams(m=m, n=2)
         p1 = 0.4 + 3e-4 * rng.uniform(-1.0, 1.0, 257)
         s = np.sqrt(1.0 - (0.1 + 3e-4 * rng.uniform(-1.0, 1.0, 257)) ** 2)
-        X = fitting._solve_X_many(d, p1, s)
+        X = fitting._solve_X_many(d, _axis_p1(m, p1, s))
         expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
         assert np.all(np.abs(X - expected) <= 1e-14 * expected)
 
     def test_single_pair_is_one_scalar_solve(self, monkeypatch):
         d = DomainParams(m=2.0, n=2)
-        X = fitting._solve_X_many(d, [0.4], [0.9])[0]
-        assert solve_X(d, 0.4, 0.9) == X
+        p1 = float(_axis_p1(2.0, 0.4, 0.9))
+        X = fitting._solve_X_many(d, [p1])[0]
+        assert solve_X(d, p1) == X
         calls = []
 
         def counted(*args, **kwargs):
@@ -627,7 +642,7 @@ class TestArrayTangencySolve:
 
         monkeypatch.setattr(fitting, "solve_bracketed", counted)
         monkeypatch.setattr(fitting, "_solve_bracketed_rows", no_rows)
-        assert fitting._solve_X_many(d, np.array([0.4]), np.array([0.9]))[0] == X
+        assert fitting._solve_X_many(d, np.array([p1]))[0] == X
         assert len(calls) == 1
 
     @pytest.mark.parametrize("m", [1.0 + 1e-7, 2.0, 5.0])
@@ -646,28 +661,29 @@ class TestArrayTangencySolve:
                   "on-M0": np.ones(8)}[stratum]
             p1, s = _inner_pairs(m, rng, us)
         for a, b in zip(p1, s):
-            X = fitting._solve_X_many(d, [a], [b])[0]
-            assert X == solve_X(d, a, b)
-            assert X == fitting._solve_X_many(d, [a, 0.5 * a], [b, b])[0]
+            x = float(_axis_p1(m, a, b))
+            X = fitting._solve_X_many(d, [x])[0]
+            assert X == solve_X(d, x)
+            assert X == fitting._solve_X_many(d, [x, 0.5 * x])[0]
             want = _reference_solve_X(d, a, b)
-            assert abs(X - want) <= 1e-14 * want, (a, b)
+            assert abs(X - want) <= max(1e-14 * want, _SUBNORMAL_ROUNDING), (a, b)
+            assert abs(X - _reference_solve_X(d, x)) <= 1e-14 * X, (a, b)
 
     @pytest.mark.parametrize("m,bad,error", [
-        (2.0, (0.8, 0.9), ConfigurationError),    # off the inner region: 2 p1^2m > s^2
-        (20.0, (1e-5, 0.8), OverflowError),        # the equation leaves the float range
+        (2.0, 0.85, ConfigurationError),    # off the inner region: 2 p1^2m > 1
+        (20.0, 1e-5, OverflowError),        # the equation leaves the float range
     ])
     def test_one_pair_raises_as_among_rows(self, m, bad, error):
         # first, last or alone, on floats or as a later array row: one message
         d = DomainParams(m=m, n=2)
-        good = (0.3, 0.9)
+        good = 0.3
         messages = set()
-        for pairs in ([bad], [bad, good], [good, bad], [good, good, bad]):
-            p1, s = np.array(pairs).T
+        for p1 in ([bad], [bad, good], [good, bad], [good, good, bad]):
             with pytest.raises(error) as info:
-                fitting._solve_X_many(d, p1, s)
+                fitting._solve_X_many(d, np.array(p1))
             messages.add(str(info.value))
         assert len(messages) == 1
-        assert repr(bad[0]) in messages.pop()
+        assert repr(bad) in messages.pop()
 
     def test_newton_convergence_rule_bounds_evaluations(self, monkeypatch):
         # a vanishing Newton step ends the solve even where the iterate sits
@@ -678,7 +694,7 @@ class TestArrayTangencySolve:
         rng = np.random.default_rng(65)
         p1, s = _inner_pairs(5.0, rng, rng.uniform(0.0, 1.0, 200))
         for a, b in zip(p1, s):
-            solve_X(d, a, b)
+            solve_X(d, float(_axis_p1(5.0, a, b)))
         assert len(evals) == 200
         assert max(evals) <= 40
         # 9 from the leading-order start (8 from the bracket midpoint)
@@ -692,7 +708,7 @@ class TestArrayTangencySolve:
         evals = _counted_solves(monkeypatch)
         d = DomainParams(m=m, n=2)
         for s in np.linspace(0.05, 1.0, 20):
-            X = solve_X(d, 1e-8, s)
+            X = solve_X(d, float(_axis_p1(m, 1e-8, s)))
             assert abs(X - _reference_solve_X(d, 1e-8, s)) <= 1e-14 * X
         assert len(evals) == 20 and max(evals) <= 13
 
@@ -716,24 +732,25 @@ class TestArrayTangencySolve:
         d = DomainParams(m=2.0, n=2)
         p1, s = _inner_pairs(2.0, np.random.default_rng(62), [0.3, 0.6, 1.1])
         with pytest.raises(ConfigurationError):
-            fitting._solve_X_many(d, p1, s)
+            fitting._solve_X_many(d, _axis_p1(2.0, p1, s))
 
     def test_overflowing_row_raises_as_the_scalar_solve(self):
         d = DomainParams(m=20.0, n=2)
         with pytest.raises(OverflowError):
-            solve_X(d, 1e-5, 0.8)
+            solve_X(d, 1e-5)
         with pytest.raises(OverflowError):
-            fitting._solve_X_many(d, np.array([0.3, 1e-5]), np.array([0.9, 0.8]))
+            fitting._solve_X_many(d, np.array([0.3, 1e-5]))
 
     def test_rows_inside_the_float_range_solve(self):
         # (2m - 1) log(1/p1^2) = 705.9 and 708.3 at m = 60: past e^700, still
         # below the end of the float range, so the second row is solved too
         d = DomainParams(m=60.0, n=2)
         p1, s = np.array([0.0515, 0.051]), np.array([1.0, 0.9])
-        q = 119.0 * np.log(1.0 / p1 ** 2)
+        x = _axis_p1(60.0, p1, s)
+        q = 119.0 * np.log(1.0 / x ** 2)
         assert np.all((700.0 < q) & (q < fitting._EXP_ARG_MAX))
         expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
-        X = fitting._solve_X_many(d, p1, s)
+        X = fitting._solve_X_many(d, x)
         assert np.all(np.abs(X - expected) <= 1e-14 * expected)
 
 

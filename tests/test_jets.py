@@ -15,9 +15,11 @@ from eggmetrics import (
     curvature_tensor,
     holomorphic_curvature,
     kahler_defect,
+    reference_coordinate,
     seam_distance,
 )
 from eggmetrics import curvature as curvature_module
+from eggmetrics import fitting
 from eggmetrics import tensor as tensor_module
 from eggmetrics.numerics import Taylor2, wirtinger_jet
 
@@ -73,13 +75,17 @@ class TestTaylor2:
             one = 2.0 * (s1 ** 1.5 - t1) / (t1 * s1 + 1.0)
             assert np.array_equal(_parts(rows)[:, k], _parts(one))
 
-    def test_value_part_is_the_float_formula(self):
+    @pytest.mark.parametrize("m,regime", [(0.75, fitting._CHORD), (2.0, fitting._LOWER)])
+    def test_value_part_is_the_float_formula(self, m, regime):
         # the jet's value is computed as the float code computes it
-        d = DomainParams(m=0.75, n=2)
+        d = DomainParams(m=m, n=2)
+
+        def form(t, s2):
+            sigma = s2 ** (-1.0 / m)
+            return tensor_module._moved(d, t, s2, sigma, *fitting._fit(d, regime, t * sigma))
+
         T, S = 0.2, 0.6
-        jets = tensor_module._chord_form(d, *Taylor2.variables(T, S))
-        floats = tensor_module._chord_form(d, T, S)
-        assert [f.v for f in jets] == list(floats)
+        assert [f.v for f in form(*Taylor2.variables(T, S))] == list(form(T, S))
 
 
 #: the acceptance grid of the exact-vs-difference comparison
@@ -116,7 +122,7 @@ def _fd_jet(d, z, step=1e-4):
 
 def _exact_jet(d, z):
     # the exact jet as (H, dH/dz, d2H/dz dzbar)
-    form, dz, ddbar = tensor_module._wu_jet(d, z, classify_region(d, z))
+    form, dz, ddbar = tensor_module._wu_jet(d, z, *tensor_module._jet_region(d, z))
     return form.matrix, dz, ddbar
 
 
@@ -229,35 +235,39 @@ class TestSeams:
 
 
 class TestSymbolicChainRule:
-    """The chain and product rules against sympy, on the package's own forms."""
+    """The chain and product rules against sympy, on the package's own form."""
 
     @pytest.mark.parametrize("m,point", [(0.75, (0.5 + 0.2j, 0.3 - 0.1j)),
                                          (1.0, (0.4 - 0.3j, 0.2 + 0.5j)),
                                          (2.0, (0.9 + 0.05j, 0.1 + 0.1j))])
-    def test_chord_and_outer_forms(self, m, point):
+    def test_chord_and_lower_line_fits(self, m, point):
         sp = pytest.importorskip("sympy")
         d = DomainParams(m=m, n=2)
         z = np.array(point)
-        kind = tensor_module._formula_kind(d, *tensor_module._moduli(z[None]))[0]
-        assert kind in (tensor_module._CHORD, tensor_module._OUTER)
-        # z and its conjugate w as independent symbols; the regional form runs
-        # on the symbolic t = z1 w1 and s2 = 1 - z2 w2
+        regime = fitting._regimes(d, np.array([reference_coordinate(d, z)]))[0]
+        assert regime in (fitting._CHORD, fitting._LOWER)
+        # z and its conjugate w as independent symbols; the fit and the moved
+        # form run on the symbolic t = z1 w1 and s2 = 1 - z2 w2
         z1, z2, w1, w2 = sp.symbols("z1 z2 w1 w2")
-        a, b, c, e = tensor_module._FORMS[kind](d, z1 * w1, 1 - z2 * w2)
+        t, s2 = z1 * w1, 1 - z2 * w2
+        sigma = s2 ** (-1.0 / m)
+        a, b, c, e = tensor_module._moved(d, t, s2, sigma, *fitting._fit(d, regime, t * sigma))
         H = sp.Matrix([[a, b * w1 * z2], [b * w2 * z1, c + e * w2 * z2]])
         zs, ws = (z1, z2), (w1, w2)
-        at = {z1: complex(z[0]), z2: complex(z[1]),
-              w1: complex(np.conj(z[0])), w2: complex(np.conj(z[1]))}
+        mp = pytest.importorskip("mpmath")
+        at = [mp.mpc(complex(c)) for c in (*z, *np.conj(z))]
 
-        def num(expr):
-            return complex(sp.N(expr.subs(at), 30))
+        def num(matrix):
+            # the entries at z, evaluated at 30 digits
+            with mp.workdps(30):
+                value = sp.lambdify((*zs, *ws), matrix, "mpmath")(*at)
+            return np.array(value.tolist(), dtype=complex)
 
         _, dz, ddbar = _exact_jet(d, z)
         for k in range(2):
             dHk = H.diff(zs[k])
-            want = np.array([[num(dHk[i, j]) for j in range(2)] for i in range(2)])
+            want = num(dHk)
             assert np.max(np.abs(dz[k] - want)) <= 1e-12 * np.max(np.abs(want))
             for l in range(2):
-                dHkl = dHk.diff(ws[l])
-                want = np.array([[num(dHkl[i, j]) for j in range(2)] for i in range(2)])
+                want = num(dHk.diff(ws[l]))
                 assert np.max(np.abs(ddbar[k, l] - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)

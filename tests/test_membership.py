@@ -23,6 +23,7 @@ from eggmetrics import (
     classify_region,
     defining_function,
     egg_automorphism,
+    fit_reference,
     kobayashi,
     kobayashi_alt_upper,
     kobayashi_reference,
@@ -74,11 +75,6 @@ def _verdict(fn):
 
 
 class TestOneMembership:
-    # the regional closed forms divide by 1 - |z1|^2m - |zhat|^2 computed
-    # their own way, which can round to 0 within an ulp of the boundary; that
-    # is a defect of their values there (CHANGES.md), not of the verdict
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", M_VALUES)
     def test_every_function_gives_the_same_verdict(self, m, n):
@@ -107,6 +103,29 @@ class TestOneMembership:
         assert kobayashi(d, z, v) == kobayashi(d, z0, v)
         np.testing.assert_allclose(pullback_tensor(d, z).matrix, pullback_tensor(d, z0).matrix,
                                    rtol=1e-15, atol=1e-300)
+
+
+class TestFiniteAtTheBoundary:
+    # the tensor divides only by s2 = 1 - |zhat|^2 and by the fit's
+    # 1 - p1_ref^2 and 1 - p1_ref^2m, which the membership test keeps
+    # positive; a denominator taken in its own rounding, such as
+    # 1 - |z1|^2m - |zhat|^2, rounds to 0 at some of these points
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0, 20.0])
+    def test_every_accepted_point_has_a_finite_tensor(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([n, int(100 * m), 17])
+        points = [z for z in _thin_points(m, n, 400, seed=[n, int(100 * m), 16])
+                  if reference_coordinate(d, z) < 1.0]
+        vectors = np.array([_unit(rng, n) for _ in points])
+        assert len(points) > 200
+        for z, v in zip(points, vectors):
+            assert np.all(np.isfinite(wu_tensor(d, z).matrix)), z
+            assert math.isfinite(wu_norm(d, z, v)), z
+            ell = fit_reference(d, reference_coordinate(d, z))
+            assert ell.r1 > 0.0 and ell.r2 > 0.0, z
+        assert np.all(np.isfinite(wu_tensor(d, np.array(points))))
+        assert np.all(np.isfinite(wu_norm(d, np.array(points), vectors)))
 
 
 class _PastTheBranchTest(Exception):

@@ -17,6 +17,7 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
+from eggmetrics import fitting
 from eggmetrics import tensor as tensor_module
 from eggmetrics.domain import REGION_TOL, _region_of, _seam_distance
 from eggmetrics.numerics import wirtinger_jet
@@ -153,14 +154,15 @@ class TestRegionContinuity:
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 5.0, 20.0])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_labels_and_formulas_place_the_middle_stratum_alike(self, m, n):
-        # region labels, the regional tensor form and the seam distance each
-        # test the stratum 2|z1|^2m + |zhat|^2 = 1; at seeded points 1e-6
-        # relative inside and outside it they must agree on the side
+    def test_labels_and_fit_regimes_place_the_middle_stratum_alike(self, m, n):
+        # region labels and the seam distance test the stratum
+        # 2|z1|^2m + |zhat|^2 = 1, the fit regime the reference coordinate
+        # against m0_radius; at seeded points 1e-6 relative inside and
+        # outside it they must agree on the side
         d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([n, int(4 * m)])
-        for side, label, kind in ((-1.0, RegionLabel.M_MINUS, tensor_module._INNER),
-                                  (1.0, RegionLabel.M_PLUS, tensor_module._OUTER)):
+        for side, label, regime in ((-1.0, RegionLabel.M_MINUS, fitting._TANGENCY),
+                                    (1.0, RegionLabel.M_PLUS, fitting._LOWER)):
             for _ in range(200):
                 zhat = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
                 zhat *= math.sqrt(rng.uniform(0.0, 0.9)) / np.linalg.norm(zhat)
@@ -168,7 +170,7 @@ class TestRegionContinuity:
                 r1 = ((1.0 - q) / 2.0) ** (1.0 / (2.0 * m)) * (1.0 + side * 1e-6)
                 z = np.concatenate(([r1 * np.exp(2j * np.pi * rng.uniform())], zhat))
                 assert _region_of(d, z, REGION_TOL) is label
-                assert tensor_module._formula_kind(d, *tensor_module._moduli(z[None]))[0] == kind
+                assert wu_tensor(d, z).source == tensor_module._TAGS[regime]
                 assert _seam_distance(d, z) < 1e-5
 
     @pytest.mark.parametrize("m", [0.75, 1.25, 2.0])
