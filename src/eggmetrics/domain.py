@@ -147,24 +147,26 @@ def minkowski_gauge(domain: DomainParams, v) -> float:
     return _gauge(domain, as_vector(v, domain.n))
 
 
-def _gauge(domain: DomainParams, v: np.ndarray) -> float:
-    # minkowski_gauge on a checked vector
+def _gauge(domain: DomainParams, v: np.ndarray):
+    # minkowski_gauge of a checked vector, on floats, or of each checked (N, n) row
     m = domain.m
     # far from unit size, scale v by an exact power of two so that |v1|^2m,
     # |vhat|^2 and the bracket below stay inside the float range
-    e = math.frexp(max(float(np.max(np.abs(v.real))), float(np.max(np.abs(v.imag)))))[1]
-    if max(m, 1.0) * (abs(e) + 1) > 450.0:
-        unit = np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
-        return math.ldexp(_gauge(domain, unit), e)
-    a_coef = abs_pow(abs(v[0]), 2 * m)
-    b_coef = float(_hat_sq(v))
-    if a_coef == 0.0 and b_coef == 0.0:
-        return 0.0
-    if a_coef == 0.0:
-        return math.sqrt(b_coef)
-    if b_coef == 0.0:
-        return abs(v[0])
-    return 1.0 / _two_term_root(a_coef, b_coef, m)
+    e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=-1))[1]
+    e = np.where(max(m, 1.0) * (np.abs(e) + 1) > 450.0, e, 0)
+    if e.any():
+        v = np.ldexp(v.real, -e[..., None]) + 1j * np.ldexp(v.imag, -e[..., None])
+    if v.ndim == 1:  # numpy's abs of one complex rounds apart from its abs of rows
+        r1, b = float(abs(v[0])), float(_hat_sq(v))
+        a = abs_pow(r1, 2 * m)
+        return math.ldexp(math.sqrt(b) if a == 0.0 else r1 if b == 0.0
+                          else 1.0 / _two_term_root(a, b, m), int(e))
+    r1, b = np.abs(v[:, 0]), _hat_sq(v)
+    a = r1 ** (2 * m)
+    g = np.where(a == 0.0, np.sqrt(b), r1)
+    solved = (a != 0.0) & (b != 0.0)
+    g[solved] = 1.0 / _two_term_root(a[solved], b[solved], m)
+    return np.ldexp(g, e)
 
 
 def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionLabel:
@@ -234,45 +236,22 @@ def _check_inside(domain: DomainParams, z: np.ndarray):
     return ref
 
 
-def _phase_factor(p1: complex) -> complex:
-    # unimodular factor |p1|/p1, fixed to 1 at p1 = 0 (any choice gives the
-    # same metric values by rotational symmetry); a subnormal p1 is scaled up
-    # first, as the division takes 1/p1
-    if abs(p1) < sys.float_info.min:
-        p1 *= 2.0 ** 64
-    return abs(p1) / p1 if p1 != 0 else 1.0
-
-
 def egg_automorphism(domain: DomainParams, p, z) -> np.ndarray:
     """Automorphism of the egg sending p to the axis point (|p1|/s^(1/m), 0, ..., 0).
 
     The zhat block is moved by the standard ball automorphism taking phat to
     the origin; z1 is scaled by the matching (1 - <zhat, phat>)^(-1/m) factor.
-    For phat = 0 the map degenerates to (c z1, -zhat) with unimodular c; so
-    it is taken for |phat|^2 below the smallest normal float too, where s and
-    1 - <zhat, phat> round to 1 and the general form would divide by it.
     Accepts z on the closed egg (boundary maps to boundary), as one point or
-    as (N, n) rows of points moved by the same map.
+    as (N, n) rows of points moved by the same map; the one-base-point case
+    of ``_automorphism``.
     """
-    m = domain.m
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n, rows=True)
     _check_inside(domain, p[None])
     if (_defining(domain, z) > 1e-9).any():
         raise DomainError("z must lie in the closed egg")
-    c = _phase_factor(p[0])
-    phat = p[1:]
-    zhat = z[..., 1:]
-    phat_sq = float(_hat_sq(p))
-    if phat_sq < sys.float_info.min:
-        return np.concatenate((c * z[..., :1], -zhat), axis=-1)
-    s = math.sqrt(1.0 - phat_sq)
-    w = (zhat @ np.conj(phat))[..., None]  # <zhat, phat>, conjugate-linear in phat
-    denom = 1.0 - w
-    first = c * s ** (1.0 / m) * denom ** (-1.0 / m) * z[..., :1]
-    proj = (w / phat_sq) * phat
-    psi = (phat - proj - s * (zhat - proj)) / denom
-    return np.concatenate((first, psi), axis=-1)
+    rows = z.reshape(-1, domain.n)
+    return _automorphism(domain, np.broadcast_to(p, rows.shape), rows)[0].reshape(z.shape)
 
 
 def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:
@@ -280,33 +259,40 @@ def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n)
     _check_inside(domain, p[None])
+    return _automorphism(domain, p[None], z[None])[1][0]
+
+
+def _automorphism(domain: DomainParams, p: np.ndarray, z: np.ndarray):
+    """(images, Jacobians): row k of z moved by ``egg_automorphism`` at p[k], checked (N, n) rows.
+
+    z1 is also multiplied by the unimodular c = |p1|/p1 (1 at p1 = 0, where
+    any choice gives the same metric values by rotational symmetry; a
+    subnormal p1 is scaled up first, as the division takes 1/p1). For
+    phat = 0 the map is (c z1, -zhat); phat is taken as 0 where |phat|^2 is
+    below the smallest normal float too, where s and 1 - <zhat, phat> round
+    to 1 and the projection on phat would divide by |phat|^2. The Jacobian's
+    zhat block is ((psi - phat/(1 + s)) conj(phat)^T - s I)/(1 - <zhat, phat>),
+    psi the image's zhat block, using (1 - s)/|phat|^2 = 1/(1 + s).
+    """
     m = domain.m
-    n = domain.n
-    c = _phase_factor(p[0])
-    phat = p[1:]
-    zhat = z[1:]
-    phat_sq = float(_hat_sq(p))
-    D = np.zeros((n, n), dtype=complex)
-    if phat_sq < sys.float_info.min:  # as in egg_automorphism
-        D[0, 0] = c
-        for j in range(1, n):
-            D[j, j] = -1.0
-        return D
-    s = math.sqrt(1.0 - phat_sq)
-    w = complex(np.vdot(phat, zhat))
+    p1 = p[:, 0] * np.where(np.abs(p[:, 0]) < sys.float_info.min, 2.0 ** 64, 1.0)
+    c = np.where(p1 == 0, 1.0, np.abs(p1) / np.where(p1 == 0, 1.0, p1))
+    q = _hat_sq(p)
+    s = np.sqrt(1.0 - q)
+    flat = q < sys.float_info.min
+    phat, zhat = np.where(flat[:, None], 0.0, p[:, 1:]), z[:, 1:]
+    w = (zhat * np.conj(phat)).sum(axis=-1)  # <zhat, phat>, conjugate-linear in phat
     denom = 1.0 - w
-    D[0, 0] = c * s ** (1.0 / m) * denom ** (-1.0 / m)
-    for j in range(1, n):
-        D[0, j] = (c * s ** (1.0 / m) * z[0] * (1.0 / m)
-                   * denom ** (-1.0 / m - 1.0) * np.conj(phat[j - 1]))
-    numer = phat - (1.0 - s) * (w / phat_sq) * phat - s * zhat
-    for i in range(1, n):
-        for j in range(1, n):
-            d_num = -(1.0 - s) * phat[i - 1] * np.conj(phat[j - 1]) / phat_sq
-            if i == j:
-                d_num -= s
-            D[i, j] = d_num / denom + numer[i - 1] * np.conj(phat[j - 1]) / denom ** 2
-    return D
+    proj = (w / np.where(flat, 1.0, q))[:, None] * phat
+    psi = (phat - proj - s[:, None] * (zhat - proj)) / denom[:, None]
+    scale = c * s ** (1.0 / m) * denom ** (-1.0 / m)  # the factor that moves z1
+    n = z.shape[1]
+    D = np.zeros((len(z), n, n), dtype=complex)
+    D[:, 0, 0] = scale
+    D[:, 0, 1:] = (scale * z[:, 0] / (m * denom))[:, None] * np.conj(phat)
+    D[:, 1:, 1:] = ((psi - phat / (1.0 + s)[:, None])[:, :, None] * np.conj(phat)[:, None]
+                    - s[:, None, None] * np.eye(n - 1)) / denom[:, None, None]
+    return np.concatenate(((scale * z[:, 0])[:, None], psi), axis=-1), D
 
 
 def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):

@@ -287,16 +287,20 @@ def kobayashi_alt_upper(domain: DomainParams, p1: float, v) -> float:
         raise DomainError("alternate formula needs v1 != 0 and vhat != 0")
     if not _is_upper(m, p1, v1, xh):
         raise DomainError("alternate formula is defined on the u > p1 branch only")
+    return float(_alt_upper(m, p1, v1, xh))
+
+
+def _alt_upper(m: float, p1, v1, xh):
+    # kobayashi_alt_upper from checked floats or rows: p1, |v1| and |vhat|^2;
     # disc cancels to 0 at the junction when m = 1/2, where (2m - 1)^2 = 0
-    disc = max(v1 * v1 + 4.0 * (1.0 - 1.0 / m) * p1 * p1 * xh, 0.0)
+    disc = np.maximum(v1 * v1 + 4.0 * (1.0 - 1.0 / m) * p1 * p1 * xh, 0.0)
     t2 = 2.0 * v1 * v1 / (v1 * v1 + 2.0 * (1.0 - 1.0 / m) * xh * p1 * p1
-                          + v1 * math.sqrt(disc))
+                          + v1 * np.sqrt(disc))
     # the gauge parameter scaled to y = |v1| x, the root of c y^2m + b y^2 = 1:
     # y stays below 1 where x runs to m/|vhat| (x^2m leaves the float range
     # there at m = 60), and c, which cancels to 0 at the junction u = p1, is
     # kept from rounding below 0 there
     b = t2 * xh / (v1 * v1)
-    y = _two_term_root(max(1.0 - b * p1 * p1, 0.0), b, m)
-    inner = y * y - p1 * p1 * abs_pow(y, 2 * m)
-    k_sq = y * y * v1 * v1 / (t2 * inner * inner)
-    return math.sqrt(k_sq)
+    y = _two_term_root(np.maximum(1.0 - b * p1 * p1, 0.0), b, m)
+    inner = y * y - p1 * p1 * (abs_pow(y, 2 * m) if isinstance(y, float) else y ** (2 * m))
+    return np.sqrt(y * y * v1 * v1 / (t2 * inner * inner))

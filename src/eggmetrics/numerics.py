@@ -24,23 +24,32 @@ def abs_pow(x: float, exponent: float) -> float:
     return math.exp(exponent * math.log(abs(x)))
 
 
-def _two_term_root(a: float, b: float, m: float) -> float:
+def _two_term_root(a, b, m: float):
     """Positive root x of a x^2m + b x^2 = 1 for a, b >= 0, not both zero.
 
     Each term alone reaches 1 at its single-term root c^(-1/p), so the root
     lies below the smaller one; taken through the logarithm that bound stays
     finite for subnormal coefficients (inf past e^700), and a safety factor
-    absorbs its rounding.
+    absorbs its rounding. Floats run the scalar ``solve_bracketed``; rows of
+    a and b run ``_solve_bracketed_rows`` from the same midpoint start.
     """
-    def g(x: float) -> float:
-        return a * abs_pow(x, 2 * m) + b * x * x - 1.0
+    def g(x, a, b, pw):
+        return a * pw(x, 2 * m) + b * x * x - 1.0
 
-    def dg(x: float) -> float:
-        return 2 * m * a * abs_pow(x, 2 * m - 1) + 2 * b * x
+    def dg(x, a, b, pw):
+        return 2 * m * a * pw(x, 2 * m - 1) + 2 * b * x
 
-    t = min(-math.log(c) / p for c, p in ((a, 2 * m), (b, 2.0)) if c != 0.0)
-    hi = (math.exp(t) if t <= 700.0 else math.inf) * (1.0 + 1e-9)
-    return solve_bracketed(g, 0.0, hi, df=dg)
+    if isinstance(a, float):
+        t = min(-math.log(c) / p for c, p in ((a, 2 * m), (b, 2.0)) if c != 0.0)
+        hi = (math.exp(t) if t <= 700.0 else math.inf) * (1.0 + 1e-9)
+        return solve_bracketed(lambda x: g(x, a, b, abs_pow), 0.0, hi,
+                               df=lambda x: dg(x, a, b, abs_pow))
+    with np.errstate(divide="ignore"):
+        t = np.minimum(-np.log(a) / (2 * m), -np.log(b) / 2.0)
+    hi = np.exp(np.where(t <= 700.0, t, np.inf)) * (1.0 + 1e-9)
+    return _solve_bracketed_rows(lambda x, r: g(x, a[r], b[r], np.power),
+                                 lambda x, r: dg(x, a[r], b[r], np.power),
+                                 np.zeros_like(hi), hi, 0.5 * hi)
 
 
 def solve_bracketed(

@@ -7,7 +7,6 @@ a pass/fail table. Seeded sampling makes runs reproducible.
 
 from __future__ import annotations
 
-import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -15,18 +14,17 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .curvature import curvature_tensor, direction_sample
+from .curvature import _curvature, direction_sample
 from .domain import (
     DomainParams,
     RegionLabel,
+    _automorphism,
     _axis_point,
     _defining,
+    _gauge,
     _hat_sq,
-    automorphism_jacobian,
     classify_region,
     defining_function,
-    egg_automorphism,
-    minkowski_gauge,
     seam_distance,
 )
 from .errors import ConfigurationError, NumericalError
@@ -49,7 +47,7 @@ from .kcurve import (
     kcurve_sample,
     square_convexity_check,
 )
-from .kobayashi import branch_params, kobayashi, kobayashi_alt_upper
+from .kobayashi import _alt_upper, branch_params, kobayashi
 from .numerics import Taylor2, wirtinger_jet
 from .smoothness import holder_exponent, regularity_scan
 from .tensor import (_chain, _jet_region, _wu_jet, _wu_matrices, kahler_defect,
@@ -85,12 +83,20 @@ def _sample_interior(domain: DomainParams, rng: np.random.Generator, count: int,
 
 
 def _sample_directions(domain: DomainParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    # (count, n) unit rows, each from n real and then n imaginary normal draws;
-    # |v|^2 is re.re + im.im by dot products, as np.linalg.norm forms it for one v
-    g = rng.normal(size=(count, 2, domain.n))
+    # (count, n) unit rows, each from n real and then n imaginary normal draws
+    return _unit_rows(rng.normal(size=(count, 2, domain.n)))
+
+
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    # the rows g[:, 0] + i g[:, 1] of (count, 2, k) draws, each divided by its norm
     v = g[:, 0] + 1j * g[:, 1]
+    return v / _norms(v)[:, None]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    # |v| of each row, re.re + im.im by dot products as np.linalg.norm forms it for one v
     re, im = v.real[:, None], v.imag[:, None]
-    return v / np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
 
 
 def _rel(a, b):
@@ -104,34 +110,37 @@ def _rel_max(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def check_gauge(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    worst_h = 0.0
-    for _ in range(50):
-        v = _sample_directions(domain, rng, 1)[0] * rng.uniform(0.1, 2.0)
-        g = minkowski_gauge(domain, v)
-        inside = defining_function(domain, v) < 0.0
-        if (g < 1.0) != inside:
-            return False, f"gauge/membership mismatch at {v!r}"
-        lam = rng.uniform(0.1, 5.0)
-        worst_h = max(worst_h, _rel(minkowski_gauge(domain, lam * v), lam * g))
+    # per sample, as drawn one at a time: a direction, its length and lam
+    g, length, lam = (np.array(a) for a in zip(*[
+        (rng.normal(size=(2, domain.n)), rng.uniform(0.1, 2.0), rng.uniform(0.1, 5.0))
+        for _ in range(50)]))
+    v = _unit_rows(g) * length[:, None]
+    gauge, scaled = _gauge(domain, np.concatenate([v, lam[:, None] * v])).reshape(2, -1)
+    mismatch = np.flatnonzero((gauge < 1.0) != (_defining(domain, v) < 0.0))
+    if mismatch.size:
+        return False, f"gauge/membership mismatch at {v[mismatch[0]]!r}"
+    worst_h = float(np.max(_rel(scaled, lam * gauge)))
     return worst_h < 1e-12, f"homogeneity worst rel err {worst_h:.2e}"
 
 
 def check_automorphism(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    worst_ref = worst_bdry = worst_jac = 0.0
     n = domain.n
     ps, zs = _sample_interior(domain, rng, 25), _sample_interior(domain, rng, 25)
+    vs = _sample_directions(domain, rng, 25)
+    zb = vs / np.maximum(_gauge(domain, vs), 1e-300)[:, None]
+    # per sample p, a boundary point, z and the central differences in each
+    # z_j, all moved by the map at p in one call
     steps = 1e-6 * np.eye(n)
-    for p, z, v in zip(ps, zs, _sample_directions(domain, rng, 25)):
-        zb = v / max(minkowski_gauge(domain, v), 1e-300)
-        # p, a boundary point and the central differences in each z_j, one call
-        img = egg_automorphism(domain, p, np.vstack([p, zb, z + steps, z - steps]))
-        s = math.sqrt(1.0 - float(_hat_sq(p)))
-        worst_ref = max(worst_ref, abs(img[0, 0] - abs(p[0]) / s ** (1.0 / domain.m)),
-                        float(np.max(np.abs(img[0, 1:]))))
-        worst_bdry = max(worst_bdry, abs(defining_function(domain, img[1])))
-        D = automorphism_jacobian(domain, p, z)
-        fd = (img[2:2 + n] - img[2 + n:]).T / 2e-6  # column j: d/dz_j
-        worst_jac = max(worst_jac, float(np.max(np.abs(fd - D)) / np.max(np.abs(D))))
+    z = np.concatenate([ps[:, None], zb[:, None], zs[:, None], zs[:, None] + steps,
+                        zs[:, None] - steps], axis=1)
+    img, D = _automorphism(domain, np.repeat(ps, 3 + 2 * n, axis=0), z.reshape(-1, n))
+    img, D = img.reshape(z.shape), D[2::3 + 2 * n]
+    s = np.sqrt(1.0 - _hat_sq(ps))
+    worst_ref = float(max(np.max(np.abs(img[:, 0, 0] - np.abs(ps[:, 0]) / s ** (1.0 / domain.m))),
+                          np.max(np.abs(img[:, 0, 1:]))))
+    worst_bdry = float(np.max(np.abs(_defining(domain, img[:, 1]))))
+    fd = (img[:, 3:3 + n] - img[:, 3 + n:]).transpose(0, 2, 1) / 2e-6  # column j: d/dz_j
+    worst_jac = float(np.max(_rel_max(D, fd)))
     ok = worst_ref < 1e-12 and worst_bdry < 1e-9 and worst_jac < 1e-6
     return ok, (f"reference {worst_ref:.1e}, boundary {worst_bdry:.1e}, "
                 f"jacobian-vs-fd {worst_jac:.1e}")
@@ -166,18 +175,17 @@ def check_branch_junction(domain: DomainParams, rng: np.random.Generator) -> tup
 
 def check_alt_upper(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     m = domain.m
-    p1s, vs = [], []
-    for _ in range(100):
-        p1 = rng.uniform(0.1, 0.9)
-        vhat = _sample_directions(domain, rng, 1)[0, 1:]
-        vhat = vhat / np.linalg.norm(vhat)
-        u = p1 * rng.uniform(1.05, 40.0)
-        p1s.append(p1)
-        vs.append(np.concatenate(([u / m], vhat)))
+    # per sample, as drawn one at a time: p1, a direction whose zhat part is
+    # taken as vhat, and u/p1 in the UPPER branch
+    p1, g, ratio = (np.array(a) for a in zip(*[
+        (rng.uniform(0.1, 0.9), rng.normal(size=(2, domain.n)), rng.uniform(1.05, 40.0))
+        for _ in range(100)]))
+    vhat = _unit_rows(g)[:, 1:]
+    vs = np.concatenate([(p1 * ratio / m)[:, None], vhat / _norms(vhat)[:, None]], axis=1)
     # at the axis points (p1, 0, ..., 0) kobayashi is the branch formula of
     # kobayashi_reference: the reduction leaves p1 and |v1|, |vhat| as they are
-    K = kobayashi(domain, _axis_point(domain, p1s), np.array(vs))
-    alt = np.array([kobayashi_alt_upper(domain, p1, v) for p1, v in zip(p1s, vs)])
+    K = kobayashi(domain, _axis_point(domain, p1), vs)
+    alt = _alt_upper(m, p1, np.abs(vs[:, 0]), _hat_sq(vs))
     worst = float(np.max(_rel(K, alt)))
     return worst < 1e-10, f"worst rel gap {worst:.2e}"
 
@@ -252,8 +260,7 @@ def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
     count = 40
     ps, qs = _sample_interior(domain, rng, count), _sample_interior(domain, rng, count)
     vs = _sample_directions(domain, rng, count)
-    D = np.array([automorphism_jacobian(domain, q, p) for p, q in zip(ps, qs)])
-    pqs = [egg_automorphism(domain, q, p) for p, q in zip(ps, qs)]
+    pqs, D = _automorphism(domain, qs, ps)
     pts, vecs = np.concatenate([ps, pqs]), np.concatenate([vs, (D @ vs[..., None])[..., 0]])
     K = kobayashi(domain, pts, vecs)
     W = wu_norm(domain, pts, vecs)
@@ -368,9 +375,10 @@ def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     values = []
     gap = 0.0
     for z in pts:
-        tensor = curvature_tensor(domain, z)
+        jet = _wu_jet(domain, z, *_jet_region(domain, z))
+        tensor = _curvature(z, *jet)
         # the exact second derivatives against the independent difference oracle
-        exact = _wu_jet(domain, z, *_jet_region(domain, z))[2]
+        exact = jet[2]
         fd = wirtinger_jet(lambda w: _wu_matrices(domain, w), z, 1e-4)[2]
         gap = max(gap, float(np.max(np.abs(exact - fd)) / np.max(np.abs(exact))))
         vals = [tensor.holomorphic(v) for v in dirs]

@@ -14,6 +14,7 @@ from eggmetrics import (
     branch_params,
     classify_region,
     defining_function,
+    egg_automorphism,
     kobayashi,
     kobayashi_alt_upper,
     kobayashi_reference,
@@ -26,8 +27,9 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
-from eggmetrics.domain import _reference_coordinate, _to_axis
-from eggmetrics.kobayashi import Branch
+from eggmetrics.domain import _automorphism, _gauge, _hat_sq, _reference_coordinate, _to_axis
+from eggmetrics.kobayashi import Branch, _alt_upper, _is_upper
+from eggmetrics.verification import _sample_interior
 
 M_VALUES = [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0]
 STRATA = ("generic", "on-Z", "z1=1e-11", "on-M0", "near-boundary")
@@ -212,6 +214,123 @@ class TestMovedVector:
         for p, vec, got in zip(z, v, w):
             want = automorphism_jacobian(d, p, p) @ vec
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _edge_vectors(n):
+    # v = 0, v1 = 0, vhat = 0, |v| near 2^600 and 2^-600, and the subnormal
+    # vectors of the gauge's fuzzing regressions, vhat padded with zeros
+    pad = [0.0] * (n - 2)
+    return np.array([[0.0] * n, [0.0, 0.6 - 0.8j] + pad, [0.3 + 0.4j] + [0.0] * (n - 1),
+                     [2.0 ** 600, 3.0 * 2.0 ** 599j] + pad, [2.0 ** -600j, 2.0 ** -601] + pad,
+                     [2.225073858507e-311j, 1j] + pad,
+                     [1.5018879064186162e-105, 1.375 + 1.375j] + pad], dtype=complex)
+
+
+def _junction_rows(m, p1s=(0.25, 0.5, 0.8)):
+    # (p1, v) with |v1| 1 to 4 ulp above the junction p1/m, vhat = (1, 0, ...)
+    # and n = 3, where they are UPPER
+    rows = []
+    for p1 in p1s:
+        v1 = p1 / m
+        for _ in range(4):
+            v1 = np.nextafter(v1, 2.0)
+            if _is_upper(m, p1, v1, 1.0):
+                rows.append((p1, [v1, 1.0, 0.0]))
+    return rows
+
+
+#: the smallest normal float
+_TINY = np.finfo(float).tiny
+
+
+def _one_pair_automorphism(m, p, z):
+    # the image and Jacobian of the automorphism at p, as the former one-pair
+    # code formed them (a flat phat below the smallest normal, the Jacobian
+    # entry by entry)
+    n = len(p)
+    p1 = p[0] * (2.0 ** 64 if abs(p[0]) < _TINY else 1.0)
+    c = abs(p1) / p1 if p1 != 0 else 1.0
+    phat, zhat = p[1:], z[1:]
+    phat_sq = float(np.sum(np.abs(phat) ** 2))
+    D = np.zeros((n, n), dtype=complex)
+    if phat_sq < _TINY:
+        D[0, 0], D[np.arange(1, n), np.arange(1, n)] = c, -1.0
+        return np.concatenate(([c * z[0]], -zhat)), D
+    s = math.sqrt(1.0 - phat_sq)
+    w = complex(np.vdot(phat, zhat))
+    denom = 1.0 - w
+    proj = (w / phat_sq) * phat
+    image = np.concatenate(([c * s ** (1.0 / m) * denom ** (-1.0 / m) * z[0]],
+                            (phat - proj - s * (zhat - proj)) / denom))
+    D[0, 0] = c * s ** (1.0 / m) * denom ** (-1.0 / m)
+    numer = phat - (1.0 - s) * (w / phat_sq) * phat - s * zhat
+    for j in range(1, n):
+        D[0, j] = (c * s ** (1.0 / m) * z[0] * (1.0 / m)
+                   * denom ** (-1.0 / m - 1.0) * np.conj(phat[j - 1]))
+        for i in range(1, n):
+            d_num = -(1.0 - s) * phat[i - 1] * np.conj(phat[j - 1]) / phat_sq - s * (i == j)
+            D[i, j] = d_num / denom + numer[i - 1] * np.conj(phat[j - 1]) / denom ** 2
+    return image, D
+
+
+class TestRowForms:
+    """The row forms behind ``verify``'s sample sets against one-point calls.
+
+    Rows of the gauge and of the alternate formula run a root solve, so they
+    agree to 1e-13 relative; a single vector or pair runs the float code.
+    """
+
+    # above m = 450 the power-of-two scaling takes every vector, unit-size ones too
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", M_VALUES + [60.0, 500.0])
+    def test_gauge(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([n, int(1e3 * m), 19])
+        v = (rng.normal(size=(60, n)) + 1j * rng.normal(size=(60, n))) * np.exp(
+            rng.uniform(-5.0, 5.0, (60, 1)))
+        v = np.concatenate([_edge_vectors(n), v])
+        one = np.array([minkowski_gauge(d, w) for w in v])
+        rows = _gauge(d, v)
+        assert rows.shape == (len(v),) and rows[0] == 0.0
+        assert np.all(np.abs(rows - one) <= 1e-13 * one)
+
+    @pytest.mark.parametrize("m", M_VALUES + [60.0])
+    def test_alternate_formula(self, m):
+        d = DomainParams(m=m, n=3)
+        rng = np.random.default_rng([int(1e3 * m), 23])
+        pairs = _junction_rows(m)
+        assert m not in (0.5, 2.0, 60.0) or len(pairs) >= 6
+        while len(pairs) < 80:
+            p1, v = rng.uniform(0.01, 0.99), rng.normal(size=3) + 1j * rng.normal(size=3)
+            if _is_upper(m, p1, abs(v[0]), float(_hat_sq(v))):
+                pairs.append((p1, v))
+        p1 = np.array([a for a, _ in pairs])
+        v = np.array([b for _, b in pairs], dtype=complex)
+        one = np.array([kobayashi_alt_upper(d, a, b) for a, b in zip(p1, v)])
+        rows = _alt_upper(m, p1, np.abs(v[:, 0]), _hat_sq(v))
+        assert np.all(np.abs(rows - one) <= 1e-13 * one)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0, 20.0])
+    def test_automorphism(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([n, int(1e3 * m), 29])
+        # verify's sample domain (defining function below -0.1)
+        p, z = (_sample_interior(d, rng, 100) for _ in range(2))
+        p[0, 1:] = 0.0                    # phat = 0
+        p[1, 1:] = 1e-160                 # |phat|^2 subnormal
+        p[2, 1:] = 3e-170j                # |phat|^2 underflows to 0
+        p[3, 0] = 1e-310 + 2e-310j        # subnormal p1
+        p[4, 0] = 0.0
+        v = rng.normal(size=(10, n)) + 1j * rng.normal(size=(10, n))
+        z[:10] = v / _gauge(d, v)[:, None]  # on the boundary
+        images, jacobians = _automorphism(d, p, z)
+        for a, b, image, D in zip(p, z, images, jacobians):
+            want_image, want_D = _one_pair_automorphism(m, a, b)
+            assert np.max(np.abs(image - want_image)) <= 2e-15 * np.max(np.abs(want_image))
+            assert np.max(np.abs(D - want_D)) <= 2e-15 * np.max(np.abs(want_D))
+            assert np.array_equal(image, egg_automorphism(d, a, b))
+            assert np.array_equal(D, automorphism_jacobian(d, a, b))
 
 
 class TestUpperBranchUnderflow:

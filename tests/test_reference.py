@@ -92,3 +92,17 @@ def test_curvature_within_the_cell_bound(m, regime, bound):
         ref = np.array(wu_reference.curvature(m, z), dtype=complex)
         worst = max(worst, float(np.max(np.abs(R - ref)) / np.max(np.abs(ref))))
     assert worst <= bound
+
+
+@pytest.mark.parametrize("z1", ["0", "1e-30", "1e-100", "1e-300"])
+def test_z_limit_at_m_200(z1):
+    # the contact search converges at m = 200 down to p1 = 1e-300; at
+    # z = (z1, 0) with n = 2 the tensor is diag(r1, r2), which tends to
+    # ((m+1)^(1/m)/2, (m+1)/(2m)) = (0.513435607848..., 0.5025) as z1 -> 0
+    mp = wu_reference.mp
+    with mp.workdps(wu_reference.DIGITS):
+        H, regime = wu_reference.wu_tensor(200, [mp.mpf(z1), 0])
+        assert regime == ("origin" if z1 == "0" else "tangency")
+        assert abs(H[0, 0] - mp.mpf(201) ** (mp.mpf(1) / 200) / 2) < 1e-40
+        assert abs(H[1, 1] - mp.mpf(201) / 400) < 1e-40
+        assert H[0, 1] == 0 and H[1, 0] == 0

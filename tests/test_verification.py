@@ -3,13 +3,25 @@
 import numpy as np
 import pytest
 
-from eggmetrics import DomainParams, kobayashi_sq, regularity_scan, wu_tensor
-from eggmetrics import smoothness
+from eggmetrics import (
+    DomainParams,
+    automorphism_jacobian,
+    egg_automorphism,
+    kobayashi_sq,
+    minkowski_gauge,
+    regularity_scan,
+    wu_tensor,
+)
+from eggmetrics import smoothness, verification
 from eggmetrics.domain import _defining
 from eggmetrics.verification import (
     _SAMPLE_MARGIN,
     _sample_directions,
     _sample_interior,
+    check_alt_upper,
+    check_automorphism,
+    check_gauge,
+    check_invariance,
     run_checks,
 )
 
@@ -50,6 +62,115 @@ class TestRowSamplers:
             assert rows.shape == (count, n)
             assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4e-16
             assert np.max(np.abs(rows - want)) <= 4e-16
+
+
+def _spy(monkeypatch, name):
+    # the calls of verification.<name>, recorded with their arguments
+    calls, real = [], getattr(verification, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification, name, spy)
+    return calls
+
+
+def _row_gap(a, b):
+    # max |a - b| over each row's largest entry, worst row
+    return float(np.max(np.max(np.abs(a - b), axis=-1) / np.max(np.abs(b), axis=-1)))
+
+
+class TestCheckDraws:
+    # each check draws its samples as its one-at-a-time loop drew them and
+    # evaluates them in one row call: the rows against the loop's samples,
+    # from the same seeded generator
+    CELLS = [(0.5, 2), (0.75, 3), (2.0, 2), (5.0, 4), (20.0, 3)]
+
+    @staticmethod
+    def _gauge_loop(d, rng):
+        # (v, lam v) of each sample, drawn as the loop drew them
+        for _ in range(50):
+            v = _one_point_direction(d, rng) * rng.uniform(0.1, 2.0)
+            yield v, rng.uniform(0.1, 5.0) * v
+
+    @pytest.mark.parametrize("m,n", CELLS)
+    def test_gauge(self, monkeypatch, m, n):
+        d = DomainParams(m=m, n=n)
+        calls = _spy(monkeypatch, "_gauge")
+        check_gauge(d, np.random.default_rng([n, 1]))
+        (_, rows), = calls
+        loop = np.array(list(self._gauge_loop(d, np.random.default_rng([n, 1]))))
+        assert _row_gap(rows, np.concatenate([loop[:, 0], loop[:, 1]])) <= 4e-16
+
+    def test_gauge_names_the_first_mismatch_in_loop_order(self, monkeypatch):
+        d = DomainParams(m=2.0, n=3)
+        real = verification._gauge
+
+        def flipped(domain, rows):
+            # samples 7 and 30 on the wrong side of the boundary
+            g = real(domain, rows)
+            g[[7, 30]] = np.where(g[[7, 30]] < 1.0, 2.0, 0.5)
+            return g
+
+        monkeypatch.setattr(verification, "_gauge", flipped)
+        ok, detail = check_gauge(d, np.random.default_rng(3))
+        v7 = list(self._gauge_loop(d, np.random.default_rng(3)))[7][0]
+        assert not ok
+        assert detail == f"gauge/membership mismatch at {v7!r}"
+
+    @pytest.mark.parametrize("m,n", CELLS)
+    def test_automorphism(self, monkeypatch, m, n):
+        d = DomainParams(m=m, n=n)
+        calls = _spy(monkeypatch, "_automorphism")
+        check_automorphism(d, np.random.default_rng([n, 2]))
+        (_, base, rows), = calls
+        rng = np.random.default_rng([n, 2])
+        ps, zs = _sample_interior(d, rng, 25), _sample_interior(d, rng, 25)
+        steps = 1e-6 * np.eye(n)
+        # per sample p, the boundary point, z (the Jacobian's) and the steps
+        want = np.array([np.vstack([p, v / minkowski_gauge(d, v), z, z + steps, z - steps])
+                         for p, z, v in zip(ps, zs, _sample_directions(d, rng, 25))])
+        rows = rows.reshape(want.shape)
+        assert np.array_equal(base, np.repeat(ps, 3 + 2 * n, axis=0))
+        assert np.array_equal(np.delete(rows, 1, axis=1), np.delete(want, 1, axis=1))
+        # the boundary points take the gauge over rows, which runs a root solve
+        assert _row_gap(rows[:, 1], want[:, 1]) <= 1e-13
+
+    @pytest.mark.parametrize("m,n", CELLS)
+    def test_alternate_formula(self, monkeypatch, m, n):
+        d = DomainParams(m=m, n=n)
+        calls = _spy(monkeypatch, "kobayashi")
+        check_alt_upper(d, np.random.default_rng([n, 3]))
+        (_, axis, vs), = calls
+        rng = np.random.default_rng([n, 3])
+        p1s, want = [], []
+        for _ in range(100):
+            p1 = rng.uniform(0.1, 0.9)
+            vhat = _one_point_direction(d, rng)[1:]
+            vhat = vhat / np.linalg.norm(vhat)
+            u = p1 * rng.uniform(1.05, 40.0)
+            p1s.append(p1)
+            want.append(np.concatenate(([u / m], vhat)))
+        want = np.array(want)
+        assert np.array_equal(axis[:, 0], p1s) and not np.any(axis[:, 1:])
+        assert np.array_equal(vs[:, 0], want[:, 0])
+        assert np.max(np.abs(vs[:, 1:] - want[:, 1:])) <= 4e-16
+
+    @pytest.mark.parametrize("m,n", CELLS)
+    def test_invariance(self, monkeypatch, m, n):
+        d = DomainParams(m=m, n=n)
+        calls = _spy(monkeypatch, "kobayashi")
+        check_invariance(d, np.random.default_rng([n, 4]))
+        (_, points, vectors), = calls
+        rng = np.random.default_rng([n, 4])
+        ps, qs = _sample_interior(d, rng, 40), _sample_interior(d, rng, 40)
+        vs = _sample_directions(d, rng, 40)
+        moved = np.array([egg_automorphism(d, q, p) for p, q in zip(ps, qs)])
+        dv = np.array([automorphism_jacobian(d, q, p) @ v for p, q, v in zip(ps, qs, vs)])
+        assert np.array_equal(points, np.concatenate([ps, moved]))
+        assert np.array_equal(vectors[:40], vs)
+        assert _row_gap(vectors[40:], dv) <= 2e-15
 
 
 def _one_point_api(monkeypatch):

@@ -15,8 +15,8 @@ both K-curves, in the square coordinates x = |vhat|^2, y = |v1|^2:
 
 At p1 = 0 the UPPER arc degenerates, so the fit there is taken at
 p1 = 1e-25, where it differs from its limit by O(p1^2m) (m <= 1) or O(p1^2).
-The contact search converges for m up to 60 at every p1 down to 1e-300; at
-m = 200 it fails below p1 = 1e-25.
+The contact search brackets the root and narrows the bracket by the Illinois
+rule; it converges for m up to 200 at every p1 down to 1e-300.
 
 At z the fit is moved by the automorphism that takes z to the axis: with
 D = D(z, z) from ``automorphism_jacobian``'s formula, H = D^T R conj(D) and
@@ -73,7 +73,7 @@ def _contact(m, p1):
     lo = ks[i - 1] if i else ks[0]
     while slope(p1 ** (1 - lo)) <= 0:  # the contact lies below the grid
         lo /= 64
-    k = mp.findroot(lambda k: slope(p1 ** (1 - k)), (lo, ks[i]), solver="anderson")
+    k = mp.findroot(lambda k: slope(p1 ** (1 - k)), (lo, ks[i]), solver="illinois")
     return p1 ** (1 - k)
 
 
