@@ -421,9 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.handler(cfg, args)
-    # the tangency solve raises OverflowError where its equation leaves the
-    # float range (m >= 20 at small |z1|): a numerical failure too
-    except (NumericalError, OverflowError) as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"egg-metrics: numerical failure: {exc}\n")
         return 2
     except (EggMetricsError, ValueError) as exc:

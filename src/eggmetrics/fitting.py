@@ -11,23 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
 from .numerics import Taylor2, _solve_bracketed_rows, abs_pow, solve_bracketed
 
 #: feasibility slack for the oracle's candidate lines (sample-set containment)
 _ORACLE_FEAS_TOL = 1e-11
-
-#: largest log of a power the tangency solve evaluates, (2m - 1) log(1/p1^2)
-#: at X = 1: the end of the float range, e^709.78
-_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -50,15 +45,16 @@ class ContactPoint:
 def solve_X(domain: DomainParams, p1: float) -> float:
     """Square of the tangency parameter on the UPPER curve, for inner-region points.
 
-    Solves X^(2m-1) - (m+1) p1^2m X^(m-1) + (m-2) p1^2m X^m + 2 p1^4m = 0
-    for the geometric root. The equation is solved in the rescaled variable
-    tau = X/p1^2, whose coefficients stay O(1) as p1 -> 0, so the root keeps
-    full relative accuracy near the Z stratum. The root is the unique one in
-    (p1^2, 1]; a missing sign change means p1 is not in the inner region.
-    Off the axis, at a point whose reference coordinate is p1/s^(1/m), the
-    equation multiplies its s-free terms by s^4 and the others by s^2, and
-    dividing by s^4 gives the same root: X(p1, s) = X(p1/s^(1/m), 1). The
-    one-row case of ``_solve_X_many``.
+    X is the geometric root of X^(2m-1) - (m+1) p1^2m X^(m-1) + (m-2) p1^2m
+    X^m + 2 p1^4m = 0, the unique one in (p1^2, 1]; a point off the inner
+    region has none. It is solved as tau = X/p1^2 in the bounded form
+    ``_tangency``, the equation divided by p1^(4m-2) tau^(m-1), whose terms
+    stay O(m) on its bracket: no power leaves the float range at any m or
+    p1, and the root keeps full relative accuracy as p1 -> 0, where it
+    tends to tau0 = (m+1)^(1/m). Off the axis, at a point whose reference
+    coordinate is p1/s^(1/m), the equation multiplies its s-free terms by
+    s^4 and the others by s^2, and dividing by s^4 gives the same root:
+    X(p1, s) = X(p1/s^(1/m), 1). The one-row case of ``_solve_X_many``.
     """
     if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
@@ -67,122 +63,108 @@ def solve_X(domain: DomainParams, p1: float) -> float:
 
 
 def _solve_X_many(domain: DomainParams, p1) -> np.ndarray:
-    """``solve_X`` at each checked inner-region axis coordinate p1; the one tangency solve.
+    """``solve_X`` at each checked inner-region axis coordinate p1: p1^2 times ``_solve_tau``.
 
-    A row off the inner region raises ConfigurationError; tiny p1 and rows
-    next to the middle stratum take closed forms; the rest are solved, and
-    one whose equation leaves the float range at X = 1 raises OverflowError.
-    The first solved row runs on floats through ``math`` (its checks, upper
-    bracket end and the scalar ``solve_bracketed``), and a single row is
-    classified on floats too, so it costs about its scalar solve. Further
-    rows are classified, checked and solved as arrays, by
-    ``_solve_bracketed_rows`` started from the first root scaled to each
-    row's tau. libm's pow rounds apart from numpy's on a few percent of
-    inputs, so two things stay numpy's for every row: p1^2m, which
-    classifies a row bit for bit as among rows, and the closed forms. The
+    A row off the inner region raises ConfigurationError, and rows next to
+    the middle stratum take a closed form. Every other row is solved on the
+    certified bracket of ``_ends``, from its closed-form start, in a few
+    Newton steps. One row, and the first solved row of several, run on
+    floats through ``math`` and the scalar ``solve_bracketed``, so a single
+    row costs about its scalar solve; the others run
+    ``_solve_bracketed_rows``. p1^2m stays numpy's for one row too (libm's
+    pow rounds apart from numpy's on a few percent of inputs), so a pair is
+    classified and solved bit for bit as the first of several rows. The
     many-row callers are ``verify``'s sample sets and the regularity
     probes' paths, through the fit.
     """
-    m = domain.m
     p1 = np.asarray(p1, dtype=float)
+    return p1 * p1 * _solve_tau(domain.m, p1)
+
+
+def _solve_tau(m: float, p1: np.ndarray) -> np.ndarray:
+    # the tangency root tau = X/p1^2 of ``_solve_X_many``
     if len(p1) == 1:  # one row, on floats
         x = float(p1[0])
-        w, live, solved = _strata(x, float(np.power(p1, 2 * m)[0]))
-        return np.array([_solve_pair(m, x)]) if solved else _closed_form(m, p1, w, live)
-    w, live, solved = _strata(p1, np.power(p1, 2 * m))
-    X = _closed_form(m, p1, w, live)
+        w, solved = _strata(x, float(np.power(p1, 2 * m)[0]))
+        return np.array([_solve_pair(m, x * x) if solved else _near_m0(m, x * x, w)])
+    w, solved = _strata(p1, np.power(p1, 2 * m))
+    tau = np.empty_like(p1)
+    tau[~solved] = _near_m0(m, p1[~solved] * p1[~solved], w[~solved])
     rows = np.flatnonzero(solved)
-    if rows.size:
-        i, rows = rows[0], rows[1:]
-        X[i] = X0 = _solve_pair(m, float(p1[i]))
-    if rows.size:
-        pm, hi = _ends(m, p1[rows], np)
-        X[rows] = pm * _solve_bracketed_rows(
-            lambda t, r: _tangency(m, t, pm[r]),
-            lambda t, r: _tangency_slope(m, t, pm[r]),
-            np.ones_like(pm), hi, X0 / pm)
-    return X
+    if rows.size:  # the first solved row on floats, bit for bit as that pair alone
+        tau[rows[0]] = _solve_pair(m, float(p1[rows[0]] * p1[rows[0]]))
+        rows = rows[1:]
+        pm = p1[rows] * p1[rows]
+        tau[rows] = _solve_bracketed_rows(
+            lambda t, r: _tangency(m, t, pm[r]), lambda t, r: _tangency_slope(m, t, pm[r]),
+            *_ends(m, pm, np.maximum))
+    return tau
+
+
+def _solve_pair(m: float, pm: float) -> float:
+    # tau of one solved row on floats, with pm = p1^2
+    lo, hi, x0 = _ends(m, pm, max)
+    return solve_bracketed(lambda t: _tangency(m, t, pm), lo, hi,
+                           df=lambda t: _tangency_slope(m, t, pm), x0=x0)
 
 
 def _strata(p1, P):
-    # w = 2 p1^2m - 1 (the middle-stratum indicator), whether p1^2 clears
-    # the tiny-p1 cut, and whether the row is solved: for one row's floats
-    # or for rows; raises where w puts p1 off the inner region
+    # w = 2 p1^2m - 1 (the middle-stratum indicator) and whether the row is
+    # solved, i.e. not next to the middle stratum, for one row's floats or
+    # for rows; raises at the first row that w puts off the inner region
     w = _M0_WEIGHT * P - 1.0
-    live = p1 * p1 >= 1e-300
-    _refuse(live & (w > 1e-12), p1, _no_root)
-    return w, live, live & (w < -1e-9)
+    off = w > 1e-12
+    if off.any() if isinstance(off, np.ndarray) else off:
+        bad = float(np.ravel(p1)[np.argmax(off)])
+        raise ConfigurationError(
+            f"no tangency root: axis coordinate p1={bad!r} is not in the inner region")
+    return w, w < -1e-9
 
 
-def _closed_form(m: float, p1: np.ndarray, w, live) -> np.ndarray:
-    # X of the unsolved rows: the leading-order root where the bracket end
-    # 1/pm is not representable; next to the middle stratum the root sits
-    # inside the evaluation noise of the equation, and its expansion
-    # X = 1 + w/(2m-1) + O(w^2) is better
-    return np.where(live, 1.0 + w / (2.0 * m - 1.0), (m + 1.0) ** (1.0 / m) * (p1 * p1))
+def _near_m0(m: float, pm, w):
+    # tau next to the middle stratum, where the root sits inside the equation's
+    # evaluation noise at the upper bracket end: X = 1 + w/(2m-1) + O(w^2), over pm
+    return (1.0 + w / (2.0 * m - 1.0)) / pm
 
 
-def _solve_pair(m: float, p1: float) -> float:
-    # X of one solved row on floats: its checks, then the scalar solve from
-    # the leading-order root tau = (m+1)^(1/m) of the p1 -> 0 limit
-    pm, hi = _ends(m, p1, math)
-    return pm * solve_bracketed(
-        lambda t: _tangency(m, t, pm), 1.0, hi,
-        df=lambda t: _tangency_slope(m, t, pm), x0=(m + 1.0) ** (1.0 / m))
-
-
-def _ends(m: float, p1, xp):
-    # p1^2 and the upper bracket end in tau, at X = 1, of solved rows whose
-    # lower end is tau = 1, at X = p1^2: as floats through math (xp = math)
-    # or as rows (xp = numpy); raises where the equation leaves the float
-    # range at X = 1 and where it has no sign change at tau = 1
-    pm = p1 * p1
-    _refuse((2 * m - 1) * -xp.log(pm) > _EXP_ARG_MAX, p1, lambda p1: OverflowError(
-        f"tangency equation overflows at p1={p1!r}, m={m!r}"))
-    _refuse(_tangency(m, 1.0, pm) >= 0.0, p1, _no_root)
-    return pm, 1.0 / pm
-
-
-def _refuse(hit, p1, error) -> None:
-    # raise error(p1) at the first row where hit holds: one row's bool or a
-    # row mask
-    if isinstance(hit, bool):
-        if hit:
-            raise error(p1)
-        return
-    bad = np.flatnonzero(hit)
-    if bad.size:
-        raise error(float(p1[bad[0]]))
+def _ends(m: float, pm, maximum):
+    # lower end, upper end and start in tau of solved rows with pm = p1^2, for
+    # one row's floats (maximum = max) or rows (np.maximum). The bracket
+    # [1, min(1/pm, tau0 (1 + 1e-12))] is certified for every m > 1:
+    # h(1) = -m (1 - pm) < 0 and h(tau0) = pm tau0 m (m-1)/(m+1) >= 0. Inside
+    # M0 the root lies in [2^(1/m), tau0]; the start takes tau^m linear in
+    # pm, exact at p1 = 0 (m+1) and on M0 (2), as h nearly is for large m
+    tau0 = (m + 1.0) ** (1.0 / m)
+    hi = 1.0 / maximum(pm, 1.0 / (tau0 * (1.0 + 1e-12)))
+    return 1.0 + 0.0 * pm, hi, (m + 1.0 + (1.0 - m) * pm * 2.0 ** (1.0 / m)) ** (1.0 / m)
 
 
 def _tangency(m: float, tau, pm):
-    # the tangency equation in tau = X/p1^2, with pm = p1^2
-    return tau ** (2 * m - 1) - (m + 1.0) * tau ** (m - 1) + (m - 2.0) * pm * tau ** m + 2.0 * pm
+    # the bounded tangency form h(tau) = tau^m - (m+1) + (m-2) pm tau
+    # + 2 pm tau^(1-m), with pm = p1^2: the equation in tau = X/p1^2 divided
+    # by tau^(m-1); tau^(1-m) = tau/tau^m
+    q = tau ** m
+    return q - (m + 1.0) + (m - 2.0) * pm * tau + 2.0 * pm * tau / q
 
 
 def _tangency_slope(m: float, tau, pm):
     # d/dtau of ``_tangency``
-    return ((2 * m - 1) * tau ** (2 * m - 2) - (m + 1.0) * (m - 1.0) * tau ** (m - 2)
-            + m * (m - 2.0) * pm * tau ** (m - 1))
+    q = tau ** m
+    return m * q / tau + (m - 2.0) * pm + 2.0 * (1.0 - m) * pm / q
 
 
 def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
-    # the tangency root X as a jet of the jet u = p1^2: from the float root
-    # as a constant jet, two Newton steps in jet arithmetic with the slope
-    # frozen at the float root, each making the jet exact to one more order
-    # (the implicit function theorem, order by order)
-    m = domain.m
-    tau = float(_solve_X_many(domain, [math.sqrt(u.v)])[0]) / u.v
-    slope = _tangency_slope(m, tau, u.v)
-    tau = Taylor2(tau)
-    for _ in range(2):
-        tau = tau - _tangency(m, tau, u) / slope
-    return u * tau
-
-
-def _no_root(p1: float) -> ConfigurationError:
-    return ConfigurationError(
-        f"no tangency root: axis coordinate p1={p1!r} is not in the inner region")
+    # the tangency root tau as a jet of the jet u = p1^2: the float root and
+    # its u-derivatives by implicit differentiation of h(tau, u) = 0, which
+    # is linear in u: tau' = -h_u/h_tau, tau'' = -(h_tautau tau' + 2 h_tauu) tau'/h_tau
+    m, v = domain.m, u.v
+    tau = float(_solve_tau(m, np.array([math.sqrt(v)]))[0])
+    q = tau ** m
+    h_tau = _tangency_slope(m, tau, v)
+    d1 = -((m - 2.0) * tau + 2.0 * tau / q) / h_tau
+    h_tautau = m * (m - 1.0) * (q / (tau * tau) + 2.0 * v / (q * tau))
+    h_tauu = m - 2.0 + 2.0 * (1.0 - m) / q
+    return u._compose(tau, d1, -(h_tautau * d1 + 2.0 * h_tauu) * d1 / h_tau)
 
 
 def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
@@ -233,7 +215,7 @@ def _fit(domain: DomainParams, regime: int, u):
     if regime == _TANGENCY:
         if isinstance(u, Taylor2):
             return _inner_fit(domain, u, _tangency_jet(domain, u))
-        return _inner_fit(domain, u, _solve_X_many(domain, np.sqrt(u)))
+        return _inner_fit(domain, u, _solve_tau(m, np.sqrt(u)))
     if regime == _ORIGIN:
         ell = fit_origin(domain)
         return 0.0 * u + ell.r1, 0.0 * u + ell.r2
@@ -242,13 +224,15 @@ def _fit(domain: DomainParams, regime: int, u):
     return r1, 1.0 / (1.0 - P)
 
 
-def _inner_fit(domain: DomainParams, u, X):
+def _inner_fit(domain: DomainParams, u, tau):
     # inner-region line tangent to the UPPER curve at the contact parameter
-    # sqrt(X), at u = p1^2: (r1, r2) for floats, rows or jets
+    # sqrt(u tau), at u = p1^2: r1 = m^2 tau/(2 f^2) and r2 = tau^m/(2 f) with
+    # f = m - (m-1) u tau - u tau^(1-m), for floats, rows or jets; at u = 0
+    # it is ``fit_origin``
     m = domain.m
-    P = u ** m
-    F = m * X ** (m - 1) - (m - 1.0) * X ** m - P
-    return m * m * X ** (2 * m - 1) / (2.0 * u * F * F), X ** (2 * m - 1) / (2.0 * P * F)
+    q = tau ** m
+    f = m - (m - 1.0) * u * tau - u * tau / q
+    return m * m * tau / (2.0 * f * f), q / (2.0 * f)
 
 
 def fit_origin(domain: DomainParams) -> WuEllipsoidDiag:
@@ -377,7 +361,10 @@ def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllips
         raise DomainError("oracle needs at least 64 samples")
     n1 = max(samples // 2, 48)
     au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
-    upper = _upper_xy_many(domain.m, p1, au)
+    try:
+        upper = _upper_xy_many(domain.m, p1, au)
+    except ZeroDivisionError as exc:  # alpha^(4m-2) underflows at alpha = p1
+        raise NumericalError(f"UPPER arc samples underflow at p1={p1!r}, m={domain.m!r}") from exc
     pts1 = _first_quadrant(upper, _lower_points(domain, p1, max(samples // 4, 24)))
     stage1 = _enumerate_lines(pts1)
     if stage1 is None:

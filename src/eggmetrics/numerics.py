@@ -25,13 +25,17 @@ def abs_pow(x: float, exponent: float) -> float:
 
 
 def _two_term_root(a, b, m: float):
-    """Positive root x of a x^2m + b x^2 = 1 for a, b >= 0, not both zero.
+    """Positive root x of a x^2m + b x^2 = 1 for a, b >= 0, not both zero, m >= 1/2.
 
-    Each term alone reaches 1 at its single-term root c^(-1/p), so the root
-    lies below the smaller one; taken through the logarithm that bound stays
-    finite for subnormal coefficients (inf past e^700), and a safety factor
-    absorbs its rounding. Floats run the scalar ``solve_bracketed``; rows of
-    a and b run ``_solve_bracketed_rows`` from the same midpoint start.
+    Each term c x^p alone reaches 1 at its single-term root c^(-1/p), and at
+    the root the larger term is at least 1/2, so the root lies in [t/2, t]
+    with t = min c^(-1/p) over the nonzero terms (p >= 1). t is taken
+    through the logarithm, which stays finite for subnormal coefficients
+    (clipped at e^700), and widened for its rounding. log(a x^2m + b x^2)
+    is convex and nearly linear in log x, so two Newton steps on it from t
+    give a start just above the root, from which Newton on the convex sum
+    descends. Floats run the scalar ``solve_bracketed``; rows of a and b
+    run ``_solve_bracketed_rows`` from the same start.
     """
     def g(x, a, b, pw):
         return a * pw(x, 2 * m) + b * x * x - 1.0
@@ -40,16 +44,27 @@ def _two_term_root(a, b, m: float):
         return 2 * m * a * pw(x, 2 * m - 1) + 2 * b * x
 
     if isinstance(a, float):
-        t = min(-math.log(c) / p for c, p in ((a, 2 * m), (b, 2.0)) if c != 0.0)
-        hi = (math.exp(t) if t <= 700.0 else math.inf) * (1.0 + 1e-9)
-        return solve_bracketed(lambda x: g(x, a, b, abs_pow), 0.0, hi,
-                               df=lambda x: dg(x, a, b, abs_pow))
+        ua, ub = (-math.log(c) / p if c else math.inf for c, p in ((a, 2 * m), (b, 2.0)))
+        lo, hi, x0 = _two_term_ends(ua, ub, m, math, min)
+        return solve_bracketed(lambda x: g(x, a, b, abs_pow), lo, hi,
+                               df=lambda x: dg(x, a, b, abs_pow), x0=x0)
     with np.errstate(divide="ignore"):
-        t = np.minimum(-np.log(a) / (2 * m), -np.log(b) / 2.0)
-    hi = np.exp(np.where(t <= 700.0, t, np.inf)) * (1.0 + 1e-9)
+        ua, ub = -np.log(a) / (2 * m), -np.log(b) / 2.0
     return _solve_bracketed_rows(lambda x, r: g(x, a[r], b[r], np.power),
                                  lambda x, r: dg(x, a[r], b[r], np.power),
-                                 np.zeros_like(hi), hi, 0.5 * hi)
+                                 *_two_term_ends(ua, ub, m, np, np.minimum))
+
+
+def _two_term_ends(ua, ub, m: float, xp, minimum):
+    # lower end, upper end and start of ``_two_term_root`` from the logs
+    # ua = -log(a)/2m and ub = -log(b)/2 of its single-term roots (inf for a
+    # zero term), for floats (xp = math, minimum = min) or rows (numpy)
+    y = t = minimum(ua, ub)
+    for _ in range(2):  # Newton on log(a x^2m + b x^2) in y = log x, from the right
+        A, B = xp.exp(2 * m * (y - ua)), xp.exp(2.0 * (y - ub))
+        y = y - xp.log(A + B) * (A + B) / (2 * m * A + 2.0 * B)
+    t, y = (xp.exp(minimum(u, 700.0)) for u in (t, y))
+    return (0.5 - 1e-9) * t, (1.0 + 1e-9) * t, y
 
 
 def solve_bracketed(

@@ -320,7 +320,7 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     thr = domain.m0_radius
     # inner closed form at the exact threshold (X -> 1) vs the outer form
     X = solve_X(domain, thr)
-    inner_r1, inner_r2 = _inner_fit(domain, thr * thr, X)
+    inner_r1, inner_r2 = _inner_fit(domain, thr * thr, X / (thr * thr))
     outer = fit_reference(domain, thr)
     gap = max(_rel(inner_r1, outer.r1), _rel(inner_r2, outer.r2), abs(X - 1.0))
     side = fit_reference(domain, thr * (1.0 - 1e-11))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eggmetrics import __version__
+from eggmetrics import __version__, verification
 from eggmetrics.cli import main, parse_complex_vector
 
 
@@ -193,27 +193,53 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("tensor", "--m", "60", "--n", "2", "--point", "0.001,0.2"),
         ("eval", "--m", "20", "--n", "2", "--point", "1e-8,0.5", "--vector", "1,1"),
-        ("fit", "--m", "60", "--p1", "0.01"),
+        ("fit", "--m", "60", "--p1", "0.05"),
     ])
-    def test_tangency_overflow_exits_two(self, capsys, argv):
-        # the tangency equation leaves the float range at small |z1| for
-        # m >= 20: one numerical-failure line, no traceback
+    def test_small_z1_at_large_m_matches_50_digits(self, capsys, argv):
+        # the unbounded X form of the tangency equation left the float range
+        # at these inputs (exit 2); the bounded form gives the 50-digit values
+        ref = pytest.importorskip("wu_reference")
         code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        m = float(argv[2])
+        if argv[0] == "fit":
+            r1, r2, _ = ref.fit(m, float(argv[4]))
+            got, want = [payload["r1"], payload["r2"]], [float(r1), float(r2)]
+        else:
+            H = ref.wu_tensor(m, parse_complex_vector(argv[6], 2))[0]
+            R = np.array([[complex(H[i, j]) for j in range(2)] for i in range(2)])
+            if argv[0] == "tensor":
+                got = [complex(re, im) for row in payload["entries"] for re, im in row]
+                want = R.ravel()
+            else:
+                got, want = [payload["wu"]], [np.sqrt(np.real(np.ones(2) @ R @ np.ones(2)))]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * np.max(np.abs(want))
+
+    def test_oracle_underflow_exits_two(self, capsys):
+        # at m = 60, p1 = 0.01 the hull oracle's UPPER samples underflow
+        # (alpha^(4m-2) = 0 at alpha = p1): one numerical-failure line
+        code, out, err = run_cli(capsys, "fit", "--m", "60", "--p1", "0.01")
         assert code == 2
         assert out == ""
-        assert err.startswith("egg-metrics: numerical failure: tangency equation overflows")
+        assert err.startswith("egg-metrics: numerical failure: UPPER arc samples underflow")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_crashing_check_is_a_fail_row(self, capsys):
-        # at m = 20 the tangency equation of seam-continuity overflows outside
-        # the package's error types; the suite records it and runs the
-        # remaining checks
-        code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2")
+    def test_crashing_check_is_a_fail_row(self, capsys, monkeypatch):
+        # a check that raises outside the package's error types (here the
+        # tangency solve of seam-continuity, made to divide by zero) is
+        # recorded as that check's FAIL row, and the remaining checks run
+        def crash(domain, p1):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(verification, "solve_X", crash)
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2")
         assert code == 3
         rows = [line for line in out.splitlines() if line.startswith("  [")]
         assert len(rows) == 17
-        assert "[FAIL] seam-continuity" in out
-        assert "error: OverflowError: " in out
+        failed = [row for row in rows if row.startswith("  [FAIL]")]
+        assert len(failed) == 1 and "seam-continuity" in failed[0]
+        assert "error: ZeroDivisionError: float division by zero" in failed[0]
 
     def test_extreme_m_checks_fail_with_typed_errors(self, capsys):
         # at m = 20 the LOWER branch is too short in x for square-convexity,

@@ -1,7 +1,6 @@
 import functools
 import math
 import statistics
-import traceback
 
 import numpy as np
 import pytest
@@ -126,6 +125,18 @@ class TestFitReference:
         d2 = DomainParams(m=2.0, n=2)
         assert fit_origin(d2).r1 == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
         assert fit_origin(d2).r2 == pytest.approx(0.75, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.05, 1.5, 2.0, 5.0, 20.0, 60.0, 200.0])
+    def test_tau_form_at_p1_0_is_fit_origin(self, m):
+        # p1^2 rounds to 0 at p1 = 1e-200: the root is tau0 = (m+1)^(1/m)
+        # and the tau-form fit is fit_origin, r2 = tau^m/(2m) to the
+        # rounding of tau amplified m times
+        d = DomainParams(m=m, n=2)
+        tau = fitting._solve_tau(m, np.array([1e-200]))
+        r1, r2 = fitting._inner_fit(d, 0.0, tau[0])
+        origin = fit_origin(d)
+        assert r1 == pytest.approx(origin.r1, rel=4e-16, abs=0.0)
+        assert r2 == pytest.approx(origin.r2, rel=m * 2.3e-16, abs=0.0)
 
     def test_chord_steeper_than_lower_line(self):
         # the chord and the lower line share the x-intercept; the chord is steeper
@@ -531,6 +542,11 @@ def _inner_pairs(m, rng, us):
     return (np.asarray(us) * s * s / 2.0) ** (1.0 / (2.0 * m)), s
 
 
+def _root_50(m, p1):
+    # the tangency root X at the axis coordinate p1, from 50 digits
+    return float(pytest.importorskip("wu_reference").tangency_root(m, p1))
+
+
 def _outcome(solve, *args):
     try:
         return solve(*args)
@@ -574,8 +590,8 @@ class TestArrayTangencySolve:
     def test_equals_scalar_solve_on_seeded_grids(self, m):
         rng = np.random.default_rng(61)
         d = DomainParams(m=m, n=2)
-        # the first row seeds the warm start for the rest, so a small first
-        # root sends most rows off from far away (bisection fallback)
+        # a tiny first root (solved on floats) ahead of generic rows, rows
+        # next to M0 and X = 1 on M0
         us = np.concatenate([[1e-6], rng.uniform(0.0, 1.0, 40),
                              1.0 - 10.0 ** rng.uniform(-12.0, -9.5, 6),   # near-M0 expansion
                              1.0 - 10.0 ** rng.uniform(-8.0, -5.0, 6),    # solved next to M0
@@ -592,8 +608,9 @@ class TestArrayTangencySolve:
     @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
     def test_scalar_solve_matches_the_reference(self, m):
         # every pair either returns within 1e-14 of the reference or raises
-        # the same type: off the inner region, overflowing (beyond e^709.78)
-        # and out-of-range inputs included
+        # the same type, off the inner region and out-of-range inputs
+        # included; where the reference's X form leaves the float range
+        # (beyond e^709.78) the 50-digit root stands in for it
         rng = np.random.default_rng(64)
         d = DomainParams(m=m, n=2)
         us = np.concatenate([rng.uniform(0.0, 1.0, 60), 1.0 - 10.0 ** rng.uniform(-12.0, -5.0, 10),
@@ -604,8 +621,11 @@ class TestArrayTangencySolve:
         pairs = list(zip(p1, s)) + [(1e-12, 0.8), (1e-160, 0.9), (0.5, 0.0), (1.0, 0.5),
                                     (0.0515, 1.0), (0.051, 0.9)]
         for a, b in pairs:
-            got = _outcome(solve_X, d, float(_axis_p1(m, a, b)))
+            x = float(_axis_p1(m, a, b))
+            got = _outcome(solve_X, d, x)
             want = _outcome(_reference_solve_X, d, a, b)
+            if want is OverflowError:
+                want = _root_50(m, x)
             if isinstance(want, type):
                 assert got is want, (a, b)
             else:
@@ -614,8 +634,8 @@ class TestArrayTangencySolve:
     @pytest.mark.parametrize("m", [2.0, 5.0])
     def test_stencil_converges_in_a_few_iterations(self, monkeypatch, m):
         # points within 3e-4 of one centre, as in a curvature stencil: the
-        # warm start leaves a handful of array iterations (a cold bracket
-        # needs dozens)
+        # closed-form start leaves a handful of array iterations (a bracket
+        # midpoint needs dozens)
         monkeypatch.setattr(fitting, "_solve_bracketed_rows",
                             functools.partial(_solve_bracketed_rows, max_iter=6))
         rng = np.random.default_rng(63)
@@ -671,7 +691,6 @@ class TestArrayTangencySolve:
 
     @pytest.mark.parametrize("m,bad,error", [
         (2.0, 0.85, ConfigurationError),    # off the inner region: 2 p1^2m > 1
-        (20.0, 1e-5, OverflowError),        # the equation leaves the float range
     ])
     def test_one_pair_raises_as_among_rows(self, m, bad, error):
         # first, last or alone, on floats or as a later array row: one message
@@ -685,6 +704,16 @@ class TestArrayTangencySolve:
         assert len(messages) == 1
         assert repr(bad) in messages.pop()
 
+    @pytest.mark.parametrize("m,p1", [(20.0, 1e-5), (60.0, 1e-3)])
+    def test_one_pair_solves_as_among_rows(self, m, p1):
+        # first, last or alone, on floats or as a later array row: the
+        # 50-digit root, where the unbounded X form left the float range
+        d = DomainParams(m=m, n=2)
+        want = _root_50(m, p1)
+        for rows in ([p1], [p1, 0.3], [0.3, p1], [0.3, 0.3, p1]):
+            X = fitting._solve_X_many(d, np.array(rows))[rows.index(p1)]
+            assert abs(X - want) <= 1e-15 * want, rows
+
     def test_newton_convergence_rule_bounds_evaluations(self, monkeypatch):
         # a vanishing Newton step ends the solve even where the iterate sits
         # on its own bracket end; rejecting it there bisected the whole
@@ -697,14 +726,16 @@ class TestArrayTangencySolve:
             solve_X(d, float(_axis_p1(5.0, a, b)))
         assert len(evals) == 200
         assert max(evals) <= 40
-        # 9 from the leading-order start (8 from the bracket midpoint)
+        # 6 from the closed-form start, the two bracket ends included (8
+        # from the bracket midpoint)
         assert statistics.median(evals) <= 10
 
     @pytest.mark.parametrize("m", [2.0, 5.0])
     def test_start_at_the_leading_order_root(self, monkeypatch, m):
         # |z1| = 1e-8: the root sits next to the leading-order root
-        # ((m+1)/s^2)^(1/m) in tau; from the bracket midpoint the solve took
-        # 72 to 100 f-evaluations, from that start it takes 3
+        # ((m+1)/s^2)^(1/m) in tau, where the closed-form start is; from the
+        # bracket midpoint the solve took 72 to 100 f-evaluations, from that
+        # start it takes 3
         evals = _counted_solves(monkeypatch)
         d = DomainParams(m=m, n=2)
         for s in np.linspace(0.05, 1.0, 20):
@@ -734,39 +765,38 @@ class TestArrayTangencySolve:
         with pytest.raises(ConfigurationError):
             fitting._solve_X_many(d, _axis_p1(2.0, p1, s))
 
-    def test_overflowing_row_raises_as_the_scalar_solve(self):
+    def test_small_row_solves_as_the_scalar_solve(self):
+        # p1 = 1e-5 at m = 20, where the X form overflowed: one row and a
+        # later array row give the 50-digit root
         d = DomainParams(m=20.0, n=2)
-        with pytest.raises(OverflowError):
-            solve_X(d, 1e-5)
-        with pytest.raises(OverflowError):
-            fitting._solve_X_many(d, np.array([0.3, 1e-5]))
+        want = _root_50(20.0, 1e-5)
+        assert abs(solve_X(d, 1e-5) - want) <= 1e-15 * want
+        assert abs(fitting._solve_X_many(d, np.array([0.3, 1e-5]))[1] - want) <= 1e-15 * want
 
     def test_rows_inside_the_float_range_solve(self):
-        # (2m - 1) log(1/p1^2) = 705.9 and 708.3 at m = 60: past e^700, still
-        # below the end of the float range, so the second row is solved too
+        # (2m - 1) log(1/p1^2) = 705.9 and 708.3 at m = 60: past e^700, just
+        # inside the float range of the X form; the bounded form has no such
+        # edge, and both rows give the 50-digit root
         d = DomainParams(m=60.0, n=2)
-        p1, s = np.array([0.0515, 0.051]), np.array([1.0, 0.9])
-        x = _axis_p1(60.0, p1, s)
-        q = 119.0 * np.log(1.0 / x ** 2)
-        assert np.all((700.0 < q) & (q < fitting._EXP_ARG_MAX))
-        expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
+        x = _axis_p1(60.0, np.array([0.0515, 0.051]), np.array([1.0, 0.9]))
+        expected = np.array([_root_50(60.0, a) for a in x])
         X = fitting._solve_X_many(d, x)
-        assert np.all(np.abs(X - expected) <= 1e-14 * expected)
+        assert np.all(np.abs(X - expected) <= 1e-15 * expected)
 
 
-class TestTangencyOverflowIsAttributed:
-    # bench/run.py files the points probe's m >= 20, small-|z1| failures as a
-    # known defect by exactly this: an OverflowError raised with a function
-    # named like solve_X on the stack; anything else reads as a wrong output
+class TestTinyZ1AtLargeM:
+    # |z1| = 1e-8 at m >= 20, where the X form of the tangency equation left
+    # the float range: one-point evaluations give the 50-digit tensor
     @pytest.mark.parametrize("m", [20.0, 60.0])
-    @pytest.mark.parametrize("evaluate", [
-        lambda d, z: wu_tensor(d, z),
-        lambda d, z: wu_norm(d, z, np.array([1.0, 0.5j])),
-    ], ids=["wu_tensor", "wu_norm"])
-    def test_one_point_overflow_is_raised_in_the_tangency_solve(self, m, evaluate):
+    @pytest.mark.parametrize("evaluate", ["wu_tensor", "wu_norm"])
+    def test_one_point_matches_50_digits(self, m, evaluate):
+        ref = pytest.importorskip("wu_reference")
         d = DomainParams(m=m, n=2)
-        z = np.array([1e-8, 0.5])
-        with pytest.raises(OverflowError) as info:
-            evaluate(d, z)
-        names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
-        assert any("solve_X" in name for name in names), names
+        z, v = np.array([1e-8, 0.5]), np.array([1.0, 0.5j])
+        H = ref.wu_tensor(m, z)[0]
+        R = np.array([[complex(H[i, j]) for j in range(2)] for i in range(2)])
+        if evaluate == "wu_tensor":
+            got, want = wu_tensor(d, z).matrix, R
+        else:
+            got, want = wu_norm(d, z, v), np.sqrt(np.real(np.conj(v) @ R @ v))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

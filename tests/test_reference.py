@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from eggmetrics import DomainParams, curvature_tensor, wu_tensor
+from eggmetrics import DomainParams, curvature_tensor, fitting, solve_X, wu_tensor
 
 pytest.importorskip("mpmath")
 import wu_reference  # noqa: E402  (needs mpmath)
@@ -106,3 +106,54 @@ def test_z_limit_at_m_200(z1):
         assert abs(H[0, 0] - mp.mpf(201) ** (mp.mpf(1) / 200) / 2) < 1e-40
         assert abs(H[1, 1] - mp.mpf(201) / 400) < 1e-40
         assert H[0, 1] == 0 and H[1, 0] == 0
+
+
+#: m of the tangency-root grid, from next to the ball to m = 200
+ROOT_M = [1.0 + 1e-7, 1.05, 1.5, 2.0, 5.0, 20.0, 60.0, 200.0]
+
+
+def root_grid(m, seed):
+    """Seeded axis coordinates over the inner region: spread, down to 1e-12 of M0's, next to M0."""
+    rng = np.random.default_rng(seed)
+    thr = 2.0 ** (-1.0 / (2.0 * m))
+    return thr * np.concatenate([rng.uniform(0.0, 1.0, 8), 10.0 ** -rng.uniform(1.0, 12.0, 4),
+                                 1.0 - 10.0 ** -rng.uniform(2.0, 11.0, 4), [1e-150]])
+
+
+@pytest.mark.parametrize("m", ROOT_M)
+def test_tangency_root_within_1e_15(m):
+    # one row on floats and the whole grid as rows; X stays a normal float
+    d = DomainParams(m=m, n=2)
+    p1 = root_grid(m, seed=int(1e7 * m))
+    want = np.array([float(wu_reference.tangency_root(m, x)) for x in p1])
+    one = np.array([solve_X(d, float(x)) for x in p1])
+    assert np.all(np.abs(one - want) <= 1e-15 * want)
+    assert np.all(np.abs(fitting._solve_X_many(d, p1) - want) <= 1e-15 * want)
+
+
+@pytest.mark.parametrize("m", ROOT_M)
+def test_tangency_root_in_tau_where_x_is_subnormal(m):
+    # at p1 = 1e-160, X ~ 1e-320 keeps a few bits; tau = X/p1^2 keeps all
+    mp = wu_reference.mp
+    with mp.workdps(wu_reference.DIGITS):
+        want = float(wu_reference.tangency_root(m, 1e-160) / mp.mpf(1e-160) ** 2)
+    for p1 in ([1e-160], [0.3, 1e-160], [0.3, 0.2, 1e-160]):
+        tau = fitting._solve_tau(m, np.array(p1))[-1]
+        assert abs(tau - want) <= 1e-15 * want, p1
+
+
+@pytest.mark.parametrize("m", [20.0, 60.0])
+@pytest.mark.parametrize("p1", [1e-7, 1e-3])
+def test_small_reference_coordinate_at_large_m(m, p1):
+    # where the unbounded tangency equation left the float range: a finite,
+    # positive definite tensor within 1e-14 of 50 digits
+    rng = np.random.default_rng([int(m), int(-math.log10(p1))])
+    for n in (2, 3):
+        for q in (0.0, 0.3, 0.8):
+            zhat = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+            zhat *= math.sqrt(q) / np.linalg.norm(zhat)
+            z = np.concatenate(([p1 * (1.0 - q) ** (0.5 / m)], zhat))
+            H = wu_tensor(DomainParams(m=m, n=n), z).matrix
+            assert np.all(np.isfinite(H)) and np.linalg.eigvalsh(H)[0] > 0.0
+            err, regime = relative_error(H, z, m)
+            assert regime == "tangency" and err <= 1e-14, (z, err)

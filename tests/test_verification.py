@@ -12,7 +12,7 @@ from eggmetrics import (
     regularity_scan,
     wu_tensor,
 )
-from eggmetrics import smoothness, verification
+from eggmetrics import fitting, numerics, smoothness, verification
 from eggmetrics.domain import _defining
 from eggmetrics.verification import (
     _SAMPLE_MARGIN,
@@ -20,8 +20,10 @@ from eggmetrics.verification import (
     _sample_interior,
     check_alt_upper,
     check_automorphism,
+    check_domination,
     check_gauge,
     check_invariance,
+    check_tensor_consistency,
     run_checks,
 )
 
@@ -215,3 +217,42 @@ class TestBenchCells:
             failed = [(r.name, r.detail) for r in run_checks(DomainParams(m=m, n=n), seed=seed)
                       if not r.passed]
             assert failed == [], (m, n, seed)
+
+
+def _budget(monkeypatch, module, limit):
+    # the row solves of ``module`` stopped after ``limit`` iterations, one
+    # f-evaluation each (NumericalError past it); returns each call's rows
+    calls, solve = [], numerics._solve_bracketed_rows
+
+    def limited(f, df, lo, hi, x0):
+        calls.append(lo.size)
+        return solve(f, df, lo, hi, x0, max_iter=limit)
+
+    monkeypatch.setattr(module, "_solve_bracketed_rows", limited)
+    return calls
+
+
+class TestRowSolveBudget:
+    # verify's sample sets solve every row in a few Newton steps: tangency
+    # rows from their closed-form start, two-term rows from two Newton steps
+    # in log x. A start at another row's root or at a bracket end costs
+    # tens of evaluations on some rows and fails here
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
+    def test_tangency_rows_take_at_most_six_evaluations(self, monkeypatch, m):
+        calls = _budget(monkeypatch, fitting, 6)
+        for n in (2, 3):
+            d = DomainParams(m=m, n=n)
+            for seed in range(3):
+                for check in (check_domination, check_invariance, check_tensor_consistency):
+                    check(d, np.random.default_rng([seed, n]))
+        assert len(calls) >= 6 and sum(calls) >= 300
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0])
+    def test_two_term_rows_take_at_most_six_evaluations(self, monkeypatch, m):
+        calls = _budget(monkeypatch, numerics, 6)
+        for n in (2, 3):
+            d = DomainParams(m=m, n=n)
+            for seed in range(3):
+                for check in (check_gauge, check_alt_upper):
+                    check(d, np.random.default_rng([seed, n]))
+        assert len(calls) >= 6 and sum(calls) >= 300

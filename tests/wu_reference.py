@@ -77,6 +77,12 @@ def _contact(m, p1):
     return p1 ** (1 - k)
 
 
+def tangency_root(m, p1):
+    """The tangency root X = a^2 of the UPPER contact at the axis point p1 (m > 1, inside M0)."""
+    with mp.workdps(DIGITS + 10):
+        return _contact(mp.mpf(m), mp.mpf(p1)) ** 2
+
+
 def fit(m, p1):
     """(r1, r2, regime) at the axis point p1, at ``DIGITS`` digits."""
     with mp.workdps(DIGITS + 10):
