@@ -187,16 +187,18 @@ _LABELS = np.array([RegionLabel.OUTSIDE, RegionLabel.Z, RegionLabel.GENERIC,
 
 def _region_of(domain: DomainParams, z: np.ndarray, tol: float, rows=None):
     # classify_region of a checked point, or an object array of the labels of
-    # each row; the membership parts come from rows (``rows`` when the caller
-    # has them), one point's as floats
-    r1, q, sm = _reference_rows(domain, z.reshape(-1, domain.n)) if rows is None else rows
-    if z.ndim == 1:
-        r1, q, sm = float(r1[0]), float(q[0]), float(sm[0])
+    # each row; the membership parts are ``rows`` when the caller has them,
+    # one point's as floats (``_reference_point``)
+    if rows is None:
+        rows = _reference_rows(domain, z) if z.ndim == 2 else _reference_point(domain, z)
+    r1, q, sm = rows
     code = 2  # GENERIC
     if domain.m > 1.0:
         w = _M0_WEIGHT * r1 ** (2 * domain.m) + q - 1.0
         code = 4 + (w > tol) * 1 - (w < -tol)  # M_MINUS, M_ZERO or M_PLUS
-    return _LABELS[np.where(r1 < sm, np.where(r1 <= tol, 1, code), 0)]
+    # Z where r1 <= tol, OUTSIDE unless r1 < sm; arithmetic on the tests, so
+    # that one point's floats stay Python bools
+    return _LABELS[(r1 < sm) * (code * (r1 > tol) + (r1 <= tol))]
 
 
 def reference_coordinate(domain: DomainParams, p) -> float:
@@ -222,6 +224,14 @@ def _reference_rows(domain: DomainParams, z: np.ndarray):
     return np.abs(z[:, 0]), q, np.sqrt(np.maximum(1.0 - q, 0.0)) ** (1.0 / domain.m)
 
 
+def _reference_point(domain: DomainParams, z: np.ndarray):
+    # ``_reference_rows`` of one checked point (n,), as floats: the rows'
+    # power of a one-row array, so that one point is a member exactly as
+    # its row is
+    r1, q, sm = _reference_rows(domain, z[None])
+    return float(r1[0]), float(q[0]), float(sm[0])
+
+
 def _reference_coordinate(domain: DomainParams, z: np.ndarray) -> np.ndarray:
     # p1_ref of checked (N, n) rows with |zhat| < 1
     r1, _, sm = _reference_rows(domain, z)
@@ -229,9 +239,11 @@ def _reference_coordinate(domain: DomainParams, z: np.ndarray) -> np.ndarray:
 
 
 def _check_inside(domain: DomainParams, z: np.ndarray):
-    # ``_reference_rows`` of checked (N, n) rows, each of which must lie inside
-    r1, _, sm = ref = _reference_rows(domain, z)
-    if not (r1 < sm).all():
+    # the membership of checked (N, n) rows, each of which must lie inside, or
+    # of one checked point (n,) as floats
+    one = z.ndim == 1
+    r1, _, sm = ref = _reference_point(domain, z) if one else _reference_rows(domain, z)
+    if not (r1 < sm if one else (r1 < sm).all()):
         raise DomainError("point lies outside the egg")
     return ref
 
@@ -247,7 +259,7 @@ def egg_automorphism(domain: DomainParams, p, z) -> np.ndarray:
     """
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n, rows=True)
-    _check_inside(domain, p[None])
+    _check_inside(domain, p)
     if (_defining(domain, z) > 1e-9).any():
         raise DomainError("z must lie in the closed egg")
     rows = z.reshape(-1, domain.n)
@@ -258,7 +270,7 @@ def automorphism_jacobian(domain: DomainParams, p, z) -> np.ndarray:
     """Holomorphic Jacobian of ``egg_automorphism(domain, p, .)`` at z."""
     p = as_vector(p, domain.n)
     z = as_vector(z, domain.n)
-    _check_inside(domain, p[None])
+    _check_inside(domain, p)
     return _automorphism(domain, p[None], z[None])[1][0]
 
 
@@ -295,7 +307,7 @@ def _automorphism(domain: DomainParams, p: np.ndarray, z: np.ndarray):
     return np.concatenate(((scale * z[:, 0])[:, None], psi), axis=-1), D
 
 
-def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
+def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref=None):
     """(reference coordinate, D(p, p) v) of checked (N, n) rows, in O(n) per row.
 
     Raises ``DomainError`` when a point p lies outside the egg. D(p, p) is
@@ -303,22 +315,29 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     vanishes and 1 - <phat, phat> = s^2, so with d = <vhat, phat>
     w1 = c s^(-1/m) (v1 + p1 d/(m s^2)) and what = -(s vhat + phat d/(1+s))/s^2,
     using (1 - s)/|phat|^2 = 1/(1 + s); phat = 0 needs no branch. The
-    reference coordinate is ``_reference_coordinate``'s p1_ref.
+    reference coordinate is ``_reference_coordinate``'s p1_ref. One pair
+    passes its checked membership ``ref`` as floats (``_check_inside``):
+    its real scalars, and the reference coordinate it gets back, stay
+    floats, while the complex parts run on its one row as on any other.
     """
     m = domain.m
-    r1, q, sm = _check_inside(domain, p)
-    p1, phat, vhat = p[:, 0], p[:, 1:], v[:, 1:]
+    if ref is None:
+        r1, q, sm = (x[:, None] for x in _check_inside(domain, p))  # as columns
+    else:
+        r1, q, sm = ref
+    p1, phat, vhat = p[:, :1], p[:, 1:], v[:, 1:]
     s2 = 1.0 - q
     s = np.sqrt(s2)
-    d = (np.conj(phat) * vhat).sum(axis=-1)
+    d = (np.conj(phat) * vhat).sum(axis=-1, keepdims=True)
     # c = |p1|/p1, and 1 where |p1| is 0 or so small that 1/p1 overflows:
     # the unimodular c moves no value that K or the pullback read
     on_z = r1 < sys.float_info.min
     c = r1 / np.where(on_z, 1.0, p1) + on_z
     w = np.empty_like(v)
-    w[:, 0] = c * (v[:, 0] + p1 * d / (m * s2)) / sm
-    w[:, 1:] = (s[:, None] * vhat + phat * (d / (1.0 + s))[:, None]) / -s2[:, None]
-    return r1 / sm, w
+    w[:, :1] = c * (v[:, :1] + p1 * d / (m * s2)) / sm
+    w[:, 1:] = (s * vhat + phat * (d / (1.0 + s))) / -s2
+    p1_ref = r1 / sm
+    return (p1_ref[:, 0] if ref is None else p1_ref), w
 
 
 def seam_distance(domain: DomainParams, z) -> float:

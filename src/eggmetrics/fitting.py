@@ -19,7 +19,7 @@ from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
-from .numerics import Taylor2, _solve_bracketed_rows, abs_pow, solve_bracketed
+from .numerics import Taylor2, _power, _solve_bracketed_rows, abs_pow, solve_bracketed
 
 #: feasibility slack for the oracle's candidate lines (sample-set containment)
 _ORACLE_FEAS_TOL = 1e-11
@@ -54,12 +54,13 @@ def solve_X(domain: DomainParams, p1: float) -> float:
     tends to tau0 = (m+1)^(1/m). Off the axis, at a point whose reference
     coordinate is p1/s^(1/m), the equation multiplies its s-free terms by
     s^4 and the others by s^2, and dividing by s^4 gives the same root:
-    X(p1, s) = X(p1/s^(1/m), 1). The one-row case of ``_solve_X_many``.
+    X(p1, s) = X(p1/s^(1/m), 1). The one-point case of ``_solve_X_many``.
     """
     if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
     _check_p1(p1)
-    return float(_solve_X_many(domain, [p1])[0])
+    p1 = float(p1)
+    return p1 * p1 * _solve_tau(domain.m, p1)
 
 
 def _solve_X_many(domain: DomainParams, p1) -> np.ndarray:
@@ -81,18 +82,20 @@ def _solve_X_many(domain: DomainParams, p1) -> np.ndarray:
     return p1 * p1 * _solve_tau(domain.m, p1)
 
 
-def _solve_tau(m: float, p1: np.ndarray) -> np.ndarray:
-    # the tangency root tau = X/p1^2 of ``_solve_X_many``
-    if len(p1) == 1:  # one row, on floats
-        x = float(p1[0])
-        w, solved = _strata(x, float(np.power(p1, 2 * m)[0]))
-        return np.array([_solve_pair(m, x * x) if solved else _near_m0(m, x * x, w)])
+def _solve_tau(m: float, p1):
+    # the tangency root tau = X/p1^2 of ``_solve_X_many``, of rows or of one
+    # p1 as a float
+    if np.ndim(p1) == 0:  # one point, on floats
+        x = float(p1)
+        w, solved = _strata(x, float(np.power(x, 2 * m)))
+        return _solve_pair(m, x * x) if solved else _near_m0(m, x * x, w)
     w, solved = _strata(p1, np.power(p1, 2 * m))
     tau = np.empty_like(p1)
     tau[~solved] = _near_m0(m, p1[~solved] * p1[~solved], w[~solved])
     rows = np.flatnonzero(solved)
     if rows.size:  # the first solved row on floats, bit for bit as that pair alone
         tau[rows[0]] = _solve_pair(m, float(p1[rows[0]] * p1[rows[0]]))
+    if rows.size > 1:
         rows = rows[1:]
         pm = p1[rows] * p1[rows]
         tau[rows] = _solve_bracketed_rows(
@@ -158,7 +161,7 @@ def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
     # its u-derivatives by implicit differentiation of h(tau, u) = 0, which
     # is linear in u: tau' = -h_u/h_tau, tau'' = -(h_tautau tau' + 2 h_tauu) tau'/h_tau
     m, v = domain.m, u.v
-    tau = float(_solve_tau(m, np.array([math.sqrt(v)]))[0])
+    tau = _solve_tau(m, math.sqrt(v))
     q = tau ** m
     h_tau = _tangency_slope(m, tau, v)
     d1 = -((m - 2.0) * tau + 2.0 * tau / q) / h_tau
@@ -191,8 +194,9 @@ def _regimes(domain: DomainParams, p1: np.ndarray) -> np.ndarray:
     # the fit regime of each checked axis coordinate p1 in [0, 1)
     if domain.m <= 1.0:
         return np.full(len(p1), _CHORD)
-    return np.where(p1 < domain.m0_radius,
-                    np.where(p1 < _FIT_ORIGIN_TOL, _ORIGIN, _TANGENCY), _LOWER)
+    # the tangency inside M0, one less (the LOWER line) from M0 out and one
+    # more (fit_origin) below the Z cut-off, which lies inside M0
+    return _TANGENCY - (p1 >= domain.m0_radius) + (p1 < _FIT_ORIGIN_TOL)
 
 
 def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
@@ -200,7 +204,7 @@ def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
     # every row by its own regime (``regime`` when the caller has decided it)
     regime = _regimes(domain, p1) if regime is None else regime
     u = p1 * p1
-    if len(p1) and (regime == regime[0]).all():  # one point, or a stencil in one regime
+    if len(p1) and (regime == regime[0]).all():  # a stencil in one regime
         return _fit(domain, regime[0], u)
     fit = np.empty((2, len(p1)))
     for k in np.unique(regime):
@@ -210,7 +214,8 @@ def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
 
 
 def _fit(domain: DomainParams, regime: int, u):
-    # (r1, r2) of one regime at u = p1^2: floats, rows or ``Taylor2`` jets
+    # (r1, r2) of one regime at u = p1^2: floats, rows or ``Taylor2`` jets;
+    # ``_power`` squares floats as numpy squares rows and keeps the jets' **
     m = domain.m
     if regime == _TANGENCY:
         if isinstance(u, Taylor2):
@@ -219,8 +224,9 @@ def _fit(domain: DomainParams, regime: int, u):
     if regime == _ORIGIN:
         ell = fit_origin(domain)
         return 0.0 * u + ell.r1, 0.0 * u + ell.r2
-    P = u ** m
-    r1 = 1.0 / (1.0 - u) ** 2 if regime == _CHORD else m * m * u ** (m - 1.0) / (1.0 - P) ** 2
+    P = _power(u, m)
+    r1 = (1.0 / _power(1.0 - u, 2) if regime == _CHORD
+          else m * m * _power(u, m - 1.0) / _power(1.0 - P, 2))
     return r1, 1.0 / (1.0 - P)
 
 
@@ -230,7 +236,7 @@ def _inner_fit(domain: DomainParams, u, tau):
     # f = m - (m-1) u tau - u tau^(1-m), for floats, rows or jets; at u = 0
     # it is ``fit_origin``
     m = domain.m
-    q = tau ** m
+    q = _power(tau, m)
     f = m - (m - 1.0) * u * tau - u * tau / q
     return m * m * tau / (2.0 * f * f), q / (2.0 * f)
 

@@ -257,27 +257,23 @@ def square_convexity_check(domain: DomainParams, p1: float, branch: Branch,
     x, y = pts[:, 0], pts[:, 1]
     y_mag = max(float(np.max(np.abs(y))), 1e-300)
     eps = np.finfo(float).eps
-    dd = []
-    noise = []
-    for i in range(len(x) - 2):
-        x0, x1, x2 = x[i], x[i + 1], x[i + 2]
-        if x2 - x0 < 1e-14:
-            continue
-        s1 = (y[i + 1] - y[i]) / (x1 - x0)
-        s2 = (y[i + 2] - y[i + 1]) / (x2 - x1)
-        dd.append((s2 - s1) / (x2 - x0))
-        # roundoff bound on a second divided difference of exact data; the
-        # slope term carries the rounding of the abscissae themselves
-        s_loc = max(abs(s1), abs(s2))
-        x_mag = max(abs(x0), abs(x2))
-        noise.append(8.0 * eps * (y_mag + s_loc * x_mag)
-                     / (min(x1 - x0, x2 - x1) * (x2 - x0)))
-    if not dd:
+    # every triple of neighbours wider than 1e-14 whose halves both have width
+    x0, x1, x2 = x[:-2], x[1:-1], x[2:]
+    keep = (x2 - x0 >= 1e-14) & (x1 > x0) & (x2 > x1)
+    x0, x1, x2, y0, y1, y2 = (a[keep] for a in (x0, x1, x2, y[:-2], y[1:-1], y[2:]))
+    if not x0.size:
         raise NumericalError(
             f"{branch.value} branch spans {x[-1] - x[0]:.1e} in x at p1={p1!r}, "
             "too little for any divided difference")
-    dd = np.array(dd)
-    noise = np.array(noise)
+    s1 = (y1 - y0) / (x1 - x0)
+    s2 = (y2 - y1) / (x2 - x1)
+    dd = (s2 - s1) / (x2 - x0)
+    # roundoff bound on a second divided difference of exact data; the slope
+    # term carries the rounding of the abscissae themselves
+    s_loc = np.maximum(np.abs(s1), np.abs(s2))
+    x_mag = np.maximum(np.abs(x0), np.abs(x2))
+    noise = (8.0 * eps * (y_mag + s_loc * x_mag)
+             / (np.minimum(x1 - x0, x2 - x1) * (x2 - x0)))
     scale = y_mag / (x[-1] - x[0]) ** 2
     significant = np.abs(dd) > np.maximum(10.0 * noise, 1e-9 * scale)
     if not np.any(significant):

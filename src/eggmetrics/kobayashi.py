@@ -19,6 +19,7 @@ from .domain import (
     REFERENCE_AXIS_TOL,
     DomainParams,
     _check_finite,
+    _check_inside,
     _check_p1,
     _gauge,
     _hat_sq,
@@ -27,7 +28,7 @@ from .domain import (
     as_vector,
 )
 from .errors import DomainError, NumericalError
-from .numerics import _solve_bracketed_rows, _two_term_root, abs_pow, solve_bracketed
+from .numerics import _power, _solve_bracketed_rows, _two_term_root, abs_pow, solve_bracketed
 
 
 #: smallest axis coordinate whose UPPER root alpha, which runs down to p1,
@@ -81,11 +82,11 @@ def solve_alpha(m: float, t: float, p1: float) -> float:
         raise DomainError(f"t must lie in (0, 1], got {t!r}")
     if t == 1.0:
         return 1.0
-    return float(_solve_alpha(m, np.array([t], dtype=float), np.array([p1], dtype=float))[0])
+    return _solve_alpha(m, float(t), float(p1))
 
 
-def _solve_alpha(m: float, t: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """alpha of each UPPER row, t in [0, 1) and p1 in (0, 1).
+def _solve_alpha(m: float, t, p1):
+    """alpha of each UPPER row, t in [0, 1) and p1 in (0, 1), or of one as floats.
 
     Divided by alpha^(2m-2), the alpha equation reads alpha^2 - t - (1-t) R = 0
     with R = P/alpha^(2m-2) = ``_upper_ratio``, which stays in range for every
@@ -93,11 +94,13 @@ def _solve_alpha(m: float, t: np.ndarray, p1: np.ndarray) -> np.ndarray:
     beta = alpha/p1 the root is bracketed by beta^(2-2m) <= 1 for m >= 1 and
     1 <= beta^(2-2m) <= beta for m < 1, and the bracket is narrowed by one
     fixed-point step, then widened by 1e-9 so that rounding keeps the sign
-    change. The first row runs the scalar ``solve_bracketed``; any others
-    run ``_solve_bracketed_rows`` from the same midpoint start.
+    change. One row, and the first of several, runs the scalar
+    ``solve_bracketed``; any others run ``_solve_bracketed_rows`` from the
+    same midpoint start.
     """
-    if not (p1 > _P1_UPPER_MIN).all():
-        raise NumericalError(f"UPPER branch leaves the float range at p1={float(p1.min())!r}")
+    one = np.ndim(t) == 0
+    if not (p1 > _P1_UPPER_MIN if one else (p1 > _P1_UPPER_MIN).all()):
+        raise NumericalError(f"UPPER branch leaves the float range at p1={float(np.min(p1))!r}")
     e = 2.0 * m - 2.0
 
     def g(a, t, p1, xp):
@@ -128,10 +131,13 @@ def _solve_alpha(m: float, t: np.ndarray, p1: np.ndarray) -> np.ndarray:
             hi = 2.0 * hi - lo
         return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
 
-    t_0, p1_0 = float(t[0]), float(p1[0])
+    t_0, p1_0 = (float(t), float(p1)) if one else (float(t[0]), float(p1[0]))
+    alpha_0 = solve_bracketed(lambda a: g(a, t_0, p1_0, math), *ends(t_0, p1_0, math, max, min),
+                              df=lambda a: dg(a, t_0, p1_0, math))
+    if one:
+        return alpha_0
     alpha = np.empty(len(t))
-    alpha[0] = solve_bracketed(lambda a: g(a, t_0, p1_0, math), *ends(t_0, p1_0, math, max, min),
-                               df=lambda a: dg(a, t_0, p1_0, math))
+    alpha[0] = alpha_0
     if len(t) > 1:
         t, p1 = t[1:], p1[1:]
         lo, hi = ends(t, p1, np, np.maximum, np.minimum)
@@ -174,18 +180,19 @@ def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
     """Squared Kobayashi metric at the axis point (p1, 0, ..., 0)."""
     _check_p1(p1)
     v = as_vector(v, domain.n)
-    return float(_kobayashi_reference_sq(domain, np.array([p1], dtype=float), v[None])[0])
+    return float(_kobayashi_reference_sq(domain, float(p1), v[None]))
 
 
-def _kobayashi_reference_sq(domain: DomainParams, p1: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _kobayashi_reference_sq(domain: DomainParams, p1, v: np.ndarray):
     # kobayashi_reference_sq of each checked row: p1 (N,) in (0, 1), v (N, n);
-    # AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``
+    # AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``. A float p1
+    # with one row v is one pair, whose branch and formula run on floats
     m = domain.m
     v1 = np.abs(v[:, 0])
     x = _hat_sq(v)
-    if len(p1) == 1:  # the same test on floats, which round alike
-        x_0 = float(x[0])
-        branch = 0 if x_0 == 0.0 else 1 + bool(_is_upper(m, float(p1[0]), float(v1[0]), x_0))
+    if isinstance(p1, float):
+        v1, x = float(v1[0]), float(x[0])
+        branch = 0 if x == 0.0 else 1 + bool(_is_upper(m, p1, v1, x))
         return _BRANCH_SQ[branch](m, p1, v1, x)
     branch = (x > 0.0) * (1 + _is_upper(m, p1, v1, x))
     k_sq = np.empty(len(p1))
@@ -196,21 +203,26 @@ def _kobayashi_reference_sq(domain: DomainParams, p1: np.ndarray, v: np.ndarray)
     return k_sq
 
 
-def _axis_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
+# The branch formulas take the rows' p1, |v1| and |vhat|^2, or one pair's as
+# floats; squares are products, as numpy squares rows.
+
+
+def _axis_sq(m: float, p1, v1, x):
     # the vhat = 0 limit |v1|^2/(1 - p1^2)^2
-    return v1 * v1 / (1.0 - p1 * p1) ** 2
+    c = 1.0 - p1 * p1
+    return v1 * v1 / (c * c)
 
 
-def _lower_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    P = p1 ** (2 * m)
+def _lower_sq(m: float, p1, v1, x):
+    c = 1.0 - _power(p1, 2 * m)
     # grouped as (p1^(m-1) |v1|)^2: the branch condition caps |v1| by
     # p1 |vhat|/m, so the grouped factor stays in range even when the split
     # power would overflow for m < 1 at tiny p1
-    axial = m * p1 ** (m - 1) * v1
-    return axial * axial / (1.0 - P) ** 2 + x / (1.0 - P)
+    axial = m * _power(p1, m - 1) * v1
+    return axial * axial / (c * c) + x / c
 
 
-def _upper_sq(m: float, p1: np.ndarray, v1: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _upper_sq(m: float, p1, v1, x):
     t = branch_ratio(m, p1, m * v1 / np.sqrt(x))
     alpha = _solve_alpha(m, t, p1)
     # k = m alpha^(2m-1) |v1| / (p1 (alpha^(2m-2) - P) (m(1-t) + t)) with
@@ -241,16 +253,21 @@ def kobayashi_sq(domain: DomainParams, p, v):
     p = as_vector(p, domain.n, rows=True)
     v = as_vector(v, domain.n, rows=True)
     _same_rows(p, v)
-    k_sq = _kobayashi_sq(domain, np.atleast_2d(p), np.atleast_2d(v), p.ndim)
-    return float(k_sq[0]) if p.ndim == 1 else k_sq
+    return _kobayashi_sq(domain, p, v)
 
 
-def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray, ndim: int = 2) -> np.ndarray:
+def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     # kobayashi_sq of each checked (N, n) row pair: the moved vector w at the
-    # reference coordinate, or its gauge on Z; ndim = 1 words the check of w
-    # for one vector
+    # reference coordinate, or its gauge on Z; one checked pair (n,) gives a
+    # float, its membership and reference coordinate on floats and its
+    # complex parts on one row (``_to_axis``)
+    if p.ndim == 1:
+        p1, w = _to_axis(domain, p[None], v[None], _check_inside(domain, p))
+        _check_finite(w[0])  # D v overflows for v near the float limit
+        return float(_gauge(domain, w[0]) ** 2 if p1 < REFERENCE_AXIS_TOL
+                     else _kobayashi_reference_sq(domain, p1, w))
     p1, w = _to_axis(domain, p, v)
-    _check_finite(w if ndim == 2 else w[0])  # D v overflows for v near the float limit
+    _check_finite(w)
     on_z = p1 < REFERENCE_AXIS_TOL
     if not on_z.any():
         return _kobayashi_reference_sq(domain, p1, w)

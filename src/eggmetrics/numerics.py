@@ -24,6 +24,16 @@ def abs_pow(x: float, exponent: float) -> float:
     return math.exp(exponent * math.log(abs(x)))
 
 
+def _power(x, p):
+    """x ** p of rows and ``Taylor2`` jets; a float is raised by numpy's array power.
+
+    libm's pow, which float ** calls, rounds apart from numpy's array power
+    on a few percent of inputs (and squares apart from x * x), so one point
+    carried on floats raises through numpy to keep its row's bits.
+    """
+    return float(np.power(x, p)) if isinstance(x, float) else x ** p
+
+
 def _two_term_root(a, b, m: float):
     """Positive root x of a x^2m + b x^2 = 1 for a, b >= 0, not both zero, m >= 1/2.
 

@@ -21,6 +21,7 @@ from .domain import (
     _FIT_ORIGIN_TOL,
     _check_inside,
     _check_tol,
+    _reference_point,
     _reference_rows,
     _region_of,
     _same_rows,
@@ -93,16 +94,32 @@ def _wu_matrices(domain: DomainParams, z: np.ndarray, rows=None, regime=None) ->
     the membership test keeps positive.
     """
     r1, q, sm = _reference_rows(domain, z) if rows is None else rows
-    a, b, c, e = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm),
-                        *_fit_rows(domain, r1 / sm, regime))
-    n = domain.n
-    H = np.conj(z)[:, :, None] * z[:, None, :]  # conj(z_i) z_j
-    H[:, 1:, 1:] *= e[:, None, None]
-    H[:, 0, 1:] *= b[:, None]
-    H[:, 1:, 0] *= b[:, None]
-    diag = H.reshape(len(z), n * n)[:, n + 1::n + 1]
-    diag += c[:, None]
-    H[:, 0, 0] = a
+    return _assemble(z, np.stack(_moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm),
+                                        *_fit_rows(domain, r1 / sm, regime)), axis=-1))
+
+
+def _point_matrix(domain: DomainParams, z: np.ndarray, ref):
+    """(H, fit regime) at one checked interior point z (n,), as ``_wu_matrices`` gives its row.
+
+    ``ref`` is the point's membership (r1, q, sm) as floats. The fit and
+    ``_moved`` run on floats, with every power on numpy (``_power``); the
+    complex matrix is assembled on the point's one row.
+    """
+    r1, q, sm = ref
+    p1 = r1 / sm
+    regime = int(_regimes(domain, np.array([p1]))[0])
+    coef = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm), *_fit(domain, regime, p1 * p1))
+    return _assemble(z[None], np.array([coef]))[0], regime
+
+
+def _assemble(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    # the (N, n, n) matrices of checked (N, n) points from the (N, 4) rows of
+    # their (a, b, c, e): conj(z_i) z_j times b or e, which a real factor
+    # scales part by part, then c added on the zhat diagonal and a set at [0, 0]
+    n = z.shape[1]
+    H = np.conj(z)[:, :, None] * z[:, None, :] * coef[:, _blocks(n)[2]]
+    H.reshape(len(z), n * n)[:, n + 1::n + 1] += coef[:, 2:3]
+    H[:, 0, 0] = coef[:, 0]
     return H
 
 
@@ -143,13 +160,12 @@ def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
     z = as_vector(z, domain.n, rows=True)
     if z.ndim == 2:
         return _read_only(_wu_matrices(domain, z, _check_inside(domain, z)))
-    rows = _reference_rows(domain, z[None])
-    region = _region_of(domain, z, tol, rows)
+    ref = _reference_point(domain, z)
+    region = _region_of(domain, z, tol, ref)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    regime = _regimes(domain, rows[0] / rows[2])
-    return _hermitian_form(domain, _wu_matrices(domain, z[None], rows, regime)[0], region,
-                           regime[0])
+    H, regime = _point_matrix(domain, z, ref)
+    return _hermitian_form(domain, H, region, regime)
 
 
 def _read_only(H: np.ndarray) -> np.ndarray:
@@ -197,11 +213,10 @@ def wu_norm(domain: DomainParams, z, v):
     v = as_vector(v, domain.n, rows=True)
     z = as_vector(z, domain.n, rows=True)
     _same_rows(z, v)
-    zs = np.atleast_2d(z)
-    norm_sq = _norm_sq(_wu_matrices(domain, zs, _check_inside(domain, zs)), np.atleast_2d(v))
     if z.ndim == 1:
-        return math.sqrt(max(float(norm_sq[0]), 0.0))  # rounds as np.sqrt does
-    return np.sqrt(np.maximum(norm_sq, 0.0))
+        H = _point_matrix(domain, z, _check_inside(domain, z))[0]
+        return math.sqrt(max(float(_norm_sq(H[None], v[None])[0]), 0.0))  # rounds as np.sqrt does
+    return np.sqrt(np.maximum(_norm_sq(_wu_matrices(domain, z, _check_inside(domain, z)), v), 0.0))
 
 
 def kahler_defect(domain: DomainParams, z) -> float:
@@ -215,16 +230,16 @@ def kahler_defect(domain: DomainParams, z) -> float:
 
 
 def _jet_region(domain: DomainParams, z: np.ndarray):
-    # the region and membership rows of a checked point that has a jet: not
+    # the region and membership floats of a checked point that has a jet: not
     # outside, and not on Z or M0, where the Wu metric is not C2
-    rows = _reference_rows(domain, z[None])
-    region = _region_of(domain, z, REGION_TOL, rows)
+    ref = _reference_point(domain, z)
+    region = _region_of(domain, z, REGION_TOL, ref)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
     if region in (RegionLabel.Z, RegionLabel.M_ZERO):
         raise SeamProximityError(
             f"point lies on the stratum {region.value}, where the Wu metric is not C2")
-    return region, rows
+    return region, ref
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,10 +275,10 @@ def _chain(z: np.ndarray, jets):
     return parts[:, 0], first * zc, dd
 
 
-def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel, rows):
+def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel, ref):
     """(form, dH/dz, d2H/dz dzbar) at a checked point of ``region`` off the seams.
 
-    ``rows`` are the point's membership rows, as ``_jet_region`` gives them
+    ``ref`` is the point's membership as floats, as ``_jet_region`` gives it
     with the region. ``form`` is the ``HermitianForm`` of H at z; the
     derivatives are in ``wirtinger_jet``'s layout. The fit of the point's
     regime and ``_moved`` run on ``Taylor2`` jets of (t, s2), with the fit
@@ -273,7 +288,7 @@ def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel, rows):
     delta_jk, d/dzbar_l delta_il z_j, both delta_il delta_jk.
     """
     _, _, coef, eye, hat, swap = _blocks(z.size)
-    r1, q, sm = (float(x[0]) for x in rows)
+    r1, q, sm = ref
     p1 = r1 / sm
     regime = int(_regimes(domain, np.array([p1]))[0])
     t, s2 = Taylor2.variables(r1 * r1, 1.0 - q)

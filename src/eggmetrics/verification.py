@@ -44,6 +44,7 @@ from .kcurve import (
     joining_point,
     joining_point_derivatives,
     kcurve_alpha_grid,
+    kcurve_alpha_range,
     kcurve_sample,
     square_convexity_check,
 )
@@ -217,8 +218,16 @@ def check_convexity(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     msgs = []
     ok = True
     for p1 in (0.4, 0.7):
-        low = square_convexity_check(domain, p1, Branch.LOWER)
-        ok &= low.verdict is Convexity.AFFINE
+        try:
+            low = square_convexity_check(domain, p1, Branch.LOWER)
+            ok &= low.verdict is Convexity.AFFINE
+            lower = low.verdict.value
+        except NumericalError:
+            # the LOWER branch is a straight segment by construction
+            # (``_lower_xy_many`` is affine in alpha); too short in x for a
+            # divided difference, it takes that exact verdict
+            x = _lower_xy_many(m, p1, kcurve_alpha_range(domain, p1, Branch.LOWER))[:, 0]
+            lower = f"{Convexity.AFFINE.value} (exact, x-span {x[1] - x[0]:.1e})"
         up = square_convexity_check(domain, p1, Branch.UPPER)
         if m < 1.0:
             ok &= up.verdict is Convexity.CONVEX
@@ -226,7 +235,7 @@ def check_convexity(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
             ok &= up.verdict is Convexity.AFFINE
         else:
             ok &= up.verdict is Convexity.CONCAVE
-        msgs.append(f"p1={p1}: lower={low.verdict.value}, upper={up.verdict.value}")
+        msgs.append(f"p1={p1}: lower={lower}, upper={up.verdict.value}")
     return ok, "; ".join(msgs)
 
 
@@ -325,11 +334,13 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
     gap = max(_rel(inner_r1, outer.r1), _rel(inner_r2, outer.r2), abs(X - 1.0))
     side = fit_reference(domain, thr * (1.0 - 1e-11))
     gap = max(gap, _rel(side.r1, outer.r1), _rel(side.r2, outer.r2))
-    # tensor continuity across M0 and Z along the axis
+    # tensor continuity across M0 and Z along the axis. The tensor's slope
+    # across M0 grows as 6m relative, so the M0 step shrinks as 1/m: a
+    # continuous tensor then gaps by about 1.2e-6 at every m, a jump does not
     zh = np.zeros(domain.n - 1, dtype=complex)
     eps = 1e-7
-    a = wu_tensor(domain, _axis_point(domain, thr - eps)).matrix
-    b = wu_tensor(domain, _axis_point(domain, thr + eps)).matrix
+    a = wu_tensor(domain, _axis_point(domain, thr - eps / domain.m)).matrix
+    b = wu_tensor(domain, _axis_point(domain, thr + eps / domain.m)).matrix
     gap_t = float(np.max(np.abs(a - b))) / float(np.max(np.abs(a)))
     z0 = wu_tensor(domain, np.concatenate(([0.0], zh + 0.3))).matrix
     z1 = wu_tensor(domain, np.concatenate(([eps], zh + 0.3))).matrix

@@ -241,14 +241,16 @@ class TestExitCodes:
         assert len(failed) == 1 and "seam-continuity" in failed[0]
         assert "error: ZeroDivisionError: float division by zero" in failed[0]
 
-    def test_extreme_m_checks_fail_with_typed_errors(self, capsys):
-        # at m = 20 the LOWER branch is too short in x for square-convexity,
-        # and the kahler-potential sampler still finds M+ points
+    def test_extreme_m_lower_branch_takes_the_exact_verdict(self, capsys):
+        # at m = 20 the LOWER branch at p1 = 0.4 is too short in x for any
+        # divided difference: square-convexity takes its exact affine verdict
+        # and names the span, and the kahler-potential sampler still finds M+
+        # points
         code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2",
                                "--only", "square-convexity,kahler-potential")
-        assert code == 3
+        assert code == 0
         rows = {line.split()[1]: line for line in out.splitlines() if line.startswith("  [")}
-        assert "error: NumericalError: LOWER branch spans" in rows["square-convexity"]
+        assert "p1=0.4: lower=affine (exact, x-span 2.2e-16)" in rows["square-convexity"]
         assert "error:" not in rows["kahler-potential"]
 
     def test_potential_sampler_gives_up_with_a_typed_error(self, capsys):
@@ -340,8 +342,8 @@ class TestVerifyFormat:
             assert f"  {record['detail']}  (" in rows[record["name"]]
 
     def test_json_failures_keep_exit_code_three(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--m", "20", "--n", "2", "--format", "json",
-                               "--only", "square-convexity,gauge-membership")
+        code, out, _ = run_cli(capsys, "verify", "--m", "200", "--n", "2", "--format", "json",
+                               "--only", "kahler-potential,gauge-membership")
         assert code == 3
         payload = json.loads(out)
         assert (payload["passed"], payload["total"]) == (1, 2)

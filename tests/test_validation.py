@@ -64,6 +64,14 @@ ENTRIES = [
 CASES = [pytest.param(fn, args, pos, id=f"{fn.__name__}-arg{pos}")
          for fn, args, positions in ENTRIES for pos in positions]
 
+#: the one-point evaluations, each called as fn(domain, point, vector); one
+#: point carries its real scalars on floats, so each must refuse a bad input
+#: with the same typed error and message as its rows
+ONE_POINT = [pytest.param(kobayashi, id="kobayashi"),
+             pytest.param(kobayashi_sq, id="kobayashi_sq"),
+             pytest.param(lambda d, z, v: wu_tensor(d, z), id="wu_tensor"),
+             pytest.param(wu_norm, id="wu_norm")]
+
 
 def _bad_vectors(good):
     good = np.asarray(good, dtype=complex)
@@ -101,24 +109,51 @@ class TestBoundary:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_moved_vector_is_still_checked(self):
+    @pytest.mark.parametrize("fn", [kobayashi, kobayashi_sq])
+    def test_moved_vector_is_still_checked(self, fn):
         # v is finite but D v overflows: both Kobayashi paths refuse it
         d = DomainParams(m=2.0, n=2)
         v = np.array([1.7e308, 1.7e308])
         for p in ([0.5, 0.5], [0.0, 0.5]):
-            with pytest.raises(DomainError, match="^vector has non-finite entries"):
-                kobayashi(d, np.array(p, dtype=complex), v)
-            with pytest.raises(DomainError, match="^row 1 has non-finite entries"):
-                kobayashi(d, np.array([[0.1, 0.1], p], dtype=complex), np.array([[1.0, 0.0], v]))
+            with pytest.raises(DomainError, match="^vector has non-finite entries$"):
+                fn(d, np.array(p, dtype=complex), v)
+            with pytest.raises(DomainError, match="^row 1 has non-finite entries$"):
+                fn(d, np.array([[0.1, 0.1], p], dtype=complex), np.array([[1.0, 0.0], v]))
 
-    def test_rounded_reference_coordinate_is_still_checked(self):
+    @pytest.mark.parametrize("fn", ONE_POINT)
+    def test_rounded_reference_coordinate_is_still_checked(self, fn):
         # the defining function puts it inside, yet the reference coordinate
         # rounds to 1: the one membership test refuses it
         d = DomainParams(m=0.5, n=2)
         z = np.array([0.6278999999999999, 0.61])
         assert defining_function(d, z) < 0.0 and reference_coordinate(d, z) == 1.0
-        with pytest.raises(DomainError, match="point lies outside the egg"):
-            kobayashi(d, z, np.array([0.01, 1.0]))
+        with pytest.raises(DomainError, match="^point lies outside the egg$"):
+            fn(d, z, np.array([0.01, 1.0]))
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0])
+    def test_float_path_raises_only_typed_errors(self, m):
+        # points 0 to 3 ulp inside the boundary, on Z and at |z1| = 1e-300,
+        # with vectors from 1e-300 to 1e100: a one-point call returns a
+        # number or refuses the point as outside, and never lets a bare
+        # ZeroDivisionError, OverflowError or ValueError out of its float
+        # math (pytest.ini makes numpy's RuntimeWarnings errors as well)
+        rng = np.random.default_rng(int(1e7 * m))
+        d = DomainParams(m=m, n=3)
+        for k in range(40):
+            w = rng.normal(size=2) + 1j * rng.normal(size=2)
+            zhat = rng.uniform(0.05, 0.95) * w / np.linalg.norm(w)
+            r1 = math.sqrt(1.0 - float(np.vdot(zhat, zhat).real)) ** (1.0 / m)
+            for _ in range(k % 4):
+                r1 = math.nextafter(r1, 0.0)
+            for z1 in (r1, 0.0, 1e-300):
+                z = np.concatenate(([z1 * np.exp(1j * rng.uniform(0.0, 6.3))], zhat))
+                v = rng.normal(size=3) + 1j * rng.normal(size=3)
+                for scale in (1e-300, 1e-160, 1.0, 1e100):
+                    for fn in (kobayashi, kobayashi_sq, wu_norm):
+                        try:
+                            assert not math.isnan(fn(d, z, scale * v))
+                        except DomainError as exc:
+                            assert str(exc) == "point lies outside the egg"
 
 
 class TestRegionTolerance:
@@ -232,9 +267,10 @@ class TestWuNormIsTheTensorNorm:
             assert form.region is region
             assert wu_norm(d, z, v) == math.sqrt(max(form.norm_sq(v), 0.0))
 
-    def test_outside_point_is_refused(self):
-        with pytest.raises(DomainError, match="outside the egg"):
-            wu_norm(D, np.array([0.5, 0.9, 0.5]), V)
+    @pytest.mark.parametrize("fn", ONE_POINT)
+    def test_outside_point_is_refused(self, fn):
+        with pytest.raises(DomainError, match="^point lies outside the egg$"):
+            fn(D, np.array([0.5, 0.9, 0.5]), V)
 
     @pytest.mark.parametrize("bad,message", list(_bad_vectors(V)))
     def test_form_norm_refuses_bad_vectors_as_wu_norm(self, bad, message):

@@ -4,25 +4,34 @@ import numpy as np
 import pytest
 
 from eggmetrics import (
+    Branch,
+    Convexity,
     DomainParams,
+    HermitianForm,
+    NumericalError,
     automorphism_jacobian,
     egg_automorphism,
     kobayashi_sq,
+    kcurve_alpha_range,
     minkowski_gauge,
     regularity_scan,
+    square_convexity_check,
     wu_tensor,
 )
 from eggmetrics import fitting, numerics, smoothness, verification
 from eggmetrics.domain import _defining
+from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
 from eggmetrics.verification import (
     _SAMPLE_MARGIN,
     _sample_directions,
     _sample_interior,
     check_alt_upper,
     check_automorphism,
+    check_convexity,
     check_domination,
     check_gauge,
     check_invariance,
+    check_seam_continuity,
     check_tensor_consistency,
     run_checks,
 )
@@ -256,3 +265,99 @@ class TestRowSolveBudget:
                 for check in (check_gauge, check_alt_upper):
                     check(d, np.random.default_rng([seed, n]))
         assert len(calls) >= 6 and sum(calls) >= 300
+
+
+class TestSeamContinuityAtLargeM:
+    # the tensor's slope across M0 grows as 6m relative, so the check steps
+    # 1e-7/m either side of M0: a continuous tensor gaps by about 1.2e-6 at
+    # every m, under the fixed 1e-5 bound, and a jump of 2e-5 does not
+    @pytest.mark.parametrize("m", [2.0, 5.0, 20.0, 60.0])
+    def test_continuous_tensor_passes(self, m):
+        ok, detail = check_seam_continuity(DomainParams(m=m, n=2), np.random.default_rng(0))
+        assert ok, detail
+        assert "tensor M0 gap 1.2e-06" in detail
+
+    @pytest.mark.parametrize("m", [2.0, 20.0, 60.0])
+    def test_jump_across_m0_fails(self, monkeypatch, m):
+        d = DomainParams(m=m, n=2)
+
+        def jumped(domain, z, *args):
+            # 2e-5 relative, from M0 out along the axis
+            form = wu_tensor(domain, z, *args)
+            if abs(z[0]) > domain.m0_radius:
+                return HermitianForm(form.matrix * (1.0 + 2e-5), form.region, form.source)
+            return form
+
+        monkeypatch.setattr(verification, "wu_tensor", jumped)
+        ok, detail = check_seam_continuity(d, np.random.default_rng(0))
+        assert not ok
+        assert float(detail.split("tensor M0 gap ")[1].split(",")[0]) > 2e-5
+
+
+def _divided_difference_loop(x, y):
+    # the second divided differences and their roundoff bounds, one triple
+    # at a time: the reference for the check's array expressions
+    y_mag = max(float(np.max(np.abs(y))), 1e-300)
+    eps = np.finfo(float).eps
+    dd, noise = [], []
+    for i in range(len(x) - 2):
+        x0, x1, x2 = x[i], x[i + 1], x[i + 2]
+        if x2 - x0 < 1e-14:
+            continue
+        s1 = (y[i + 1] - y[i]) / (x1 - x0)
+        s2 = (y[i + 2] - y[i + 1]) / (x2 - x1)
+        dd.append((s2 - s1) / (x2 - x0))
+        noise.append(8.0 * eps * (y_mag + max(abs(s1), abs(s2)) * max(abs(x0), abs(x2)))
+                     / (min(x1 - x0, x2 - x1) * (x2 - x0)))
+    return np.array(dd), np.array(noise)
+
+
+class TestSquareConvexity:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 5.0, 20.0])
+    def test_array_differences_are_the_loop(self, m):
+        # where no triple has a half of zero width, the array expressions
+        # give the loop's differences and bounds to the bit, so its verdicts
+        d = DomainParams(m=m, n=2)
+        for p1 in (0.2, 0.4, 0.7):
+            for branch in (Branch.LOWER, Branch.UPPER):
+                lo, hi = kcurve_alpha_range(d, p1, branch)
+                xy = (_upper_xy_many if branch is Branch.UPPER else _lower_xy_many)(
+                    m, p1, np.linspace(lo, hi, 64))
+                x, y = xy[np.argsort(xy[:, 0])].T
+                if not np.all(np.diff(x) > 0.0) or x[-1] - x[0] < 1e-14:
+                    continue
+                dd, noise = _divided_difference_loop(x, y)
+                scale = max(float(np.max(np.abs(y))), 1e-300) / (x[-1] - x[0]) ** 2
+                significant = np.abs(dd) > np.maximum(10.0 * noise, 1e-9 * scale)
+                verdict = square_convexity_check(d, p1, branch)
+                if not significant.any():
+                    want = (Convexity.AFFINE, float(np.max(np.abs(dd))) / scale)
+                elif np.all(dd[significant] > 0):
+                    want = (Convexity.CONVEX, float(np.min(dd[significant])) / scale)
+                elif np.all(dd[significant] < 0):
+                    want = (Convexity.CONCAVE, float(np.min(-dd[significant])) / scale)
+                else:
+                    want = (Convexity.MIXED, 0.0)
+                assert (verdict.verdict, verdict.margin) == want, (p1, branch)
+
+    def test_zero_width_half_is_skipped(self):
+        # at m = 60, p1 = 0.4 two UPPER samples share an x inside a triple
+        # wider than 1e-14; its slope would divide by zero (a RuntimeWarning,
+        # an error under pytest.ini)
+        d = DomainParams(m=60.0, n=2)
+        lo, hi = kcurve_alpha_range(d, 0.4, Branch.UPPER)
+        x = np.sort(_upper_xy_many(60.0, 0.4, np.linspace(lo, hi, 64))[:, 0])
+        assert np.any((np.diff(x) == 0.0)[1:] & (x[2:] - x[:-2] >= 1e-14))
+        assert square_convexity_check(d, 0.4, Branch.UPPER).verdict is Convexity.CONCAVE
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [20.0, 60.0])
+    def test_unresolvable_lower_span_takes_the_exact_verdict(self, m, n):
+        # the LOWER branch is affine in alpha by construction; where it is too
+        # short in x for a divided difference the check says so and passes
+        d = DomainParams(m=m, n=n)
+        with pytest.raises(NumericalError, match="LOWER branch spans"):
+            square_convexity_check(d, 0.4, Branch.LOWER)
+        ok, detail = check_convexity(d, np.random.default_rng(0))
+        assert ok, detail
+        assert "p1=0.4: lower=affine (exact, x-span " in detail
