@@ -189,7 +189,7 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
     p1 = args.p1
     label = classify_region(domain, _axis_point(domain, p1), tol=cfg.tol).value
     ref = fit_reference(domain, p1)
-    orc = fit_oracle(domain, p1, samples=args.samples)
+    orc = fit_oracle(domain, p1)
     x_star = y_star = None
     if domain.m > 1.0 and p1 < domain.m0_radius:
         c = contact_point(domain, p1)
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fit", help="Wu ellipsoid fit at an axis point")
     _add_common(p)
     p.add_argument("--p1", type=float, required=True)
-    p.add_argument("--samples", type=int, default=4096)
     p.set_defaults(handler=_cmd_fit)
 
     p = subs.add_parser("kcurve", help="export K-curve samples")

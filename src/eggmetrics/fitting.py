@@ -3,26 +3,24 @@
 The Wu unit ball at (p1, 0, ..., 0) is the diagonal ellipsoid r1|v1|^2 +
 r2|vhat|^2 < 1 of least volume containing the Kobayashi indicatrix; in square
 coordinates it is the line r1 y + r2 x = 1 of least intercept area containing
-both K-curves. Closed forms cover every regime; a hull-enumeration oracle
-recomputes the fit from curve samples alone.
+both K-curves. Closed forms cover every regime; a search over the line's
+direction recomputes the fit from curve values alone (``fit_oracle``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .kobayashi import Branch
 from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
-from .numerics import Taylor2, _power, _solve_bracketed_rows, abs_pow, solve_bracketed
-
-#: feasibility slack for the oracle's candidate lines (sample-set containment)
-_ORACLE_FEAS_TOL = 1e-11
+from .numerics import (Taylor2, _power, _solve_bracketed_rows, abs_pow, onesided_weights,
+                       solve_bracketed)
 
 
 @dataclass(frozen=True)
@@ -262,133 +260,106 @@ def contact_point(domain: DomainParams, p1: float) -> ContactPoint:
     return ContactPoint(x_star=x_star, y_star=y_star, alpha_star=alpha_star)
 
 
-def _lower_points(domain: DomainParams, p1: float, count: int) -> np.ndarray:
-    al = kcurve_alpha_grid(domain, p1, Branch.LOWER, count)
-    return _lower_xy_many(domain.m, p1, al)
+#: the oracle's search: _S_COUNT directions a pass, first over [-_S_SPAN,
+#: _S_SPAN] (which holds log(r2/r1) for every p1 and m up to about 1e6), and
+#: arc grids of _ARC_COUNT points; five-point first and second differences
+#: for its Newton steps
+_S_SPAN, _S_COUNT, _ARC_COUNT, _MAX_PASSES = 50.0, 16, 32, 40
+_STENCIL = np.arange(-2.0, 3.0)
+_STENCIL_WEIGHTS = np.array([onesided_weights(q, _STENCIL) for q in (1, 2)])
 
 
-def _first_quadrant(*parts: np.ndarray) -> np.ndarray:
-    arr = np.vstack(parts)
-    return arr[(arr[:, 0] >= -1e-14) & (arr[:, 1] >= -1e-14)]
+def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
+    """Least-volume supporting line of the K-curves, by a search over its direction.
 
-
-def _upper_hull(pts: np.ndarray) -> np.ndarray:
-    """Monotone chain over the points sorted by (x, y): the outward frontier.
-
-    Keeps the concave-from-origin frontier by the chain's float orientation
-    test. numpy computes that test once for each point against its two
-    sorted predecessors, to the same bits; while these are the chain's top
-    two (the last step popped nothing), a point the test pushes without a
-    pop is appended after a flag check, so a run of pushes skips the test
-    in Python. Every other step runs the sequential pop loop, which decides
-    collinear runs, vertical pairs and equal points as the plain chain does.
-    """
-    x, y = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
-    turn = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
-    chain: list[tuple[float, float]] = []
-    clean = True  # the chain's top two are the next point's sorted predecessors
-    for xp, yp, push in zip(x.tolist(), y.tolist(), [True, True, *(~(turn >= 0.0)).tolist()]):
-        if not (clean and push):
-            clean = True
-            while len(chain) >= 2:
-                (x1, y1), (x2, y2) = chain[-2], chain[-1]
-                if (x2 - x1) * (yp - y1) - (y2 - y1) * (xp - x1) >= 0.0:
-                    chain.pop()
-                    clean = False
-                else:
-                    break
-        chain.append((xp, yp))
-    return np.fromiter(itertools.chain.from_iterable(chain), float, 2 * len(chain)).reshape(-1, 2)
-
-
-def _enumerate_lines(pts: np.ndarray):
-    """Best feasible line over the sampled hull: edge chords and vertex midpoint tangents.
-
-    For a convex sample set in the first quadrant the minimal-area line either
-    contains a hull edge or touches a hull vertex at the midpoint of its
-    intercept segment; both candidate families are built at once. The hull is
-    concave with x increasing, so r1 y + r2 x peaks over it where the edge
-    slope first drops below -r2/r1; a bisection of the slopes finds that
-    vertex, and a candidate survives when it holds at the vertex and its two
-    neighbours. Hull vertices are samples, so this bound never exceeds the
-    maximum over all samples and no line that contains every sample is
-    dropped. Survivors are visited by area (ties in candidate order), and the
-    first one whose maximum over every sample passes the containment
-    tolerance is returned: the least-area line among those containing all
-    samples, as an exhaustive check of each candidate would pick.
-    """
-    hull = _upper_hull(pts)
-    hx, hy = hull[:, 0], hull[:, 1]
-    x1, y1, x2, y2 = hx[:-1], hy[:-1], hx[1:], hy[1:]
-    det = x1 * y2 - x2 * y1
-    chord = np.abs(det) >= 1e-300
-    x1, y1, x2, y2, det = x1[chord], y1[chord], x2[chord], y2[chord], det[chord]
-    vertex = (hx > 1e-13) & (hy > 1e-13)
-    r1 = np.concatenate([(x1 - x2) / det, 0.5 / hy[vertex]])
-    r2 = np.concatenate([(y2 - y1) / det, 0.5 / hx[vertex]])
-    contact_x = np.concatenate([0.5 * (x1 + x2), hx[vertex]])
-    valid = np.flatnonzero((r1 > 0.0) & (r2 > 0.0) & np.isfinite(r1) & np.isfinite(r2))
-    s1, s2 = r1[valid], r2[valid]
-    # -slope of each hull edge, increasing along the hull; a vertical edge can
-    # only be the first one (duplicate x, rising) and counts as -inf
-    dx = np.diff(hx)
-    neg_slope = np.full(len(dx), -np.inf)
-    np.divide(-np.diff(hy), dx, out=neg_slope, where=dx > 0.0)
-    peak = np.searchsorted(neg_slope, s2 / s1)
-    bound = np.full(len(valid), -np.inf)
-    for j in (peak - 1, peak, peak + 1):
-        j = np.clip(j, 0, len(hull) - 1)
-        bound = np.maximum(bound, s1 * hy[j] + s2 * hx[j])
-    kept = valid[bound - 1.0 <= _ORACLE_FEAS_TOL]
-    area = 1.0 / (r1[kept] * r2[kept])
-    for i in np.argsort(area, kind="stable"):
-        c = kept[i]
-        violation = float(np.max(r1[c] * pts[:, 1] + r2[c] * pts[:, 0])) - 1.0
-        if violation <= _ORACLE_FEAS_TOL:
-            return (area[i], r1[c], r2[c], contact_x[c])
-    return None
-
-
-def fit_oracle(domain: DomainParams, p1: float, samples: int = 4096) -> WuEllipsoidDiag:
-    """Brute-force minimal-area line from K-curve samples alone.
-
-    Stage one sweeps candidate tangency configurations over a hull built from
-    both branches; stage two re-sweeps with the UPPER grid zoomed around the
-    stage-one contact abscissa, which restores the accuracy a single polygon
-    pass loses to sample spacing. Derivative-free throughout. Each sweep
-    prunes its candidates against the hull, but the line it returns is still
-    checked against every sample of that stage. The zoom grid is sampled at
-    its distinct parameters only: at outer p1 its window lies within a few
-    ulps of alpha = 1, where the linspace holds a handful of floats, and a
-    repeated sample changes neither the hull nor any sample maximum.
+    The line of direction s = log(r2/r1) = log tan(theta) has r1 = 1/H(s),
+    with H the support function max(y + e^s x) over the UPPER arc and the
+    LOWER segment's end points, and the objective log r1 + (w-1) log r2 =
+    (w-1) s - w log H(s), concave in s, with the weight w = ``_M0_WEIGHT``.
+    Each pass finds the support of sampled directions by zooming a grid in
+    log alpha and keeps the first sign change of r2 x* - (w-1)/w (the
+    objective's slope over -w), with a neighbour on each side; the first pass
+    also samples either side of the chords from the x-intercept to both arc
+    ends. Where the final bracket's ends are supported by distinct points
+    (the chord and LOWER-line regimes) the fit is the exact chord through
+    them. Otherwise Newton steps on log y + (w-1) log x along the arc find
+    the contact, where r2 x* = (w-1)/w: r1 = 1/(w y*) and r2 = (w-1)/(w x*).
     """
     _check_p1(p1)
-    if samples < 64:
-        raise DomainError("oracle needs at least 64 samples")
-    n1 = max(samples // 2, 48)
-    au = kcurve_alpha_grid(domain, p1, Branch.UPPER, n1)
-    try:
-        upper = _upper_xy_many(domain.m, p1, au)
-    except ZeroDivisionError as exc:  # alpha^(4m-2) underflows at alpha = p1
-        raise NumericalError(f"UPPER arc samples underflow at p1={p1!r}, m={domain.m!r}") from exc
-    pts1 = _first_quadrant(upper, _lower_points(domain, p1, max(samples // 4, 24)))
-    stage1 = _enumerate_lines(pts1)
-    if stage1 is None:
-        raise ConfigurationError("oracle found no feasible line (degenerate sampling)")
-    contact_x = stage1[3]
-    idx = int(np.argmin(np.abs(upper[:, 0] - contact_x)))
-    lo = au[max(0, idx - 4)]
-    hi = au[min(len(au) - 1, idx + 4)]
-    zoom = np.unique(np.linspace(lo, hi, max(samples - n1, 48)))
-    pts2 = _first_quadrant(_upper_xy_many(domain.m, p1, zoom))
-    refined = _enumerate_lines(np.vstack([pts1, pts2])) or stage1
-    _, r1, r2, _ = refined
-    return WuEllipsoidDiag(r1=r1, r2=r2)
+    m, w, p1 = domain.m, _M0_WEIGHT, float(p1)
+    if p1 < sys.float_info.min:  # subnormal: the arc's parameters near p1 have a few bits
+        raise NumericalError(f"fit oracle needs a normal float p1, got {p1!r}")
+    lp = math.log(p1)
+    x_int = -math.expm1(2.0 * m * lp)  # 1 - p1^2m
+    scale = min(0.5 / m, -lp)  # the arc's length scale in log alpha
+    h_max = 1e-4 * scale  # the support's resolution in log alpha
+    ends = _upper_xy_many(m, p1, [p1, 1.0])  # the y-intercept and the junction
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = np.log(ends[:, 1] / (x_int - ends[:, 0]))
+    kinks = kinks[np.abs(kinks) < _S_SPAN]
+    off = 2e-13 * (1.0 + np.abs(kinks))
+    s = np.sort(np.concatenate([np.linspace(-_S_SPAN, _S_SPAN, _S_COUNT), kinks - off, kinks + off]))
+    lo, hi = lp, 0.0
+    for _ in range(_MAX_PASSES):
+        lam = np.exp(s)
+        u = _arc_support(m, p1, lam, lo, hi, h_max)
+        x, y = _upper_xy_many(m, p1, np.exp(u)).T
+        on_x = lam * x_int > y + lam * x
+        x[on_x], y[on_x] = x_int, 0.0
+        up = w * lam * x >= (w - 1.0) * (y + lam * x)  # r2 x* >= (w-1)/w
+        if up[0] or not up.any():
+            raise NumericalError(f"fit oracle lost its bracket at p1={p1!r}, m={m!r}")
+        i = int(np.argmax(up))
+        distinct = on_x[i] or abs(u[i] - u[i - 1]) > 1e-3 * scale
+        if not distinct or s[i] - s[i - 1] <= 1e-12 * (1.0 + abs(s[i])):
+            break
+        a, b = max(i - 2, 0), min(i + 1, len(s) - 1)
+        lo, hi = max(lp, min(u[a], u[b]) - 2.0 * h_max), min(0.0, max(u[a], u[b]) + 2.0 * h_max)
+        s = np.linspace(s[a], s[b], _S_COUNT)
+    else:
+        raise NumericalError(f"fit oracle did not converge at p1={p1!r}, m={m!r}")
+    if distinct:
+        # the left point moves to an arc end whose chord lies in the bracket
+        left = np.vstack([[x[i - 1], y[i - 1]], ends])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (left[:, 1] - y[i]) / (x[i] - left[:, 0])
+        inside = (slope >= lam[i - 1] * (1.0 - 1e-12)) & (slope <= lam[i] * (1.0 + 1e-12))
+        (xa, ya), xb, yb = left[np.argmax(np.where(inside, slope, -np.inf))], x[i], y[i]
+        det = xb * ya - xa * yb
+        return WuEllipsoidDiag(r1=float((xb - xa) / det), r2=float((ya - yb) / det))
+    u, step = 0.5 * (u[i - 1] + u[i]), 1e-3 * scale
+    for _ in range(2):
+        xy = _upper_xy_many(m, p1, np.exp(u + step * _STENCIL))
+        d1, d2 = _STENCIL_WEIGHTS @ (np.log(xy[:, 1]) + (w - 1.0) * np.log(xy[:, 0]))
+        u -= step * d1 / d2
+    if not lo - h_max <= u <= hi + h_max:  # also NaN
+        raise NumericalError(f"fit oracle's contact left its window at p1={p1!r}, m={m!r}")
+    x, y = _upper_xy_many(m, p1, math.exp(u)).tolist()
+    return WuEllipsoidDiag(r1=1.0 / (w * y), r2=(w - 1.0) / (w * x))
+
+
+def _arc_support(m: float, p1: float, lam: np.ndarray, lo, hi, h_max: float):
+    # log alpha of the UPPER arc's best sample in each direction lam, within
+    # h_max of its support point: y + lam x is unimodal along the arc for
+    # m > 1 and largest at an arc end for m <= 1, so each window zooms onto
+    # its best sample's neighbours down to spacing h_max
+    rows, grid = np.arange(len(lam)), np.linspace(0.0, 1.0, _ARC_COUNT)
+    lo, hi = np.broadcast_to(lo, lam.shape), np.broadcast_to(hi, lam.shape)
+    while True:
+        u = lo[:, None] + (hi - lo)[:, None] * grid
+        xy = _upper_xy_many(m, p1, np.exp(u))
+        g = xy[..., 1] + lam[:, None] * xy[..., 0]
+        k = np.argmax(g, axis=1)
+        if np.max(hi - lo) <= h_max * (_ARC_COUNT - 1):
+            return u[rows, k]
+        lo, hi = u[rows, np.maximum(k - 1, 0)], u[rows, np.minimum(k + 1, _ARC_COUNT - 1)]
 
 
 def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag,
                           samples: int = 1024) -> float:
     """max(r1 y + r2 x - 1) over fresh samples of both K-curves; <= 0 means containment."""
-    au = kcurve_alpha_grid(domain, p1, Branch.UPPER, samples)
-    pts = _first_quadrant(_upper_xy_many(domain.m, p1, au), _lower_points(domain, p1, samples // 2))
+    pts = np.vstack([
+        _upper_xy_many(domain.m, p1, kcurve_alpha_grid(domain, p1, Branch.UPPER, samples)),
+        _lower_xy_many(domain.m, p1, kcurve_alpha_grid(domain, p1, Branch.LOWER, samples // 2)),
+    ])
     return float(np.max(ellipsoid.r1 * pts[:, 1] + ellipsoid.r2 * pts[:, 0])) - 1.0

@@ -9,8 +9,6 @@ ellipsoid fitting into minimal-area line fitting against these curves.
 from __future__ import annotations
 
 import enum
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,37 +73,29 @@ def kcurve_alpha_range(domain: DomainParams, p1: float, branch: Branch) -> tuple
 
 
 def upper_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
-    """UPPER arc coordinates; x in factored form to avoid cancellation near x = 0."""
+    """UPPER arc coordinates, in the bounded form of ``_upper_xy_many``."""
     return tuple(_upper_xy_many(m, p1, (alpha,))[0].tolist())
 
 
 def _upper_xy_many(m: float, p1: float, alphas) -> np.ndarray:
-    """``upper_xy`` at each parameter as (N, 2) rows (x, y), with one log per alpha.
+    """``upper_xy`` at each parameter as rows (..., 2) of (x, y), in bounded form.
 
-    Bit-equal to the formula with every power through ``abs_pow``: the four
-    powers of alpha are exp(e * log|alpha|) through ``math`` (alpha = 0
-    through ``abs_pow`` itself), the arithmetic runs in numpy, and y is
-    squared by libm's pow(y, 2), as Python's float ``**`` squares it. numpy's
-    exp/log differ from libm in the last bit on a few percent of inputs, and
-    its y**2 is y*y, which is not always pow(y, 2); either would move the
-    hull oracle's fit.
+    With t = (p1/alpha)^2m, which lies in [p1^2m, 1] on the arc alpha in
+    [p1, 1], x = (1 - t alpha^2)(1 - t) and y = (p1/m)^2 (m/alpha - (m-1)
+    alpha - alpha t)^2 = (p1/alpha)^2 ((1 - alpha^2) + alpha^2 (1 - t)/m)^2.
+    Every power is the exp of a nonpositive exponent and every difference
+    from 1 goes through expm1, so on the arc nothing overflows, underflows to
+    a zero divisor or cancels: both coordinates keep their relative accuracy
+    at m = 60 and small p1 and as p1 -> 1.
     """
-    P = abs_pow(p1, 2 * m)
-    alphas = np.abs(np.asarray(alphas, dtype=float))
-    zero = alphas == 0.0
-    L = _libm(math.log, np.where(zero, 1.0, alphas))
-    a1, a2, a3, a4 = (np.where(zero, abs_pow(0.0, e), _libm(math.exp, e * L))
-                      for e in (2 * m - 2, 2 * m, 4 * m - 2, 2 * m - 1))
-    den = m * a4
-    if not (a3.all() and den.all()):
-        raise ZeroDivisionError("float division by zero")  # as the float formula raises
-    y = p1 * (m * a1 - (m - 1.0) * a2 - P) / den
-    return np.stack([(a1 - P) * (a2 - P) / a3, _libm(math.pow, y, 2.0)], axis=1)
-
-
-def _libm(f, x: np.ndarray, *args) -> np.ndarray:
-    # f(entry, *args) through ``math`` for each entry of x, as a float formula computes it
-    return np.fromiter(map(f, x.tolist(), *map(itertools.repeat, args)), float, x.size)
+    a = np.asarray(alphas, dtype=float)
+    la = np.log(a)
+    with np.errstate(divide="ignore"):  # p1/alpha under eps/2: log t = -inf, t = 0
+        q = 2.0 * m * np.log1p((p1 - a) / a)  # log t, to full relative accuracy near alpha = p1
+    one_t = -np.expm1(q)
+    x = one_t * -np.expm1(q + 2.0 * la)
+    y = (p1 / a * (-np.expm1(2.0 * la) + a * a * one_t / m)) ** 2
+    return np.stack([x, y], axis=-1)
 
 
 def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:

@@ -264,7 +264,7 @@ def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     if p.ndim == 1:
         p1, w = _to_axis(domain, p[None], v[None], _check_inside(domain, p))
         _check_finite(w[0])  # D v overflows for v near the float limit
-        return float(_gauge(domain, w[0]) ** 2 if p1 < REFERENCE_AXIS_TOL
+        return float(_gauge_sq(domain, w[0]) if p1 < REFERENCE_AXIS_TOL
                      else _kobayashi_reference_sq(domain, p1, w))
     p1, w = _to_axis(domain, p, v)
     _check_finite(w)
@@ -274,9 +274,18 @@ def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     axial = ~on_z
     k_sq = np.empty(len(p))
     for i in np.flatnonzero(on_z):
-        k_sq[i] = _gauge(domain, w[i]) ** 2
+        k_sq[i] = _gauge_sq(domain, w[i])
     k_sq[axial] = _kobayashi_reference_sq(domain, p1[axial], w[axial])
     return k_sq
+
+
+def _gauge_sq(domain: DomainParams, w: np.ndarray) -> float:
+    # the squared gauge of one moved vector on Z, or inf past the float range
+    # as the axis-point formulas give off Z
+    try:
+        return _gauge(domain, w) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def kobayashi(domain: DomainParams, p, v):

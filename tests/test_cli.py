@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eggmetrics import __version__, verification
+from eggmetrics import NumericalError, __version__, cli, verification
 from eggmetrics.cli import main, parse_complex_vector
 
 
@@ -71,7 +71,7 @@ class TestTensorFitKcurve:
 
     def test_fit_payload(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--m", "2", "--n", "2",
-                               "--p1", "0.5", "--samples", "1024")
+                               "--p1", "0.5")
         assert code == 0
         payload = json.loads(out)
         assert payload["region"] == "M_MINUS"
@@ -81,7 +81,7 @@ class TestTensorFitKcurve:
 
     def test_fit_outer_has_no_contact(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--m", "2", "--n", "2",
-                               "--p1", "0.9", "--samples", "512")
+                               "--p1", "0.9")
         payload = json.loads(out)
         assert payload["x_star"] is None
 
@@ -216,14 +216,30 @@ class TestExitCodes:
                 got, want = [payload["wu"]], [np.sqrt(np.real(np.ones(2) @ R @ np.ones(2)))]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * np.max(np.abs(want))
 
-    def test_oracle_underflow_exits_two(self, capsys):
-        # at m = 60, p1 = 0.01 the hull oracle's UPPER samples underflow
-        # (alpha^(4m-2) = 0 at alpha = p1): one numerical-failure line
+    def test_fit_at_large_m_and_small_p1_exits_zero(self, capsys):
+        # at m = 60, p1 = 0.01 the printed UPPER formula divides by
+        # alpha^(4m-2) = 0 at alpha = p1; the oracle's bounded form does not
         code, out, err = run_cli(capsys, "fit", "--m", "60", "--p1", "0.01")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("egg-metrics: numerical failure: UPPER arc samples underflow")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["oracle_r1"] == pytest.approx(payload["r1"], rel=1e-8)
+        assert payload["oracle_r2"] == pytest.approx(payload["r2"], rel=1e-8)
+
+    def test_oracle_failure_exits_two(self, capsys, monkeypatch):
+        # a NumericalError out of a command is one numerical-failure line
+        def lost(domain, p1):
+            raise NumericalError(f"fit oracle lost its bracket at p1={p1!r}, m={domain.m!r}")
+
+        monkeypatch.setattr(cli, "fit_oracle", lost)
+        code, out, err = run_cli(capsys, "fit", "--m", "2", "--p1", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("egg-metrics: numerical failure: fit oracle lost its bracket")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_fit_has_no_samples_flag(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--m", "2", "--p1", "0.5", "--samples", "4096")
+        assert code == 1 and out == ""
+        assert "usage" in err and "--samples" in err
 
     def test_crashing_check_is_a_fail_row(self, capsys, monkeypatch):
         # a check that raises outside the package's error types (here the
@@ -279,7 +295,7 @@ class TestExitCodes:
         ("region", "--point", "0.3,0.2"),
         ("eval", "--point", "0.3,0.2", "--vector", "1,0"),
         ("tensor", "--point", "0.3,0.2"),
-        ("fit", "--p1", "0.5", "--samples", "64"),
+        ("fit", "--p1", "0.5"),
         ("smoothness-scan", "--seam", "Z", "--orders", "1", "--paths", "1"),
     ], ids=lambda argv: argv[0])
     def test_csv_where_no_csv_is_written_exits_one(self, capsys, argv):

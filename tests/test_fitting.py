@@ -18,13 +18,14 @@ from eggmetrics import (
     fit_origin,
     fit_reference,
     joining_point,
+    kcurve_alpha_grid,
     kcurve_sample,
     solve_X,
     wu_norm,
     wu_tensor,
 )
 from eggmetrics import fitting
-from eggmetrics.fitting import _ORACLE_FEAS_TOL, _enumerate_lines
+from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
 from eggmetrics.numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
 from eggmetrics.verification import _fit_test_points
 
@@ -196,21 +197,60 @@ class TestContactPoint:
             contact_point(DomainParams(m=2.0, n=2), 0.9)
 
 
+def _oracle_grid():
+    # every verify fit point, and p1 in {0.05, 0.01, 1e-5} where m > 1
+    for m in (0.5, 0.75, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0):
+        d = DomainParams(m=m, n=2)
+        for p1 in _fit_test_points(d) + ([0.05, 0.01, 1e-5] if m > 1.0 else []):
+            yield m, p1
+
+
 class TestOracle:
-    @pytest.mark.parametrize("m,p1", [
-        (0.5, 0.5), (0.75, 0.2), (0.75, 0.8),
-        (2.0, 0.3), (2.0, 0.84), (2.0, 0.9), (2.5, 0.4),
-    ])
+    @pytest.mark.parametrize("m,p1", list(_oracle_grid()))
     def test_matches_closed_forms(self, m, p1):
+        # the support-function search reaches about 3e-12 on this grid
         d = DomainParams(m=m, n=2)
         ref = fit_reference(d, p1)
-        orc = fit_oracle(d, p1, samples=4096)
-        assert orc.r1 == pytest.approx(ref.r1, rel=1e-5)
-        assert orc.r2 == pytest.approx(ref.r2, rel=1e-5)
+        orc = fit_oracle(d, p1)
+        assert orc.r1 == pytest.approx(ref.r1, rel=1e-9, abs=0.0)
+        assert orc.r2 == pytest.approx(ref.r2, rel=1e-9, abs=0.0)
 
-    def test_needs_minimum_samples(self):
-        with pytest.raises(DomainError):
-            fit_oracle(DomainParams(m=2.0, n=2), 0.5, samples=32)
+    @pytest.mark.parametrize("m,p1", [(0.75, 0.6), (2.0, 0.4), (2.0, 0.9), (5.0, 0.3), (20.0, 0.8),
+                                      (60.0, 0.5)])
+    def test_matches_the_exhaustive_hull_sweep(self, m, p1):
+        # the n = 2 reference sweep over 4096 samples of both K-curves agrees
+        # to its sampling accuracy (about 1e-3 where the contact is sharp,
+        # m >= 5); the oracle's line contains every sample, so the sweep's
+        # least-area line is at most as large
+        d = DomainParams(m=m, n=2)
+        upper = kcurve_alpha_grid(d, p1, Branch.UPPER, 3072)
+        lower = kcurve_alpha_grid(d, p1, Branch.LOWER, 1024)
+        pts = np.vstack([_upper_xy_many(m, p1, upper), _lower_xy_many(m, p1, lower)])
+        _, r1, r2, _ = _reference_enumerate_lines(pts)
+        orc = fit_oracle(d, p1)
+        assert orc.r1 == pytest.approx(r1, rel=2e-3)
+        assert orc.r2 == pytest.approx(r2, rel=2e-3)
+        assert np.max(orc.r1 * pts[:, 1] + orc.r2 * pts[:, 0]) - 1.0 <= _SWEEP_FEAS_TOL
+        assert r1 * r2 >= orc.r1 * orc.r2 * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("p1", [1e-20, 1e-300])
+    @pytest.mark.parametrize("m", [0.75, 1.5, 60.0])
+    def test_tiny_p1(self, m, p1):
+        # p1/alpha rounds to 0 over most of the arc; the fit is fit_origin's
+        d = DomainParams(m=m, n=2)
+        ref, orc = fit_reference(d, p1), fit_oracle(d, p1)
+        assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-9, abs=0.0)
+
+    def test_subnormal_p1_is_refused(self):
+        with pytest.raises(NumericalError, match="normal float"):
+            fit_oracle(DomainParams(m=2.0, n=2), 1e-310)
+
+    @pytest.mark.parametrize("m,p1", [(0.75, 0.5), (2.0, 0.9), (20.0, 0.999)])
+    def test_chord_regimes_are_exact(self, m, p1):
+        # the bracket ends' supports are the chord's end points themselves
+        d = DomainParams(m=m, n=2)
+        ref, orc = fit_reference(d, p1), fit_oracle(d, p1)
+        assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-13, abs=0.0)
 
 
 class TestContainmentAndMinimality:
@@ -234,6 +274,10 @@ class TestContainmentAndMinimality:
 
 
 # -- reference sweep: every candidate checked against every sample -----------
+
+#: feasibility slack for the sweep's candidate lines (sample-set containment)
+_SWEEP_FEAS_TOL = 1e-11
+
 
 def _reference_upper_hull(pts: np.ndarray) -> np.ndarray:
     # monotone chain, keeping only the outward (concave-from-origin) frontier
@@ -266,7 +310,7 @@ def _reference_enumerate_lines(pts: np.ndarray):
         if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
             return
         violation = float(np.max(r1 * pts[:, 1] + r2 * pts[:, 0])) - 1.0
-        if violation > _ORACLE_FEAS_TOL:
+        if violation > _SWEEP_FEAS_TOL:
             return
         area = 1.0 / (r1 * r2)
         if best is None or area < best[0]:
@@ -282,168 +326,6 @@ def _reference_enumerate_lines(pts: np.ndarray):
         if x0 > 1e-13 and y0 > 1e-13:
             consider(0.5 / y0, 0.5 / x0, x0)
     return best
-
-
-class TestHullSweep:
-    @pytest.mark.parametrize("m,samples", [
-        (0.5, 1024), (0.75, 1024), (1.0, 1024), (2.0, 1024), (5.0, 1024), (20.0, 1024),
-        (2.0, 4096),
-    ])
-    def test_matches_reference_on_both_oracle_stages(self, m, samples, monkeypatch):
-        seen = []
-
-        def recording(pts):
-            seen.append(pts.copy())
-            return _enumerate_lines(pts)
-
-        monkeypatch.setattr(fitting, "_enumerate_lines", recording)
-        d = DomainParams(m=m, n=2)
-        for p1 in (0.6 * d.m0_radius, 0.5 * (d.m0_radius + 1.0)):
-            fit_oracle(d, p1, samples=samples)
-        assert len(seen) == 4
-        for pts in seen:
-            assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
-
-    @pytest.mark.parametrize("pts", [
-        # vertical duplicate-x pairs: a rising first hull edge
-        [[0.0, 0.2], [0.0, 1.0], [0.5, 0.8], [1.0, 0.0]],
-        [[0.3, 0.1], [0.3, 0.9], [0.6, 0.5], [1.0, 0.0], [0.6, 0.2]],
-        # collinear runs
-        [[0.0, 1.0], [0.2, 0.8], [0.4, 0.6], [0.6, 0.4], [1.0, 0.0]],
-        [[0.0, 0.9], [0.1, 0.89], [0.3, 0.75], [0.5, 0.55], [0.7, 0.35], [0.9, 0.1], [1.0, 0.0]],
-        # hull of two points
-        [[0.2, 0.9], [0.8, 0.3]],
-        [[0.5, 0.5], [0.5, 0.5]],
-        # no feasible line: no candidate has r1, r2 > 0
-        [[0.0, 0.3], [0.0, 0.8], [0.0, 0.5]],
-        [[0.2, -0.3], [0.6, 0.0]],
-    ])
-    def test_matches_reference_on_degenerate_sets(self, pts):
-        pts = np.array(pts, dtype=float)
-        assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
-
-    def test_returned_line_contains_every_sample_not_just_the_hull(self, monkeypatch):
-        # drop the vertex where the least-area tangent touches from the hull:
-        # the chord across the gap is then the smallest candidate, passes the
-        # hull-vertex bound, and only the check over every sample rejects it
-        theta = np.linspace(0.0, 0.5 * math.pi, 9)
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        hull = fitting._upper_hull(pts)
-        monkeypatch.setattr(fitting, "_upper_hull", lambda p: np.delete(hull, 4, axis=0))
-        _, r1, r2, _ = _enumerate_lines(pts)
-        assert np.max(r1 * pts[:, 1] + r2 * pts[:, 0]) - 1.0 <= _ORACLE_FEAS_TOL
-
-    def test_no_feasible_line_is_none(self):
-        assert _enumerate_lines(np.array([[0.0, 0.3], [0.0, 0.8]])) is None
-        assert _enumerate_lines(np.empty((0, 2))) is None
-        assert _reference_enumerate_lines(np.empty((0, 2))) is None
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_reference_on_random_clouds(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(3, 400)), 2))
-        assert _enumerate_lines(pts) == _reference_enumerate_lines(pts)
-
-
-def _hull_cloud(rng: np.random.Generator) -> np.ndarray:
-    # a point set that the chain's float decisions are sensitive to: a
-    # concave arc over interior points, coordinates snapped to a dyadic grid
-    # (exact collinear runs, repeated points, duplicate-x pairs and zeros),
-    # exact collinear runs on dyadic lines, repeated rows and signed zeros
-    count = int(rng.integers(3, 80))
-    theta = rng.uniform(0.0, 0.5 * math.pi, count)
-    arc = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.3, 1.0, (count, 1)) ** 0.2
-    parts = [arc, rng.uniform(0.0, 1.0, (int(rng.integers(0, count)), 2))]
-    for _ in range(int(rng.integers(0, 4))):
-        start, step = rng.integers(-4, 17, 2) / 16.0, rng.integers(-4, 5, 2) / 32.0
-        parts.append(start + np.arange(int(rng.integers(2, 9)))[:, None] * step)
-    pts = np.vstack(parts)
-    snap = rng.random(len(pts)) < rng.random()
-    pts[snap] = np.round(pts[snap] * 8.0) / 8.0
-    pts = pts[rng.integers(0, len(pts), len(pts) + int(rng.integers(0, 8)))]
-    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
-    return pts
-
-
-def _assert_same_hull(pts: np.ndarray):
-    hull, reference = fitting._upper_hull(pts), _reference_upper_hull(pts)
-    assert hull.shape == reference.shape
-    assert hull.tobytes() == reference.tobytes()
-
-
-class TestUpperHullIdentity:
-    # the run-skipping chain returns the plain chain's vertices to the last
-    # bit; comparing lines alone cannot see a different hull with the same line
-    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0])
-    def test_every_oracle_hull_input(self, m, monkeypatch):
-        seen = []
-
-        def recording(pts):
-            seen.append(pts.copy())
-            return _enumerate_lines(pts)
-
-        monkeypatch.setattr(fitting, "_enumerate_lines", recording)
-        d = DomainParams(m=m, n=2)
-        for p1 in _fit_test_points(d):
-            for samples in (64, 1024, 4096):
-                fit_oracle(d, p1, samples=samples)
-        assert len(seen) == 6 * len(_fit_test_points(d))
-        for pts in seen:
-            _assert_same_hull(pts)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_seeded_degenerate_clouds(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            _assert_same_hull(_hull_cloud(rng))
-
-    @pytest.mark.parametrize("pts", [
-        np.empty((0, 2)),
-        [[0.3, 0.7]],
-        [[0.3, 0.7], [0.6, 0.2]],
-        [[0.0, -0.0], [-0.0, 0.0]],
-        [[0.5, 0.5], [0.5, 0.5]],  # all equal: the chain keeps two copies
-        [[0.5, 0.5]] * 5,
-        [[-0.0, 0.5], [0.0, 0.25], [0.0, 0.5], [-0.0, 0.75], [0.5, -0.0]],
-        [[0.25, 0.0], [0.25, 0.5], [0.25, 0.25], [0.5, 0.5], [0.5, 0.0]],
-    ])
-    def test_small_and_equal_inputs(self, pts):
-        _assert_same_hull(np.array(pts, dtype=float).reshape(-1, 2))
-
-
-class TestOraclePins:
-    # fit_oracle(samples=4096) and containment_violation(samples=1024) of that
-    # fit, recorded from the exhaustive sweep; verify's 1e-5 agreement with
-    # fit_reference cannot see a flip between neighbouring candidates
-    @pytest.mark.parametrize("m,p1,r1,r2,violation", [
-        (0.5, 0.4, 1.417233560090703, 1.6666666666666665, 0.0),
-        (0.75, 0.9, 27.70083102493069, 6.8406456392821475, 0.0),
-        (2.0, 0.4, 1.2518366267143355, 0.8583233626471755, -7.458885891153955e-07),
-        (2.0, 0.9, 27.39559003717135, 2.9078220412910745, 1.1102230246251565e-14),
-        (5.0, 0.05, 0.7194874394643246, 0.6005931756422798, -0.00029775365938544684),
-        (20.0, 0.8, 5.392006003434205, 0.6263936140714983, -1.8300743707122535e-06),
-    ])
-    def test_pinned(self, m, p1, r1, r2, violation):
-        d = DomainParams(m=m, n=2)
-        orc = fit_oracle(d, p1, samples=4096)
-        assert orc.r1 == pytest.approx(r1, rel=1e-12, abs=0.0)
-        assert orc.r2 == pytest.approx(r2, rel=1e-12, abs=0.0)
-        assert containment_violation(d, p1, orc) == pytest.approx(violation, rel=1e-12, abs=1e-15)
-
-    # outer p1 where stage two's zoom window collapses to a few distinct
-    # parameters next to alpha = 1; recorded from the sweep over the full
-    # zoom linspace
-    @pytest.mark.parametrize("m,p1,r1,r2,violation", [
-        (0.75, 0.8, 7.716049382716043, 3.5154544114752713, 0.0),
-        (1.0, 0.8, 7.7160493827161, 2.777777777777778, 6.661338147750939e-15),
-        (5.0, None, 616.1634187830714, 5.389304882957239, 2.220446049250313e-16),
-    ])
-    def test_pinned_collapsed_zoom_window(self, m, p1, r1, r2, violation):
-        d = DomainParams(m=m, n=2)
-        p1 = min(0.999, 1.05 * d.m0_radius) if p1 is None else p1
-        orc = fit_oracle(d, p1, samples=4096)
-        assert (orc.r1, orc.r2) == (r1, r2)
-        assert containment_violation(d, p1, orc) == violation
 
 
 # -- reference tangency solve: scalar, abs_pow powers, its own Newton loop -----

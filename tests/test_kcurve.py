@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,40 +97,41 @@ class TestSamples:
         assert np.all(np.diff(g) > 0)
 
 
-def _upper_xy_abs_pow(m, p1, alpha):
-    # the UPPER arc with every power through abs_pow, as written before the
-    # one-log sampler
-    P = abs_pow(p1, 2 * m)
-    x = ((abs_pow(alpha, 2 * m - 2) - P) * (abs_pow(alpha, 2 * m) - P)
-         / abs_pow(alpha, 4 * m - 2))
-    y = (p1 * (m * abs_pow(alpha, 2 * m - 2) - (m - 1.0) * abs_pow(alpha, 2 * m) - P)
-         / (m * abs_pow(alpha, 2 * m - 1))) ** 2
-    return x, y
+def _upper_xy_50(m, p1, alpha):
+    # the printed arc at 50 digits
+    with mpmath.workdps(50):
+        m, p1, a = mpmath.mpf(m), mpmath.mpf(p1), mpmath.mpf(alpha)
+        P = p1 ** (2 * m)
+        x = (a ** (2 * m - 2) - P) * (a ** (2 * m) - P) / a ** (4 * m - 2)
+        y = (p1 * (m * a ** (2 * m - 2) - (m - 1) * a ** (2 * m) - P) / (m * a ** (2 * m - 1))) ** 2
+        return float(x), float(y)
 
 
 class TestUpperSampler:
-    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 5.0, 20.0, 60.0])
-    def test_bit_equal_to_abs_pow_formula_on_the_grid(self, m):
+    @pytest.mark.parametrize("m,p1", [
+        (0.5, 0.3), (0.75, 0.5), (1.0, 0.5), (2.0, 0.4), (5.0, 0.8), (20.0, 0.2),
+        (60.0, 0.01), (60.0, 1e-5), (20.0, 0.999999), (0.75, 0.999999),
+    ])
+    def test_bounded_form_matches_50_digits(self, m, p1):
+        # at m = 60 and small p1 the printed formula divides by alpha^(4m-2) =
+        # 0, and near either arc end or as p1 -> 1 its differences cancel; the
+        # bounded form keeps both coordinates to their relative accuracy
         d = DomainParams(m=m, n=2)
-        for p1 in (0.05, 0.5, 0.95):
-            grid = kcurve_alpha_grid(d, p1, Branch.UPPER, 512)
-            expected = [_upper_xy_abs_pow(m, p1, a) for a in grid]
-            assert [upper_xy(m, p1, a) for a in grid] == expected
-            assert np.array_equal(_upper_xy_many(m, p1, grid), expected)
+        grid = kcurve_alpha_grid(d, p1, Branch.UPPER, 128)
+        got = _upper_xy_many(m, p1, grid)
+        want = np.array([_upper_xy_50(m, p1, a) for a in grid])
+        assert np.all(got >= 0.0)
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-300)
+        assert [list(upper_xy(m, p1, a)) for a in grid[::16]] == got[::16].tolist()
 
-    def test_alpha_zero_unchanged(self):
-        # m = 1/2: the alpha^0 powers are 1 and alpha^(-1) is abs_pow's 0
-        for p1 in (0.05, 0.5, 0.95):
-            expected = _upper_xy_abs_pow(0.5, p1, 0.0)
-            assert upper_xy(0.5, p1, 0.0) == expected
-            assert np.array_equal(_upper_xy_many(0.5, p1, [0.0, 0.5]),
-                                  [expected, _upper_xy_abs_pow(0.5, p1, 0.5)])
-        # otherwise alpha^(4m-2) = 0 divides x, as before
-        for m in (0.75, 1.0, 2.0):
-            with pytest.raises(ZeroDivisionError):
-                _upper_xy_abs_pow(m, 0.5, 0.0)
-            with pytest.raises(ZeroDivisionError):
-                upper_xy(m, 0.5, 0.0)
+    @pytest.mark.parametrize("m", [0.5, 2.0, 60.0])
+    def test_arc_ends(self, m):
+        # alpha = p1 is the y-intercept (0, (1 - p1^2)^2); alpha = 1 the junction
+        d = DomainParams(m=m, n=2)
+        for p1 in (0.01, 0.5, 0.95):
+            (x0, y0), (x1, y1) = _upper_xy_many(m, p1, [p1, 1.0])
+            assert x0 == 0.0 and y0 == pytest.approx((1 - p1 * p1) ** 2, rel=1e-14)
+            assert (x1, y1) == pytest.approx(joining_point(d, p1), rel=1e-13, abs=0.0)
 
 
 def _lower_xy_abs_pow(m, p1, alpha):

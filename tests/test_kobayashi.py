@@ -203,6 +203,18 @@ class TestGlobalMetric:
         assert kobayashi_sq(d, p, v) == pytest.approx(kobayashi(d, p, v) ** 2, rel=1e-14)
 
 
+    @pytest.mark.parametrize("z", [[0.0, 0.5], [0.1, 0.5]], ids=["on-Z", "off-Z"])
+    def test_vector_past_the_square_range_gives_inf(self, z):
+        # |v| = 1e160 squares past the float range: the Z branch (the gauge's
+        # float square) gives inf, as the axis-point formulas do off Z
+        d = DomainParams(m=2.0, n=2)
+        assert kobayashi_sq(d, z, [1e160, 0.0]) == math.inf
+        assert kobayashi(d, z, [1e160, 0.0]) == math.inf
+        with np.errstate(over="ignore"):  # numpy's overflow warning off Z
+            rows = kobayashi_sq(d, np.array([z, z]), np.array([[1e160, 0.0], [1.0, 0.0]]))
+        assert rows[0] == math.inf
+        assert rows[1] == kobayashi_sq(d, z, [1.0, 0.0])
+
 class TestAlternateUpperFormula:
     def test_agrees_with_branch_formula(self):
         rng = np.random.default_rng(9)

@@ -29,6 +29,7 @@ from eggmetrics.verification import (
     check_automorphism,
     check_convexity,
     check_domination,
+    check_fit_oracle,
     check_gauge,
     check_invariance,
     check_seam_continuity,
@@ -294,6 +295,28 @@ class TestSeamContinuityAtLargeM:
         assert float(detail.split("tensor M0 gap ")[1].split(",")[0]) > 2e-5
 
 
+
+class TestFitOracleCheck:
+    # fit-vs-oracle bounds the relative gap of fit_reference from the oracle
+    # by 1e-8, ten times the oracle's accuracy bound. r1 scaled up by 1e-7
+    # also breaks containment; scaled down, only the gap bound sees it
+    @pytest.mark.parametrize("m", [0.75, 2.0, 20.0])
+    def test_reference_passes(self, m):
+        ok, detail = check_fit_oracle(DomainParams(m=m, n=2), np.random.default_rng(0))
+        assert ok, detail
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-7, 1.0 - 1e-7])
+    @pytest.mark.parametrize("m", [0.75, 2.0, 20.0])
+    def test_scaled_r1_fails(self, monkeypatch, m, scale):
+        def scaled(domain, p1):
+            ell = fitting.fit_reference(domain, p1)
+            return fitting.WuEllipsoidDiag(r1=ell.r1 * scale, r2=ell.r2)
+
+        monkeypatch.setattr(verification, "fit_reference", scaled)
+        ok, detail = check_fit_oracle(DomainParams(m=m, n=2), np.random.default_rng(0))
+        assert not ok
+        assert float(detail.split("rel ")[1].split(",")[0]) > 9e-8
+
 def _divided_difference_loop(x, y):
     # the second divided differences and their roundoff bounds, one triple
     # at a time: the reference for the check's array expressions
@@ -341,14 +364,14 @@ class TestSquareConvexity:
                 assert (verdict.verdict, verdict.margin) == want, (p1, branch)
 
     def test_zero_width_half_is_skipped(self):
-        # at m = 60, p1 = 0.4 two UPPER samples share an x inside a triple
+        # at m = 60, p1 = 0.1 two UPPER samples share an x inside a triple
         # wider than 1e-14; its slope would divide by zero (a RuntimeWarning,
         # an error under pytest.ini)
         d = DomainParams(m=60.0, n=2)
-        lo, hi = kcurve_alpha_range(d, 0.4, Branch.UPPER)
-        x = np.sort(_upper_xy_many(60.0, 0.4, np.linspace(lo, hi, 64))[:, 0])
+        lo, hi = kcurve_alpha_range(d, 0.1, Branch.UPPER)
+        x = np.sort(_upper_xy_many(60.0, 0.1, np.linspace(lo, hi, 64))[:, 0])
         assert np.any((np.diff(x) == 0.0)[1:] & (x[2:] - x[:-2] >= 1e-14))
-        assert square_convexity_check(d, 0.4, Branch.UPPER).verdict is Convexity.CONCAVE
+        assert square_convexity_check(d, 0.1, Branch.UPPER).verdict is Convexity.CONCAVE
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("m", [20.0, 60.0])
