@@ -221,14 +221,11 @@ def _cmd_kcurve(cfg: RunConfig, args) -> int:
             rows.append([branch.value, float(alpha), s.x, s.y])
     meta = _meta(cfg, region=classify_region(domain, _axis_point(domain, p1), tol=cfg.tol).value)
     meta["p1"] = p1
+    header = ["branch", "alpha", "x", "y"]
     if cfg.fmt == "csv":
-        _emit(_csv_text(meta, ["branch", "alpha", "x", "y"], rows), cfg.out)
+        _emit(_csv_text(meta, header, rows), cfg.out)
     else:
-        payload = dict(meta)
-        payload["samples"] = [
-            {"branch": b, "alpha": a, "x": x, "y": y} for b, a, x, y in rows
-        ]
-        _emit(_json_text(payload), cfg.out)
+        _emit(_json_text(dict(meta, samples=[dict(zip(header, r)) for r in rows])), cfg.out)
     return 0
 
 
@@ -253,16 +250,12 @@ def _cmd_curvature_scan(cfg: RunConfig, args) -> int:
                      rec.kahler_defect, rec.symmetry_defect])
     meta = _meta(cfg)
     meta["skipped_points"] = len(skipped)
+    header = ["m", "n", "region", "point", "min_sec", "max_sec", "kahler_defect", "symmetry_defect"]
     if cfg.fmt == "csv":
-        _emit(_csv_text(meta, ["m", "n", "region", "point", "min_sec", "max_sec",
-                               "kahler_defect", "symmetry_defect"], rows), cfg.out)
-    else:
-        payload = dict(meta)
-        payload["records"] = [
-            {"region": r[2], "point": r[3], "min_sec": r[4], "max_sec": r[5],
-             "kahler_defect": r[6], "symmetry_defect": r[7]} for r in rows
-        ]
-        _emit(_json_text(payload), cfg.out)
+        _emit(_csv_text(meta, header, rows), cfg.out)
+    else:  # the records leave out m and n, which the metadata carries
+        records = [dict(zip(header[2:], r[2:])) for r in rows]
+        _emit(_json_text(dict(meta, records=records)), cfg.out)
     return 0
 
 

@@ -3,8 +3,8 @@
 The Wu unit ball at (p1, 0, ..., 0) is the diagonal ellipsoid r1|v1|^2 +
 r2|vhat|^2 < 1 of least volume containing the Kobayashi indicatrix; in square
 coordinates it is the line r1 y + r2 x = 1 of least intercept area containing
-both K-curves. Closed forms cover every regime; a search over the line's
-direction recomputes the fit from curve values alone (``fit_oracle``).
+both K-curves. Closed forms cover every regime; the curves' support function
+recomputes the fit (``fit_oracle``) and decides containment.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
-from .errors import ConfigurationError, NumericalError
-from .kobayashi import Branch
-from .kcurve import _lower_xy_many, _upper_xy_many, kcurve_alpha_grid, upper_xy
+from .errors import ConfigurationError, DomainError, NumericalError
+from .kcurve import _upper_xy_many, _x_intercept, upper_xy
 from .numerics import (Taylor2, _power, _solve_bracketed_rows, abs_pow, onesided_weights,
                        solve_bracketed)
 
@@ -287,25 +286,19 @@ def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     """
     _check_p1(p1)
     m, w, p1 = domain.m, _M0_WEIGHT, float(p1)
-    if p1 < sys.float_info.min:  # subnormal: the arc's parameters near p1 have a few bits
-        raise NumericalError(f"fit oracle needs a normal float p1, got {p1!r}")
     lp = math.log(p1)
-    x_int = -math.expm1(2.0 * m * lp)  # 1 - p1^2m
     scale = min(0.5 / m, -lp)  # the arc's length scale in log alpha
     h_max = 1e-4 * scale  # the support's resolution in log alpha
     ends = _upper_xy_many(m, p1, [p1, 1.0])  # the y-intercept and the junction
     with np.errstate(divide="ignore", invalid="ignore"):
-        kinks = np.log(ends[:, 1] / (x_int - ends[:, 0]))
+        kinks = np.log(ends[:, 1] / (_x_intercept(m, p1) - ends[:, 0]))
     kinks = kinks[np.abs(kinks) < _S_SPAN]
     off = 2e-13 * (1.0 + np.abs(kinks))
     s = np.sort(np.concatenate([np.linspace(-_S_SPAN, _S_SPAN, _S_COUNT), kinks - off, kinks + off]))
     lo, hi = lp, 0.0
     for _ in range(_MAX_PASSES):
         lam = np.exp(s)
-        u = _arc_support(m, p1, lam, lo, hi, h_max)
-        x, y = _upper_xy_many(m, p1, np.exp(u)).T
-        on_x = lam * x_int > y + lam * x
-        x[on_x], y[on_x] = x_int, 0.0
+        u, x, y, on_x = _arc_support(m, p1, lam, lo, hi, h_max)
         up = w * lam * x >= (w - 1.0) * (y + lam * x)  # r2 x* >= (w-1)/w
         if up[0] or not up.any():
             raise NumericalError(f"fit oracle lost its bracket at p1={p1!r}, m={m!r}")
@@ -339,10 +332,13 @@ def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
 
 
 def _arc_support(m: float, p1: float, lam: np.ndarray, lo, hi, h_max: float):
-    # log alpha of the UPPER arc's best sample in each direction lam, within
-    # h_max of its support point: y + lam x is unimodal along the arc for
-    # m > 1 and largest at an arc end for m <= 1, so each window zooms onto
-    # its best sample's neighbours down to spacing h_max
+    # both K-curves' support point (x, y) in each direction lam, the log alpha
+    # of the UPPER arc's best sample and whether the LOWER segment's far end
+    # (1 - p1^2m, 0) beats it (the segment is straight, and its other end is
+    # the arc's). y + lam x is unimodal along the arc for m > 1 and largest at
+    # an end for m <= 1, so each window zooms onto its best sample down to h_max
+    if p1 < sys.float_info.min:  # subnormal: the arc's parameters near p1 have a few bits
+        raise NumericalError(f"the K-curves' support needs a normal float p1, got {p1!r}")
     rows, grid = np.arange(len(lam)), np.linspace(0.0, 1.0, _ARC_COUNT)
     lo, hi = np.broadcast_to(lo, lam.shape), np.broadcast_to(hi, lam.shape)
     while True:
@@ -351,15 +347,25 @@ def _arc_support(m: float, p1: float, lam: np.ndarray, lo, hi, h_max: float):
         g = xy[..., 1] + lam[:, None] * xy[..., 0]
         k = np.argmax(g, axis=1)
         if np.max(hi - lo) <= h_max * (_ARC_COUNT - 1):
-            return u[rows, k]
+            x, y = xy[rows, k].T
+            x_int = _x_intercept(m, p1)
+            on_x = lam * x_int > y + lam * x
+            return u[rows, k], np.where(on_x, x_int, x), np.where(on_x, 0.0, y), on_x
         lo, hi = u[rows, np.maximum(k - 1, 0)], u[rows, np.minimum(k + 1, _ARC_COUNT - 1)]
 
 
-def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag,
-                          samples: int = 1024) -> float:
-    """max(r1 y + r2 x - 1) over fresh samples of both K-curves; <= 0 means containment."""
-    pts = np.vstack([
-        _upper_xy_many(domain.m, p1, kcurve_alpha_grid(domain, p1, Branch.UPPER, samples)),
-        _lower_xy_many(domain.m, p1, kcurve_alpha_grid(domain, p1, Branch.LOWER, samples // 2)),
-    ])
-    return float(np.max(ellipsoid.r1 * pts[:, 1] + ellipsoid.r2 * pts[:, 0])) - 1.0
+def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag) -> float:
+    """r1 y* + r2 x* - 1 at the K-curves' support point (x*, y*); <= 0 means containment.
+
+    The line r1 y + r2 x = 1 contains both curves exactly when this is <= 0,
+    with (x*, y*) their support point in the direction r2/r1, which
+    ``_arc_support`` finds over the whole arc at ``fit_oracle``'s resolution:
+    the value reads at most about 1e-10 below the exact one.
+    """
+    _check_p1(p1)
+    m, p1, r1, r2 = domain.m, float(p1), ellipsoid.r1, ellipsoid.r2
+    if not (r1 > 0.0 and r2 > 0.0):
+        raise DomainError(f"containment needs r1 > 0 and r2 > 0, got r1={r1!r}, r2={r2!r}")
+    lp = math.log(p1)
+    _, x, y, _ = _arc_support(m, p1, np.array([r2 / r1]), lp, 0.0, 1e-4 * min(0.5 / m, -lp))
+    return float(r1 * y[0] + r2 * x[0]) - 1.0

@@ -9,6 +9,7 @@ ellipsoid fitting into minimal-area line fitting against these curves.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,16 @@ class ConvexityVerdict:
 def kcurve_alpha_range(domain: DomainParams, p1: float, branch: Branch) -> tuple[float, float]:
     """Parameter interval of a branch: UPPER is [p1, 1], LOWER is [1, 1/(1-p1^2m)]."""
     _check_p1(p1)
-    P = abs_pow(p1, 2 * domain.m)
     if branch == Branch.UPPER:
         return (p1, 1.0)
     if branch == Branch.LOWER:
-        return (1.0, 1.0 / (1.0 - P))
+        return (1.0, 1.0 / _x_intercept(domain.m, p1))
     raise DomainError(f"branch must be UPPER or LOWER, got {branch!r}")
+
+
+def _x_intercept(m: float, p1: float) -> float:
+    # the LOWER segment's x-intercept 1 - p1^2m, to full accuracy as p1 -> 1
+    return -math.expm1(2.0 * m * math.log(p1))
 
 
 def upper_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
@@ -102,8 +107,8 @@ def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
     """LOWER segment coordinates; affine in the parameter.
 
     1 - alpha(1-P) is evaluated as (1-alpha) + alpha P: both terms are O(P)
-    on the segment, so y keeps full relative accuracy even when p1^2m is
-    tiny and the segment nearly degenerates.
+    on the segment, so y keeps full relative accuracy as p1^2m -> 0, until
+    m^2 p1^(2m-2) underflows and the range collapses to {1} (``NumericalError``).
     """
     return tuple(_lower_xy_many(m, p1, (alpha,))[0].tolist())
 
@@ -114,7 +119,7 @@ def _lower_xy_many(m: float, p1: float, alphas) -> np.ndarray:
     scale = (1.0 - P) ** 2
     den = m * m * abs_pow(p1, 2 * m - 2)
     if den == 0.0:
-        raise ZeroDivisionError("float division by zero")  # as the float formula raises
+        raise NumericalError(f"LOWER range [1, 1/(1 - p1^2m)] has collapsed to {{1}} at p1={p1!r}")
     a = np.asarray(alphas, dtype=float)
     return np.stack([scale * a, scale * ((1.0 - a) + a * P) / den], axis=1)
 
@@ -158,8 +163,8 @@ def kcurve_alpha_grid(domain: DomainParams, p1: float, branch: Branch, count: in
 def joining_point(domain: DomainParams, p1: float) -> tuple[float, float]:
     """Square coordinates where the LOWER and UPPER curves meet (alpha = 1 on both)."""
     _check_p1(p1)
-    P = abs_pow(p1, 2 * domain.m)
-    return ((1.0 - P) ** 2, p1 * p1 * (1.0 - P) ** 2 / (domain.m * domain.m))
+    x = _x_intercept(domain.m, p1) ** 2
+    return (x, p1 * p1 * x / (domain.m * domain.m))
 
 
 def third_derivative_reference(domain: DomainParams, p1: float) -> float:

@@ -14,7 +14,7 @@ supplies the noise estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -300,11 +300,7 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
             ctrl_jump, ctrl_noise = derivative_jump(control, order + 1)
             pooled = max(rep.jump_noise, abs(ctrl_jump) + ctrl_noise)
             if pooled != rep.jump_noise:
-                verdict = rep.verdict
-                if verdict == "jump" and abs(rep.jump) <= 10.0 * pooled:
-                    verdict = "smooth"
-                rep = SmoothnessReport(rep.path, rep.order, rep.exponent, rep.jump,
-                                       pooled, rep.r_squared, rep.step_range,
-                                       rep.n_scales, verdict)
+                shared = rep.verdict == "jump" and abs(rep.jump) <= 10.0 * pooled
+                rep = replace(rep, jump_noise=pooled, verdict="smooth" if shared else rep.verdict)
             reports.append(rep)
     return reports

@@ -110,7 +110,7 @@ def test_criterion_3_fit_matches_oracle():
             orc = fit_oracle(d, p1)
             assert orc.r1 == pytest.approx(ref.r1, rel=1e-8), (m, p1)
             assert orc.r2 == pytest.approx(ref.r2, rel=1e-8), (m, p1)
-            assert containment_violation(d, p1, ref, samples=1024) <= 1e-9
+            assert containment_violation(d, p1, ref) <= 1e-9
 
 
 def test_criterion_4_seam_continuity():

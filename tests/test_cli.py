@@ -103,6 +103,43 @@ class TestTensorFitKcurve:
         assert "e" in first[2]
 
 
+class TestJsonMatchesCsv:
+    # the JSON records carry the CSV rows' values under the CSV header's names
+    @staticmethod
+    def _csv_rows(out):
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    def test_kcurve(self, capsys):
+        args = ("kcurve", "--m", "2", "--n", "2", "--p1", "0.5", "--count", "16")
+        _, out, _ = run_cli(capsys, *args)
+        payload = json.loads(out)
+        _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+        rows = self._csv_rows(csv_out)
+        assert payload["p1"] == 0.5 and payload["region"] == "M_MINUS"
+        assert len(payload["samples"]) == len(rows) >= 16
+        for rec, row in zip(payload["samples"], rows):
+            assert list(rec) == ["branch", "alpha", "x", "y"]
+            assert rec["branch"] == row["branch"]
+            assert [rec[k] for k in ("alpha", "x", "y")] == [float(row[k]) for k in ("alpha", "x", "y")]
+
+    def test_curvature_scan(self, capsys):
+        args = ("curvature-scan", "--m", "2", "--n", "2", "--p1-range", "0.3:0.9", "--count", "3",
+                "--seed", "7")
+        _, out, _ = run_cli(capsys, *args)
+        payload = json.loads(out)
+        _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+        rows = self._csv_rows(csv_out)
+        assert payload["skipped_points"] == 0
+        assert len(payload["records"]) == len(rows) == 3  # one record a point
+        floats = ("min_sec", "max_sec", "kahler_defect", "symmetry_defect")
+        for rec, row in zip(payload["records"], rows):
+            assert list(rec) == ["region", "point", *floats]
+            assert (rec["region"], rec["point"]) == (row["region"], row["point"])
+            assert [rec[k] for k in floats] == [float(row[k]) for k in floats]
+            assert (float(row["m"]), int(row["n"])) == (payload["m"], payload["n"])
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, capsys):
         args = ("smoothness-scan", "--m", "0.75", "--n", "2", "--seam", "Z",
@@ -216,14 +253,23 @@ class TestExitCodes:
                 got, want = [payload["wu"]], [np.sqrt(np.real(np.ones(2) @ R @ np.ones(2)))]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * np.max(np.abs(want))
 
-    def test_fit_at_large_m_and_small_p1_exits_zero(self, capsys):
-        # at m = 60, p1 = 0.01 the printed UPPER formula divides by
-        # alpha^(4m-2) = 0 at alpha = p1; the oracle's bounded form does not
-        code, out, err = run_cli(capsys, "fit", "--m", "60", "--p1", "0.01")
+    @pytest.mark.parametrize("p1", ["0.01", "1e-5"])
+    def test_fit_at_large_m_and_small_p1_exits_zero(self, capsys, p1):
+        # at m = 60 the printed UPPER formula divides by alpha^(4m-2) = 0 at
+        # alpha = p1, and at p1 = 1e-5 the LOWER formula by m^2 p1^118 = 0;
+        # the oracle and containment take the bounded arc and the segment's ends
+        code, out, err = run_cli(capsys, "fit", "--m", "60", "--p1", p1)
         assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["oracle_r1"] == pytest.approx(payload["r1"], rel=1e-8)
         assert payload["oracle_r2"] == pytest.approx(payload["r2"], rel=1e-8)
+        assert payload["max_containment_violation"] <= 1e-9
+
+    def test_kcurve_where_the_lower_range_collapses_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "kcurve", "--m", "60", "--p1", "1e-5", "--count", "16")
+        assert code == 2 and out == ""
+        assert err.startswith("egg-metrics: numerical failure: LOWER range")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_oracle_failure_exits_two(self, capsys, monkeypatch):
         # a NumericalError out of a command is one numerical-failure line

@@ -253,12 +253,56 @@ class TestOracle:
         assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-13, abs=0.0)
 
 
+def _containment_grid():
+    # m in {1 + 1e-7, 1.5, 2, 5, 20, 60} at every verify fit point and p1 in
+    # {0.05, 0.01} (36 cells), and m in {0.5, 0.75, 1} at every verify fit point
+    for m in (1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0, 0.5, 0.75, 1.0):
+        for p1 in _fit_test_points(DomainParams(m=m, n=2)) + ([0.05, 0.01] if m > 1.0 else []):
+            yield m, p1
+
+
+def _sampled_violation(m, p1, ell):
+    # max(r1 y + r2 x) - 1 over 2^16 samples of both curves: UPPER parameters
+    # 2^15 geometric and 2^14 uniform in alpha, 2^14 along the LOWER segment
+    n = 2 ** 14
+    upper = np.concatenate([np.geomspace(p1, 1.0, 2 * n), np.linspace(p1, 1.0, n)])
+    lower = np.linspace(1.0, 1.0 / (1.0 - p1 ** (2.0 * m)), n)
+    pts = np.vstack([_upper_xy_many(m, p1, upper), _lower_xy_many(m, p1, lower)])
+    return float(np.max(ell.r1 * pts[:, 1] + ell.r2 * pts[:, 0])) - 1.0
+
+
 class TestContainmentAndMinimality:
+    @pytest.mark.parametrize("m,p1", list(_containment_grid()))
+    def test_support_value_is_exact(self, m, p1):
+        # the fit touches the curves, so it reads 0 to the support's
+        # resolution; r1 scaled by 1 + 1e-6 cuts them by about 5e-7 (a
+        # maximum over 1 536 samples misses that on 15 of the 36 m > 1
+        # cells); and no value lies below the maximum over dense samples
+        d = DomainParams(m=m, n=2)
+        ref = fit_reference(d, p1)
+        cut = WuEllipsoidDiag(ref.r1 * (1.0 + 1e-6), ref.r2)
+        value, cut_value = containment_violation(d, p1, ref), containment_violation(d, p1, cut)
+        assert -1e-10 <= value <= 1e-13
+        assert cut_value >= 1e-7
+        assert value >= _sampled_violation(m, p1, ref) - 1e-10
+        assert cut_value >= _sampled_violation(m, p1, cut) - 1e-10
+
+    def test_input_checks(self):
+        # p1 as the oracle checks it; the line's coefficients must be positive
+        d, ell = DomainParams(m=2.0, n=2), WuEllipsoidDiag(1.0, 1.0)
+        with pytest.raises(DomainError):
+            containment_violation(d, 1.0, ell)
+        with pytest.raises(NumericalError, match="normal float"):
+            containment_violation(d, 1e-310, ell)
+        for r1, r2 in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="r1 > 0 and r2 > 0"):
+                containment_violation(d, 0.5, WuEllipsoidDiag(r1, r2))
+
     @pytest.mark.parametrize("m,p1", [(0.5, 0.3), (0.75, 0.6), (2.0, 0.4), (2.0, 0.9)])
     def test_containment(self, m, p1):
         d = DomainParams(m=m, n=2)
         ell = fit_reference(d, p1)
-        assert containment_violation(d, p1, ell, samples=1024) <= 1e-9
+        assert containment_violation(d, p1, ell) <= 1e-9
 
     @pytest.mark.parametrize("m,p1", [(0.75, 0.5), (2.0, 0.5), (2.0, 0.9)])
     def test_perturbations_violate_or_grow(self, m, p1):
@@ -268,7 +312,7 @@ class TestContainmentAndMinimality:
         for theta in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
             cand = WuEllipsoidDiag(r1=ell.r1 * (1 + 1e-3 * math.cos(theta)),
                                    r2=ell.r2 * (1 + 1e-3 * math.sin(theta)))
-            violated = containment_violation(d, p1, cand, samples=1024) > 1e-9
+            violated = containment_violation(d, p1, cand) > 1e-9
             grew = 1.0 / (cand.r1 * cand.r2) > area * (1 + 1e-9)
             assert violated or grew
 
@@ -473,17 +517,22 @@ class TestArrayTangencySolve:
         rng = np.random.default_rng(61)
         d = DomainParams(m=m, n=2)
         # a tiny first root (solved on floats) ahead of generic rows, rows
-        # next to M0 and X = 1 on M0
+        # next to M0, X = 1 on M0 and two tiny rows
         us = np.concatenate([[1e-6], rng.uniform(0.0, 1.0, 40),
                              1.0 - 10.0 ** rng.uniform(-12.0, -9.5, 6),   # near-M0 expansion
                              1.0 - 10.0 ** rng.uniform(-8.0, -5.0, 6),    # solved next to M0
                              [1.0]])                                      # on M0, X = 1
         p1, s = _inner_pairs(m, rng, us)
-        if m <= 5.0:  # the equation overflows below |z1| ~ 1e-4 at m = 20
-            p1 = np.concatenate([p1, [1e-11, 1e-160]])
-            s = np.concatenate([s, [0.7, 0.9]])
-        X = fitting._solve_X_many(d, _axis_p1(m, p1, s))
-        expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
+        p1, s = np.concatenate([p1, [1e-11, 1e-160]]), np.concatenate([s, [0.7, 0.9]])
+        axis = _axis_p1(m, p1, s)
+        X = fitting._solve_X_many(d, axis)
+        expected = []
+        for a, b, x in zip(p1, s, axis):
+            # the reference's X form overflows at (1e-11, 0.7) for m = 20,
+            # where the 50-digit root stands in for it
+            want = _outcome(_reference_solve_X, d, a, b)
+            expected.append(_root_50(m, float(x)) if want is OverflowError else want)
+        expected = np.array(expected)
         assert np.all(np.abs(X - expected) <= np.maximum(1e-14 * expected, _SUBNORMAL_ROUNDING))
         assert X[len(us) - 1] == pytest.approx(1.0, abs=1e-15)
 

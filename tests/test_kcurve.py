@@ -154,6 +154,29 @@ class TestLowerSampler:
             assert np.array_equal(_lower_xy_many(m, p1, grid), expected)
 
 
+class TestLowerRange:
+    @pytest.mark.parametrize("p1", [0.999999, 1.0 - 1e-12])
+    @pytest.mark.parametrize("m", [0.75, 2.0])
+    def test_range_end_and_junction_match_50_digits(self, m, p1):
+        # 1 - p1^2m by subtraction is off by about eps/(2m (1 - p1)) relative
+        # (3.7e-5 at (0.75, 1 - 1e-12)); as -expm1(2m log p1) it is not
+        d = DomainParams(m=m, n=2)
+        with mpmath.workdps(50):
+            q = 1 - mpmath.mpf(p1) ** (2 * mpmath.mpf(m))
+            want = [float(1 / q), float(q * q), float(mpmath.mpf(p1) ** 2 * q * q / m ** 2)]
+        got = [kcurve_alpha_range(d, p1, Branch.LOWER)[1], *joining_point(d, p1)]
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_collapsed_range_raises(self):
+        # at m = 60 and p1 = 1e-5, m^2 p1^118 underflows and 1 - p1^120 rounds to 1
+        d = DomainParams(m=60.0, n=2)
+        assert kcurve_alpha_range(d, 1e-5, Branch.LOWER) == (1.0, 1.0)
+        for sample in (lambda: lower_xy(60.0, 1e-5, 1.0),
+                       lambda: kcurve_sample(d, 1e-5, Branch.LOWER, 1.0)):
+            with pytest.raises(NumericalError, match=r"LOWER range .* has collapsed to \{1\}"):
+                sample()
+
+
 def central_diff(f, x0, order, h):
     # central finite difference of the given derivative order, O(h^2) accurate
     if order == 1:

@@ -10,6 +10,7 @@ from eggmetrics import (
     holder_exponent,
     regularity_scan,
 )
+from eggmetrics import smoothness
 
 
 class TestCalibration:
@@ -159,6 +160,18 @@ class TestSeamScans:
         for r in regularity_scan(DomainParams(m=1.0 + 1e-7, n=2), "JUNCTION"):
             if r.order == 3:
                 assert r.verdict == "jump" and r.jump_detected
+
+    def test_a_jump_the_control_shares_is_smooth(self, monkeypatch):
+        # the probe's second-derivative jump is a "jump" on its own; the
+        # control carries the same jump, which joins the noise, so the scan
+        # reports it smooth
+        f = lambda t: np.where(t < 0, t * t, 2.0 * t * t)
+        monkeypatch.setattr(smoothness, "seam_paths",
+                            lambda domain, seam, component, seed, n_paths: [("shared", f, f)])
+        (rep,) = regularity_scan(DomainParams(m=2.0, n=2), "M0", orders=(1,))
+        assert holder_exponent(f, order=1, path="shared").verdict == "jump"
+        assert rep.verdict == "smooth"
+        assert rep.jump == pytest.approx(2.0, abs=1e-6) and rep.jump_noise >= 2.0
 
     def test_m0_scan_requires_large_m(self):
         with pytest.raises(ConfigurationError):
