@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .curvature import GridSpec, curvature_scan
 from .domain import REGION_TOL, DomainParams, _axis_point, classify_region
-from .errors import EggMetricsError, NumericalError
+from .errors import EggMetricsError, NumericalError, SeamProximityError
 from .fitting import containment_violation, contact_point, fit_oracle, fit_reference
 from .kcurve import kcurve_alpha_grid, kcurve_sample
 from .kobayashi import Branch, kobayashi_sq
@@ -169,7 +169,7 @@ def _cmd_tensor(cfg: RunConfig, args) -> int:
     eigs = form.eigenvalues()
     try:
         defect = kahler_defect(domain, z)
-    except NumericalError:
+    except SeamProximityError:
         defect = None  # on Z or M0 the metric has no jet
     payload = _meta(cfg, region=form.region.value)
     payload.update({

@@ -42,7 +42,7 @@ class CurvatureTensor:
 
     def holomorphic(self, v) -> float:
         """Holomorphic sectional curvature in direction v (scale invariant)."""
-        v = np.asarray(v, dtype=complex)
+        v = as_vector(v, len(self.point))
         if not np.any(v):
             raise DomainError("direction must be nonzero")
         return float(_sectional_values(self.components, self.metric.matrix, v[None])[0])

@@ -33,15 +33,9 @@ REGION_TOL = 1e-10
 #: fit regimes, which choose the tensor's fit, through ``m0_radius``
 _M0_WEIGHT = 2.0
 
-# Z cut-offs: below each one a closed form is replaced by its value on the
-# stratum Z = {z1 = 0}. The values differ because each guards a different
-# expression; none of them is a region tolerance.
-#: axis coordinate p1 below which the fit, and so ``wu_tensor`` and
-#: ``pullback_tensor``, take ``fit_origin`` for m > 1 instead of solving the
-#: tangency equation (the fit deviates by O(p1^2))
-_FIT_ORIGIN_TOL = 1e-12
-#: reduced axis coordinate below which ``kobayashi`` takes the Z branch, the
-#: Minkowski gauge of the moved vector, instead of the axis-point formulas
+#: the one Z cut-off, which is not a region tolerance: reduced axis
+#: coordinate below which ``kobayashi`` takes the Z branch, the Minkowski
+#: gauge of the moved vector, instead of the axis-point formulas
 REFERENCE_AXIS_TOL = 1e-13
 
 

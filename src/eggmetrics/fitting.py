@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, _FIT_ORIGIN_TOL, _M0_WEIGHT, _check_p1
+from .domain import DomainParams, _M0_WEIGHT, _check_p1
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kcurve import _upper_xy_many, _x_intercept, upper_xy
 from .numerics import (Taylor2, _power, _solve_bracketed_rows, abs_pow, onesided_weights,
@@ -51,7 +51,7 @@ def solve_X(domain: DomainParams, p1: float) -> float:
     tends to tau0 = (m+1)^(1/m). Off the axis, at a point whose reference
     coordinate is p1/s^(1/m), the equation multiplies its s-free terms by
     s^4 and the others by s^2, and dividing by s^4 gives the same root:
-    X(p1, s) = X(p1/s^(1/m), 1). The one-point case of ``_solve_X_many``.
+    X(p1, s) = X(p1/s^(1/m), 1).
     """
     if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
@@ -60,28 +60,15 @@ def solve_X(domain: DomainParams, p1: float) -> float:
     return p1 * p1 * _solve_tau(domain.m, p1)
 
 
-def _solve_X_many(domain: DomainParams, p1) -> np.ndarray:
-    """``solve_X`` at each checked inner-region axis coordinate p1: p1^2 times ``_solve_tau``.
-
-    A row off the inner region raises ConfigurationError, and rows next to
-    the middle stratum take a closed form. Every other row is solved on the
-    certified bracket of ``_ends``, from its closed-form start, in a few
-    Newton steps. One row, and the first solved row of several, run on
-    floats through ``math`` and the scalar ``solve_bracketed``, so a single
-    row costs about its scalar solve; the others run
-    ``_solve_bracketed_rows``. p1^2m stays numpy's for one row too (libm's
-    pow rounds apart from numpy's on a few percent of inputs), so a pair is
-    classified and solved bit for bit as the first of several rows. The
-    many-row callers are ``verify``'s sample sets and the regularity
-    probes' paths, through the fit.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    return p1 * p1 * _solve_tau(domain.m, p1)
-
-
 def _solve_tau(m: float, p1):
-    # the tangency root tau = X/p1^2 of ``_solve_X_many``, of rows or of one
-    # p1 as a float
+    # the tangency root tau = X/p1^2 at checked inner-region axis coordinates
+    # p1 (rows), or at one p1 as a float: a row off the inner region raises
+    # ConfigurationError, rows next to the middle stratum take a closed form
+    # and the others take a few Newton steps on the certified bracket of
+    # ``_ends``. One p1, and the first solved row of several, are solved on
+    # floats (``solve_bracketed``) with numpy's p1^2m, so one p1 costs about
+    # its scalar solve and keeps the bits it has as the first of several
+    # rows (libm's pow rounds apart from numpy's on a few percent of inputs)
     if np.ndim(p1) == 0:  # one point, on floats
         x = float(p1)
         w, solved = _strata(x, float(np.power(x, 2 * m)))
@@ -172,9 +159,8 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
 
     m <= 1: the chord through the two axis intercepts. m > 1 outside the
     2^(-1/2m) threshold: the LOWER line itself. m > 1 inside: the line
-    tangent to the UPPER curve at the solved contact parameter, and
-    ``fit_origin`` below ``_FIT_ORIGIN_TOL``. The one-row case of
-    ``_fit_rows``.
+    tangent to the UPPER curve at the solved contact parameter, which tends
+    to ``fit_origin`` as p1 -> 0. The one-row case of ``_fit_rows``.
     """
     _check_p1(p1)
     r1, r2 = _fit_rows(domain, np.array([float(p1)]))
@@ -182,18 +168,17 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
 
 
 #: the fit regimes at an axis coordinate p1: the chord through the two axis
-#: intercepts (m <= 1), the LOWER line (m > 1 from M0 out), the line tangent
-#: to the UPPER curve (m > 1 inside M0) and its p1 -> 0 limit, ``fit_origin``
-_CHORD, _LOWER, _TANGENCY, _ORIGIN = range(4)
+#: intercepts (m <= 1), the LOWER line (m > 1 from M0 out) and the line
+#: tangent to the UPPER curve (m > 1 inside M0, Z included)
+_CHORD, _LOWER, _TANGENCY = range(3)
 
 
 def _regimes(domain: DomainParams, p1: np.ndarray) -> np.ndarray:
     # the fit regime of each checked axis coordinate p1 in [0, 1)
     if domain.m <= 1.0:
         return np.full(len(p1), _CHORD)
-    # the tangency inside M0, one less (the LOWER line) from M0 out and one
-    # more (fit_origin) below the Z cut-off, which lies inside M0
-    return _TANGENCY - (p1 >= domain.m0_radius) + (p1 < _FIT_ORIGIN_TOL)
+    # the tangency inside M0, one less (the LOWER line) from M0 out
+    return _TANGENCY - (p1 >= domain.m0_radius)
 
 
 def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
@@ -218,9 +203,6 @@ def _fit(domain: DomainParams, regime: int, u):
         if isinstance(u, Taylor2):
             return _inner_fit(domain, u, _tangency_jet(domain, u))
         return _inner_fit(domain, u, _solve_tau(m, np.sqrt(u)))
-    if regime == _ORIGIN:
-        ell = fit_origin(domain)
-        return 0.0 * u + ell.r1, 0.0 * u + ell.r2
     P = _power(u, m)
     r1 = (1.0 / _power(1.0 - u, 2) if regime == _CHORD
           else m * m * _power(u, m - 1.0) / _power(1.0 - P, 2))
@@ -239,7 +221,7 @@ def _inner_fit(domain: DomainParams, u, tau):
 
 
 def fit_origin(domain: DomainParams) -> WuEllipsoidDiag:
-    """Limit of the fit as p1 -> 0 (the value on the Z stratum)."""
+    """Closed-form value of the fit on Z, its limit as p1 -> 0 (the tangency's for m > 1)."""
     m = domain.m
     if m <= 1.0:
         return WuEllipsoidDiag(1.0, 1.0)

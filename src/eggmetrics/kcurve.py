@@ -20,6 +20,8 @@ from .kobayashi import Branch
 from .numerics import abs_pow
 
 _RANGE_SLACK = 1e-12
+#: equally spaced parameters per branch in ``square_convexity_check``
+_CONVEXITY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,9 @@ def third_derivative_reference(domain: DomainParams, p1: float) -> float:
     if m == 0.5:
         raise ConfigurationError("third derivative at the junction degenerates at m = 1/2")
     _check_p1(p1)
-    P = abs_pow(p1, 2 * m)
-    numer = 16.0 * abs_pow(p1, 2 * m + 2) * (1.0 - P) ** 2 * (2 * m - 1) ** 2 * (m - 1) / m
-    xdot = (4 * m - 2) * P * (1.0 - P)
+    one_p = _x_intercept(m, p1)  # 1 - p1^2m without cancellation near p1 = 1
+    numer = 16.0 * abs_pow(p1, 2 * m + 2) * one_p ** 2 * (2 * m - 1) ** 2 * (m - 1) / m
+    xdot = (4 * m - 2) * abs_pow(p1, 2 * m) * one_p
     return numer / xdot ** 4
 
 
@@ -234,20 +236,17 @@ def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDe
     )
 
 
-def square_convexity_check(domain: DomainParams, p1: float, branch: Branch,
-                           samples: int = 64) -> ConvexityVerdict:
-    """Sign of the second divided differences of y(x) along one branch.
+def square_convexity_check(domain: DomainParams, p1: float, branch: Branch) -> ConvexityVerdict:
+    """Sign of the second divided differences of y(x) at 64 parameters along one branch.
 
     Divided differences are normalized by max|y|/span^2 so the margin is a
     dimensionless curvature measure; below 1e-9 in that scale the branch is
     reported affine. A branch too short in x for any divided difference
     raises ``NumericalError``.
     """
-    if samples < 8:
-        raise DomainError("need at least 8 samples")
     lo, hi = kcurve_alpha_range(domain, p1, branch)
     xy_many = _upper_xy_many if branch == Branch.UPPER else _lower_xy_many
-    pts = xy_many(domain.m, p1, np.linspace(lo, hi, samples))
+    pts = xy_many(domain.m, p1, np.linspace(lo, hi, _CONVEXITY_SAMPLES))
     pts = pts[np.argsort(pts[:, 0])]
     x, y = pts[:, 0], pts[:, 1]
     y_mag = max(float(np.max(np.abs(y))), 1e-300)

@@ -201,8 +201,7 @@ def _check_step(step: float) -> None:
         raise DomainError(f"differencing step must be finite and positive, got {step!r}")
 
 
-def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
-                  hessian: bool = True):
+def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float):
     """Wirtinger derivatives of f at the complex point z by real central differences.
 
     f maps an (M, n) array of complex points to an (M, ...) array of values
@@ -210,10 +209,8 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
     coordinates u = (Re z, Im z) at steps h and h/2 with one Richardson level
     on top; the centre enters only the Hessian diagonal. Returns (f0, dz,
     ddbar) with f0 = f(z), dz[k] = df/dz_k and ddbar[k, l] = d2f/dz_k dzbar_l.
-    When ``hessian`` is false the centre and all mixed points are skipped
-    (8n points instead of 1 + 16n^2) and f0 and ddbar are None. The package
-    differentiates the metric exactly (``Taylor2``); this is the independent
-    oracle the tests and ``verify`` hold it against.
+    The package differentiates the metric exactly (``Taylor2``); this is the
+    independent oracle the tests and ``verify`` hold it against.
     """
     _check_step(step)
     z = np.asarray(z, dtype=complex)
@@ -221,34 +218,28 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float,
     d = 2 * n
     u0 = np.concatenate([z.real, z.imag])
     a, b = np.triu_indices(d, 1)
-    blocks = [u0[None]] if hessian else []
+    blocks = [u0[None]]
     for h in (step, step / 2.0):
         e = h * np.eye(d)  # row a is the step along real coordinate a
         plus, minus = u0 + e, u0 - e
-        blocks += [plus, minus]
-        if hessian:
-            blocks += [plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
+        blocks += [plus, minus, plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
     u = np.concatenate(blocks)
     values = f(u[:, :n] + 1j * u[:, n:])
     p = len(a)
-    center = values[0] if hessian else None
-    i = 1 if hessian else 0
+    center = values[0]
+    i = 1
     grads, hessians = [], []
     for h in (step, step / 2.0):
-        plus, minus = values[i:i + d], values[i + d:i + 2 * d]
-        i += 2 * d
+        plus, minus, pp, pm, mp, mm = np.split(values[i:i + 2 * d + 4 * p],
+                                               np.cumsum([d, d, p, p, p]))
+        i += 2 * d + 4 * p
         grads.append((plus - minus) / (2.0 * h))
-        if hessian:
-            pp, pm, mp, mm = (values[i + k * p:i + (k + 1) * p] for k in range(4))
-            i += 4 * p
-            H = np.empty((d, d) + center.shape, dtype=values.dtype)
-            H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
-            H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
-            hessians.append(H)
+        H = np.empty((d, d) + center.shape, dtype=values.dtype)
+        H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
+        H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+        hessians.append(H)
     G = richardson(grads, order=2)
     dz = 0.5 * (G[:n] - 1j * G[n:])
-    if not hessian:
-        return None, dz, None
     HH = richardson(hessians, order=2)
     ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
     return center, dz, ddbar

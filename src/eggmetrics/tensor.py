@@ -18,7 +18,6 @@ from .domain import (
     REGION_TOL,
     DomainParams,
     RegionLabel,
-    _FIT_ORIGIN_TOL,
     _check_inside,
     _check_tol,
     _reference_point,
@@ -40,7 +39,7 @@ class HermitianForm:
     ``source`` names the fit regime that produced the entries ("chord-form",
     "outer-form" for the LOWER line, "inner-form" for the tangency, "ball"
     at m = 1); on the thin strata it adds the stratum ("(z1=0 limit)",
-    "(near Z)", "(Z limit)" for ``fit_origin``, "(on M0)").
+    "(near Z)", "(on M0)").
     """
 
     matrix: np.ndarray
@@ -124,7 +123,7 @@ def _assemble(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 #: the ``source`` tag of each fit regime
-_TAGS = ("chord-form", "outer-form", "inner-form", "inner-form (Z limit)")
+_TAGS = ("chord-form", "outer-form", "inner-form")
 
 
 def _hermitian_form(domain: DomainParams, matrix: np.ndarray, region: RegionLabel,
@@ -148,9 +147,8 @@ def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
 
     The fit (r1, r2) at the reference coordinate p1_ref of z is carried to z
     by the automorphism in closed form. Its regime (the chord for m <= 1;
-    for m > 1 the LOWER line from M0 out, the tangency inside and
-    ``fit_origin`` at p1_ref below ``_FIT_ORIGIN_TOL``) names the ``source``
-    tag, with the stratum the point lies on.
+    for m > 1 the LOWER line from M0 out and the tangency inside) names the
+    ``source`` tag, with the stratum the point lies on.
 
     One point gives a ``HermitianForm``; (N, n) rows give the read-only
     (N, n, n) stack of the matrices. Any outside point or bad row raises
@@ -173,7 +171,7 @@ def _read_only(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
+def pullback_tensor(domain: DomainParams, z):
     """Wu tensor transported from the reference axis point through the automorphism.
 
     The same fit as ``wu_tensor``, moved numerically instead of in closed
@@ -181,9 +179,9 @@ def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
     D^T R conj(D) with R = diag(r1, r2, ..., r2) is formed as a matrix
     product. So it checks the transport algebra of ``wu_tensor``; the fit
     itself is checked by ``fit_oracle``. One point gives a
-    ``HermitianForm``; (N, n) rows give the read-only (N, n, n) stack.
+    ``HermitianForm``, labelled at ``REGION_TOL``; (N, n) rows give the
+    read-only (N, n, n) stack.
     """
-    _check_tol(tol)
     z = as_vector(z, domain.n, rows=True)
     rows = np.atleast_2d(z)
     # row j of W[k] is D e_j at the k-th point, so W[k] is D^T
@@ -198,9 +196,7 @@ def pullback_tensor(domain: DomainParams, z, tol: float = 1e-10):
     H = 0.5 * (H + np.conj(H).transpose(0, 2, 1))  # exact Hermitian symmetry
     if z.ndim == 2:
         return _read_only(H)
-    origin = domain.m > 1.0 and p1_ref[0] < _FIT_ORIGIN_TOL
-    source = "pullback (origin fit)" if origin else "pullback"
-    return HermitianForm(H[0], _region_of(domain, z, tol), source)
+    return HermitianForm(H[0], _region_of(domain, z, REGION_TOL), "pullback")
 
 
 def wu_norm(domain: DomainParams, z, v):

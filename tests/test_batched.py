@@ -79,8 +79,8 @@ def _kobayashi_solves(d, z, v):
 
 def _tensor_solves(d, z):
     # the fit solves the tangency equation at reference coordinates in
-    # [_FIT_ORIGIN_TOL, m0_radius)
-    return d.m > 1.0 and 1e-12 <= reference_coordinate(d, z) < d.m0_radius
+    # [0, m0_radius), Z included
+    return d.m > 1.0 and reference_coordinate(d, z) < d.m0_radius
 
 
 def _assert_rows_match(rows, singles, solved):
@@ -122,8 +122,8 @@ class TestReturnTypes:
             form = fn(self.D, z[0])
             assert isinstance(form, HermitianForm)
             assert form.region is classify_region(self.D, z[0])
-        assert wu_tensor(self.D, [0.0, 0.3, 0.1]).source == "inner-form (Z limit)"
-        assert pullback_tensor(self.D, [0.0, 0.3, 0.1]).source == "pullback (origin fit)"
+        assert wu_tensor(self.D, [0.0, 0.3, 0.1]).source == "inner-form (near Z)"
+        assert pullback_tensor(self.D, [0.0, 0.3, 0.1]).source == "pullback"
 
     def test_rows_give_arrays(self):
         z, v = _rows(2.0, 3, copies=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eggmetrics import NumericalError, __version__, cli, verification
+from eggmetrics import tensor as tensor_module
 from eggmetrics.cli import main, parse_complex_vector
 
 
@@ -281,6 +282,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("egg-metrics: numerical failure: fit oracle lost its bracket")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_tensor_jet_failure_exits_two(self, capsys, monkeypatch):
+        # only the seam refusal on Z or M0 gives "kahler_defect": null; any
+        # other NumericalError out of the jet is one numerical-failure line
+        code, out, _ = run_cli(capsys, "tensor", "--m", "2", "--point", "0,0.3")
+        assert code == 0 and json.loads(out)["kahler_defect"] is None
+
+        def broken(*args):
+            raise NumericalError("jet lost its root")
+
+        monkeypatch.setattr(tensor_module, "_wu_jet", broken)
+        code, out, err = run_cli(capsys, "tensor", "--m", "2", "--point", "0.3,0.2")
+        assert code == 2 and out == ""
+        assert err == "egg-metrics: numerical failure: jet lost its root\n"
 
     def test_fit_has_no_samples_flag(self, capsys):
         code, out, err = run_cli(capsys, "fit", "--m", "2", "--p1", "0.5", "--samples", "4096")

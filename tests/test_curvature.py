@@ -215,7 +215,7 @@ def _reference_direction_sample(n, seed, count=None):
     return np.array(dirs[:count])
 
 
-def _reference_wirtinger_jet(f, z, step, hessian=True):
+def _reference_wirtinger_jet(f, z, step):
     # reference: the jet with its index bookkeeping rebuilt on every call
     # (triu_indices, np.split)
     z = np.asarray(z, dtype=complex)
@@ -223,31 +223,26 @@ def _reference_wirtinger_jet(f, z, step, hessian=True):
     d = 2 * n
     u0 = np.concatenate([z.real, z.imag])
     a, b = np.triu_indices(d, 1)
-    blocks = [u0[None]] if hessian else []
+    blocks = [u0[None]]
     for h in (step, step / 2.0):
         e = h * np.eye(d)
         plus, minus = u0 + e, u0 - e
-        blocks += [plus, minus]
-        if hessian:
-            blocks += [plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
+        blocks += [plus, minus, plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
     u = np.concatenate(blocks)
     values = f(u[:, :n] + 1j * u[:, n:])
     parts = iter(np.split(values, np.cumsum([len(x) for x in blocks])[:-1]))
-    center = next(parts)[0] if hessian else None
+    center = next(parts)[0]
     grads, hessians = [], []
     for h in (step, step / 2.0):
         plus, minus = next(parts), next(parts)
         grads.append((plus - minus) / (2.0 * h))
-        if hessian:
-            pp, pm, mp, mm = (next(parts) for _ in range(4))
-            H = np.empty((d, d) + center.shape, dtype=values.dtype)
-            H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
-            H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
-            hessians.append(H)
+        pp, pm, mp, mm = (next(parts) for _ in range(4))
+        H = np.empty((d, d) + center.shape, dtype=values.dtype)
+        H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
+        H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+        hessians.append(H)
     G = richardson(grads, order=2)
     dz = 0.5 * (G[:n] - 1j * G[n:])
-    if not hessian:
-        return None, dz, None
     HH = richardson(hessians, order=2)
     ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
     return center, dz, ddbar
@@ -354,16 +349,12 @@ class TestWirtingerJet:
         assert np.max(np.abs(dz - np.conj(z) / q)) < 1e-8
         expected = np.eye(n) / q + np.outer(np.conj(z), z) / q ** 2
         assert np.max(np.abs(ddbar - expected)) < 1e-8
-        no_value, dz_only, no_hessian = wirtinger_jet(rho, z, 1e-3, hessian=False)
-        assert no_value is None and no_hessian is None
-        assert np.array_equal(dz_only, dz)
 
     @pytest.mark.parametrize("n,per_curvature", [(2, 65), (4, 257)])
     def test_wu_tensor_calls_per_stencil(self, monkeypatch, n, per_curvature):
         # the difference oracle sends its whole stencil to the regional
         # tensors in one batch: the 1 + 16 n^2 jet points (the centre gives
-        # the metric at z), 8 n without the Hessian; the exact curvature and
-        # Kahler defect send none
+        # the metric at z); the exact curvature and Kahler defect send none
         batches, jets = _counted_batches(monkeypatch)
         d = DomainParams(m=2.0, n=n)
         z = np.zeros(n, dtype=complex)
@@ -378,13 +369,9 @@ class TestWirtingerJet:
 
         wirtinger_jet(f, z, 1e-4)
         assert batches == [per_curvature]
-        batches.clear()
-        wirtinger_jet(f, z, 1e-4, hessian=False)
-        assert batches == [8 * n]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("hessian", [True, False])
-    def test_matches_reference_bit_for_bit(self, n, hessian):
+    def test_matches_reference_bit_for_bit(self, n):
         def rho(w):
             return -np.log(1.0 - np.sum(np.abs(w) ** 2, axis=1))
 
@@ -396,13 +383,10 @@ class TestWirtingerJet:
             w[0], w[1] = p1, 0.1j
             cases.append((lambda pts, d=d: tensor_module._wu_matrices(d, pts), w, 1e-4))
         for f, point, step in cases:
-            got = wirtinger_jet(f, point, step, hessian=hessian)
-            expected = _reference_wirtinger_jet(f, point, step, hessian=hessian)
+            got = wirtinger_jet(f, point, step)
+            expected = _reference_wirtinger_jet(f, point, step)
             for g, e in zip(got, expected):
-                if e is None:
-                    assert g is None
-                else:
-                    assert g.shape == e.shape and g.tobytes() == e.tobytes()
+                assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 class TestSectionalValues:
@@ -546,7 +530,7 @@ class TestOneClassificationPerPoint:
         (1.0, [0.3, 0.2j], "ball"),
         (2.0, [0.3, 0.2j], "inner-form"),
         (2.0, [0.95, 0.1], "outer-form"),
-        (2.0, [0.0, 0.3], "inner-form (Z limit)"),
+        (2.0, [0.0, 0.3], "inner-form (near Z)"),
         (2.0, [1e-11, 0.3], "inner-form (near Z)"),
         (2.0, [2.0 ** -0.25, 0.0], "outer-form (on M0)"),  # p1_ref is m0_radius: LOWER
         (2.0, [2.0 ** -0.25 + 1e-12, 0.0], "outer-form (on M0)"),

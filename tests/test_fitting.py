@@ -468,6 +468,13 @@ def _inner_pairs(m, rng, us):
     return (np.asarray(us) * s * s / 2.0) ** (1.0 / (2.0 * m)), s
 
 
+def _solve_X_rows(d, p1):
+    # the tangency root X at rows of checked axis coordinates, as the fit
+    # solves them: p1^2 times the rows' root in tau
+    p1 = np.asarray(p1, dtype=float)
+    return p1 * p1 * fitting._solve_tau(d.m, p1)
+
+
 def _root_50(m, p1):
     # the tangency root X at the axis coordinate p1, from 50 digits
     return float(pytest.importorskip("wu_reference").tangency_root(m, p1))
@@ -525,7 +532,7 @@ class TestArrayTangencySolve:
         p1, s = _inner_pairs(m, rng, us)
         p1, s = np.concatenate([p1, [1e-11, 1e-160]]), np.concatenate([s, [0.7, 0.9]])
         axis = _axis_p1(m, p1, s)
-        X = fitting._solve_X_many(d, axis)
+        X = _solve_X_rows(d, axis)
         expected = []
         for a, b, x in zip(p1, s, axis):
             # the reference's X form overflows at (1e-11, 0.7) for m = 20,
@@ -573,14 +580,14 @@ class TestArrayTangencySolve:
         d = DomainParams(m=m, n=2)
         p1 = 0.4 + 3e-4 * rng.uniform(-1.0, 1.0, 257)
         s = np.sqrt(1.0 - (0.1 + 3e-4 * rng.uniform(-1.0, 1.0, 257)) ** 2)
-        X = fitting._solve_X_many(d, _axis_p1(m, p1, s))
+        X = _solve_X_rows(d, _axis_p1(m, p1, s))
         expected = np.array([_reference_solve_X(d, a, b) for a, b in zip(p1, s)])
         assert np.all(np.abs(X - expected) <= 1e-14 * expected)
 
     def test_single_pair_is_one_scalar_solve(self, monkeypatch):
         d = DomainParams(m=2.0, n=2)
         p1 = float(_axis_p1(2.0, 0.4, 0.9))
-        X = fitting._solve_X_many(d, [p1])[0]
+        X = _solve_X_rows(d, [p1])[0]
         assert solve_X(d, p1) == X
         calls = []
 
@@ -593,7 +600,7 @@ class TestArrayTangencySolve:
 
         monkeypatch.setattr(fitting, "solve_bracketed", counted)
         monkeypatch.setattr(fitting, "_solve_bracketed_rows", no_rows)
-        assert fitting._solve_X_many(d, np.array([p1]))[0] == X
+        assert _solve_X_rows(d, np.array([p1]))[0] == X
         assert len(calls) == 1
 
     @pytest.mark.parametrize("m", [1.0 + 1e-7, 2.0, 5.0])
@@ -613,9 +620,9 @@ class TestArrayTangencySolve:
             p1, s = _inner_pairs(m, rng, us)
         for a, b in zip(p1, s):
             x = float(_axis_p1(m, a, b))
-            X = fitting._solve_X_many(d, [x])[0]
+            X = _solve_X_rows(d, [x])[0]
             assert X == solve_X(d, x)
-            assert X == fitting._solve_X_many(d, [x, 0.5 * x])[0]
+            assert X == _solve_X_rows(d, [x, 0.5 * x])[0]
             want = _reference_solve_X(d, a, b)
             assert abs(X - want) <= max(1e-14 * want, _SUBNORMAL_ROUNDING), (a, b)
             assert abs(X - _reference_solve_X(d, x)) <= 1e-14 * X, (a, b)
@@ -630,7 +637,7 @@ class TestArrayTangencySolve:
         messages = set()
         for p1 in ([bad], [bad, good], [good, bad], [good, good, bad]):
             with pytest.raises(error) as info:
-                fitting._solve_X_many(d, np.array(p1))
+                _solve_X_rows(d, np.array(p1))
             messages.add(str(info.value))
         assert len(messages) == 1
         assert repr(bad) in messages.pop()
@@ -642,7 +649,7 @@ class TestArrayTangencySolve:
         d = DomainParams(m=m, n=2)
         want = _root_50(m, p1)
         for rows in ([p1], [p1, 0.3], [0.3, p1], [0.3, 0.3, p1]):
-            X = fitting._solve_X_many(d, np.array(rows))[rows.index(p1)]
+            X = _solve_X_rows(d, np.array(rows))[rows.index(p1)]
             assert abs(X - want) <= 1e-15 * want, rows
 
     def test_newton_convergence_rule_bounds_evaluations(self, monkeypatch):
@@ -694,7 +701,7 @@ class TestArrayTangencySolve:
         d = DomainParams(m=2.0, n=2)
         p1, s = _inner_pairs(2.0, np.random.default_rng(62), [0.3, 0.6, 1.1])
         with pytest.raises(ConfigurationError):
-            fitting._solve_X_many(d, _axis_p1(2.0, p1, s))
+            _solve_X_rows(d, _axis_p1(2.0, p1, s))
 
     def test_small_row_solves_as_the_scalar_solve(self):
         # p1 = 1e-5 at m = 20, where the X form overflowed: one row and a
@@ -702,7 +709,7 @@ class TestArrayTangencySolve:
         d = DomainParams(m=20.0, n=2)
         want = _root_50(20.0, 1e-5)
         assert abs(solve_X(d, 1e-5) - want) <= 1e-15 * want
-        assert abs(fitting._solve_X_many(d, np.array([0.3, 1e-5]))[1] - want) <= 1e-15 * want
+        assert abs(_solve_X_rows(d, np.array([0.3, 1e-5]))[1] - want) <= 1e-15 * want
 
     def test_rows_inside_the_float_range_solve(self):
         # (2m - 1) log(1/p1^2) = 705.9 and 708.3 at m = 60: past e^700, just
@@ -711,7 +718,7 @@ class TestArrayTangencySolve:
         d = DomainParams(m=60.0, n=2)
         x = _axis_p1(60.0, np.array([0.0515, 0.051]), np.array([1.0, 0.9]))
         expected = np.array([_root_50(60.0, a) for a in x])
-        X = fitting._solve_X_many(d, x)
+        X = _solve_X_rows(d, x)
         assert np.all(np.abs(X - expected) <= 1e-15 * expected)
 
 

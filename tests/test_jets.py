@@ -187,8 +187,7 @@ class TestNearBoundary:
         z = np.array([0.9746, 0.1])
         assert seam_distance(d, z) < 0.03
         assert kahler_defect(d, z) <= 1e-12
-        _, dz_fd, _ = wirtinger_jet(lambda w: tensor_module._wu_matrices(d, w), z, 1e-4,
-                                    hessian=False)
+        _, dz_fd, _ = wirtinger_jet(lambda w: tensor_module._wu_matrices(d, w), z, 1e-4)
         assert tensor_module._jet_defect(dz_fd) > 1e-7
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 20.0])

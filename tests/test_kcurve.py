@@ -20,6 +20,7 @@ from eggmetrics import (
     square_convexity_check,
     third_derivative_reference,
 )
+from eggmetrics import kcurve as kcurve_module
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many, lower_xy, upper_xy
 from eggmetrics.numerics import abs_pow, richardson
 from eggmetrics.verification import run_checks
@@ -271,6 +272,19 @@ class TestJoiningDerivatives:
         assert abs(got.d2_match - d2) <= 1e-6 * scale
         assert got.d3_jump == pytest.approx(d3, rel=1e-6, abs=0)
 
+    @pytest.mark.parametrize("m", [0.75, 2.0, 5.0])
+    @pytest.mark.parametrize("p1", [0.999999, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_third_derivative_reference_near_one_matches_50_digits(self, m, p1):
+        # 1 - p1^2m from the x-intercept's expm1 form: the subtraction lost
+        # up to 7.4e-8 relative at p1 = 1 - 1e-9
+        with mpmath.workdps(50):
+            mp_m, mp_p1 = mpmath.mpf(m), mpmath.mpf(p1)
+            P = mp_p1 ** (2 * mp_m)
+            want = (16 * mp_p1 ** (2 * mp_m + 2) * (1 - P) ** 2 * (2 * mp_m - 1) ** 2 * (mp_m - 1)
+                    / mp_m / ((4 * mp_m - 2) * P * (1 - P)) ** 4)
+            got = third_derivative_reference(DomainParams(m=m, n=2), p1)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
     @pytest.mark.parametrize("m", [0.75, 1.5, 2.0, 5.0, 20.0, 60.0])
     @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
     def test_exact_third_derivative_matches_reference(self, m, p1):
@@ -338,16 +352,11 @@ class TestConvexity:
         d = DomainParams(m=1.0, n=2)
         assert square_convexity_check(d, 0.5, Branch.UPPER).verdict is Convexity.AFFINE
 
-    def test_stable_under_doubling(self):
-        for m in (0.75, 2.0):
-            d = DomainParams(m=m, n=2)
-            a = square_convexity_check(d, 0.5, Branch.UPPER, samples=64)
-            b = square_convexity_check(d, 0.5, Branch.UPPER, samples=128)
-            assert a.verdict is b.verdict
-
-    def test_needs_enough_samples(self):
-        with pytest.raises(DomainError):
-            square_convexity_check(DomainParams(m=2.0, n=2), 0.5, Branch.UPPER, samples=4)
+    def test_stable_under_doubling(self, monkeypatch):
+        domains = [DomainParams(m=m, n=2) for m in (0.75, 2.0)]
+        verdicts = [square_convexity_check(d, 0.5, Branch.UPPER).verdict for d in domains]
+        monkeypatch.setattr(kcurve_module, "_CONVEXITY_SAMPLES", 128)
+        assert [square_convexity_check(d, 0.5, Branch.UPPER).verdict for d in domains] == verdicts
 
     def test_unresolvable_branch_is_a_numerical_error(self):
         # at m = 20 the LOWER branch at p1 = 0.4 spans under 1e-14 in x, so

@@ -195,7 +195,7 @@ PINS = {
     (1.0000001, "generic"):
         "313d667a33677ef47b7562b61d496cfa8ada0df6e8db1640411a13e7cd43f0ea",
     (1.0000001, "on-Z"):
-        "d6a444723494c90b7820be0535b83383cdcadf737e7c96c5157a34b6a8980f83",
+        "1dde4d007fe86c9745253bd3056da4c8c7b438ec56903735bea1b89398218d69",
     (1.0000001, "z1=1e-8"):
         "173475cb7f8db81f939c630d31426b59163ca153b0186655bb2aa23db65d55ed",
     (1.0000001, "on-M0"):
@@ -211,7 +211,7 @@ PINS = {
     (2.0, "generic"):
         "7a579b3f295c4e9bc2aa0568a8578ab3d93c2a5943266b8d383ed2d0a7de57ea",
     (2.0, "on-Z"):
-        "b2e1e1c40e046f64fb64be2c3332f2c360fa5f033441ec2fc4c9b5a516a5135e",
+        "321d17db6fb1b07d4780b6e544a5bac0545e3d894c3ca2efb3345e0ef83e1e41",
     (2.0, "z1=1e-8"):
         "768b4cc062213318e767deb78e77af72453e2b1057e6c1cafbb0a874c9ee567b",
     (2.0, "on-M0"):
@@ -227,7 +227,7 @@ PINS = {
     (5.0, "generic"):
         "1fc43f5566f48f3007c6bff65221bd8d748537f5f54a52cae3b456dd549dfcdc",
     (5.0, "on-Z"):
-        "c6bbf0b2893b65cdfb0b10c484211dcde2d7814d34d6771824ab9961b55f0ea5",
+        "7ced665b5623937fdb1787db703be7b7564515fc41634cce49b6d1754ce16220",
     (5.0, "z1=1e-8"):
         "3afe963bce824722384c8b0cf592f5da9a0f5afeb2155ee600b4fd95b54dce63",
     (5.0, "on-M0"):
@@ -243,7 +243,7 @@ PINS = {
     (20.0, "generic"):
         "ee893ea2c6a9cac196cf24c7e822715e28a0100b68324e011ca5c495f48a0b21",
     (20.0, "on-Z"):
-        "d78af09209c74af7d1d5f7007cc55ca91d5dea7ea7ab1f8abb29327da017d539",
+        "4182880fc2be54fc1efa3ad5464cf3dd646caf76034b3900db0d8f059241587e",
     (20.0, "z1=1e-8"):
         "b0f737b72aec6f84d8803ec54411ee8a2d3142bbe1c4cdbacaaab7740ce300fb",
     (20.0, "on-M0"):
@@ -259,7 +259,7 @@ PINS = {
     (60.0, "generic"):
         "dadb7d02d5d59f8b3de8b4c4886fa236a49eea8f006d213dced651486ca482b5",
     (60.0, "on-Z"):
-        "22fd4b62b18f4c0a7baa96cd8cc99acbc7f0e3933476c7e1305b71009f358f99",
+        "05ffd3ce56968524bf232f1d6822dd69385b32b607cd304172b2617d60da2507",
     (60.0, "z1=1e-8"):
         "b219dfb98d249dd99cd1936b4b13f2e03dc29915603e1e324a321116aff0fc0b",
     (60.0, "on-M0"):

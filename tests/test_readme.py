@@ -1,0 +1,46 @@
+"""The README's python examples run as printed and hold what their comments claim."""
+
+import ast
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from eggmetrics import RegionLabel
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _run_block(index):
+    # run the index-th ```python block of the README statement by statement;
+    # returns its namespace and each top-level expression's value by its source
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 2
+    namespace, values = {}, {}
+    for stmt in ast.parse(blocks[index]).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.unparse(stmt.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_library_quickstart():
+    _, values = _run_block(0)
+    assert values["classify_region(egg, z)"] is RegionLabel.M_MINUS
+    assert values["wu_norm(egg, z, v)"] <= values["kobayashi(egg, z, v)"]
+    assert values["containment_violation(egg, 0.5, fit_reference(egg, 0.5))"] <= 0.0
+    assert values["holomorphic_curvature(egg, np.array([0.9, 0.0]), v)"] == pytest.approx(
+        -2.0, rel=1e-12)
+
+
+def test_array_api():
+    namespace, values = _run_block(1)
+    k, w, H = namespace["k"], namespace["w"], namespace["H"]
+    assert k.shape == w.shape == (300,) and H.shape == (300, 2, 2)
+    assert not H.flags.writeable
+    assert np.all(w <= k)
+    assert values["kobayashi(egg, z[0], v[0]) == k[0]"]
+    assert type(eval("kobayashi(egg, z[0], v[0])", namespace)) is float

@@ -128,7 +128,7 @@ def test_tangency_root_within_1e_15(m):
     want = np.array([float(wu_reference.tangency_root(m, x)) for x in p1])
     one = np.array([solve_X(d, float(x)) for x in p1])
     assert np.all(np.abs(one - want) <= 1e-15 * want)
-    assert np.all(np.abs(fitting._solve_X_many(d, p1) - want) <= 1e-15 * want)
+    assert np.all(np.abs(p1 * p1 * fitting._solve_tau(m, p1) - want) <= 1e-15 * want)
 
 
 @pytest.mark.parametrize("m", ROOT_M)

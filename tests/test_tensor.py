@@ -289,10 +289,8 @@ class TestBatchedTensor:
         # every formula and stratum the batch was built to hit
         expected = ({"chord-form", "chord-form (z1=0 limit)"} if m < 1.0
                     else {"ball"} if m == 1.0
-                    else {"inner-form", "inner-form (Z limit)",
+                    else {"inner-form", "inner-form (near Z)",
                           "outer-form", "outer-form (on M0)"})
-        if 1.0 < m < 20.0:
-            expected.add("inner-form (near Z)")  # |z1| = 1e-11 keeps the inner form
         assert expected <= sources
 
     def test_single_row_is_wu_tensor(self):

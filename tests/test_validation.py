@@ -52,6 +52,7 @@ ENTRIES = [
     (pullback_tensor, (Z,), (0,)),
     (kahler_defect, (Z,), (0,)),
     (curvature_tensor, (Z,), (0,)),
+    (holomorphic_curvature, (Z, V), (0, 1)),
     (egg_automorphism, (Z, 0.5 * Z), (0, 1)),
     (automorphism_jacobian, (Z, 0.5 * Z), (0, 1)),
     (minkowski_gauge, (V,), (0,)),
@@ -94,6 +95,16 @@ class TestBoundary:
             call[pos] = bad
             with pytest.raises(DomainError, match=message):
                 fn(D, *call)
+
+    def test_curvature_direction_is_checked_once(self, as_vector_calls):
+        # a NaN or inf direction read NaN, a wrong length a bare ValueError
+        tensor = curvature_tensor(D, Z)
+        for bad, message in _bad_vectors(V):
+            with pytest.raises(DomainError, match=message):
+                tensor.holomorphic(bad)
+        as_vector_calls.clear()
+        holomorphic_curvature(D, Z, V)
+        assert len(as_vector_calls) == 2  # the point and the direction
 
     def test_first_bad_argument_is_reported(self):
         short, nan = Z[:-1], np.array([0.1, math.nan, 0.0])
@@ -157,10 +168,10 @@ class TestBoundary:
 
 
 class TestRegionTolerance:
-    # checked once, by the public function; pullback_tensor used to accept a
-    # bad tol for rows, which carry no region label
+    # checked once, by the public function, for rows too, which carry no
+    # region label; pullback_tensor labels at REGION_TOL and takes no tol
     @pytest.mark.parametrize("tol", [0.0, -1.0])
-    @pytest.mark.parametrize("fn", [classify_region, wu_tensor, pullback_tensor])
+    @pytest.mark.parametrize("fn", [classify_region, wu_tensor])
     def test_bad_tol_is_refused_for_one_point_and_for_rows(self, fn, tol):
         for z in (Z, np.array([Z, 0.5 * Z])):
             with pytest.raises(DomainError, match="tol must be positive"):
