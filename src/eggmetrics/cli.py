@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import GridSpec, curvature_scan
-from .domain import REGION_TOL, DomainParams, _axis_point, classify_region
+from .domain import REGION_TOL, DomainParams, _axis_point, _check_tol, classify_region
 from .errors import EggMetricsError, NumericalError, SeamProximityError
 from .fitting import containment_violation, contact_point, fit_oracle, fit_reference
 from .kcurve import kcurve_alpha_grid, kcurve_sample
@@ -406,8 +406,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"unknown format {cfg.fmt!r}")
         if cfg.fmt == "csv" and not getattr(args, "csv", False):
             raise ValueError(f"{args.command} does not write csv; kcurve and curvature-scan do")
-        if cfg.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_tol(cfg.tol)
     except (EggMetricsError, ValueError) as exc:
         sys.stderr.write(f"egg-metrics: validation error: {exc}\n")
         return 1

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import DomainParams, RegionLabel, _axis_point, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
+from .numerics import _check_integer
 from .tensor import HermitianForm, _jet_defect, _jet_region, _wu_jet
 
 #: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
@@ -99,12 +99,9 @@ def direction_sample(n: int, seed: int, count: int | None = None) -> np.ndarray:
 
 def _direction_set(n: int, seed: int, count: int | None) -> np.ndarray:
     # direction_sample as a shared read-only array, built once per key
-    if count is None:
-        count = 2 * n * n + 16
-    count = operator.index(count)
-    if count < 1:
-        raise DomainError(f"direction count must be at least 1, got {count!r}")
-    return _build_directions(n, operator.index(seed), count)
+    n = _check_integer(n, "dimension n", 1)
+    count = _check_integer(2 * n * n + 16 if count is None else count, "direction count", 1)
+    return _build_directions(n, _check_integer(seed, "direction seed", 0), count)
 
 
 @functools.lru_cache(maxsize=128)
@@ -141,14 +138,12 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.p1_min <= self.p1_max < 1.0):
             raise DomainError("p1 range must satisfy 0 < min <= max < 1")
-        if self.count < 1:
-            raise DomainError("grid count must be positive")
+        _check_integer(self.count, "grid count", 1)
+        _check_integer(self.seed, "direction seed", 0)
         if not math.isfinite(self.phat_abs):
             raise DomainError(f"phat_abs must be finite, got {self.phat_abs!r}")
-        if not (self.directions is None
-                or (isinstance(self.directions, int) and self.directions >= 1)):
-            raise DomainError(
-                f"directions must be None or an integer >= 1, got {self.directions!r}")
+        if self.directions is not None:
+            _check_integer(self.directions, "directions", 1)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,9 @@ def _check_p1(p1: float) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    # the region tolerance of a public call
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    # the region tolerance of a public call: finite and positive (NaN fails both)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _axis_point(domain: DomainParams, p1, z2: complex = 0.0) -> np.ndarray:

@@ -44,85 +44,53 @@ def solve_X(domain: DomainParams, p1: float) -> float:
 
     X is the geometric root of X^(2m-1) - (m+1) p1^2m X^(m-1) + (m-2) p1^2m
     X^m + 2 p1^4m = 0, the unique one in (p1^2, 1]; a point off the inner
-    region has none. It is solved as tau = X/p1^2 in the bounded form
-    ``_tangency``, the equation divided by p1^(4m-2) tau^(m-1), whose terms
-    stay O(m) on its bracket: no power leaves the float range at any m or
-    p1, and the root keeps full relative accuracy as p1 -> 0, where it
-    tends to tau0 = (m+1)^(1/m). Off the axis, at a point whose reference
-    coordinate is p1/s^(1/m), the equation multiplies its s-free terms by
-    s^4 and the others by s^2, and dividing by s^4 gives the same root:
+    region (2 p1^2m - 1 above 1e-12) has none. It is solved as tau = X/p1^2
+    in the bounded form ``_tangency``, the equation divided by p1^(4m-2)
+    tau^(m-1), whose terms stay O(m) on its bracket: no power leaves the
+    float range at any m or p1, and the root keeps full relative accuracy
+    as p1 -> 0, where it tends to tau0 = (m+1)^(1/m), and up to M0, where
+    X -> 1. Off the axis, at a point whose reference coordinate is
+    p1/s^(1/m), the equation multiplies its s-free terms by s^4 and the
+    others by s^2, and dividing by s^4 gives the same root:
     X(p1, s) = X(p1/s^(1/m), 1).
     """
     if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
     _check_p1(p1)
     p1 = float(p1)
+    if _M0_WEIGHT * p1 ** (2.0 * domain.m) - 1.0 > 1e-12:
+        raise ConfigurationError(
+            f"no tangency root: axis coordinate p1={p1!r} is not in the inner region")
     return p1 * p1 * _solve_tau(domain.m, p1)
 
 
 def _solve_tau(m: float, p1):
-    # the tangency root tau = X/p1^2 at checked inner-region axis coordinates
-    # p1 (rows), or at one p1 as a float: a row off the inner region raises
-    # ConfigurationError, rows next to the middle stratum take a closed form
-    # and the others take a few Newton steps on the certified bracket of
-    # ``_ends``. One p1, and the first solved row of several, are solved on
-    # floats (``solve_bracketed``) with numpy's p1^2m, so one p1 costs about
-    # its scalar solve and keeps the bits it has as the first of several
-    # rows (libm's pow rounds apart from numpy's on a few percent of inputs)
-    if np.ndim(p1) == 0:  # one point, on floats
-        x = float(p1)
-        w, solved = _strata(x, float(np.power(x, 2 * m)))
-        return _solve_pair(m, x * x) if solved else _near_m0(m, x * x, w)
-    w, solved = _strata(p1, np.power(p1, 2 * m))
-    tau = np.empty_like(p1)
-    tau[~solved] = _near_m0(m, p1[~solved] * p1[~solved], w[~solved])
-    rows = np.flatnonzero(solved)
-    if rows.size:  # the first solved row on floats, bit for bit as that pair alone
-        tau[rows[0]] = _solve_pair(m, float(p1[rows[0]] * p1[rows[0]]))
-    if rows.size > 1:
-        rows = rows[1:]
-        pm = p1[rows] * p1[rows]
-        tau[rows] = _solve_bracketed_rows(
-            lambda t, r: _tangency(m, t, pm[r]), lambda t, r: _tangency_slope(m, t, pm[r]),
-            *_ends(m, pm, np.maximum))
-    return tau
-
-
-def _solve_pair(m: float, pm: float) -> float:
-    # tau of one solved row on floats, with pm = p1^2
-    lo, hi, x0 = _ends(m, pm, max)
-    return solve_bracketed(lambda t: _tangency(m, t, pm), lo, hi,
-                           df=lambda t: _tangency_slope(m, t, pm), x0=x0)
-
-
-def _strata(p1, P):
-    # w = 2 p1^2m - 1 (the middle-stratum indicator) and whether the row is
-    # solved, i.e. not next to the middle stratum, for one row's floats or
-    # for rows; raises at the first row that w puts off the inner region
-    w = _M0_WEIGHT * P - 1.0
-    off = w > 1e-12
-    if off.any() if isinstance(off, np.ndarray) else off:
-        bad = float(np.ravel(p1)[np.argmax(off)])
-        raise ConfigurationError(
-            f"no tangency root: axis coordinate p1={bad!r} is not in the inner region")
-    return w, w < -1e-9
-
-
-def _near_m0(m: float, pm, w):
-    # tau next to the middle stratum, where the root sits inside the equation's
-    # evaluation noise at the upper bracket end: X = 1 + w/(2m-1) + O(w^2), over pm
-    return (1.0 + w / (2.0 * m - 1.0)) / pm
+    # the tangency root tau = X/p1^2 at inner-region axis coordinates p1: a
+    # few Newton steps on the certified bracket of ``_ends``, for one p1 on
+    # floats (``solve_bracketed``) or for rows (``_solve_bracketed_rows``)
+    if np.ndim(p1) == 0:
+        pm = float(p1) * float(p1)
+        lo, hi, x0 = _ends(m, pm, max)
+        return solve_bracketed(lambda t: _tangency(m, t, pm), lo, hi,
+                               df=lambda t: _tangency_slope(m, t, pm), x0=x0)
+    pm = p1 * p1
+    return _solve_bracketed_rows(
+        lambda t, r: _tangency(m, t, pm[r]), lambda t, r: _tangency_slope(m, t, pm[r]),
+        *_ends(m, pm, np.maximum))
 
 
 def _ends(m: float, pm, maximum):
-    # lower end, upper end and start in tau of solved rows with pm = p1^2, for
-    # one row's floats (maximum = max) or rows (np.maximum). The bracket
-    # [1, min(1/pm, tau0 (1 + 1e-12))] is certified for every m > 1:
-    # h(1) = -m (1 - pm) < 0 and h(tau0) = pm tau0 m (m-1)/(m+1) >= 0. Inside
-    # M0 the root lies in [2^(1/m), tau0]; the start takes tau^m linear in
-    # pm, exact at p1 = 0 (m+1) and on M0 (2), as h nearly is for large m
+    # lower end, upper end and start in tau at pm = p1^2, for one p1's floats
+    # (maximum = max) or rows (np.maximum). The bracket [1, min((1 + 1e-12)/pm,
+    # tau0 (1 + 1e-12))] is certified for every m > 1 up to M0:
+    # h(1) = -m (1 - pm) < 0, h(tau0) = pm tau0 m (m-1)/(m+1) >= 0 and
+    # h(1/pm) = (1 - P)(1 - 2P)/P >= 0 inside M0 (P = p1^2m), where widening
+    # by 1e-12 lifts h by about (2m-1) 1e-12, above its evaluation noise.
+    # Inside M0 the root lies in [2^(1/m), tau0]; the start takes tau^m
+    # linear in pm, exact at p1 = 0 (m+1) and on M0 (2), as h nearly is for
+    # large m
     tau0 = (m + 1.0) ** (1.0 / m)
-    hi = 1.0 / maximum(pm, 1.0 / (tau0 * (1.0 + 1e-12)))
+    hi = (1.0 + 1e-12) / maximum(pm, 1.0 / tau0)  # pm may underflow to 0
     return 1.0 + 0.0 * pm, hi, (m + 1.0 + (1.0 - m) * pm * 2.0 ** (1.0 / m)) ** (1.0 / m)
 
 
@@ -160,11 +128,12 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     m <= 1: the chord through the two axis intercepts. m > 1 outside the
     2^(-1/2m) threshold: the LOWER line itself. m > 1 inside: the line
     tangent to the UPPER curve at the solved contact parameter, which tends
-    to ``fit_origin`` as p1 -> 0. The one-row case of ``_fit_rows``.
+    to ``fit_origin`` as p1 -> 0. ``_fit_rows``' row at p1, on floats.
     """
     _check_p1(p1)
-    r1, r2 = _fit_rows(domain, np.array([float(p1)]))
-    return WuEllipsoidDiag(r1=float(r1[0]), r2=float(r2[0]))
+    p1 = float(p1)
+    r1, r2 = _fit(domain, int(_regimes(domain, np.array([p1]))[0]), p1 * p1)
+    return WuEllipsoidDiag(r1=float(r1), r2=float(r2))
 
 
 #: the fit regimes at an axis coordinate p1: the chord through the two axis
@@ -186,8 +155,6 @@ def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
     # every row by its own regime (``regime`` when the caller has decided it)
     regime = _regimes(domain, p1) if regime is None else regime
     u = p1 * p1
-    if len(p1) and (regime == regime[0]).all():  # a stencil in one regime
-        return _fit(domain, regime[0], u)
     fit = np.empty((2, len(p1)))
     for k in np.unique(regime):
         rows = regime == k

@@ -94,9 +94,8 @@ def _solve_alpha(m: float, t, p1):
     beta = alpha/p1 the root is bracketed by beta^(2-2m) <= 1 for m >= 1 and
     1 <= beta^(2-2m) <= beta for m < 1, and the bracket is narrowed by one
     fixed-point step, then widened by 1e-9 so that rounding keeps the sign
-    change. One row, and the first of several, runs the scalar
-    ``solve_bracketed``; any others run ``_solve_bracketed_rows`` from the
-    same midpoint start.
+    change. One row runs the scalar ``solve_bracketed`` on floats, rows run
+    ``_solve_bracketed_rows`` from the same midpoint start.
     """
     one = np.ndim(t) == 0
     if not (p1 > _P1_UPPER_MIN if one else (p1 > _P1_UPPER_MIN).all()):
@@ -131,20 +130,14 @@ def _solve_alpha(m: float, t, p1):
             hi = 2.0 * hi - lo
         return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
 
-    t_0, p1_0 = (float(t), float(p1)) if one else (float(t[0]), float(p1[0]))
-    alpha_0 = solve_bracketed(lambda a: g(a, t_0, p1_0, math), *ends(t_0, p1_0, math, max, min),
-                              df=lambda a: dg(a, t_0, p1_0, math))
     if one:
-        return alpha_0
-    alpha = np.empty(len(t))
-    alpha[0] = alpha_0
-    if len(t) > 1:
-        t, p1 = t[1:], p1[1:]
-        lo, hi = ends(t, p1, np, np.maximum, np.minimum)
-        alpha[1:] = _solve_bracketed_rows(
-            lambda a, r: g(a, t[r], p1[r], np), lambda a, r: dg(a, t[r], p1[r], np),
-            lo, hi, 0.5 * (lo + hi))
-    return alpha
+        t, p1 = float(t), float(p1)
+        return solve_bracketed(lambda a: g(a, t, p1, math), *ends(t, p1, math, max, min),
+                               df=lambda a: dg(a, t, p1, math))
+    lo, hi = ends(t, p1, np, np.maximum, np.minimum)
+    return _solve_bracketed_rows(
+        lambda a, r: g(a, t[r], p1[r], np), lambda a, r: dg(a, t[r], p1[r], np),
+        lo, hi, 0.5 * (lo + hi))
 
 
 def _upper_ratio(m: float, p1, alpha, xp=np):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,6 +200,18 @@ def _check_step(step: float) -> None:
     # a differencing step: finite and positive (NaN fails both tests)
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"differencing step must be finite and positive, got {step!r}")
+
+
+def _check_integer(value, name: str, minimum: int) -> int:
+    # a count, seed or order: an integer (Python's or numpy's) of at least
+    # ``minimum``; a float, even an integral one, is refused
+    try:
+        k = operator.index(value)
+    except TypeError:
+        k = None
+    if k is None or k < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return k
 
 
 def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float):

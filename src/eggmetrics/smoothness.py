@@ -23,7 +23,7 @@ from .domain import DomainParams, as_vector
 from .errors import ConfigurationError, DomainError
 from .kcurve import joining_point_derivatives
 from .kobayashi import kobayashi_sq
-from .numerics import onesided_weights
+from .numerics import _check_integer, _check_step, onesided_weights
 from .tensor import wu_tensor
 
 #: geometric step scales, 1e-2 down to 1e-5 (7 scales, half-decade ratio)
@@ -120,6 +120,8 @@ def derivative_jump(f: Callable[[np.ndarray], np.ndarray], q: int,
     amplification of the finest stencil, so artifacts of smooth functions
     self-identify.
     """
+    q = _check_integer(q, "derivative order", 0)
+    _check_step(h0)
     nodes = _jump_nodes(q, h0)
     return _jump(q, nodes, *_on_nodes(f, nodes, -nodes))
 
@@ -135,10 +137,11 @@ def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
     inside (0, 1) on a stencil of order q > k+beta flags a Hölder defect. Increments below the roundoff floor are excluded from the
     regression, which must keep at least four of the supplied scales.
     """
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    if len(steps) < 6:
-        raise DomainError("need at least 6 step scales")
+    order = _check_integer(order, "derivative order", 0)
+    for h in steps:
+        _check_step(h)
+    if len(set(steps)) < 6:  # the log-log fit needs spread in log h
+        raise DomainError("need at least 6 distinct step scales")
     candidates = []
     best_r2 = 0.0
     saw_signal = False

@@ -209,6 +209,14 @@ class TestExitCodes:
                                "--point", "0,0")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tol_exits_one(self, capsys, tol):
+        # a NaN tolerance labelled an interior point OUTSIDE and exited 0
+        code, out, err = run_cli(capsys, "region", "--m", "2", "--n", "2",
+                                 "--point", "0.1,0.1", f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert "tol must be finite and positive" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [("--directions", "0"), ("--step", "0")])
     def test_bad_stencil_control_exits_one(self, capsys, flag, value):
         # the scan is exact and has no --step any more: the flag is unknown

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ class TestSolveAlpha:
             solve_alpha(2.0, 0.5, 1.5)
         with pytest.raises(DomainError):
             solve_alpha(2.0, 1.5, 0.5)
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0])
+    def test_rows_match_one_float_calls_to_4_ulp(self, m):
+        # one (t, p1) on floats runs the scalar solve, rows the row solve,
+        # from the same bracket and start; numpy's and libm's powers round
+        # apart by a few ulp at most. A row alone and among others is the
+        # same bits
+        solve = sys.modules["eggmetrics.kobayashi"]._solve_alpha
+        rng = np.random.default_rng([int(1e7 * m), 67])
+        p1 = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-6, 80),
+                             10.0 ** -rng.uniform(3.0, 140.0, 20)])
+        t = rng.uniform(0.0, 1.0, 100)
+        alpha = solve(m, t, p1)
+        one = np.array([solve(m, a, b) for a, b in zip(t.tolist(), p1.tolist())])
+        assert np.all(np.abs(alpha - one) <= 4 * np.spacing(one))
+        assert all(solve(m, t[i:i + 1], p1[i:i + 1])[0] == alpha[i] for i in range(0, 100, 9))
 
 
 class TestBranchParams:

@@ -199,11 +199,11 @@ PINS = {
     (1.0000001, "z1=1e-8"):
         "173475cb7f8db81f939c630d31426b59163ca153b0186655bb2aa23db65d55ed",
     (1.0000001, "on-M0"):
-        "2eba114d79b5f1ac4ee643ce5694136c386db5d6d6433944406875fb44b235e4",
+        "7646d10a64df7aa645b9f26ee3d33671e881e8645dcbdbd3015c32dd78aa3fd6",
     (1.0000001, "M0+1e-9"):
-        "9e5ce2323347e009d59e197d71742ecbf5d26373367102fe132efc3b5bea5fe6",
+        "fbeb6e5db025d01b451fdfefb1b41b51191a636d53608c534988616c0cab0a87",
     (1.0000001, "M0-1e-9"):
-        "a80e485dd7f7b08bf3e9e34948b25ef442664126822e324fce85296e6297c732",
+        "674f00e875ad0b165109d246e00f4f235d94f3a4352be7bb4ee24abdde2564dc",
     (1.0000001, "gauge=1-1e-6"):
         "058d4c2bf4b39f1851275d4a01e7b6c7ead9da54348040ee43fc8be920a6415b",
     (1.0000001, "boundary-0-3ulp"):
@@ -215,11 +215,11 @@ PINS = {
     (2.0, "z1=1e-8"):
         "768b4cc062213318e767deb78e77af72453e2b1057e6c1cafbb0a874c9ee567b",
     (2.0, "on-M0"):
-        "49c3b8631d2db2132f4a3163ba3e652a287d6f74b1cf28c8e1a7e6e0d9224914",
+        "c6f1e6f1bc4f8195e2635b423809a8edaa104753cd5955a741d2bb924561e7c9",
     (2.0, "M0+1e-9"):
-        "27165c6166a4e7786e5cf65ddffe191c19dfb08f7a7b6383764405cc8bd8fab4",
+        "5e6ad708dd6b8d4c2690915d1d952aa7fbb5413f5e8cb4439bf8f34ceddd8dd1",
     (2.0, "M0-1e-9"):
-        "b4dd2c43713b36920a4cc00cfad8477e8f2a779f3eb7012afc2376fcae49b3d5",
+        "510d1eac94d0519b6b1f5c02306c101bde11cd2d71d385fb228499af86d26e28",
     (2.0, "gauge=1-1e-6"):
         "57625e89a376228a33c3bee2e62c350b832c5e057d89d8bb071230aeee9fecc8",
     (2.0, "boundary-0-3ulp"):
@@ -231,7 +231,7 @@ PINS = {
     (5.0, "z1=1e-8"):
         "3afe963bce824722384c8b0cf592f5da9a0f5afeb2155ee600b4fd95b54dce63",
     (5.0, "on-M0"):
-        "533b8ce1e23aa1fa0ed195c073abdc2af5bf135b8df1df341185f0dcbecc156c",
+        "f200dc7c73a3bb38dd282db874ab5fa0c698b32aa945ae20dfd46be6673c5296",
     (5.0, "M0+1e-9"):
         "2eba784e00ab2d9d1175e8e5b22342549aa90e460e05c57c83998a5e5c807b78",
     (5.0, "M0-1e-9"):

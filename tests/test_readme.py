@@ -3,11 +3,12 @@
 import ast
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
 
-from eggmetrics import RegionLabel
+from eggmetrics import RegionLabel, cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +45,21 @@ def test_array_api():
     assert np.all(w <= k)
     assert values["kobayashi(egg, z[0], v[0]) == k[0]"]
     assert type(eval("kobayashi(egg, z[0], v[0])", namespace)) is float
+
+
+def _cli_lines():
+    # the egg-metrics lines of the README's sh blocks, split as a shell would
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    return [words[1:] for words in lines if words and words[0] == "egg-metrics"]
+
+
+def test_cli_block_shows_each_subcommand_once():
+    names = [argv[0] for argv in _cli_lines()]
+    assert len(names) == len(set(names)) == 8
+
+
+@pytest.mark.parametrize("argv", _cli_lines(), ids=lambda argv: argv[0])
+def test_cli_example_exits_zero(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # kcurve writes curve.csv here
+    assert cli.main(argv) == 0, capsys.readouterr().err

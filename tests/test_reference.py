@@ -16,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from eggmetrics import DomainParams, curvature_tensor, fitting, solve_X, wu_tensor
+from eggmetrics import (ConfigurationError, DomainParams, curvature_tensor, fitting, solve_X,
+                        wu_tensor)
 
 pytest.importorskip("mpmath")
 import wu_reference  # noqa: E402  (needs mpmath)
@@ -129,6 +130,36 @@ def test_tangency_root_within_1e_15(m):
     one = np.array([solve_X(d, float(x)) for x in p1])
     assert np.all(np.abs(one - want) <= 1e-15 * want)
     assert np.all(np.abs(p1 * p1 * fitting._solve_tau(m, p1) - want) <= 1e-15 * want)
+
+
+@pytest.mark.parametrize("m", ROOT_M)
+def test_tangency_root_up_to_m0_within_1e_15(m):
+    # the bracket's upper end reaches M0 with a margin of 1e-12, so the root
+    # needs no expansion next to it: m0_radius, its float predecessor and
+    # p1 = m0_radius (1 - 10^-k), k = 6..16, on floats and as rows. A float
+    # m0_radius may round just past M0, where X continues above 1
+    d = DomainParams(m=m, n=2)
+    thr = d.m0_radius
+    p1 = np.concatenate([[thr, np.nextafter(thr, 0.0)],
+                         thr * (1.0 - 10.0 ** -np.arange(6.0, 17.0))])
+    want = np.array([float(wu_reference.tangency_root(m, x)) for x in p1])
+    one = np.array([solve_X(d, float(x)) for x in p1])
+    assert np.all(np.abs(one - want) <= 1e-15 * want)
+    assert np.all(np.abs(p1 * p1 * fitting._solve_tau(m, p1) - want) <= 1e-15 * want)
+
+
+@pytest.mark.parametrize("m", ROOT_M)
+def test_solve_X_refuses_only_past_its_margin(m):
+    # w = 2 p1^2m - 1 up to 9e-13 past M0 solves, to the 50-digit root's
+    # continuation; 2e-12 is off the inner region
+    mp = wu_reference.mp
+    d = DomainParams(m=m, n=2)
+    with mp.workdps(wu_reference.DIGITS):
+        inside, off = (float(((1 + mp.mpf(w)) / 2) ** (1 / (2 * mp.mpf(m)))) for w in ("9e-13", "2e-12"))
+    want = float(wu_reference.tangency_root(m, inside))
+    assert want > 1.0 and abs(solve_X(d, inside) - want) <= 1e-15 * want
+    with pytest.raises(ConfigurationError, match="not in the inner region"):
+        solve_X(d, off)
 
 
 @pytest.mark.parametrize("m", ROOT_M)

@@ -5,6 +5,7 @@ import pytest
 
 from eggmetrics import (
     ConfigurationError,
+    DomainError,
     DomainParams,
     derivative_jump,
     holder_exponent,
@@ -180,6 +181,47 @@ class TestSeamScans:
     def test_unknown_seam_rejected(self):
         with pytest.raises(ConfigurationError):
             regularity_scan(DomainParams(m=2.0, n=2), "W", component="h11")
+
+
+class TestProbeInputs:
+    """Steps and orders are checked before f is called.
+
+    A NaN step gave the verdict "smooth" (holder_exponent) or (nan, nan)
+    (derivative_jump); a negative or fractional order leaked ValueError or
+    TypeError from the stencil weights.
+    """
+
+    @staticmethod
+    def _f(t):
+        raise AssertionError("f was called")
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_steps_are_refused(self, step):
+        with pytest.raises(DomainError, match="differencing step"):
+            holder_exponent(self._f, 1, steps=[step] * 6)
+        with pytest.raises(DomainError, match="differencing step"):
+            holder_exponent(self._f, 1, steps=list(smoothness.STEP_SCALES[:-1]) + [step])
+        with pytest.raises(DomainError, match="differencing step"):
+            derivative_jump(self._f, 1, h0=step)
+
+    def test_steps_must_be_six_distinct_scales(self):
+        # six equal steps fitted |t|^1.5 as "holder" with beta = 0.371 and
+        # r^2 = 1: the log-log fit had no spread in log h
+        for steps in ([1e-3] * 6, list(smoothness.STEP_SCALES[:5]) * 2):
+            with pytest.raises(DomainError, match="6 distinct step scales"):
+                holder_exponent(self._f, 1, steps=steps)
+
+    @pytest.mark.parametrize("order", [-1, 1.5, 2.0, "1", None])
+    def test_orders_must_be_non_negative_integers(self, order):
+        with pytest.raises(DomainError, match="derivative order"):
+            holder_exponent(self._f, order)
+        with pytest.raises(DomainError, match="derivative order"):
+            derivative_jump(self._f, order)
+
+    def test_numpy_integer_orders_are_accepted(self):
+        rep = holder_exponent(lambda t: np.abs(t) ** 1.5, np.int64(1))
+        assert rep.order == 1 and type(rep.order) is int and rep.verdict == "holder"
+        assert derivative_jump(lambda t: t * t, np.int64(2)) == derivative_jump(lambda t: t * t, 2)
 
 
 def test_half_m_wu_metric_continuous_with_first_derivative_break_at_z():

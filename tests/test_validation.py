@@ -14,6 +14,7 @@ from eggmetrics import (
     automorphism_jacobian,
     branch_params,
     classify_region,
+    curvature_scan,
     curvature_tensor,
     defining_function,
     direction_sample,
@@ -170,12 +171,19 @@ class TestBoundary:
 class TestRegionTolerance:
     # checked once, by the public function, for rows too, which carry no
     # region label; pullback_tensor labels at REGION_TOL and takes no tol
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("fn", [classify_region, wu_tensor])
     def test_bad_tol_is_refused_for_one_point_and_for_rows(self, fn, tol):
         for z in (Z, np.array([Z, 0.5 * Z])):
-            with pytest.raises(DomainError, match="tol must be positive"):
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
                 fn(D, z, tol=tol)
+
+    def test_nan_tol_does_not_label_an_interior_point(self):
+        # NaN passed ``tol <= 0`` and labelled this interior point OUTSIDE
+        d = DomainParams(2.0, 2)
+        assert classify_region(d, [0.1, 0.1]) is RegionLabel.M_MINUS
+        with pytest.raises(DomainError, match="got nan"):
+            classify_region(d, [0.1, 0.1], tol=math.nan)
 
 
 @pytest.fixture
@@ -316,6 +324,23 @@ class TestStencilControls:
         with pytest.raises(DomainError, match="directions"):
             GridSpec(p1_min=0.3, p1_max=0.6, count=2, directions=directions)
 
+    @pytest.mark.parametrize("field,value", [("count", 2.5), ("count", 2.0), ("count", 0),
+                                             ("seed", 0.5), ("seed", -1)])
+    def test_grid_count_and_seed_must_be_integers(self, field, value):
+        # a fractional count leaked TypeError from np.linspace in the scan
+        grid = {"p1_min": 0.1, "p1_max": 0.5, "count": 2, field: value}
+        with pytest.raises(DomainError, match="grid count" if field == "count" else "seed"):
+            GridSpec(**grid)
+
+    def test_integer_grid_controls_scan(self):
+        # the one-point grids the bench times, and numpy integers
+        d = DomainParams(m=2.0, n=2)
+        records, skipped = curvature_scan(d, GridSpec(p1_min=0.4, p1_max=0.4, count=1,
+                                                      phat_abs=0.1))
+        assert len(records) == 1 and not skipped
+        grid = GridSpec(p1_min=0.3, p1_max=0.6, count=np.int64(2), seed=np.int64(1))
+        assert len(curvature_scan(d, grid)[0]) == 2
+
     @pytest.mark.parametrize("phat_abs", [math.nan, math.inf])
     def test_grid_offset_must_be_finite(self, phat_abs):
         # the scan builds its points itself, past the vector check
@@ -345,3 +370,12 @@ class TestStencilControls:
         with pytest.raises(DomainError, match="direction count"):
             direction_sample(3, seed=0, count=count)
         assert direction_sample(3, seed=0, count=1).shape == (1, 3)
+
+    @pytest.mark.parametrize("n,seed,count,name", [(2, 1.5, None, "direction seed"),
+                                                   (2, -1, None, "direction seed"),
+                                                   (2, 0, 1.5, "direction count"),
+                                                   (2.0, 0, None, "dimension n")])
+    def test_direction_sample_inputs_must_be_integers(self, n, seed, count, name):
+        # a fractional seed leaked TypeError from operator.index
+        with pytest.raises(DomainError, match=name):
+            direction_sample(n, seed, count)

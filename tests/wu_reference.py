@@ -58,7 +58,9 @@ def _contact(m, p1):
     # the parameter a in (p1, 1) where x y is largest on the UPPER arc: the
     # root of d log(x y)/d log a, solved in k with a = p1^(1 - k), which
     # keeps the root at unit scale and the grid near p1, where the contact
-    # goes as p1 -> 0
+    # goes as p1 -> 0. The grid's last k, just past 1, brackets the root's
+    # analytic continuation past a = 1 for p1 up to about 1e-6 beyond M0,
+    # where a float M0 radius may round
     P = p1 ** (2 * m)
 
     def slope(a):
@@ -68,7 +70,7 @@ def _contact(m, p1):
         return ((2 * m - 2) * A / (A - P) + 2 * m * B / (B - P) - (4 * m - 2)
                 + 2 * (m * (2 * m - 2) * A - (m - 1) * 2 * m * B) / N - 2 * (2 * m - 1))
 
-    ks = [(mp.mpf(i) / 24) ** 3 for i in range(1, 25)]
+    ks = [(mp.mpf(i) / 24) ** 3 for i in range(1, 25)] + [1 + mp.mpf("1e-6")]
     i = next(i for i, k in enumerate(ks) if slope(p1 ** (1 - k)) <= 0)
     lo = ks[i - 1] if i else ks[0]
     while slope(p1 ** (1 - lo)) <= 0:  # the contact lies below the grid
@@ -78,7 +80,10 @@ def _contact(m, p1):
 
 
 def tangency_root(m, p1):
-    """The tangency root X = a^2 of the UPPER contact at the axis point p1 (m > 1, inside M0)."""
+    """The tangency root X = a^2 of the UPPER contact at the axis point p1 (m > 1, inside M0).
+
+    Just past M0 it is the root's continuation, X slightly above 1.
+    """
     with mp.workdps(DIGITS + 10):
         return _contact(mp.mpf(m), mp.mpf(p1)) ** 2
 
