@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -318,7 +319,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="key = value file mirroring flags; flags win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``egg-metrics`` parser, built once per process and shared: do not modify it."""
     parser = _Parser(prog="egg-metrics",
                      description="Kobayashi/Wu metric toolkit on egg domains")
     parser.add_argument("--version", action="version", version=__version__)
@@ -381,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

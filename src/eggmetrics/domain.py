@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _two_term_root, abs_pow
+from .numerics import _check_integer, _two_term_root, abs_pow
 
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
@@ -65,8 +65,7 @@ class DomainParams:
     m0_radius: float = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise DomainError(f"dimension n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _check_integer(self.n, "dimension n", 2))
         if not (math.isfinite(self.m) and self.m >= 0.5):
             raise DomainError(f"exponent m must be finite and >= 1/2, got {self.m!r}")
         object.__setattr__(self, "m0_radius", _M0_WEIGHT ** (-1.0 / (2.0 * self.m)))

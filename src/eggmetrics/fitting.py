@@ -71,12 +71,15 @@ def _solve_tau(m: float, p1):
     if np.ndim(p1) == 0:
         pm = float(p1) * float(p1)
         lo, hi, x0 = _ends(m, pm, max)
-        return solve_bracketed(lambda t: _tangency(m, t, pm), lo, hi,
-                               df=lambda t: _tangency_slope(m, t, pm), x0=x0)
+        return solve_bracketed(lambda t: _tangency(m, t, pm, t ** m), lo, hi,
+                               df=lambda t: _tangency_slope(m, t, pm, t ** m), x0=x0)
     pm = p1 * p1
-    return _solve_bracketed_rows(
-        lambda t, r: _tangency(m, t, pm[r]), lambda t, r: _tangency_slope(m, t, pm[r]),
-        *_ends(m, pm, np.maximum))
+
+    def hdh(t, r):
+        q, u = t ** m, pm[r]
+        return _tangency(m, t, u, q), _tangency_slope(m, t, u, q)
+
+    return _solve_bracketed_rows(hdh, *_ends(m, pm, np.maximum))
 
 
 def _ends(m: float, pm, maximum):
@@ -94,17 +97,15 @@ def _ends(m: float, pm, maximum):
     return 1.0 + 0.0 * pm, hi, (m + 1.0 + (1.0 - m) * pm * 2.0 ** (1.0 / m)) ** (1.0 / m)
 
 
-def _tangency(m: float, tau, pm):
+def _tangency(m: float, tau, pm, q):
     # the bounded tangency form h(tau) = tau^m - (m+1) + (m-2) pm tau
-    # + 2 pm tau^(1-m), with pm = p1^2: the equation in tau = X/p1^2 divided
-    # by tau^(m-1); tau^(1-m) = tau/tau^m
-    q = tau ** m
+    # + 2 pm tau^(1-m), with pm = p1^2 and q = tau^m: the equation in
+    # tau = X/p1^2 divided by tau^(m-1); tau^(1-m) = tau/q
     return q - (m + 1.0) + (m - 2.0) * pm * tau + 2.0 * pm * tau / q
 
 
-def _tangency_slope(m: float, tau, pm):
-    # d/dtau of ``_tangency``
-    q = tau ** m
+def _tangency_slope(m: float, tau, pm, q):
+    # d/dtau of ``_tangency``, with q = tau^m
     return m * q / tau + (m - 2.0) * pm + 2.0 * (1.0 - m) * pm / q
 
 
@@ -115,7 +116,7 @@ def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
     m, v = domain.m, u.v
     tau = _solve_tau(m, math.sqrt(v))
     q = tau ** m
-    h_tau = _tangency_slope(m, tau, v)
+    h_tau = _tangency_slope(m, tau, v, q)
     d1 = -((m - 2.0) * tau + 2.0 * tau / q) / h_tau
     h_tautau = m * (m - 1.0) * (q / (tau * tau) + 2.0 * v / (q * tau))
     h_tauu = m - 2.0 + 2.0 * (1.0 - m) / q

@@ -102,11 +102,11 @@ def _solve_alpha(m: float, t, p1):
         raise NumericalError(f"UPPER branch leaves the float range at p1={float(np.min(p1))!r}")
     e = 2.0 * m - 2.0
 
-    def g(a, t, p1, xp):
-        return a * a - t - (1.0 - t) * _upper_ratio(m, p1, a, xp)
+    def g(a, t, R):  # R = _upper_ratio(m, p1, a)
+        return a * a - t - (1.0 - t) * R
 
-    def dg(a, t, p1, xp):
-        return 2.0 * a + e * (1.0 - t) * _upper_ratio(m, p1, a, xp) / a
+    def dg(a, t, R):
+        return 2.0 * a + e * (1.0 - t) * R / a
 
     def ends(t, p1, xp, maximum, minimum):
         c = 1.0 - t
@@ -132,12 +132,16 @@ def _solve_alpha(m: float, t, p1):
 
     if one:
         t, p1 = float(t), float(p1)
-        return solve_bracketed(lambda a: g(a, t, p1, math), *ends(t, p1, math, max, min),
-                               df=lambda a: dg(a, t, p1, math))
+        return solve_bracketed(lambda a: g(a, t, _upper_ratio(m, p1, a, math)),
+                               *ends(t, p1, math, max, min),
+                               df=lambda a: dg(a, t, _upper_ratio(m, p1, a, math)))
     lo, hi = ends(t, p1, np, np.maximum, np.minimum)
-    return _solve_bracketed_rows(
-        lambda a, r: g(a, t[r], p1[r], np), lambda a, r: dg(a, t[r], p1[r], np),
-        lo, hi, 0.5 * (lo + hi))
+
+    def gdg(a, r):
+        tr, R = t[r], _upper_ratio(m, p1[r], a)
+        return g(a, tr, R), dg(a, tr, R)
+
+    return _solve_bracketed_rows(gdg, lo, hi, 0.5 * (lo + hi))
 
 
 def _upper_ratio(m: float, p1, alpha, xp=np):

@@ -61,9 +61,9 @@ def _two_term_root(a, b, m: float):
                                df=lambda x: dg(x, a, b, abs_pow), x0=x0)
     with np.errstate(divide="ignore"):
         ua, ub = -np.log(a) / (2 * m), -np.log(b) / 2.0
-    return _solve_bracketed_rows(lambda x, r: g(x, a[r], b[r], np.power),
-                                 lambda x, r: dg(x, a[r], b[r], np.power),
-                                 *_two_term_ends(ua, ub, m, np, np.minimum))
+    return _solve_bracketed_rows(
+        lambda x, r: (g(x, a[r], b[r], np.power), dg(x, a[r], b[r], np.power)),
+        *_two_term_ends(ua, ub, m, np, np.minimum))
 
 
 def _two_term_ends(ua, ub, m: float, xp, minimum):
@@ -145,20 +145,20 @@ def solve_bracketed(
     )
 
 
-def _solve_bracketed_rows(f, df, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
+def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
                           rtol: float = 1e-15, max_iter: int = ROOT_MAX_ITER) -> np.ndarray:
     """``solve_bracketed`` on independent rows side by side, each started at x0.
 
-    f(x, rows) and df(x, rows) evaluate the still open rows ``rows`` at x; the
-    caller guarantees f(lo) <= 0 <= f(hi) on every row. A start outside its
-    open bracket begins at the midpoint.
+    fdf(x, rows) returns (f, f') of the still open rows ``rows`` at x, so
+    that the two can share their work; the caller guarantees f(lo) <= 0 <=
+    f(hi) on every row. A start outside its open bracket begins at the midpoint.
     """
     out = np.empty_like(lo)
     rows = np.arange(lo.size)
     x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
     dx_old = hi - lo
     for _ in range(max_iter):
-        fx, d = f(x, rows), df(x, rows)
+        fx, d = fdf(x, rows)
         lo = np.where(fx < 0.0, x, lo)
         hi = np.where(fx > 0.0, x, hi)
         step = np.divide(fx, d, out=np.full_like(fx, np.nan), where=(d != 0.0) & np.isfinite(d))
@@ -222,40 +222,45 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float):
     coordinates u = (Re z, Im z) at steps h and h/2 with one Richardson level
     on top; the centre enters only the Hessian diagonal. Returns (f0, dz,
     ddbar) with f0 = f(z), dz[k] = df/dz_k and ddbar[k, l] = d2f/dz_k dzbar_l.
+    A (P, n) stack of points gives their jets stacked, from one call of f on
+    the P stencils in turn: each is its point's own jet when f's rows are independent.
     The package differentiates the metric exactly (``Taylor2``); this is the
     independent oracle the tests and ``verify`` hold it against.
     """
     _check_step(step)
     z = np.asarray(z, dtype=complex)
-    n = z.size
+    one, z = z.ndim == 1, z.reshape(-1, z.shape[-1])
+    P, n = z.shape
     d = 2 * n
-    u0 = np.concatenate([z.real, z.imag])
+    u0 = np.concatenate([z.real, z.imag], axis=1)[:, None]
     a, b = np.triu_indices(d, 1)
-    blocks = [u0[None]]
+    blocks = [u0]
     for h in (step, step / 2.0):
         e = h * np.eye(d)  # row a is the step along real coordinate a
         plus, minus = u0 + e, u0 - e
-        blocks += [plus, minus, plus[a] + e[b], plus[a] - e[b], minus[a] + e[b], minus[a] - e[b]]
-    u = np.concatenate(blocks)
+        blocks += [plus, minus, plus[:, a] + e[b], plus[:, a] - e[b], minus[:, a] + e[b],
+                   minus[:, a] - e[b]]
+    u = np.concatenate(blocks, axis=1).reshape(-1, d)
     values = f(u[:, :n] + 1j * u[:, n:])
+    values = values.reshape((P, -1) + values.shape[1:])
     p = len(a)
-    center = values[0]
+    center = values[:, 0]
     i = 1
     grads, hessians = [], []
     for h in (step, step / 2.0):
-        plus, minus, pp, pm, mp, mm = np.split(values[i:i + 2 * d + 4 * p],
-                                               np.cumsum([d, d, p, p, p]))
+        plus, minus, pp, pm, mp, mm = np.split(values[:, i:i + 2 * d + 4 * p],
+                                               np.cumsum([d, d, p, p, p]), axis=1)
         i += 2 * d + 4 * p
         grads.append((plus - minus) / (2.0 * h))
-        H = np.empty((d, d) + center.shape, dtype=values.dtype)
-        H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
-        H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
+        H = np.empty((P, d, d) + center.shape[1:], dtype=values.dtype)
+        H[:, np.arange(d), np.arange(d)] = (plus - 2.0 * center[:, None] + minus) / h ** 2
+        H[:, a, b] = H[:, b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
         hessians.append(H)
     G = richardson(grads, order=2)
-    dz = 0.5 * (G[:n] - 1j * G[n:])
+    dz = 0.5 * (G[:, :n] - 1j * G[:, n:])
     HH = richardson(hessians, order=2)
-    ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
-    return center, dz, ddbar
+    ddbar = 0.25 * ((HH[:, :n, :n] + HH[:, n:, n:]) + 1j * (HH[:, :n, n:] - HH[:, n:, :n]))
+    return (center[0], dz[0], ddbar[0]) if one else (center, dz, ddbar)
 
 
 class Taylor2:

@@ -13,6 +13,7 @@ supplies the noise estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -61,7 +62,7 @@ class SmoothnessReport:
 
     @property
     def jump_detected(self) -> bool:
-        return abs(self.jump) > 10.0 * self.jump_noise
+        return bool(abs(self.jump) > 10.0 * self.jump_noise)
 
 
 def _centered(q: int, steps: Sequence[float]) -> tuple[np.ndarray, list[int]]:
@@ -98,14 +99,23 @@ def _jump_nodes(q: int, h0: float) -> np.ndarray:
     return (h0 / np.array([1.0, 2.0, 4.0]))[:, None] * np.arange(q + 3, dtype=float)
 
 
-def _jump(q: int, nodes: np.ndarray, f_plus: np.ndarray,
-          f_minus: np.ndarray) -> tuple[float, float]:
-    # ``derivative_jump`` from the values of f at the nodes and at their negatives
-    weights = [onesided_weights(q, x) for x in nodes]
-    jumps = [float(np.dot(w, fp) - np.dot(onesided_weights(q, -x), fm))
-             for w, x, fp, fm in zip(weights, nodes, f_plus, f_minus)]
+@functools.lru_cache(maxsize=64)
+def _jump_weights(q: int, h0: float) -> np.ndarray:
+    # the one-sided weights of ``_jump_nodes(q, h0)`` (row 0) and of their
+    # negatives (row 1), one row per step: a shared read-only table
+    nodes = _jump_nodes(q, h0)
+    table = np.array([[onesided_weights(q, x) for x in side] for side in (nodes, -nodes)])
+    table.setflags(write=False)
+    return table
+
+
+def _jump(q: int, h0: float, f_plus: np.ndarray, f_minus: np.ndarray) -> tuple[float, float]:
+    # ``derivative_jump`` from the values of f at ``_jump_nodes(q, h0)`` and at their negatives
+    plus, minus = _jump_weights(q, h0)
+    jumps = [float(np.dot(w, fp) - np.dot(wm, fm))
+             for w, wm, fp, fm in zip(plus, minus, f_plus, f_minus)]
     scale = float(np.max(np.abs([f_plus, f_minus])))
-    roundoff = 64.0 * np.finfo(float).eps * scale * float(np.sum(np.abs(weights[-1])))
+    roundoff = 64.0 * np.finfo(float).eps * scale * float(np.sum(np.abs(plus[-1])))
     noise = max(abs(jumps[0] - jumps[1]), abs(jumps[1] - jumps[2])) + roundoff
     return jumps[2], noise
 
@@ -123,7 +133,7 @@ def derivative_jump(f: Callable[[np.ndarray], np.ndarray], q: int,
     q = _check_integer(q, "derivative order", 0)
     _check_step(h0)
     nodes = _jump_nodes(q, h0)
-    return _jump(q, nodes, *_on_nodes(f, nodes, -nodes))
+    return _jump(q, h0, *_on_nodes(f, nodes, -nodes))
 
 
 def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
@@ -166,7 +176,7 @@ def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
                 candidates.append((r2, beta, n_used))
             else:
                 degenerate = True
-    jump, noise = _jump(order + 1, jump_nodes, f_plus, f_minus)
+    jump, noise = _jump(order + 1, JUMP_STEP, f_plus, f_minus)
     step_range = (min(steps), max(steps))
     if candidates:
         r2, beta, n_used = max(candidates)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -439,3 +440,25 @@ class TestVerifyFormat:
         assert code == 1
         assert "validation error" in err and "csv" in err
         assert out == ""
+
+
+class TestOneParserPerProcess:
+    # main parses with one cached parser: calls in one process, failing
+    # ones included, leave nothing behind that a later call would see
+    def test_repeated_calls_keep_their_outputs(self, capsys, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        verify = ("verify", "--m", "2", "--n", "3", "--seed", "1")
+        first = run_cli(capsys, *verify)
+        assert first[0] == 0
+        assert run_cli(capsys, *verify, "--bogus")[0] == 1
+        assert run_cli(capsys, "--version") == (0, f"{__version__}\n", "")
+        assert run_cli(capsys, "kcurve", "--m", "5", "--p1", "0.5", "--count", "8", "--format",
+                       "csv", "--out", str(tmp_path / "curve.csv"))[0] == 0
+        assert run_cli(capsys, *verify, "--format", "csv")[0] == 1
+        last = run_cli(capsys, *verify)
+
+        def masked(result):
+            code, out, err = result
+            return code, re.sub(r"\(\d+\.\d\ds\)", "(T)", out), err
+
+        assert masked(last) == masked(first)

@@ -21,6 +21,7 @@ from eggmetrics import (
 from eggmetrics import fitting
 from eggmetrics import curvature as curvature_module
 from eggmetrics import tensor as tensor_module
+from eggmetrics.domain import _axis_point
 from eggmetrics.numerics import richardson, wirtinger_jet
 
 from test_domain import interior_point
@@ -387,6 +388,27 @@ class TestWirtingerJet:
             expected = _reference_wirtinger_jet(f, point, step)
             for g, e in zip(got, expected):
                 assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("m,n", [(0.75, 2), (1.0, 3), (2.0, 2), (2.0, 3), (5.0, 2)])
+    def test_stack_equals_one_point_calls_bit_for_bit(self, m, n):
+        # a (P, n) stack is one call of f on the P stencils in turn, and
+        # each point's jet keeps its one-point bits; the axis points put
+        # both fit regimes in the stack at m > 1
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng(8)
+        pts = 0.3 * (rng.uniform(-1, 1, (4, n)) + 1j * rng.uniform(-1, 1, (4, n)))
+        pts = np.vstack([pts, [_axis_point(d, p1, 0.1) for p1 in (0.5, 0.95)]])
+        sizes = []
+
+        def f(w):
+            sizes.append(len(w))
+            return tensor_module._wu_matrices(d, w)
+
+        stacked = wirtinger_jet(f, pts, 1e-4)
+        assert sizes == [len(pts) * (1 + 16 * n * n)]
+        for k, z in enumerate(pts):
+            for s, one in zip(stacked, wirtinger_jet(f, z, 1e-4)):
+                assert s[k].shape == one.shape and s[k].tobytes() == one.tobytes()
 
 
 class TestSectionalValues:

@@ -38,6 +38,19 @@ class TestDomainParams:
         with pytest.raises(DomainError):
             DomainParams(m=m, n=n)
 
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(2), np.uint8(4)])
+    def test_numpy_integer_dimension_is_stored_as_int(self, n):
+        # GridSpec and direction_sample take numpy integers; so does n, stored
+        # as Python's so that repr and the CLI's JSON and CSV headers keep their bytes
+        d = DomainParams(2.0, n)
+        assert type(d.n) is int and d == DomainParams(2.0, int(n))
+        assert repr(d) == repr(DomainParams(2.0, int(n)))
+
+    @pytest.mark.parametrize("n", [2.0, 1, True, np.float64(3.0), "3"])
+    def test_non_integer_dimension_is_refused(self, n):
+        with pytest.raises(DomainError, match="dimension n must be an integer >= 2"):
+            DomainParams(2.0, n)
+
 
 class TestMinkowskiGauge:
     def test_axis_boundary_point(self):

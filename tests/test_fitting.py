@@ -491,15 +491,16 @@ class TestNewtonConvergenceRule:
     def test_a_vanishing_step_returns_inside_the_bracket(self):
         # a derivative of the wrong sign makes the last step of 3e-16 leave
         # the bracket [0, 0.5] upwards; both forms clamp it back
-        def f(x, rows=None):
+        def f(x):
             return x - 0.3
 
-        def df(x, rows=None):
+        def df(x):
             return -0.2 / 3e-16 + 0.0 * x
 
         assert 0.5 - 0.2 / df(0.5) > 0.5
         assert solve_bracketed(f, 0.0, 1.0, df=df) == 0.5
-        roots = _solve_bracketed_rows(f, df, np.zeros(2), np.ones(2), np.full(2, 0.5))
+        roots = _solve_bracketed_rows(lambda x, rows: (f(x), df(x)),
+                                      np.zeros(2), np.ones(2), np.full(2, 0.5))
         assert roots.tolist() == [0.5, 0.5]
 
 

@@ -43,8 +43,12 @@ def test_array_api():
     assert k.shape == w.shape == (300,) and H.shape == (300, 2, 2)
     assert not H.flags.writeable
     assert np.all(w <= k)
-    assert values["kobayashi(egg, z[0], v[0]) == k[0]"]
-    assert type(eval("kobayashi(egg, z[0], v[0])", namespace)) is float
+    assert type(values["kobayashi(egg, z[0], v[0])"]) is float
+    # every row agrees with its one-point call to 4 ulp, the README's one contract
+    egg, z, v = namespace["egg"], namespace["z"], namespace["v"]
+    for rows, one in ((k, namespace["kobayashi"]), (w, namespace["wu_norm"])):
+        points = np.array([one(egg, a, b) for a, b in zip(z, v)])
+        assert np.all(np.abs(rows - points) <= 4 * np.spacing(rows))
 
 
 def _cli_lines():

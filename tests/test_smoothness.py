@@ -12,6 +12,7 @@ from eggmetrics import (
     regularity_scan,
 )
 from eggmetrics import smoothness
+from eggmetrics.numerics import onesided_weights
 
 
 class TestCalibration:
@@ -222,6 +223,23 @@ class TestProbeInputs:
         rep = holder_exponent(lambda t: np.abs(t) ** 1.5, np.int64(1))
         assert rep.order == 1 and type(rep.order) is int and rep.verdict == "holder"
         assert derivative_jump(lambda t: t * t, np.int64(2)) == derivative_jump(lambda t: t * t, 2)
+
+
+class TestJumpWeights:
+    @pytest.mark.parametrize("q,h0", [(1, smoothness.JUMP_STEP), (2, smoothness.JUMP_STEP),
+                                      (3, 3e-3), (4, 1e-2)])
+    def test_cached_table_is_read_only_and_bit_equal(self, q, h0):
+        # one table per (q, h0): the weights of the nodes (row 0) and of
+        # their negatives (row 1), as onesided_weights solves them
+        table = smoothness._jump_weights(q, h0)
+        assert table is smoothness._jump_weights(q, h0)
+        assert not table.flags.writeable
+        nodes = smoothness._jump_nodes(q, h0)
+        for side, side_nodes in zip(table, (nodes, -nodes)):
+            for w, x in zip(side, side_nodes):
+                assert w.tobytes() == onesided_weights(q, x).tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
 
 
 def test_half_m_wu_metric_continuous_with_first_derivative_break_at_z():
