@@ -3,8 +3,8 @@
 The Wu unit ball at (p1, 0, ..., 0) is the diagonal ellipsoid r1|v1|^2 +
 r2|vhat|^2 < 1 of least volume containing the Kobayashi indicatrix; in square
 coordinates it is the line r1 y + r2 x = 1 of least intercept area containing
-both K-curves. Closed forms cover every regime; the curves' support function
-recomputes the fit (``fit_oracle``) and decides containment.
+both K-curves. Closed forms cover every regime; the curves' support function,
+from one table of UPPER tangents, recomputes the fit and decides containment.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .domain import DomainParams, _M0_WEIGHT, _check_p1
 from .errors import ConfigurationError, DomainError, NumericalError
-from .kcurve import _upper_xy_many, _x_intercept, upper_xy
-from .numerics import (Taylor2, _power, _solve_bracketed_rows, abs_pow, onesided_weights,
+from .kcurve import _upper_tangents, _x_intercept, upper_xy
+from .numerics import (ROOT_MAX_ITER, Taylor2, _power, _solve_bracketed_rows, abs_pow,
                        solve_bracketed)
 
 
@@ -209,113 +209,105 @@ def contact_point(domain: DomainParams, p1: float) -> ContactPoint:
     return ContactPoint(x_star=x_star, y_star=y_star, alpha_star=alpha_star)
 
 
-#: the oracle's search: _S_COUNT directions a pass, first over [-_S_SPAN,
-#: _S_SPAN] (which holds log(r2/r1) for every p1 and m up to about 1e6), and
-#: arc grids of _ARC_COUNT points; five-point first and second differences
-#: for its Newton steps
-_S_SPAN, _S_COUNT, _ARC_COUNT, _MAX_PASSES = 50.0, 16, 32, 40
-_STENCIL = np.arange(-2.0, 3.0)
-_STENCIL_WEIGHTS = np.array([onesided_weights(q, _STENCIL) for q in (1, 2)])
-
-
 def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
-    """Least-volume supporting line of the K-curves, by a search over its direction.
+    """Least-volume supporting line of the K-curves, from one table of UPPER tangents.
 
-    The line of direction s = log(r2/r1) = log tan(theta) has r1 = 1/H(s),
-    with H the support function max(y + e^s x) over the UPPER arc and the
-    LOWER segment's end points, and the objective log r1 + (w-1) log r2 =
-    (w-1) s - w log H(s), concave in s, with the weight w = ``_M0_WEIGHT``.
-    Each pass finds the support of sampled directions by zooming a grid in
-    log alpha and keeps the first sign change of r2 x* - (w-1)/w (the
-    objective's slope over -w), with a neighbour on each side; the first pass
-    also samples either side of the chords from the x-intercept to both arc
-    ends. Where the final bracket's ends are supported by distinct points
-    (the chord and LOWER-line regimes) the fit is the exact chord through
-    them. Otherwise Newton steps on log y + (w-1) log x along the arc find
-    the contact, where r2 x* = (w-1)/w: r1 = 1/(w y*) and r2 = (w-1)/(w x*).
+    In the direction lambda = r2/r1, r1 = 1/H(lambda) with H the curves' support
+    function, and log r1 + (w-1) log r2 (w = ``_M0_WEIGHT``) is concave in log
+    lambda, largest where r2 x* - (w-1)/w changes sign at the support (x*, y*).
+    For m > 1 each ``_arc_table`` sample supports its own tangent direction,
+    where the sign is lambda x - (w-1) y's; Newton steps on log y + (w-1) log x
+    inside its first change find the contact: r1 = 1/(w y*), r2 = (w-1)/(w x*).
+    Otherwise (m <= 1, or past M0) it changes at a chord from the LOWER end
+    (x_int, 0) to an arc end, the exact fit. The closed-form fit is not read.
     """
     _check_p1(p1)
     m, w, p1 = domain.m, _M0_WEIGHT, float(p1)
-    lp = math.log(p1)
-    scale = min(0.5 / m, -lp)  # the arc's length scale in log alpha
-    h_max = 1e-4 * scale  # the support's resolution in log alpha
-    ends = _upper_xy_many(m, p1, [p1, 1.0])  # the y-intercept and the junction
+    a, tab = _arc_table(m, p1)
+    x, y, _, _, ll, _ = tab
+    with np.errstate(divide="ignore"):  # x = 0 at alpha = p1; y may underflow
+        up = ll + np.log(x) >= np.log((w - 1.0) * y)  # r2 x* >= (w-1)/w
+    if m > 1.0 and up.any():
+        # to a step below 1e-8 in log x (and log y), whose first order finishes it
+        (x, y, dx, dy, _, _), du = _arc_root(
+            m, p1, lambda x, y, dx, dy, l, dl: (l + np.log(x / ((w - 1.0) * y)),
+                                                dl + dx / x - dy / y),
+            a, tab, int(np.argmax(up)), lambda du, _, x, y, dx, *__: abs(du * dx / x) <= 1e-8)
+        return WuEllipsoidDiag(r1=float(1.0 / (w * (y + dy * du))),
+                               r2=float((w - 1.0) / (w * (x + dx * du))))
+    # either side of each chord's direction the support maximises (y + lambda x)/(1 + lambda)
+    x_int = _x_intercept(m, p1)
+    px, py = np.append(x, x_int), np.append(y, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kinks = np.log(ends[:, 1] / (_x_intercept(m, p1) - ends[:, 0]))
-    kinks = kinks[np.abs(kinks) < _S_SPAN]
-    off = 2e-13 * (1.0 + np.abs(kinks))
-    s = np.sort(np.concatenate([np.linspace(-_S_SPAN, _S_SPAN, _S_COUNT), kinks - off, kinks + off]))
-    lo, hi = lp, 0.0
-    for _ in range(_MAX_PASSES):
-        lam = np.exp(s)
-        u, x, y, on_x = _arc_support(m, p1, lam, lo, hi, h_max)
-        up = w * lam * x >= (w - 1.0) * (y + lam * x)  # r2 x* >= (w-1)/w
-        if up[0] or not up.any():
-            raise NumericalError(f"fit oracle lost its bracket at p1={p1!r}, m={m!r}")
-        i = int(np.argmax(up))
-        distinct = on_x[i] or abs(u[i] - u[i - 1]) > 1e-3 * scale
-        if not distinct or s[i] - s[i - 1] <= 1e-12 * (1.0 + abs(s[i])):
-            break
-        a, b = max(i - 2, 0), min(i + 1, len(s) - 1)
-        lo, hi = max(lp, min(u[a], u[b]) - 2.0 * h_max), min(0.0, max(u[a], u[b]) + 2.0 * h_max)
-        s = np.linspace(s[a], s[b], _S_COUNT)
-    else:
-        raise NumericalError(f"fit oracle did not converge at p1={p1!r}, m={m!r}")
-    if distinct:
-        # the left point moves to an arc end whose chord lies in the bracket
-        left = np.vstack([[x[i - 1], y[i - 1]], ends])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (left[:, 1] - y[i]) / (x[i] - left[:, 0])
-        inside = (slope >= lam[i - 1] * (1.0 - 1e-12)) & (slope <= lam[i] * (1.0 + 1e-12))
-        (xa, ya), xb, yb = left[np.argmax(np.where(inside, slope, -np.inf))], x[i], y[i]
-        det = xb * ya - xa * yb
-        return WuEllipsoidDiag(r1=float((xb - xa) / det), r2=float((ya - yb) / det))
-    u, step = 0.5 * (u[i - 1] + u[i]), 1e-3 * scale
-    for _ in range(2):
-        xy = _upper_xy_many(m, p1, np.exp(u + step * _STENCIL))
-        d1, d2 = _STENCIL_WEIGHTS @ (np.log(xy[:, 1]) + (w - 1.0) * np.log(xy[:, 0]))
-        u -= step * d1 / d2
-    if not lo - h_max <= u <= hi + h_max:  # also NaN
-        raise NumericalError(f"fit oracle's contact left its window at p1={p1!r}, m={m!r}")
-    x, y = _upper_xy_many(m, p1, math.exp(u)).tolist()
-    return WuEllipsoidDiag(r1=1.0 / (w * y), r2=(w - 1.0) / (w * x))
+        kinks = py[[0, -2]] / (x_int - px[[0, -2]])  # the chords from (x_int, 0) to the arc ends
+        kinks = kinks[(kinks > 0.0) & (kinks < np.inf)]
+        lam = np.sort(np.concatenate([kinks * (1.0 - 1e-12), kinks * (1.0 + 1e-12)]))
+        k = np.argmax(py / (1.0 + lam[:, None]) + px / (1.0 + 1.0 / lam[:, None]), axis=1)
+    up = lam * px[k] >= (w - 1.0) * py[k]
+    if up[0] or not up.any():
+        raise NumericalError(f"fit oracle lost its bracket at p1={p1!r}, m={m!r}")
+    i = int(np.argmax(up))
+    (xa, xb), (ya, yb) = px[k[i - 1:i + 1]], py[k[i - 1:i + 1]]
+    det = xb * ya - xa * yb
+    return WuEllipsoidDiag(r1=float((xb - xa) / det), r2=float((ya - yb) / det))
 
 
-def _arc_support(m: float, p1: float, lam: np.ndarray, lo, hi, h_max: float):
-    # both K-curves' support point (x, y) in each direction lam, the log alpha
-    # of the UPPER arc's best sample and whether the LOWER segment's far end
-    # (1 - p1^2m, 0) beats it (the segment is straight, and its other end is
-    # the arc's). y + lam x is unimodal along the arc for m > 1 and largest at
-    # an end for m <= 1, so each window zooms onto its best sample down to h_max
+def _arc_table(m: float, p1: float):
+    # ``_upper_tangents`` at alpha = p1 e^d and e^-d: 40 distances d from each end, growing
+    # geometrically from a fraction of the arc's scale s = min(0.5/m, -log p1) to half its length
     if p1 < sys.float_info.min:  # subnormal: the arc's parameters near p1 have a few bits
         raise NumericalError(f"the K-curves' support needs a normal float p1, got {p1!r}")
-    rows, grid = np.arange(len(lam)), np.linspace(0.0, 1.0, _ARC_COUNT)
-    lo, hi = np.broadcast_to(lo, lam.shape), np.broadcast_to(hi, lam.shape)
-    while True:
-        u = lo[:, None] + (hi - lo)[:, None] * grid
-        xy = _upper_xy_many(m, p1, np.exp(u))
-        g = xy[..., 1] + lam[:, None] * xy[..., 0]
-        k = np.argmax(g, axis=1)
-        if np.max(hi - lo) <= h_max * (_ARC_COUNT - 1):
-            x, y = xy[rows, k].T
-            x_int = _x_intercept(m, p1)
-            on_x = lam * x_int > y + lam * x
-            return u[rows, k], np.where(on_x, x_int, x), np.where(on_x, 0.0, y), on_x
-        lo, hi = u[rows, np.maximum(k - 1, 0)], u[rows, np.minimum(k + 1, _ARC_COUNT - 1)]
+    s = min(0.5 / m, -math.log(p1))
+    d = s * np.expm1(np.linspace(0.0, math.log1p(-0.5 * math.log(p1) / s), 40))
+    a = np.sort(np.concatenate([p1 * np.exp(d), np.exp(-d)]))
+    return a, _upper_tangents(m, p1, a)
+
+
+def _arc_root(m: float, p1: float, g, a: np.ndarray, tab, i: int, done):
+    # the root of g(*row) = (value, slope in log alpha), increasing, between samples i-1 and i:
+    # Newton steps from the smaller |value|, bisecting out of the bracket, to done(du, width, *row)
+    lo, hi = a[i - 1], a[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v, dv = g(*(col[i - 1:i + 1] for col in tab))
+    j = i - int(abs(v[0]) <= abs(v[1]))
+    alpha, row, v, dv = a[j], tuple(col[j] for col in tab), v[j - i + 1], dv[j - i + 1]
+    for _ in range(ROOT_MAX_ITER):
+        width = math.log(hi / lo)
+        with np.errstate(divide="ignore"):  # a zero slope bisects
+            du = -v / dv if v else 0.0
+        if done(du, width, *row):
+            return row, du
+        step = alpha * math.exp(du) if abs(du) < width else 0.0
+        alpha = step if lo < step < hi else math.sqrt(lo * hi)
+        row = _upper_tangents(m, p1, alpha)
+        v, dv = g(*row)
+        lo, hi = (alpha, hi) if v < 0.0 else (lo, alpha)
+    raise NumericalError(f"the UPPER arc's root did not converge at p1={p1!r}, m={m!r}")
 
 
 def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoidDiag) -> float:
     """r1 y* + r2 x* - 1 at the K-curves' support point (x*, y*); <= 0 means containment.
 
-    The line r1 y + r2 x = 1 contains both curves exactly when this is <= 0,
-    with (x*, y*) their support point in the direction r2/r1, which
-    ``_arc_support`` finds over the whole arc at ``fit_oracle``'s resolution:
-    the value reads at most about 1e-10 below the exact one.
+    (x*, y*) is the best of ``_arc_table``'s samples and (x_int, 0) in the direction
+    r2/r1, for m > 1 refined by Newton steps on y' + lambda x' = 0 (log lambda = log r2 -
+    log r1) to a deficit below 1e-13. On ``fit_reference``'s line it reads within 1e-10 of
+    0 up to p1 = 1 - 1e-6; nearer the boundary that line's own error dominates: ``_fit``'s
+    rounded 1 - P, amplified by the fit's conditioning to 2.2e-16 p1/(1 - p1).
     """
     _check_p1(p1)
     m, p1, r1, r2 = domain.m, float(p1), ellipsoid.r1, ellipsoid.r2
-    if not (r1 > 0.0 and r2 > 0.0):
-        raise DomainError(f"containment needs r1 > 0 and r2 > 0, got r1={r1!r}, r2={r2!r}")
-    lp = math.log(p1)
-    _, x, y, _ = _arc_support(m, p1, np.array([r2 / r1]), lp, 0.0, 1e-4 * min(0.5 / m, -lp))
-    return float(r1 * y[0] + r2 * x[0]) - 1.0
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise DomainError(f"containment needs finite r1 > 0 and r2 > 0, got r1={r1!r}, r2={r2!r}")
+    a, tab = _arc_table(m, p1)
+    x, y, _, _, ll, _ = tab
+    best = max(float(np.max(r1 * y + r2 * x)), r2 * _x_intercept(m, p1))
+    lr = math.log(r2) - math.log(r1)
+    i = int(np.searchsorted(ll, lr))
+    if m > 1.0 and 0 < i < len(a):
+        # a row's deficit is about |F'| times its distance from the support
+        (x, y, _, _, _, _), _ = _arc_root(
+            m, p1, lambda x, y, dx, dy, l, dl: (l - lr, dl), a, tab, i,
+            lambda du, width, x, y, dx, dy, *_: (abs(r1 * dy + r2 * dx) * min(abs(du), width)
+                                                 <= 1e-13 * (r1 * y + r2 * x)))
+        best = max(best, float(r1 * y + r2 * x))
+    return best - 1.0

@@ -85,24 +85,32 @@ def upper_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
 
 
 def _upper_xy_many(m: float, p1: float, alphas) -> np.ndarray:
-    """``upper_xy`` at each parameter as rows (..., 2) of (x, y), in bounded form.
+    """``upper_xy`` at each parameter as rows (..., 2): ``_upper_tangents``' (x, y)."""
+    return np.stack(_upper_tangents(m, p1, alphas)[:2], axis=-1)
 
-    With t = (p1/alpha)^2m, which lies in [p1^2m, 1] on the arc alpha in
-    [p1, 1], x = (1 - t alpha^2)(1 - t) and y = (p1/m)^2 (m/alpha - (m-1)
-    alpha - alpha t)^2 = (p1/alpha)^2 ((1 - alpha^2) + alpha^2 (1 - t)/m)^2.
-    Every power is the exp of a nonpositive exponent and every difference
-    from 1 goes through expm1, so on the arc nothing overflows, underflows to
-    a zero divisor or cancels: both coordinates keep their relative accuracy
-    at m = 60 and small p1 and as p1 -> 1.
+
+def _upper_tangents(m: float, p1: float, alphas):
+    """The UPPER arc in bounded form at each parameter, as columns (x, y, x', y', l, l').
+
+    With t = (p1/alpha)^2m in [p1^2m, 1] on the arc alpha in [p1, 1], C = (1 - alpha^2) +
+    alpha^2 (1 - t)/m and K = m (1 - alpha^2) + (2m-1) alpha^2 (1 - t): x = (1 - t alpha^2)
+    (1 - t), y = (p1/alpha)^2 C^2, and in u = log alpha x' = 2 t K, y' = -2 (p1/alpha)^2 C K/m,
+    l = log lambda of the tangent direction lambda = -y'/x' = (alpha/p1)^(2m-2) C/m and
+    l' = (2m-2) (1 - alpha^2)/C. Powers are exps of nonpositive exponents, differences from
+    1 go through expm1 and no term cancels for m >= 1/2: each column keeps its relative
+    accuracy at m = 60 and small p1 and as p1 -> 1.
     """
     a = np.asarray(alphas, dtype=float)
     la = np.log(a)
     with np.errstate(divide="ignore"):  # p1/alpha under eps/2: log t = -inf, t = 0
         q = 2.0 * m * np.log1p((p1 - a) / a)  # log t, to full relative accuracy near alpha = p1
-    one_t = -np.expm1(q)
-    x = one_t * -np.expm1(q + 2.0 * la)
-    y = (p1 / a * (-np.expm1(2.0 * la) + a * a * one_t / m)) ** 2
-    return np.stack([x, y], axis=-1)
+    one_t, one_a, r = -np.expm1(q), -np.expm1(2.0 * la), p1 / a
+    c = one_a + a * a * one_t / m
+    k = m * one_a + (2.0 * m - 1.0) * a * a * one_t
+    # t as r^2m for x': exp(q) loses t's relative accuracy far from alpha = p1
+    return (one_t * -np.expm1(q + 2.0 * la), (r * c) ** 2, 2.0 * r ** (2.0 * m) * k,
+            -2.0 / m * r * r * c * k, np.log(c / m) - (2.0 * m - 2.0) * np.log(r),
+            (2.0 * m - 2.0) * one_a / c)
 
 
 def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:

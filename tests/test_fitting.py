@@ -24,12 +24,14 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
-from eggmetrics import fitting
+from eggmetrics import fitting, kcurve
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
 from eggmetrics.numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
 from eggmetrics.verification import _fit_test_points
 
 from test_kobayashi import bisect_root
+
+import wu_reference
 
 
 class TestSolveX:
@@ -197,23 +199,44 @@ class TestContactPoint:
             contact_point(DomainParams(m=2.0, n=2), 0.9)
 
 
+#: the m > 1 values of the oracle's grids
+_M_TANGENCY = (1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0, 200.0)
+
+
 def _oracle_grid():
-    # every verify fit point, and p1 in {0.05, 0.01, 1e-5} where m > 1
-    for m in (0.5, 0.75, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0):
+    # every verify fit point, and p1 in {0.05, 0.01, 1e-5, 1e-8} where m > 1
+    for m in (0.5, 0.75, 1.0 - 1e-7, 1.0) + _M_TANGENCY:
         d = DomainParams(m=m, n=2)
-        for p1 in _fit_test_points(d) + ([0.05, 0.01, 1e-5] if m > 1.0 else []):
+        for p1 in _fit_test_points(d) + ([0.05, 0.01, 1e-5, 1e-8] if m > 1.0 else []):
+            yield m, p1
+
+
+def _tangency_grid():
+    # the m > 1 cells of ``_oracle_grid`` inside M0
+    for m in _M_TANGENCY:
+        thr = DomainParams(m=m, n=2).m0_radius
+        for p1 in (0.5 * thr, 0.95 * thr, 0.05, 0.01, 1e-5, 1e-8):
             yield m, p1
 
 
 class TestOracle:
     @pytest.mark.parametrize("m,p1", list(_oracle_grid()))
     def test_matches_closed_forms(self, m, p1):
-        # the support-function search reaches about 3e-12 on this grid
+        # the tangent table and its Newton steps reach about 3e-14 on this grid
         d = DomainParams(m=m, n=2)
         ref = fit_reference(d, p1)
         orc = fit_oracle(d, p1)
-        assert orc.r1 == pytest.approx(ref.r1, rel=1e-9, abs=0.0)
-        assert orc.r2 == pytest.approx(ref.r2, rel=1e-9, abs=0.0)
+        assert orc.r1 == pytest.approx(ref.r1, rel=3e-12, abs=0.0)
+        assert orc.r2 == pytest.approx(ref.r2, rel=3e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m,p1", list(_tangency_grid()))
+    def test_matches_the_50_digit_fit(self, m, p1):
+        # the contact within 3e-12 of wu_reference's, where the table must
+        # resolve the arc's scale 0.5/m at the y-intercept end as p1 -> 0
+        r1, r2, regime = wu_reference.fit(m, p1)
+        orc = fit_oracle(DomainParams(m=m, n=2), p1)
+        assert regime == "tangency"
+        assert (orc.r1, orc.r2) == pytest.approx((float(r1), float(r2)), rel=3e-12, abs=0.0)
 
     @pytest.mark.parametrize("m,p1", [(0.75, 0.6), (2.0, 0.4), (2.0, 0.9), (5.0, 0.3), (20.0, 0.8),
                                       (60.0, 0.5)])
@@ -251,6 +274,67 @@ class TestOracle:
         d = DomainParams(m=m, n=2)
         ref, orc = fit_reference(d, p1), fit_oracle(d, p1)
         assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p1", [1.0 - 1e-6, 1.0 - 1e-9])
+@pytest.mark.parametrize("m", [0.5, 0.75, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0, 200.0])
+def test_near_the_boundary_within_the_conditioning_bound(m, p1):
+    # the exact chords there against fit_reference, whose 1 - P subtraction
+    # the fit's conditioning amplifies to about 2.2e-16 p1/(1 - p1): the
+    # worst reading is 3.7e-8 at m = 0.75 and p1 = 1 - 1e-9, and containment
+    # of the reference line reads +1.1e-8 at m = 1 - 1e-7 there
+    d = DomainParams(m=m, n=2)
+    bound = 3e-12 + 2.2e-16 * p1 / (1.0 - p1)
+    ref, orc = fit_reference(d, p1), fit_oracle(d, p1)
+    assert abs(orc.r1 / ref.r1 - 1.0) <= bound and abs(orc.r2 / ref.r2 - 1.0) <= bound
+    assert abs(containment_violation(d, p1, ref)) <= bound
+
+
+def _upper_kernel_calls(monkeypatch):
+    # every UPPER-arc evaluation: _upper_xy_many reads kcurve's _upper_tangents
+    calls, kernel = [], kcurve._upper_tangents
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    for module in (kcurve, fitting):
+        monkeypatch.setattr(module, "_upper_tangents", counted)
+    return calls
+
+
+class TestOracleCost:
+    # one table and a few Newton steps: the zoomed direction passes took up
+    # to 49 kernel calls per fit and 6 per containment value
+    def test_fit_takes_at_most_eight_kernel_calls(self, monkeypatch):
+        calls, worst = _upper_kernel_calls(monkeypatch), 0
+        for m, p1 in _oracle_grid():
+            calls.clear()
+            fit_oracle(DomainParams(m=m, n=2), p1)
+            worst = max(worst, len(calls))
+        assert 1 <= worst <= 8
+
+    def test_containment_takes_at_most_six_kernel_calls(self, monkeypatch):
+        calls, worst = _upper_kernel_calls(monkeypatch), 0
+        for m, p1 in _containment_grid():
+            d = DomainParams(m=m, n=2)
+            ref = fit_reference(d, p1)
+            calls.clear()
+            containment_violation(d, p1, ref)
+            worst = max(worst, len(calls))
+        assert 1 <= worst <= 6
+
+    def test_the_oracle_takes_nothing_from_the_fit(self, monkeypatch):
+        refs = {(m, p1): fit_reference(DomainParams(m=m, n=2), p1) for m, p1 in _oracle_grid()}
+
+        def refuse(*args):
+            raise AssertionError("the oracle called the closed-form fit")
+
+        for name in ("_solve_tau", "_tangency", "_tangency_slope", "_inner_fit", "_fit"):
+            monkeypatch.setattr(fitting, name, refuse)
+        for (m, p1), ref in refs.items():
+            orc = fit_oracle(DomainParams(m=m, n=2), p1)
+            assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=3e-12, abs=0.0)
 
 
 def _containment_grid():
@@ -296,6 +380,18 @@ class TestContainmentAndMinimality:
             containment_violation(d, 1e-310, ell)
         for r1, r2 in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
             with pytest.raises(DomainError, match="r1 > 0 and r2 > 0"):
+                containment_violation(d, 0.5, WuEllipsoidDiag(r1, r2))
+
+    def test_overflowing_direction(self):
+        # r2/r1 overflows: the support is the LOWER end, r2 x_int - 1; a tiny
+        # r1 leaves x_int - 1; an infinite coefficient is refused
+        d, x_int = DomainParams(m=2.0, n=2), 1.0 - 0.5 ** 4
+        value = containment_violation(d, 0.5, WuEllipsoidDiag(1e-300, 1e300))
+        assert value == pytest.approx(1e300 * x_int, rel=1e-15)
+        assert containment_violation(d, 0.5, WuEllipsoidDiag(5e-324, 1.0)) == pytest.approx(
+            x_int - 1.0, rel=1e-15)
+        for r1, r2 in ((1.0, math.inf), (math.inf, 1.0)):
+            with pytest.raises(DomainError, match="finite r1 > 0 and r2 > 0"):
                 containment_violation(d, 0.5, WuEllipsoidDiag(r1, r2))
 
     @pytest.mark.parametrize("m,p1", [(0.5, 0.3), (0.75, 0.6), (2.0, 0.4), (2.0, 0.9)])

@@ -21,9 +21,11 @@ from eggmetrics import (
     third_derivative_reference,
 )
 from eggmetrics import kcurve as kcurve_module
-from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many, lower_xy, upper_xy
+from eggmetrics.kcurve import _lower_xy_many, _upper_tangents, _upper_xy_many, lower_xy, upper_xy
 from eggmetrics.numerics import abs_pow, richardson
 from eggmetrics.verification import run_checks
+
+import wu_reference
 
 
 class TestSamples:
@@ -133,6 +135,46 @@ class TestUpperSampler:
             (x0, y0), (x1, y1) = _upper_xy_many(m, p1, [p1, 1.0])
             assert x0 == 0.0 and y0 == pytest.approx((1 - p1 * p1) ** 2, rel=1e-14)
             assert (x1, y1) == pytest.approx(joining_point(d, p1), rel=1e-13, abs=0.0)
+
+
+def _upper_tangents_mp(m, p1, alpha):
+    # x, y, x', y', log lambda and its u-derivative at alpha = e^u, by mpmath
+    # differentiation of the reference arc up to second order, at enough
+    # digits to resolve x' ~ t = (p1/alpha)^2m where x rounds to 1
+    with mpmath.workdps(40 + int(2.0 * m * math.log10(alpha / p1))):
+        m, p1 = mpmath.mpf(m), mpmath.mpf(p1)
+        u = mpmath.log(mpmath.mpf(alpha))
+        (_, dx, ddx), (_, dy, ddy) = (
+            list(mpmath.diffs(lambda u, c=c: wu_reference._upper(m, p1, mpmath.e ** u)[c], u, 2))
+            for c in (0, 1))
+        x, y = wu_reference._upper(m, p1, mpmath.mpf(alpha))  # x = 0 at alpha = p1
+        return [float(v) for v in (x, y, dx, dy, mpmath.log(-dy / dx), ddy / dy - ddx / dx)]
+
+
+class TestUpperTangents:
+    @pytest.mark.parametrize("p1", [1e-8, 0.3, 1.0 - 1e-6])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0, 200.0])
+    def test_matches_mpmath_differentiation(self, m, p1):
+        # every column to 1e-12 relative over the arc, ends included; log
+        # lambda relative to max(1, |log lambda|), where its ulp is 1e-12 at
+        # m = 200 and p1 = 1e-8; x' and y' underflow with t at large m, and
+        # the nested differentiation leaves about 1e-50 where l' = 0 (alpha = 1)
+        alphas = np.append(np.geomspace(p1, 1.0, 5), 0.5 * (p1 + 1.0))
+        got = np.stack(_upper_tangents(m, p1, alphas), axis=-1)
+        floor = np.array([1e-300] * 5 + [1e-30])
+        for row, a in zip(got, alphas):
+            want = _upper_tangents_mp(m, p1, a)
+            if m == 0.5 and a == 1.0:  # K = 0: x' = y' = 0, and lambda is their ratio's limit
+                assert row[2] == row[3] == 0.0
+                want[2:] = row[2:]
+            scale = np.abs(want) * [1, 1, 1, 1, 0, 1] + [0, 0, 0, 0, max(1.0, abs(want[4])), 0]
+            assert np.all(np.abs(row - want) <= 1e-12 * scale + floor), (a, row, want)
+
+    @pytest.mark.parametrize("m,p1", [(0.5, 0.3), (1.0, 1e-300), (2.0, 0.4), (60.0, 1e-5), (200.0, 0.999999)])
+    def test_xy_keep_the_bits_of_upper_xy_many(self, m, p1):
+        alphas = np.concatenate([[p1, 1.0], np.geomspace(p1, 1.0, 97), np.linspace(p1, 1.0, 31)])
+        x, y = _upper_tangents(m, p1, alphas)[:2]
+        assert np.stack([x, y], axis=-1).tobytes() == _upper_xy_many(m, p1, alphas).tobytes()
 
 
 def _lower_xy_abs_pow(m, p1, alpha):

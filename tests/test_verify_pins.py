@@ -49,17 +49,17 @@ PINS = {
     (0.75, 3):
         "c1f160b07ad72f0ad5d79f90fd8b48e6fe184aa74cbbe9573e8f5bdff40055d7",
     (1.0, 2):
-        "5f595f5fea8dae985915fcbc974f46429e70ce573086fc87205673e69e54f478",
+        "1235dd958d8593c9b0f7991cbb9133eb177b49fa57e91481d0bab9185775d35e",
     (1.0, 3):
-        "83453e92e91efa47e2d39a7f89acdf2104f31cff2fda6e856cdd4cd4443715a6",
+        "a0f7ec1783cf1009dd4ba1848983046624b0626f279bc21e97a1265724bb6f24",
     (2.0, 2):
-        "aa4cf51ea0b0831f9961a09b920a3b870350294260c1d5ad8e453474983e1f42",
+        "85dfc1f6ba2d0004a8acfd64f39abd66ebd5e2387da0ab544df4ebd1889ba7e6",
     (2.0, 3):
-        "ad2d6c9df05b1489622151fb1242f1a4e4667e6783fbbaecb1f08b90fec0bb21",
+        "ebe0b1698d03818b8625fd2ee37b02b589b6bcf5495b39a45388d43cca36c413",
     (5.0, 2):
-        "91205c6f72f62f3200acdb35f0d4d65b012693ad7467efc7a1583d0c8dc1e15e",
+        "89ff3069eacda91428089ad2d298c76ee887a115d192be8c1e6d550a7c895fe0",
     (5.0, 3):
-        "0d4b53a779c3038c2ad1c8e2b858d3a1711386498dc0dc07df5d1099c334d823",
+        "023596a8e6392b77b45c613c77bb850540e074b57a0dd1878b909ec62d223d4c",
 }
 
 
