@@ -68,16 +68,16 @@ def _solve_tau(m: float, p1):
     # the tangency root tau = X/p1^2 at inner-region axis coordinates p1: a
     # few Newton steps on the certified bracket of ``_ends``, for one p1 on
     # floats (``solve_bracketed``) or for rows (``_solve_bracketed_rows``)
-    if np.ndim(p1) == 0:
-        pm = float(p1) * float(p1)
+    pm = float(p1) * float(p1) if np.ndim(p1) == 0 else p1 * p1
+    k = _tangency_terms(m, pm)
+    if isinstance(pm, float):
         lo, hi, x0 = _ends(m, pm, max)
-        return solve_bracketed(lambda t: _tangency(m, t, pm, t ** m), lo, hi,
-                               df=lambda t: _tangency_slope(m, t, pm, t ** m), x0=x0)
-    pm = p1 * p1
+        return solve_bracketed(lambda t: _tangency(m, t, t ** m, *k), lo, hi,
+                               df=lambda t: _tangency_slope(m, t, t ** m, *k), x0=x0)
 
     def hdh(t, r):
-        q, u = t ** m, pm[r]
-        return _tangency(m, t, u, q), _tangency_slope(m, t, u, q)
+        q, kr = t ** m, [c[r] for c in k]
+        return _tangency(m, t, q, *kr), _tangency_slope(m, t, q, *kr)
 
     return _solve_bracketed_rows(hdh, *_ends(m, pm, np.maximum))
 
@@ -97,16 +97,20 @@ def _ends(m: float, pm, maximum):
     return 1.0 + 0.0 * pm, hi, (m + 1.0 + (1.0 - m) * pm * 2.0 ** (1.0 / m)) ** (1.0 / m)
 
 
-def _tangency(m: float, tau, pm, q):
-    # the bounded tangency form h(tau) = tau^m - (m+1) + (m-2) pm tau
-    # + 2 pm tau^(1-m), with pm = p1^2 and q = tau^m: the equation in
-    # tau = X/p1^2 divided by tau^(m-1); tau^(1-m) = tau/q
-    return q - (m + 1.0) + (m - 2.0) * pm * tau + 2.0 * pm * tau / q
+def _tangency_terms(m: float, pm):
+    # (m-2) pm, 2 pm and 2 (1-m) pm at pm = p1^2, as ``_tangency`` groups them
+    return (m - 2.0) * pm, 2.0 * pm, 2.0 * (1.0 - m) * pm
 
 
-def _tangency_slope(m: float, tau, pm, q):
-    # d/dtau of ``_tangency``, with q = tau^m
-    return m * q / tau + (m - 2.0) * pm + 2.0 * (1.0 - m) * pm / q
+def _tangency(m: float, tau, q, a, b, c):
+    # the bounded tangency form h(tau) = tau^m - (m+1) + (m-2) pm tau + 2 pm
+    # tau^(1-m), with q = tau^m and (a, b, c) = ``_tangency_terms``: the
+    # equation in tau = X/p1^2 divided by tau^(m-1); tau^(1-m) = tau/q
+    return q - (m + 1.0) + a * tau + b * tau / q
+
+
+def _tangency_slope(m: float, tau, q, a, b, c):  # d/dtau of ``_tangency``
+    return m * q / tau + a + c / q
 
 
 def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
@@ -116,7 +120,7 @@ def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
     m, v = domain.m, u.v
     tau = _solve_tau(m, math.sqrt(v))
     q = tau ** m
-    h_tau = _tangency_slope(m, tau, v, q)
+    h_tau = _tangency_slope(m, tau, q, *_tangency_terms(m, v))
     d1 = -((m - 2.0) * tau + 2.0 * tau / q) / h_tau
     h_tautau = m * (m - 1.0) * (q / (tau * tau) + 2.0 * v / (q * tau))
     h_tauu = m - 2.0 + 2.0 * (1.0 - m) / q
@@ -151,15 +155,15 @@ def _regimes(domain: DomainParams, p1: np.ndarray) -> np.ndarray:
     return _TANGENCY - (p1 >= domain.m0_radius)
 
 
-def _fit_rows(domain: DomainParams, p1: np.ndarray, regime=None):
-    # fit_reference's (r1, r2) at each checked axis coordinate p1 in [0, 1),
-    # every row by its own regime (``regime`` when the caller has decided it)
-    regime = _regimes(domain, p1) if regime is None else regime
+def _fit_rows(domain: DomainParams, p1: np.ndarray):
+    # fit_reference's (r1, r2) at each checked axis coordinate p1 in [0, 1), by its own regime
+    regime = _regimes(domain, p1)
     u = p1 * p1
     fit = np.empty((2, len(p1)))
-    for k in np.unique(regime):
+    for k in (_CHORD,) if domain.m <= 1.0 else (_LOWER, _TANGENCY):
         rows = regime == k
-        fit[:, rows] = _fit(domain, k, u[rows])
+        if rows.any():
+            fit[:, rows] = _fit(domain, k, u[rows])
     return fit
 
 

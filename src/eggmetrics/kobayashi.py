@@ -102,11 +102,11 @@ def _solve_alpha(m: float, t, p1):
         raise NumericalError(f"UPPER branch leaves the float range at p1={float(np.min(p1))!r}")
     e = 2.0 * m - 2.0
 
-    def g(a, t, R):  # R = _upper_ratio(m, p1, a)
-        return a * a - t - (1.0 - t) * R
+    def g(a, t, c, R):  # c = 1 - t, R = _upper_ratio(m, p1, a)
+        return a * a - t - c * R
 
-    def dg(a, t, R):
-        return 2.0 * a + e * (1.0 - t) * R / a
+    def dg(a, ec, R):  # ec = e (1 - t)
+        return 2.0 * a + ec * R / a
 
     def ends(t, p1, xp, maximum, minimum):
         c = 1.0 - t
@@ -132,14 +132,15 @@ def _solve_alpha(m: float, t, p1):
 
     if one:
         t, p1 = float(t), float(p1)
-        return solve_bracketed(lambda a: g(a, t, _upper_ratio(m, p1, a, math)),
+        return solve_bracketed(lambda a: g(a, t, 1.0 - t, _upper_ratio(m, p1, a, math)),
                                *ends(t, p1, math, max, min),
-                               df=lambda a: dg(a, t, _upper_ratio(m, p1, a, math)))
+                               df=lambda a: dg(a, e * (1.0 - t), _upper_ratio(m, p1, a, math)))
     lo, hi = ends(t, p1, np, np.maximum, np.minimum)
+    c, ec = 1.0 - t, e * (1.0 - t)
 
     def gdg(a, r):
-        tr, R = t[r], _upper_ratio(m, p1[r], a)
-        return g(a, tr, R), dg(a, tr, R)
+        R = _upper_ratio(m, p1[r], a)
+        return g(a, t[r], c[r], R), dg(a, ec[r], R)
 
     return _solve_bracketed_rows(gdg, lo, hi, 0.5 * (lo + hi))
 

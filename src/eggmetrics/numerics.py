@@ -149,31 +149,39 @@ def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
                           rtol: float = 1e-15, max_iter: int = ROOT_MAX_ITER) -> np.ndarray:
     """``solve_bracketed`` on independent rows side by side, each started at x0.
 
-    fdf(x, rows) returns (f, f') of the still open rows ``rows`` at x, so
-    that the two can share their work; the caller guarantees f(lo) <= 0 <=
-    f(hi) on every row. A start outside its open bracket begins at the midpoint.
+    fdf(x, rows) returns (f, f') of the open rows at x, so that the two can
+    share their work; ``rows`` is ``slice(None)`` until a row finishes. The
+    caller guarantees finite ends with f(lo) <= 0 <= f(hi) on every row. A
+    start outside its open bracket begins at the midpoint. A step updates the
+    bracket in place; only a step where some row finished drops finished rows.
     """
-    out = np.empty_like(lo)
-    rows = np.arange(lo.size)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # updated in place
     x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
-    dx_old = hi - lo
+    dx_old, out, idx, rows = hi - lo, np.empty_like(lo), np.arange(lo.size), slice(None)
     for _ in range(max_iter):
         fx, d = fdf(x, rows)
-        lo = np.where(fx < 0.0, x, lo)
-        hi = np.where(fx > 0.0, x, hi)
-        step = np.divide(fx, d, out=np.full_like(fx, np.nan), where=(d != 0.0) & np.isfinite(d))
-        cand = x - step
-        root = np.where(fx == 0.0, x, np.where(
-            hi - lo <= rtol * np.maximum(np.abs(lo), np.abs(hi)), 0.5 * (lo + hi),
-            np.where(np.abs(step) <= rtol * np.abs(cand), np.clip(cand, lo, hi), np.nan)))
-        done = ~np.isnan(root)
-        out[rows[done]] = root[done]
-        if np.all(done):
+        np.copyto(lo, x, where=fx < 0.0)
+        np.copyto(hi, x, where=fx > 0.0)
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        with np.errstate(invalid="ignore"):  # d/d is NaN where f' is 0 or not finite,
+            step = fx / (d * (d / d))  # and a NaN step bisects
+        cand, size = x - step, np.abs(step)
+        # the three tests in their order; max(|lo|, |hi|) is max(hi, -lo) as lo <= hi
+        zero, narrow = fx == 0.0, width <= rtol * np.maximum(hi, -lo)
+        done = zero | narrow | (size <= rtol * np.abs(cand))
+        finished = np.count_nonzero(done)
+        if finished:
+            root = np.where(zero, x, np.where(narrow, mid, np.minimum(np.maximum(cand, lo), hi)))
+            out[idx[done]] = root[done]
+        if finished == done.size:
             return out
-        newton = (lo < cand) & (cand < hi) & (np.abs(step) <= 0.5 * dx_old)
-        dx_old = np.where(newton, np.abs(step), 0.5 * (hi - lo))
-        x = np.where(newton, cand, 0.5 * (lo + hi))
-        rows, lo, hi, x, dx_old = (a[~done] for a in (rows, lo, hi, x, dx_old))
+        newton = (lo < cand) & (cand < hi) & (size <= 0.5 * dx_old)
+        dx_old = np.where(newton, size, 0.5 * width)
+        x = np.where(newton, cand, mid)
+        if finished:
+            keep = ~done
+            rows = idx = idx[keep]
+            lo, hi, x, dx_old = (a[keep] for a in (lo, hi, x, dx_old))
     raise NumericalError(f"root solve did not converge in {max_iter} iterations",
                          bracket=(float(lo[0]), float(hi[0])))
 

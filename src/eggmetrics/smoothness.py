@@ -142,27 +142,33 @@ def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
     """Probe derivative ``order`` of f at the crossing t = 0.
 
     ``f`` maps an array of t to the array of its values; it is called once,
-    on the nodes of every stencil and on t = 0. Both stencil parities
-    (q = order+1, order+2) are fitted; a slope k+beta with beta strictly
-    inside (0, 1) on a stencil of order q > k+beta flags a Hölder defect. Increments below the roundoff floor are excluded from the
-    regression, which must keep at least four of the supplied scales.
+    on ``_holder_nodes``: the nodes of every stencil and t = 0. Both stencil
+    parities (q = order+1, order+2) are fitted by ``_holder_report``; a slope
+    k+beta with beta strictly inside (0, 1) on a stencil of order q > k+beta
+    flags a Hölder defect. Increments below the roundoff floor are excluded
+    from the regression, which must keep at least four of the supplied scales.
     """
     order = _check_integer(order, "derivative order", 0)
     for h in steps:
         _check_step(h)
     if len(set(steps)) < 6:  # the log-log fit needs spread in log h
         raise DomainError("need at least 6 distinct step scales")
-    candidates = []
-    best_r2 = 0.0
-    saw_signal = False
-    degenerate = False
-    centered = [_centered(q, steps) for q in (order + 1, order + 2)]
-    jump_nodes = _jump_nodes(order + 1, JUMP_STEP)
-    *diffs, f_plus, f_minus, f0 = _on_nodes(
-        f, *(nodes for nodes, _ in centered), jump_nodes, -jump_nodes, np.zeros(1))
-    for q, (_, weights), fv in zip((order + 1, order + 2), centered, diffs):
+    return _holder_report(order, steps, path, _on_nodes(f, *_holder_nodes(order, steps)))
+
+
+def _holder_nodes(order: int, steps: Sequence[float]) -> list[np.ndarray]:
+    # ``holder_exponent``'s nodes: both centered stencils, the jump nodes, their negatives and 0
+    jump = _jump_nodes(order + 1, JUMP_STEP)
+    return [_centered(q, steps)[0] for q in (order + 1, order + 2)] + [jump, -jump, np.zeros(1)]
+
+
+def _holder_report(order: int, steps: Sequence[float], path: str, values) -> SmoothnessReport:
+    # ``holder_exponent``'s report from f's values on ``_holder_nodes``
+    candidates, best_r2, saw_signal, degenerate = [], 0.0, False, False
+    *diffs, f_plus, f_minus, f0 = values
+    for q, fv in zip((order + 1, order + 2), diffs):
         # summed node by node in stencil order; a matrix product may reassociate
-        vals = np.abs(sum(w * col for w, col in zip(weights, fv.T)))
+        vals = np.abs(sum(w * col for w, col in zip(_centered(q, steps)[1], fv.T)))
         scale = max(float(np.max(vals)), abs(float(f0[0])), 1e-300)
         floor = 128.0 * 2 ** q * np.finfo(float).eps * scale
         slope, r2, n_used = _loglog_fit(steps, vals, floor)
@@ -279,7 +285,8 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
     smooth in the crossing variable), and "h11" across M0. JUNCTION reports
     come from the indicatrix derivative diagnostics at a fixed p1 grid.
     Control-path jumps are pooled into the noise so a drifting baseline can
-    not fake a detection.
+    not fake a detection. Each path function is called once, on every order's
+    nodes: the reports are ``holder_exponent``'s and ``derivative_jump``'s.
     """
     if seam == "JUNCTION":
         reports = []
@@ -306,11 +313,16 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
             component = "h22" if domain.m < 1.0 else "K2"
         else:
             component = "h11"
+    paths = seam_paths(domain, seam, component, seed, n_paths)
+    orders = [_check_integer(order, "derivative order", 0) for order in orders]
+    probe_nodes = [x for order in orders for x in _holder_nodes(order, STEP_SCALES)]
+    control_nodes = [s * _jump_nodes(order + 1, JUMP_STEP) for order in orders for s in (1.0, -1.0)]
     reports = []
-    for label, probe, control in seam_paths(domain, seam, component, seed, n_paths):
-        for order in orders:
-            rep = holder_exponent(probe, order, path=label)
-            ctrl_jump, ctrl_noise = derivative_jump(control, order + 1)
+    for label, probe, control in paths if orders else ():
+        values, ctrl = _on_nodes(probe, *probe_nodes), _on_nodes(control, *control_nodes)
+        for i, order in enumerate(orders):
+            rep = _holder_report(order, STEP_SCALES, label, values[5 * i:5 * i + 5])
+            ctrl_jump, ctrl_noise = _jump(order + 1, JUMP_STEP, *ctrl[2 * i:2 * i + 2])
             pooled = max(rep.jump_noise, abs(ctrl_jump) + ctrl_noise)
             if pooled != rep.jump_noise:
                 shared = rep.verdict == "jump" and abs(rep.jump) <= 10.0 * pooled

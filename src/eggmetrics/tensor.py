@@ -83,18 +83,17 @@ def _moved(domain: DomainParams, t, s2, sigma, r1, r2):
     return a, b, c, (b * t / domain.m + c) / s2
 
 
-def _wu_matrices(domain: DomainParams, z: np.ndarray, rows=None, regime=None) -> np.ndarray:
+def _wu_matrices(domain: DomainParams, z: np.ndarray, rows=None) -> np.ndarray:
     """Wu tensors at checked interior points: (N, n) complex -> (N, n, n).
 
-    ``rows`` are the points' membership rows (r1, q, sm) and ``regime``
-    their fit regimes when the caller has them. The fit is taken at
-    p1_ref = r1/sm with sigma = 1/sm^2, so that the only denominators of the
-    form are s2 and those of the fit, 1 - p1_ref^2 and 1 - p1_ref^2m, which
-    the membership test keeps positive.
+    ``rows`` are the points' membership rows (r1, q, sm) when the caller
+    has them. The fit is taken at p1_ref = r1/sm with sigma = 1/sm^2, so
+    that the only denominators of the form are s2 and those of the fit,
+    1 - p1_ref^2 and 1 - p1_ref^2m, which the membership test keeps positive.
     """
     r1, q, sm = _reference_rows(domain, z) if rows is None else rows
     return _assemble(z, np.stack(_moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm),
-                                        *_fit_rows(domain, r1 / sm, regime)), axis=-1))
+                                        *_fit_rows(domain, r1 / sm)), axis=-1))
 
 
 def _point_matrix(domain: DomainParams, z: np.ndarray, ref):

@@ -7,6 +7,7 @@ a pass/fail table. Seeded sampling makes runs reproducible.
 
 from __future__ import annotations
 
+import functools
 import time
 import zlib
 from dataclasses import dataclass
@@ -50,8 +51,8 @@ from .kcurve import (
 )
 from .kobayashi import _alt_upper, branch_params, kobayashi
 from .numerics import Taylor2, wirtinger_jet
-from .smoothness import holder_exponent, regularity_scan
-from .tensor import (_chain, _jet_region, _wu_jet, _wu_matrices, kahler_defect,
+from .smoothness import SmoothnessReport, holder_exponent, regularity_scan
+from .tensor import (_chain, _jet_region, _norm_sq, _wu_jet, _wu_matrices, kahler_defect,
                      pullback_tensor, wu_norm, wu_tensor)
 
 
@@ -273,8 +274,8 @@ def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
     pqs, D = _automorphism(domain, qs, ps)
     pts, vecs = np.concatenate([ps, pqs]), np.concatenate([vs, (D @ vs[..., None])[..., 0]])
     K = kobayashi(domain, pts, vecs)
-    W = wu_norm(domain, pts, vecs)
     H = wu_tensor(domain, pts)
+    W = np.sqrt(np.maximum(_norm_sq(H, vecs), 0.0))  # wu_norm's rows, from the tensors
     worst_k = float(np.max(_rel(K[:count], K[count:])))
     worst_w = float(np.max(_rel(W[:count], W[count:])))
     pulled = D.transpose(0, 2, 1) @ H[count:] @ np.conj(D)
@@ -422,8 +423,13 @@ def check_contact(domain: DomainParams, rng: np.random.Generator) -> tuple[bool,
     return worst < 1e-9, f"worst line residual at contact {worst:.1e}"
 
 
+@functools.lru_cache(maxsize=None)
+def _calibration() -> SmoothnessReport:  # the same at every domain: once per process
+    return holder_exponent(lambda t: abs(t) ** 1.5, order=1, path="|t|^1.5")
+
+
 def check_smoothness(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    cal = holder_exponent(lambda t: abs(t) ** 1.5, order=1, path="|t|^1.5")
+    cal = _calibration()
     ok = cal.verdict == "holder" and abs(cal.exponent - 0.5) < 0.05
     msgs = [f"calibration exponent {cal.exponent:.3f}"]
     m = domain.m

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,3 +251,62 @@ def test_half_m_wu_metric_continuous_with_first_derivative_break_at_z():
     rep = reps[0]
     assert rep.jump_detected  # jump statistic of the first derivative
     assert rep.verdict == "jump"
+
+
+def _composed_scan(domain, seam, component, seed, orders, n_paths):
+    # the scan composed from the public probes, one evaluation of each path
+    # function per order: holder_exponent on the probe, derivative_jump on
+    # the control, the control's jump pooled into the noise
+    reports = []
+    for label, probe, control in smoothness.seam_paths(domain, seam, component, seed, n_paths):
+        for order in orders:
+            rep = holder_exponent(probe, order, path=label)
+            ctrl_jump, ctrl_noise = derivative_jump(control, order + 1)
+            pooled = max(rep.jump_noise, abs(ctrl_jump) + ctrl_noise)
+            if pooled != rep.jump_noise:
+                shared = rep.verdict == "jump" and abs(rep.jump) <= 10.0 * pooled
+                rep = dataclasses.replace(rep, jump_noise=pooled,
+                                          verdict="smooth" if shared else rep.verdict)
+            reports.append(rep)
+    return reports
+
+
+def _scan_grid():
+    for m in (0.75, 2.0, 5.0):
+        for n in (2, 3):
+            for seam, component in (("Z", "h22"), ("Z", "K2"), ("M0", "h11"), ("M0", "h12")):
+                if seam == "Z" or m > 1.0:
+                    yield m, n, seam, component
+
+
+class TestOneEvaluationPerScan:
+    @pytest.mark.parametrize("m, n, seam, component", list(_scan_grid()))
+    def test_reports_equal_the_composed_probes(self, monkeypatch, m, n, seam, component):
+        # field for field, by repr: a NaN exponent equals itself, 0.0 and
+        # -0.0 differ; the scan evaluates each path function once, on the
+        # rows of every order
+        d = DomainParams(m=m, n=n)
+        want = _composed_scan(d, seam, component, 0, (0, 1, 2, 3), 2)
+        calls = []
+
+        def counted(fn):
+            def run(domain, z, *args):
+                calls.append(len(z))
+                return fn(domain, z, *args)
+            return run
+
+        monkeypatch.setattr(smoothness, "wu_tensor", counted(smoothness.wu_tensor))
+        monkeypatch.setattr(smoothness, "kobayashi_sq", counted(smoothness.kobayashi_sq))
+        got = regularity_scan(d, seam, component=component, seed=0, orders=(0, 1, 2, 3))
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            for field in dataclasses.fields(a):
+                assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
+        assert len(calls) == 2 * 2
+
+    def test_no_orders_give_no_reports(self):
+        assert regularity_scan(DomainParams(m=2.0, n=2), "M0", orders=()) == []
+
+    def test_a_bad_order_is_refused(self):
+        with pytest.raises(DomainError):
+            regularity_scan(DomainParams(m=2.0, n=2), "M0", orders=(1, -1))

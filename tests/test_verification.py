@@ -1,5 +1,7 @@
 """The verify suite's sample sets: row samplers, row regularity probes, the bench's cells."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from eggmetrics import (
     minkowski_gauge,
     regularity_scan,
     square_convexity_check,
+    wu_norm,
     wu_tensor,
 )
 from eggmetrics import fitting, numerics, smoothness, verification
-from eggmetrics.domain import _defining
+from eggmetrics.domain import _automorphism, _defining
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
+from eggmetrics.tensor import _norm_sq
 from eggmetrics.verification import (
     _SAMPLE_MARGIN,
     _sample_directions,
@@ -268,6 +272,59 @@ class TestRowSolveBudget:
                 for check in (check_gauge, check_alt_upper):
                     check(d, np.random.default_rng([seed, n]))
         assert len(calls) >= 6 and sum(calls) >= 300
+
+
+def _row_solves(monkeypatch):
+    # the row count of every row solve the package makes
+    calls, solve = [], numerics._solve_bracketed_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].size)
+        return solve(*args, **kwargs)
+
+    for module in (numerics, fitting, sys.modules["eggmetrics.kobayashi"]):
+        monkeypatch.setattr(module, "_solve_bracketed_rows", counted)
+    return calls
+
+
+class TestRowSolveCount:
+    # one verify item at m > 1 makes 15 row solves: invariance reads its Wu
+    # norms off the tensors it computes and the smoothness scan evaluates
+    # each path function once (18 when each probe order evaluated its own)
+    @pytest.mark.parametrize("m, n", [(2.0, 3), (5.0, 2)])
+    def test_one_item_makes_at_most_15_row_solves(self, monkeypatch, m, n):
+        calls = _row_solves(monkeypatch)
+        results = run_checks(DomainParams(m=m, n=n), seed=0)
+        assert [r.name for r in results if not r.passed] == []
+        assert 0 < len(calls) <= 15
+
+    def test_a_regime_without_rows_solves_nothing(self, monkeypatch):
+        # the tangency is solved for the rows inside M0 only, and not at all
+        # for rows that all lie from M0 out
+        d = DomainParams(m=2.0, n=2)
+        calls = _row_solves(monkeypatch)
+        outer = np.array([[0.9, 0.1], [0.95, 0.0]], dtype=complex)
+        wu_tensor(d, outer)
+        assert calls == []
+        wu_tensor(d, np.concatenate([outer, [[0.3, 0.2]]]))
+        assert calls == [1]
+
+
+class TestInvarianceNorms:
+    # check_invariance takes its Wu norms from the tensors: the same bits as
+    # wu_norm's rows
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0.75, 2.0, 5.0])
+    def test_tensor_norms_are_wu_norm(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([int(10 * m), n])
+        ps, qs = _sample_interior(d, rng, 40), _sample_interior(d, rng, 40)
+        vs = _sample_directions(d, rng, 40)
+        pqs, D = _automorphism(d, qs, ps)  # as check_invariance moves its pairs
+        z = np.concatenate([ps, pqs])
+        v = np.concatenate([vs, (D @ vs[..., None])[..., 0]])
+        from_tensor = np.sqrt(np.maximum(_norm_sq(wu_tensor(d, z), v), 0.0))
+        assert from_tensor.tobytes() == wu_norm(d, z, v).tobytes()
 
 
 class TestSeamContinuityAtLargeM:
