@@ -10,7 +10,8 @@ the private ``_...`` helpers take vectors that are already checked, so that
 callers inside the package check at their own boundary and not again at
 every layer. ``_defining`` and ``_region_of`` work on the last axis, so they
 take one point or rows of points alike. Whether a point lies inside the egg
-is decided in one place, ``_reference_rows``.
+is decided in one place, ``_reference_rows``; ``_reference_point`` takes its
+ufuncs to one point's own vector.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _check_integer, _two_term_root, abs_pow
+from .numerics import _check_integer, _power, _two_term_root, abs_pow
 
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
@@ -218,11 +219,12 @@ def _reference_rows(domain: DomainParams, z: np.ndarray):
 
 
 def _reference_point(domain: DomainParams, z: np.ndarray):
-    # ``_reference_rows`` of one checked point (n,), as floats: the rows'
-    # power of a one-row array, so that one point is a member exactly as
-    # its row is
-    r1, q, sm = _reference_rows(domain, z[None])
-    return float(r1[0]), float(q[0]), float(sm[0])
+    # ``_reference_rows`` of one checked point (n,) as floats, off one np.abs of it: the same
+    # ufuncs on the same values (math.sqrt rounds as np.sqrt does, the power is numpy's,
+    # ``_power``), so that one point is a member exactly as its row is
+    a = np.abs(z)
+    q = float((a[1:] ** 2).sum())
+    return float(a[0]), q, _power(math.sqrt(max(1.0 - q, 0.0)), 1.0 / domain.m)
 
 
 def _reference_coordinate(domain: DomainParams, z: np.ndarray) -> np.ndarray:
@@ -310,8 +312,8 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref=None):
     using (1 - s)/|phat|^2 = 1/(1 + s); phat = 0 needs no branch. The
     reference coordinate is ``_reference_coordinate``'s p1_ref. One pair
     passes its checked membership ``ref`` as floats (``_check_inside``):
-    its real scalars, and the reference coordinate it gets back, stay
-    floats, while the complex parts run on its one row as on any other.
+    its real scalars and the reference coordinate it gets back stay floats
+    (math.sqrt rounds as np.sqrt does); its complex parts run on its one row.
     """
     m = domain.m
     if ref is None:
@@ -320,12 +322,12 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref=None):
         r1, q, sm = ref
     p1, phat, vhat = p[:, :1], p[:, 1:], v[:, 1:]
     s2 = 1.0 - q
-    s = np.sqrt(s2)
+    s = np.sqrt(s2) if ref is None else math.sqrt(s2)
     d = (np.conj(phat) * vhat).sum(axis=-1, keepdims=True)
     # c = |p1|/p1, and 1 where |p1| is 0 or so small that 1/p1 overflows:
     # the unimodular c moves no value that K or the pullback read
     on_z = r1 < sys.float_info.min
-    c = r1 / np.where(on_z, 1.0, p1) + on_z
+    c = r1 / (np.where(on_z, 1.0, p1) if ref is None else 1.0 if on_z else p1) + on_z
     w = np.empty_like(v)
     w[:, :1] = c * (v[:, :1] + p1 * d / (m * s2)) / sm
     w[:, 1:] = (s * vhat + phat * (d / (1.0 + s))) / -s2

@@ -137,7 +137,7 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     """
     _check_p1(p1)
     p1 = float(p1)
-    r1, r2 = _fit(domain, int(_regimes(domain, np.array([p1]))[0]), p1 * p1)
+    r1, r2 = _fit(domain, _regimes(domain, p1), p1 * p1)
     return WuEllipsoidDiag(r1=float(r1), r2=float(r2))
 
 
@@ -147,10 +147,10 @@ def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
 _CHORD, _LOWER, _TANGENCY = range(3)
 
 
-def _regimes(domain: DomainParams, p1: np.ndarray) -> np.ndarray:
-    # the fit regime of each checked axis coordinate p1 in [0, 1)
+def _regimes(domain: DomainParams, p1):
+    # the fit regime of each checked axis coordinate p1 in [0, 1), or of one float p1 as an int
     if domain.m <= 1.0:
-        return np.full(len(p1), _CHORD)
+        return _CHORD if isinstance(p1, float) else np.full(len(p1), _CHORD)
     # the tangency inside M0, one less (the LOWER line) from M0 out
     return _TANGENCY - (p1 >= domain.m0_radius)
 

@@ -184,14 +184,14 @@ def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
 def _kobayashi_reference_sq(domain: DomainParams, p1, v: np.ndarray):
     # kobayashi_reference_sq of each checked row: p1 (N,) in (0, 1), v (N, n);
     # AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``. A float p1
-    # with one row v is one pair, whose branch and formula run on floats
+    # with one row v is one pair: |v1|, |vhat|^2 (off one np.abs), branch and formula on floats
     m = domain.m
-    v1 = np.abs(v[:, 0])
-    x = _hat_sq(v)
     if isinstance(p1, float):
-        v1, x = float(v1[0]), float(x[0])
+        a = np.abs(v[0])
+        v1, x = float(a[0]), float((a[1:] ** 2).sum())
         branch = 0 if x == 0.0 else 1 + bool(_is_upper(m, p1, v1, x))
         return _BRANCH_SQ[branch](m, p1, v1, x)
+    v1, x = np.abs(v[:, 0]), _hat_sq(v)
     branch = (x > 0.0) * (1 + _is_upper(m, p1, v1, x))
     k_sq = np.empty(len(p1))
     for b, branch_sq in enumerate(_BRANCH_SQ):

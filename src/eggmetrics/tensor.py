@@ -50,18 +50,23 @@ class HermitianForm:
         self.matrix.setflags(write=False)
 
     def norm_sq(self, v) -> float:
-        v = as_vector(v, len(self.matrix))
-        return float(_norm_sq(self.matrix[None], v[None])[0])
+        return _norm_sq(self.matrix, as_vector(v, len(self.matrix)))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _norm_sq(H: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # sum_ij H[k, i, j] v[k, i] conj(v[k, j]) of each row k; einsum would sum
-    # in an order that depends on the number of rows, these sums do not
+def _norm_sq(H: np.ndarray, v: np.ndarray):
+    # sum_ij H[i, j] v[i] conj(v[j]) of one point's (n, n) and (n,) as a float, or of each
+    # row; einsum would sum in an order that depends on the number of rows, these sums do
+    # not. A product past the float range leaves the sum at inf, -inf or inf - inf = NaN:
+    # that reads inf
     Hv = (H * np.conj(v)[..., None, :]).sum(axis=-1)
-    return (v * Hv).sum(axis=-1).real
+    k = (v * Hv).sum(axis=-1).real
+    if k.ndim:
+        k[~np.isfinite(k)] = np.inf
+        return k
+    return float(k) if math.isfinite(k) else math.inf
 
 
 # The Wu unit ball at z is the fit (r1, r2) at the axis point p1_ref moved
@@ -99,25 +104,25 @@ def _wu_matrices(domain: DomainParams, z: np.ndarray, rows=None) -> np.ndarray:
 def _point_matrix(domain: DomainParams, z: np.ndarray, ref):
     """(H, fit regime) at one checked interior point z (n,), as ``_wu_matrices`` gives its row.
 
-    ``ref`` is the point's membership (r1, q, sm) as floats. The fit and
-    ``_moved`` run on floats, with every power on numpy (``_power``); the
-    complex matrix is assembled on the point's one row.
+    ``ref`` is the point's membership (r1, q, sm) as floats. The regime, the
+    fit and ``_moved`` run on floats, with every power on numpy (``_power``);
+    the complex matrix is assembled on the point itself.
     """
     r1, q, sm = ref
     p1 = r1 / sm
-    regime = int(_regimes(domain, np.array([p1]))[0])
+    regime = _regimes(domain, p1)
     coef = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm), *_fit(domain, regime, p1 * p1))
-    return _assemble(z[None], np.array([coef]))[0], regime
+    return _assemble(z, np.array(coef)), regime
 
 
 def _assemble(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    # the (N, n, n) matrices of checked (N, n) points from the (N, 4) rows of
-    # their (a, b, c, e): conj(z_i) z_j times b or e, which a real factor
-    # scales part by part, then c added on the zhat diagonal and a set at [0, 0]
-    n = z.shape[1]
-    H = np.conj(z)[:, :, None] * z[:, None, :] * coef[:, _blocks(n)[2]]
-    H.reshape(len(z), n * n)[:, n + 1::n + 1] += coef[:, 2:3]
-    H[:, 0, 0] = coef[:, 0]
+    # the (n, n) matrix of one checked point (n,), or the (N, n, n) matrices of (N, n) rows,
+    # from their (a, b, c, e): conj(z_i) z_j times b or e, which a real factor scales part
+    # by part, then c added on the zhat diagonal and a set at [0, 0]
+    n = z.shape[-1]
+    H = np.conj(z)[..., :, None] * z[..., None, :] * coef[..., _blocks(n)[2]]
+    H.reshape(-1, n * n)[:, n + 1::n + 1] += coef[..., 2:3]
+    H[..., 0, 0] = coef[..., 0]
     return H
 
 
@@ -210,7 +215,7 @@ def wu_norm(domain: DomainParams, z, v):
     _same_rows(z, v)
     if z.ndim == 1:
         H = _point_matrix(domain, z, _check_inside(domain, z))[0]
-        return math.sqrt(max(float(_norm_sq(H[None], v[None])[0]), 0.0))  # rounds as np.sqrt does
+        return math.sqrt(max(_norm_sq(H, v), 0.0))  # rounds as np.sqrt does
     return np.sqrt(np.maximum(_norm_sq(_wu_matrices(domain, z, _check_inside(domain, z)), v), 0.0))
 
 
@@ -285,7 +290,7 @@ def _wu_jet(domain: DomainParams, z: np.ndarray, region: RegionLabel, ref):
     _, _, coef, eye, hat, swap = _blocks(z.size)
     r1, q, sm = ref
     p1 = r1 / sm
-    regime = int(_regimes(domain, np.array([p1]))[0])
+    regime = _regimes(domain, p1)
     t, s2 = Taylor2.variables(r1 * r1, 1.0 - q)
     sigma = s2 ** (-1.0 / domain.m)
     u = t * sigma
