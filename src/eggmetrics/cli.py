@@ -231,18 +231,10 @@ def _cmd_kcurve(cfg: RunConfig, args) -> int:
 
 
 def _cmd_curvature_scan(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
     lo, _, hi = args.p1_range.partition(":")
-    p1s = np.linspace(float(lo), float(hi), args.count)
-
-    records, skipped = [], []
-    for p1 in p1s:
-        grid = GridSpec(p1_min=p1, p1_max=p1, count=1,
-                        phat_abs=args.phat_abs, seed=cfg.seed,
-                        directions=args.directions)
-        recs, sk = curvature_scan(domain, grid)
-        records.extend(recs)
-        skipped.extend(sk)
+    records, skipped = curvature_scan(cfg.domain(), GridSpec(
+        p1_min=float(lo), p1_max=float(hi), count=args.count, phat_abs=args.phat_abs,
+        seed=cfg.seed, directions=args.directions))
     rows = []
     for rec in records:
         coords = ";".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in rec.point)

@@ -28,12 +28,6 @@ from .numerics import _check_integer, _power, _two_term_root, abs_pow
 
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
-#: weight W of the middle stratum M0 = {W |z1|^2m + |zhat|^2 = 1} (m > 1),
-#: which splits the inner strata from the outer; ``m0_radius``, region
-#: labels, seam distances and the tangency solve place M0 with it, and the
-#: fit regimes, which choose the tensor's fit, through ``m0_radius``
-_M0_WEIGHT = 2.0
-
 #: the one Z cut-off, which is not a region tolerance: reduced axis
 #: coordinate below which ``kobayashi`` takes the Z branch, the Minkowski
 #: gauge of the moved vector, instead of the axis-point formulas
@@ -56,20 +50,24 @@ class DomainParams:
     """The egg {|z1|^2m + |z2|^2 + ... + |zn|^2 < 1}.
 
     ``m`` must be at least 1/2 (convexity threshold); ``m = 1`` is the unit
-    ball and is admitted as a sanity configuration. ``m0_radius`` is the axis
-    coordinate W^(-1/2m) of M0 (W = 2), separating the inner and outer strata
-    when m > 1.
+    ball and is admitted as a sanity configuration. ``m0_weight`` is the
+    weight w of the middle stratum M0 = {w |z1|^2m + |zhat|^2 = 1}, which
+    splits the inner strata from the outer when m > 1 (w = 2 at every n);
+    region labels, seam distances and the tangency fit place M0 with it, and
+    ``m0_radius`` = w^(-1/2m) is M0's axis coordinate.
     """
 
     m: float
     n: int
+    m0_weight: float = field(init=False)
     m0_radius: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer(self.n, "dimension n", 2))
         if not (math.isfinite(self.m) and self.m >= 0.5):
             raise DomainError(f"exponent m must be finite and >= 1/2, got {self.m!r}")
-        object.__setattr__(self, "m0_radius", _M0_WEIGHT ** (-1.0 / (2.0 * self.m)))
+        object.__setattr__(self, "m0_weight", 2.0)
+        object.__setattr__(self, "m0_radius", self.m0_weight ** (-1.0 / (2.0 * self.m)))
 
 
 def as_vector(v, n: int, rows: bool = False) -> np.ndarray:
@@ -166,9 +164,9 @@ def _gauge(domain: DomainParams, v: np.ndarray):
 def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionLabel:
     """Label a point: OUTSIDE, Z, and for m > 1 one of M_MINUS/M_ZERO/M_PLUS, else GENERIC.
 
-    The inner/middle/outer split tests 2|z1|^2m + |zhat|^2 - 1 against +-tol;
-    Z is |z1| <= tol. Labels depend only on |z1| and |zhat|, so they are
-    invariant under phase rotation of z1 and unitary rotation of zhat.
+    The inner/middle/outer split tests w|z1|^2m + |zhat|^2 - 1 (w = ``m0_weight``)
+    against +-tol; Z is |z1| <= tol. Labels depend only on |z1| and |zhat|, so
+    they are invariant under phase rotation of z1 and unitary rotation of zhat.
     """
     _check_tol(tol)
     return _region_of(domain, as_vector(z, domain.n), tol)
@@ -188,7 +186,7 @@ def _region_of(domain: DomainParams, z: np.ndarray, tol: float, rows=None):
     r1, q, sm = rows
     code = 2  # GENERIC
     if domain.m > 1.0:
-        w = _M0_WEIGHT * r1 ** (2 * domain.m) + q - 1.0
+        w = domain.m0_weight * r1 ** (2 * domain.m) + q - 1.0
         code = 4 + (w > tol) * 1 - (w < -tol)  # M_MINUS, M_ZERO or M_PLUS
     # Z where r1 <= tol, OUTSIDE unless r1 < sm; arithmetic on the tests, so
     # that one point's floats stay Python bools
@@ -355,8 +353,8 @@ def _seam_distance(domain: DomainParams, z: np.ndarray) -> float:
     if grad_e > 0:
         dists.append(abs(e) / grad_e)
     if m > 1.0:
-        w = _M0_WEIGHT * abs_pow(r1, 2 * m) + rhat * rhat - 1.0
-        grad_w = math.hypot(2 * m * _M0_WEIGHT * abs_pow(r1, 2 * m - 1), 2 * rhat)
+        w = domain.m0_weight * abs_pow(r1, 2 * m) + rhat * rhat - 1.0
+        grad_w = math.hypot(2 * m * domain.m0_weight * abs_pow(r1, 2 * m - 1), 2 * rhat)
         if grad_w > 0:
             dists.append(abs(w) / grad_w)
     return min(dists)

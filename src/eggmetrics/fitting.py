@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, _M0_WEIGHT, _check_p1
+from .domain import DomainParams, _check_p1
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kcurve import _upper_tangents, _x_intercept, upper_xy
 from .numerics import (ROOT_MAX_ITER, Taylor2, _power, _solve_bracketed_rows, abs_pow,
@@ -42,71 +42,72 @@ class ContactPoint:
 def solve_X(domain: DomainParams, p1: float) -> float:
     """Square of the tangency parameter on the UPPER curve, for inner-region points.
 
-    X is the geometric root of X^(2m-1) - (m+1) p1^2m X^(m-1) + (m-2) p1^2m
-    X^m + 2 p1^4m = 0, the unique one in (p1^2, 1]; a point off the inner
-    region (2 p1^2m - 1 above 1e-12) has none. It is solved as tau = X/p1^2
-    in the bounded form ``_tangency``, the equation divided by p1^(4m-2)
-    tau^(m-1), whose terms stay O(m) on its bracket: no power leaves the
-    float range at any m or p1, and the root keeps full relative accuracy
-    as p1 -> 0, where it tends to tau0 = (m+1)^(1/m), and up to M0, where
-    X -> 1. Off the axis, at a point whose reference coordinate is
-    p1/s^(1/m), the equation multiplies its s-free terms by s^4 and the
-    others by s^2, and dividing by s^4 gives the same root:
-    X(p1, s) = X(p1/s^(1/m), 1).
+    With w = ``domain.m0_weight``, K = m (w-1) + 1 and P = p1^2m, X is the
+    geometric root of X^(2m-1) - K P X^(m-1) + (m (w-1) - w) P X^m + w P^2 = 0,
+    the unique one in (p1^2, 1]; a point off the inner region (w P - 1 above
+    1e-12) has none. It is solved as tau = X/p1^2 in the bounded form
+    ``_tangency``, the equation divided by p1^(4m-2) tau^(m-1), whose terms
+    stay O(m) on its bracket: no power leaves the float range at any m or
+    p1, and the root keeps full relative accuracy as p1 -> 0, where it tends
+    to tau0 = K^(1/m), and up to M0, where X -> 1. Off the axis, at a point
+    whose reference coordinate is p1/s^(1/m), the equation multiplies its
+    s-free terms by s^4 and the others by s^2, and dividing by s^4 gives the
+    same root: X(p1, s) = X(p1/s^(1/m), 1).
     """
     if domain.m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
     _check_p1(p1)
     p1 = float(p1)
-    if _M0_WEIGHT * p1 ** (2.0 * domain.m) - 1.0 > 1e-12:
+    if domain.m0_weight * p1 ** (2.0 * domain.m) - 1.0 > 1e-12:
         raise ConfigurationError(
             f"no tangency root: axis coordinate p1={p1!r} is not in the inner region")
-    return p1 * p1 * _solve_tau(domain.m, p1)
+    return p1 * p1 * _solve_tau(domain.m, domain.m0_weight, p1)
 
 
-def _solve_tau(m: float, p1):
-    # the tangency root tau = X/p1^2 at inner-region axis coordinates p1: a
-    # few Newton steps on the certified bracket of ``_ends``, for one p1 on
-    # floats (``solve_bracketed``) or for rows (``_solve_bracketed_rows``)
+def _solve_tau(m: float, w: float, p1):
+    # the tangency root tau = X/p1^2 at inner-region axis coordinates p1, M0
+    # weight w: a few Newton steps on the certified bracket of ``_ends``, for
+    # one p1 on floats (``solve_bracketed``) or for rows
+    # (``_solve_bracketed_rows``); K = tau0^m and the terms are formed once
     pm = float(p1) * float(p1) if np.ndim(p1) == 0 else p1 * p1
-    k = _tangency_terms(m, pm)
+    K, k = m * (w - 1.0) + 1.0, _tangency_terms(m, w, pm)
     if isinstance(pm, float):
-        lo, hi, x0 = _ends(m, pm, max)
-        return solve_bracketed(lambda t: _tangency(m, t, t ** m, *k), lo, hi,
+        lo, hi, x0 = _ends(m, w, K, pm, max)
+        return solve_bracketed(lambda t: _tangency(K, t, t ** m, *k), lo, hi,
                                df=lambda t: _tangency_slope(m, t, t ** m, *k), x0=x0)
 
     def hdh(t, r):
         q, kr = t ** m, [c[r] for c in k]
-        return _tangency(m, t, q, *kr), _tangency_slope(m, t, q, *kr)
+        return _tangency(K, t, q, *kr), _tangency_slope(m, t, q, *kr)
 
-    return _solve_bracketed_rows(hdh, *_ends(m, pm, np.maximum))
+    return _solve_bracketed_rows(hdh, *_ends(m, w, K, pm, np.maximum))
 
 
-def _ends(m: float, pm, maximum):
+def _ends(m: float, w: float, K: float, pm, maximum):
     # lower end, upper end and start in tau at pm = p1^2, for one p1's floats
     # (maximum = max) or rows (np.maximum). The bracket [1, min((1 + 1e-12)/pm,
-    # tau0 (1 + 1e-12))] is certified for every m > 1 up to M0:
-    # h(1) = -m (1 - pm) < 0, h(tau0) = pm tau0 m (m-1)/(m+1) >= 0 and
-    # h(1/pm) = (1 - P)(1 - 2P)/P >= 0 inside M0 (P = p1^2m), where widening
-    # by 1e-12 lifts h by about (2m-1) 1e-12, above its evaluation noise.
-    # Inside M0 the root lies in [2^(1/m), tau0]; the start takes tau^m
-    # linear in pm, exact at p1 = 0 (m+1) and on M0 (2), as h nearly is for
-    # large m
-    tau0 = (m + 1.0) ** (1.0 / m)
+    # tau0 (1 + 1e-12))], tau0 = K^(1/m), is certified for every m > 1 up to
+    # M0: h(1) = -m (w-1)(1 - pm) < 0, h(tau0) = pm tau0 m (m-1)(w-1)^2/K >= 0
+    # and h(1/pm) = (1 - P)(1 - w P)/P >= 0 inside M0 (P = p1^2m), where
+    # widening by 1e-12 lifts h by about (2m-1) 1e-12, above its evaluation
+    # noise. Inside M0 the root lies in [w^(1/m), tau0]; the start takes
+    # tau^m linear in pm, exact at p1 = 0 (K) and on M0 (w), as h nearly is
+    # for large m
+    tau0 = K ** (1.0 / m)
     hi = (1.0 + 1e-12) / maximum(pm, 1.0 / tau0)  # pm may underflow to 0
-    return 1.0 + 0.0 * pm, hi, (m + 1.0 + (1.0 - m) * pm * 2.0 ** (1.0 / m)) ** (1.0 / m)
+    return 1.0 + 0.0 * pm, hi, (K + (w - 1.0) * (1.0 - m) * pm * w ** (1.0 / m)) ** (1.0 / m)
 
 
-def _tangency_terms(m: float, pm):
-    # (m-2) pm, 2 pm and 2 (1-m) pm at pm = p1^2, as ``_tangency`` groups them
-    return (m - 2.0) * pm, 2.0 * pm, 2.0 * (1.0 - m) * pm
+def _tangency_terms(m: float, w: float, pm):
+    # (m (w-1) - w) pm, w pm and w (1-m) pm at pm = p1^2, as ``_tangency`` groups them
+    return (m * (w - 1.0) - w) * pm, w * pm, w * (1.0 - m) * pm
 
 
-def _tangency(m: float, tau, q, a, b, c):
-    # the bounded tangency form h(tau) = tau^m - (m+1) + (m-2) pm tau + 2 pm
-    # tau^(1-m), with q = tau^m and (a, b, c) = ``_tangency_terms``: the
+def _tangency(K: float, tau, q, a, b, c):
+    # the bounded tangency form h(tau) = tau^m - K + (m (w-1) - w) pm tau +
+    # w pm tau^(1-m), with q = tau^m and (a, b, c) = ``_tangency_terms``: the
     # equation in tau = X/p1^2 divided by tau^(m-1); tau^(1-m) = tau/q
-    return q - (m + 1.0) + a * tau + b * tau / q
+    return q - K + a * tau + b * tau / q
 
 
 def _tangency_slope(m: float, tau, q, a, b, c):  # d/dtau of ``_tangency``
@@ -117,21 +118,21 @@ def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
     # the tangency root tau as a jet of the jet u = p1^2: the float root and
     # its u-derivatives by implicit differentiation of h(tau, u) = 0, which
     # is linear in u: tau' = -h_u/h_tau, tau'' = -(h_tautau tau' + 2 h_tauu) tau'/h_tau
-    m, v = domain.m, u.v
-    tau = _solve_tau(m, math.sqrt(v))
-    q = tau ** m
-    h_tau = _tangency_slope(m, tau, q, *_tangency_terms(m, v))
-    d1 = -((m - 2.0) * tau + 2.0 * tau / q) / h_tau
-    h_tautau = m * (m - 1.0) * (q / (tau * tau) + 2.0 * v / (q * tau))
-    h_tauu = m - 2.0 + 2.0 * (1.0 - m) / q
+    m, w, v = domain.m, domain.m0_weight, u.v
+    tau = _solve_tau(m, w, math.sqrt(v))
+    q, a = tau ** m, m * (w - 1.0) - w
+    h_tau = _tangency_slope(m, tau, q, *_tangency_terms(m, w, v))
+    d1 = -(a * tau + w * tau / q) / h_tau
+    h_tautau = m * (m - 1.0) * (q / (tau * tau) + w * v / (q * tau))
+    h_tauu = a + w * (1.0 - m) / q
     return u._compose(tau, d1, -(h_tautau * d1 + 2.0 * h_tauu) * d1 / h_tau)
 
 
 def fit_reference(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     """Wu ellipsoid coefficients (r1, r2) at the axis point (p1, 0, ..., 0).
 
-    m <= 1: the chord through the two axis intercepts. m > 1 outside the
-    2^(-1/2m) threshold: the LOWER line itself. m > 1 inside: the line
+    m <= 1: the chord through the two axis intercepts. m > 1 from M0
+    (``m0_radius``) out: the LOWER line itself. m > 1 inside: the line
     tangent to the UPPER curve at the solved contact parameter, which tends
     to ``fit_origin`` as p1 -> 0. ``_fit_rows``' row at p1, on floats.
     """
@@ -174,7 +175,7 @@ def _fit(domain: DomainParams, regime: int, u):
     if regime == _TANGENCY:
         if isinstance(u, Taylor2):
             return _inner_fit(domain, u, _tangency_jet(domain, u))
-        return _inner_fit(domain, u, _solve_tau(m, np.sqrt(u)))
+        return _inner_fit(domain, u, _solve_tau(m, domain.m0_weight, np.sqrt(u)))
     P = _power(u, m)
     r1 = (1.0 / _power(1.0 - u, 2) if regime == _CHORD
           else m * m * _power(u, m - 1.0) / _power(1.0 - P, 2))
@@ -183,21 +184,22 @@ def _fit(domain: DomainParams, regime: int, u):
 
 def _inner_fit(domain: DomainParams, u, tau):
     # inner-region line tangent to the UPPER curve at the contact parameter
-    # sqrt(u tau), at u = p1^2: r1 = m^2 tau/(2 f^2) and r2 = tau^m/(2 f) with
-    # f = m - (m-1) u tau - u tau^(1-m), for floats, rows or jets; at u = 0
-    # it is ``fit_origin``
-    m = domain.m
+    # sqrt(u tau), at u = p1^2: r1 = m^2 tau/(w f^2) and r2 = tau^m/(w f) with
+    # f = m - (m-1) u tau - u tau^(1-m) and w the M0 weight, for floats, rows
+    # or jets; at u = 0 it is ``fit_origin``
+    m, w = domain.m, domain.m0_weight
     q = _power(tau, m)
     f = m - (m - 1.0) * u * tau - u * tau / q
-    return m * m * tau / (2.0 * f * f), q / (2.0 * f)
+    return m * m * tau / (w * f * f), q / (w * f)
 
 
 def fit_origin(domain: DomainParams) -> WuEllipsoidDiag:
     """Closed-form value of the fit on Z, its limit as p1 -> 0 (the tangency's for m > 1)."""
-    m = domain.m
+    m, w = domain.m, domain.m0_weight
     if m <= 1.0:
         return WuEllipsoidDiag(1.0, 1.0)
-    return WuEllipsoidDiag(r1=abs_pow(m + 1.0, 1.0 / m) / 2.0, r2=(m + 1.0) / (2.0 * m))
+    K = m * (w - 1.0) + 1.0  # tau0^m
+    return WuEllipsoidDiag(r1=abs_pow(K, 1.0 / m) / w, r2=K / (w * m))
 
 
 def contact_point(domain: DomainParams, p1: float) -> ContactPoint:
@@ -217,7 +219,7 @@ def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     """Least-volume supporting line of the K-curves, from one table of UPPER tangents.
 
     In the direction lambda = r2/r1, r1 = 1/H(lambda) with H the curves' support
-    function, and log r1 + (w-1) log r2 (w = ``_M0_WEIGHT``) is concave in log
+    function, and log r1 + (w-1) log r2 (w = ``m0_weight``) is concave in log
     lambda, largest where r2 x* - (w-1)/w changes sign at the support (x*, y*).
     For m > 1 each ``_arc_table`` sample supports its own tangent direction,
     where the sign is lambda x - (w-1) y's; Newton steps on log y + (w-1) log x
@@ -226,7 +228,7 @@ def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     (x_int, 0) to an arc end, the exact fit. The closed-form fit is not read.
     """
     _check_p1(p1)
-    m, w, p1 = domain.m, _M0_WEIGHT, float(p1)
+    m, w, p1 = domain.m, domain.m0_weight, float(p1)
     a, tab = _arc_table(m, p1)
     x, y, _, _, ll, _ = tab
     with np.errstate(divide="ignore"):  # x = 0 at alpha = p1; y may underflow

@@ -112,7 +112,7 @@ def _point_matrix(domain: DomainParams, z: np.ndarray, ref):
     p1 = r1 / sm
     regime = _regimes(domain, p1)
     coef = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm), *_fit(domain, regime, p1 * p1))
-    return _assemble(z, np.array(coef)), regime
+    return _assemble(z, np.array(coef, dtype=complex)), regime
 
 
 def _assemble(z: np.ndarray, coef: np.ndarray) -> np.ndarray:

@@ -120,10 +120,11 @@ def test_criterion_4_seam_continuity():
         # inner closed form evaluated at the threshold root X -> 1
         X = solve_X(d, thr)
         assert X == pytest.approx(1.0, abs=1e-12)
-        P = 0.5
+        w = d.m0_weight
+        P = 1.0 / w
         F = d.m * abs_pow(X, d.m - 1) - (d.m - 1) * abs_pow(X, d.m) - P
-        inner_r1 = d.m ** 2 * abs_pow(X, 2 * d.m - 1) / (2 * thr ** 2 * F ** 2)
-        inner_r2 = abs_pow(X, 2 * d.m - 1) / (2 * P * F)
+        inner_r1 = d.m ** 2 * abs_pow(X, 2 * d.m - 1) / (w * thr ** 2 * F ** 2)
+        inner_r2 = abs_pow(X, 2 * d.m - 1) / (w * P * F)
         outer = fit_reference(d, thr)
         assert abs(inner_r1 - outer.r1) / outer.r1 < 1e-8
         assert abs(inner_r2 - outer.r2) / outer.r2 < 1e-8

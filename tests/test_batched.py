@@ -30,6 +30,7 @@ from eggmetrics import (
 from eggmetrics.domain import _automorphism, _gauge, _hat_sq, _reference_coordinate, _to_axis
 from eggmetrics.kobayashi import Branch, _alt_upper, _is_upper
 from eggmetrics.verification import _sample_interior
+from test_domain import m0_split
 
 M_VALUES = [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0]
 STRATA = ("generic", "on-Z", "z1=1e-11", "on-M0", "near-boundary")
@@ -51,8 +52,8 @@ def _point(rng, m, n, stratum):
     elif stratum == "z1=1e-11":
         r1, rhat = 1e-11, rng.uniform(0.05, 0.95)
     elif stratum == "on-M0":
-        t = rng.uniform(0.02, 0.48)
-        r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(1.0 - 2.0 * t)
+        t, q = m0_split(DomainParams(m=m, n=n), rng.uniform(0.04, 0.96))
+        r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(q)
     else:  # gauge 1 - 1e-4
         t = rng.uniform(0.05, 0.95)
         g = 1.0 - 1e-4

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eggmetrics import NumericalError, __version__, cli, verification
+from eggmetrics import DomainParams, NumericalError, __version__, cli, verification
 from eggmetrics import tensor as tensor_module
 from eggmetrics.cli import main, parse_complex_vector
 
@@ -229,11 +229,22 @@ class TestExitCodes:
         assert expected in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--count", "0"), "grid count must be an integer >= 1, got 0"),
+        (("--p1-range", "0.9:0.3"), "p1 range must satisfy 0 < min <= max < 1"),
+    ])
+    def test_scan_grid_is_checked_as_the_api_checks_it(self, capsys, flags, message):
+        # an empty grid and a reversed range are refused by GridSpec, as
+        # curvature_scan refuses them, instead of an empty or descending scan
+        code, out, err = run_cli(capsys, "curvature-scan", "--m", "2", "--n", "2", *flags)
+        assert code == 1 and out == ""
+        assert f"validation error: {message}" in err and "Traceback" not in err
+
     def test_numerical_failure_exits_two(self, capsys):
         # tensor on the middle stratum: kahler_defect is skipped gracefully,
         # but a curvature scan pinned to the seam must refuse
         code, out, err = run_cli(capsys, "tensor", "--m", "2", "--n", "2",
-                                 "--point", f"{2 ** -0.25},0")
+                                 "--point", f"{DomainParams(m=2.0, n=2).m0_radius},0")
         assert code == 0
         assert json.loads(out)["kahler_defect"] is None
 
@@ -250,11 +261,12 @@ class TestExitCodes:
         assert code == 0 and err == ""
         payload = json.loads(out)
         m = float(argv[2])
+        w = DomainParams(m=m, n=2).m0_weight
         if argv[0] == "fit":
-            r1, r2, _ = ref.fit(m, float(argv[4]))
+            r1, r2, _ = ref.fit(m, w, float(argv[4]))
             got, want = [payload["r1"], payload["r2"]], [float(r1), float(r2)]
         else:
-            H = ref.wu_tensor(m, parse_complex_vector(argv[6], 2))[0]
+            H = ref.wu_tensor(m, w, parse_complex_vector(argv[6], 2))[0]
             R = np.array([[complex(H[i, j]) for j in range(2)] for i in range(2)])
             if argv[0] == "tensor":
                 got = [complex(re, im) for row in payload["entries"] for re, im in row]

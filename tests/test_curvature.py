@@ -554,8 +554,8 @@ class TestOneClassificationPerPoint:
         (2.0, [0.95, 0.1], "outer-form"),
         (2.0, [0.0, 0.3], "inner-form (near Z)"),
         (2.0, [1e-11, 0.3], "inner-form (near Z)"),
-        (2.0, [2.0 ** -0.25, 0.0], "outer-form (on M0)"),  # p1_ref is m0_radius: LOWER
-        (2.0, [2.0 ** -0.25 + 1e-12, 0.0], "outer-form (on M0)"),
+        (2.0, [DomainParams(m=2.0, n=2).m0_radius, 0.0], "outer-form (on M0)"),  # LOWER there
+        (2.0, [DomainParams(m=2.0, n=2).m0_radius + 1e-12, 0.0], "outer-form (on M0)"),
     ])
     def test_source_tags_are_unchanged(self, m, z, source):
         d = DomainParams(m=m, n=2)

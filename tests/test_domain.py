@@ -26,12 +26,29 @@ def interior_point(rng, domain, scale=0.7):
             return z
 
 
+def m0_split(domain, u):
+    """(|z1|^2m, |zhat|^2) on M0 = {w |z1|^2m + |zhat|^2 = 1}, w = ``m0_weight``, where w |z1|^2m = u.
+
+    The one place a test puts a point on M0; a point M0 +- delta scales the
+    |z1| this gives.
+    """
+    return u / domain.m0_weight, 1.0 - u
+
+
+def weighted_domain(m, n, w):
+    """``DomainParams(m, n)`` with the M0 weight w: M0 and the tangency fit move, nothing else."""
+    d = DomainParams(m=m, n=n)
+    object.__setattr__(d, "m0_weight", float(w))
+    object.__setattr__(d, "m0_radius", float(w) ** (-1.0 / (2.0 * m)))
+    return d
+
+
 class TestDomainParams:
     def test_threshold_constant(self):
         for m in (0.5, 0.75, 1.0, 1.6, 2.0, 3.5):
             d = DomainParams(m=m, n=2)
             assert 0.0 < d.m0_radius < 1.0
-            assert abs_pow(d.m0_radius, 2 * m) == pytest.approx(0.5, abs=1e-15)
+            assert abs_pow(d.m0_radius, 2 * m) == pytest.approx(1.0 / d.m0_weight, abs=1e-15)
 
     @pytest.mark.parametrize("m,n", [(0.4, 2), (0.49, 3), (2.0, 1), (2.0, 0), (math.nan, 2)])
     def test_rejects_bad_parameters(self, m, n):
@@ -104,7 +121,7 @@ class TestMinkowskiGauge:
 
 class TestClassifyRegion:
     def test_inner_point(self):
-        # 2 * 0.5^4 = 0.125 < 1
+        # 0.5 lies inside m0_radius = 0.84
         d = DomainParams(m=2.0, n=2)
         assert classify_region(d, [0.5, 0.0]) is RegionLabel.M_MINUS
 

@@ -26,9 +26,10 @@ from eggmetrics import (
 )
 from eggmetrics import fitting, kcurve
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
-from eggmetrics.numerics import _solve_bracketed_rows, abs_pow, solve_bracketed
+from eggmetrics.numerics import Taylor2, _solve_bracketed_rows, abs_pow, solve_bracketed
 from eggmetrics.verification import _fit_test_points
 
+from test_domain import weighted_domain
 from test_kobayashi import bisect_root
 
 import wu_reference
@@ -64,11 +65,11 @@ class TestSolveX:
             # reference coordinate strictly inside the inner region
             p1 = rng.uniform(0.05, 0.95) * d.m0_radius * abs_pow(s, 1.0 / m)
             X = solve_X(d, float(_axis_p1(m, p1, s)))
-            P = abs_pow(p1, 2 * m)
+            P, w = abs_pow(p1, 2 * m), d.m0_weight
             res = (s ** 4 * abs_pow(X, 2 * m - 1)
-                   - (m + 1) * P * s * s * abs_pow(X, m - 1)
-                   + (m - 2) * P * s * s * abs_pow(X, m)
-                   + 2 * P * P)
+                   - (m * (w - 1) + 1) * P * s * s * abs_pow(X, m - 1)
+                   + (m * (w - 1) - w) * P * s * s * abs_pow(X, m)
+                   + w * P * P)
             assert abs(res) < 1e-13
             assert 0.0 < X <= 1.0
 
@@ -94,20 +95,20 @@ class TestFitReference:
         assert ell.r2 == pytest.approx(1.0 / (1 - 0.9 ** 4), rel=1e-14)
 
     def test_threshold_agreement_of_both_forms(self):
-        # at p1 = 2^(-1/2m) the inner form with X = 1 equals the outer form
+        # at p1 = m0_radius = w^(-1/2m) the inner form with X = 1 equals the outer form
         for m in (1.5, 2.0, 2.5):
             d = DomainParams(m=m, n=2)
-            thr = d.m0_radius
+            thr, w = d.m0_radius, d.m0_weight
             outer = fit_reference(d, thr)
             X = solve_X(d, thr)
-            P = 0.5
+            P = 1.0 / w
             F = m * abs_pow(X, m - 1) - (m - 1) * abs_pow(X, m) - P
-            inner_r1 = m * m * abs_pow(X, 2 * m - 1) / (2 * thr * thr * F * F)
-            inner_r2 = abs_pow(X, 2 * m - 1) / (2 * P * F)
+            inner_r1 = m * m * abs_pow(X, 2 * m - 1) / (w * thr * thr * F * F)
+            inner_r2 = abs_pow(X, 2 * m - 1) / (w * P * F)
             assert outer.r1 == pytest.approx(inner_r1, rel=1e-12)
             assert outer.r2 == pytest.approx(inner_r2, rel=1e-12)
-            assert outer.r1 == pytest.approx(2 * m * m / (thr * thr), rel=1e-13)
-            assert outer.r2 == pytest.approx(2.0, rel=1e-13)
+            assert outer.r1 == pytest.approx(w * m * m / ((w - 1) ** 2 * thr * thr), rel=1e-13)
+            assert outer.r2 == pytest.approx(w / (w - 1), rel=1e-13)
 
     def test_continuity_across_threshold(self):
         d = DomainParams(m=2.0, n=2)
@@ -135,7 +136,7 @@ class TestFitReference:
         # and the tau-form fit is fit_origin, r2 = tau^m/(2m) to the
         # rounding of tau amplified m times
         d = DomainParams(m=m, n=2)
-        tau = fitting._solve_tau(m, np.array([1e-200]))
+        tau = fitting._solve_tau(m, d.m0_weight, np.array([1e-200]))
         r1, r2 = fitting._inner_fit(d, 0.0, tau[0])
         origin = fit_origin(d)
         assert r1 == pytest.approx(origin.r1, rel=4e-16, abs=0.0)
@@ -233,8 +234,9 @@ class TestOracle:
     def test_matches_the_50_digit_fit(self, m, p1):
         # the contact within 3e-12 of wu_reference's, where the table must
         # resolve the arc's scale 0.5/m at the y-intercept end as p1 -> 0
-        r1, r2, regime = wu_reference.fit(m, p1)
-        orc = fit_oracle(DomainParams(m=m, n=2), p1)
+        d = DomainParams(m=m, n=2)
+        r1, r2, regime = wu_reference.fit(m, d.m0_weight, p1)
+        orc = fit_oracle(d, p1)
         assert regime == "tangency"
         assert (orc.r1, orc.r2) == pytest.approx((float(r1), float(r2)), rel=3e-12, abs=0.0)
 
@@ -274,6 +276,86 @@ class TestOracle:
         d = DomainParams(m=m, n=2)
         ref, orc = fit_reference(d, p1), fit_oracle(d, p1)
         assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-13, abs=0.0)
+
+
+#: least-volume fits (r1, r2) to five digits for the M0 weight w = n, at (m, p1, w)
+WEIGHTED_FITS = {
+    (2.0, 0.4, 3): (1.11481, 0.93151),
+    (2.0, 0.4, 4): (1.02387, 0.96454),
+    (5.0, 0.3, 3): (0.67684, 0.75184),
+    (5.0, 0.3, 4): (0.55526, 0.81526),
+    (20.0, 0.05, 4): (0.30880, 0.76257),
+    (2.0, 0.75, 3): (4.81633, 1.46264),
+}
+
+
+def _weighted_grid():
+    # p1 from 1e-8 to just inside M0 and past it, m > 1, for the weights 3 and 4
+    for w in (3, 4):
+        for m in (1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0):
+            thr = weighted_domain(m, 2, w).m0_radius
+            for p1 in (1e-8, 1e-4, 0.05, 0.5 * thr, 0.9 * thr, thr * (1.0 - 1e-12),
+                       0.5 * (thr + 1.0)):
+                yield w, m, p1
+
+
+class TestWeightGeneralFit:
+    # the fit, the oracle and the tangency bracket with the M0 weight w set
+    # to 3 and 4 (``weighted_domain``): the code that reads ``m0_weight``
+    # holds for every weight, not only for the 2 it has today
+    @pytest.mark.parametrize("w,m,p1", list(_weighted_grid()))
+    def test_fit_is_the_oracle_and_the_50_digit_fit(self, w, m, p1):
+        d = weighted_domain(m, 2, w)
+        ref, orc = fit_reference(d, p1), fit_oracle(d, p1)
+        assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-12, abs=0.0)
+        r1, r2, regime = wu_reference.fit(m, w, p1)
+        assert regime == ("tangency" if p1 < d.m0_radius else "lower")
+        assert (ref.r1, ref.r2) == pytest.approx((float(r1), float(r2)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("key", list(WEIGHTED_FITS))
+    def test_fit_matches_the_printed_table(self, key):
+        m, p1, w = key
+        ref = fit_reference(weighted_domain(m, w, w), p1)
+        assert (round(ref.r1, 5), round(ref.r2, 5)) == WEIGHTED_FITS[key]
+
+    @pytest.mark.parametrize("w", [3, 4])
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
+    def test_tangency_bracket_is_certified(self, w, m):
+        # h(lo) < 0 <= h(hi) on floats and rows, up to m0_radius (1 - 1e-12);
+        # the start, and solve_X's refusal just past M0
+        thr = weighted_domain(m, 2, w).m0_radius
+        p1 = np.concatenate([np.geomspace(1e-8, thr, 60), thr * (1.0 - np.geomspace(1e-2, 1e-12, 20))])
+        K, pm = m * (w - 1.0) + 1.0, p1 * p1
+        lo, hi, _ = fitting._ends(m, w, K, pm, np.maximum)
+        k = fitting._tangency_terms(m, w, pm)
+        assert np.all(fitting._tangency(K, lo, lo ** m, *k) < 0.0)
+        assert np.all(fitting._tangency(K, hi, hi ** m, *k) >= 0.0)
+        for u in pm.tolist():  # one p1 on floats
+            lo, hi, _ = fitting._ends(m, w, K, u, max)
+            k = fitting._tangency_terms(m, w, u)
+            assert fitting._tangency(K, lo, lo ** m, *k) < 0.0 <= fitting._tangency(K, hi, hi ** m, *k)
+        for u, start in ((0.0, K ** (1.0 / m)), (thr * thr, 1.0 / (thr * thr))):  # exact on Z and M0
+            assert fitting._ends(m, w, K, u, max)[2] == pytest.approx(start, rel=1e-13)
+        with pytest.raises(ConfigurationError, match="not in the inner region"):
+            solve_X(weighted_domain(m, 2, w), thr * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("w", [3, 4])
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.5, 2.0, 5.0, 20.0, 60.0])
+    def test_tangency_jet_and_origin(self, w, m):
+        # the root's u-jet solves h(tau, u) = 0 to second order, each part
+        # within 1e-13 of its terms' sizes; fit_origin is the fit at p1 = 1e-150
+        d = weighted_domain(m, 2, w)
+        K = m * (w - 1.0) + 1.0
+        for u0 in (1e-6, 0.5 * d.m0_radius ** 2, 0.9 * d.m0_radius ** 2):
+            u = Taylor2(u0, 1.0)
+            tau = fitting._tangency_jet(d, u)
+            q = tau ** m
+            terms = (q, (m * (w - 1.0) - w) * u * tau, w * u * tau / q)
+            h = terms[0] - K + terms[1] + terms[2]
+            for part in ("t", "tt"):
+                assert abs(getattr(h, part)) <= 1e-13 * sum(abs(getattr(x, part)) for x in terms)
+        ref, origin = fit_reference(d, 1e-150), fit_origin(d)
+        assert (origin.r1, origin.r2) == pytest.approx((ref.r1, ref.r2), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("p1", [1.0 - 1e-6, 1.0 - 1e-9])
@@ -348,10 +430,14 @@ def _containment_grid():
 def _sampled_violation(m, p1, ell):
     # max(r1 y + r2 x) - 1 over 2^16 samples of both curves: UPPER parameters
     # 2^15 geometric and 2^14 uniform in alpha, 2^14 along the LOWER segment
+    # uniform in eps = 1 - alpha (1 - P) from 0 to P, where x = x_int (1 - eps)
+    # and y = x_int^2 eps/(m^2 p1^(2m-2)) do not cancel near the boundary
     n = 2 ** 14
     upper = np.concatenate([np.geomspace(p1, 1.0, 2 * n), np.linspace(p1, 1.0, n)])
-    lower = np.linspace(1.0, 1.0 / (1.0 - p1 ** (2.0 * m)), n)
-    pts = np.vstack([_upper_xy_many(m, p1, upper), _lower_xy_many(m, p1, lower)])
+    x_int, eps = kcurve._x_intercept(m, p1), np.linspace(0.0, p1 ** (2.0 * m), n)
+    lower = np.column_stack([x_int * (1.0 - eps),
+                             x_int * x_int * eps / (m * m * p1 ** (2.0 * m - 2.0))])
+    pts = np.vstack([_upper_xy_many(m, p1, upper), lower])
     return float(np.max(ell.r1 * pts[:, 1] + ell.r2 * pts[:, 0])) - 1.0
 
 
@@ -370,6 +456,15 @@ class TestContainmentAndMinimality:
         assert cut_value >= 1e-7
         assert value >= _sampled_violation(m, p1, ref) - 1e-10
         assert cut_value >= _sampled_violation(m, p1, cut) - 1e-10
+
+    @pytest.mark.parametrize("p1", [1.0 - 1e-6, 1.0 - 1e-9])
+    @pytest.mark.parametrize("m", [0.75, 1.0 + 1e-7, 2.0, 5.0])
+    def test_support_value_bounds_the_samples_near_the_boundary(self, m, p1):
+        # the fit line's LOWER samples read -1.5e-9 at (2, 1 - 1e-9), as the
+        # support does; sampled through alpha, y cancels there and read +1.1e-8
+        d = DomainParams(m=m, n=2)
+        ref = fit_reference(d, p1)
+        assert containment_violation(d, p1, ref) >= _sampled_violation(m, p1, ref) - 1e-12
 
     def test_input_checks(self):
         # p1 as the oracle checks it; the line's coefficients must be positive
@@ -509,7 +604,8 @@ def _reference_solve_bracketed(f, lo, hi, df, rtol=1e-15, max_iter=200):
 
 
 def _reference_solve_X(domain, p1, s=1.0):
-    m = domain.m
+    m, w = domain.m, domain.m0_weight
+    K, a = m * (w - 1.0) + 1.0, m * (w - 1.0) - w
     if m <= 1.0:
         raise ConfigurationError("the tangency equation applies to m > 1 only")
     if not (0.0 < s <= 1.0):
@@ -519,22 +615,22 @@ def _reference_solve_X(domain, p1, s=1.0):
     s2 = s * s
     pm = p1 * p1
     if pm < 1e-300:
-        return abs_pow((m + 1.0) / s2, 1.0 / m) * pm
+        return abs_pow(K / s2, 1.0 / m) * pm
     P = abs_pow(p1, 2 * m)
-    w = 2.0 * P - s2
-    if w > 1e-12 * s2:
+    e = w * P - s2
+    if e > 1e-12 * s2:
         raise ConfigurationError("no tangency root")
-    if w >= -1e-9 * s2:
-        return 1.0 + w / ((2.0 * m - 1.0) * s2)
+    if e >= -1e-9 * s2:
+        return 1.0 + e / ((2.0 * m - 1.0) * s2)
 
     def g(tau):
-        return (s2 * s2 * abs_pow(tau, 2 * m - 1) - (m + 1.0) * s2 * abs_pow(tau, m - 1)
-                + (m - 2.0) * s2 * pm * abs_pow(tau, m) + 2.0 * pm)
+        return (s2 * s2 * abs_pow(tau, 2 * m - 1) - K * s2 * abs_pow(tau, m - 1)
+                + a * s2 * pm * abs_pow(tau, m) + w * pm)
 
     def dg(tau):
         return ((2 * m - 1) * s2 * s2 * abs_pow(tau, 2 * m - 2)
-                - (m + 1.0) * (m - 1.0) * s2 * abs_pow(tau, m - 2)
-                + m * (m - 2.0) * s2 * pm * abs_pow(tau, m - 1))
+                - K * (m - 1.0) * s2 * abs_pow(tau, m - 2)
+                + m * a * s2 * pm * abs_pow(tau, m - 1))
 
     lo = abs_pow(s2, -1.0 / m)
     hi = 1.0 / pm
@@ -558,22 +654,22 @@ def _axis_p1(m, p1, s):
         return np.asarray(p1, dtype=float) / np.asarray(s, dtype=float) ** (1.0 / m)
 
 
-def _inner_pairs(m, rng, us):
-    # (p1, s) with 2 p1^2m = u s^2, i.e. w = 2 p1^2m - s^2 = (u - 1) s^2
+def _inner_pairs(d, rng, us):
+    # (p1, s) with w p1^2m = u s^2 for the M0 weight w, i.e. w p1^2m - s^2 = (u - 1) s^2
     s = rng.uniform(0.3, 1.0, len(us))
-    return (np.asarray(us) * s * s / 2.0) ** (1.0 / (2.0 * m)), s
+    return (np.asarray(us) * s * s / d.m0_weight) ** (1.0 / (2.0 * d.m)), s
 
 
 def _solve_X_rows(d, p1):
     # the tangency root X at rows of checked axis coordinates, as the fit
     # solves them: p1^2 times the rows' root in tau
     p1 = np.asarray(p1, dtype=float)
-    return p1 * p1 * fitting._solve_tau(d.m, p1)
+    return p1 * p1 * fitting._solve_tau(d.m, d.m0_weight, p1)
 
 
-def _root_50(m, p1):
+def _root_50(d, p1):
     # the tangency root X at the axis coordinate p1, from 50 digits
-    return float(pytest.importorskip("wu_reference").tangency_root(m, p1))
+    return float(pytest.importorskip("wu_reference").tangency_root(d.m, d.m0_weight, p1))
 
 
 def _outcome(solve, *args):
@@ -626,7 +722,7 @@ class TestArrayTangencySolve:
                              1.0 - 10.0 ** rng.uniform(-12.0, -9.5, 6),   # within 1e-9 of M0
                              1.0 - 10.0 ** rng.uniform(-8.0, -5.0, 6),    # next to M0
                              [1.0]])                                      # on M0, X = 1
-        p1, s = _inner_pairs(m, rng, us)
+        p1, s = _inner_pairs(d, rng, us)
         p1, s = np.concatenate([p1, [1e-11, 1e-160]]), np.concatenate([s, [0.7, 0.9]])
         axis = _axis_p1(m, p1, s)
         X = _solve_X_rows(d, axis)
@@ -635,7 +731,7 @@ class TestArrayTangencySolve:
             # the reference's X form overflows at (1e-11, 0.7) for m = 20,
             # where the 50-digit root stands in for it
             want = _outcome(_reference_solve_X, d, a, b)
-            expected.append(_root_50(m, float(x)) if want is OverflowError else want)
+            expected.append(_root_50(d, float(x)) if want is OverflowError else want)
         expected = np.array(expected)
         assert np.all(np.abs(X - expected) <= np.maximum(1e-14 * expected, _SUBNORMAL_ROUNDING))
         assert X[len(us) - 1] == pytest.approx(1.0, abs=1e-15)
@@ -650,7 +746,7 @@ class TestArrayTangencySolve:
         d = DomainParams(m=m, n=2)
         us = np.concatenate([rng.uniform(0.0, 1.0, 60), 1.0 - 10.0 ** rng.uniform(-12.0, -5.0, 10),
                              rng.uniform(1.0 + 1e-6, 1.9, 10)])
-        p1, s = _inner_pairs(m, rng, us)
+        p1, s = _inner_pairs(d, rng, us)
         # (0.0515, 1) and (0.051, 0.9) put (2m - 1) log(1/p1^2) between 700 and
         # 709.78 at m = 60, where the equation still fits the float range
         pairs = list(zip(p1, s)) + [(1e-12, 0.8), (1e-160, 0.9), (0.5, 0.0), (1.0, 0.5),
@@ -660,7 +756,7 @@ class TestArrayTangencySolve:
             got = _outcome(solve_X, d, x)
             want = _outcome(_reference_solve_X, d, a, b)
             if want is OverflowError:
-                want = _root_50(m, x)
+                want = _root_50(d, x)
             if isinstance(want, type):
                 assert got is want, (a, b)
             else:
@@ -708,15 +804,16 @@ class TestArrayTangencySolve:
         # which moves the root by at most a few ulp. Rows do not see each
         # other, so a row alone and among others is the same bits
         rng = np.random.default_rng([int(m), 66])
-        thr = DomainParams(m=m, n=2).m0_radius
+        d = DomainParams(m=m, n=2)
+        thr, w = d.m0_radius, d.m0_weight
         p1 = np.concatenate([thr * rng.uniform(0.0, 1.0, 60),
                              thr * 10.0 ** -rng.uniform(1.0, 12.0, 10),
                              thr * (1.0 - 10.0 ** -rng.uniform(2.0, 16.0, 10)),
                              [thr, np.nextafter(thr, 0.0), 1e-150, 1e-200]])
-        tau = fitting._solve_tau(m, p1)
-        one = np.array([fitting._solve_tau(m, float(x)) for x in p1])
+        tau = fitting._solve_tau(m, w, p1)
+        one = np.array([fitting._solve_tau(m, w, float(x)) for x in p1])
         assert np.all(np.abs(tau - one) <= 4 * np.spacing(one))
-        assert all(fitting._solve_tau(m, p1[i:i + 1])[0] == tau[i] for i in range(0, len(p1), 7))
+        assert all(fitting._solve_tau(m, w, p1[i:i + 1])[0] == tau[i] for i in range(0, len(p1), 7))
 
     @pytest.mark.parametrize("m", [1.0 + 1e-7, 2.0, 5.0])
     @pytest.mark.parametrize("stratum", ["generic", "near-M0", "on-M0", "p1=1e-11", "p1=1e-160"])
@@ -733,7 +830,7 @@ class TestArrayTangencySolve:
             us = {"generic": rng.uniform(0.0, 1.0, 8),
                   "near-M0": 1.0 - 10.0 ** rng.uniform(-12.0, -9.5, 8),
                   "on-M0": np.ones(8)}[stratum]
-            p1, s = _inner_pairs(m, rng, us)
+            p1, s = _inner_pairs(d, rng, us)
         for a, b in zip(p1, s):
             x = float(_axis_p1(m, a, b))
             X = solve_X(d, x)
@@ -749,7 +846,7 @@ class TestArrayTangencySolve:
         # first, last or alone among array rows: the 50-digit root, where
         # the unbounded X form left the float range
         d = DomainParams(m=m, n=2)
-        want = _root_50(m, p1)
+        want = _root_50(d, p1)
         for rows in ([p1], [p1, 0.3], [0.3, p1], [0.3, 0.3, p1]):
             X = _solve_X_rows(d, np.array(rows))[rows.index(p1)]
             assert abs(X - want) <= 1e-15 * want, rows
@@ -761,7 +858,7 @@ class TestArrayTangencySolve:
         evals = _counted_solves(monkeypatch)
         d = DomainParams(m=5.0, n=2)
         rng = np.random.default_rng(65)
-        p1, s = _inner_pairs(5.0, rng, rng.uniform(0.0, 1.0, 200))
+        p1, s = _inner_pairs(d, rng, rng.uniform(0.0, 1.0, 200))
         for a, b in zip(p1, s):
             solve_X(d, float(_axis_p1(5.0, a, b)))
         assert len(evals) == 200
@@ -800,11 +897,11 @@ class TestArrayTangencySolve:
             assert seen[2] == 0.5
 
     def test_non_inner_point_raises(self):
-        # 2 p1^2m = u s^2 with u = 0.3 and 0.6 solves; u = 1.1 is off the
+        # w p1^2m = u s^2 with u = 0.3 and 0.6 solves; u = 1.1 is off the
         # inner region, refused by solve_X with a message naming p1 (the
         # rows take the fit's tangency rows, which lie inside M0)
         d = DomainParams(m=2.0, n=2)
-        p1, s = _inner_pairs(2.0, np.random.default_rng(62), [0.3, 0.6, 1.1])
+        p1, s = _inner_pairs(d, np.random.default_rng(62), [0.3, 0.6, 1.1])
         x = _axis_p1(2.0, p1, s).tolist()
         assert solve_X(d, x[0]) < solve_X(d, x[1]) < 1.0
         with pytest.raises(ConfigurationError) as info:
@@ -815,7 +912,7 @@ class TestArrayTangencySolve:
         # p1 = 1e-5 at m = 20, where the X form overflowed: one row and a
         # later array row give the 50-digit root
         d = DomainParams(m=20.0, n=2)
-        want = _root_50(20.0, 1e-5)
+        want = _root_50(d, 1e-5)
         assert abs(solve_X(d, 1e-5) - want) <= 1e-15 * want
         assert abs(_solve_X_rows(d, np.array([0.3, 1e-5]))[1] - want) <= 1e-15 * want
 
@@ -825,7 +922,7 @@ class TestArrayTangencySolve:
         # edge, and both rows give the 50-digit root
         d = DomainParams(m=60.0, n=2)
         x = _axis_p1(60.0, np.array([0.0515, 0.051]), np.array([1.0, 0.9]))
-        expected = np.array([_root_50(60.0, a) for a in x])
+        expected = np.array([_root_50(d, a) for a in x])
         X = _solve_X_rows(d, x)
         assert np.all(np.abs(X - expected) <= 1e-15 * expected)
 
@@ -839,7 +936,7 @@ class TestTinyZ1AtLargeM:
         ref = pytest.importorskip("wu_reference")
         d = DomainParams(m=m, n=2)
         z, v = np.array([1e-8, 0.5]), np.array([1.0, 0.5j])
-        H = ref.wu_tensor(m, z)[0]
+        H = ref.wu_tensor(m, d.m0_weight, z)[0]
         R = np.array([[complex(H[i, j]) for j in range(2)] for i in range(2)])
         if evaluate == "wu_tensor":
             got, want = wu_tensor(d, z).matrix, R

@@ -22,6 +22,7 @@ from eggmetrics import curvature as curvature_module
 from eggmetrics import fitting
 from eggmetrics import tensor as tensor_module
 from eggmetrics.numerics import Taylor2, wirtinger_jet
+from test_domain import m0_split
 
 
 def _parts(f):
@@ -213,8 +214,8 @@ class TestSeams:
     @pytest.mark.parametrize("m", [2.0, 5.0, 20.0])
     def test_on_m0_is_refused(self, m):
         d = DomainParams(m=m, n=3)
-        s2 = 0.75  # |zhat|^2 = 0.25; M0 at |z1|^2m = s2 / 2
-        z = np.array([(s2 / 2) ** (1 / (2 * m)), 0.3, 0.4j])
+        t, _ = m0_split(d, 0.75)  # |zhat|^2 = 0.25
+        z = np.array([t ** (1 / (2 * m)), 0.3, 0.4j])
         assert classify_region(d, z) is RegionLabel.M_ZERO
         with pytest.raises(SeamProximityError, match="M_ZERO"):
             curvature_tensor(d, z)

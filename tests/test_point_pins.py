@@ -29,6 +29,7 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
+from test_domain import m0_split
 
 M_VALUES = (0.5, 0.75, 1.0, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0)
 STRATA = ("generic", "on-Z", "z1=1e-8", "on-M0", "M0+1e-9", "M0-1e-9", "gauge=1-1e-6",
@@ -45,7 +46,7 @@ def _unit(rng, k):
 def _point(rng, m, n, stratum):
     # a seeded point of the stratum, with random phases and zhat direction;
     # boundary points are (t^(1/2m), sqrt(1 - t)) in (|z1|, |zhat|), and M0
-    # is 2|z1|^2m + |zhat|^2 = 1
+    # points come from ``m0_split``
     zhat = _unit(rng, n - 1)
     phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
     if stratum in ("generic", "gauge=1-1e-6"):
@@ -55,9 +56,10 @@ def _point(rng, m, n, stratum):
     elif stratum in ("on-Z", "z1=1e-8"):
         r1, rhat = (0.0 if stratum == "on-Z" else 1e-8), rng.uniform(0.05, 0.95)
     elif stratum.startswith("M0") or stratum == "on-M0":
-        t = rng.uniform(0.02, 0.48)
-        t *= {"on-M0": 1.0, "M0+1e-9": 1.0 + 1e-9, "M0-1e-9": 1.0 - 1e-9}[stratum]
-        r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(1.0 - 2.0 * t)
+        u = rng.uniform(0.04, 0.96)
+        u *= {"on-M0": 1.0, "M0+1e-9": 1.0 + 1e-9, "M0-1e-9": 1.0 - 1e-9}[stratum]
+        t, q = m0_split(DomainParams(m=m, n=n), u)
+        r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(q)
     else:  # |z1| 0 to 3 ulp below the boundary radius (1 - |zhat|^2)^(1/2m)
         rhat = rng.uniform(0.05, 0.95)
         r1 = math.sqrt(1.0 - rhat * rhat) ** (1.0 / m)

@@ -51,12 +51,13 @@ class TestSameBitsOnTheEquations:
     def test_tangency_rows(self, monkeypatch, m):
         sizes = _checked_solves(monkeypatch, fitting)
         rng = np.random.default_rng([int(m), 27])
-        thr = DomainParams(m=m, n=2).m0_radius
+        d = DomainParams(m=m, n=2)
+        thr = d.m0_radius
         p1 = np.concatenate([thr * rng.uniform(0.0, 1.0, 200),
                              thr * 10.0 ** -rng.uniform(1.0, 12.0, 20),
                              thr * (1.0 - 10.0 ** -rng.uniform(2.0, 16.0, 20)),
                              [thr, 0.0, 1e-200]])
-        fitting._solve_tau(m, p1)
+        fitting._solve_tau(m, d.m0_weight, p1)
         assert sizes == [len(p1)]
 
     @pytest.mark.parametrize("m", M_VALUES)

@@ -21,7 +21,7 @@ from eggmetrics import fitting
 from eggmetrics import tensor as tensor_module
 from eggmetrics.domain import REGION_TOL, _region_of, _seam_distance
 from eggmetrics.numerics import wirtinger_jet
-from test_domain import interior_point
+from test_domain import interior_point, m0_split, weighted_domain
 
 
 class TestClosedForms:
@@ -156,7 +156,7 @@ class TestRegionContinuity:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_labels_and_fit_regimes_place_the_middle_stratum_alike(self, m, n):
         # region labels and the seam distance test the stratum
-        # 2|z1|^2m + |zhat|^2 = 1, the fit regime the reference coordinate
+        # w|z1|^2m + |zhat|^2 = 1, the fit regime the reference coordinate
         # against m0_radius; at seeded points 1e-6 relative inside and
         # outside it they must agree on the side
         d = DomainParams(m=m, n=n)
@@ -167,7 +167,7 @@ class TestRegionContinuity:
                 zhat = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
                 zhat *= math.sqrt(rng.uniform(0.0, 0.9)) / np.linalg.norm(zhat)
                 q = float(np.sum(np.abs(zhat) ** 2))
-                r1 = ((1.0 - q) / 2.0) ** (1.0 / (2.0 * m)) * (1.0 + side * 1e-6)
+                r1 = m0_split(d, 1.0 - q)[0] ** (1.0 / (2.0 * m)) * (1.0 + side * 1e-6)
                 z = np.concatenate(([r1 * np.exp(2j * np.pi * rng.uniform())], zhat))
                 assert _region_of(d, z, REGION_TOL) is label
                 assert wu_tensor(d, z).source == tensor_module._TAGS[regime]
@@ -258,6 +258,24 @@ class TestGeneralDimension:
                 assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10 * np.max(np.abs(a.matrix))
                 assert a.eigenvalues()[0] > 0
 
+    @pytest.mark.parametrize("m", [2.0, 20.0])
+    @pytest.mark.parametrize("w", [3, 4])
+    def test_labels_and_fit_regimes_follow_the_weight(self, m, w):
+        # with the M0 weight set to w, labels, the seam distance and the fit
+        # regime all move with M0 = {w |z1|^2m + |zhat|^2 = 1}
+        d = weighted_domain(m, 3, w)
+        rng = np.random.default_rng([w, int(m)])
+        for side, label, regime in ((-1.0, RegionLabel.M_MINUS, fitting._TANGENCY),
+                                    (1.0, RegionLabel.M_PLUS, fitting._LOWER)):
+            for u in rng.uniform(0.1, 0.9, 20):
+                t, q = m0_split(d, u)
+                zhat = rng.normal(size=2) + 1j * rng.normal(size=2)
+                zhat *= math.sqrt(q) / np.linalg.norm(zhat)
+                z = np.concatenate(([t ** (1.0 / (2.0 * m)) * (1.0 + side * 1e-6)], zhat))
+                assert _region_of(d, z, REGION_TOL) is label
+                assert wu_tensor(d, z).source == tensor_module._TAGS[regime]
+                assert _seam_distance(d, z) < 1e-5
+
 
 def _stratum_point(m, n, t, q, rng):
     # |z1|^2m = t and |zhat|^2 = q, with random phases and zhat direction
@@ -277,8 +295,8 @@ class TestBatchedTensor:
                 _stratum_point(m, n, 0.1, 0.3, rng)]              # inner side of M0
         if m < 20.0:  # |z1| = 1e-11 overflows the tangency equation at m = 20
             rows.append(np.array([1e-11j, 0.3, -0.1]))
-        for t in (0.2, 0.2 * (1.0 + 1e-9), 0.2 * (1.0 - 1e-9)):  # on M0 and either side
-            rows.append(_stratum_point(m, n, t, 1.0 - 2.0 * t, rng))
+        for u in (0.4, 0.4 * (1.0 + 1e-9), 0.4 * (1.0 - 1e-9)):  # on M0 and either side
+            rows.append(_stratum_point(m, n, *m0_split(d, u), rng))
         rows += [interior_point(rng, d) for _ in range(8)]
         batch = tensor_module._wu_matrices(d, np.array(rows))
         sources = set()

@@ -34,6 +34,7 @@ from eggmetrics import (
 )
 from eggmetrics import domain as domain_module
 from eggmetrics.numerics import wirtinger_jet
+from test_domain import m0_split
 
 D = DomainParams(m=2.0, n=3)
 Z = np.array([0.3, 0.2j, -0.1])          # inner region, far from every seam
@@ -255,8 +256,8 @@ def _strata_point(rng, m, n, stratum):
     elif stratum == "on-Z":
         r1, rhat = 0.0, rng.uniform(0.05, 0.95)
     elif stratum == "on-M0":
-        t = rng.uniform(0.02, 0.48)
-        r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(1.0 - 2.0 * t)
+        t, q = m0_split(DomainParams(m=m, n=n), rng.uniform(0.04, 0.96))
+        r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(q)
     else:  # |z1| = 1e-11
         r1, rhat = 1e-11, rng.uniform(0.05, 0.95)
     return np.concatenate(([r1 * phase], rhat * zhat))

@@ -1,17 +1,18 @@
 """The Wu tensor at 50 digits, from the definitions, with mpmath.
 
-Nothing here calls the package. At the axis point (p1, 0, ..., 0) the Wu
-unit ball is the line r1 y + r2 x = 1 of least intercept area that contains
-both K-curves, in the square coordinates x = |vhat|^2, y = |v1|^2:
+Nothing here calls the package; the M0 weight w is an argument. At the
+axis point (p1, 0, ..., 0) the Wu unit ball is the line r1 y + r2 x = 1
+with the largest r1 r2^(w-1) that contains both K-curves, in the square
+coordinates x = |vhat|^2, y = |v1|^2:
 
 - m <= 1: the chord through the two axis intercepts, the UPPER arc's at
   alpha = p1 and the LOWER segment's at alpha = 1/(1 - p1^2m);
-- m > 1 from M0 out (p1 >= 2^(-1/2m)): the line of the LOWER segment,
+- m > 1 from M0 out (p1 >= w^(-1/2m)): the line of the LOWER segment,
   through its ends alpha = 1 and 1/(1 - p1^2m);
-- m > 1 inside M0: the line tangent to the UPPER arc at the midpoint of its
-  intercepts, which is where x y is largest on the arc; the contact
-  parameter is found by ``mp.findroot`` on d(x y)/d alpha, and then
-  r1 = 1/(2 y), r2 = 1/(2 x).
+- m > 1 inside M0: the line tangent to the UPPER arc where x^(w-1) y is
+  largest on the arc (for w = 2 the midpoint of its intercepts); the
+  contact parameter is found by ``mp.findroot`` on d(x^(w-1) y)/d alpha,
+  and then r1 = 1/(w y), r2 = (w-1)/(w x).
 
 At p1 = 0 the UPPER arc degenerates, so the fit there is taken at
 p1 = 1e-25, where it differs from its limit by O(p1^2m) (m <= 1) or O(p1^2).
@@ -54,9 +55,9 @@ def _line(p, q):
     return (x1 - x2) / det, (y2 - y1) / det
 
 
-def _contact(m, p1):
-    # the parameter a in (p1, 1) where x y is largest on the UPPER arc: the
-    # root of d log(x y)/d log a, solved in k with a = p1^(1 - k), which
+def _contact(m, w, p1):
+    # the parameter a in (p1, 1) where x^(w-1) y is largest on the UPPER arc: the
+    # root of d log(x^(w-1) y)/d log a, solved in k with a = p1^(1 - k), which
     # keeps the root at unit scale and the grid near p1, where the contact
     # goes as p1 -> 0. The grid's last k, just past 1, brackets the root's
     # analytic continuation past a = 1 for p1 up to about 1e-6 beyond M0,
@@ -64,10 +65,10 @@ def _contact(m, p1):
     P = p1 ** (2 * m)
 
     def slope(a):
-        # d log(x y)/d log a, from the logarithmic derivatives of the factors
+        # d log(x^(w-1) y)/d log a, from the logarithmic derivatives of the factors
         A, B = a ** (2 * m - 2), a ** (2 * m)
         N = m * A - (m - 1) * B - P
-        return ((2 * m - 2) * A / (A - P) + 2 * m * B / (B - P) - (4 * m - 2)
+        return ((w - 1) * ((2 * m - 2) * A / (A - P) + 2 * m * B / (B - P) - (4 * m - 2))
                 + 2 * (m * (2 * m - 2) * A - (m - 1) * 2 * m * B) / N - 2 * (2 * m - 1))
 
     ks = [(mp.mpf(i) / 24) ** 3 for i in range(1, 25)] + [1 + mp.mpf("1e-6")]
@@ -79,19 +80,19 @@ def _contact(m, p1):
     return p1 ** (1 - k)
 
 
-def tangency_root(m, p1):
+def tangency_root(m, w, p1):
     """The tangency root X = a^2 of the UPPER contact at the axis point p1 (m > 1, inside M0).
 
     Just past M0 it is the root's continuation, X slightly above 1.
     """
     with mp.workdps(DIGITS + 10):
-        return _contact(mp.mpf(m), mp.mpf(p1)) ** 2
+        return _contact(mp.mpf(m), mp.mpf(w), mp.mpf(p1)) ** 2
 
 
-def fit(m, p1):
-    """(r1, r2, regime) at the axis point p1, at ``DIGITS`` digits."""
+def fit(m, w, p1):
+    """(r1, r2, regime) at the axis point p1 for the M0 weight w, at ``DIGITS`` digits."""
     with mp.workdps(DIGITS + 10):
-        m, p1 = mp.mpf(m), mp.mpf(p1)
+        m, w, p1 = mp.mpf(m), mp.mpf(w), mp.mpf(p1)
         origin = p1 == 0
         if origin:
             p1 = mp.mpf(_ORIGIN_P1)
@@ -99,16 +100,16 @@ def fit(m, p1):
             P = p1 ** (2 * m)
             r1, _ = _line(_upper(m, p1, p1), (1 - P, 0))
             return r1, 1 / (1 - P), "chord"
-        if p1 >= mp.mpf(2) ** (-1 / (2 * m)):
+        if p1 >= w ** (-1 / (2 * m)):
             P = p1 ** (2 * m)
             r1, r2 = _line(_lower(m, p1, mp.mpf(1)), _lower(m, p1, 1 / (1 - P)))
             return r1, r2, "lower"
-        x, y = _upper(m, p1, _contact(m, p1))
-        return 1 / (2 * y), 1 / (2 * x), "origin" if origin else "tangency"
+        x, y = _upper(m, p1, _contact(m, w, p1))
+        return 1 / (w * y), (w - 1) / (w * x), "origin" if origin else "tangency"
 
 
-def wu_tensor(m, z):
-    """(H, regime) at the point z (complex floats or mpc) of the egg with exponent m."""
+def wu_tensor(m, w, z):
+    """(H, regime) at the point z (complex floats or mpc) of the egg with exponent m, M0 weight w."""
     with mp.workdps(DIGITS + 10):
         m = mp.mpf(m)
         z = [mp.mpc(c) for c in z]
@@ -116,7 +117,7 @@ def wu_tensor(m, z):
         z1, zhat = z[0], z[1:]
         q = mp.fsum(abs(c) ** 2 for c in zhat)
         s = mp.sqrt(1 - q)
-        r1, r2, regime = fit(m, abs(z1) / s ** (1 / m))
+        r1, r2, regime = fit(m, w, abs(z1) / s ** (1 / m))
         c = abs(z1) / z1 if z1 != 0 else mp.mpf(1)
         D = mp.zeros(n, n)
         D[0, 0] = c * s ** (-1 / m)
@@ -131,7 +132,7 @@ def wu_tensor(m, z):
         return D.T * R * Dc, regime
 
 
-def curvature(m, z, step="1e-15"):
+def curvature(m, w, z, step="1e-15"):
     """Chern curvature R[i, j, k, l] at z, in ``tensor``'s convention, as nested lists.
 
     R[i, j, k, l] = (dH/dz_k H^-1 dH/dzbar_l)[i, j] - d2 H[i, j]/dz_k dzbar_l,
@@ -148,10 +149,10 @@ def curvature(m, z, step="1e-15"):
         def H(*steps):
             key = tuple(sorted(steps))
             if key not in cache:
-                w = list(z0)
+                z_step = list(z0)
                 for a, sign in steps:
-                    w[a % n] += sign * h * unit[a]
-                cache[key] = wu_tensor(m, w)[0]
+                    z_step[a % n] += sign * h * unit[a]
+                cache[key] = wu_tensor(m, w, z_step)[0]
             return cache[key]
 
         first = [(H((a, 1)) - H((a, -1))) / (2 * h) for a in range(2 * n)]
