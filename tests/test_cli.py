@@ -325,12 +325,17 @@ class TestExitCodes:
 
     def test_crashing_check_is_a_fail_row(self, capsys, monkeypatch):
         # a check that raises outside the package's error types (here the
-        # tangency solve of seam-continuity, made to divide by zero) is
-        # recorded as that check's FAIL row, and the remaining checks run
-        def crash(domain, p1):
-            raise ZeroDivisionError("float division by zero")
+        # tensor on Z of seam-continuity's Z gap, made to divide by zero; no
+        # other check evaluates a point with z1 = 0) is recorded as that
+        # check's FAIL row, and the remaining checks run
+        real = verification.wu_tensor
 
-        monkeypatch.setattr(verification, "solve_X", crash)
+        def crash(domain, z, *args):
+            if np.ndim(z) == 1 and z[0] == 0.0:
+                raise ZeroDivisionError("float division by zero")
+            return real(domain, z, *args)
+
+        monkeypatch.setattr(verification, "wu_tensor", crash)
         code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "2")
         assert code == 3
         rows = [line for line in out.splitlines() if line.startswith("  [")]

@@ -46,7 +46,7 @@ def _unit(rng, k):
 def _point(rng, m, n, stratum):
     # a seeded point of the stratum, with random phases and zhat direction;
     # boundary points are (t^(1/2m), sqrt(1 - t)) in (|z1|, |zhat|), and M0
-    # points come from ``m0_split``
+    # points for m > 1 come from ``m0_split``
     zhat = _unit(rng, n - 1)
     phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
     if stratum in ("generic", "gauge=1-1e-6"):
@@ -58,7 +58,12 @@ def _point(rng, m, n, stratum):
     elif stratum.startswith("M0") or stratum == "on-M0":
         u = rng.uniform(0.04, 0.96)
         u *= {"on-M0": 1.0, "M0+1e-9": 1.0 + 1e-9, "M0-1e-9": 1.0 - 1e-9}[stratum]
-        t, q = m0_split(DomainParams(m=m, n=n), u)
+        if m <= 1.0:
+            # the egg has no M0 here: these cells sit on {2 |z1|^2m + |zhat|^2 = 1},
+            # whatever the domain's M0 weight
+            t, q = u / 2.0, 1.0 - u
+        else:
+            t, q = m0_split(DomainParams(m=m, n=n), u)
         r1, rhat = t ** (1.0 / (2.0 * m)), math.sqrt(q)
     else:  # |z1| 0 to 3 ulp below the boundary radius (1 - |zhat|^2)^(1/2m)
         rhat = rng.uniform(0.05, 0.95)

@@ -13,7 +13,8 @@ from eggmetrics import (
     regularity_scan,
 )
 from eggmetrics import smoothness
-from eggmetrics.numerics import onesided_weights
+from eggmetrics.fitting import _LOWER, _TANGENCY, _fit
+from eggmetrics.numerics import Taylor2, onesided_weights
 
 
 class TestCalibration:
@@ -310,3 +311,29 @@ class TestOneEvaluationPerScan:
     def test_a_bad_order_is_refused(self):
         with pytest.raises(DomainError):
             regularity_scan(DomainParams(m=2.0, n=2), "M0", orders=(1, -1))
+
+
+class TestM0JumpAgainstFitJets:
+    # along seam_paths' M0 path z1 = x0 + t, zhat fixed, h11 = sigma r1(u)
+    # with u = |z1|^2 sigma and sigma = (1 - |zhat|^2)^(-1/m). Both fits'
+    # values and first u-derivatives agree at M0, so d2h11/dx2 jumps by
+    # sigma (r1_uu(LOWER) - r1_uu(tangency)) (2 x0 sigma)^2, read off the
+    # fits' exact jets. The difference probe resolves it within its noise up
+    # to m = 5: -23.5006 against -23.5011 at m = 1.5 (noise 2.5e-2), -66.3673
+    # against -66.3698 at m = 2 (0.14), -1731.7 against -1732.6 at m = 5 (51),
+    # all at seed 1. At m = 20 its noise, 8.3e5, exceeds the jump, 3.5e5: the
+    # fixed steps leave the M+ stratum. verify's M0 smoothness reads the jets
+    @pytest.mark.parametrize("m", [1.5, 2.0, 5.0])
+    def test_probe_jump_is_the_exact_jump(self, m):
+        d = DomainParams(m=m, n=2)
+        u = Taylor2.variables(d.m0_radius ** 2, 0.0)[0]
+        d_r1 = _fit(d, _LOWER, u)[0].tt - _fit(d, _TANGENCY, u)[0].tt
+        for seed in range(3):
+            rep, = regularity_scan(d, "M0", component="h11", seed=seed, orders=(1,),
+                                   n_paths=1)
+            # the path's first draw is |zhat|; its z1 lies on M0 at t = 0
+            s2 = 1.0 - np.random.default_rng(seed).uniform(0.25, 0.5) ** 2
+            sigma, x0 = s2 ** (-1.0 / m), d.m0_radius * s2 ** (0.5 / m)
+            exact = sigma * d_r1 * (2.0 * x0 * sigma) ** 2
+            assert rep.jump_detected
+            assert abs(rep.jump - exact) <= rep.jump_noise

@@ -9,7 +9,6 @@ from eggmetrics import (
     Branch,
     Convexity,
     DomainParams,
-    HermitianForm,
     NumericalError,
     automorphism_jacobian,
     egg_automorphism,
@@ -36,7 +35,6 @@ from eggmetrics.verification import (
     check_fit_oracle,
     check_gauge,
     check_invariance,
-    check_seam_continuity,
     check_tensor_consistency,
     run_checks,
 )
@@ -81,12 +79,12 @@ class TestRowSamplers:
 
 
 def _spy(monkeypatch, name):
-    # the calls of verification.<name>, recorded with their arguments
+    # the calls of verification.<name>, recorded with their positional arguments
     calls, real = [], getattr(verification, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(verification, name, spy)
     return calls
@@ -98,17 +96,22 @@ def _row_gap(a, b):
 
 
 class TestCheckDraws:
-    # each check draws its samples as its one-at-a-time loop drew them and
-    # evaluates them in one row call: the rows against the loop's samples,
-    # from the same seeded generator
+    # each check draws its samples from its own seeded generator and
+    # evaluates them in one row call: the rows against samples drawn here
+    # as the check draws them, interior points and directions one at a time
+    # (``_sample_interior``, ``_sample_directions``), the gauge and the
+    # alternate formula's samples as one block per column
     CELLS = [(0.5, 2), (0.75, 3), (2.0, 2), (5.0, 4), (20.0, 3)]
 
     @staticmethod
-    def _gauge_loop(d, rng):
-        # (v, lam v) of each sample, drawn as the loop drew them
-        for _ in range(50):
-            v = _one_point_direction(d, rng) * rng.uniform(0.1, 2.0)
-            yield v, rng.uniform(0.1, 5.0) * v
+    def _gauge_samples(d, rng):
+        # (v, lam v) of each sample from three block draws: the directions'
+        # real and imaginary parts, the lengths and the lams
+        g = rng.normal(size=(50, 2, d.n))
+        length, lam = rng.uniform(0.1, 2.0, 50), rng.uniform(0.1, 5.0, 50)
+        v = np.array([(a + 1j * b) / np.linalg.norm(a + 1j * b) for a, b in g])
+        v *= length[:, None]
+        return v, lam[:, None] * v
 
     @pytest.mark.parametrize("m,n", CELLS)
     def test_gauge(self, monkeypatch, m, n):
@@ -116,10 +119,10 @@ class TestCheckDraws:
         calls = _spy(monkeypatch, "_gauge")
         check_gauge(d, np.random.default_rng([n, 1]))
         (_, rows), = calls
-        loop = np.array(list(self._gauge_loop(d, np.random.default_rng([n, 1]))))
-        assert _row_gap(rows, np.concatenate([loop[:, 0], loop[:, 1]])) <= 4e-16
+        v, scaled = self._gauge_samples(d, np.random.default_rng([n, 1]))
+        assert _row_gap(rows, np.concatenate([v, scaled])) <= 4e-16
 
-    def test_gauge_names_the_first_mismatch_in_loop_order(self, monkeypatch):
+    def test_gauge_names_the_first_mismatch_in_row_order(self, monkeypatch):
         d = DomainParams(m=2.0, n=3)
         real = verification._gauge
 
@@ -131,7 +134,7 @@ class TestCheckDraws:
 
         monkeypatch.setattr(verification, "_gauge", flipped)
         ok, detail = check_gauge(d, np.random.default_rng(3))
-        v7 = list(self._gauge_loop(d, np.random.default_rng(3)))[7][0]
+        v7 = self._gauge_samples(d, np.random.default_rng(3))[0][7]
         assert not ok
         assert detail == f"gauge/membership mismatch at {v7!r}"
 
@@ -160,14 +163,13 @@ class TestCheckDraws:
         check_alt_upper(d, np.random.default_rng([n, 3]))
         (_, axis, vs), = calls
         rng = np.random.default_rng([n, 3])
-        p1s, want = [], []
-        for _ in range(100):
-            p1 = rng.uniform(0.1, 0.9)
-            vhat = _one_point_direction(d, rng)[1:]
-            vhat = vhat / np.linalg.norm(vhat)
-            u = p1 * rng.uniform(1.05, 40.0)
-            p1s.append(p1)
-            want.append(np.concatenate(([u / m], vhat)))
+        # p1, the directions' real and imaginary parts and u/p1, one block each
+        p1s, g = rng.uniform(0.1, 0.9, 100), rng.normal(size=(100, 2, n))
+        ratio = rng.uniform(1.05, 40.0, 100)
+        want = []
+        for p1, (a, b), r in zip(p1s, g, ratio):
+            vhat = ((a + 1j * b) / np.linalg.norm(a + 1j * b))[1:]
+            want.append(np.concatenate(([p1 * r / m], vhat / np.linalg.norm(vhat))))
         want = np.array(want)
         assert np.array_equal(axis[:, 0], p1s) and not np.any(axis[:, 1:])
         assert np.array_equal(vs[:, 0], want[:, 0])
@@ -288,15 +290,15 @@ def _row_solves(monkeypatch):
 
 
 class TestRowSolveCount:
-    # one verify item at m > 1 makes 15 row solves: invariance reads its Wu
-    # norms off the tensors it computes and the smoothness scan evaluates
-    # each path function once (18 when each probe order evaluated its own)
+    # one verify item at m > 1 makes 13 row solves: invariance reads its Wu
+    # norms off the tensors it computes, and seam-continuity and smoothness
+    # read M0 off the two fits' jets, which solve no rows
     @pytest.mark.parametrize("m, n", [(2.0, 3), (5.0, 2)])
-    def test_one_item_makes_at_most_15_row_solves(self, monkeypatch, m, n):
+    def test_one_item_makes_at_most_13_row_solves(self, monkeypatch, m, n):
         calls = _row_solves(monkeypatch)
         results = run_checks(DomainParams(m=m, n=n), seed=0)
         assert [r.name for r in results if not r.passed] == []
-        assert 0 < len(calls) <= 15
+        assert 0 < len(calls) <= 13
 
     def test_a_regime_without_rows_solves_nothing(self, monkeypatch):
         # the tangency is solved for the rows inside M0 only, and not at all
@@ -327,32 +329,80 @@ class TestInvarianceNorms:
         assert from_tensor.tobytes() == wu_norm(d, z, v).tobytes()
 
 
-class TestSeamContinuityAtLargeM:
-    # the tensor's slope across M0 grows as 6m relative, so the check steps
-    # 1e-7/m either side of M0: a continuous tensor gaps by about 1.2e-6 at
-    # every m, under the fixed 1e-5 bound, and a jump of 2e-5 does not
-    @pytest.mark.parametrize("m", [2.0, 5.0, 20.0, 60.0])
-    def test_continuous_tensor_passes(self, m):
-        ok, detail = check_seam_continuity(DomainParams(m=m, n=2), np.random.default_rng(0))
-        assert ok, detail
-        assert "tensor M0 gap 1.2e-06" in detail
+def _lower_fit(monkeypatch, defect):
+    # verification's fits with the LOWER regime's (r1, r2) replaced by defect(domain, u, r1, r2)
+    real = verification._fit
 
-    @pytest.mark.parametrize("m", [2.0, 20.0, 60.0])
-    def test_jump_across_m0_fails(self, monkeypatch, m):
-        d = DomainParams(m=m, n=2)
+    def fit(domain, regime, u):
+        r = real(domain, regime, u)
+        return defect(domain, u, *r) if regime == fitting._LOWER else r
 
-        def jumped(domain, z, *args):
-            # 2e-5 relative, from M0 out along the axis
-            form = wu_tensor(domain, z, *args)
-            if abs(z[0]) > domain.m0_radius:
-                return HermitianForm(form.matrix * (1.0 + 2e-5), form.region, form.source)
-            return form
+    monkeypatch.setattr(verification, "_fit", fit)
 
-        monkeypatch.setattr(verification, "wu_tensor", jumped)
-        ok, detail = check_seam_continuity(d, np.random.default_rng(0))
-        assert not ok
-        assert float(detail.split("tensor M0 gap ")[1].split(",")[0]) > 2e-5
 
+def _m0_rows(d):
+    # (passed, detail) of seam-continuity and of smoothness
+    return [(r.passed, r.detail) for r in run_checks(d, names=["seam-continuity", "smoothness"])]
+
+
+class TestM0Jets:
+    # seam-continuity and smoothness read M0 off the exact jets of the LOWER
+    # and the tangency fit at u = m0_radius^2: value and first derivative
+    # agree to 2.6e-14 relative up to m = 200, the second derivative jumps by
+    # 5e-8 at m = 1 + 1e-7 and by about 8e-2 from m = 1.5 on (to 5.7e-14 and
+    # 0.19 with the M0 weight n at n = 3, 4). A defect of 1e-10 relative in
+    # either lower order, or a vanished jump, fails
+    DEFECT_M = [1.0 + 1e-7, 2.0, 20.0, 60.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 1.001, 2.0, 5.0, 20.0, 60.0, 200.0])
+    def test_continuous_fits_pass(self, m, n):
+        d = DomainParams(m=m, n=n)
+        for seed in range(4):
+            results = run_checks(d, seed=seed, names=["seam-continuity", "smoothness"])
+            assert [(r.passed, type(r.passed)) for r in results] == [(True, bool)] * 2
+        value, d1, d2 = verification._m0_gaps(d)
+        assert value <= 1e-13 and d1 <= 1e-13
+        assert 4e-8 <= d2 <= 0.5
+
+    @pytest.mark.parametrize("m", DEFECT_M)
+    def test_value_offset_fails_seam_continuity(self, monkeypatch, m):
+        # r1 moved by 1e-10 of itself, its derivatives kept
+        _lower_fit(monkeypatch, lambda d, u, r1, r2: (r1 + 1e-10 * r1.v, r2))
+        (seam_ok, detail), (smooth_ok, _) = _m0_rows(DomainParams(m=m, n=2))
+        assert not seam_ok and smooth_ok
+        gap = float(detail.split("M0 fit jet value gap ")[1].split(",")[0])
+        assert gap == pytest.approx(1e-10, rel=0.1)
+
+    @pytest.mark.parametrize("m", DEFECT_M)
+    def test_first_derivative_offset_fails_smoothness(self, monkeypatch, m):
+        # dr1/du moved by 1e-10 of itself, the value and second derivative kept
+        _lower_fit(monkeypatch, lambda d, u, r1, r2: (r1 + (u - u.v) * (1e-10 * r1.t), r2))
+        (seam_ok, _), (smooth_ok, detail) = _m0_rows(DomainParams(m=m, n=2))
+        assert seam_ok and not smooth_ok
+        gap = float(detail.split("M0 first-derivative gap ")[1].split(",")[0])
+        assert gap == pytest.approx(1e-10, rel=0.1)
+
+    @pytest.mark.parametrize("m", DEFECT_M)
+    def test_vanished_jump_fails_smoothness(self, monkeypatch, m):
+        # the tangency fit on both sides of M0
+        _lower_fit(monkeypatch, lambda d, u, r1, r2: fitting._fit(d, fitting._TANGENCY, u))
+        (seam_ok, _), (smooth_ok, detail) = _m0_rows(DomainParams(m=m, n=2))
+        assert seam_ok and not smooth_ok
+        assert detail.endswith("second-derivative jump 0.0e+00")
+
+    def test_m0_smoothness_runs_no_scan(self, monkeypatch):
+        calls = _spy(monkeypatch, "regularity_scan")
+        for m in (1.0 + 1e-7, 2.0, 60.0):
+            verification.check_smoothness(DomainParams(m=m, n=2), np.random.default_rng(0))
+        assert calls == []
+        # the spy sees the Z scan below m = 1
+        verification.check_smoothness(DomainParams(m=0.75, n=2), np.random.default_rng(0))
+        assert len(calls) == 1
+
+    def test_no_tangency_solve_is_imported(self):
+        assert not hasattr(verification, "solve_X")
+        assert not hasattr(verification, "_inner_fit")
 
 
 class TestFitOracleCheck:

@@ -41,25 +41,25 @@ def _digest(m: float, n: int) -> str:
 #: sha256 of ``_verify_text`` per (m, n)
 PINS = {
     (0.5, 2):
-        "fe07ac492005bfe69e20d14ef84c4e44b99a646e3787206d90b4b64538880539",
+        "4ced6fbaaf382bfa6ce1da6398301ae16a1fe64870b939e566d8b99b296f7b88",
     (0.5, 3):
-        "4fa0f14449cff86076e442034654d551bc8d99c1198d1fe266a3fc526009c295",
+        "325db29df83fbac86536c1338328c78495ec66a06ad1f2401dd68854aa07d3c7",
     (0.75, 2):
-        "6cb12e2d9634a4c85a22200b8b530efc8b82ab606e01291f9131efc9ce733784",
+        "d2b5981450296dd2069fb5a47fa6ba26308688e0efa84d153cd154a79b95816d",
     (0.75, 3):
-        "c1f160b07ad72f0ad5d79f90fd8b48e6fe184aa74cbbe9573e8f5bdff40055d7",
+        "09fba24a6dd4ae5389bb6e4b512eb57afc323fc218b94196dbe211b195b78fd1",
     (1.0, 2):
-        "1235dd958d8593c9b0f7991cbb9133eb177b49fa57e91481d0bab9185775d35e",
+        "6421afeca6a93b6968c56a213ac3a714dc6cd7353671532fa05f917c2f991865",
     (1.0, 3):
-        "a0f7ec1783cf1009dd4ba1848983046624b0626f279bc21e97a1265724bb6f24",
+        "e1eb3415c0e6c57d796f083d1a0f1effd05d436ee796ad3088b4dc5bfa143d7c",
     (2.0, 2):
-        "85dfc1f6ba2d0004a8acfd64f39abd66ebd5e2387da0ab544df4ebd1889ba7e6",
+        "68d86ae8236567cf7d6211261b15aec06ef9432f0d3a47ed7d35d62adff7077a",
     (2.0, 3):
-        "ebe0b1698d03818b8625fd2ee37b02b589b6bcf5495b39a45388d43cca36c413",
+        "7626ee4d7c4aaeb721958ec55d83b0dd29210a6daa75d3aef43e6e95d31eef94",
     (5.0, 2):
-        "89ff3069eacda91428089ad2d298c76ee887a115d192be8c1e6d550a7c895fe0",
+        "f83dccf9b8f0d1632068d883b4490f46e78ba1e32b1ed97eb8ceae0189405894",
     (5.0, 3):
-        "023596a8e6392b77b45c613c77bb850540e074b57a0dd1878b909ec62d223d4c",
+        "d8beebb873671b2780adea13fa68c5a8792130ce87ae53a44ff2ac9cf913a28b",
 }
 
 
