@@ -16,6 +16,7 @@ ufuncs to one point's own vector.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import sys
@@ -81,14 +82,16 @@ def as_vector(v, n: int, rows: bool = False) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    # a complex entry is finite only when both of its parts are
-    finite = np.isfinite(arr)
-    if finite.all():
-        return
+    # a complex entry is finite only when both of its parts are; one vector's
+    # n entries are read as Python complex numbers, which costs less than a numpy pass
     if arr.ndim == 1:
-        raise DomainError("vector has non-finite entries")
-    row = int(np.flatnonzero(~finite.all(axis=1))[0])
-    raise DomainError(f"row {row} has non-finite entries")
+        if not all(map(cmath.isfinite, arr.tolist())):
+            raise DomainError("vector has non-finite entries")
+        return
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise DomainError(f"row {row} has non-finite entries")
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> None:

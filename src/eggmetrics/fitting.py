@@ -168,15 +168,16 @@ def _fit_rows(domain: DomainParams, p1: np.ndarray):
     return fit
 
 
-def _fit(domain: DomainParams, regime: int, u):
-    # (r1, r2) of one regime at u = p1^2: floats, rows or ``Taylor2`` jets;
-    # ``_power`` squares floats as numpy squares rows and keeps the jets' **
+def _fit(domain: DomainParams, regime: int, u, P=None):
+    # (r1, r2) of one regime at u = p1^2: floats, rows or ``Taylor2`` jets; a
+    # given P stands for u^m off the tangency. ``_power`` squares floats as
+    # numpy squares rows and keeps the jets' **
     m = domain.m
     if regime == _TANGENCY:
         if isinstance(u, Taylor2):
             return _inner_fit(domain, u, _tangency_jet(domain, u))
         return _inner_fit(domain, u, _solve_tau(m, domain.m0_weight, np.sqrt(u)))
-    P = _power(u, m)
+    P = _power(u, m) if P is None else P
     r1 = (1.0 / _power(1.0 - u, 2) if regime == _CHORD
           else m * m * _power(u, m - 1.0) / _power(1.0 - P, 2))
     return r1, 1.0 / (1.0 - P)

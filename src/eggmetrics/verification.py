@@ -7,7 +7,6 @@ a pass/fail table. Seeded sampling makes runs reproducible.
 
 from __future__ import annotations
 
-import functools
 import time
 import zlib
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .domain import (
     seam_distance,
 )
 from .errors import ConfigurationError, NumericalError
-from .fitting import (_LOWER, _TANGENCY, _fit, containment_violation, contact_point,
+from .fitting import (_CHORD, _LOWER, _TANGENCY, _fit, containment_violation, contact_point,
                       fit_oracle, fit_reference)
 from .kcurve import (
     Branch,
@@ -45,9 +44,8 @@ from .kcurve import (
 )
 from .kobayashi import _alt_upper, branch_params, kobayashi
 from .numerics import Taylor2, wirtinger_jet
-from .smoothness import SmoothnessReport, holder_exponent, regularity_scan
-from .tensor import (_chain, _jet_region, _norm_sq, _wu_jet, _wu_matrices, kahler_defect,
-                     pullback_tensor, wu_norm, wu_tensor)
+from .tensor import (_chain, _jet_region, _moved, _norm_sq, _wu_jet, _wu_matrices,
+                     kahler_defect, pullback_tensor, wu_norm, wu_tensor)
 
 
 @dataclass(frozen=True)
@@ -413,29 +411,25 @@ def check_contact(domain: DomainParams, rng: np.random.Generator) -> tuple[bool,
     return worst < 1e-9, f"worst line residual at contact {worst:.1e}"
 
 
-@functools.lru_cache(maxsize=None)
-def _calibration() -> SmoothnessReport:  # the same at every domain: once per process
-    return holder_exponent(lambda t: abs(t) ** 1.5, order=1, path="|t|^1.5")
-
-
 def check_smoothness(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    cal = _calibration()
-    ok = cal.verdict == "holder" and abs(cal.exponent - 0.5) < 0.05
-    msgs = [f"calibration exponent {cal.exponent:.3f}"]
     m = domain.m
-    if m < 1.0:
-        reps = regularity_scan(domain, "Z", component="h22", seed=1,
-                               orders=(1,), n_paths=1)
-        r = reps[0]
-        ok &= r.verdict == "holder" and abs(r.exponent - (2 * m - 1)) < 0.1
-        msgs.append(f"Z exponent {r.exponent:.3f} (target {2 * m - 1})")
-    elif m > 1.0:
+    if m > 1.0:
         # C1 across M0: the one-sided fit jets' first derivatives agree; not
         # C2: their second derivatives jump
         _, d1, d2 = _m0_gaps(domain)
-        ok &= d1 < 1e-12 and d2 > 1e-10
-        msgs.append(f"M0 first-derivative gap {d1:.1e}, second-derivative jump {d2:.1e}")
-    return ok, "; ".join(msgs)
+        return d1 < 1e-12 and d2 > 1e-10, (f"M0 first-derivative gap {d1:.1e}, "
+                                          f"second-derivative jump {d2:.1e}")
+    # h22's |z1|^2m term across Z at zhat = (0.3, ..., 0.3). Of the chord fit
+    # only r2 = 1/(1 - P) is not analytic in |z1|^2: P = u^m = |z1|^2m/s2, as
+    # sigma^m = 1/s2. ``_moved`` of the fit with r2 a jet in P (u's analytic
+    # terms left out) gives dh22/dP at z1 = 0, which over s2 is that term's amplitude
+    s2 = 1.0 - 0.09 * (domain.n - 1)
+    fit = _fit(domain, _CHORD, Taylor2(0.0), Taylor2(0.0, 1.0))
+    _, _, c, e = _moved(domain, 0.0, s2, s2 ** (-1.0 / m), *fit)
+    amp = (c + 0.09 * e).t / s2
+    kind = {0.5: "continuous, not C1", 1.0: "analytic"}.get(
+        m, f"first derivative Holder with exponent {2 * m - 1:.8g}")
+    return amp > 0.0, f"Z |z1|^{2 * m:.8g} term of h22 from r2: amplitude {amp:.5f}, {kind}"
 
 
 _CHECKS: list[tuple[str, Callable, Callable[[DomainParams], bool]]] = [
@@ -455,7 +449,7 @@ _CHECKS: list[tuple[str, Callable, Callable[[DomainParams], bool]]] = [
     ("curvature", check_curvature, lambda d: True),
     ("joining-derivatives", check_joining_derivatives, lambda d: d.m != 0.5),
     ("contact-point", check_contact, lambda d: d.m > 1.0),
-    ("smoothness", check_smoothness, lambda d: d.m != 0.5),
+    ("smoothness", check_smoothness, lambda d: True),
 ]
 
 

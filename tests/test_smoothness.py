@@ -337,3 +337,30 @@ class TestM0JumpAgainstFitJets:
             exact = sigma * d_r1 * (2.0 * x0 * sigma) ** 2
             assert rep.jump_detected
             assert abs(rep.jump - exact) <= rep.jump_noise
+
+
+class TestZTermAgainstDifferences:
+    # along seam_paths' Z path z1 = t, zhat fixed, the chord's r2 = 1/(1 - P)
+    # with P = |t|^2m/s2 gives h22 the term A |t|^2m, A = 1/s2^2 + |z2|^2/s2^3
+    # (s2 = 1 - |zhat|^2); the next term is of order t^2. So dh22/dt is
+    # Holder with exponent 2m - 1, which the probe reads within 0.02 (0.2006
+    # to 0.2021 at m = 0.6, 0.5003 to 0.5041 at m = 0.75, 0.8004 to 0.8086 at
+    # m = 0.9), and (h22(t) - h22(0))/t^2m meets A within twice t^(2-2m)
+    # (at most 1.04 t^(2-2m) here). verify's smoothness row reads A exactly
+    @pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+    def test_probe_exponent_and_difference_amplitude(self, m):
+        t = np.array([1e-3, 1e-5, 1e-7])
+        for n in (2, 3, 4):
+            d = DomainParams(m=m, n=n)
+            for seed in range(4):
+                (label, probe, _), = smoothness.seam_paths(d, "Z", "h22", seed, 1)
+                rep = holder_exponent(probe, 1, path=label)
+                assert rep.verdict == "holder"
+                assert abs(rep.exponent - (2.0 * m - 1.0)) <= 0.02
+                # the path's draws: |zhat|, then its direction
+                rng = np.random.default_rng(seed)
+                zhat = smoothness._random_hat(rng, n, rng.uniform(0.25, 0.5))
+                s2 = 1.0 - float(np.sum(np.abs(zhat) ** 2))
+                exact = 1.0 / s2 ** 2 + abs(zhat[0]) ** 2 / s2 ** 3
+                amp = (probe(t) - probe(np.zeros(1))) / t ** (2.0 * m)
+                assert np.all(np.abs(amp - exact) <= 2.0 * t ** (2.0 - 2.0 * m))

@@ -120,6 +120,20 @@ class TestBoundary:
         with pytest.raises(DomainError, match="length-3"):
             wu_norm(D, nan, short)
 
+    @pytest.mark.parametrize("imag", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_imaginary_part_alone_is_refused(self, imag):
+        # one point's entries are checked as Python complex numbers, its rows
+        # by numpy: a finite real part does not hide a bad imaginary one
+        for k in range(3):
+            z = Z.astype(complex)
+            z[k] = complex(0.1, imag)
+            with pytest.raises(DomainError, match="^vector has non-finite entries$"):
+                domain_module.as_vector(z, 3)
+            with pytest.raises(DomainError, match="^row 1 has non-finite entries$"):
+                domain_module.as_vector(np.array([Z, z]), 3, rows=True)
+            with pytest.raises(DomainError, match="^vector has non-finite entries$"):
+                wu_tensor(D, z)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("fn", [kobayashi, kobayashi_sq])

@@ -391,18 +391,60 @@ class TestM0Jets:
         assert seam_ok and not smooth_ok
         assert detail.endswith("second-derivative jump 0.0e+00")
 
-    def test_m0_smoothness_runs_no_scan(self, monkeypatch):
-        calls = _spy(monkeypatch, "regularity_scan")
-        for m in (1.0 + 1e-7, 2.0, 60.0):
-            verification.check_smoothness(DomainParams(m=m, n=2), np.random.default_rng(0))
-        assert calls == []
-        # the spy sees the Z scan below m = 1
-        verification.check_smoothness(DomainParams(m=0.75, n=2), np.random.default_rng(0))
-        assert len(calls) == 1
-
     def test_no_tangency_solve_is_imported(self):
         assert not hasattr(verification, "solve_X")
         assert not hasattr(verification, "_inner_fit")
+
+
+class TestZTerm:
+    # at m <= 1 smoothness reads h22's |z1|^2m term on Z at zhat = (0.3, ...,
+    # 0.3) from the chord's r2 = 1/(1 - P) as a jet in P: its amplitude is
+    # 1/s2^2 + 0.09/s2^3 at every m (1.32701 at n = 2), the first derivative's
+    # exponent 2m - 1. No difference probe runs at any m
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0.5, 0.6, 0.75, 0.9, 0.93, 0.95, 0.99, 1.0 - 1e-7, 1.0])
+    def test_amplitude_is_the_closed_form(self, m, n):
+        s2 = 1.0 - 0.09 * (n - 1)
+        ok, detail = verification.check_smoothness(DomainParams(m=m, n=n), None)
+        assert ok is True
+        amp = float(detail.split("amplitude ")[1].split(",")[0])
+        assert amp == pytest.approx(1.0 / s2 ** 2 + 0.09 / s2 ** 3, abs=1e-5)
+        assert detail.startswith(f"Z |z1|^{2 * m:.8g} term of h22 from r2")
+
+    def test_detail_names_the_regularity(self):
+        def detail(m):
+            return verification.check_smoothness(DomainParams(m=m, n=2), None)[1]
+
+        assert detail(0.5).endswith("amplitude 1.32701, continuous, not C1")
+        assert detail(0.75).endswith("amplitude 1.32701, first derivative Holder with exponent 0.5")
+        assert detail(1.0 - 1e-7).endswith("exponent 0.9999998")
+        assert detail(1.0).endswith("amplitude 1.32701, analytic")
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0 - 1e-7])
+    def test_an_analytic_r2_fails(self, monkeypatch, m):
+        # the chord's r2 = 1/(1 - u): P replaced by u, whose terms are analytic
+        real = verification._fit
+        monkeypatch.setattr(verification, "_fit",
+                            lambda domain, regime, u, P=None: real(domain, regime, u, u))
+        (passed, detail), = [(r.passed, r.detail)
+                             for r in run_checks(DomainParams(m=m, n=2), names=["smoothness"])]
+        assert passed is False
+        assert "amplitude 0.00000" in detail
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0, 60.0])
+    def test_smoothness_runs_no_probe(self, monkeypatch, m):
+        calls = []
+        for name in ("regularity_scan", "holder_exponent"):
+            real = getattr(smoothness, name)
+            monkeypatch.setattr(smoothness, name,
+                                lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        results = run_checks(DomainParams(m=m, n=2), names=["smoothness"])
+        assert [r.passed for r in results] == [True]
+        assert calls == []
+
+    def test_no_probe_is_imported(self):
+        for name in ("regularity_scan", "holder_exponent", "SmoothnessReport", "_calibration"):
+            assert not hasattr(verification, name)
 
 
 class TestFitOracleCheck:

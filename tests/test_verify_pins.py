@@ -41,25 +41,25 @@ def _digest(m: float, n: int) -> str:
 #: sha256 of ``_verify_text`` per (m, n)
 PINS = {
     (0.5, 2):
-        "4ced6fbaaf382bfa6ce1da6398301ae16a1fe64870b939e566d8b99b296f7b88",
+        "42c6e9bc86000eca56b9b07787a9dce26c22792647a7f43c075f0473e168f251",
     (0.5, 3):
-        "325db29df83fbac86536c1338328c78495ec66a06ad1f2401dd68854aa07d3c7",
+        "5f978f7529994ca461639aecd6e48ff0052cec68f16440b081360c40047c9025",
     (0.75, 2):
-        "d2b5981450296dd2069fb5a47fa6ba26308688e0efa84d153cd154a79b95816d",
+        "c00eb4baf14f19a6c00d7593a57e20503b504fa3f9b72a89ab3892d1aa31b3c7",
     (0.75, 3):
-        "09fba24a6dd4ae5389bb6e4b512eb57afc323fc218b94196dbe211b195b78fd1",
+        "dcc2dd69d2895723214e9ed60ac25c8d23ba63648f2ec2fd79cd998488cf9d18",
     (1.0, 2):
-        "6421afeca6a93b6968c56a213ac3a714dc6cd7353671532fa05f917c2f991865",
+        "50ca5535ff8083eef5f592b9f700e7198becd51af2d992938e97eb0608e5ac1c",
     (1.0, 3):
-        "e1eb3415c0e6c57d796f083d1a0f1effd05d436ee796ad3088b4dc5bfa143d7c",
+        "d214b3cad2993314e2e1d034b2cfb92b85bf55f9d7a9be31340dbfdba5794bf7",
     (2.0, 2):
-        "68d86ae8236567cf7d6211261b15aec06ef9432f0d3a47ed7d35d62adff7077a",
+        "74a36c9060e78da0abda06ea5f4372cd3161a09a3be793ef136b335a47a80c18",
     (2.0, 3):
-        "7626ee4d7c4aaeb721958ec55d83b0dd29210a6daa75d3aef43e6e95d31eef94",
+        "2778a345e2b8d046bbbe593375c26df67ede84d46d81f8810f2641199485e052",
     (5.0, 2):
-        "f83dccf9b8f0d1632068d883b4490f46e78ba1e32b1ed97eb8ceae0189405894",
+        "fd4b210ec6bdd8303847cba0049c8cec3b6fee061cb5d9c3482a7d43e9bb45cc",
     (5.0, 3):
-        "d8beebb873671b2780adea13fa68c5a8792130ce87ae53a44ff2ac9cf913a28b",
+        "850a07827e6483cbfdd7564f16b87296bcfeb312abaf1f3c2153762b0ce567d4",
 }
 
 
