@@ -60,7 +60,6 @@ from .fitting import (
 )
 from .tensor import HermitianForm, kahler_defect, pullback_tensor, wu_norm, wu_tensor
 from .curvature import (
-    CURVATURE_NORMALIZATION,
     CurvatureScanRecord,
     CurvatureTensor,
     GridSpec,
@@ -94,7 +93,7 @@ __all__ = [
     "WuEllipsoidDiag", "ContactPoint", "solve_X", "fit_reference", "fit_origin",
     "fit_oracle", "contact_point", "containment_violation",
     "HermitianForm", "wu_tensor", "pullback_tensor", "wu_norm", "kahler_defect",
-    "CurvatureTensor", "CurvatureScanRecord", "GridSpec", "CURVATURE_NORMALIZATION",
+    "CurvatureTensor", "CurvatureScanRecord", "GridSpec",
     "curvature_tensor", "holomorphic_curvature", "curvature_scan", "direction_sample",
     "SmoothnessReport", "STEP_SCALES", "holder_exponent", "derivative_jump",
     "regularity_scan",

@@ -7,9 +7,8 @@ runs on second-order Taylor jets in (|z1|^2, 1 - |zhat|^2) and the chain
 rule carries them to z, at one point evaluation and no step. On
 the strata Z and M0, where the metric is not C2, curvature is refused.
 
-Holomorphic sectional curvature is R(v, vbar, v, vbar) / h(v, vbar)^2 times
-``CURVATURE_NORMALIZATION``; the constant is pinned once by the m = 1 ball,
-which must come out at -2, and is never tuned per region.
+Holomorphic sectional curvature is R(v, vbar, v, vbar) / h(v, vbar)^2, with
+no normalising factor: the m = 1 ball comes out at -2.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from .domain import DomainParams, RegionLabel, _axis_point, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
 from .numerics import _check_integer
 from .tensor import HermitianForm, _jet_defect, _jet_region, _wu_jet
-
-#: pinned so the unit ball (m = 1) has holomorphic sectional curvature -2
-CURVATURE_NORMALIZATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ def _sectional_values(components: np.ndarray, metric: np.ndarray, dirs: np.ndarr
     A = (dirs[:, :, None] * np.conj(dirs)[:, None, :]).reshape(len(dirs), n * n)
     num = ((A @ components.reshape(n * n, n * n)) * A).sum(axis=1)
     den = np.real(A @ metric.reshape(n * n))
-    return CURVATURE_NORMALIZATION * np.real(num) / den ** 2
+    return np.real(num) / den ** 2
 
 
 def curvature_tensor(domain: DomainParams, z) -> CurvatureTensor:

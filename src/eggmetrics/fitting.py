@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,15 +73,9 @@ def _solve_tau(m: float, w: float, p1):
     pm = float(p1) * float(p1) if np.ndim(p1) == 0 else p1 * p1
     K, k = m * (w - 1.0) + 1.0, _tangency_terms(m, w, pm)
     if isinstance(pm, float):
-        lo, hi, x0 = _ends(m, w, K, pm, max)
-        return solve_bracketed(lambda t: _tangency(K, t, t ** m, *k), lo, hi,
-                               df=lambda t: _tangency_slope(m, t, t ** m, *k), x0=x0)
-
-    def hdh(t, r):
-        q, kr = t ** m, [c[r] for c in k]
-        return _tangency(K, t, q, *kr), _tangency_slope(m, t, q, *kr)
-
-    return _solve_bracketed_rows(hdh, *_ends(m, w, K, pm, np.maximum))
+        return solve_bracketed(partial(_tangency, m, K, *k), *_ends(m, w, K, pm, max))
+    return _solve_bracketed_rows(lambda t, r: _tangency(m, K, *[c[r] for c in k], t),
+                                 *_ends(m, w, K, pm, np.maximum))
 
 
 def _ends(m: float, w: float, K: float, pm, maximum):
@@ -103,15 +98,12 @@ def _tangency_terms(m: float, w: float, pm):
     return (m * (w - 1.0) - w) * pm, w * pm, w * (1.0 - m) * pm
 
 
-def _tangency(K: float, tau, q, a, b, c):
-    # the bounded tangency form h(tau) = tau^m - K + (m (w-1) - w) pm tau +
-    # w pm tau^(1-m), with q = tau^m and (a, b, c) = ``_tangency_terms``: the
-    # equation in tau = X/p1^2 divided by tau^(m-1); tau^(1-m) = tau/q
-    return q - K + a * tau + b * tau / q
-
-
-def _tangency_slope(m: float, tau, q, a, b, c):  # d/dtau of ``_tangency``
-    return m * q / tau + a + c / q
+def _tangency(m: float, K: float, a, b, c, tau):
+    # (h, dh/dtau) of the bounded tangency form h(tau) = tau^m - K + (m (w-1) - w) pm tau +
+    # w pm tau^(1-m), with (a, b, c) = ``_tangency_terms``: the equation in tau = X/p1^2
+    # divided by tau^(m-1); with q = tau^m, tau^(1-m) = tau/q. tau last, for ``partial``
+    q = tau ** m
+    return q - K + a * tau + b * tau / q, m * q / tau + a + c / q
 
 
 def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
@@ -121,7 +113,7 @@ def _tangency_jet(domain: DomainParams, u: Taylor2) -> Taylor2:
     m, w, v = domain.m, domain.m0_weight, u.v
     tau = _solve_tau(m, w, math.sqrt(v))
     q, a = tau ** m, m * (w - 1.0) - w
-    h_tau = _tangency_slope(m, tau, q, *_tangency_terms(m, w, v))
+    h_tau = _tangency(m, m * (w - 1.0) + 1.0, *_tangency_terms(m, w, v), tau)[1]
     d1 = -(a * tau + w * tau / q) / h_tau
     h_tautau = m * (m - 1.0) * (q / (tau * tau) + w * v / (q * tau))
     h_tauu = a + w * (1.0 - m) / q

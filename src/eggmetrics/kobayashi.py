@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -102,11 +103,9 @@ def _solve_alpha(m: float, t, p1):
         raise NumericalError(f"UPPER branch leaves the float range at p1={float(np.min(p1))!r}")
     e = 2.0 * m - 2.0
 
-    def g(a, t, c, R):  # c = 1 - t, R = _upper_ratio(m, p1, a)
-        return a * a - t - c * R
-
-    def dg(a, ec, R):  # ec = e (1 - t)
-        return 2.0 * a + ec * R / a
+    def fdf(t, c, ec, p1, xp, a):  # c = 1 - t, ec = e (1 - t); a last, for ``partial``
+        R = _upper_ratio(m, p1, a, xp)
+        return a * a - t - c * R, 2.0 * a + ec * R / a
 
     def ends(t, p1, xp, maximum, minimum):
         c = 1.0 - t
@@ -123,7 +122,7 @@ def _solve_alpha(m: float, t, p1):
         if m >= 1.0:
             lo, hi = maximum(lo, f_hi), minimum(hi, f_lo)
         else:
-            # g is convex for m < 1, so Newton descends from the upper bound
+            # f is convex for m < 1, so Newton descends from the upper bound
             # without overshooting: pushed out by the bracket's width, that
             # bound is the midpoint the solve starts from
             lo, hi = maximum(lo, f_lo), minimum(hi, f_hi)
@@ -132,17 +131,12 @@ def _solve_alpha(m: float, t, p1):
 
     if one:
         t, p1 = float(t), float(p1)
-        return solve_bracketed(lambda a: g(a, t, 1.0 - t, _upper_ratio(m, p1, a, math)),
-                               *ends(t, p1, math, max, min),
-                               df=lambda a: dg(a, e * (1.0 - t), _upper_ratio(m, p1, a, math)))
+        c, ec = 1.0 - t, e * (1.0 - t)
+        return solve_bracketed(partial(fdf, t, c, ec, p1, math), *ends(t, p1, math, max, min))
     lo, hi = ends(t, p1, np, np.maximum, np.minimum)
     c, ec = 1.0 - t, e * (1.0 - t)
-
-    def gdg(a, r):
-        R = _upper_ratio(m, p1[r], a)
-        return g(a, t[r], c[r], R), dg(a, ec[r], R)
-
-    return _solve_bracketed_rows(gdg, lo, hi, 0.5 * (lo + hi))
+    return _solve_bracketed_rows(lambda a, r: fdf(t[r], c[r], ec[r], p1[r], np, a),
+                                 lo, hi, 0.5 * (lo + hi))
 
 
 def _upper_ratio(m: float, p1, alpha, xp=np):

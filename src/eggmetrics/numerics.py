@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 ROOT_MAX_ITER = 200
+_RTOL = 1e-15  # the relative tolerance of both root solvers' stopping tests
 
 
 def abs_pow(x: float, exponent: float) -> float:
@@ -48,22 +50,18 @@ def _two_term_root(a, b, m: float):
     descends. Floats run the scalar ``solve_bracketed``; rows of a and b
     run ``_solve_bracketed_rows`` from the same start.
     """
-    def g(x, a, b, pw):
-        return a * pw(x, 2 * m) + b * x * x - 1.0
+    p = 2 * m
 
-    def dg(x, a, b, pw):
-        return 2 * m * a * pw(x, 2 * m - 1) + 2 * b * x
+    def fdf(a, b, pw, x):  # x last, so that ``partial`` binds the rest
+        return a * pw(x, p) + b * x * x - 1.0, p * a * pw(x, p - 1) + 2 * b * x
 
     if isinstance(a, float):
-        ua, ub = (-math.log(c) / p if c else math.inf for c, p in ((a, 2 * m), (b, 2.0)))
-        lo, hi, x0 = _two_term_ends(ua, ub, m, math, min)
-        return solve_bracketed(lambda x: g(x, a, b, abs_pow), lo, hi,
-                               df=lambda x: dg(x, a, b, abs_pow), x0=x0)
+        ua, ub = (-math.log(c) / q if c else math.inf for c, q in ((a, p), (b, 2.0)))
+        return solve_bracketed(partial(fdf, a, b, abs_pow), *_two_term_ends(ua, ub, m, math, min))
     with np.errstate(divide="ignore"):
-        ua, ub = -np.log(a) / (2 * m), -np.log(b) / 2.0
-    return _solve_bracketed_rows(
-        lambda x, r: (g(x, a[r], b[r], np.power), dg(x, a[r], b[r], np.power)),
-        *_two_term_ends(ua, ub, m, np, np.minimum))
+        ua, ub = -np.log(a) / p, -np.log(b) / 2.0
+    return _solve_bracketed_rows(lambda x, r: fdf(a[r], b[r], np.power, x),
+                                 *_two_term_ends(ua, ub, m, np, np.minimum))
 
 
 def _two_term_ends(ua, ub, m: float, xp, minimum):
@@ -78,50 +76,41 @@ def _two_term_ends(ua, ub, m: float, xp, minimum):
     return (0.5 - 1e-9) * t, (1.0 + 1e-9) * t, y
 
 
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    df: Callable[[float], float] | None = None,
-    rtol: float = 1e-15,
-    max_iter: int = ROOT_MAX_ITER,
-    x0: float | None = None,
-) -> float:
+def solve_bracketed(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
+                    x0: float | None = None) -> float:
     """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi): safeguarded Newton, bisection fallback.
 
-    The iteration stops at an exact zero, at a bracket narrower than rtol
-    relative, or at a Newton step below rtol relative to its candidate, which
-    is then clamped into the current bracket. Other Newton steps are taken
-    only strictly inside the bracket and when they at least halve the
-    previous step; every iteration shrinks the bracket, so convergence is
-    guaranteed for continuous f. The iteration starts at ``x0`` when it lies
-    strictly inside the bracket, else at the midpoint.
-    ``_solve_bracketed_rows`` runs the same rule row by row. Raises NumericalError (carrying the last bracket) if the
-    input is not a sign-change interval or the iteration budget runs out.
+    fdf(x) returns (f, f') at x, so that the two can share their work (``rtsafe``, Press
+    et al., Numerical Recipes, 3rd ed., sec. 9.4). The iteration stops at an exact zero, at
+    a bracket narrower than ``_RTOL`` relative, or at a Newton step below ``_RTOL``
+    relative to its candidate, which is then clamped into the current bracket. Other
+    Newton steps are taken only strictly inside the bracket and when they at least halve
+    the previous step; every iteration shrinks the bracket, so convergence is guaranteed
+    for continuous f. The iteration starts at ``x0`` when it lies strictly inside the
+    bracket, else at the midpoint. ``_solve_bracketed_rows`` runs the same rule row by
+    row. Raises NumericalError (carrying the last bracket) if the input is not a
+    sign-change interval or ``ROOT_MAX_ITER`` iterations do not converge.
     """
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = fdf(lo)[0], fdf(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo > 0.0 or fhi < 0.0:
-        raise NumericalError(
-            f"no sign change on bracket [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}",
-            bracket=(lo, hi),
-        )
+        raise NumericalError(f"no sign change on bracket [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}",
+                             bracket=(lo, hi))
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     dx_old = hi - lo
-    for _ in range(max_iter):
-        fx = f(x)
+    for _ in range(ROOT_MAX_ITER):
+        fx, d = fdf(x)
         if fx == 0.0:
             return x
         lo, hi = (x, hi) if fx < 0.0 else (lo, x)
         width = hi - lo
         # relative to the bracket location, so roots far below the initial
         # bracket scale are still resolved to full relative accuracy
-        if width <= rtol * max(abs(lo), abs(hi)):
+        if width <= _RTOL * max(abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
-        d = df(x) if df is not None else 0.0
         if d != 0.0 and math.isfinite(d):
             step = fx / d
             cand = x - step
@@ -129,7 +118,7 @@ def solve_bracketed(
             # sits on its own bracket end (cand == x == lo) or the far end is
             # still distant; relative to the iterate so tiny roots keep full
             # relative accuracy
-            if abs(step) <= rtol * abs(cand):
+            if abs(step) <= _RTOL * abs(cand):
                 return min(max(cand, lo), hi)
             # otherwise accept Newton only inside the bracket and when the
             # step at least halves the previous one, else bisect. This keeps
@@ -140,13 +129,11 @@ def solve_bracketed(
                 continue
         dx_old = 0.5 * width
         x = 0.5 * (lo + hi)
-    raise NumericalError(
-        f"root solve did not converge in {max_iter} iterations", bracket=(lo, hi)
-    )
+    raise NumericalError(f"root solve did not converge in {ROOT_MAX_ITER} iterations",
+                         bracket=(lo, hi))
 
 
-def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
-                          rtol: float = 1e-15, max_iter: int = ROOT_MAX_ITER) -> np.ndarray:
+def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """``solve_bracketed`` on independent rows side by side, each started at x0.
 
     fdf(x, rows) returns (f, f') of the open rows at x, so that the two can
@@ -158,7 +145,7 @@ def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # updated in place
     x = np.where((lo < x0) & (x0 < hi), x0, 0.5 * (lo + hi))
     dx_old, out, idx, rows = hi - lo, np.empty_like(lo), np.arange(lo.size), slice(None)
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         fx, d = fdf(x, rows)
         np.copyto(lo, x, where=fx < 0.0)
         np.copyto(hi, x, where=fx > 0.0)
@@ -167,8 +154,8 @@ def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
             step = fx / (d * (d / d))  # and a NaN step bisects
         cand, size = x - step, np.abs(step)
         # the three tests in their order; max(|lo|, |hi|) is max(hi, -lo) as lo <= hi
-        zero, narrow = fx == 0.0, width <= rtol * np.maximum(hi, -lo)
-        done = zero | narrow | (size <= rtol * np.abs(cand))
+        zero, narrow = fx == 0.0, width <= _RTOL * np.maximum(hi, -lo)
+        done = zero | narrow | (size <= _RTOL * np.abs(cand))
         finished = np.count_nonzero(done)
         if finished:
             root = np.where(zero, x, np.where(narrow, mid, np.minimum(np.maximum(cand, lo), hi)))
@@ -182,15 +169,15 @@ def _solve_bracketed_rows(fdf, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray,
             keep = ~done
             rows = idx = idx[keep]
             lo, hi, x, dx_old = (a[keep] for a in (lo, hi, x, dx_old))
-    raise NumericalError(f"root solve did not converge in {max_iter} iterations",
+    raise NumericalError(f"root solve did not converge in {ROOT_MAX_ITER} iterations",
                          bracket=(float(lo[0]), float(hi[0])))
 
 
-def richardson(values: Sequence, order: int = 2):
+def richardson(values: Sequence):
     """Richardson ladder for approximations at steps h, h/2, h/4, ...
 
-    ``order`` is the leading error exponent of the base rule (central
-    differences: 2). Returns the highest-order extrapolant.
+    The base rule's leading error is of order h^2 (central differences).
+    Returns the highest-order extrapolant.
     """
     vals = [np.asarray(v, dtype=complex) if np.iscomplexobj(v) else np.asarray(v, dtype=float)
             for v in values]
@@ -198,16 +185,10 @@ def richardson(values: Sequence, order: int = 2):
     if n == 1:
         return vals[0]
     for j in range(1, n):
-        fac = 2.0 ** (order * j)
+        fac = 4.0 ** j
         for k in range(n - 1, j - 1, -1):
             vals[k] = (fac * vals[k] - vals[k - 1]) / (fac - 1.0)
     return vals[-1]
-
-
-def _check_step(step: float) -> None:
-    # a differencing step: finite and positive (NaN fails both tests)
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"differencing step must be finite and positive, got {step!r}")
 
 
 def _check_integer(value, name: str, minimum: int) -> int:
@@ -235,7 +216,8 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float):
     The package differentiates the metric exactly (``Taylor2``); this is the
     independent oracle the tests and ``verify`` hold it against.
     """
-    _check_step(step)
+    if not (math.isfinite(step) and step > 0.0):  # NaN fails both tests
+        raise DomainError(f"differencing step must be finite and positive, got {step!r}")
     z = np.asarray(z, dtype=complex)
     one, z = z.ndim == 1, z.reshape(-1, z.shape[-1])
     P, n = z.shape
@@ -264,9 +246,9 @@ def wirtinger_jet(f: Callable[[np.ndarray], np.ndarray], z, step: float):
         H[:, np.arange(d), np.arange(d)] = (plus - 2.0 * center[:, None] + minus) / h ** 2
         H[:, a, b] = H[:, b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
         hessians.append(H)
-    G = richardson(grads, order=2)
+    G = richardson(grads)
     dz = 0.5 * (G[:, :n] - 1j * G[:, n:])
-    HH = richardson(hessians, order=2)
+    HH = richardson(hessians)
     ddbar = 0.25 * ((HH[:, :n, :n] + HH[:, n:, n:]) + 1j * (HH[:, :n, n:] - HH[:, n:, :n]))
     return (center[0], dz[0], ddbar[0]) if one else (center, dz, ddbar)
 

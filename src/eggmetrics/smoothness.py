@@ -13,18 +13,17 @@ supplies the noise estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DomainParams, as_vector
-from .errors import ConfigurationError, DomainError
+from .domain import DomainParams, _reference_rows
+from .errors import ConfigurationError
 from .kcurve import joining_point_derivatives
 from .kobayashi import kobayashi_sq
-from .numerics import _check_integer, _check_step, onesided_weights
+from .numerics import _check_integer, onesided_weights
 from .tensor import wu_tensor
 
 #: geometric step scales, 1e-2 down to 1e-5 (7 scales, half-decade ratio)
@@ -65,10 +64,10 @@ class SmoothnessReport:
         return bool(abs(self.jump) > 10.0 * self.jump_noise)
 
 
-def _centered(q: int, steps: Sequence[float]) -> tuple[np.ndarray, list[int]]:
+def _centered(q: int) -> tuple[np.ndarray, list[int]]:
     # nodes (q/2 - i) h of the centered q-th difference about 0, one row per
-    # step, and its weights (-1)^i C(q, i)
-    nodes = (q / 2 - np.arange(q + 1)) * np.asarray(steps, dtype=float)[:, None]
+    # step h of ``STEP_SCALES``, and its weights (-1)^i C(q, i)
+    nodes = (q / 2 - np.arange(q + 1)) * np.asarray(STEP_SCALES)[:, None]
     return nodes, [(-1) ** i * math.comb(q, i) for i in range(q + 1)]
 
 
@@ -79,12 +78,12 @@ def _on_nodes(f: Callable[[np.ndarray], np.ndarray], *nodes: np.ndarray) -> list
     return [v.reshape(x.shape) for v, x in zip(np.split(values, cuts), nodes)]
 
 
-def _loglog_fit(steps: Sequence[float], vals: np.ndarray, floor: float):
+def _loglog_fit(vals: np.ndarray, floor: float):
     mask = vals > floor
     n_used = int(mask.sum())
     if n_used < _MIN_FIT_POINTS:
         return None, 0.0, n_used
-    x = np.log(np.asarray(steps)[mask])
+    x = np.log(np.asarray(STEP_SCALES)[mask])
     y = np.log(vals[mask])
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -94,24 +93,21 @@ def _loglog_fit(steps: Sequence[float], vals: np.ndarray, floor: float):
     return float(coef[0]), r2, n_used
 
 
-def _jump_nodes(q: int, h0: float) -> np.ndarray:
-    # one-sided nodes 0, h, ..., (q+2) h for h = h0, h0/2, h0/4, one row each
-    return (h0 / np.array([1.0, 2.0, 4.0]))[:, None] * np.arange(q + 3, dtype=float)
+def _jump_nodes(q: int) -> np.ndarray:
+    # one-sided nodes 0, h, ..., (q+2) h for h = h0, h0/2, h0/4 (h0 = ``JUMP_STEP``), one row each
+    return (JUMP_STEP / np.array([1.0, 2.0, 4.0]))[:, None] * np.arange(q + 3, dtype=float)
 
 
-@functools.lru_cache(maxsize=64)
-def _jump_weights(q: int, h0: float) -> np.ndarray:
-    # the one-sided weights of ``_jump_nodes(q, h0)`` (row 0) and of their
-    # negatives (row 1), one row per step: a shared read-only table
-    nodes = _jump_nodes(q, h0)
-    table = np.array([[onesided_weights(q, x) for x in side] for side in (nodes, -nodes)])
-    table.setflags(write=False)
-    return table
+def _jump_weights(q: int) -> np.ndarray:
+    # the one-sided weights of ``_jump_nodes(q)`` (row 0) and of their
+    # negatives (row 1), one row per step
+    nodes = _jump_nodes(q)
+    return np.array([[onesided_weights(q, x) for x in side] for side in (nodes, -nodes)])
 
 
-def _jump(q: int, h0: float, f_plus: np.ndarray, f_minus: np.ndarray) -> tuple[float, float]:
-    # ``derivative_jump`` from the values of f at ``_jump_nodes(q, h0)`` and at their negatives
-    plus, minus = _jump_weights(q, h0)
+def _jump(q: int, f_plus: np.ndarray, f_minus: np.ndarray) -> tuple[float, float]:
+    # ``derivative_jump`` from the values of f at ``_jump_nodes(q)`` and at their negatives
+    plus, minus = _jump_weights(q)
     jumps = [float(np.dot(w, fp) - np.dot(wm, fm))
              for w, wm, fp, fm in zip(plus, minus, f_plus, f_minus)]
     scale = float(np.max(np.abs([f_plus, f_minus])))
@@ -120,24 +116,21 @@ def _jump(q: int, h0: float, f_plus: np.ndarray, f_minus: np.ndarray) -> tuple[f
     return jumps[2], noise
 
 
-def derivative_jump(f: Callable[[np.ndarray], np.ndarray], q: int,
-                    h0: float = JUMP_STEP) -> tuple[float, float]:
+def derivative_jump(f: Callable[[np.ndarray], np.ndarray], q: int) -> tuple[float, float]:
     """One-sided jump of the q-th derivative at 0 and its empirical noise scale.
 
     ``f`` maps an array of t to the array of its values; it is called once,
-    on every node. Jump estimates at steps h0, h0/2, h0/4 from both sides;
-    the returned noise is the largest inter-level change plus the roundoff
-    amplification of the finest stencil, so artifacts of smooth functions
-    self-identify.
+    on every node. Jump estimates at steps h0, h0/2, h0/4 (h0 = ``JUMP_STEP``)
+    from both sides; the returned noise is the largest inter-level change
+    plus the roundoff amplification of the finest stencil, so artifacts of
+    smooth functions self-identify.
     """
     q = _check_integer(q, "derivative order", 0)
-    _check_step(h0)
-    nodes = _jump_nodes(q, h0)
-    return _jump(q, h0, *_on_nodes(f, nodes, -nodes))
+    nodes = _jump_nodes(q)
+    return _jump(q, *_on_nodes(f, nodes, -nodes))
 
 
 def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
-                    steps: Sequence[float] = STEP_SCALES,
                     path: str = "path") -> SmoothnessReport:
     """Probe derivative ``order`` of f at the crossing t = 0.
 
@@ -146,32 +139,28 @@ def holder_exponent(f: Callable[[np.ndarray], np.ndarray], order: int,
     parities (q = order+1, order+2) are fitted by ``_holder_report``; a slope
     k+beta with beta strictly inside (0, 1) on a stencil of order q > k+beta
     flags a Hölder defect. Increments below the roundoff floor are excluded
-    from the regression, which must keep at least four of the supplied scales.
+    from the regression, which must keep at least four of the ``STEP_SCALES``.
     """
     order = _check_integer(order, "derivative order", 0)
-    for h in steps:
-        _check_step(h)
-    if len(set(steps)) < 6:  # the log-log fit needs spread in log h
-        raise DomainError("need at least 6 distinct step scales")
-    return _holder_report(order, steps, path, _on_nodes(f, *_holder_nodes(order, steps)))
+    return _holder_report(order, path, _on_nodes(f, *_holder_nodes(order)))
 
 
-def _holder_nodes(order: int, steps: Sequence[float]) -> list[np.ndarray]:
+def _holder_nodes(order: int) -> list[np.ndarray]:
     # ``holder_exponent``'s nodes: both centered stencils, the jump nodes, their negatives and 0
-    jump = _jump_nodes(order + 1, JUMP_STEP)
-    return [_centered(q, steps)[0] for q in (order + 1, order + 2)] + [jump, -jump, np.zeros(1)]
+    jump = _jump_nodes(order + 1)
+    return [_centered(q)[0] for q in (order + 1, order + 2)] + [jump, -jump, np.zeros(1)]
 
 
-def _holder_report(order: int, steps: Sequence[float], path: str, values) -> SmoothnessReport:
+def _holder_report(order: int, path: str, values) -> SmoothnessReport:
     # ``holder_exponent``'s report from f's values on ``_holder_nodes``
     candidates, best_r2, saw_signal, degenerate = [], 0.0, False, False
     *diffs, f_plus, f_minus, f0 = values
     for q, fv in zip((order + 1, order + 2), diffs):
         # summed node by node in stencil order; a matrix product may reassociate
-        vals = np.abs(sum(w * col for w, col in zip(_centered(q, steps)[1], fv.T)))
+        vals = np.abs(sum(w * col for w, col in zip(_centered(q)[1], fv.T)))
         scale = max(float(np.max(vals)), abs(float(f0[0])), 1e-300)
         floor = 128.0 * 2 ** q * np.finfo(float).eps * scale
-        slope, r2, n_used = _loglog_fit(steps, vals, floor)
+        slope, r2, n_used = _loglog_fit(vals, floor)
         if slope is None:
             continue
         saw_signal = True
@@ -182,21 +171,21 @@ def _holder_report(order: int, steps: Sequence[float], path: str, values) -> Smo
                 candidates.append((r2, beta, n_used))
             else:
                 degenerate = True
-    jump, noise = _jump(order + 1, JUMP_STEP, f_plus, f_minus)
-    step_range = (min(steps), max(steps))
+    jump, noise = _jump(order + 1, f_plus, f_minus)
+    step_range, n_scales = (min(STEP_SCALES), max(STEP_SCALES)), len(STEP_SCALES)
     if candidates:
         r2, beta, n_used = max(candidates)
         return SmoothnessReport(path, order, beta, jump, noise, r2,
                                 step_range, n_used, "holder")
     if degenerate:
         return SmoothnessReport(path, order, math.nan, jump, noise, best_r2,
-                                step_range, len(steps), "inconclusive")
+                                step_range, n_scales, "inconclusive")
     if abs(jump) > 10.0 * noise:
         return SmoothnessReport(path, order, 1.0, jump, noise, best_r2,
-                                step_range, len(steps), "jump")
+                                step_range, n_scales, "jump")
     verdict = "smooth" if (saw_signal or noise > 0) else "inconclusive"
     return SmoothnessReport(path, order, 1.0 if verdict == "smooth" else math.nan,
-                            jump, noise, best_r2, step_range, len(steps), verdict)
+                            jump, noise, best_r2, step_range, n_scales, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -218,36 +207,10 @@ def _line(z0: np.ndarray, axis: int, rate: float = 1.0) -> Callable[[np.ndarray]
     return path
 
 
-def wu_component_on_path(domain: DomainParams, component: str,
-                         path: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """One Wu tensor component along ``path``, which maps an array of t to (N, n) rows."""
-    idx = {"h11": (0, 0), "h22": (1, 1), "h12": (0, 1)}
-    if component not in idx:
-        raise ConfigurationError(f"unknown tensor component {component!r}")
-    i, j = idx[component]
-    return lambda t: np.real(wu_tensor(domain, path(t))[:, i, j])
-
-
-def kobayashi_sq_on_path(domain: DomainParams, v,
-                         path: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """K^2 of the fixed vector v along ``path``, which maps an array of t to (N, n) rows."""
-    v = as_vector(v, domain.n)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        z = path(t)
-        return kobayashi_sq(domain, z, np.tile(v, (len(z), 1)))
-
-    return f
-
-
-def seam_paths(domain: DomainParams, seam: str, component: str,
-               seed: int, n_paths: int):
-    """Build (label, probe, control) triples for a seam; controls never cross it.
-
-    Probe and control map an array of t to the array of the component's values.
-    """
+def _seam_lines(domain: DomainParams, seam: str, component: str, seed: int, n_paths: int):
+    # (label, path, control path, K2 vector or None) of each seeded path across the seam; a
+    # path maps an array of t to (N, n) rows
     rng = np.random.default_rng(seed)
-    out = []
     for k in range(n_paths):
         zhat = _random_hat(rng, domain.n, radius=rng.uniform(0.25, 0.5))
         if seam == "Z":
@@ -263,15 +226,28 @@ def seam_paths(domain: DomainParams, seam: str, component: str,
             ctrl_path = _line(np.concatenate(([0.75 * z1c], zhat)), 0, rate=0.5)
         else:
             raise ConfigurationError(f"unknown seam {seam!r}")
-        if component == "K2":
-            v = np.concatenate(([0.0], _random_hat(rng, domain.n, radius=1.0)))
-            probe = kobayashi_sq_on_path(domain, v, path)
-            control = kobayashi_sq_on_path(domain, v, ctrl_path)
-        else:
-            probe = wu_component_on_path(domain, component, path)
-            control = wu_component_on_path(domain, component, ctrl_path)
-        out.append((f"{seam}:{component}:base{k}", probe, control))
-    return out
+        v = np.concatenate(([0.0], _random_hat(rng, domain.n, 1.0))) if component == "K2" else None
+        yield f"{seam}:{component}:base{k}", path, ctrl_path, v
+
+
+def seam_paths(domain: DomainParams, seam: str, component: str,
+               seed: int, n_paths: int):
+    """Build (label, probe, control) triples for a seam; controls never cross it.
+
+    Probe and control map an array of t to the array of the component's values.
+    """
+    idx = {"h11": (0, 0), "h22": (1, 1), "h12": (0, 1)}
+
+    def on(path, v):  # the component along one path; v is bound here, per path
+        if v is not None:
+            return lambda t: kobayashi_sq(domain, path(t), np.tile(v, (len(t), 1)))
+        if component not in idx:
+            raise ConfigurationError(f"unknown tensor component {component!r}")
+        i, j = idx[component]
+        return lambda t: np.real(wu_tensor(domain, path(t))[:, i, j])
+
+    return [(label, on(path, v), on(ctrl, v))
+            for label, path, ctrl, v in _seam_lines(domain, seam, component, seed, n_paths)]
 
 
 def regularity_scan(domain: DomainParams, seam: str, component: str | None = None,
@@ -287,6 +263,9 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
     Control-path jumps are pooled into the noise so a drifting baseline can
     not fake a detection. Each path function is called once, on every order's
     nodes: the reports are ``holder_exponent``'s and ``derivative_jump``'s.
+    A probe path whose farthest node would leave the egg is refused before
+    any evaluation: the default orders reach 2.5e-2, and from m = 14 on M0
+    lies nearer the boundary than that.
     """
     if seam == "JUNCTION":
         reports = []
@@ -315,14 +294,30 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
             component = "h11"
     paths = seam_paths(domain, seam, component, seed, n_paths)
     orders = [_check_integer(order, "derivative order", 0) for order in orders]
-    probe_nodes = [x for order in orders for x in _holder_nodes(order, STEP_SCALES)]
-    control_nodes = [s * _jump_nodes(order + 1, JUMP_STEP) for order in orders for s in (1.0, -1.0)]
+    if not orders:
+        return []
+    probe_nodes = [x for order in orders for x in _holder_nodes(order)]
+    control_nodes = [s * _jump_nodes(order + 1) for order in orders for s in (1.0, -1.0)]
+    reach = max(float(np.max(np.abs(x))) for x in probe_nodes)
+    for label, path, _, _ in _seam_lines(domain, seam, component, seed, n_paths):
+        # the membership test of every evaluation, at the probe's farthest nodes; a probe runs
+        # along z1, sm - r1 from the boundary. Controls reach under a third as far (jump nodes
+        # only) and stay inside wherever their probes do
+        r1, _, sm = _reference_rows(domain, path(np.array([0.0, -reach, reach])))
+        if not (r1[1:] < sm[1:]).all():
+            gap = float(sm[0] - r1[0])
+            # order k's farthest node is that of its centered stencil q = k + 2
+            fits = [k for k in range(max(orders)) if _centered(k + 2)[0].max() < gap]
+            raise ConfigurationError(
+                f"path {label} crosses the seam {gap:.3g} from the egg's boundary, but the "
+                f"probe's nodes reach {reach:.3g} along it: "
+                + (f"orders up to {fits[-1]} fit" if fits else "no order fits"))
     reports = []
-    for label, probe, control in paths if orders else ():
+    for label, probe, control in paths:
         values, ctrl = _on_nodes(probe, *probe_nodes), _on_nodes(control, *control_nodes)
         for i, order in enumerate(orders):
-            rep = _holder_report(order, STEP_SCALES, label, values[5 * i:5 * i + 5])
-            ctrl_jump, ctrl_noise = _jump(order + 1, JUMP_STEP, *ctrl[2 * i:2 * i + 2])
+            rep = _holder_report(order, label, values[5 * i:5 * i + 5])
+            ctrl_jump, ctrl_noise = _jump(order + 1, *ctrl[2 * i:2 * i + 2])
             pooled = max(rep.jump_noise, abs(ctrl_jump) + ctrl_noise)
             if pooled != rep.jump_noise:
                 shared = rep.verdict == "jump" and abs(rep.jump) <= 10.0 * pooled

@@ -242,9 +242,9 @@ def _reference_wirtinger_jet(f, z, step):
         H[np.arange(d), np.arange(d)] = (plus - 2.0 * center + minus) / h ** 2
         H[a, b] = H[b, a] = (pp - pm - mp + mm) / (4.0 * h ** 2)
         hessians.append(H)
-    G = richardson(grads, order=2)
+    G = richardson(grads)
     dz = 0.5 * (G[:n] - 1j * G[n:])
-    HH = richardson(hessians, order=2)
+    HH = richardson(hessians)
     ddbar = 0.25 * ((HH[:n, :n] + HH[n:, n:]) + 1j * (HH[:n, n:] - HH[n:, :n]))
     return center, dz, ddbar
 

@@ -1,4 +1,3 @@
-import functools
 import math
 import statistics
 
@@ -24,7 +23,7 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
-from eggmetrics import fitting, kcurve
+from eggmetrics import fitting, kcurve, numerics
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
 from eggmetrics.numerics import Taylor2, _solve_bracketed_rows, abs_pow, solve_bracketed
 from eggmetrics.verification import _fit_test_points
@@ -328,12 +327,12 @@ class TestWeightGeneralFit:
         K, pm = m * (w - 1.0) + 1.0, p1 * p1
         lo, hi, _ = fitting._ends(m, w, K, pm, np.maximum)
         k = fitting._tangency_terms(m, w, pm)
-        assert np.all(fitting._tangency(K, lo, lo ** m, *k) < 0.0)
-        assert np.all(fitting._tangency(K, hi, hi ** m, *k) >= 0.0)
+        assert np.all(fitting._tangency(m, K, *k, lo)[0] < 0.0)
+        assert np.all(fitting._tangency(m, K, *k, hi)[0] >= 0.0)
         for u in pm.tolist():  # one p1 on floats
             lo, hi, _ = fitting._ends(m, w, K, u, max)
             k = fitting._tangency_terms(m, w, u)
-            assert fitting._tangency(K, lo, lo ** m, *k) < 0.0 <= fitting._tangency(K, hi, hi ** m, *k)
+            assert fitting._tangency(m, K, *k, lo)[0] < 0.0 <= fitting._tangency(m, K, *k, hi)[0]
         for u, start in ((0.0, K ** (1.0 / m)), (thr * thr, 1.0 / (thr * thr))):  # exact on Z and M0
             assert fitting._ends(m, w, K, u, max)[2] == pytest.approx(start, rel=1e-13)
         with pytest.raises(ConfigurationError, match="not in the inner region"):
@@ -412,7 +411,7 @@ class TestOracleCost:
         def refuse(*args):
             raise AssertionError("the oracle called the closed-form fit")
 
-        for name in ("_solve_tau", "_tangency", "_tangency_slope", "_inner_fit", "_fit"):
+        for name in ("_solve_tau", "_tangency", "_inner_fit", "_fit"):
             monkeypatch.setattr(fitting, name, refuse)
         for (m, p1), ref in refs.items():
             orc = fit_oracle(DomainParams(m=m, n=2), p1)
@@ -690,22 +689,22 @@ class TestNewtonConvergenceRule:
             return -0.2 / 3e-16 + 0.0 * x
 
         assert 0.5 - 0.2 / df(0.5) > 0.5
-        assert solve_bracketed(f, 0.0, 1.0, df=df) == 0.5
+        assert solve_bracketed(lambda x: (f(x), df(x)), 0.0, 1.0) == 0.5
         roots = _solve_bracketed_rows(lambda x, rows: (f(x), df(x)),
                                       np.zeros(2), np.ones(2), np.full(2, 0.5))
         assert roots.tolist() == [0.5, 0.5]
 
 
 def _counted_solves(monkeypatch):
-    # the f-evaluations of each scalar solve the tangency solve makes
+    # the (f, f') evaluations of each scalar solve the tangency solve makes
     evals = []
 
-    def counted(f, lo, hi, df=None, **kwargs):
-        def counted_f(x):
+    def counted(fdf, *args):
+        def counted_fdf(x):
             evals[-1] += 1
-            return f(x)
+            return fdf(x)
         evals.append(0)
-        return solve_bracketed(counted_f, lo, hi, df=df, **kwargs)
+        return solve_bracketed(counted_fdf, *args)
 
     monkeypatch.setattr(fitting, "solve_bracketed", counted)
     return evals
@@ -767,8 +766,7 @@ class TestArrayTangencySolve:
         # points within 3e-4 of one centre, as in a curvature stencil: the
         # closed-form start leaves a handful of array iterations (a bracket
         # midpoint needs dozens)
-        monkeypatch.setattr(fitting, "_solve_bracketed_rows",
-                            functools.partial(_solve_bracketed_rows, max_iter=6))
+        monkeypatch.setattr(numerics, "ROOT_MAX_ITER", 6)
         rng = np.random.default_rng(63)
         d = DomainParams(m=m, n=2)
         p1 = 0.4 + 3e-4 * rng.uniform(-1.0, 1.0, 257)
@@ -880,20 +878,37 @@ class TestArrayTangencySolve:
             assert abs(X - _reference_solve_X(d, 1e-8, s)) <= 1e-14 * X
         assert len(evals) == 20 and max(evals) <= 13
 
+    def test_one_tangency_call_per_evaluation(self, monkeypatch):
+        # each evaluation of the solve's callback, the bracket ends included,
+        # is one ``_tangency`` call giving h and h' together (tau^m formed
+        # once); two callbacks formed h at every evaluation and h' only
+        # where a Newton step was tried
+        tangency, pairs = fitting._tangency, []
+
+        def counted(*args):
+            pairs.append(tangency(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(fitting, "_tangency", counted)
+        evals = _counted_solves(monkeypatch)
+        solve_X(DomainParams(m=2.0, n=2), 0.4)
+        assert len(evals) == 1 and len(pairs) == evals[0] >= 3
+        assert all(len(pair) == 2 for pair in pairs)
+
     def test_start_inside_the_bracket_only(self):
         # a start strictly inside the bracket is the first iterate; any other
         # start is replaced by the midpoint
         seen = []
 
-        def f(x):
+        def fdf(x):
             seen.append(x)
-            return x - 0.3
+            return x - 0.3, 1.0
 
-        assert solve_bracketed(f, 0.0, 1.0, df=lambda x: 1.0, x0=0.3) == 0.3
+        assert solve_bracketed(fdf, 0.0, 1.0, x0=0.3) == 0.3
         assert seen == [0.0, 1.0, 0.3]
         for x0 in (0.0, 1.0, 2.0, None):
             seen.clear()
-            assert solve_bracketed(f, 0.0, 1.0, df=lambda x: 1.0, x0=x0) == 0.3
+            assert solve_bracketed(fdf, 0.0, 1.0, x0=x0) == 0.3
             assert seen[2] == 0.5
 
     def test_non_inner_point_raises(self):

@@ -239,7 +239,7 @@ def derivative(f, x0, order, h0, levels=4):
     for _ in range(levels):
         ests.append(central_diff(f, x0, order, h))
         h *= 0.5
-    return richardson(ests, order=2)
+    return richardson(ests)
 
 
 def _ladder_junction(m, p1):

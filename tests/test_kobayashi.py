@@ -67,6 +67,28 @@ class TestSolveAlpha:
             assert abs(res) < 1e-13
             assert 0.0 < a <= 1.0
 
+    def test_one_upper_ratio_per_evaluation(self, monkeypatch):
+        # the solve's callback gives f and f' together off one R =
+        # _upper_ratio(alpha); two callbacks evaluated R twice per iterate
+        module = sys.modules["eggmetrics.kobayashi"]
+        upper, solve, ratios, evals = module._upper_ratio, module.solve_bracketed, [0], [0]
+
+        def counted_upper(*args):
+            ratios[0] += 1
+            return upper(*args)
+
+        def counted_solve(fdf, *args, **kwargs):
+            def counted_fdf(x):
+                evals[0] += 1
+                return fdf(x)
+            ratios[0] = 0  # the bracket's two ratios are not the callback's
+            return solve(counted_fdf, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_upper_ratio", counted_upper)
+        monkeypatch.setattr(module, "solve_bracketed", counted_solve)
+        solve_alpha(5.0, 0.3, 0.4)
+        assert evals[0] >= 3 and ratios[0] == evals[0]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             solve_alpha(2.0, 0.5, 1.5)

@@ -6,6 +6,7 @@ row. The package's loop updates the bracket in place and assembles roots
 only in a step where a row finished; neither may move a root by one bit.
 """
 
+import functools
 import sys
 
 import numpy as np
@@ -138,13 +139,14 @@ class TestSameBitsOnEdgeCases:
         assert got.tobytes() == want.tobytes()
         assert np.all(got == got[0])
 
-    def test_exhausted_budget_raises_with_a_bracket(self):
+    def test_exhausted_budget_raises_with_a_bracket(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ROOT_MAX_ITER", 3)
         c = np.array([8.0, 2.0, 1000.0])
         lo, hi = np.zeros(3), np.array([3.0, 3.0, 20.0])
         brackets = []
-        for solve in (solve_bracketed_rows, _solve_bracketed_rows):
+        for solve in (functools.partial(solve_bracketed_rows, max_iter=3), _solve_bracketed_rows):
             with pytest.raises(NumericalError, match="did not converge in 3 iterations") as info:
-                solve(_cubic(c), lo, hi, 0.5 * hi, max_iter=3)
+                solve(_cubic(c), lo, hi, 0.5 * hi)
             brackets.append(info.value.bracket)
         assert brackets[0] == brackets[1] and brackets[0][0] < brackets[0][1]
 

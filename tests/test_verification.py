@@ -244,7 +244,9 @@ def _budget(monkeypatch, module, limit):
 
     def limited(fdf, lo, hi, x0):
         calls.append(lo.size)
-        return solve(fdf, lo, hi, x0, max_iter=limit)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "ROOT_MAX_ITER", limit)
+            return solve(fdf, lo, hi, x0)
 
     monkeypatch.setattr(module, "_solve_bracketed_rows", limited)
     return calls
