@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,19 @@ from .verification import run_checks
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits
 
+#: the settings every subcommand takes, each stated once as (name, type,
+#: default, help): the flag --name and the config-file key name. A tuple type
+#: is a choice of strings. A flag wins over the config file, which wins over the
+#: default; a format of None leaves the command its own.
+_COMMON = (
+    ("m", float, 2.0, "egg exponent (>= 0.5)"),
+    ("n", int, 2, "complex dimension (>= 2)"),
+    ("seed", int, 0, "seed for all sampling"),
+    ("tol", float, REGION_TOL, "region classification tolerance"),
+    ("format", ("json", "csv"), None, None),
+    ("out", str, None, "output path (default stdout)"),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     # unknown flags and bad values are validation errors: exit 1, not argparse's 2
@@ -38,21 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    m: float
-    n: int
-    seed: int
-    tol: float
-    fmt: str | None  # None when neither a flag nor the config names a format
-    out: str | None
-
-    def domain(self) -> DomainParams:
-        return DomainParams(m=self.m, n=self.n)
 
 
 def parse_complex_vector(text: str, n: int) -> np.ndarray:
@@ -77,51 +74,40 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            values["fmt" if key == "format" else key] = val.strip()  # --format's dest
+            values[key.strip()] = val.strip()
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, cast, default):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+def _resolve_common(args: argparse.Namespace, config: dict[str, str]) -> None:
+    # each common setting onto the parsed namespace: flag, else config value, else default
+    for name, kind, default, _ in _COMMON:
+        value = getattr(args, name)
+        if value is None and name in config:
+            value = config[name]
+            if not isinstance(kind, tuple):
+                value = kind(value)
+            elif value not in kind:
+                raise ValueError(f"unknown {name} {value!r}")
+        setattr(args, name, default if value is None else value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
+def _table(args, meta: dict, header: list[str], rows: list[list], key: str, skip: int = 0):
+    # a table's record: CSV under "# key=value" metadata lines, or the metadata
+    # with each row as an object under ``key``, less its first ``skip`` columns
+    if args.format != "csv":
+        return dict(meta, **{key: [dict(zip(header[skip:], r[skip:])) for r in rows]})
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_FLOAT_FMT % cell)
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join(_FLOAT_FMT % c if isinstance(c, float) else str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
-
-
-def _meta(cfg: RunConfig, region: str | None = None) -> dict:
-    meta = {"m": cfg.m, "n": cfg.n, "seed": cfg.seed, "version": __version__}
+def _meta(domain: DomainParams, args, region: str | None = None, **fields) -> dict:
+    meta = {"m": domain.m, "n": domain.n, "seed": args.seed, "version": __version__}
     if region is not None:
         meta["region"] = region
+    meta.update(fields)
     return meta
 
 
@@ -130,88 +116,53 @@ def _complex_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its record, a JSON payload or finished
+# text, and ``verify`` its exit code with it
 
 
-def _cmd_region(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
-    z = parse_complex_vector(args.point, cfg.n)
-    label = classify_region(domain, z, tol=cfg.tol).value
-    payload = _meta(cfg, region=label)
-    payload["point"] = args.point
-    _emit(_json_text(payload), cfg.out)
-    return 0
+def _cmd_region(domain: DomainParams, args) -> dict:
+    z = parse_complex_vector(args.point, domain.n)
+    return _meta(domain, args, classify_region(domain, z, tol=args.tol).value, point=args.point)
 
 
-def _cmd_eval(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
-    z = parse_complex_vector(args.point, cfg.n)
-    v = parse_complex_vector(args.vector, cfg.n)
-    label = classify_region(domain, z, tol=cfg.tol).value
+def _cmd_eval(domain: DomainParams, args) -> dict:
+    z = parse_complex_vector(args.point, domain.n)
+    v = parse_complex_vector(args.vector, domain.n)
+    label = classify_region(domain, z, tol=args.tol).value
     k_sq = kobayashi_sq(domain, z, v)
     w = wu_norm(domain, z, v)
-    payload = _meta(cfg, region=label)
-    payload.update({
-        "point": args.point,
-        "vector": args.vector,
-        "kobayashi": math.sqrt(k_sq),
-        "kobayashi_sq": k_sq,
-        "wu": w,
-        "wu_sq": w * w,
-    })
-    _emit(_json_text(payload), cfg.out)
-    return 0
+    return _meta(domain, args, label, point=args.point, vector=args.vector,
+                 kobayashi=math.sqrt(k_sq), kobayashi_sq=k_sq, wu=w, wu_sq=w * w)
 
 
-def _cmd_tensor(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
-    z = parse_complex_vector(args.point, cfg.n)
-    form = wu_tensor(domain, z, tol=cfg.tol)
+def _cmd_tensor(domain: DomainParams, args) -> dict:
+    z = parse_complex_vector(args.point, domain.n)
+    form = wu_tensor(domain, z, tol=args.tol)
     eigs = form.eigenvalues()
     try:
         defect = kahler_defect(domain, z)
     except SeamProximityError:
         defect = None  # on Z or M0 the metric has no jet
-    payload = _meta(cfg, region=form.region.value)
-    payload.update({
-        "point": args.point,
-        "source": form.source,
-        "entries": _complex_pairs(form.matrix),
-        "eigenvalue_min": float(eigs[0]),
-        "eigenvalue_max": float(eigs[-1]),
-        "kahler_defect": defect,
-    })
-    _emit(_json_text(payload), cfg.out)
-    return 0
+    return _meta(domain, args, form.region.value, point=args.point, source=form.source,
+                 entries=_complex_pairs(form.matrix), eigenvalue_min=float(eigs[0]),
+                 eigenvalue_max=float(eigs[-1]), kahler_defect=defect)
 
 
-def _cmd_fit(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
+def _cmd_fit(domain: DomainParams, args) -> dict:
     p1 = args.p1
-    label = classify_region(domain, _axis_point(domain, p1), tol=cfg.tol).value
+    label = classify_region(domain, _axis_point(domain, p1), tol=args.tol).value
     ref = fit_reference(domain, p1)
     orc = fit_oracle(domain, p1)
     x_star = y_star = None
     if domain.m > 1.0 and p1 < domain.m0_radius:
         c = contact_point(domain, p1)
         x_star, y_star = c.x_star, c.y_star
-    payload = _meta(cfg, region=label)
-    payload.update({
-        "p1": p1,
-        "r1": ref.r1,
-        "r2": ref.r2,
-        "x_star": x_star,
-        "y_star": y_star,
-        "oracle_r1": orc.r1,
-        "oracle_r2": orc.r2,
-        "max_containment_violation": containment_violation(domain, p1, ref),
-    })
-    _emit(_json_text(payload), cfg.out)
-    return 0
+    return _meta(domain, args, label, p1=p1, r1=ref.r1, r2=ref.r2, x_star=x_star,
+                 y_star=y_star, oracle_r1=orc.r1, oracle_r2=orc.r2,
+                 max_containment_violation=containment_violation(domain, p1, ref))
 
 
-def _cmd_kcurve(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
+def _cmd_kcurve(domain: DomainParams, args):
     p1 = args.p1
     branches = [Branch.LOWER, Branch.UPPER] if args.branch == "both" \
         else [Branch[args.branch]]
@@ -220,70 +171,54 @@ def _cmd_kcurve(cfg: RunConfig, args) -> int:
         for alpha in kcurve_alpha_grid(domain, p1, branch, args.count):
             s = kcurve_sample(domain, p1, branch, float(alpha))
             rows.append([branch.value, float(alpha), s.x, s.y])
-    meta = _meta(cfg, region=classify_region(domain, _axis_point(domain, p1), tol=cfg.tol).value)
-    meta["p1"] = p1
-    header = ["branch", "alpha", "x", "y"]
-    if cfg.fmt == "csv":
-        _emit(_csv_text(meta, header, rows), cfg.out)
-    else:
-        _emit(_json_text(dict(meta, samples=[dict(zip(header, r)) for r in rows])), cfg.out)
-    return 0
+    label = classify_region(domain, _axis_point(domain, p1), tol=args.tol).value
+    return _table(args, _meta(domain, args, label, p1=p1), ["branch", "alpha", "x", "y"],
+                  rows, "samples")
 
 
-def _cmd_curvature_scan(cfg: RunConfig, args) -> int:
+def _cmd_curvature_scan(domain: DomainParams, args):
     lo, _, hi = args.p1_range.partition(":")
-    records, skipped = curvature_scan(cfg.domain(), GridSpec(
+    records, skipped = curvature_scan(domain, GridSpec(
         p1_min=float(lo), p1_max=float(hi), count=args.count, phat_abs=args.phat_abs,
-        seed=cfg.seed, directions=args.directions))
+        seed=args.seed, directions=args.directions))
     rows = []
     for rec in records:
         coords = ";".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in rec.point)
-        rows.append([cfg.m, cfg.n, rec.region.value, coords,
+        rows.append([domain.m, domain.n, rec.region.value, coords,
                      rec.min_sectional, rec.max_sectional,
                      rec.kahler_defect, rec.symmetry_defect])
-    meta = _meta(cfg)
-    meta["skipped_points"] = len(skipped)
     header = ["m", "n", "region", "point", "min_sec", "max_sec", "kahler_defect", "symmetry_defect"]
-    if cfg.fmt == "csv":
-        _emit(_csv_text(meta, header, rows), cfg.out)
-    else:  # the records leave out m and n, which the metadata carries
-        records = [dict(zip(header[2:], r[2:])) for r in rows]
-        _emit(_json_text(dict(meta, records=records)), cfg.out)
-    return 0
+    # the JSON records leave out m and n, which the metadata carries
+    return _table(args, _meta(domain, args, skipped_points=len(skipped)), header, rows,
+                  "records", skip=2)
 
 
-def _cmd_smoothness_scan(cfg: RunConfig, args) -> int:
-    domain = cfg.domain()
+def _cmd_smoothness_scan(domain: DomainParams, args) -> dict:
     orders = tuple(int(o) for o in args.orders.split(","))
     reports = regularity_scan(domain, args.seam, component=args.component,
-                              seed=cfg.seed, orders=orders, n_paths=args.paths)
-    payload = _meta(cfg)
-    payload["seam"] = args.seam
+                              seed=args.seed, orders=orders, n_paths=args.paths)
 
     def clean(record: dict) -> dict:
         # inconclusive exponents are NaN internally; emit null for strict JSON
         return {k: (None if isinstance(v, float) and math.isnan(v) else v)
                 for k, v in record.items()}
 
-    payload["reports"] = [clean(dataclasses.asdict(r)) for r in reports]
-    _emit(_json_text(payload), cfg.out)
-    return 0
+    return _meta(domain, args, seam=args.seam,
+                 reports=[clean(dataclasses.asdict(r)) for r in reports])
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
-    # a text table by default, one JSON object with --format json
-    domain = cfg.domain()
-    results = run_checks(domain, seed=cfg.seed,
+def _cmd_verify(domain: DomainParams, args):
+    # a text table by default, one JSON object with --format json; exit 3 on a FAIL row
+    results = run_checks(domain, seed=args.seed,
                          names=args.only.split(",") if args.only else None)
     n_fail = sum(not r.passed for r in results)
-    if cfg.fmt == "json":
-        payload = _meta(cfg)
-        payload["checks"] = [{"name": r.name, "passed": bool(r.passed), "detail": r.detail,
-                              "seconds": r.seconds} for r in results]
-        payload.update(passed=len(results) - n_fail, total=len(results))
-        _emit(_json_text(payload), cfg.out)
-        return 3 if n_fail else 0
-    lines = [f"verification suite for m={cfg.m}, n={cfg.n} (seed {cfg.seed}, "
+    code = 3 if n_fail else 0
+    if args.format == "json":
+        checks = [{"name": r.name, "passed": bool(r.passed), "detail": r.detail,
+                   "seconds": r.seconds} for r in results]
+        return _meta(domain, args, checks=checks, passed=len(results) - n_fail,
+                     total=len(results)), code
+    lines = [f"verification suite for m={domain.m}, n={domain.n} (seed {args.seed}, "
              f"version {__version__})"]
     width = max(len(r.name) for r in results) if results else 0
     for r in results:
@@ -291,8 +226,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         lines.append(f"  [{status}] {r.name.ljust(width)}  {r.detail}  "
                      f"({r.seconds:.2f}s)")
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", cfg.out)
-    return 3 if n_fail else 0
+    return "\n".join(lines) + "\n", code
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +234,9 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", type=float, default=None, help="egg exponent (>= 0.5)")
-    sub.add_argument("--n", type=int, default=None, help="complex dimension (>= 2)")
-    sub.add_argument("--seed", type=int, default=None, help="seed for all sampling")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="region classification tolerance")
-    sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
-    sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    for name, kind, _, help in _COMMON:
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        sub.add_argument(f"--{name}", default=None, help=help, **typed)
     sub.add_argument("--config", type=str, default=None,
                      help="key = value file mirroring flags; flags win")
 
@@ -381,37 +311,36 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config_values = _load_config_file(args.config) if args.config else {}
+        config = _load_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"egg-metrics: config error: {exc}\n")
         return 1
-    args._config_values = config_values
     try:
-        cfg = RunConfig(
-            m=_resolve(args, "m", float, 2.0),
-            n=_resolve(args, "n", int, 2),
-            seed=_resolve(args, "seed", int, 0),
-            tol=_resolve(args, "tol", float, REGION_TOL),
-            fmt=_resolve(args, "fmt", str, None),
-            out=_resolve(args, "out", str, None),
-        )
-        cfg.domain()  # validate m, n now
-        if cfg.fmt not in (None, "json", "csv"):
-            raise ValueError(f"unknown format {cfg.fmt!r}")
-        if cfg.fmt == "csv" and not getattr(args, "csv", False):
+        _resolve_common(args, config)
+        domain = DomainParams(m=args.m, n=args.n)
+        if args.format == "csv" and not getattr(args, "csv", False):
             raise ValueError(f"{args.command} does not write csv; kcurve and curvature-scan do")
-        _check_tol(cfg.tol)
-    except (EggMetricsError, ValueError) as exc:
-        sys.stderr.write(f"egg-metrics: validation error: {exc}\n")
-        return 1
-    try:
-        return args.handler(cfg, args)
+        _check_tol(args.tol)
+        record = args.handler(domain, args)
     except NumericalError as exc:
         sys.stderr.write(f"egg-metrics: numerical failure: {exc}\n")
         return 2
     except (EggMetricsError, ValueError) as exc:
         sys.stderr.write(f"egg-metrics: validation error: {exc}\n")
         return 1
+    record, code = record if isinstance(record, tuple) else (record, 0)
+    if not isinstance(record, str):
+        record = json.dumps(record, indent=2, allow_nan=True) + "\n"
+    try:  # the one write of every command's record
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(record)
+        else:
+            sys.stdout.write(record)
+    except OSError as exc:
+        sys.stderr.write(f"egg-metrics: output error: {exc}\n")
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -29,10 +29,6 @@ from .numerics import _check_integer, _power, _two_term_root, abs_pow
 
 #: default tolerance on the defining expressions used by region classification
 REGION_TOL = 1e-10
-#: the one Z cut-off, which is not a region tolerance: reduced axis
-#: coordinate below which ``kobayashi`` takes the Z branch, the Minkowski
-#: gauge of the moved vector, instead of the axis-point formulas
-REFERENCE_AXIS_TOL = 1e-13
 
 
 class RegionLabel(enum.Enum):

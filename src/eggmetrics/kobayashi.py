@@ -17,7 +17,6 @@ from functools import partial
 import numpy as np
 
 from .domain import (
-    REFERENCE_AXIS_TOL,
     DomainParams,
     _check_finite,
     _check_inside,
@@ -33,7 +32,9 @@ from .numerics import _power, _solve_bracketed_rows, _two_term_root, abs_pow, so
 
 
 #: smallest axis coordinate whose UPPER root alpha, which runs down to p1,
-#: keeps alpha^2 in the float range
+#: keeps alpha^2 in the float range; at or below it ``kobayashi`` takes the Z
+#: branch, the Minkowski gauge of the moved vector, which the axis-point
+#: formulas meet to rounding well before it
 _P1_UPPER_MIN = 1e-150
 
 
@@ -256,11 +257,11 @@ def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     if p.ndim == 1:
         p1, w = _to_axis(domain, p[None], v[None], _check_inside(domain, p))
         _check_finite(w[0])  # D v overflows for v near the float limit
-        return float(_gauge_sq(domain, w[0]) if p1 < REFERENCE_AXIS_TOL
+        return float(_gauge_sq(domain, w[0]) if p1 <= _P1_UPPER_MIN
                      else _kobayashi_reference_sq(domain, p1, w))
     p1, w = _to_axis(domain, p, v)
     _check_finite(w)
-    on_z = p1 < REFERENCE_AXIS_TOL
+    on_z = p1 <= _P1_UPPER_MIN
     if not on_z.any():
         return _kobayashi_reference_sq(domain, p1, w)
     axial = ~on_z

@@ -235,7 +235,10 @@ def seam_paths(domain: DomainParams, seam: str, component: str,
     """Build (label, probe, control) triples for a seam; controls never cross it.
 
     Probe and control map an array of t to the array of the component's values.
+    ``seed`` is an integer >= 0 and ``n_paths`` one >= 1.
     """
+    seed = _check_integer(seed, "path seed", 0)
+    n_paths = _check_integer(n_paths, "path count", 1)
     idx = {"h11": (0, 0), "h22": (1, 1), "h12": (0, 1)}
 
     def on(path, v):  # the component along one path; v is bound here, per path
@@ -265,7 +268,8 @@ def regularity_scan(domain: DomainParams, seam: str, component: str | None = Non
     nodes: the reports are ``holder_exponent``'s and ``derivative_jump``'s.
     A probe path whose farthest node would leave the egg is refused before
     any evaluation: the default orders reach 2.5e-2, and from m = 14 on M0
-    lies nearer the boundary than that.
+    lies nearer the boundary than that. ``seed`` (>= 0) and ``n_paths`` (>= 1)
+    are checked where there are paths; JUNCTION reads neither.
     """
     if seam == "JUNCTION":
         reports = []

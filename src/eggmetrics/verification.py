@@ -43,7 +43,7 @@ from .kcurve import (
     square_convexity_check,
 )
 from .kobayashi import _alt_upper, branch_params, kobayashi
-from .numerics import Taylor2, wirtinger_jet
+from .numerics import Taylor2, _check_integer, wirtinger_jet
 from .tensor import (_chain, _jet_region, _moved, _norm_sq, _wu_jet, _wu_matrices,
                      kahler_defect, pullback_tensor, wu_norm, wu_tensor)
 
@@ -457,8 +457,10 @@ def run_checks(domain: DomainParams, seed: int = 0,
                names: Iterable[str] | None = None) -> list[CheckResult]:
     """Run the applicable checks for this domain; each gets its own seeded stream.
 
-    ``names`` restricts the run; a name that is no check raises ``ConfigurationError``.
+    ``seed`` is an integer >= 0. ``names`` restricts the run; a name that is
+    no check raises ``ConfigurationError``.
     """
+    seed = _check_integer(seed, "check seed", 0)
     wanted = set(names) if names is not None else None
     if wanted is not None and (unknown := wanted - {name for name, _, _ in _CHECKS}):
         raise ConfigurationError(f"unknown check name(s): {', '.join(sorted(unknown))}")

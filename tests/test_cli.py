@@ -193,6 +193,35 @@ class TestConfigFile:
                                str(tmp_path / "none.cfg"), "--point", "0,0")
         assert code == 1
 
+    @pytest.mark.parametrize("name,value", [
+        ("m", "0.75"), ("n", "3"), ("seed", "5"), ("tol", "1e-8"), ("format", "csv"),
+        ("out", "curve.csv")])
+    def test_every_common_setting_is_a_flag_and_a_config_key(self, capsys, tmp_path,
+                                                              monkeypatch, name, value):
+        # one record, bytes and exit code, whether the setting comes as a flag or a key
+        monkeypatch.chdir(tmp_path)
+        assert name in [row[0] for row in cli._COMMON]
+        args = ("kcurve", "--p1", "0.5", "--count", "8")
+        flagged = run_cli(capsys, *args, f"--{name}", value)
+        written = (tmp_path / "curve.csv").read_text() if name == "out" else None
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        assert run_cli(capsys, *args, "--config", str(cfg)) == flagged
+        if name == "out":
+            assert (tmp_path / "curve.csv").read_text() == written != ""
+        assert flagged[0] == 0 and flagged[2] == ""
+
+    def test_config_values_leave_the_parser_untouched(self, capsys, tmp_path):
+        # settings are resolved on each call's own namespace, never as parser defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m = 5\nn = 3\nseed = 9\ntol = 1e-6\nformat = csv\n")
+        argv = ("kcurve", "--p1", "0.5", "--count", "8")
+        assert run_cli(capsys, *argv, "--config", str(cfg))[0] == 0
+        args = cli.build_parser().parse_args(["kcurve", "--p1", "0.5"])
+        assert [getattr(args, row[0]) for row in cli._COMMON] == [None] * len(cli._COMMON)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["m"] == 2.0 and json.loads(out)["n"] == 2
+
 
 class TestExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
@@ -317,6 +346,29 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "tensor", "--m", "2", "--point", "0.3,0.2")
         assert code == 2 and out == ""
         assert err == "egg-metrics: numerical failure: jet lost its root\n"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path, where):
+        # an unwritable --out leaked a FileNotFoundError traceback
+        target = tmp_path / "none" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "region", "--point", "0.1,0", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("egg-metrics: output error: [Errno ")
+        assert str(target) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (("smoothness-scan", "--seam", "Z", "--paths", "0"),
+         "path count must be an integer >= 1, got 0"),
+        (("smoothness-scan", "--seam", "M0", "--paths", "-2"),
+         "path count must be an integer >= 1, got -2"),
+        (("smoothness-scan", "--seam", "Z", "--seed", "-1"),
+         "path seed must be an integer >= 0, got -1"),
+        (("verify", "--seed", "-1"), "check seed must be an integer >= 0, got -1"),
+    ], ids=["paths-0", "paths-neg", "scan-seed", "verify-seed"])
+    def test_bad_path_count_or_seed_exits_one(self, capsys, argv, message):
+        # --paths 0 exited 0 with no reports; a negative seed gave numpy's message
+        code, out, err = run_cli(capsys, *argv, "--m", "2")
+        assert (code, out, err) == (1, "", f"egg-metrics: validation error: {message}\n")
 
     def test_fit_has_no_samples_flag(self, capsys):
         code, out, err = run_cli(capsys, "fit", "--m", "2", "--p1", "0.5", "--samples", "4096")

@@ -312,6 +312,36 @@ class TestOneEvaluationPerScan:
             regularity_scan(DomainParams(m=2.0, n=2), "M0", orders=(1, -1))
 
 
+class TestPathInputs:
+    """The path count and seed are checked as orders are, before any evaluation.
+
+    A count of 0 or -2 gave no reports, 1.5 leaked TypeError and a seed of -1
+    numpy's ValueError.
+    """
+
+    @pytest.mark.parametrize("seam", ["Z", "M0"])
+    @pytest.mark.parametrize("n_paths", [0, -2, 1.5, 2.0])
+    def test_path_count_must_be_a_positive_integer(self, seam, n_paths):
+        d = DomainParams(m=2.0, n=2)
+        with pytest.raises(DomainError, match="path count must be an integer >= 1"):
+            regularity_scan(d, seam, n_paths=n_paths)
+        with pytest.raises(DomainError, match="path count must be an integer >= 1"):
+            smoothness.seam_paths(d, seam, "h11", 0, n_paths)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        d = DomainParams(m=0.75, n=2)
+        with pytest.raises(DomainError, match="path seed must be an integer >= 0"):
+            regularity_scan(d, "Z", seed=seed)
+        with pytest.raises(DomainError, match="path seed must be an integer >= 0"):
+            smoothness.seam_paths(d, "Z", "h22", seed, 1)
+
+    def test_numpy_integers_are_accepted(self):
+        d = DomainParams(m=0.75, n=2)
+        got = regularity_scan(d, "Z", seed=np.int64(3), orders=(1,), n_paths=np.int32(1))
+        assert got == regularity_scan(d, "Z", seed=3, orders=(1,), n_paths=1)
+
+
 class TestM0JumpAgainstFitJets:
     # along seam_paths' M0 path z1 = x0 + t, zhat fixed, h11 = sigma r1(u)
     # with u = |z1|^2 sigma and sigma = (1 - |zhat|^2)^(-1/m). Both fits'

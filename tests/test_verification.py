@@ -8,6 +8,7 @@ import pytest
 from eggmetrics import (
     Branch,
     Convexity,
+    DomainError,
     DomainParams,
     NumericalError,
     automorphism_jacobian,
@@ -221,6 +222,19 @@ class TestRowProbes:
                     continue
                 assert a.exponent == pytest.approx(b.exponent, abs=1e-9, nan_ok=True)
                 assert abs(a.jump - b.jump) <= 1e-5 * max(abs(a.jump), abs(b.jump))
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, 1.0, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a seed of -1 leaked numpy's "expected non-negative integer"
+        with pytest.raises(DomainError, match="check seed must be an integer >= 0"):
+            run_checks(DomainParams(m=2.0, n=2), seed=seed, names=["gauge-membership"])
+
+    def test_numpy_integer_seed_draws_as_its_value(self):
+        d, names = DomainParams(m=2.0, n=2), ["gauge-membership", "invariance"]
+        got = [(r.passed, r.detail) for r in run_checks(d, seed=np.int64(5), names=names)]
+        assert got == [(r.passed, r.detail) for r in run_checks(d, seed=5, names=names)]
 
 
 class TestBenchCells:
