@@ -107,10 +107,7 @@ def _build_directions(n: int, seed: int, count: int) -> np.ndarray:
     dirs.extend(eye)
     for i in range(n):
         for j in range(i + 1, n):
-            dirs.append(eye[i] + eye[j])
-            dirs.append(eye[i] - eye[j])
-            dirs.append(eye[i] + 1j * eye[j])
-            dirs.append(eye[i] - 1j * eye[j])
+            dirs.extend(eye[i] + c * eye[j] for c in (1, -1, 1j, -1j))
     rng = np.random.default_rng(seed)
     while len(dirs) < count:
         w = rng.normal(size=n) + 1j * rng.normal(size=n)

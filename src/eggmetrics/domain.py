@@ -332,6 +332,20 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref=None):
     return (p1_ref[:, 0] if ref is None else p1_ref), w
 
 
+def _moved_reals(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref):
+    # (p1_ref, |w1|, |what|^2) of w = D(p, p) v, without building w, for checked (N, n)
+    # rows and their ``_check_inside`` membership ``ref``; floats for one pair's row and
+    # float ref. ``_to_axis``'s w1 without the unimodular c, and |what|^2 = |vhat|^2/s^2
+    # + |d|^2/s^4 (d = <vhat, phat>), so one pair's complex parts run on its row
+    r1, q, sm = ref
+    s2 = 1.0 - q
+    d = (np.conj(p[:, 1:]) * v[:, 1:]).sum(axis=-1)
+    w1, ad, b = np.abs(v[:, 0] + p[:, 0] * d / (domain.m * s2)), np.abs(d), _hat_sq(v)
+    if isinstance(sm, float):
+        (w1,), (ad,), (b,) = w1.tolist(), ad.tolist(), b.tolist()
+    return r1 / sm, w1 / sm, b / s2 + ad * ad / (s2 * s2)
+
+
 def seam_distance(domain: DomainParams, z) -> float:
     """Conservative distance from z to the nearest of: Z, M0 (if m > 1), the boundary.
 

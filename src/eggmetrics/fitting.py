@@ -221,8 +221,12 @@ def fit_oracle(domain: DomainParams, p1: float) -> WuEllipsoidDiag:
     (x_int, 0) to an arc end, the exact fit. The closed-form fit is not read.
     """
     _check_p1(p1)
-    m, w, p1 = domain.m, domain.m0_weight, float(p1)
-    a, tab = _arc_table(m, p1)
+    return _fit_oracle(domain, float(p1), *_arc_table(domain.m, float(p1)))
+
+
+def _fit_oracle(domain: DomainParams, p1: float, a, tab) -> WuEllipsoidDiag:
+    # fit_oracle at a checked p1 from its ``_arc_table`` (a, tab)
+    m, w = domain.m, domain.m0_weight
     x, y, _, _, ll, _ = tab
     with np.errstate(divide="ignore"):  # x = 0 at alpha = p1; y may underflow
         up = ll + np.log(x) >= np.log((w - 1.0) * y)  # r2 x* >= (w-1)/w
@@ -294,10 +298,15 @@ def containment_violation(domain: DomainParams, p1: float, ellipsoid: WuEllipsoi
     rounded 1 - P, amplified by the fit's conditioning to 2.2e-16 p1/(1 - p1).
     """
     _check_p1(p1)
-    m, p1, r1, r2 = domain.m, float(p1), ellipsoid.r1, ellipsoid.r2
+    r1, r2 = ellipsoid.r1, ellipsoid.r2
     if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
         raise DomainError(f"containment needs finite r1 > 0 and r2 > 0, got r1={r1!r}, r2={r2!r}")
-    a, tab = _arc_table(m, p1)
+    return _containment_violation(domain, float(p1), ellipsoid, *_arc_table(domain.m, float(p1)))
+
+
+def _containment_violation(domain: DomainParams, p1: float, ellipsoid, a, tab) -> float:
+    # containment_violation at a checked p1 and ellipsoid from p1's ``_arc_table`` (a, tab)
+    m, r1, r2 = domain.m, ellipsoid.r1, ellipsoid.r2
     x, y, _, _, ll, _ = tab
     best = max(float(np.max(r1 * y + r2 * x)), r2 * _x_intercept(m, p1))
     lr = math.log(r2) - math.log(r1)

@@ -86,10 +86,10 @@ def upper_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:
 
 def _upper_xy_many(m: float, p1: float, alphas) -> np.ndarray:
     """``upper_xy`` at each parameter as rows (..., 2): ``_upper_tangents``' (x, y)."""
-    return np.stack(_upper_tangents(m, p1, alphas)[:2], axis=-1)
+    return np.stack(_upper_tangents(m, p1, alphas, xy=True), axis=-1)
 
 
-def _upper_tangents(m: float, p1: float, alphas):
+def _upper_tangents(m: float, p1: float, alphas, xy: bool = False):
     """The UPPER arc in bounded form at each parameter, as columns (x, y, x', y', l, l').
 
     With t = (p1/alpha)^2m in [p1^2m, 1] on the arc alpha in [p1, 1], C = (1 - alpha^2) +
@@ -98,7 +98,7 @@ def _upper_tangents(m: float, p1: float, alphas):
     l = log lambda of the tangent direction lambda = -y'/x' = (alpha/p1)^(2m-2) C/m and
     l' = (2m-2) (1 - alpha^2)/C. Powers are exps of nonpositive exponents, differences from
     1 go through expm1 and no term cancels for m >= 1/2: each column keeps its relative
-    accuracy at m = 60 and small p1 and as p1 -> 1.
+    accuracy at m = 60 and small p1 and as p1 -> 1. With ``xy`` only (x, y).
     """
     a = np.asarray(alphas, dtype=float)
     la = np.log(a)
@@ -106,11 +106,13 @@ def _upper_tangents(m: float, p1: float, alphas):
         q = 2.0 * m * np.log1p((p1 - a) / a)  # log t, to full relative accuracy near alpha = p1
     one_t, one_a, r = -np.expm1(q), -np.expm1(2.0 * la), p1 / a
     c = one_a + a * a * one_t / m
+    x, y = one_t * -np.expm1(q + 2.0 * la), (r * c) ** 2
+    if xy:
+        return x, y
     k = m * one_a + (2.0 * m - 1.0) * a * a * one_t
     # t as r^2m for x': exp(q) loses t's relative accuracy far from alpha = p1
-    return (one_t * -np.expm1(q + 2.0 * la), (r * c) ** 2, 2.0 * r ** (2.0 * m) * k,
-            -2.0 / m * r * r * c * k, np.log(c / m) - (2.0 * m - 2.0) * np.log(r),
-            (2.0 * m - 2.0) * one_a / c)
+    return (x, y, 2.0 * r ** (2.0 * m) * k, -2.0 / m * r * r * c * k,
+            np.log(c / m) - (2.0 * m - 2.0) * np.log(r), (2.0 * m - 2.0) * one_a / c)
 
 
 def lower_xy(m: float, p1: float, alpha: float) -> tuple[float, float]:

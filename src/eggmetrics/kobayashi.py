@@ -23,6 +23,7 @@ from .domain import (
     _check_p1,
     _gauge,
     _hat_sq,
+    _moved_reals,
     _same_rows,
     _to_axis,
     as_vector,
@@ -150,8 +151,8 @@ def _upper_ratio(m: float, p1, alpha, xp=np):
 
 def _is_upper(m: float, p1, v1, x):
     # the one branch test at an axis point, UPPER where m|v1| > p1|vhat|, of
-    # |v1| and x = |vhat|^2 as floats or as rows; np.sqrt rounds alike on both
-    return m * v1 > p1 * np.sqrt(x)
+    # |v1| and x = |vhat|^2 as floats or as rows; math.sqrt rounds as np.sqrt does
+    return m * v1 > p1 * (math.sqrt(x) if isinstance(x, float) else np.sqrt(x))
 
 
 def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
@@ -177,16 +178,19 @@ def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
 
 
 def _kobayashi_reference_sq(domain: DomainParams, p1, v: np.ndarray):
-    # kobayashi_reference_sq of each checked row: p1 (N,) in (0, 1), v (N, n);
-    # AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``. A float p1
-    # with one row v is one pair: |v1|, |vhat|^2 (off one np.abs), branch and formula on floats
-    m = domain.m
+    # kobayashi_reference_sq of checked rows p1 (N,), v (N, n), or of a float p1 and one row
     if isinstance(p1, float):
         a = np.abs(v[0])
-        v1, x = float(a[0]), float((a[1:] ** 2).sum())
+        return _branches_sq(domain.m, p1, float(a[0]), float((a[1:] ** 2).sum()))
+    return _branches_sq(domain.m, p1, np.abs(v[:, 0]), _hat_sq(v))
+
+
+def _branches_sq(m: float, p1, v1, x):
+    # the squared metric at axis points from p1, |v1| and |vhat|^2, one pair's
+    # as floats or rows': AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``
+    if isinstance(p1, float):
         branch = 0 if x == 0.0 else 1 + bool(_is_upper(m, p1, v1, x))
         return _BRANCH_SQ[branch](m, p1, v1, x)
-    v1, x = np.abs(v[:, 0]), _hat_sq(v)
     branch = (x > 0.0) * (1 + _is_upper(m, p1, v1, x))
     k_sq = np.empty(len(p1))
     for b, branch_sq in enumerate(_BRANCH_SQ):
@@ -227,7 +231,7 @@ def _upper_sq(m: float, p1, v1, x):
     return k * k
 
 
-#: the squared metric on each branch, indexed as in ``_kobayashi_reference_sq``
+#: the squared metric on each branch, indexed as in ``_branches_sq``
 _BRANCH_SQ = (_axis_sq, _lower_sq, _upper_sq)
 
 
@@ -250,33 +254,31 @@ def kobayashi_sq(domain: DomainParams, p, v):
 
 
 def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray):
-    # kobayashi_sq of each checked (N, n) row pair: the moved vector w at the
-    # reference coordinate, or its gauge on Z; one checked pair (n,) gives a
-    # float, its membership and reference coordinate on floats and its
-    # complex parts on one row (``_to_axis``)
+    # kobayashi_sq of checked (N, n) row pairs, or of one pair (n,) as a float: the branch
+    # formulas at ``_moved_reals``' reals, and on Z the gauge of ``_to_axis``'s moved vector
+    ref = _check_inside(domain, p)
     if p.ndim == 1:
-        p1, w = _to_axis(domain, p[None], v[None], _check_inside(domain, p))
-        _check_finite(w[0])  # D v overflows for v near the float limit
-        return float(_gauge_sq(domain, w[0]) if p1 <= _P1_UPPER_MIN
-                     else _kobayashi_reference_sq(domain, p1, w))
-    p1, w = _to_axis(domain, p, v)
-    _check_finite(w)
+        p1, w1, x = _moved_reals(domain, p[None], v[None], ref)
+        if not math.isfinite(w1):  # D v overflows for v near the float limit
+            raise DomainError("vector has non-finite entries")
+        return float(_branches_sq(domain.m, p1, w1, x) if p1 > _P1_UPPER_MIN
+                     else _gauge_sq(domain, _to_axis(domain, p[None], v[None], ref)[1][0]))
+    p1, w1, x = _moved_reals(domain, p, v, ref)
+    _check_finite(w1[:, None])
     on_z = p1 <= _P1_UPPER_MIN
     if not on_z.any():
-        return _kobayashi_reference_sq(domain, p1, w)
-    axial = ~on_z
-    k_sq = np.empty(len(p))
-    for i in np.flatnonzero(on_z):
-        k_sq[i] = _gauge_sq(domain, w[i])
-    k_sq[axial] = _kobayashi_reference_sq(domain, p1[axial], w[axial])
+        return _branches_sq(domain.m, p1, w1, x)
+    k_sq, axial = np.empty(len(p)), ~on_z
+    k_sq[axial] = _branches_sq(domain.m, p1[axial], w1[axial], x[axial])
+    k_sq[on_z] = [_gauge_sq(domain, w) for w in _to_axis(domain, p[on_z], v[on_z])[1]]
     return k_sq
 
 
 def _gauge_sq(domain: DomainParams, w: np.ndarray) -> float:
     # the squared gauge of one moved vector on Z, or inf past the float range
-    # as the axis-point formulas give off Z
+    # (an overflowed what too), as the axis-point formulas give off Z
     try:
-        return _gauge(domain, w) ** 2
+        return _gauge(domain, w) ** 2 if np.isfinite(w).all() else math.inf
     except OverflowError:
         return math.inf
 

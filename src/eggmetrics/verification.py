@@ -16,6 +16,7 @@ import numpy as np
 
 from .curvature import _curvature, _sectional_values, direction_sample
 from .domain import (
+    REGION_TOL,
     DomainParams,
     RegionLabel,
     _automorphism,
@@ -23,13 +24,12 @@ from .domain import (
     _defining,
     _gauge,
     _hat_sq,
-    classify_region,
-    defining_function,
-    seam_distance,
+    _region_of,
+    _seam_distance,
 )
 from .errors import ConfigurationError, NumericalError
-from .fitting import (_CHORD, _LOWER, _TANGENCY, _fit, containment_violation, contact_point,
-                      fit_oracle, fit_reference)
+from .fitting import (_CHORD, _LOWER, _TANGENCY, _arc_table, _containment_violation, _fit,
+                      _fit_oracle, contact_point, fit_reference)
 from .kcurve import (
     Branch,
     Convexity,
@@ -220,12 +220,9 @@ def check_convexity(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
             x = _lower_xy_many(m, p1, kcurve_alpha_range(domain, p1, Branch.LOWER))[:, 0]
             lower = f"{Convexity.AFFINE.value} (exact, x-span {x[1] - x[0]:.1e})"
         up = square_convexity_check(domain, p1, Branch.UPPER)
-        if m < 1.0:
-            ok &= up.verdict is Convexity.CONVEX
-        elif m == 1.0:
-            ok &= up.verdict is Convexity.AFFINE
-        else:
-            ok &= up.verdict is Convexity.CONCAVE
+        # the UPPER arc is convex for m < 1, a line on the ball and concave for m > 1
+        ok &= up.verdict is (Convexity.CONVEX if m < 1.0 else
+                             Convexity.AFFINE if m == 1.0 else Convexity.CONCAVE)
         msgs.append(f"p1={p1}: lower={lower}, upper={up.verdict.value}")
     return ok, "; ".join(msgs)
 
@@ -240,10 +237,10 @@ def _fit_test_points(domain: DomainParams) -> list[float]:
 def check_fit_oracle(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     worst = rel = 0.0
     for p1 in _fit_test_points(domain):
-        ref = fit_reference(domain, p1)
-        orc = fit_oracle(domain, p1)
+        ref, table = fit_reference(domain, p1), _arc_table(domain.m, p1)
+        orc = _fit_oracle(domain, p1, *table)
         rel = max(rel, _rel(ref.r1, orc.r1), _rel(ref.r2, orc.r2))
-        worst = max(worst, containment_violation(domain, p1, ref))
+        worst = max(worst, _containment_violation(domain, p1, ref, *table))
     # a tenfold margin on 1e-9; the tangent-table oracle reaches about 3e-14 here
     ok = rel < 1e-8 and worst <= 1e-9
     return ok, f"worst fit-vs-oracle rel {rel:.2e}, containment violation {worst:.2e}"
@@ -295,24 +292,25 @@ def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> 
     lo, hi = 0.9 * domain.m0_radius + 0.1, 0.97
     if lo >= hi:  # m above about 10.2: draw |z1| from the whole axis span of M+
         lo, hi = domain.m0_radius, 1.0
-    worst = 0.0
+    zs = []
     for _ in range(6):
         for _ in range(_POTENTIAL_DRAWS):
             z = _sample_interior(domain, rng, 1, scale=0.95)[0]
             z[0] = rng.uniform(lo, hi)
             z[1:] *= 0.2
-            if (defining_function(domain, z) < -0.02
-                    and classify_region(domain, z) is RegionLabel.M_PLUS
-                    and seam_distance(domain, z) > 1e-3):
+            if (_defining(domain, z) < -0.02
+                    and _region_of(domain, z, REGION_TOL) is RegionLabel.M_PLUS
+                    and _seam_distance(domain, z) > 1e-3):
+                zs.append(z)
                 break
         else:
             raise NumericalError(
                 f"no M+ point 1e-3 from every seam in {_POTENTIAL_DRAWS} draws "
                 f"(M+ is {1.0 - domain.m0_radius:.1e} wide on the axis)")
-
+    worst = 0.0
+    for z, H in zip(zs, wu_tensor(domain, np.array(zs))):
         t, s2 = Taylor2.variables(abs(z[0]) ** 2, 1.0 - float(np.sum(np.abs(z[1:]) ** 2)))
         complex_hess = _chain(z, [-(s2 - t ** domain.m).log()])[2][0]
-        H = wu_tensor(domain, z).matrix
         worst = max(worst, float(np.max(np.abs(complex_hess - H))))
     return worst < 1e-6, f"worst |hessian - tensor| {worst:.2e}"
 
@@ -340,24 +338,19 @@ def check_seam_continuity(domain: DomainParams, rng: np.random.Generator) -> tup
 
 
 def check_kahler(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    m = domain.m
-    msgs = []
-    ok = True
+    # (label, p1, z2, Kahler there) per axis point (p1, z2, 0, ...): either side
+    # of M0 for m > 1, one point for m < 1 and on the ball
+    m, r0 = domain.m, domain.m0_radius
     if m > 1.0:
-        d_plus = kahler_defect(domain, _axis_point(domain, 0.5 * (domain.m0_radius + 1.0), 0.05))
-        ok &= d_plus < 1e-6
-        msgs.append(f"outer defect {d_plus:.1e}")
-        d_minus = kahler_defect(domain, _axis_point(domain, 0.5 * domain.m0_radius, 0.1))
-        ok &= d_minus > 1e-3
-        msgs.append(f"inner defect {d_minus:.1e}")
-    elif m < 1.0:
-        d = kahler_defect(domain, _axis_point(domain, 0.5, 0.2))
-        ok &= d > 1e-3
-        msgs.append(f"defect {d:.1e}")
+        cases = [("outer defect", 0.5 * (r0 + 1.0), 0.05, True),
+                 ("inner defect", 0.5 * r0, 0.1, False)]
     else:
-        d = kahler_defect(domain, _axis_point(domain, 0.4, 0.2))
-        ok &= d < 1e-6
-        msgs.append(f"ball defect {d:.1e}")
+        cases = [("defect", 0.5, 0.2, False) if m < 1.0 else ("ball defect", 0.4, 0.2, True)]
+    ok, msgs = True, []
+    for label, p1, z2, kahler in cases:
+        d = kahler_defect(domain, _axis_point(domain, p1, z2))
+        ok &= d < 1e-6 if kahler else d > 1e-3
+        msgs.append(f"{label} {d:.1e}")
     return ok, "; ".join(msgs)
 
 
@@ -376,13 +369,13 @@ def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     # the exact second derivatives against the difference oracle on all stencils at once
     fds = wirtinger_jet(lambda w: _wu_matrices(domain, w), np.array(pts), 1e-4)[2]
     for z, fd in zip(pts, fds):
-        jet = _wu_jet(domain, z, *_jet_region(domain, z))
+        region, ref = _jet_region(domain, z)
+        jet = _wu_jet(domain, z, region, ref)
         tensor = _curvature(z, *jet)
         exact = jet[2]
         gap = max(gap, float(np.max(np.abs(exact - fd)) / np.max(np.abs(exact))))
         vals = _sectional_values(tensor.components, tensor.metric.matrix, dirs).tolist()
         values.extend(vals)
-        region = classify_region(domain, z)
         if m == 1.0 or region is RegionLabel.M_PLUS:
             ok &= all(abs(v + 2.0) < 1e-3 for v in vals)
     ok &= all(v < -0.1 for v in values) and gap <= 1e-6

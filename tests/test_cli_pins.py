@@ -95,9 +95,9 @@ PINS = {
     "eval-m2-n2":
         "9f0c599e5879a59e6bb38e168e2ca9ce785028e29edf0f4fa1636cbc2eb9fcb9",
     "eval-m5-n3":
-        "6083b1573810fd6906cdda7cbdd1ce18777a87bf0bd37d740b01f43ef8ac3c4f",
+        "422f4f98b9e1d9db35c3c7cf062b88f1534d07a4d1b1d548bd220f0f6a6deefd",
     "eval-m0.75-n2":
-        "80b83bed7eea37d6cd63550af73eb7e9f05ce4d1a4ebca81013a6a0ab4d22bcd",
+        "b20d883b07fd0d76aef44a65b115d1fd79af9e464f46bd4e1b93ff3212cdf1c0",
     "tensor-m2-n2":
         "67fddb678552bfac27015b192121415fec3f5e9bb80dee3584436d0d5c035dd5",
     "tensor-m0.75-n3":

@@ -23,7 +23,7 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
-from eggmetrics import fitting, kcurve, numerics
+from eggmetrics import fitting, kcurve, numerics, verification
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
 from eggmetrics.numerics import Taylor2, _solve_bracketed_rows, abs_pow, solve_bracketed
 from eggmetrics.verification import _fit_test_points
@@ -416,6 +416,33 @@ class TestOracleCost:
         for (m, p1), ref in refs.items():
             orc = fit_oracle(DomainParams(m=m, n=2), p1)
             assert (orc.r1, orc.r2) == pytest.approx((ref.r1, ref.r2), rel=3e-12, abs=0.0)
+
+
+class TestOneArcTablePerPoint:
+    # verify's fit-vs-oracle row builds one ``_arc_table`` per fit point and
+    # hands it to the oracle and to the containment value
+    @pytest.mark.parametrize("m", [0.75, 2.0, 20.0])
+    def test_one_table_per_test_point(self, monkeypatch, m):
+        tables, build = [], fitting._arc_table
+
+        def counted(*args):
+            tables.append(args)
+            return build(*args)
+
+        for module in (fitting, verification):
+            monkeypatch.setattr(module, "_arc_table", counted)
+        d = DomainParams(m=m, n=2)
+        ok, _ = verification.check_fit_oracle(d, np.random.default_rng(0))
+        assert ok and tables == [(m, p1) for p1 in _fit_test_points(d)]
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0])
+    def test_shared_table_gives_the_public_bits(self, m):
+        d = DomainParams(m=m, n=2)
+        for p1 in _fit_test_points(d) + [0.05, 0.999]:
+            ref, table = fit_reference(d, p1), fitting._arc_table(m, p1)
+            assert fitting._fit_oracle(d, p1, *table) == fit_oracle(d, p1)
+            shared = fitting._containment_violation(d, p1, ref, *table)
+            assert repr(shared) == repr(containment_violation(d, p1, ref))
 
 
 def _containment_grid():

@@ -176,6 +176,14 @@ class TestUpperTangents:
         x, y = _upper_tangents(m, p1, alphas)[:2]
         assert np.stack([x, y], axis=-1).tobytes() == _upper_xy_many(m, p1, alphas).tobytes()
 
+    @pytest.mark.parametrize("p1", [1e-9, 0.3, 0.9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 20.0, 60.0])
+    def test_xy_alone_are_the_tangent_tables_columns(self, m, p1):
+        # _upper_xy_many skips the other four columns, not a bit of x and y
+        for alphas in (np.geomspace(p1, 1.0, 65), np.linspace(p1, 1.0, 33), [p1], [1.0]):
+            want = np.stack(_upper_tangents(m, p1, alphas)[:2], -1)
+            assert _upper_xy_many(m, p1, alphas).tobytes() == want.tobytes()
+
 
 def _lower_xy_abs_pow(m, p1, alpha):
     # the LOWER segment with the p1 powers recomputed per alpha, as written

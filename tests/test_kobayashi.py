@@ -255,6 +255,22 @@ class TestGlobalMetric:
         assert rows[0] == math.inf
         assert rows[1] == kobayashi_sq(d, z, [1.0, 0.0])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("m", [0.5, 2.0, 60.0])
+    @pytest.mark.parametrize("z", [[0.1, 0.5], [0.0, 0.5]], ids=["off-Z", "on-Z"])
+    def test_what_past_the_float_range_gives_inf(self, m, z):
+        # |what|^2 alone leaves the float range, and what with it: K reads inf,
+        # never NaN, off Z from the moved vector's reals and on Z from the
+        # gauge of the moved vector
+        d = DomainParams(m=m, n=2)
+        v = [0.0, 1.7e308]
+        assert kobayashi_sq(d, z, v) == math.inf
+        assert kobayashi(d, z, v) == math.inf
+        assert list(kobayashi(d, np.array([z, z]), np.array([v, [1.0, 0.0]]))) == [
+            math.inf, kobayashi(d, z, [1.0, 0.0])]
+
+
 class TestAxisFormulasNearZ:
     """``kobayashi`` takes its Z branch only where the UPPER root leaves the float range.
 

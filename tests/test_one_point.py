@@ -14,7 +14,8 @@ import pytest
 from eggmetrics import DomainParams, kobayashi, kobayashi_sq, wu_norm, wu_tensor
 from eggmetrics import domain as domain_module
 from eggmetrics import tensor as tensor_module
-from eggmetrics.domain import _check_inside, _reference_point, _reference_rows, _to_axis
+from eggmetrics.domain import (_check_inside, _moved_reals, _reference_point, _reference_rows,
+                               _to_axis)
 from eggmetrics.fitting import _TANGENCY
 from eggmetrics.kobayashi import _is_upper, _kobayashi_reference_sq
 from eggmetrics.tensor import _point_matrix, _wu_matrices
@@ -95,6 +96,35 @@ class TestOnePointKeepsItsRowsBits:
             one = _kobayashi_reference_sq(d, p1, w[None])
             assert isinstance(one, float)
             assert one == _kobayashi_reference_sq(d, np.array([p1]), w[None])[0]
+
+
+@pytest.mark.parametrize("n", BIT_N)
+@pytest.mark.parametrize("m", BIT_M)
+class TestMovedReals:
+    """K reads the moved vector's p1_ref, |w1| and |what|^2 without building it."""
+
+    def test_the_reals_of_the_moved_vector(self, m, n):
+        # to a few ulp of the vector ``_to_axis`` builds; the axis points are
+        # interior (p1_ref below 1), so |w1| has no cancellation to amplify
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([int(100 * m), n, 4])
+        for z in _points(rng, d):
+            v = _unit(rng, n) * 10.0 ** rng.uniform(-3, 3)
+            p1, w1, x = _moved_reals(d, z[None], v[None], _check_inside(d, z))
+            p1_row, w = _to_axis(d, z[None], v[None])
+            assert p1 == p1_row[0]
+            assert w1 == pytest.approx(abs(w[0, 0]), rel=8e-16, abs=1e-300)
+            assert x == pytest.approx(float(np.sum(np.abs(w[0, 1:]) ** 2)), rel=8e-16)
+
+    def test_one_pair_keeps_its_rows_bits(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rng = np.random.default_rng([int(100 * m), n, 5])
+        for z in _points(rng, d):
+            v = _unit(rng, n) * 10.0 ** rng.uniform(-3, 3)
+            one = _moved_reals(d, z[None], v[None], _check_inside(d, z))
+            rows = _moved_reals(d, z[None], v[None], _check_inside(d, z[None]))
+            assert all(isinstance(x, float) for x in one)
+            assert one == tuple(float(x[0]) for x in rows)
 
 
 class RowMembership(Exception):

@@ -136,151 +136,151 @@ ROUNDING = "2eca123852c6b70c568adbaed407883aa5afaa399b05d4d94ba7a729dacf9616"
 #: sha256 per (m, stratum) cell, and for the chord-square cell
 PINS = {
     (0.5, "generic"):
-        "bd8cc752bf17876c8145152b36924fa6c97ad20e771b176e6f5a3e070b452222",
+        "69832741e23ba0913dfba70dbe499b4080b98032bfcb6c790bf480bcf753b735",
     (0.5, "on-Z"):
         "469d80871f0362dc13defb367c10dc25d85859fd9035335aa0cb0c8490f01a63",
     (0.5, "z1=1e-8"):
-        "431edfcae31e169e993900f5cf6cc7ca8cb529846afcfef9da86d6ab3a2f8ab5",
+        "8101645e4e46b6b086dd3ac309bda2efb696cc7055e41b24ab4dabe6b65304ff",
     (0.5, "on-M0"):
-        "d5628dd9e2fa315fbe0c5885431668f480539d579ac5ca6f01f9b00553ce986b",
+        "706ecf64e5ade5b159d0c612a41ba63ab96776564622ee100484b134b52b6843",
     (0.5, "M0+1e-9"):
-        "7653de7d3dcf04a8694b3ea95c5b69c64bbc575544b6cea32a4e9406c2abb68b",
+        "102e263d04ff2e77f60c04d7614bc3475f432d6458375aa7e620bfbe30bb4bf0",
     (0.5, "M0-1e-9"):
-        "0311405e58ead7512858e70dfa31b05331463713bd2782ac72dd2c28f76c5ea9",
+        "298610fb65bc40150995b3f1232d1bb26772eed223620564f532bfc55d45230f",
     (0.5, "gauge=1-1e-6"):
-        "6e4b9e8a758066477c6c836b8f17a253da70243dad63a755bd9c8decdb4469a7",
+        "5a241187293d99eec2593bb8c237828fe6d37c2b1ca705388aa60e2c810cc66a",
     (0.5, "boundary-0-3ulp"):
-        "cc782a472e36dfa2fdabe9ea13c62fbd5892d7dbc5e401d096636d52f40d844a",
+        "ba4b40651132398753975df3ddf826e76048c8b6354cba4e47ed262c60c99a96",
     (0.75, "generic"):
-        "03be8fb084b55314a9d83b79a5f6d04ac0f53695ebbd07b91c564a911f5c64d3",
+        "5728b89df32032d6b80a124f5e9601e33e6dd171f0d5ac9e784e3eeb50baa847",
     (0.75, "on-Z"):
         "fcf78112d688a0ab74e13163354b3c5c3e1be043dd9239fc499f4f5ef88e4748",
     (0.75, "z1=1e-8"):
-        "046324d04dc4019bf5ebe7a066cba0335d271f8516532a79baf0e89e44eee77e",
+        "fefa1a9fb2b72045ea21dabe2085765e03f5cd98b787cc6097d6d1977ec2c4ae",
     (0.75, "on-M0"):
-        "ce287f65c6b6b6f1cd8a378786fc081797c263ad5399ede8edb03c475c49b476",
+        "26ec14971f6ac1d1974b7d886d03abb9e819fd36191aaa3b4a8b4f30d21c0729",
     (0.75, "M0+1e-9"):
-        "8d89789f7d385522446ab53d999ebf242ad4f0177ca5b3bced6d3b59776c9597",
+        "1df02d4eefe22f09a06df6ba0cfb1d0511add88526ed8202e7060f6134ea14ba",
     (0.75, "M0-1e-9"):
-        "d804bf719f8457837c59a1c441b32c17975208908802e11d38d548d69aaee42a",
+        "caaf7e2fcd6e655372abfa04efa4f1c1d38ee249bf7a93bdc1d246f7b2907d7c",
     (0.75, "gauge=1-1e-6"):
-        "6ff0886efaf16ab791030dfb7c8a03f1392c63a8fd9f0e545b09502211ac1e0a",
+        "16b1d5ebb3c40ba6fe086154e92fd851973c40825020580846f2b9ea3252fca9",
     (0.75, "boundary-0-3ulp"):
-        "5f3dd8ace92bf5d3fb6b7fb3cc48db7981cfff187aa87f2a3eec705f2ce016c4",
+        "982880927408c68fd726fb587d674a3d8f8953441017ca099709d89a59ecf992",
     (1.0, "generic"):
-        "adb1b520059647f61185319635ba6270cce10fa5c0514d961091d28242830492",
+        "c2588706c3f83102269ce2e13906b957553b84f74241fea47b3c255f36eec446",
     (1.0, "on-Z"):
         "a7a31630d08e152abf0367b7323c8e7a63dce7c589fcf1cdf3893554a1b58d6c",
     (1.0, "z1=1e-8"):
-        "a2760fe25a3a5f2f0015c7e94d165b41adf66b975f3de71ea689ac509007eece",
+        "d6ffa425111592724fa38734d44c5f665d8ffefe7cc6ce4c7fd665d8ebe3249f",
     (1.0, "on-M0"):
-        "05180e34d7294efd7d77eb4b104ea6dfc9fc5afbf201157c1497284fe6d56f2f",
+        "68dd3210cfed099c2ebfbbf8c76245526098dda03665d49727293b06bd6f2a04",
     (1.0, "M0+1e-9"):
-        "f288e56beba80b687ea4a47a06f7420fe6e324fd77a94c884507162536eaf5a7",
+        "c4ab0bb4937f871b0637c5bf44c34e6e971dd74f56392e5c895b9fcd5f7fdce2",
     (1.0, "M0-1e-9"):
-        "31578a2c306145059e90ba4835147ce2e78228cc0b91a454d6989ab5f9a21406",
+        "2fd4fb52514a9d4916a4a104924aebe4042bc409c7c36e7628314c2ae542b891",
     (1.0, "gauge=1-1e-6"):
-        "3ba537fdc74c0baa4a7f6b7aa6980aa870a67a495a018b64743f6226eef1dc2b",
+        "79591861d1a5b2a21fbcde7c86cda9f7120e91fe271b06225cfcb0ab03bf6a45",
     (1.0, "boundary-0-3ulp"):
-        "893fe28f35a1b926730c2d457d2f5389a68c11d7368eb3e57692758b569546f6",
+        "83ef2e8d7bc96d8fbe867b50d85883100a3b6ff308ee66bb55d89e4a057214ec",
     (0.9999999, "generic"):
-        "f04a19dd1bbf77155290cf7ad5bd618a51b08af85db3d34066e49c3bb99ec3f2",
+        "07d17cb70010d0ffd73d8d19d0ce4bb96504598ee33d9bf721915cd9d0f3cc35",
     (0.9999999, "on-Z"):
         "b0d008b92b1ba05ada414efde01972a33841ae11c0290c00aab16d627989bf06",
     (0.9999999, "z1=1e-8"):
-        "89dd137dc83a73a11776af8f151f934b335006c2923e1ef00734951cc2cecd75",
+        "7db8a989d4d97b8095bca43fd764beca7612b13ee9ab491c0dd4986270b85a09",
     (0.9999999, "on-M0"):
-        "ec462d3ab96d64d7ab7d79d340364a7dd9ef1ee3932234a245fad734a6ce8c6d",
+        "8a24b5e09dda2c01deaca13f051129964c65636172346314904c57a9dd699bd3",
     (0.9999999, "M0+1e-9"):
-        "902c7b3b66ecad352dddcb1f2c2cef9e17496e983ba3adb5cd7b3832e2991eb9",
+        "ee097c42bb2815a4e14d8d67017f7b3ccd3a8624d3fb4dffc0b46bc744318f4c",
     (0.9999999, "M0-1e-9"):
-        "96b6a3bde895af6849c1326bc0a3047724134b5097929cf862a7a81c5047ebec",
+        "cba35315a3ae7c86f4cad7cb456b8c6154434f6f953314ab44d4c386aa0f4e21",
     (0.9999999, "gauge=1-1e-6"):
-        "c3af5411414a253f92214e61d937d9ff2b52482d1a39896292d04fecdf4352c3",
+        "4e65e1802faa70eebb2297eaac95d63de30627f5229d8bbfa4af42b1fa6fd640",
     (0.9999999, "boundary-0-3ulp"):
-        "abc2ed3862939b5a07db00d5d2b62c22acb68a9e6f23029cd5a760c2aae5bf5a",
+        "fa90b649c1b4d52e5cb015a7658fad960a97c67421e62e3b49b2fa33368be840",
     (1.0000001, "generic"):
-        "313d667a33677ef47b7562b61d496cfa8ada0df6e8db1640411a13e7cd43f0ea",
+        "e3aa896a547b2ddf6a6df9d7f50e2a4157e88cb07902b8356f7c603b5784390c",
     (1.0000001, "on-Z"):
         "1dde4d007fe86c9745253bd3056da4c8c7b438ec56903735bea1b89398218d69",
     (1.0000001, "z1=1e-8"):
-        "173475cb7f8db81f939c630d31426b59163ca153b0186655bb2aa23db65d55ed",
+        "08a0afcb85918e0f460b49207b556d9a89d5542a2a2c4983f1cc00934dc30095",
     (1.0000001, "on-M0"):
-        "7646d10a64df7aa645b9f26ee3d33671e881e8645dcbdbd3015c32dd78aa3fd6",
+        "3a7e5522c40ea5ccdd80a89f670bb9db0566a5428a786712dd4752718937bd95",
     (1.0000001, "M0+1e-9"):
-        "fbeb6e5db025d01b451fdfefb1b41b51191a636d53608c534988616c0cab0a87",
+        "2caa2ead3702c21ab67a9bc80581600e466f66003c6139c907d3e84fbe1a3897",
     (1.0000001, "M0-1e-9"):
-        "674f00e875ad0b165109d246e00f4f235d94f3a4352be7bb4ee24abdde2564dc",
+        "a830f6295386238837ee56bf2f2413aa335991461418bdf48a3f51424cbbb317",
     (1.0000001, "gauge=1-1e-6"):
-        "058d4c2bf4b39f1851275d4a01e7b6c7ead9da54348040ee43fc8be920a6415b",
+        "fe33190f38329a8201f72e5b7b8fc7c2501083fd9332692b66f4494b72ae9087",
     (1.0000001, "boundary-0-3ulp"):
-        "399ac155732c0ee58ff209935d882af85ef25aa3c4f3f6ce2c92c79af9c56fa4",
+        "6a03d3832d18ac03dae3239f978c201cbaee286dc81708bafb07b525ff277759",
     (2.0, "generic"):
-        "7a579b3f295c4e9bc2aa0568a8578ab3d93c2a5943266b8d383ed2d0a7de57ea",
+        "317e5d853bd716f8d471e5ea6e854e018104389137fb6eec2f23bdf81ac13c86",
     (2.0, "on-Z"):
         "321d17db6fb1b07d4780b6e544a5bac0545e3d894c3ca2efb3345e0ef83e1e41",
     (2.0, "z1=1e-8"):
-        "768b4cc062213318e767deb78e77af72453e2b1057e6c1cafbb0a874c9ee567b",
+        "d06402f27d1bf2af3ff3531d2ead6b8d508b999b919607c126e084b95100ca3f",
     (2.0, "on-M0"):
-        "c6f1e6f1bc4f8195e2635b423809a8edaa104753cd5955a741d2bb924561e7c9",
+        "e4dae9140557b59d1ddd1501babe5c7a0750d028ee1de72e6fbadb6d13750bb5",
     (2.0, "M0+1e-9"):
-        "5e6ad708dd6b8d4c2690915d1d952aa7fbb5413f5e8cb4439bf8f34ceddd8dd1",
+        "34e177f569d85ed9d0b5cd2bb5da473a90d256bd58773f253b3307a253e7d470",
     (2.0, "M0-1e-9"):
-        "510d1eac94d0519b6b1f5c02306c101bde11cd2d71d385fb228499af86d26e28",
+        "2858e49df8a77d491f5be0c2d70bd10a55fd111490d0bfb4ad61c3c79398b3b4",
     (2.0, "gauge=1-1e-6"):
-        "57625e89a376228a33c3bee2e62c350b832c5e057d89d8bb071230aeee9fecc8",
+        "4d893862ba903915b2a8bb834db2116133a47147eab5c3cb3c0bf863f5c9600f",
     (2.0, "boundary-0-3ulp"):
-        "990edf269d036f8df1b066032c733001f252938d1961291837ed08be80d6c7c5",
+        "f69f238476662e44478aee1f4af222318f2ae2de163ca2d50ff6a18c6fe40c4e",
     (5.0, "generic"):
-        "1fc43f5566f48f3007c6bff65221bd8d748537f5f54a52cae3b456dd549dfcdc",
+        "b2060409016245ebcee7091e8260aa63a5315e6c86b7eda1fea87373ebda9dc4",
     (5.0, "on-Z"):
         "7ced665b5623937fdb1787db703be7b7564515fc41634cce49b6d1754ce16220",
     (5.0, "z1=1e-8"):
-        "3afe963bce824722384c8b0cf592f5da9a0f5afeb2155ee600b4fd95b54dce63",
+        "1a52f2a79e8b85455d9e96a583d1aad5d0816acde2e85e0a46776ac01d20fbe1",
     (5.0, "on-M0"):
-        "f200dc7c73a3bb38dd282db874ab5fa0c698b32aa945ae20dfd46be6673c5296",
+        "c3d98f4609f19eb2158cca7cb3a0af518f69b69003afd4c1430ee77362558c4b",
     (5.0, "M0+1e-9"):
-        "2eba784e00ab2d9d1175e8e5b22342549aa90e460e05c57c83998a5e5c807b78",
+        "27284d6d84ca8add295a7fb64a227c962c795218085d84a4d2d4946c1c075f2a",
     (5.0, "M0-1e-9"):
-        "02873a8f93efb0af91e3130559d056e9d8087116ad61d83fc82734a52f54690d",
+        "c1f725db1a3ff606c2d03eb5879d761aae4f81df850affedabc5151fadedb9bf",
     (5.0, "gauge=1-1e-6"):
-        "f552f19f7dbb5ac4e0abf908d47a43cd85720a3b70e88e52119680a405b013c6",
+        "e4bc22be6e1f6020be76fecbe2a9eb6e9eae6d235b6be03a4925a166de99bfc8",
     (5.0, "boundary-0-3ulp"):
-        "cb6792a6ae31309b62404f77e8fbf1157c3dd1eedeb83546258f989845a56f3f",
+        "23469087e314751704913a53b47b553a5a370de1e8cbabb9d8f935a22f18b226",
     (20.0, "generic"):
-        "ee893ea2c6a9cac196cf24c7e822715e28a0100b68324e011ca5c495f48a0b21",
+        "9d909c5557d30784b8ffd0823b1a50349d1330ae2291c8f564297b8d9c318901",
     (20.0, "on-Z"):
         "4182880fc2be54fc1efa3ad5464cf3dd646caf76034b3900db0d8f059241587e",
     (20.0, "z1=1e-8"):
-        "b0f737b72aec6f84d8803ec54411ee8a2d3142bbe1c4cdbacaaab7740ce300fb",
+        "74c053e70e4aeccd8fa43c1eed115225b4597a6c0487216d9b08d87c623d4ab4",
     (20.0, "on-M0"):
-        "7d0e3f6f52918cb16ef8c8addcd4f2e7a4a25a813552e6d0122e2f707d4e0e88",
+        "bfad388519115ee37692154e3091995a3ef0e0e3fad1e8cb355a23a0ea4cdb11",
     (20.0, "M0+1e-9"):
-        "2476d9f3f181c8d3d9b4d7bc7a67c1ecda3c5f88adce19e5aa2e5f0e460a2a09",
+        "9f870536b4444dcf1c27cf7eef27b676aca7c5032c2f6b22c1ddf5027d67be6e",
     (20.0, "M0-1e-9"):
-        "e2e6b4402c9c47e4a1f51e8694889949426b334f3f8208b96047ca1a4a3774d7",
+        "6d6c3bef35d31c61c422180820822c9e8656b2fd0396f1a92a01e6f35f12361d",
     (20.0, "gauge=1-1e-6"):
-        "b9ce03153e1acdd657def593b5a5a32870e7374b1fc38cfc109f9db8b8d476d1",
+        "5664baf78fd1a19ed44075e188c32d0aba4e2e53f36fb504632d52faa1ae8443",
     (20.0, "boundary-0-3ulp"):
-        "a6344d901a3164fee2e1b345b10af93c294d481bb0dbb89e10741f4286fcb733",
+        "21d8827f595dcef6d0b050c1a19c1a3a451eb4916d13d0d23a30d5dd2efb9067",
     (60.0, "generic"):
-        "dadb7d02d5d59f8b3de8b4c4886fa236a49eea8f006d213dced651486ca482b5",
+        "fd7bb48cd392e7e5d440f39755c769df42854097e7aff99a5b195d9a63b13cbb",
     (60.0, "on-Z"):
         "05ffd3ce56968524bf232f1d6822dd69385b32b607cd304172b2617d60da2507",
     (60.0, "z1=1e-8"):
-        "b219dfb98d249dd99cd1936b4b13f2e03dc29915603e1e324a321116aff0fc0b",
+        "a1e1b314f3d5b55004c6853c4ffd633fa895a2f6dc6ff98ac5d7fa83d90cd50d",
     (60.0, "on-M0"):
-        "a28233939a81ffab47315f1ded469a73a08497af17c87ec9f90c4264ecfd4cc9",
+        "2ce570ceee911612bd29ca047e5e45beec7141ad3a48cc160c844facd7ed8b46",
     (60.0, "M0+1e-9"):
-        "61640863346c98e32a075926a24248e1af767587b9d13dc3fc6f939ddd9d0af2",
+        "feb2a82280070d10f1efbfeff5b2d9cf426aa05499adcbee8661f4713f77eb88",
     (60.0, "M0-1e-9"):
-        "fb0ac4e12162d26b8d58e27513ac9796e8d1acfcdf5a996cbab51e6a65feebb3",
+        "7ddb592f0e66761c09cc44239f2549dfe14ecb2c3ce15c1b05b5c61708771fad",
     (60.0, "gauge=1-1e-6"):
-        "018eaf11e1e8b7bfc7c23648d094351cf65fe3ce0d42baab78d987de4ddc48fc",
+        "7232bb920497d085298cbf964198f2b3a4a7c3fa2235c129813a54124219edf9",
     (60.0, "boundary-0-3ulp"):
-        "32b3c35552e3b4e46e501c7b7e83a6b1c41c9a00c95054ba8d3162710a5af5b9",
+        "e7ac053bad4b9843301b17b3c2cc295bc061e710b215bf065b77d2c2d78640f0",
     "chord-square":
-        "cacadb1524562d05e5b4ed8186c47d848c534dae808c6155aeb52de1615804be",
+        "1fbdb19e322b6febf4c817f40ace8cda07e0a611d7deb977917351d7427d282d",
 }
 
 CELLS = [pytest.param(m, s, id=f"m={m!r}-{s}") for m in M_VALUES for s in STRATA]

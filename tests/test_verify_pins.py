@@ -41,25 +41,25 @@ def _digest(m: float, n: int) -> str:
 #: sha256 of ``_verify_text`` per (m, n)
 PINS = {
     (0.5, 2):
-        "42c6e9bc86000eca56b9b07787a9dce26c22792647a7f43c075f0473e168f251",
+        "e4f9fb31f394e31b0d146100659608bc6b67d8a89a4f5f38f28b5f18ee40a57c",
     (0.5, 3):
-        "5f978f7529994ca461639aecd6e48ff0052cec68f16440b081360c40047c9025",
+        "b505fedbf1988c6c50424ecd3edac023f0ecfb997a1e1ccf23bda4d02ff1649b",
     (0.75, 2):
-        "c00eb4baf14f19a6c00d7593a57e20503b504fa3f9b72a89ab3892d1aa31b3c7",
+        "cc40a165cea4d31c4e9f42c657dee059c7b2b767615cd09a9820944b33fbed1a",
     (0.75, 3):
-        "dcc2dd69d2895723214e9ed60ac25c8d23ba63648f2ec2fd79cd998488cf9d18",
+        "3e3d9be2b24319d3ba7d809ed602996b1ef9621ab2d66b482b773360837e0084",
     (1.0, 2):
         "50ca5535ff8083eef5f592b9f700e7198becd51af2d992938e97eb0608e5ac1c",
     (1.0, 3):
-        "d214b3cad2993314e2e1d034b2cfb92b85bf55f9d7a9be31340dbfdba5794bf7",
+        "445d8e53c5b65dff954aa9846f2a0bf593fd3b98643634a02142b14f505a158e",
     (2.0, 2):
-        "74a36c9060e78da0abda06ea5f4372cd3161a09a3be793ef136b335a47a80c18",
+        "33dbbfa5aebca89f1b126ab4e0860801e41c6df94b6ccb04aef42d2cbab0e81c",
     (2.0, 3):
-        "2778a345e2b8d046bbbe593375c26df67ede84d46d81f8810f2641199485e052",
+        "5845c244fccbf8989054be8ed0292e37af4acf07bd2ad95e1911f41b280caa31",
     (5.0, 2):
-        "fd4b210ec6bdd8303847cba0049c8cec3b6fee061cb5d9c3482a7d43e9bb45cc",
+        "564ae6849904b7c33ac70639c77313591c207358e59f9502cab8ab684ed9f7bd",
     (5.0, 3):
-        "850a07827e6483cbfdd7564f16b87296bcfeb312abaf1f3c2153762b0ce567d4",
+        "fcaacc5373b7668b0f9e2085e0d7a9df2ce300df9376d5e256e60c5e9394fd38",
 }
 
 
