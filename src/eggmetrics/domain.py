@@ -143,21 +143,30 @@ def _gauge(domain: DomainParams, v: np.ndarray):
     m = domain.m
     # far from unit size, scale v by an exact power of two so that |v1|^2m,
     # |vhat|^2 and the bracket below stay inside the float range
-    e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=-1))[1]
-    e = np.where(max(m, 1.0) * (np.abs(e) + 1) > 450.0, e, 0)
+    e = _gauge_exponent(m, np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=-1))
     if e.any():
         v = np.ldexp(v.real, -e[..., None]) + 1j * np.ldexp(v.imag, -e[..., None])
     if v.ndim == 1:  # numpy's abs of one complex rounds apart from its abs of rows
-        r1, b = float(abs(v[0])), float(_hat_sq(v))
+        return math.ldexp(_pair_gauge(m, float(abs(v[0])), float(_hat_sq(v))), int(e))
+    return np.ldexp(_pair_gauge(m, np.abs(v[:, 0]), _hat_sq(v)), e)
+
+
+def _gauge_exponent(m: float, size):
+    # the power of two that ``_gauge`` divides out of a vector of this size: 0 near unit size
+    e = np.frexp(size)[1]
+    return np.where(max(m, 1.0) * (np.abs(e) + 1) > 450.0, e, 0)
+
+
+def _pair_gauge(m: float, r1, b):
+    # the gauge of a vector from r1 = |v1| and b = |vhat|^2 near unit size, floats or rows
+    if isinstance(r1, float):
         a = abs_pow(r1, 2 * m)
-        return math.ldexp(math.sqrt(b) if a == 0.0 else r1 if b == 0.0
-                          else 1.0 / _two_term_root(a, b, m), int(e))
-    r1, b = np.abs(v[:, 0]), _hat_sq(v)
+        return math.sqrt(b) if a == 0.0 else r1 if b == 0.0 else 1.0 / _two_term_root(a, b, m)
     a = r1 ** (2 * m)
     g = np.where(a == 0.0, np.sqrt(b), r1)
     solved = (a != 0.0) & (b != 0.0)
     g[solved] = 1.0 / _two_term_root(a[solved], b[solved], m)
-    return np.ldexp(g, e)
+    return g
 
 
 def classify_region(domain: DomainParams, z, tol: float = REGION_TOL) -> RegionLabel:
@@ -299,7 +308,7 @@ def _automorphism(domain: DomainParams, p: np.ndarray, z: np.ndarray):
     return np.concatenate(((scale * z[:, 0])[:, None], psi), axis=-1), D
 
 
-def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref=None):
+def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray):
     """(reference coordinate, D(p, p) v) of checked (N, n) rows, in O(n) per row.
 
     Raises ``DomainError`` when a point p lies outside the egg. D(p, p) is
@@ -307,36 +316,32 @@ def _to_axis(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref=None):
     vanishes and 1 - <phat, phat> = s^2, so with d = <vhat, phat>
     w1 = c s^(-1/m) (v1 + p1 d/(m s^2)) and what = -(s vhat + phat d/(1+s))/s^2,
     using (1 - s)/|phat|^2 = 1/(1 + s); phat = 0 needs no branch. The
-    reference coordinate is ``_reference_coordinate``'s p1_ref. One pair
-    passes its checked membership ``ref`` as floats (``_check_inside``):
-    its real scalars and the reference coordinate it gets back stay floats
-    (math.sqrt rounds as np.sqrt does); its complex parts run on its one row.
+    reference coordinate is ``_reference_coordinate``'s p1_ref. The numeric
+    transport of ``pullback_tensor``; the point metrics read the moved
+    vector's three reals from ``_moved_reals`` instead.
     """
     m = domain.m
-    if ref is None:
-        r1, q, sm = (x[:, None] for x in _check_inside(domain, p))  # as columns
-    else:
-        r1, q, sm = ref
+    r1, q, sm = (x[:, None] for x in _check_inside(domain, p))  # as columns
     p1, phat, vhat = p[:, :1], p[:, 1:], v[:, 1:]
     s2 = 1.0 - q
-    s = np.sqrt(s2) if ref is None else math.sqrt(s2)
+    s = np.sqrt(s2)
     d = (np.conj(phat) * vhat).sum(axis=-1, keepdims=True)
     # c = |p1|/p1, and 1 where |p1| is 0 or so small that 1/p1 overflows:
-    # the unimodular c moves no value that K or the pullback read
+    # the unimodular c moves no value that the pullback reads
     on_z = r1 < sys.float_info.min
-    c = r1 / (np.where(on_z, 1.0, p1) if ref is None else 1.0 if on_z else p1) + on_z
+    c = r1 / np.where(on_z, 1.0, p1) + on_z
     w = np.empty_like(v)
     w[:, :1] = c * (v[:, :1] + p1 * d / (m * s2)) / sm
     w[:, 1:] = (s * vhat + phat * (d / (1.0 + s))) / -s2
-    p1_ref = r1 / sm
-    return (p1_ref[:, 0] if ref is None else p1_ref), w
+    return (r1 / sm)[:, 0], w
 
 
 def _moved_reals(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref):
     # (p1_ref, |w1|, |what|^2) of w = D(p, p) v, without building w, for checked (N, n)
     # rows and their ``_check_inside`` membership ``ref``; floats for one pair's row and
     # float ref. ``_to_axis``'s w1 without the unimodular c, and |what|^2 = |vhat|^2/s^2
-    # + |d|^2/s^4 (d = <vhat, phat>), so one pair's complex parts run on its row
+    # + |d|^2/s^4 (d = <vhat, phat>), so one pair's complex parts run on its row. The one
+    # reduction of a pair for both point metrics: K and the Wu norm read only these reals
     r1, q, sm = ref
     s2 = 1.0 - q
     d = (np.conj(p[:, 1:]) * v[:, 1:]).sum(axis=-1)

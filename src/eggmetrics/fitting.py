@@ -203,7 +203,8 @@ def contact_point(domain: DomainParams, p1: float) -> ContactPoint:
     if p1 >= domain.m0_radius:
         raise ConfigurationError(
             f"p1={p1!r} is not inside the inner region (threshold {domain.m0_radius})")
-    alpha_star = math.sqrt(solve_X(domain, p1))
+    # alpha* = p1 sqrt(tau): sqrt(X) would square p1 first, and X = p1^2 tau underflows
+    alpha_star = p1 * math.sqrt(_solve_tau(domain.m, domain.m0_weight, p1))
     x_star, y_star = upper_xy(domain.m, p1, alpha_star)
     return ContactPoint(x_star=x_star, y_star=y_star, alpha_star=alpha_star)
 

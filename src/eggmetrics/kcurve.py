@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .domain import DomainParams, _check_p1
 from .errors import ConfigurationError, DomainError, NumericalError
 from .kobayashi import Branch
-from .numerics import abs_pow
+from .numerics import _check_integer, abs_pow
 
 _RANGE_SLACK = 1e-12
 #: equally spaced parameters per branch in ``square_convexity_check``
@@ -156,8 +157,7 @@ def kcurve_sample(domain: DomainParams, p1: float, branch: Branch, alpha: float)
 
 def kcurve_alpha_grid(domain: DomainParams, p1: float, branch: Branch, count: int) -> np.ndarray:
     """Sorted parameter grid: uniform core with geometric refinement at both endpoints."""
-    if count < 8:
-        raise DomainError("grid needs at least 8 points")
+    count = _check_integer(count, "grid count", 8)
     lo, hi = kcurve_alpha_range(domain, p1, branch)
     span = hi - lo
     n_tail = max(count // 4, 4)
@@ -184,7 +184,7 @@ def third_derivative_reference(domain: DomainParams, p1: float) -> float:
 
     Numerator 16 p1^(2m+2) (1-p1^2m)^2 (2m-1)^2 (m-1)/m over xdot(1)^4 with
     xdot(1) = (4m-2) p1^2m (1-p1^2m); vanishes at m = 1 (the ball) and
-    degenerates at m = 1/2 where xdot(1) = 0.
+    degenerates at m = 1/2 where xdot(1) = 0; ``NumericalError`` past the float range.
     """
     m = domain.m
     if m == 0.5:
@@ -193,7 +193,15 @@ def third_derivative_reference(domain: DomainParams, p1: float) -> float:
     one_p = _x_intercept(m, p1)  # 1 - p1^2m without cancellation near p1 = 1
     numer = 16.0 * abs_pow(p1, 2 * m + 2) * one_p ** 2 * (2 * m - 1) ** 2 * (m - 1) / m
     xdot = (4 * m - 2) * abs_pow(p1, 2 * m) * one_p
-    return numer / xdot ** 4
+    return _junction_quotient(numer, xdot ** 4, p1)
+
+
+def _junction_quotient(numer: float, denom: float, p1: float) -> float:
+    # a junction derivative numer/denom; denom, a power of xdot(1), underflows once p1^2m is
+    # small, and below the normal floats the quotient has lost its digits or is inf
+    if abs(denom) < sys.float_info.min or not math.isfinite(numer / denom):
+        raise NumericalError(f"junction derivatives leave the float range at p1={p1!r}")
+    return numer / denom
 
 
 def _derivative_at_one(terms, k: int) -> float:
@@ -219,6 +227,7 @@ def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDe
     exact prefactors keeps the d2 cancellation (zero to machine accuracy
     relative to the curve, not to the tiny xdot^3 denominator) even when
     p1^2m is small. First derivatives at alpha = 1 are exact closed forms.
+    ``NumericalError`` where a quotient leaves the float range.
     """
     m = domain.m
     if m == 0.5:
@@ -236,13 +245,12 @@ def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDe
     xd2, xd3 = (-P * _derivative_at_one(g1, k) + P * P * _derivative_at_one(g2, k)
                 for k in (2, 3))
     yd2, yd3 = (p1 * p1 / (m * m) * _derivative_at_one(yhat, k) for k in (2, 3))
-    d2 = (xd1 * yd2 - yd1 * xd2) / xd1 ** 3
-    d3 = (xd1 * yd3 - yd1 * xd3) / xd1 ** 4
+    cube = xd1 ** 3
     return JoiningPointDerivatives(
-        d2_match=d2,
-        d3_jump=d3,
+        d2_match=_junction_quotient(xd1 * yd2 - yd1 * xd2, cube, p1),
+        d3_jump=_junction_quotient(xd1 * yd3 - yd1 * xd3, xd1 ** 4, p1),
         d3_expected=third_derivative_reference(domain, p1),
-        d2_terms=(abs(xd1 * yd2) + abs(yd1 * xd2)) / abs(xd1) ** 3,
+        d2_terms=_junction_quotient(abs(xd1 * yd2) + abs(yd1 * xd2), abs(cube), p1),
     )
 
 

@@ -21,11 +21,11 @@ from .domain import (
     _check_finite,
     _check_inside,
     _check_p1,
-    _gauge,
+    _gauge_exponent,
     _hat_sq,
     _moved_reals,
+    _pair_gauge,
     _same_rows,
-    _to_axis,
     as_vector,
 )
 from .errors import DomainError, NumericalError
@@ -33,7 +33,7 @@ from .numerics import _power, _solve_bracketed_rows, _two_term_root, abs_pow, so
 
 
 #: smallest axis coordinate whose UPPER root alpha, which runs down to p1,
-#: keeps alpha^2 in the float range; at or below it ``kobayashi`` takes the Z
+#: keeps alpha^2 in the float range; at or below it the metric takes the Z
 #: branch, the Minkowski gauge of the moved vector, which the axis-point
 #: formulas meet to rounding well before it
 _P1_UPPER_MIN = 1e-150
@@ -171,27 +171,21 @@ def branch_params(domain: DomainParams, p1: float, v) -> BranchParams:
 
 
 def kobayashi_reference_sq(domain: DomainParams, p1: float, v) -> float:
-    """Squared Kobayashi metric at the axis point (p1, 0, ..., 0)."""
+    """Squared Kobayashi metric at the axis point (p1, 0, ..., 0); on Z (p1 <= 1e-150) gauge(v)^2."""
     _check_p1(p1)
-    v = as_vector(v, domain.n)
-    return float(_kobayashi_reference_sq(domain, float(p1), v[None]))
-
-
-def _kobayashi_reference_sq(domain: DomainParams, p1, v: np.ndarray):
-    # kobayashi_reference_sq of checked rows p1 (N,), v (N, n), or of a float p1 and one row
-    if isinstance(p1, float):
-        a = np.abs(v[0])
-        return _branches_sq(domain.m, p1, float(a[0]), float((a[1:] ** 2).sum()))
-    return _branches_sq(domain.m, p1, np.abs(v[:, 0]), _hat_sq(v))
+    a = np.abs(as_vector(v, domain.n))
+    return float(_branches_sq(domain.m, float(p1), float(a[0]), float((a[1:] ** 2).sum())))
 
 
 def _branches_sq(m: float, p1, v1, x):
-    # the squared metric at axis points from p1, |v1| and |vhat|^2, one pair's
-    # as floats or rows': AXIS where vhat = 0, else UPPER or LOWER by ``_is_upper``
+    # the squared metric at axis points from p1, |v1| and |vhat|^2, one pair's as floats or
+    # rows': Z at p1 <= _P1_UPPER_MIN, else AXIS where vhat = 0, else UPPER or LOWER by
+    # ``_is_upper``
     if isinstance(p1, float):
-        branch = 0 if x == 0.0 else 1 + bool(_is_upper(m, p1, v1, x))
+        branch = (3 if p1 <= _P1_UPPER_MIN else 0 if x == 0.0
+                  else 1 + bool(_is_upper(m, p1, v1, x)))
         return _BRANCH_SQ[branch](m, p1, v1, x)
-    branch = (x > 0.0) * (1 + _is_upper(m, p1, v1, x))
+    branch = np.where(p1 <= _P1_UPPER_MIN, 3, (x > 0.0) * (1 + _is_upper(m, p1, v1, x)))
     k_sq = np.empty(len(p1))
     for b, branch_sq in enumerate(_BRANCH_SQ):
         rows = branch == b
@@ -231,8 +225,20 @@ def _upper_sq(m: float, p1, v1, x):
     return k * k
 
 
+def _z_sq(m: float, p1, v1, x):
+    # on Z the squared gauge of the moved pair (|w1|, |what|), scaled by the power of two
+    # ``_gauge`` takes; rows run pair by pair, on one pair's floats
+    if not isinstance(x, float):
+        return np.array([_z_sq(m, *pair) for pair in zip(p1.tolist(), v1.tolist(), x.tolist())])
+    if max(v1 * v1, x) == math.inf:  # past the float range: the gauge is at least |w1|, sqrt(x)
+        return math.inf
+    e = int(_gauge_exponent(m, max(v1, math.sqrt(x))))
+    k = math.ldexp(_pair_gauge(m, math.ldexp(v1, -e), math.ldexp(x, -2 * e)), e)
+    return k * k
+
+
 #: the squared metric on each branch, indexed as in ``_branches_sq``
-_BRANCH_SQ = (_axis_sq, _lower_sq, _upper_sq)
+_BRANCH_SQ = (_axis_sq, _lower_sq, _upper_sq, _z_sq)
 
 
 def kobayashi_reference(domain: DomainParams, p1: float, v) -> float:
@@ -241,8 +247,10 @@ def kobayashi_reference(domain: DomainParams, p1: float, v) -> float:
 
 
 def kobayashi_sq(domain: DomainParams, p, v):
-    """Squared Kobayashi metric at interior points.
+    """Squared Kobayashi metric at interior points, from the moved vector's three reals.
 
+    The branch formulas at the axis point p1_ref read w = D(p, p)v's p1_ref, |w1| and
+    |what|^2; on Z (p1_ref <= 1e-150) K^2 is the squared gauge of (|w1|, |what|).
     p and v are one point and one vector, giving a float, or (N, n) arrays of
     N pairs, giving an (N,) float array. Any outside point or bad row raises
     ``DomainError`` for the whole call.
@@ -250,37 +258,15 @@ def kobayashi_sq(domain: DomainParams, p, v):
     p = as_vector(p, domain.n, rows=True)
     v = as_vector(v, domain.n, rows=True)
     _same_rows(p, v)
-    return _kobayashi_sq(domain, p, v)
-
-
-def _kobayashi_sq(domain: DomainParams, p: np.ndarray, v: np.ndarray):
-    # kobayashi_sq of checked (N, n) row pairs, or of one pair (n,) as a float: the branch
-    # formulas at ``_moved_reals``' reals, and on Z the gauge of ``_to_axis``'s moved vector
     ref = _check_inside(domain, p)
     if p.ndim == 1:
         p1, w1, x = _moved_reals(domain, p[None], v[None], ref)
         if not math.isfinite(w1):  # D v overflows for v near the float limit
             raise DomainError("vector has non-finite entries")
-        return float(_branches_sq(domain.m, p1, w1, x) if p1 > _P1_UPPER_MIN
-                     else _gauge_sq(domain, _to_axis(domain, p[None], v[None], ref)[1][0]))
+        return float(_branches_sq(domain.m, p1, w1, x))
     p1, w1, x = _moved_reals(domain, p, v, ref)
     _check_finite(w1[:, None])
-    on_z = p1 <= _P1_UPPER_MIN
-    if not on_z.any():
-        return _branches_sq(domain.m, p1, w1, x)
-    k_sq, axial = np.empty(len(p)), ~on_z
-    k_sq[axial] = _branches_sq(domain.m, p1[axial], w1[axial], x[axial])
-    k_sq[on_z] = [_gauge_sq(domain, w) for w in _to_axis(domain, p[on_z], v[on_z])[1]]
-    return k_sq
-
-
-def _gauge_sq(domain: DomainParams, w: np.ndarray) -> float:
-    # the squared gauge of one moved vector on Z, or inf past the float range
-    # (an overflowed what too), as the axis-point formulas give off Z
-    try:
-        return _gauge(domain, w) ** 2 if np.isfinite(w).all() else math.inf
-    except OverflowError:
-        return math.inf
+    return _branches_sq(domain.m, p1, w1, x)
 
 
 def kobayashi(domain: DomainParams, p, v):

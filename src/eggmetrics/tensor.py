@@ -20,6 +20,7 @@ from .domain import (
     RegionLabel,
     _check_inside,
     _check_tol,
+    _moved_reals,
     _reference_point,
     _reference_rows,
     _region_of,
@@ -101,20 +102,6 @@ def _wu_matrices(domain: DomainParams, z: np.ndarray, rows=None) -> np.ndarray:
                                         *_fit_rows(domain, r1 / sm)), axis=-1))
 
 
-def _point_matrix(domain: DomainParams, z: np.ndarray, ref):
-    """(H, fit regime) at one checked interior point z (n,), as ``_wu_matrices`` gives its row.
-
-    ``ref`` is the point's membership (r1, q, sm) as floats. The regime, the
-    fit and ``_moved`` run on floats, with every power on numpy (``_power``);
-    the complex matrix is assembled on the point itself.
-    """
-    r1, q, sm = ref
-    p1 = r1 / sm
-    regime = _regimes(domain, p1)
-    coef = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm), *_fit(domain, regime, p1 * p1))
-    return _assemble(z, np.array(coef, dtype=complex)), regime
-
-
 def _assemble(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
     # the (n, n) matrix of one checked point (n,), or the (N, n, n) matrices of (N, n) rows,
     # from their (a, b, c, e): conj(z_i) z_j times b or e, which a real factor scales part
@@ -162,12 +149,16 @@ def wu_tensor(domain: DomainParams, z, tol: float = REGION_TOL):
     z = as_vector(z, domain.n, rows=True)
     if z.ndim == 2:
         return _read_only(_wu_matrices(domain, z, _check_inside(domain, z)))
-    ref = _reference_point(domain, z)
+    # one point, as ``_wu_matrices`` gives its row: the regime, the fit and ``_moved`` on
+    # its membership floats, every power on numpy (``_power``), the matrix on the point
+    r1, q, sm = ref = _reference_point(domain, z)
     region = _region_of(domain, z, tol, ref)
     if region is RegionLabel.OUTSIDE:
         raise DomainError("point lies outside the egg")
-    H, regime = _point_matrix(domain, z, ref)
-    return _hermitian_form(domain, H, region, regime)
+    p1 = r1 / sm
+    regime = _regimes(domain, p1)
+    coef = _moved(domain, r1 * r1, 1.0 - q, 1.0 / (sm * sm), *_fit(domain, regime, p1 * p1))
+    return _hermitian_form(domain, _assemble(z, np.array(coef, dtype=complex)), region, regime)
 
 
 def _read_only(H: np.ndarray) -> np.ndarray:
@@ -204,19 +195,26 @@ def pullback_tensor(domain: DomainParams, z):
 
 
 def wu_norm(domain: DomainParams, z, v):
-    """Length of a tangent vector in the Wu metric.
+    """Length of a tangent vector in the Wu metric: sqrt(r1 |w1|^2 + r2 |what|^2), inf past range.
 
+    (r1, r2) is the fit at p1_ref and w = D(z, z)v, read from ``_moved_reals``' three reals.
     One point and vector give a float; (N, n) rows of points and vectors give
-    an (N,) array, each vector measured by its own point's Wu tensor. Any
-    outside point or bad row raises ``DomainError`` for the whole call.
+    an (N,) array, each vector measured at its own point. Any outside point or
+    bad row raises ``DomainError`` for the whole call.
     """
     v = as_vector(v, domain.n, rows=True)
     z = as_vector(z, domain.n, rows=True)
     _same_rows(z, v)
     if z.ndim == 1:
-        H = _point_matrix(domain, z, _check_inside(domain, z))[0]
-        return math.sqrt(max(_norm_sq(H, v), 0.0))  # rounds as np.sqrt does
-    return np.sqrt(np.maximum(_norm_sq(_wu_matrices(domain, z, _check_inside(domain, z)), v), 0.0))
+        p1, w1, x = _moved_reals(domain, z[None], v[None], _check_inside(domain, z))
+        r1, r2 = _fit(domain, _regimes(domain, p1), p1 * p1)
+        k = r1 * (w1 * w1) + r2 * x
+        return math.sqrt(k) if math.isfinite(k) else math.inf  # rounds as np.sqrt does
+    p1, w1, x = _moved_reals(domain, z, v, _check_inside(domain, z))
+    r1, r2 = _fit_rows(domain, p1)
+    k = r1 * (w1 * w1) + r2 * x
+    k[~np.isfinite(k)] = np.inf
+    return np.sqrt(k)
 
 
 def kahler_defect(domain: DomainParams, z) -> float:

@@ -262,7 +262,7 @@ def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
     pts, vecs = np.concatenate([ps, pqs]), np.concatenate([vs, (D @ vs[..., None])[..., 0]])
     K = kobayashi(domain, pts, vecs)
     H = wu_tensor(domain, pts)
-    W = np.sqrt(np.maximum(_norm_sq(H, vecs), 0.0))  # wu_norm's rows, from the tensors
+    W = np.sqrt(np.maximum(_norm_sq(H, vecs), 0.0))  # from the tensors, not wu_norm's reals
     worst_k = float(np.max(_rel(K[:count], K[count:])))
     worst_w = float(np.max(_rel(W[:count], W[count:])))
     pulled = D.transpose(0, 2, 1) @ H[count:] @ np.conj(D)

@@ -9,7 +9,6 @@ from eggmetrics import (
     DomainError,
     DomainParams,
     HermitianForm,
-    NumericalError,
     automorphism_jacobian,
     branch_params,
     classify_region,
@@ -346,14 +345,16 @@ class TestUpperBranchUnderflow:
     @pytest.mark.parametrize("m", [0.5, 2.0, 60.0])
     def test_tiny_axis_coordinate(self, m):
         # alpha runs down to p1, whose square leaves the float range below
-        # p1 = 1e-154: a typed error there, the alternate value above
+        # p1 = 1e-154: the alternate value above 1e-150, and below it the Z
+        # branch, the gauge, as at the point (p1, 0)
         d = DomainParams(m=m, n=2)
         v = np.array([0.6, 0.8])
         for p1 in (1e-60, 1e-140):
             k = kobayashi_reference(d, p1, v)
             assert abs(k - kobayashi_alt_upper(d, p1, v)) <= 1e-14 * k
-        with pytest.raises(NumericalError, match="float range"):
-            kobayashi_reference(d, 1e-160, v)
+        k = kobayashi_reference(d, 1e-160, v)
+        assert k == kobayashi(d, [1e-160, 0.0], v)
+        assert abs(k - minkowski_gauge(d, v)) <= 1e-15 * k
 
     def test_root_is_above_p1(self):
         # alpha^2m, alpha^(2m-2) and p1^2m are all below 1e-900 here: the

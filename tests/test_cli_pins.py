@@ -97,7 +97,7 @@ PINS = {
     "eval-m5-n3":
         "422f4f98b9e1d9db35c3c7cf062b88f1534d07a4d1b1d548bd220f0f6a6deefd",
     "eval-m0.75-n2":
-        "b20d883b07fd0d76aef44a65b115d1fd79af9e464f46bd4e1b93ff3212cdf1c0",
+        "2e31f291afe157051039850170670b6bd0390bb8192b3fbda0a27d74e9b376b0",
     "tensor-m2-n2":
         "67fddb678552bfac27015b192121415fec3f5e9bb80dee3584436d0d5c035dd5",
     "tensor-m0.75-n3":

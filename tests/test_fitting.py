@@ -192,6 +192,20 @@ class TestContactPoint:
         for p1 in np.linspace(0.02, d.m0_radius * 0.999, 25):
             assert contact_point(d, float(p1)).x_star > 0.0
 
+    @pytest.mark.parametrize("m", [1.0 + 1e-7, 2.0, 60.0])
+    @pytest.mark.parametrize("p1", [1e-150, 1e-160, 1e-200, 1e-300])
+    def test_tiny_p1_keeps_the_contact_finite(self, m, p1):
+        # X = p1^2 tau is subnormal from p1 = 1e-160 (x* read 0.66672 at m = 2) and 0
+        # below 1e-162 (x* and y* NaN): alpha* is p1 sqrt(tau). The limit of (x*, y*)
+        # as p1 -> 0 is the midpoint of the origin fit's intercepts; both residuals
+        # read at most 4e-16 here
+        d = DomainParams(m=m, n=2)
+        c, ell, origin = contact_point(d, p1), fit_reference(d, p1), fit_origin(d)
+        assert all(math.isfinite(x) for x in (c.x_star, c.y_star, c.alpha_star))
+        assert abs(ell.r1 * c.y_star + ell.r2 * c.x_star - 1.0) <= 1e-12
+        assert c.x_star == pytest.approx(0.5 / origin.r2, rel=1e-14)
+        assert c.y_star == pytest.approx(0.5 / origin.r1, rel=1e-14)
+
     def test_rejected_outside_inner_region(self):
         with pytest.raises(ConfigurationError):
             contact_point(DomainParams(m=0.75, n=2), 0.5)

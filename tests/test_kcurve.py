@@ -313,6 +313,23 @@ class TestJoiningDerivatives:
         got = joining_point_derivatives(d, p1)
         assert got.d3_jump == pytest.approx(got.d3_expected, rel=1e-6)
 
+    @pytest.mark.parametrize("m,p1", [(2.0, 1e-20), (2.0, 1e-30), (2.0, 1e-80),
+                                      (60.0, 1e-5), (60.0, 1e-30)])
+    def test_past_the_float_range_is_a_typed_error(self, m, p1):
+        # xdot(1)^3 and xdot(1)^4 underflow once p1^2m is small (ZeroDivisionError at
+        # m = 2 from p1 = 1e-30, a subnormal xdot^4 at 1e-20): refused, naming p1
+        d = DomainParams(m=m, n=2)
+        for fn in (joining_point_derivatives, third_derivative_reference):
+            with pytest.raises(NumericalError, match=f"float range at p1={p1!r}"):
+                fn(d, p1)
+
+    @pytest.mark.parametrize("m,p1", [(2.0, 1e-10), (60.0, 0.3)])
+    def test_in_range_near_the_limit(self, m, p1):
+        # inside the float range the quotients are finite and d3 meets its closed form
+        got = joining_point_derivatives(DomainParams(m=m, n=2), p1)
+        assert got.d3_jump == pytest.approx(got.d3_expected, rel=1e-12, abs=0)
+        assert all(math.isfinite(x) for x in (got.d2_match, got.d2_terms))
+
     @pytest.mark.parametrize("m", [0.75, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
     def test_exact_matches_the_finite_difference_ladder(self, m, p1):

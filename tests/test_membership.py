@@ -157,10 +157,10 @@ class TestOneBranchTest:
                 return formula(*args)
             return run
 
-        axis_sq, lower_sq, upper_sq = kobayashi_module._BRANCH_SQ
+        axis_sq, lower_sq, upper_sq, z_sq = kobayashi_module._BRANCH_SQ
         monkeypatch.setattr(kobayashi_module, "_BRANCH_SQ", (
             recorded(Branch.AXIS, axis_sq), recorded(Branch.LOWER, lower_sq),
-            recorded(Branch.UPPER, upper_sq)))
+            recorded(Branch.UPPER, upper_sq), recorded("Z", z_sq)))
 
         # past its branch test the alternate formula solves its root; stop it
         # there, so only the branch decision is observed
@@ -185,6 +185,9 @@ class TestOneBranchTest:
             assert refused is not upper, (p1, v)
             branches.add(upper)
         assert branches == {True, False}  # the sample straddles the junction
+        formulas.clear()
+        kobayashi_reference(d, 1e-160, v)  # on Z, past the UPPER root's float range
+        assert formulas == ["Z"]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [0.5, 0.75, 2.0, 5.0, 20.0, 60.0])

@@ -14,11 +14,11 @@ import pytest
 from eggmetrics import DomainParams, kobayashi, kobayashi_sq, wu_norm, wu_tensor
 from eggmetrics import domain as domain_module
 from eggmetrics import tensor as tensor_module
-from eggmetrics.domain import (_check_inside, _moved_reals, _reference_point, _reference_rows,
-                               _to_axis)
+from eggmetrics.domain import (_check_inside, _hat_sq, _moved_reals, _reference_point,
+                               _reference_rows, _to_axis)
 from eggmetrics.fitting import _TANGENCY
-from eggmetrics.kobayashi import _is_upper, _kobayashi_reference_sq
-from eggmetrics.tensor import _point_matrix, _wu_matrices
+from eggmetrics.kobayashi import _branches_sq, _is_upper
+from eggmetrics.tensor import _TAGS, _wu_matrices
 from eggmetrics.verification import _sample_interior
 
 BIT_M = (0.5, 0.75, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 60.0)
@@ -63,39 +63,41 @@ class TestOnePointKeepsItsRowsBits:
             assert _reference_point(d, z) == tuple(float(x[0]) for x in rows)
             assert all(isinstance(x, float) for x in _reference_point(d, z))
 
-    def test_moved_vector(self, m, n):
+    def test_moved_reals_among_rows(self, m, n):
+        # one pair's three reals on floats are its row's among the cell's rows
         d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([int(100 * m), n, 1])
-        for z in _points(rng, d):
-            v = _unit(rng, n) * 10.0 ** rng.uniform(-3, 3)
-            p1, w = _to_axis(d, z[None], v[None], _check_inside(d, z))
-            p1_row, w_row = _to_axis(d, z[None], v[None])
-            assert isinstance(p1, float) and p1 == p1_row[0]
-            assert w.tobytes() == w_row.tobytes()
+        z = np.array(_points(rng, d))
+        v = np.array([_unit(rng, n) * 10.0 ** rng.uniform(-3, 3) for _ in z])
+        rows = _moved_reals(d, z, v, _check_inside(d, z))
+        for i in range(len(z)):
+            one = _moved_reals(d, z[i][None], v[i][None], _check_inside(d, z[i]))
+            assert one == tuple(x[i].item() for x in rows)
 
     def test_matrix_without_root_solve(self, m, n):
         d = DomainParams(m=m, n=n)
         for z in _points(np.random.default_rng([int(100 * m), n, 2]), d, lower=True):
-            H, regime = _point_matrix(d, z, _reference_point(d, z))
-            assert regime != _TANGENCY
-            assert H.shape == (n, n)
-            assert H.tobytes() == _wu_matrices(d, z[None])[0].tobytes()
+            form = wu_tensor(d, z)
+            assert not form.source.startswith(_TAGS[_TANGENCY])
+            assert form.matrix.shape == (n, n)
+            assert form.matrix.tobytes() == _wu_matrices(d, z[None])[0].tobytes()
 
-    @pytest.mark.parametrize("branch", ["AXIS", "LOWER"])
+    @pytest.mark.parametrize("branch", ["AXIS", "LOWER", "Z"])
     def test_branch_formula(self, m, n, branch):
-        d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([int(100 * m), n, 3])
         for _ in range(COUNT):
-            p1 = rng.uniform(0.001, 0.999)
+            p1 = rng.uniform(0.001, 0.999) if branch != "Z" else 10.0 ** -rng.uniform(151, 300)
             w = _unit(rng, n)
             if branch == "AXIS":
                 w[1:] = 0.0
-            else:  # m |w1| <= p1 |what|
+            elif branch == "LOWER":  # m |w1| <= p1 |what|
                 w[0] *= rng.uniform(0.0, 0.99) * p1 * np.linalg.norm(w[1:]) / (m * abs(w[0]))
                 assert not _is_upper(m, p1, abs(w[0]), np.linalg.norm(w[1:]) ** 2)
-            one = _kobayashi_reference_sq(d, p1, w[None])
+            a = np.abs(w)
+            one = _branches_sq(m, p1, float(a[0]), float((a[1:] ** 2).sum()))
             assert isinstance(one, float)
-            assert one == _kobayashi_reference_sq(d, np.array([p1]), w[None])[0]
+            row = _branches_sq(m, np.array([p1]), np.abs(w[None, 0]), _hat_sq(w[None]))
+            assert one == row[0]
 
 
 @pytest.mark.parametrize("n", BIT_N)

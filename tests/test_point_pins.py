@@ -2,9 +2,8 @@
 
 One point carries its real scalars on Python floats, while every power,
 exp/log and complex abs and division stays a numpy ufunc on a one-row array
-(README, "Array API"). The digests below were recorded when one point still
-ran the row code on (1, n) arrays, so a failure names the cell whose
-one-point output moved by a bit. Each digest covers, per point, the repr of
+(README, "Array API"). A failure names the cell whose one-point output
+moved by a bit. Each digest covers, per point, the repr of
 ``kobayashi``, the ``wu_tensor`` matrix bytes with its region and source and
 the repr of ``wu_norm``, or the type and message of the package error a call
 raised; any other exception fails the test.
@@ -12,11 +11,16 @@ raised; any other exception fails the test.
 The bits depend on how this platform's libm and numpy round pow, exp, log1p
 and complex abs; ``ROUNDING`` digests a fixed sample of those, and the pins
 are skipped where it differs from the platform they were recorded on. Run
-this module as a script to print the digests of the importable package.
+this module as a script to print the digests of the importable package;
+``--dump PATH`` writes every draw's outputs as JSON lines, and
+``--compare A B`` prints per cell the draws that moved between two dumps
+and the worst relative move of K, H and the Wu norm.
 """
 
 import hashlib
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,151 +140,151 @@ ROUNDING = "2eca123852c6b70c568adbaed407883aa5afaa399b05d4d94ba7a729dacf9616"
 #: sha256 per (m, stratum) cell, and for the chord-square cell
 PINS = {
     (0.5, "generic"):
-        "69832741e23ba0913dfba70dbe499b4080b98032bfcb6c790bf480bcf753b735",
+        "0491b084c04f07cef31c130687fa3c1aa69c260a2bbb10fb73be3324a8e6396a",
     (0.5, "on-Z"):
-        "469d80871f0362dc13defb367c10dc25d85859fd9035335aa0cb0c8490f01a63",
+        "20e79dbfb554d17eb03fe40916d7a2b616ca06f969a7a7259045d11b9c134a6b",
     (0.5, "z1=1e-8"):
-        "8101645e4e46b6b086dd3ac309bda2efb696cc7055e41b24ab4dabe6b65304ff",
+        "560d95409470bce2902c35e9df4a5b6aaf4751940a22fac5430909ec15f9fc6f",
     (0.5, "on-M0"):
-        "706ecf64e5ade5b159d0c612a41ba63ab96776564622ee100484b134b52b6843",
+        "a30ac495b1e38fe0ba855d5eceae94da6876076bbb79243bb3462d8a89d9c126",
     (0.5, "M0+1e-9"):
-        "102e263d04ff2e77f60c04d7614bc3475f432d6458375aa7e620bfbe30bb4bf0",
+        "8195ede1001f372a054b65a38b11ec90adae2f1985914969e374d2149ffd3dec",
     (0.5, "M0-1e-9"):
-        "298610fb65bc40150995b3f1232d1bb26772eed223620564f532bfc55d45230f",
+        "20330aaf2e7cee5f7c1fccf0e6c2cff435b9c1abc300b9f2b1b271a73e2a713d",
     (0.5, "gauge=1-1e-6"):
-        "5a241187293d99eec2593bb8c237828fe6d37c2b1ca705388aa60e2c810cc66a",
+        "f5cf5bac40d7519cb9c38b0b88e627f97a6aee7b99027e6c3458888321dfb9c9",
     (0.5, "boundary-0-3ulp"):
-        "ba4b40651132398753975df3ddf826e76048c8b6354cba4e47ed262c60c99a96",
+        "a5516fbaf477610b9a2c380d47b78526a636114b556fb592085c1290c86053b9",
     (0.75, "generic"):
-        "5728b89df32032d6b80a124f5e9601e33e6dd171f0d5ac9e784e3eeb50baa847",
+        "66ec99274b094a19615e0bc0f545d628a4479e2087d9d13d2189517c64612bdd",
     (0.75, "on-Z"):
-        "fcf78112d688a0ab74e13163354b3c5c3e1be043dd9239fc499f4f5ef88e4748",
+        "9fa4ad90bdc2868763b32d3119ccf397509bd822340adf4689311de4a2759409",
     (0.75, "z1=1e-8"):
-        "fefa1a9fb2b72045ea21dabe2085765e03f5cd98b787cc6097d6d1977ec2c4ae",
+        "fd32bee291d793a99c1284ada58c9f222e539db8c35e6cede0393f15ac281ab4",
     (0.75, "on-M0"):
-        "26ec14971f6ac1d1974b7d886d03abb9e819fd36191aaa3b4a8b4f30d21c0729",
+        "e998f9ded938640debf09d879a44d64d4aff1ad9d79bd1409993debe478a3e07",
     (0.75, "M0+1e-9"):
-        "1df02d4eefe22f09a06df6ba0cfb1d0511add88526ed8202e7060f6134ea14ba",
+        "1744b034691eeac84b0c8eb827629557e6d4fd74d37cd939bfe0f534dfc9169a",
     (0.75, "M0-1e-9"):
-        "caaf7e2fcd6e655372abfa04efa4f1c1d38ee249bf7a93bdc1d246f7b2907d7c",
+        "6e255656116775f221c1b9ad5df3844e405e6f714e9baed8b645e04a72ebdc99",
     (0.75, "gauge=1-1e-6"):
-        "16b1d5ebb3c40ba6fe086154e92fd851973c40825020580846f2b9ea3252fca9",
+        "80069ca362ad2f90aaf35e344ec7c3f994b61d5301d8d28308c036417d924afe",
     (0.75, "boundary-0-3ulp"):
-        "982880927408c68fd726fb587d674a3d8f8953441017ca099709d89a59ecf992",
+        "33f9f60e2c200f9a546c52600aeb7cfd39aebe90b20721b62da104ead7e63daf",
     (1.0, "generic"):
-        "c2588706c3f83102269ce2e13906b957553b84f74241fea47b3c255f36eec446",
+        "94a8c94218f1c8c17e5ecffa9210bc2eeb971c32d50735a3f411dfcceffa5fd3",
     (1.0, "on-Z"):
-        "a7a31630d08e152abf0367b7323c8e7a63dce7c589fcf1cdf3893554a1b58d6c",
+        "45dfdc36686949a1e8e6d228604ed295e6958eafdfd1401ba663883845f828dc",
     (1.0, "z1=1e-8"):
-        "d6ffa425111592724fa38734d44c5f665d8ffefe7cc6ce4c7fd665d8ebe3249f",
+        "8fa20298c38a35bee0bdadb863f5b30f0e0be93ac74407bd12bac04d2517f063",
     (1.0, "on-M0"):
-        "68dd3210cfed099c2ebfbbf8c76245526098dda03665d49727293b06bd6f2a04",
+        "270e060740058ed1c3655da24a3fcaddc0f991f9ed3e7a7e42ae8604fa2a720b",
     (1.0, "M0+1e-9"):
-        "c4ab0bb4937f871b0637c5bf44c34e6e971dd74f56392e5c895b9fcd5f7fdce2",
+        "3b00adc15171556bbd19ea8eb76ce619611a9c780b08f488f0691012a4b721ca",
     (1.0, "M0-1e-9"):
-        "2fd4fb52514a9d4916a4a104924aebe4042bc409c7c36e7628314c2ae542b891",
+        "e03d9b53c5b946e391f1f70be554299e584a5d5b097c5ccec8480a6d42cc4889",
     (1.0, "gauge=1-1e-6"):
-        "79591861d1a5b2a21fbcde7c86cda9f7120e91fe271b06225cfcb0ab03bf6a45",
+        "dc324f69a46f4ba72222e646f3faadc79dd0419d9cbd682a74c483238525173d",
     (1.0, "boundary-0-3ulp"):
-        "83ef2e8d7bc96d8fbe867b50d85883100a3b6ff308ee66bb55d89e4a057214ec",
+        "3b98e17429bac8bb02f6b4038ed1cb4413dd1853253b6398aa0239fca8eeb4cf",
     (0.9999999, "generic"):
-        "07d17cb70010d0ffd73d8d19d0ce4bb96504598ee33d9bf721915cd9d0f3cc35",
+        "5a7f5690d59efbbc786d22129ca51bea2a638840517693cb651968d3bf7390c8",
     (0.9999999, "on-Z"):
-        "b0d008b92b1ba05ada414efde01972a33841ae11c0290c00aab16d627989bf06",
+        "0d6a8231c87cfa58eea709f6892001ba69626a4b6683042b493c137592fc20d5",
     (0.9999999, "z1=1e-8"):
-        "7db8a989d4d97b8095bca43fd764beca7612b13ee9ab491c0dd4986270b85a09",
+        "258b4f6c8f5e597479f47f245846ebe0ff5fab2b5e5b4b9dff5c7573271b31ab",
     (0.9999999, "on-M0"):
-        "8a24b5e09dda2c01deaca13f051129964c65636172346314904c57a9dd699bd3",
+        "1de2e1505bdb694ae5be4da07c8e2a515baa060c24d034fbf1bd0d2cf707cb6a",
     (0.9999999, "M0+1e-9"):
-        "ee097c42bb2815a4e14d8d67017f7b3ccd3a8624d3fb4dffc0b46bc744318f4c",
+        "5fcaf97e43e5af2930085f9b525cfac34c24b297759f6df3c3db3fd89cb857cb",
     (0.9999999, "M0-1e-9"):
-        "cba35315a3ae7c86f4cad7cb456b8c6154434f6f953314ab44d4c386aa0f4e21",
+        "5ae71509f04b550e5ffe87797e74cb2ef9d4a5f7083adc3ac9c5f0cfc1644bad",
     (0.9999999, "gauge=1-1e-6"):
-        "4e65e1802faa70eebb2297eaac95d63de30627f5229d8bbfa4af42b1fa6fd640",
+        "99cdc470c9492b178cf775cca240a445c4d92a8889af68092f34a09ac7fd92d0",
     (0.9999999, "boundary-0-3ulp"):
-        "fa90b649c1b4d52e5cb015a7658fad960a97c67421e62e3b49b2fa33368be840",
+        "e580d22442a8cee6c36d494143544ffbbfd629b45e78ddd0dbf0a12ac6ca6029",
     (1.0000001, "generic"):
-        "e3aa896a547b2ddf6a6df9d7f50e2a4157e88cb07902b8356f7c603b5784390c",
+        "56e7fb65c5cf4c0f9636cc2a885445efcfd22995754f4f995fa36d47ac08fa02",
     (1.0000001, "on-Z"):
-        "1dde4d007fe86c9745253bd3056da4c8c7b438ec56903735bea1b89398218d69",
+        "d1662c6aa210493ef74d40225670b4c69934cc00a84316e708cb4797e90db1a2",
     (1.0000001, "z1=1e-8"):
-        "08a0afcb85918e0f460b49207b556d9a89d5542a2a2c4983f1cc00934dc30095",
+        "62b39cb19abf466e3a1a910773f397479a4fb9b53f7b58995c56f368a4a79d86",
     (1.0000001, "on-M0"):
-        "3a7e5522c40ea5ccdd80a89f670bb9db0566a5428a786712dd4752718937bd95",
+        "82756526e931455de85067324e54f0e60f1c2e5e1b1f42b539f77a24746fa3c3",
     (1.0000001, "M0+1e-9"):
-        "2caa2ead3702c21ab67a9bc80581600e466f66003c6139c907d3e84fbe1a3897",
+        "9ee072bfe749f97f8a7b4fbbc2207f2d47b2292c3372997b37d6e85db8588d86",
     (1.0000001, "M0-1e-9"):
-        "a830f6295386238837ee56bf2f2413aa335991461418bdf48a3f51424cbbb317",
+        "10256de91e422259ed13c897abdeb0498a69dc000cd800829ff38c0d761f0aae",
     (1.0000001, "gauge=1-1e-6"):
-        "fe33190f38329a8201f72e5b7b8fc7c2501083fd9332692b66f4494b72ae9087",
+        "fd8dae569409e9e0acdfa6957d7201e924852a08eaadf1c8514b8ab3eb1881fa",
     (1.0000001, "boundary-0-3ulp"):
-        "6a03d3832d18ac03dae3239f978c201cbaee286dc81708bafb07b525ff277759",
+        "9e2149dc23568ac1cad46a663e5f32d9d3cd0386d0fe1dd60609e25be315c8cc",
     (2.0, "generic"):
-        "317e5d853bd716f8d471e5ea6e854e018104389137fb6eec2f23bdf81ac13c86",
+        "31aeb5d93c4b09c0a5bfb87eda035d80da30f3472cdb34444f1f2453eaf5697c",
     (2.0, "on-Z"):
-        "321d17db6fb1b07d4780b6e544a5bac0545e3d894c3ca2efb3345e0ef83e1e41",
+        "a47c1faf0b8bfc1d59be05395d0175818015df4e570b034749ec699a0b8ad72b",
     (2.0, "z1=1e-8"):
-        "d06402f27d1bf2af3ff3531d2ead6b8d508b999b919607c126e084b95100ca3f",
+        "a9783f0eb7780d6bc9b766a815bb652d312553277b2aa4d95fc8be76badf154a",
     (2.0, "on-M0"):
-        "e4dae9140557b59d1ddd1501babe5c7a0750d028ee1de72e6fbadb6d13750bb5",
+        "b18b3d07a489ec5ee490050d2862d85258c7e9185bdd9d91defce62d99b0161f",
     (2.0, "M0+1e-9"):
-        "34e177f569d85ed9d0b5cd2bb5da473a90d256bd58773f253b3307a253e7d470",
+        "7de339f7da3c96c3d516e9f72007984947cc0574a8d77d50dedc769d03daa761",
     (2.0, "M0-1e-9"):
-        "2858e49df8a77d491f5be0c2d70bd10a55fd111490d0bfb4ad61c3c79398b3b4",
+        "69f62978377749ce40ecf11cad929d9f26fafffaccb2e3ffc447583d86e81d1d",
     (2.0, "gauge=1-1e-6"):
-        "4d893862ba903915b2a8bb834db2116133a47147eab5c3cb3c0bf863f5c9600f",
+        "724c9b1cb336c03c29c9baa619d0f5e32309d5e2b9d881024fe2f5b8553f9140",
     (2.0, "boundary-0-3ulp"):
-        "f69f238476662e44478aee1f4af222318f2ae2de163ca2d50ff6a18c6fe40c4e",
+        "ea12ddcdbdc32d4cd5b53344a1d77a55cf9e01831e76a3fd82ec87f2d305c82d",
     (5.0, "generic"):
-        "b2060409016245ebcee7091e8260aa63a5315e6c86b7eda1fea87373ebda9dc4",
+        "8985a8d8b8fdb2bc79add969d10d5b473b31c3c53e3acb3977d3104cf071674c",
     (5.0, "on-Z"):
-        "7ced665b5623937fdb1787db703be7b7564515fc41634cce49b6d1754ce16220",
+        "c47bd18993d05affb6d32d2f27f6093d5d9b6492684fa84d98b38f936d796f22",
     (5.0, "z1=1e-8"):
-        "1a52f2a79e8b85455d9e96a583d1aad5d0816acde2e85e0a46776ac01d20fbe1",
+        "193836c2d61e97d41cfa398b0a332a8482f29c6b0f59ae551dc6264af40b3479",
     (5.0, "on-M0"):
-        "c3d98f4609f19eb2158cca7cb3a0af518f69b69003afd4c1430ee77362558c4b",
+        "fb3abe7732304511c0657cc5b89c8a8940a298b3c1ca79c166bbc8b8aaf445bf",
     (5.0, "M0+1e-9"):
-        "27284d6d84ca8add295a7fb64a227c962c795218085d84a4d2d4946c1c075f2a",
+        "abbe8a32c4e5f902ce414f96f6cd2e58d47afa7bfa19466d768524a515545d7d",
     (5.0, "M0-1e-9"):
-        "c1f725db1a3ff606c2d03eb5879d761aae4f81df850affedabc5151fadedb9bf",
+        "ad260e7d7fce0d2a58987018846db0675ef8c07baab97bbc01a612588bd2c63f",
     (5.0, "gauge=1-1e-6"):
-        "e4bc22be6e1f6020be76fecbe2a9eb6e9eae6d235b6be03a4925a166de99bfc8",
+        "c8dc8b3c7985896fad062f9712d50a54ad8b433fba0c75fa5651eb7171f14d2a",
     (5.0, "boundary-0-3ulp"):
-        "23469087e314751704913a53b47b553a5a370de1e8cbabb9d8f935a22f18b226",
+        "fe2291a16ba321962e46c1c904bf80d5a62e0627c7d35f54638dd26a141d756e",
     (20.0, "generic"):
-        "9d909c5557d30784b8ffd0823b1a50349d1330ae2291c8f564297b8d9c318901",
+        "52f02bf7d87cafa9ea411e89fd9f177c6ec640bfc8318d06966acbd034bc9759",
     (20.0, "on-Z"):
-        "4182880fc2be54fc1efa3ad5464cf3dd646caf76034b3900db0d8f059241587e",
+        "47eff73e0ae65a69f2fdba5567164c9a32e03c4d251e3c6ed918d7d66a3d3d00",
     (20.0, "z1=1e-8"):
-        "74c053e70e4aeccd8fa43c1eed115225b4597a6c0487216d9b08d87c623d4ab4",
+        "7e5bbe6fcdbf58d373003676745e32ec4ec1a9e273b082ffa8ffe5300e84cb58",
     (20.0, "on-M0"):
-        "bfad388519115ee37692154e3091995a3ef0e0e3fad1e8cb355a23a0ea4cdb11",
+        "5b0b856faaeda9df08f683004bb19378434055d12aa2f7704a1bdc4c897b05e7",
     (20.0, "M0+1e-9"):
-        "9f870536b4444dcf1c27cf7eef27b676aca7c5032c2f6b22c1ddf5027d67be6e",
+        "b5a70d4d3ce4b6b84a80fee1335762653efdf1091b2723d04283a6c9c38cbafb",
     (20.0, "M0-1e-9"):
-        "6d6c3bef35d31c61c422180820822c9e8656b2fd0396f1a92a01e6f35f12361d",
+        "d2a7eeb516461f748c3546e28823403ef60ffe62393e7f3955e7eab98ba210a5",
     (20.0, "gauge=1-1e-6"):
-        "5664baf78fd1a19ed44075e188c32d0aba4e2e53f36fb504632d52faa1ae8443",
+        "5a26fad9f68dabd83cd76c2f2e76a4bed2da843c3ddf4f048e2a8f899174294c",
     (20.0, "boundary-0-3ulp"):
-        "21d8827f595dcef6d0b050c1a19c1a3a451eb4916d13d0d23a30d5dd2efb9067",
+        "e5a828ca5aea78a28b258254bc0daedac9f48346970d225d68e8f11a91676590",
     (60.0, "generic"):
-        "fd7bb48cd392e7e5d440f39755c769df42854097e7aff99a5b195d9a63b13cbb",
+        "465a6763bbe7e610b9c37a6f719a3d559b46cdc7e4fe7e0e58f131835854afa2",
     (60.0, "on-Z"):
-        "05ffd3ce56968524bf232f1d6822dd69385b32b607cd304172b2617d60da2507",
+        "425b1bda86566b793653a2f7d5bd4fdc3314cb8d1cb5d3a60efad6b4362f4525",
     (60.0, "z1=1e-8"):
-        "a1e1b314f3d5b55004c6853c4ffd633fa895a2f6dc6ff98ac5d7fa83d90cd50d",
+        "8d89857ba70f6fe26dd4d2eb575cdffa7e10412d4a06f28b1db42ea7589ed617",
     (60.0, "on-M0"):
-        "2ce570ceee911612bd29ca047e5e45beec7141ad3a48cc160c844facd7ed8b46",
+        "b8c661bbe76e6f13d9c9c950ee01c00a6fe78a3bdbe5df794ddfa5415f7d32f2",
     (60.0, "M0+1e-9"):
-        "feb2a82280070d10f1efbfeff5b2d9cf426aa05499adcbee8661f4713f77eb88",
+        "f67b621a5920faf28a8f14a4a080d8ea59ed27e55d7281e5e0d7bfcfe89bca68",
     (60.0, "M0-1e-9"):
-        "7ddb592f0e66761c09cc44239f2549dfe14ecb2c3ce15c1b05b5c61708771fad",
+        "20d5bc7058edd3c34d8b2125df47dab5a870ac6f0dfbe5a31216c5e132b05482",
     (60.0, "gauge=1-1e-6"):
-        "7232bb920497d085298cbf964198f2b3a4a7c3fa2235c129813a54124219edf9",
+        "badc5acc0041acf4c8d9af332748fa53e68f61fc23974c66ce14a39b1b9ea2d2",
     (60.0, "boundary-0-3ulp"):
-        "e7ac053bad4b9843301b17b3c2cc295bc061e710b215bf065b77d2c2d78640f0",
+        "7b4f1ac1d7637afb47726792e442fc042a631ae2650b641867c56296d20a8bce",
     "chord-square":
-        "1fbdb19e322b6febf4c817f40ace8cda07e0a611d7deb977917351d7427d282d",
+        "68917b190f0910a0fedf4d3da8a43ba47775d985718f2b8a326aa6a700c453d8",
 }
 
 CELLS = [pytest.param(m, s, id=f"m={m!r}-{s}") for m in M_VALUES for s in STRATA]
@@ -302,9 +306,76 @@ def test_chord_squares_keep_their_bits(same_rounding):
     assert _digest(_chord_square_cell()) == PINS["chord-square"]
 
 
+def _record(d, z, v) -> dict:
+    # one draw's three outputs as JSON values: a float, the tensor's entries as [re, im]
+    # pairs with its region and source, or the type and message of the package error
+    def run(call):
+        try:
+            return call()
+        except EggMetricsError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    form = run(lambda: wu_tensor(d, z))
+    if not isinstance(form, str):
+        form = {"matrix": [[c.real, c.imag] for c in form.matrix.ravel().tolist()],
+                "tag": f"{form.region.value} {form.source}"}
+    return {"kobayashi": run(lambda: kobayashi(d, z, v)), "wu_tensor": form,
+            "wu_norm": run(lambda: wu_norm(d, z, v))}
+
+
+def dump(path):
+    """Write every pinned draw's outputs to ``path``, one JSON line per draw."""
+    cells = [(m, s, _cell(m, s)) for m in M_VALUES for s in STRATA]
+    cells.append((0.5, "chord-square", _chord_square_cell()))
+    with open(path, "w") as out:
+        for m, stratum, cell in cells:
+            for i, (d, z, v) in enumerate(cell):
+                line = {"m": m, "stratum": stratum, "n": d.n, "draw": i, **_record(d, z, v)}
+                out.write(json.dumps(line) + "\n")
+
+
+def _move(a, b) -> float:
+    # the relative move of one output from a to b: 0 where equal, inf where an error
+    # appears, goes or changes; a tensor moves by max |dH| / max |H|
+    if a == b:
+        return 0.0
+    if isinstance(a, str) or isinstance(b, str):
+        return math.inf
+    if isinstance(a, dict):
+        if a["tag"] != b["tag"]:
+            return math.inf
+        A, B = (np.array(x["matrix"]) for x in (a, b))
+        return float(np.max(np.hypot(*(A - B).T)) / np.max(np.hypot(*A.T)))
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def compare(path_a, path_b):
+    """Print, per (m, stratum), the moved draws and the worst relative move of each output."""
+    cells = {}
+    with open(path_a) as fa, open(path_b) as fb:
+        for la, lb in zip(fa, fb):
+            a, b = json.loads(la), json.loads(lb)
+            moves = [_move(a[k], b[k]) for k in ("kobayashi", "wu_tensor", "wu_norm")]
+            cell = cells.setdefault((a["m"], a["stratum"]), [0, 0, 0.0, 0.0, 0.0])
+            cell[0] += any(moves)
+            cell[1] += 1
+            cell[2:] = [max(x, y) for x, y in zip(cell[2:], moves)]
+    print(f"{'m':<10} {'stratum':<17} {'moved':>7} {'K':>8} {'H':>8} {'wu':>8}")
+    for (m, stratum), (moved, total, *worst) in cells.items():
+        print(f"{m!r:<10} {stratum:<17} {f'{moved}/{total}':>7} "
+              + " ".join(f"{w:8.1e}" for w in worst))
+
+
 if __name__ == "__main__":
-    print(f'ROUNDING = "{_rounding()}"')
-    for m in M_VALUES:
-        for s in STRATA:
-            print(f'    ({m!r}, "{s}"):\n        "{_digest(_cell(m, s))}",')
-    print(f'    "chord-square":\n        "{_digest(_chord_square_cell())}",')
+    # no argument: the digests; --dump PATH: every draw's outputs as JSON lines;
+    # --compare A B: the moves between two dumps, per cell
+    if sys.argv[1:2] == ["--dump"]:
+        dump(sys.argv[2])
+    elif sys.argv[1:2] == ["--compare"]:
+        compare(*sys.argv[2:4])
+    else:
+        print(f'ROUNDING = "{_rounding()}"')
+        for m in M_VALUES:
+            for s in STRATA:
+                print(f'    ({m!r}, "{s}"):\n        "{_digest(_cell(m, s))}",')
+        print(f'    "chord-square":\n        "{_digest(_chord_square_cell())}",')

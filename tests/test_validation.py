@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eggmetrics import (
+    Branch,
     DomainError,
     DomainParams,
     GridSpec,
@@ -21,6 +22,7 @@ from eggmetrics import (
     egg_automorphism,
     holomorphic_curvature,
     kahler_defect,
+    kcurve_alpha_grid,
     kobayashi,
     kobayashi_alt_upper,
     kobayashi_reference_sq,
@@ -277,6 +279,11 @@ def _strata_point(rng, m, n, stratum):
     return np.concatenate(([r1 * phase], rhat * zhat))
 
 
+#: wu_norm against the norms of wu_tensor and pullback_tensor: twice the worst
+#: measured difference, 6.3e-16, rounded up
+WU_NORM_RTOL = 1.3e-15
+
+
 class TestWuNormIsTheTensorNorm:
     @pytest.mark.parametrize("m,stratum,region", [
         (0.75, "generic", RegionLabel.GENERIC),    # chord form
@@ -291,7 +298,10 @@ class TestWuNormIsTheTensorNorm:
         (2.0, "z1=1e-11", RegionLabel.Z),
     ])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_bit_identical(self, m, stratum, region, n):
+    def test_within_rounding_of_both_tensor_norms(self, m, stratum, region, n):
+        # wu_norm reads the moved vector's three reals, the tensors' norms contract H:
+        # over 4 800 pairs of these cells (240 per test) they differ by at
+        # most 5.9e-16 relative for wu_tensor and 6.3e-16 for pullback_tensor
         d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([n, int(100 * m), len(stratum)])
         for _ in range(8):
@@ -299,7 +309,9 @@ class TestWuNormIsTheTensorNorm:
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             form = wu_tensor(d, z)
             assert form.region is region
-            assert wu_norm(d, z, v) == math.sqrt(max(form.norm_sq(v), 0.0))
+            w = wu_norm(d, z, v)
+            for tensor in (form, pullback_tensor(d, z)):
+                assert abs(math.sqrt(tensor.norm_sq(v)) - w) <= WU_NORM_RTOL * w
 
     @pytest.mark.parametrize("fn", ONE_POINT)
     def test_outside_point_is_refused(self, fn):
@@ -346,6 +358,18 @@ class TestStencilControls:
         grid = {"p1_min": 0.1, "p1_max": 0.5, "count": 2, field: value}
         with pytest.raises(DomainError, match="grid count" if field == "count" else "seed"):
             GridSpec(**grid)
+
+    @pytest.mark.parametrize("count", [8.5, 8.0, 7, -1, "8"])
+    def test_kcurve_grid_count_must_be_an_integer_of_at_least_8(self, count):
+        # a count of 8.5 passed silently; the rule is the other counts' (``_check_integer``)
+        d = DomainParams(m=2.0, n=2)
+        with pytest.raises(DomainError, match=r"^grid count must be an integer >= 8, got "):
+            kcurve_alpha_grid(d, 0.5, Branch.UPPER, count)
+
+    def test_kcurve_grid_takes_numpy_integers(self):
+        d = DomainParams(m=2.0, n=2)
+        grid = kcurve_alpha_grid(d, 0.5, Branch.UPPER, np.int64(8))
+        assert np.array_equal(grid, kcurve_alpha_grid(d, 0.5, Branch.UPPER, 8))
 
     def test_integer_grid_controls_scan(self):
         # the one-point grids the bench times, and numpy integers

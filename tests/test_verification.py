@@ -16,6 +16,7 @@ from eggmetrics import (
     kobayashi_sq,
     kcurve_alpha_range,
     minkowski_gauge,
+    pullback_tensor,
     regularity_scan,
     square_convexity_check,
     wu_norm,
@@ -329,11 +330,14 @@ class TestRowSolveCount:
 
 
 class TestInvarianceNorms:
-    # check_invariance takes its Wu norms from the tensors: the same bits as
-    # wu_norm's rows
+    # check_invariance takes its Wu norms from the tensors, which contract H where
+    # wu_norm reads the moved vector's three reals: an independent check of wu_norm.
+    # On these 80 pairs per cell they differ by at most 4.4e-16 relative, over 40
+    # seeds by at most 1.2e-15 for wu_tensor and 1.5e-15 for pullback_tensor;
+    # the bound is twice that
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [0.75, 2.0, 5.0])
-    def test_tensor_norms_are_wu_norm(self, m, n):
+    def test_tensor_norms_are_wu_norm_to_rounding(self, m, n):
         d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([int(10 * m), n])
         ps, qs = _sample_interior(d, rng, 40), _sample_interior(d, rng, 40)
@@ -341,8 +345,9 @@ class TestInvarianceNorms:
         pqs, D = _automorphism(d, qs, ps)  # as check_invariance moves its pairs
         z = np.concatenate([ps, pqs])
         v = np.concatenate([vs, (D @ vs[..., None])[..., 0]])
-        from_tensor = np.sqrt(np.maximum(_norm_sq(wu_tensor(d, z), v), 0.0))
-        assert from_tensor.tobytes() == wu_norm(d, z, v).tobytes()
+        w = wu_norm(d, z, v)
+        for H in (wu_tensor(d, z), pullback_tensor(d, z)):
+            assert np.all(np.abs(np.sqrt(_norm_sq(H, v)) - w) <= 3e-15 * w)
 
 
 def _lower_fit(monkeypatch, defect):

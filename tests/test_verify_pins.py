@@ -51,13 +51,13 @@ PINS = {
     (1.0, 2):
         "50ca5535ff8083eef5f592b9f700e7198becd51af2d992938e97eb0608e5ac1c",
     (1.0, 3):
-        "445d8e53c5b65dff954aa9846f2a0bf593fd3b98643634a02142b14f505a158e",
+        "6070beb6225f5f995fdef4d32c2dd227cc703eadf1bcdcdc672a7eaff563963f",
     (2.0, 2):
-        "33dbbfa5aebca89f1b126ab4e0860801e41c6df94b6ccb04aef42d2cbab0e81c",
+        "d449b90d611d305c295c454e4829f104fb3ae3d7072a601fcc996d6b2cc420ca",
     (2.0, 3):
-        "5845c244fccbf8989054be8ed0292e37af4acf07bd2ad95e1911f41b280caa31",
+        "43b48ae006b252856584309d282c955a2edd3f5b34359433a230b22659821598",
     (5.0, 2):
-        "564ae6849904b7c33ac70639c77313591c207358e59f9502cab8ab684ed9f7bd",
+        "fd4b210ec6bdd8303847cba0049c8cec3b6fee061cb5d9c3482a7d43e9bb45cc",
     (5.0, 3):
         "fcaacc5373b7668b0f9e2085e0d7a9df2ce300df9376d5e256e60c5e9394fd38",
 }

@@ -31,7 +31,10 @@ the automorphism along v, by a central difference of the map itself, and K
 is the gauge of the indicatrix at the axis point, whose boundary in
 (x, y) = (|what|^2, |w1|^2) is the UPPER arc above the junction slope
 y/x = p1^2/m^2 and the LOWER segment below it. On the arc, the alpha where
-it meets the ray through (x, y) is found by bisection.
+it meets the ray through (x, y) is found by bisection. On Z, at p1 <= 1e-150,
+K is the gauge of the egg at w: the root of |w1|^2m a^2m + |what|^2 a^2 = 1 is
+1/K, by the same bisection. The metric at the axis point p1 meets that
+gauge to O(p1^2) (1e-20 relative at p1 = 1e-10), far below 60 digits at 1e-150.
 """
 
 import mpmath as mp
@@ -202,7 +205,7 @@ def _egg_map(m, p, z):
 
 
 def kobayashi(m, p, v):
-    """The Kobayashi metric K(p, v) of the egg with exponent m at p off Z, at ``K_DIGITS`` digits."""
+    """The Kobayashi metric K(p, v) of the egg with exponent m at p, at ``K_DIGITS`` digits."""
     with mp.workdps(K_DIGITS + 40):  # O(h^2) and the rounding over h far below 60 digits
         m = mp.mpf(m)
         p, v = [mp.mpc(complex(c)) for c in p], [mp.mpc(complex(c)) for c in v]
@@ -214,6 +217,8 @@ def kobayashi(m, p, v):
         x, y = mp.fsum(abs(c) ** 2 for c in w[1:]), abs(w[0]) ** 2
     with mp.workdps(K_DIGITS + 10):
         m, p1, x, y = +m, +p1, +x, +y
+        if p1 <= mp.mpf("1e-150"):
+            return _gauge(m, x, y)
         P = p1 ** (2 * m)
         if x == 0:
             return mp.sqrt(y) / (1 - p1 * p1)
@@ -232,6 +237,15 @@ def kobayashi(m, p, v):
         a = _bisect(side, p1, mp.mpf(1))
         A = a ** (2 * m - 2)
         return mp.sqrt(x * A * A * a * a / ((A - P) * (A * a * a - P)))
+
+
+def _gauge(m, x, y):
+    # the egg's gauge at (x, y) = (|what|^2, |w1|^2): 1/a at the root of y^m a^2m + x a^2 = 1,
+    # which lies below the smaller single-term root 1/sqrt(max(x, y))
+    if x == 0 and y == 0:
+        return mp.mpf(0)
+    return 1 / _bisect(lambda a: y ** m * a ** (2 * m) + x * a * a - 1, mp.mpf(0),
+                       2 / mp.sqrt(max(x, y)))
 
 
 def _bisect(f, lo, hi):
