@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainParams, RegionLabel, _axis_point, as_vector
+from .domain import DomainParams, RegionLabel, _axis_point, _unit_rows, as_vector
 from .errors import DomainError, NumericalError, SeamProximityError
 from .numerics import _check_integer
 from .tensor import HermitianForm, _jet_defect, _jet_region, _wu_jet
@@ -108,11 +108,9 @@ def _build_directions(n: int, seed: int, count: int) -> np.ndarray:
     for i in range(n):
         for j in range(i + 1, n):
             dirs.extend(eye[i] + c * eye[j] for c in (1, -1, 1j, -1j))
-    rng = np.random.default_rng(seed)
-    while len(dirs) < count:
-        w = rng.normal(size=n) + 1j * rng.normal(size=n)
-        dirs.append(w / np.linalg.norm(w))
-    out = np.array(dirs[:count])
+    # the seeded fill: one normal block, each direction's n real and then n imaginary draws
+    fill = np.random.default_rng(seed).normal(size=(max(count - len(dirs), 0), 2, n))
+    out = np.concatenate((dirs, _unit_rows(fill)))[:count]
     out.setflags(write=False)
     return out
 

@@ -192,13 +192,15 @@ def _region_of(domain: DomainParams, z: np.ndarray, tol: float, rows=None):
     if rows is None:
         rows = _reference_rows(domain, z) if z.ndim == 2 else _reference_point(domain, z)
     r1, q, sm = rows
+    inside = r1 < sm
     code = 2  # GENERIC
     if domain.m > 1.0:
-        w = domain.m0_weight * r1 ** (2 * domain.m) + q - 1.0
+        # r1 as 0 outside, which the split does not label, so that a huge r1 cannot overflow
+        w = domain.m0_weight * (r1 * inside) ** (2 * domain.m) + q - 1.0
         code = 4 + (w > tol) * 1 - (w < -tol)  # M_MINUS, M_ZERO or M_PLUS
     # Z where r1 <= tol, OUTSIDE unless r1 < sm; arithmetic on the tests, so
     # that one point's floats stay Python bools
-    return _LABELS[(r1 < sm) * (code * (r1 > tol) + (r1 <= tol))]
+    return _LABELS[inside * (code * (r1 > tol) + (r1 <= tol))]
 
 
 def reference_coordinate(domain: DomainParams, p) -> float:
@@ -351,11 +353,45 @@ def _moved_reals(domain: DomainParams, p: np.ndarray, v: np.ndarray, ref):
     return r1 / sm, w1 / sm, b / s2 + ad * ad / (s2 * s2)
 
 
+def _stratum_points(domain: DomainParams, rng: np.random.Generator, count: int,
+                    stratum: str) -> np.ndarray:
+    """(count, n) rows of the "interior" or the "M+" stratum, each placed directly.
+
+    In the level coordinates c = |z1|^2m + |zhat|^2 and t = |z1|^2m / c a row
+    has |z1| = (c t)^(1/2m) and |zhat| = sqrt(c (1 - t)). Interior rows have
+    c in (0, 0.9), the support where the defining function is below -0.1, and
+    t in (0, 1); M+ rows have c in (1/w, 0.98) and t above M0's curve
+    c (1 + (w - 1) t) = 1, w = ``m0_weight``. Drawn as four blocks in this
+    order: c, t's fraction of its range, z1's phase, and the zhat directions
+    as one (count, 2, n - 1) normal block (``_unit_rows``).
+    """
+    w = domain.m0_weight
+    if stratum == "interior":
+        c, t0 = rng.uniform(0.0, 0.9, count), 0.0
+    else:
+        c = rng.uniform(1.0 / w, 0.98, count)
+        t0 = (1.0 / c - 1.0) / (w - 1.0)  # t on M0's curve
+    t = t0 + (1.0 - t0) * rng.uniform(0.0, 1.0, count)
+    z1 = (c * t) ** (0.5 / domain.m) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+    zhat = np.sqrt(c * (1.0 - t))[:, None] * _unit_rows(rng.normal(size=(count, 2, domain.n - 1)))
+    return np.concatenate((z1[:, None], zhat), axis=1)
+
+
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    # the rows v = g[:, 0] + i g[:, 1] of (count, 2, k) normal draws over their norms,
+    # directions uniform on the unit sphere (Muller, Comm. ACM 2, 1959); |v| from dot
+    # products of v's own real and imaginary views, as np.linalg.norm forms it for one v
+    v = g[:, 0] + 1j * g[:, 1]
+    re, im = v.real[:, None], v.imag[:, None]
+    return v / np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+
+
 def seam_distance(domain: DomainParams, z) -> float:
     """Conservative distance from z to the nearest of: Z, M0 (if m > 1), the boundary.
 
     First-order estimate |f| / |grad f| on each defining expression: a ball
-    of this radius around z meets none of the three to first order.
+    of this radius around z meets none of the three to first order. Raises
+    ``DomainError`` where |z1|^2m leaves the float range.
     """
     return _seam_distance(domain, as_vector(z, domain.n))
 
@@ -366,12 +402,16 @@ def _seam_distance(domain: DomainParams, z: np.ndarray) -> float:
     r1 = abs(z[0])
     rhat = math.sqrt(float(_hat_sq(z)))
     dists = [r1]  # distance to the hyperplane z1 = 0
-    e = abs_pow(r1, 2 * m) + rhat * rhat - 1.0
+    try:
+        a = abs_pow(r1, 2 * m)
+    except OverflowError:
+        raise DomainError(f"|z1|^2m leaves the float range at |z1| = {r1!r}") from None
+    e = a + rhat * rhat - 1.0
     grad_e = math.hypot(2 * m * abs_pow(r1, 2 * m - 1), 2 * rhat)
     if grad_e > 0:
         dists.append(abs(e) / grad_e)
     if m > 1.0:
-        w = domain.m0_weight * abs_pow(r1, 2 * m) + rhat * rhat - 1.0
+        w = domain.m0_weight * a + rhat * rhat - 1.0
         grad_w = math.hypot(2 * m * domain.m0_weight * abs_pow(r1, 2 * m - 1), 2 * rhat)
         if grad_w > 0:
             dists.append(abs(w) / grad_w)

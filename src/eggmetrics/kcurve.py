@@ -43,13 +43,17 @@ class JoiningPointDerivatives:
     ``d3_expected`` its independent hand-derived closed form; the LOWER side
     is 0, so d3_jump is the full jump. ``d2_terms`` is the size of the two
     terms whose difference is d2_match, |xd1 yd2| + |yd1 xd2| over |xd1|^3:
-    rounding leaves d2_match a few ulp of it.
+    rounding leaves d2_match a few ulp of it. ``d3_terms`` is d3's analogue,
+    |xd1| |yd3| + |yd1| |xd3| over xd1^4, |xd3| and |yd3| the sums of their
+    pieces' magnitudes (which bound the cancellation in them as p1 -> 1):
+    d3_jump lies a few ulp of it from its exact value at the computed p1^2m.
     """
 
     d2_match: float
     d3_jump: float
     d3_expected: float
     d2_terms: float
+    d3_terms: float
 
 
 class Convexity(enum.Enum):
@@ -204,14 +208,14 @@ def _junction_quotient(numer: float, denom: float, p1: float) -> float:
     return numer / denom
 
 
-def _derivative_at_one(terms, k: int) -> float:
-    # k-th derivative at alpha = 1 of the sum of c * alpha^e over (c, e) in
-    # terms: each power contributes c e (e-1) ... (e-k+1)
+def _derivative_at_one(terms, k: int, size: bool = False) -> float:
+    # k-th derivative at alpha = 1 of the sum of c * alpha^e over (c, e) in terms, each
+    # power giving c e (e-1) ... (e-k+1); with ``size`` the sum of their magnitudes
     total = 0.0
     for c, e in terms:
         for j in range(k):
             c *= e - j
-        total += c
+        total += abs(c) if size else c
     return total
 
 
@@ -245,12 +249,15 @@ def joining_point_derivatives(domain: DomainParams, p1: float) -> JoiningPointDe
     xd2, xd3 = (-P * _derivative_at_one(g1, k) + P * P * _derivative_at_one(g2, k)
                 for k in (2, 3))
     yd2, yd3 = (p1 * p1 / (m * m) * _derivative_at_one(yhat, k) for k in (2, 3))
-    cube = xd1 ** 3
+    xd3_size = P * _derivative_at_one(g1, 3, True) + P * P * _derivative_at_one(g2, 3, True)
+    yd3_size = p1 * p1 / (m * m) * _derivative_at_one(yhat, 3, True)
+    cube, fourth = xd1 ** 3, xd1 ** 4
     return JoiningPointDerivatives(
         d2_match=_junction_quotient(xd1 * yd2 - yd1 * xd2, cube, p1),
-        d3_jump=_junction_quotient(xd1 * yd3 - yd1 * xd3, xd1 ** 4, p1),
+        d3_jump=_junction_quotient(xd1 * yd3 - yd1 * xd3, fourth, p1),
         d3_expected=third_derivative_reference(domain, p1),
         d2_terms=_junction_quotient(abs(xd1 * yd2) + abs(yd1 * xd2), abs(cube), p1),
+        d3_terms=_junction_quotient(abs(xd1) * yd3_size + abs(yd1) * xd3_size, fourth, p1),
     )
 
 

@@ -7,6 +7,7 @@ a pass/fail table. Seeded sampling makes runs reproducible.
 
 from __future__ import annotations
 
+import itertools
 import time
 import zlib
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ import numpy as np
 
 from .curvature import _curvature, _sectional_values, direction_sample
 from .domain import (
-    REGION_TOL,
     DomainParams,
     RegionLabel,
     _automorphism,
@@ -24,8 +24,9 @@ from .domain import (
     _defining,
     _gauge,
     _hat_sq,
-    _region_of,
     _seam_distance,
+    _stratum_points,
+    _unit_rows,
 )
 from .errors import ConfigurationError, NumericalError
 from .fitting import (_CHORD, _LOWER, _TANGENCY, _arc_table, _containment_violation, _fit,
@@ -56,43 +57,6 @@ class CheckResult:
     seconds: float
 
 
-#: ``_sample_interior`` keeps points whose defining function is below margin - 1
-_SAMPLE_MARGIN = 0.9
-
-
-def _sample_interior(domain: DomainParams, rng: np.random.Generator, count: int,
-                     scale: float = 0.75) -> np.ndarray:
-    """(count, n) rows drawn from the cube of half-width ``scale``, kept inside the margin.
-
-    Attempts are drawn ``count`` at a time, each as n real parts and then n
-    imaginary parts: the rows are the first ``count`` points that one attempt
-    at a time would keep, in their order.
-    """
-    kept = np.empty((0, domain.n), dtype=complex)
-    while len(kept) < count:
-        u = rng.uniform(-1, 1, (count, 2, domain.n))
-        z = (u[:, 0] + 1j * u[:, 1]) * scale
-        kept = np.concatenate([kept, z[_defining(domain, z) < _SAMPLE_MARGIN - 1.0]])
-    return kept[:count]
-
-
-def _sample_directions(domain: DomainParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    # (count, n) unit rows, each from n real and then n imaginary normal draws
-    return _unit_rows(rng.normal(size=(count, 2, domain.n)))
-
-
-def _unit_rows(g: np.ndarray) -> np.ndarray:
-    # the rows g[:, 0] + i g[:, 1] of (count, 2, k) draws, each divided by its norm
-    v = g[:, 0] + 1j * g[:, 1]
-    return v / _norms(v)[:, None]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    # |v| of each row, re.re + im.im by dot products as np.linalg.norm forms it for one v
-    re, im = v.real[:, None], v.imag[:, None]
-    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
-
-
 def _rel(a, b):
     # relative gap of floats, or of arrays element by element
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
@@ -118,8 +82,8 @@ def check_gauge(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, s
 
 def check_automorphism(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     n = domain.n
-    ps, zs = _sample_interior(domain, rng, 25), _sample_interior(domain, rng, 25)
-    vs = _sample_directions(domain, rng, 25)
+    ps, zs = (_stratum_points(domain, rng, 25, "interior") for _ in range(2))
+    vs = _unit_rows(rng.normal(size=(25, 2, n)))
     zb = vs / np.maximum(_gauge(domain, vs), 1e-300)[:, None]
     # per sample p, a boundary point, z and the central differences in each
     # z_j, all moved by the map at p in one call
@@ -168,12 +132,11 @@ def check_branch_junction(domain: DomainParams, rng: np.random.Generator) -> tup
 
 def check_alt_upper(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     m = domain.m
-    # per sample p1, a direction whose zhat part is taken as vhat, and u/p1
+    # per sample p1, a unit vhat from the zhat part of n normal pairs, and u/p1
     # in the UPPER branch, each column drawn as one block
     p1, g = rng.uniform(0.1, 0.9, 100), rng.normal(size=(100, 2, domain.n))
     ratio = rng.uniform(1.05, 40.0, 100)
-    vhat = _unit_rows(g)[:, 1:]
-    vs = np.concatenate([(p1 * ratio / m)[:, None], vhat / _norms(vhat)[:, None]], axis=1)
+    vs = np.concatenate([(p1 * ratio / m)[:, None], _unit_rows(g[:, :, 1:])], axis=1)
     # at the axis points (p1, 0, ..., 0) kobayashi is the branch formula of
     # kobayashi_reference: the reduction leaves p1 and |v1|, |vhat| as they are
     K = kobayashi(domain, _axis_point(domain, p1), vs)
@@ -247,7 +210,8 @@ def check_fit_oracle(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
 
 
 def check_domination(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    z, v = _sample_interior(domain, rng, 300), _sample_directions(domain, rng, 300)
+    z = _stratum_points(domain, rng, 300, "interior")
+    v = _unit_rows(rng.normal(size=(300, 2, domain.n)))
     worst = float(np.max(wu_norm(domain, z, v) - kobayashi(domain, z, v)))
     return worst <= 1e-9, f"max(wu - kobayashi) = {worst:.2e}"
 
@@ -256,8 +220,8 @@ def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
     # the pairs (p, v) and their images (pq, D v) under the automorphism
     # moving q to the axis, one batch of rows
     count = 40
-    ps, qs = _sample_interior(domain, rng, count), _sample_interior(domain, rng, count)
-    vs = _sample_directions(domain, rng, count)
+    ps, qs = (_stratum_points(domain, rng, count, "interior") for _ in range(2))
+    vs = _unit_rows(rng.normal(size=(count, 2, domain.n)))
     pqs, D = _automorphism(domain, qs, ps)
     pts, vecs = np.concatenate([ps, pqs]), np.concatenate([vs, (D @ vs[..., None])[..., 0]])
     K = kobayashi(domain, pts, vecs)
@@ -272,7 +236,7 @@ def check_invariance(domain: DomainParams, rng: np.random.Generator) -> tuple[bo
 
 
 def check_tensor_consistency(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
-    z = _sample_interior(domain, rng, 60)
+    z = _stratum_points(domain, rng, 60, "interior")
     a = wu_tensor(domain, z)
     b = pullback_tensor(domain, z)
     herm = np.max(np.abs(a - np.conj(a).transpose(0, 2, 1)), axis=(1, 2))
@@ -282,31 +246,18 @@ def check_tensor_consistency(domain: DomainParams, rng: np.random.Generator) -> 
     return ok, f"closed-vs-pullback worst {worst:.1e}, min eigenvalue {min_eig:.3f}"
 
 
-#: draws per sample point of ``check_potential_identity`` before it gives up
-_POTENTIAL_DRAWS = 1000
-
-
 def check_potential_identity(domain: DomainParams, rng: np.random.Generator) -> tuple[bool, str]:
     # outer-region tensor equals the exact complex Hessian of
-    # -log(1 - |z1|^2m - |zhat|^2), from its jet in (|z1|^2, 1 - |zhat|^2)
-    lo, hi = 0.9 * domain.m0_radius + 0.1, 0.97
-    if lo >= hi:  # m above about 10.2: draw |z1| from the whole axis span of M+
-        lo, hi = domain.m0_radius, 1.0
-    zs = []
-    for _ in range(6):
-        for _ in range(_POTENTIAL_DRAWS):
-            z = _sample_interior(domain, rng, 1, scale=0.95)[0]
-            z[0] = rng.uniform(lo, hi)
-            z[1:] *= 0.2
-            if (_defining(domain, z) < -0.02
-                    and _region_of(domain, z, REGION_TOL) is RegionLabel.M_PLUS
-                    and _seam_distance(domain, z) > 1e-3):
-                zs.append(z)
-                break
-        else:
-            raise NumericalError(
-                f"no M+ point 1e-3 from every seam in {_POTENTIAL_DRAWS} draws "
-                f"(M+ is {1.0 - domain.m0_radius:.1e} wide on the axis)")
+    # -log(1 - |z1|^2m - |zhat|^2), from its jet in (|z1|^2, 1 - |zhat|^2), at the
+    # first six rows of one M+ block 1e-3 from every seam; the block holds at least
+    # 26 of them up to m = 160 (n <= 4, seeds 0-3), and none from m = 180, where
+    # M+ is too thin on the axis
+    rows = _stratum_points(domain, rng, 1024, "M+")
+    zs = list(itertools.islice((z for z in rows if _seam_distance(domain, z) > 1e-3), 6))
+    if len(zs) < 6:
+        raise NumericalError(
+            f"no M+ point 1e-3 from every seam for {6 - len(zs)} of 6 samples in {len(rows)} rows "
+            f"(M+ is {1.0 - domain.m0_radius:.1e} wide on the axis)")
     worst = 0.0
     for z, H in zip(zs, wu_tensor(domain, np.array(zs))):
         t, s2 = Taylor2.variables(abs(z[0]) ** 2, 1.0 - float(np.sum(np.abs(z[1:]) ** 2)))
@@ -358,7 +309,7 @@ def check_curvature(domain: DomainParams, rng: np.random.Generator) -> tuple[boo
     m = domain.m
     dirs = direction_sample(domain.n, seed=7, count=8)
     if m == 1.0:
-        pts = _sample_interior(domain, rng, 3, scale=0.5)
+        pts = _stratum_points(domain, rng, 3, "interior")
     elif m > 1.0:
         thr = domain.m0_radius
         pts = [_axis_point(domain, p1) for p1 in np.linspace(0.55 * thr, 0.9 * thr, 2)]

@@ -26,9 +26,9 @@ from eggmetrics import (
     wu_norm,
     wu_tensor,
 )
-from eggmetrics.domain import _automorphism, _gauge, _hat_sq, _reference_coordinate, _to_axis
+from eggmetrics.domain import (_automorphism, _gauge, _hat_sq, _reference_coordinate,
+                               _stratum_points, _to_axis)
 from eggmetrics.kobayashi import Branch, _alt_upper, _is_upper
-from eggmetrics.verification import _sample_interior
 from test_domain import m0_split
 
 M_VALUES = [0.5, 0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0]
@@ -311,7 +311,7 @@ class TestRowForms:
         d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([n, int(1e3 * m), 29])
         # verify's sample domain (defining function below -0.1)
-        p, z = (_sample_interior(d, rng, 100) for _ in range(2))
+        p, z = (_stratum_points(d, rng, 100, "interior") for _ in range(2))
         p[0, 1:] = 0.0                    # phat = 0
         p[1, 1:] = 1e-160                 # |phat|^2 subnormal
         p[2, 1:] = 3e-170j                # |phat|^2 underflows to 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -324,6 +325,33 @@ class TestDirectionSample:
                 expected = _reference_direction_sample(n, seed, count)
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+    #: sha256 of ``direction_sample(n, seed, count).tobytes()``, recorded while the fill was
+    #: drawn one direction at a time: the row drawer keeps every bit, past n = 3 too
+    PINS = {
+        (2, 0, None): "7bf74d0a3be4647c0e6f46671a6fd8344318ae4a46cd9ed5f8fe8b62cb0b2230",
+        (2, 0, 200): "9e6732759f666914be91bc61172e6caf9d645de95db52270db9b4c12b0ce9c9d",
+        (2, 7, None): "2d03141637a568ffb41da5d50b30e7778aed7d9f649feaec9dcef480d97a4a1b",
+        (2, 7, 200): "67161f8ad699dcd5f700f07d18f9af408872a9af12dff117631abb5937fdcbfb",
+        (3, 0, None): "02f6bab73429a201f86ebd4b31a02ea092aa44905c5fa8447af2607383b0959a",
+        (3, 0, 200): "756989ba4552065b3d514118807539a44299dc2fedb8dbe2b0753c6bd3863409",
+        (3, 7, None): "aeafeb122d3309ef66f981dc67110cb55d3da73a56761ec25f6ff08e5b6bcc75",
+        (3, 7, 200): "492a8b69c51c278cba0b9fccde4e0118ca222b71ef743dd2ecd85799dedc3c4e",
+        (4, 0, None): "47092717cdf128f1eb63fe009dca299b09545d40b2b5e5c28b59ba6cf2ecb614",
+        (4, 0, 200): "9e356141a2ce25da68eebc6c7be43a4f542c3fc9ab0b52508eb4534c4a24bd92",
+        (4, 7, None): "88d599595e61b1d78d16ead831d1d0f63f20b5b8e8646a7a49bf892dd1f308f1",
+        (4, 7, 200): "ee065eaf52b342bd262a60953f76a8d8ba650f96b854290dd781f61b526efab6",
+        (8, 0, None): "bf7c20cae13a4f5384d1e3bf0f287701ed5d7c7f20e05f6feaf460426f82ea1b",
+        (8, 0, 200): "b4861da5ea8eb02259c7c6c1427d79c578a8472750bd7b333f8059eec200d307",
+        (8, 7, None): "83cfc6a6294ce87698e64a756e52f0df6dfe31a6d2bdda8a30cd3ad77c9e006e",
+        (8, 7, 200): "4c5aba70bfb41755e628095548b47dfc030d502e93391ebadbe4d0f8aab505b9",
+    }
+
+    @pytest.mark.parametrize("n,seed,count", PINS)
+    def test_keeps_its_bytes(self, n, seed, count):
+        got = direction_sample(n, seed, count)
+        assert got.shape == (2 * n * n + 16 if count is None else count, n)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.PINS[n, seed, count]
 
     def test_returned_array_is_a_private_copy(self):
         first = direction_sample(3, seed=4)

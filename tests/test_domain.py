@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from eggmetrics import (
     minkowski_gauge,
     seam_distance,
 )
+from eggmetrics.domain import REGION_TOL, _region_of
 from eggmetrics.numerics import abs_pow
 
 
@@ -263,3 +266,37 @@ def test_seam_distance_orders_points_sensibly():
     deep = seam_distance(d, [0.4, 0.0])
     assert near_z < deep and near_m0 < deep
     assert near_z == pytest.approx(1e-4, rel=1e-6)
+
+
+def _seam_distance_formula(domain, z):
+    # the first-order seam distance of z, with abs_pow called afresh for each term
+    m, r1 = domain.m, abs(z[0])
+    rhat = math.sqrt(float((np.abs(z[1:]) ** 2).sum()))
+    dists = [r1, abs(abs_pow(r1, 2 * m) + rhat * rhat - 1.0)
+             / math.hypot(2 * m * abs_pow(r1, 2 * m - 1), 2 * rhat)]
+    if m > 1.0:
+        w, weight = domain.m0_weight * abs_pow(r1, 2 * m) + rhat * rhat - 1.0, domain.m0_weight
+        dists.append(abs(w) / math.hypot(2 * m * weight * abs_pow(r1, 2 * m - 1), 2 * rhat))
+    return min(dists)
+
+
+class TestHugeFinitePoints:
+    # a finite point far outside: classify_region says OUTSIDE at every m (its M0 split
+    # raised OverflowError for m > 1), and seam_distance gives the first-order distance
+    # or a typed DomainError where |z1|^2m leaves the float range; no warning either way
+    @pytest.mark.parametrize("zhat", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("r1", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 2.0, 60.0])
+    def test_outside_or_typed(self, m, r1, zhat):
+        d = DomainParams(m=m, n=3)
+        z = np.array([r1 * np.exp(0.3j), zhat, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_region(d, z) is RegionLabel.OUTSIDE
+            assert np.all(_region_of(d, np.array([z, z]), REGION_TOL) == RegionLabel.OUTSIDE)
+            if 2 * m * math.log(abs(z[0])) < math.log(sys.float_info.max):
+                assert seam_distance(d, z) == _seam_distance_formula(d, z)
+                assert 0.0 < seam_distance(d, z) < math.inf
+            else:
+                with pytest.raises(DomainError, match="leaves the float range"):
+                    seam_distance(d, z)

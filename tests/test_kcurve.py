@@ -358,6 +358,23 @@ class TestJoiningDerivatives:
         got = joining_point_derivatives(DomainParams(m=m, n=2), p1)
         assert got.d3_jump == pytest.approx(got.d3_expected, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("m", [0.75, 1.0, 1.0 + 1e-7, 2.0, 5.0, 20.0, 60.0])
+    @pytest.mark.parametrize("p1", [1e-20, 1e-10, 1e-5, 0.3, 0.9, 0.99, 0.999999])
+    def test_d3_terms_bound_the_rounding(self, m, p1):
+        # d3_jump against the closed form at 60 digits from the computed P = p1^2m,
+        # 16 P p1^2 (1 - P)^2 (2m - 1)^2 (m - 1)/m / xdot^4: at most 2.2 ulp of
+        # d3_terms here, wherever the call returns. At m = 1, p1 = 1e-20 that
+        # tells d3_jump = 3.7e64 (0.28 ulp of d3_terms = 6.0e80) from a jump
+        try:
+            got = joining_point_derivatives(DomainParams(m=m, n=2), p1)
+        except NumericalError:
+            return
+        with mpmath.workdps(60):
+            mp_m, mp_p1, P = mpmath.mpf(m), mpmath.mpf(p1), mpmath.mpf(abs_pow(p1, 2 * m))
+            exact = (16 * P * mp_p1 ** 2 * (1 - P) ** 2 * (2 * mp_m - 1) ** 2 * (mp_m - 1)
+                     / mp_m / ((4 * mp_m - 2) * P * (1 - P)) ** 4)
+            assert abs(got.d3_jump - exact) <= 8 * np.finfo(float).eps * got.d3_terms
+
     @pytest.mark.parametrize("m", [1.0 - 1e-7, 1.0 + 1e-7])
     @pytest.mark.parametrize("p1", [0.3, 0.5, 0.7])
     def test_third_derivative_near_the_ball(self, m, p1):

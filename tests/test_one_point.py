@@ -15,11 +15,10 @@ from eggmetrics import DomainParams, kobayashi, kobayashi_sq, wu_norm, wu_tensor
 from eggmetrics import domain as domain_module
 from eggmetrics import tensor as tensor_module
 from eggmetrics.domain import (_check_inside, _hat_sq, _moved_reals, _reference_point,
-                               _reference_rows, _to_axis)
+                               _reference_rows, _stratum_points, _to_axis)
 from eggmetrics.fitting import _TANGENCY
 from eggmetrics.kobayashi import _branches_sq, _is_upper
 from eggmetrics.tensor import _TAGS, _wu_matrices
-from eggmetrics.verification import _sample_interior
 
 BIT_M = (0.5, 0.75, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 60.0)
 BIT_N = (2, 5, 8, 9, 17)
@@ -162,7 +161,7 @@ def test_norm_past_the_float_range_is_not_nan(m, n):
     # range, and stays below kobayashi where both are finite
     d = DomainParams(m=m, n=n)
     rng = np.random.default_rng([int(100 * m), n])
-    zs = _sample_interior(d, rng, 6, scale=0.5)
+    zs = _stratum_points(d, rng, 6, "interior")
     scales = np.array([1e150, 1e155, 1e160, 1e200, 1e250, 1e300])
     z = np.repeat(zs, len(scales), axis=0)
     v = np.array([_unit(rng, n) for _ in z]) * np.tile(scales, len(zs))[:, None]

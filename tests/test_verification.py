@@ -1,5 +1,6 @@
 """The verify suite's sample sets: row samplers, row regularity probes, the bench's cells."""
 
+import math
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from eggmetrics import (
     DomainError,
     DomainParams,
     NumericalError,
+    RegionLabel,
     automorphism_jacobian,
     egg_automorphism,
     kobayashi_sq,
@@ -23,13 +25,11 @@ from eggmetrics import (
     wu_tensor,
 )
 from eggmetrics import fitting, numerics, smoothness, verification
-from eggmetrics.domain import _automorphism, _defining
+from eggmetrics.domain import (REGION_TOL, _automorphism, _check_inside, _defining, _region_of,
+                               _stratum_points, _unit_rows)
 from eggmetrics.kcurve import _lower_xy_many, _upper_xy_many
 from eggmetrics.tensor import _norm_sq
 from eggmetrics.verification import (
-    _SAMPLE_MARGIN,
-    _sample_directions,
-    _sample_interior,
     check_alt_upper,
     check_automorphism,
     check_convexity,
@@ -42,42 +42,76 @@ from eggmetrics.verification import (
 )
 
 
-def _one_point_interior(domain, rng, scale):
-    # the sampler as it was, one rejection attempt at a time
-    while True:
-        z = (rng.uniform(-1, 1, domain.n) + 1j * rng.uniform(-1, 1, domain.n)) * scale
-        if _defining(domain, z) < _SAMPLE_MARGIN - 1.0:
-            return z
+def _one_row_stratum(domain, rng, count, stratum):
+    # the stratum rows as ``_stratum_points`` states them, one scalar at a time from the
+    # four blocks (c, t's fraction, z1's phase, the zhat directions) in their order
+    w, k = domain.m0_weight, domain.n - 1
+    lo, hi = (0.0, 0.9) if stratum == "interior" else (1.0 / w, 0.98)
+    cs = [rng.uniform(lo, hi) for _ in range(count)]
+    fracs = [rng.uniform() for _ in range(count)]
+    phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(count)]
+    dirs = [_one_point_direction(k, rng) for _ in range(count)]
+    rows = []
+    for c, frac, phase, u in zip(cs, fracs, phases, dirs):
+        t0 = 0.0 if stratum == "interior" else (1.0 / c - 1.0) / (w - 1.0)
+        t = t0 + (1.0 - t0) * frac
+        z1 = (c * t) ** (0.5 / domain.m) * complex(math.cos(phase), math.sin(phase))
+        rows.append(np.concatenate(([z1], math.sqrt(c * (1.0 - t)) * u)))
+    return np.array(rows)
 
 
-def _one_point_direction(domain, rng):
-    v = rng.normal(size=domain.n) + 1j * rng.normal(size=domain.n)
+def _one_point_direction(k, rng):
+    v = rng.normal(size=k) + 1j * rng.normal(size=k)
     return v / np.linalg.norm(v)
 
 
-class TestRowSamplers:
-    @pytest.mark.parametrize("scale", [0.5, 0.75, 0.95])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("m", [0.5, 0.75, 2.0, 5.0, 20.0])
-    def test_interior_rows_are_the_one_point_draws(self, m, n, scale):
+class TestStratumPoints:
+    # verify's two strata, placed directly: every row lands in its stratum, from
+    # the draws in the order the docstring states
+    M_VALUES = [0.5, 0.75, 1.0, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, 20.0, 60.0, 200.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_interior_rows_lie_inside_the_margin(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rows = _stratum_points(d, np.random.default_rng([n, 1]), 2000, "interior")
+        assert rows.shape == (2000, n)
+        assert np.all(_defining(d, rows) < -0.1)
+        _check_inside(d, rows)
+        for z in rows[:20]:
+            _check_inside(d, z)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("m", [m for m in M_VALUES if m > 1.0])
+    def test_m_plus_rows_read_m_plus(self, m, n):
+        d = DomainParams(m=m, n=n)
+        rows = _stratum_points(d, np.random.default_rng([n, 2]), 2000, "M+")
+        assert np.all(_defining(d, rows) < -0.02)
+        assert np.all(_region_of(d, rows, REGION_TOL) == RegionLabel.M_PLUS)
+
+    @pytest.mark.parametrize("stratum", ["interior", "M+"])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("m", [0.5, 1.0 + 1e-7, 2.0, 60.0])
+    def test_rows_are_the_stated_draws(self, m, n, stratum):
         d = DomainParams(m=m, n=n)
         for count in (1, 7, 60):
-            rows = _sample_interior(d, np.random.default_rng([count, n]), count, scale)
-            rng = np.random.default_rng([count, n])
-            want = np.array([_one_point_interior(d, rng, scale) for _ in range(count)])
-            assert rows.shape == (count, n)
-            assert np.array_equal(rows, want)
+            rows = _stratum_points(d, np.random.default_rng([count, n]), count, stratum)
+            again = _stratum_points(d, np.random.default_rng([count, n]), count, stratum)
+            want = _one_row_stratum(d, np.random.default_rng([count, n]), count, stratum)
+            assert rows.shape == (count, n) and np.array_equal(rows, again)
+            # numpy's array pow and exp round apart from the scalar math forms: at most
+            # 1.6e-16 over m up to 200, n in {2, 3, 8} and up to 500 rows
+            assert np.max(np.abs(rows - want)) <= 4e-16
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_direction_rows_are_unit_one_point_draws(self, n):
-        d = DomainParams(m=2.0, n=n)
         for count in (1, 300):
-            rows = _sample_directions(d, np.random.default_rng(count), count)
+            rows = _unit_rows(np.random.default_rng(count).normal(size=(count, 2, n)))
             rng = np.random.default_rng(count)
-            want = np.array([_one_point_direction(d, rng) for _ in range(count)])
+            want = np.array([_one_point_direction(n, rng) for _ in range(count)])
             assert rows.shape == (count, n)
             assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 4e-16
-            assert np.max(np.abs(rows - want)) <= 4e-16
+            assert np.array_equal(rows, want)
 
 
 def _spy(monkeypatch, name):
@@ -100,8 +134,8 @@ def _row_gap(a, b):
 class TestCheckDraws:
     # each check draws its samples from its own seeded generator and
     # evaluates them in one row call: the rows against samples drawn here
-    # as the check draws them, interior points and directions one at a time
-    # (``_sample_interior``, ``_sample_directions``), the gauge and the
+    # as the check draws them, interior points from the stated draws
+    # (``_one_row_stratum``) and directions one at a time, the gauge and the
     # alternate formula's samples as one block per column
     CELLS = [(0.5, 2), (0.75, 3), (2.0, 2), (5.0, 4), (20.0, 3)]
 
@@ -147,14 +181,16 @@ class TestCheckDraws:
         check_automorphism(d, np.random.default_rng([n, 2]))
         (_, base, rows), = calls
         rng = np.random.default_rng([n, 2])
-        ps, zs = _sample_interior(d, rng, 25), _sample_interior(d, rng, 25)
+        ps, zs = (_one_row_stratum(d, rng, 25, "interior") for _ in range(2))
+        vs = [_one_point_direction(n, rng) for _ in range(25)]
         steps = 1e-6 * np.eye(n)
         # per sample p, the boundary point, z (the Jacobian's) and the steps
         want = np.array([np.vstack([p, v / minkowski_gauge(d, v), z, z + steps, z - steps])
-                         for p, z, v in zip(ps, zs, _sample_directions(d, rng, 25))])
+                         for p, z, v in zip(ps, zs, vs)])
         rows = rows.reshape(want.shape)
-        assert np.array_equal(base, np.repeat(ps, 3 + 2 * n, axis=0))
-        assert np.array_equal(np.delete(rows, 1, axis=1), np.delete(want, 1, axis=1))
+        # the stated draws to rounding (at most 1.6e-16 on these cells)
+        assert np.max(np.abs(base - np.repeat(ps, 3 + 2 * n, axis=0))) <= 4e-16
+        assert np.max(np.abs(np.delete(rows, 1, axis=1) - np.delete(want, 1, axis=1))) <= 4e-16
         # the boundary points take the gauge over rows, which runs a root solve
         assert _row_gap(rows[:, 1], want[:, 1]) <= 1e-13
 
@@ -170,7 +206,7 @@ class TestCheckDraws:
         ratio = rng.uniform(1.05, 40.0, 100)
         want = []
         for p1, (a, b), r in zip(p1s, g, ratio):
-            vhat = ((a + 1j * b) / np.linalg.norm(a + 1j * b))[1:]
+            vhat = a[1:] + 1j * b[1:]
             want.append(np.concatenate(([p1 * r / m], vhat / np.linalg.norm(vhat))))
         want = np.array(want)
         assert np.array_equal(axis[:, 0], p1s) and not np.any(axis[:, 1:])
@@ -184,11 +220,12 @@ class TestCheckDraws:
         check_invariance(d, np.random.default_rng([n, 4]))
         (_, points, vectors), = calls
         rng = np.random.default_rng([n, 4])
-        ps, qs = _sample_interior(d, rng, 40), _sample_interior(d, rng, 40)
-        vs = _sample_directions(d, rng, 40)
+        ps, qs = (_one_row_stratum(d, rng, 40, "interior") for _ in range(2))
+        vs = np.array([_one_point_direction(n, rng) for _ in range(40)])
         moved = np.array([egg_automorphism(d, q, p) for p, q in zip(ps, qs)])
         dv = np.array([automorphism_jacobian(d, q, p) @ v for p, q, v in zip(ps, qs, vs)])
-        assert np.array_equal(points, np.concatenate([ps, moved]))
+        # moved from the stated draws' rounding: at most 4.7e-16 and 3.4e-16 on these cells
+        assert _row_gap(points, np.concatenate([ps, moved])) <= 1e-15
         assert np.array_equal(vectors[:40], vs)
         assert _row_gap(vectors[40:], dv) <= 2e-15
 
@@ -340,8 +377,8 @@ class TestInvarianceNorms:
     def test_tensor_norms_are_wu_norm_to_rounding(self, m, n):
         d = DomainParams(m=m, n=n)
         rng = np.random.default_rng([int(10 * m), n])
-        ps, qs = _sample_interior(d, rng, 40), _sample_interior(d, rng, 40)
-        vs = _sample_directions(d, rng, 40)
+        ps, qs = (_stratum_points(d, rng, 40, "interior") for _ in range(2))
+        vs = _unit_rows(rng.normal(size=(40, 2, n)))
         pqs, D = _automorphism(d, qs, ps)  # as check_invariance moves its pairs
         z = np.concatenate([ps, pqs])
         v = np.concatenate([vs, (D @ vs[..., None])[..., 0]])
